@@ -4,11 +4,15 @@ Every subcommand prints a single JSON document on stdout.  Output is
 compact and byte-stable for fixed inputs; ``--pretty`` switches to an
 indented rendering of the same document.
 
-Exit codes: a ``decide`` run maps its outcome to 0 (Embeds),
-1 (DoesNotEmbed) or 2 (Undetermined); ``check-sequence`` and
-``verify-family`` use 0/1 for pass/fail.  Bad usage exits 64, malformed
-documents 65, unsupported weights 70, and a disagreement between the
-symbolic route and the numeric oracle exits 10.
+Exit codes:
+
+* 0, 1, 2 -- verdicts only: a ``decide`` run maps its outcome to 0
+  (Embeds), 1 (DoesNotEmbed) or 2 (Undetermined); ``check-sequence`` and
+  ``verify-family`` use 0/1 for pass/fail;
+* 10 -- the symbolic route and the numeric oracle disagree;
+* 64 -- usage: bad arguments, parameters, exponents or window cap;
+* 65 -- schema: malformed JSON documents;
+* 70 -- unsupported weights or geometry, and internal errors.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .errors import (
     OracleDisagreement,
     SchemaError,
 )
-from .exponents import INF, ExtExponent, compound
+from .exponents import ExtExponent, compound
 from .families import FAMILY_NAMES, covering_from_json, get_family
 from .seqspace import decide_sequence_embedding, expweight_from_json, truncated_oracle
 from .weights import build_weight
@@ -43,14 +47,11 @@ EX_WEIGHT = 70
 _OUTCOME_EXIT = {"Embeds": 0, "DoesNotEmbed": 1, "Undetermined": 2}
 
 
-def _exponent(text: str) -> ExtExponent:
-    low = text.strip().lower()
-    if low in {"inf", "infinity"}:
-        return INF
-    if "." in low or "e" in low:
-        # decimal input goes through the capped-denominator float path
-        return ExtExponent.from_float(float(low))
-    return ExtExponent(low)
+def _radius(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {value}")
+    return value
 
 
 def _json_arg(text: str, what: str) -> object:
@@ -185,10 +186,10 @@ def _build_parser() -> argparse.ArgumentParser:
     d.add_argument("--family", required=True, choices=list(FAMILY_NAMES))
     d.add_argument("--params", default="{}", help="family parameters as JSON")
     d.add_argument("--target", default="sobolev", choices=["sobolev", "cb", "bv"])
-    d.add_argument("-p", type=_exponent, required=True, metavar="P")
-    d.add_argument("-q", type=_exponent, default=None, metavar="Q",
+    d.add_argument("-p", type=ExtExponent, required=True, metavar="P")
+    d.add_argument("-q", type=ExtExponent, default=None, metavar="Q",
                    help="integrability of the sobolev target")
-    d.add_argument("-r", type=_exponent, required=True, metavar="R")
+    d.add_argument("-r", type=ExtExponent, required=True, metavar="R")
     d.add_argument("-k", type=int, default=0, metavar="K", help="smoothness order")
     d.add_argument("--refine", action=argparse.BooleanOptionalAction, default=True,
                    help="apply family-specific sharpenings")
@@ -203,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     i.add_argument("--covering", required=True,
                    help='JSON: {"family":...,"params":...} or {"custom":...}')
-    i.add_argument("--radius", type=int, default=4)
+    i.add_argument("--radius", type=_radius, default=4)
     i.add_argument("--index", default=None, help="comma-separated index tuple")
     i.set_defaults(func=_cmd_inspect_covering)
 
@@ -214,8 +215,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     c.add_argument("--u", required=True, help="target weight as JSON")
     c.add_argument("--v", required=True, help="source weight as JSON")
-    c.add_argument("-r", type=_exponent, required=True, metavar="R")
-    c.add_argument("-s", type=_exponent, required=True, metavar="S")
+    c.add_argument("-r", type=ExtExponent, required=True, metavar="R")
+    c.add_argument("-s", type=ExtExponent, required=True, metavar="S")
     c.add_argument("--oracle", action="store_true",
                    help="attach the truncated-sum classification of u/v")
     c.set_defaults(func=_cmd_check_sequence)
@@ -227,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--family", required=True, choices=list(FAMILY_NAMES))
     v.add_argument("--params", default="{}", help="family parameters as JSON")
-    v.add_argument("--radius", type=int, default=4)
+    v.add_argument("--radius", type=_radius, default=4)
     v.set_defaults(func=_cmd_verify_family)
 
     return parser

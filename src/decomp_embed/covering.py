@@ -18,13 +18,15 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
 from .errors import (
+    InvalidParams,
     MissingTightnessWitness,
     SchemaError,
     UnsupportedGeometry,
@@ -75,7 +77,13 @@ _FLOAT_GAP_TOL = 1e-9
 
 
 def window_cap() -> int:
-    return int(os.environ.get(WINDOW_CAP_ENV, _DEFAULT_WINDOW_CAP))
+    raw = os.environ.get(WINDOW_CAP_ENV)
+    if raw is None:
+        return _DEFAULT_WINDOW_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParams(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _is_exact(*values: object) -> bool:
@@ -673,6 +681,8 @@ class Covering:
     transform: Callable[[Index], tuple[Mat, Vec]]
     base_set: Callable[[Index], BaseSet]
     exact: bool = True
+    # adjacency results by radius, filled by ``adjacency``
+    _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def window(self, radius: int) -> list[Index]:
         return self.scheme.window(radius)
@@ -687,36 +697,34 @@ def enumerate_window(covering: Covering, radius: int) -> list[Index]:
     return covering.window(radius)
 
 
-def _window_geometry(covering: Covering, radius: int):
+def adjacency(
+    covering: Covering, radius: int
+) -> tuple[Mapping[Index, tuple[Index, ...]], bool]:
+    """Neighbor map i -> i* over the window, and whether it is certain.
+
+    The relation is reflexive (every nonempty set meets itself) and kept
+    symmetric by construction.  It is computed once per radius and kept on
+    the covering; the map is read-only because every caller shares it.
+    """
+    cached = covering._adjacency.get(radius)
+    if cached is not None:
+        return cached
     indices = covering.window(radius)
     sets = []
-    certain_all = True
+    certain = True
     for i in indices:
         s, ok = covering.transformed_set(i)
         sets.append(s)
-        certain_all = certain_all and ok
+        certain = certain and ok
     los = np.empty((len(sets), covering.dimension))
     his = np.empty((len(sets), covering.dimension))
     for row, s in enumerate(sets):
         lo, hi = s.bounding_box()
         los[row] = lo
         his[row] = hi
-    return indices, sets, los, his, certain_all
-
-
-def adjacency(
-    covering: Covering, radius: int
-) -> tuple[dict[Index, tuple[Index, ...]], bool]:
-    """Neighbor map i -> i* over the window, and whether it is certain.
-
-    The relation is reflexive (every nonempty set meets itself) and kept
-    symmetric by construction.
-    """
-    indices, sets, los, his, certain = _window_geometry(covering, radius)
     pad = 0.0 if covering.exact else _FLOAT_GAP_TOL
-    n = len(indices)
     nbrs: dict[Index, list[Index]] = {i: [] for i in indices}
-    for row in range(n):
+    for row in range(len(indices)):
         hit = np.nonzero(
             np.all(his[row] >= los - pad, axis=1)
             & np.all(los[row] <= his + pad, axis=1)
@@ -732,29 +740,17 @@ def adjacency(
             if meet:
                 nbrs[indices[row]].append(indices[col])
                 nbrs[indices[col]].append(indices[row])
-    return {i: tuple(sorted(js)) for i, js in nbrs.items()}, certain
+    result = (MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), certain)
+    covering._adjacency[radius] = result
+    return result
 
 
 def neighbors(covering: Covering, i: Index, radius: int) -> tuple[Index, ...]:
     """The neighbor set i* of one index within the window."""
-    indices, sets, los, his, _ = _window_geometry(covering, radius)
-    try:
-        row = indices.index(i)
-    except ValueError:
-        raise ValueError(f"index {i} is outside the window of radius {radius}")
-    pad = 0.0 if covering.exact else _FLOAT_GAP_TOL
-    hit = np.nonzero(
-        np.all(his[row] >= los - pad, axis=1) & np.all(los[row] <= his + pad, axis=1)
-    )[0]
-    out = []
-    for col in hit:
-        if col == row:
-            out.append(i)
-            continue
-        meet, _ = sets_intersect(sets[row], sets[col])
-        if meet:
-            out.append(indices[col])
-    return tuple(sorted(out))
+    nbrs, _ = adjacency(covering, radius)
+    if i not in nbrs:
+        raise InvalidParams(f"index {i} is outside the window of radius {radius}")
+    return nbrs[i]
 
 
 def certify_constants(covering: Covering, radius: int) -> dict:
@@ -766,6 +762,8 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     every ingredient was computed from exact geometry.
     """
     nbrs, certain = adjacency(covering, radius)
+    if not nbrs:
+        raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
     c_hat = 0.0
     inv_cache: dict[Index, Mat] = {}
@@ -877,6 +875,8 @@ def custom_covering_from_json(doc: object) -> Covering:
     for mat in mats:
         if len(mat) != dim or any(len(row) != dim for row in mat):
             raise SchemaError("transform matrices must be dimension x dimension")
+    if any(mat_det(mat) == 0 for mat in mats):
+        raise SchemaError("transform matrices must be invertible")
     for vec in vecs:
         if len(vec) != dim:
             raise SchemaError("offsets must have one entry per dimension")

@@ -23,7 +23,7 @@ the numeric tail oracle on truncated windows and raises
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Optional
 
 from .errors import InvalidParams, OracleDisagreement
@@ -135,7 +135,7 @@ def _resolve(family, params):
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
         raise InvalidParams(f"not a family: {family!r}")
-    if isinstance(params, dict):
+    if not is_dataclass(params):
         params = fam.parse_params(params)
     return fam, params
 

@@ -79,7 +79,10 @@ class ExtExponent:
         if stripped in ("inf", "infinity", "+inf"):
             return None
         if "/" in stripped:
-            return Fraction(stripped)
+            try:
+                return Fraction(stripped)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in exponent {text!r}") from None
         if "." in stripped or "e" in stripped:
             # decimal literal: route through the float path for the cap check
             return ExtExponent.from_float(float(stripped))._frac
@@ -124,6 +127,8 @@ class ExtExponent:
             and len(obj) == 2
             and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
         ):
+            if obj[1] == 0:
+                raise ValueError(f"zero denominator in exponent {obj!r}")
             return cls(Fraction(obj[0], obj[1]))
         raise InexactExponent(f"not an exponent literal: {obj!r}")
 

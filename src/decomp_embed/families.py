@@ -149,7 +149,6 @@ class Family:
     """Common surface of a registered family; subclasses fill in the math."""
 
     name = ""
-    symbolic_mode = "exact"  # "exact" or "ratio" agreement with the covering
     khintchine: Optional[str] = None  # "N0", "full", or None when unavailable
 
     def parse_params(self, doc: dict):
@@ -466,7 +465,6 @@ class ShearletSmoothnessFamily(Family):
     """
 
     name = "shearlet_smoothness"
-    symbolic_mode = "ratio"
     khintchine = "full"
 
     def parse_params(self, doc: dict) -> ShearletSmoothnessParams:
@@ -572,7 +570,6 @@ class ShearletCoorbitFamily(Family):
     """
 
     name = "shearlet_coorbit"
-    symbolic_mode = "ratio"
     khintchine = None
 
     def parse_params(self, doc: dict) -> CoorbitParams:
@@ -681,7 +678,6 @@ class DiagonalFamily(Family):
     """
 
     name = "diagonal"
-    symbolic_mode = "ratio"
     khintchine = None
 
     def parse_params(self, doc: dict) -> DiagonalParams:

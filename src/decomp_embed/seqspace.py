@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -63,24 +63,31 @@ RatLike = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 
 def rat_from_json(obj: object) -> Fraction:
-    """Parse a rational literal: int, [num, den], or "a/b" string."""
+    """Parse a rational literal: int, [num, den], or "a/b" string.
+
+    Every malformed literal raises ValueError, including a zero
+    denominator and a non-finite float.
+    """
     if isinstance(obj, bool):
         raise ValueError("bool is not a rational")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, float):
-        cand = Fraction(obj).limit_denominator(10**6)
-        if float(cand) != obj:
-            raise ValueError(f"{obj!r} is not exactly rational at denominator <= 1e6")
-        return cand
-    if (
-        isinstance(obj, (list, tuple))
-        and len(obj) == 2
-        and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-    ):
-        return Fraction(obj[0], obj[1])
+    try:
+        if isinstance(obj, int):
+            return Fraction(obj)
+        if isinstance(obj, str):
+            return Fraction(obj)
+        if isinstance(obj, float):
+            cand = Fraction(obj).limit_denominator(10**6)
+            if float(cand) != obj:
+                raise ValueError(f"{obj!r} is not exactly rational at denominator <= 1e6")
+            return cand
+        if (
+            isinstance(obj, (list, tuple))
+            and len(obj) == 2
+            and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
+        ):
+            return Fraction(obj[0], obj[1])
+    except (ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"not a finite rational: {obj!r}") from exc
     raise ValueError(f"not a rational literal: {obj!r}")
 
 
@@ -167,10 +174,6 @@ class LineSector:
         for n in self.coord_values(radius):
             yield (n,)
 
-    @staticmethod
-    def point_radius(pt: tuple[int, ...]) -> int:
-        return abs(pt[0])
-
     def to_json(self) -> object:
         return {"kind": self.domain}
 
@@ -193,10 +196,6 @@ class ProductSector:
     def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
         axes = [line.coord_values(radius) for line in self.lines]
         return itertools.product(*axes)
-
-    @staticmethod
-    def point_radius(pt: tuple[int, ...]) -> int:
-        return max(abs(n) for n in pt)
 
     def to_json(self) -> object:
         return {"kind": "product", "domains": [line.domain for line in self.lines]}
@@ -224,10 +223,6 @@ class RadialSector:
         for pt in itertools.product(*([rng] * self.d)):
             if any(n != 0 for n in pt):
                 yield pt
-
-    @staticmethod
-    def point_radius(pt: tuple[int, ...]) -> int:
-        return max(abs(n) for n in pt)
 
     def to_json(self) -> object:
         return {"kind": "radial", "d": self.d}
@@ -290,10 +285,6 @@ class PairSector:
             bound = self.m_bound(n)
             for m in range(-bound, bound + 1):
                 yield (n, m)
-
-    @staticmethod
-    def point_radius(pt: tuple[int, ...]) -> int:
-        return abs(pt[0])
 
     def to_json(self) -> object:
         return {
@@ -1098,33 +1089,20 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
 
 
 def truncated_oracle(
-    weight: ExpPolyWeight | Callable[[tuple[int, ...]], float],
+    weight: ExpPolyWeight,
     theta,
     radii: Sequence[int] | None = None,
-    *,
-    sector: Sector | None = None,
-    blowup: float = BLOWUP_THRESHOLD,
-    growth_factor: float = GROWTH_FACTOR,
-    shell_ratio: float = SHELL_RATIO,
 ) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
-    Declares Divergent when partial sums exceed the blow-up threshold or
-    grow by at least ``growth_factor`` between the last two radii.
+    Declares Divergent when partial sums exceed ``BLOWUP_THRESHOLD`` or
+    grow by at least ``GROWTH_FACTOR`` between the last two radii.
     Declares Convergent, with a geometric tail bound, when the per-shell
     contributions over the last three radii decay with ratio at most
-    ``shell_ratio``.  Everything else is Inconclusive.  The verdict is
+    ``SHELL_RATIO``.  Everything else is Inconclusive.  The verdict is
     deterministic given the radius schedule.
     """
-    if isinstance(weight, ExpPolyWeight):
-        pieces = weight.pieces
-    else:
-        if sector is None:
-            raise ValueError("callable weights need an explicit sector")
-        dummy = Atom(Fraction(1), tuple(CoordFactor() for _ in range(sector.dims)))
-        pieces = (Piece(sector, (dummy,)),)  # atoms unused in callable mode
-
-    eval_fn = None if isinstance(weight, ExpPolyWeight) else weight
+    pieces = weight.pieces
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     dims = max(p.sector.dims for p in pieces)
     if radii is None:
@@ -1152,40 +1130,12 @@ def truncated_oracle(
     # per-piece cached flat arrays for grid sectors (largest window once)
     grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     for idx, piece in enumerate(pieces):
-        if isinstance(piece.sector, PairSector) or eval_fn is not None:
+        if isinstance(piece.sector, PairSector):
             continue
         grid_cache[idx] = _grid_values(piece, max(radii))
 
     def shell_contrib(idx: int, r_prev: int, r: int, scale: float) -> _RowSum:
         piece = pieces[idx]
-        if eval_fn is not None:
-            total, sup = 0.0, 0.0
-            flagged = False
-            if isinstance(piece.sector, PairSector):
-                if piece.sector.side == "outside":
-                    raise UnsupportedWeight(
-                        "callable weights on outside pair sectors are not supported"
-                    )
-                for n in piece.sector.n_values(r):
-                    if abs(n) <= r_prev:
-                        continue
-                    bound = piece.sector.m_bound(n)
-                    half = min(bound, _ROW_STEP_CAP // 2)
-                    flagged = flagged or bound > half
-                    for m in range(-half, half + 1):
-                        val = eval_fn((n, m))
-                        t = val if theta_f is None else (val**theta_f if val > 0 else 0.0)
-                        total += t
-                        sup = max(sup, t)
-                return _RowSum(total, sup, flagged)
-            for pt in piece.sector.iter_window(r):
-                if piece.sector.point_radius(pt) <= r_prev:
-                    continue
-                val = eval_fn(pt)
-                t = val if theta_f is None else (val**theta_f if val > 0 else 0.0)
-                total += t
-                sup = max(sup, t)
-            return _RowSum(total, sup, flagged)
         if isinstance(piece.sector, PairSector):
             total, sup = 0.0, 0.0
             flagged = False
@@ -1210,8 +1160,6 @@ def truncated_oracle(
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""
         out = 0.0
-        if eval_fn is not None:
-            return out
         for piece in pieces:
             if isinstance(piece.sector, PairSector):
                 b = _pair_tail_bound(piece, radius, theta_f)
@@ -1241,7 +1189,7 @@ def truncated_oracle(
         partials.append(running)
         last_radius = r
         r_prev = r
-        if not math.isfinite(running) or running > blowup:
+        if not math.isfinite(running) or running > BLOWUP_THRESHOLD:
             # row masses on pair sectors can hump upward well inside a
             # convergent sum; a finite structural tail overrules the gate
             if not (has_pair and math.isfinite(pair_tail(r))):
@@ -1251,7 +1199,7 @@ def truncated_oracle(
 
     if len(partials) >= 2 and partials[-2] > 0:
         g = partials[-1] / partials[-2]
-        if g >= growth_factor:
+        if g >= GROWTH_FACTOR:
             if not (has_pair and math.isfinite(pair_tail(last_radius))):
                 return TailClassification(
                     "Divergent", last_radius, partial_sum=partials[-1], growth=g
@@ -1286,7 +1234,7 @@ def truncated_oracle(
                     continue
                 ratios.append(cur / prev)
             ratio_max = max(ratios) if ratios else 0.0
-            if ok and ratio_max <= shell_ratio:
+            if ok and ratio_max <= SHELL_RATIO:
                 last_shell = window[-1]
                 tail = (
                     last_shell * ratio_max / (1.0 - ratio_max)
@@ -1309,12 +1257,11 @@ def truncated_oracle(
 
 def sequence_norm(
     values: dict[tuple[int, ...], float],
-    weight: ExpPolyWeight | Callable[[tuple[int, ...]], float],
+    weight: ExpPolyWeight,
     p,
 ) -> float:
     """The weighted l^p norm of a finitely supported sequence."""
-    get = weight.evaluate if isinstance(weight, ExpPolyWeight) else weight
-    terms = [get(pt) * abs(c) for pt, c in values.items()]
+    terms = [weight.evaluate(pt) * abs(c) for pt, c in values.items()]
     if p.is_inf:
         return max(terms, default=0.0)
     pf = float(p)

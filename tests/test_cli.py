@@ -67,11 +67,37 @@ def test_outputs_are_single_json_lines_or_pretty():
       "--v", '{"pieces":[{"lattice":{"kind":"N0"}},{"lattice":{"kind":"Nneg"}}]}',
       "-r", "2", "-s", "2"], 70),
     ([], 64),
+    (["decide", "--family", "hom_besov", "-p", "1/0", "-q", "2", "-r", "2"], 64),
+    (["decide", "--family", "hom_besov", "--params", '{"s":"1/0"}',
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["decide", "--family", "hom_besov", "--params", '{"s":Infinity}',
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["decide", "--family", "hom_besov", "--params", "[1]",
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["check-sequence", "--u", '{"lattice":{"kind":"N0"},"atoms":[{"exp2":"1/0"}]}',
+      "--v", '{"lattice":{"kind":"N0"}}', "-r", "2", "-s", "2"], 65),
+    (["inspect-covering", "--covering", '{"family":"hom_besov"}', "--radius", "-1"], 64),
+    (["verify-family", "--family", "hom_besov", "--radius", "-1"], 64),
+    (["inspect-covering", "--covering", '{"family":"alpha_modulation"}',
+      "--radius", "0"], 64),                                  # empty window
+    (["inspect-covering", "--covering", '{"family":"hom_besov"}',
+      "--radius", "2", "--index", "99"], 64),
+    (["inspect-covering", "--covering", json.dumps({"custom": {
+        "dimension": 1, "indices": [[0]], "T": [[[0]]], "b": [[0]],
+        "base_set": {"ball": {"center": [0], "radius": 1}}}})], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
     assert got == code
     assert err, "expected a diagnostic on stderr"
+    assert "Traceback" not in err
+
+
+def test_malformed_window_cap_is_a_usage_error(monkeypatch):
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "abc")
+    code, _, err = run_cli(["inspect-covering", "--covering", '{"family":"hom_besov"}'])
+    assert code == 64
+    assert "DECOMP_EMBED_MAX_WINDOW" in err
 
 
 def test_help_exits_clean():

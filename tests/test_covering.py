@@ -39,7 +39,13 @@ from decomp_embed.covering import (
     transform_base,
     window_cap,
 )
-from decomp_embed.errors import MissingTightnessWitness, SchemaError, WindowCapExceeded
+from decomp_embed.errors import (
+    InvalidParams,
+    MissingTightnessWitness,
+    SchemaError,
+    WindowCapExceeded,
+)
+from decomp_embed.families import covering_from_json
 
 F = Fraction
 
@@ -237,6 +243,60 @@ def test_dyadic_neighbor_structure():
     # annuli 2^n(1/4, 4) overlap exactly when |n - m| <= 3
     assert nbrs[(0,)] == tuple((k,) for k in range(-3, 4))
     assert neighbors(cov, (0,), 6) == nbrs[(0,)]
+
+
+COVERING_DOCS = [
+    {"family": "hom_besov", "params": {"d": 2}},
+    {"family": "inhom_besov", "params": {"d": 2}},
+    {"family": "alpha_modulation", "params": {"d": 2, "alpha": "1/2"}},
+    {"family": "shearlet_smoothness", "params": {}},
+    {"family": "shearlet_coorbit", "params": {"c": "1/2"}},
+    {"family": "diagonal", "params": {"d": 2, "alpha": "1/2", "beta": [0, [-1, 2]]}},
+    {"custom": {
+        "dimension": 2,
+        "indices": [[0], [1], [2], [3]],
+        "T": [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[1, 1], [0, 1]], [[3, 0], [0, 1]]],
+        "b": [[0, 0], [1, 0], [0, "1/2"], [-4, 0]],
+        "base_set": {"ball": {"center": [0, 0], "radius": 1}},
+    }},
+]
+
+
+@pytest.mark.parametrize("doc", COVERING_DOCS, ids=lambda d: d.get("family", "custom"))
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_adjacency_matches_all_pairs_reference(doc, radius):
+    cov = covering_from_json(doc)
+    indices = enumerate_window(cov, radius)
+    placed = [cov.transformed_set(i) for i in indices]
+    ref = {i: [] for i in indices}
+    ref_certain = all(ok for _, ok in placed)
+    for a, i in enumerate(indices):
+        for b, j in enumerate(indices):
+            if a == b:
+                ref[i].append(j)
+                continue
+            meet, sure = sets_intersect(placed[a][0], placed[b][0])
+            ref_certain = ref_certain and sure
+            if meet:
+                ref[i].append(j)
+
+    nbrs, certain = adjacency(cov, radius)
+    assert dict(nbrs) == {i: tuple(sorted(js)) for i, js in ref.items()}
+    assert certain == ref_certain
+    for i in indices:
+        assert neighbors(cov, i, radius) == nbrs[i]
+    assert adjacency(cov, radius) is adjacency(cov, radius)
+
+
+def test_adjacency_map_is_read_only():
+    nbrs, _ = adjacency(dyadic_annulus_covering(), 2)
+    with pytest.raises(TypeError):
+        nbrs[(0,)] = ()
+
+
+def test_neighbors_outside_the_window_is_invalid():
+    with pytest.raises(InvalidParams):
+        neighbors(dyadic_annulus_covering(), (99,), 2)
 
 
 def test_dyadic_constants():

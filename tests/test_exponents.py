@@ -80,7 +80,7 @@ def test_from_json_accepts(doc, expect):
     assert E.from_json(doc) == expect
 
 
-@pytest.mark.parametrize("doc", [None, True, [1, 2, 3], [1.0, 2], {"p": 2}, "zebra"])
+@pytest.mark.parametrize("doc", [None, True, [1, 2, 3], [1.0, 2], {"p": 2}, "zebra", [1, 0], "1/0"])
 def test_from_json_rejects(doc):
     with pytest.raises((InexactExponent, ValueError)):
         E.from_json(doc)

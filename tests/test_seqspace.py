@@ -237,13 +237,6 @@ class TestTruncatedOracle:
         assert res.window_radius == 32
         assert res.verdict == "Convergent"
 
-    def test_callable_weight(self):
-        res = truncated_oracle(
-            lambda pt: 2.0 ** (-abs(pt[0])), E(1), sector=LineSector("Z")
-        )
-        assert res.verdict == "Convergent"
-        assert res.partial_sum == pytest.approx(3.0, abs=1e-12)
-
     def test_pair_inside_convergent(self):
         w = ExpPolyWeight.single(
             PairSector("N0", F(1), "inside", 0), Atom.pair(n_exp2=-3)
