@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import NoReturn
 
 from .covering import certify_constants, check_moderate, enumerate_window, neighbors, norm_surrogate_check
 from .embedding import decide
@@ -45,6 +46,13 @@ EX_SCHEMA = 65
 EX_WEIGHT = 70
 
 _OUTCOME_EXIT = {"Embeds": 0, "DoesNotEmbed": 1, "Undetermined": 2}
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line, like every other error."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(EX_USAGE, f"error: {message}\n")
 
 
 def _radius(text: str) -> int:
@@ -170,7 +178,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="decomp-embed",
         description="decide decomposition-space embeddings into smoothness targets",
     )

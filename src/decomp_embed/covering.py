@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedGeometry,
     WindowCapExceeded,
 )
-from .seqspace import rat_from_json, rat_to_json
+from .exponents import int_from_json, rational_from_json, rational_to_json
 
 __all__ = [
     "BallSet",
@@ -202,8 +202,8 @@ class BallSet:
     def to_json(self) -> object:
         return {
             "ball": {
-                "center": [rat_to_json(Fraction(x)) for x in self.center],
-                "radius": rat_to_json(Fraction(self.radius)),
+                "center": [rational_to_json(Fraction(x)) for x in self.center],
+                "radius": rational_to_json(Fraction(self.radius)),
             }
         }
 
@@ -234,8 +234,8 @@ class BoxSet:
     def to_json(self) -> object:
         return {
             "box": {
-                "lo": [rat_to_json(Fraction(x)) for x in self.lo],
-                "hi": [rat_to_json(Fraction(x)) for x in self.hi],
+                "lo": [rational_to_json(Fraction(x)) for x in self.lo],
+                "hi": [rational_to_json(Fraction(x)) for x in self.hi],
             }
         }
 
@@ -263,8 +263,8 @@ class AnnulusSet:
         return {
             "annulus": {
                 "dim": self.dim_,
-                "inner": rat_to_json(Fraction(self.inner)),
-                "outer": rat_to_json(Fraction(self.outer)),
+                "inner": rational_to_json(Fraction(self.inner)),
+                "outer": rational_to_json(Fraction(self.outer)),
             }
         }
 
@@ -291,7 +291,7 @@ class PolygonSet:
         return {
             "polygon": {
                 "vertices": [
-                    [rat_to_json(Fraction(x)), rat_to_json(Fraction(y))]
+                    [rational_to_json(Fraction(x)), rational_to_json(Fraction(y))]
                     for x, y in self.vertices
                 ]
             }
@@ -315,41 +315,43 @@ def cone_trapezoid(
     )
 
 
+def _json_list(raw: object, parse: Callable, length: int | None = None) -> tuple:
+    """Parse every entry of a JSON list; raise ValueError on any other shape."""
+    if not isinstance(raw, list) or (length is not None and len(raw) != length):
+        size = "a list" if length is None else f"a list of {length}"
+        raise ValueError(f"expected {size}, got {raw!r}")
+    return tuple(parse(x) for x in raw)
+
+
+def _rat_pair(raw: object) -> tuple:
+    return _json_list(raw, rational_from_json, 2)
+
+
 def base_set_from_json(doc: object) -> BaseSet:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SchemaError(f"not a base-set descriptor: {doc!r}")
     (kind, body), = doc.items()
+    if not isinstance(body, dict):
+        raise SchemaError(f"bad base-set descriptor: {doc!r}")
     try:
         if kind == "ball":
             return BallSet(
-                tuple(rat_from_json(x) for x in body["center"]),
-                rat_from_json(body["radius"]),
+                _json_list(body["center"], rational_from_json),
+                rational_from_json(body["radius"]),
             )
         if kind == "box":
-            return BoxSet(
-                tuple(rat_from_json(x) for x in body["lo"]),
-                tuple(rat_from_json(x) for x in body["hi"]),
-            )
+            lo = _json_list(body["lo"], rational_from_json)
+            return BoxSet(lo, _json_list(body["hi"], rational_from_json, len(lo)))
         if kind == "annulus":
             return AnnulusSet(
-                int(body.get("dim", 1)),
-                rat_from_json(body["inner"]),
-                rat_from_json(body["outer"]),
+                int_from_json(body.get("dim", 1)),
+                rational_from_json(body["inner"]),
+                rational_from_json(body["outer"]),
             )
         if kind == "polygon":
-            return PolygonSet(
-                tuple(
-                    (rat_from_json(v[0]), rat_from_json(v[1]))
-                    for v in body["vertices"]
-                )
-            )
+            return PolygonSet(_json_list(body["vertices"], _rat_pair))
         if kind == "cone_trapezoid":
-            return cone_trapezoid(
-                rat_from_json(body["x"][0]),
-                rat_from_json(body["x"][1]),
-                rat_from_json(body["slope"][0]),
-                rat_from_json(body["slope"][1]),
-            )
+            return cone_trapezoid(*_rat_pair(body["x"]), *_rat_pair(body["slope"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad base-set descriptor: {doc!r}") from exc
     raise SchemaError(f"unknown base-set kind {kind!r}")
@@ -822,6 +824,8 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     witness cannot anchor the surrogate and raises instead of guessing.
     """
     indices = covering.window(radius)
+    if not indices:
+        raise InvalidParams(f"the window of radius {radius} is empty")
     ratios = []
     for i in indices:
         s, ok = covering.transformed_set(i)
@@ -844,32 +848,42 @@ def custom_covering_from_json(doc: object) -> Covering:
     """Build a covering from explicit per-index data.
 
     Expected shape: {"dimension": d, "indices": [...], "T": [matrix, ...],
-    "b": [vector, ...], "base_set": descriptor or [descriptor, ...]},
-    with every number a rational literal (int, [num, den] or "a/b").
+    "b": [vector, ...], "base_set": descriptor or [descriptor, ...]}.
+    ``dimension`` and the index entries are JSON integers and every other
+    number is a rational literal, both as described under "Literal rules"
+    in the README.
     """
     if not isinstance(doc, dict):
         raise SchemaError("custom covering must be an object")
     try:
-        dim = int(doc["dimension"])
+        raw_dim = doc["dimension"]
         raw_indices = doc["indices"]
         raw_t = doc["T"]
         raw_b = doc["b"]
         raw_base = doc["base_set"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise SchemaError(f"custom covering is missing a field: {exc}") from exc
     if not isinstance(raw_indices, list) or not raw_indices:
         raise SchemaError("custom covering needs a nonempty index list")
-    if not (len(raw_t) == len(raw_b) == len(raw_indices)):
+    if not (
+        isinstance(raw_t, list)
+        and isinstance(raw_b, list)
+        and len(raw_t) == len(raw_b) == len(raw_indices)
+    ):
         raise SchemaError("T and b must run parallel to the index list")
-    indices = tuple(tuple(int(x) for x in idx) for idx in raw_indices)
+    try:
+        dim = int_from_json(raw_dim)
+        indices = tuple(_json_list(idx, int_from_json) for idx in raw_indices)
+    except ValueError as exc:
+        raise SchemaError(f"bad dimension or index: {exc}") from exc
     if len(set(indices)) != len(indices):
         raise SchemaError("duplicate indices in custom covering")
     try:
         mats = [
-            tuple(tuple(rat_from_json(x) for x in row) for row in mat)
+            _json_list(mat, lambda row: _json_list(row, rational_from_json))
             for mat in raw_t
         ]
-        vecs = [tuple(rat_from_json(x) for x in vec) for vec in raw_b]
+        vecs = [_json_list(vec, rational_from_json) for vec in raw_b]
     except ValueError as exc:
         raise SchemaError(f"bad transform entry: {exc}") from exc
     for mat in mats:

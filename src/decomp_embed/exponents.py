@@ -34,9 +34,75 @@ __all__ = [
     "lower_conjugate",
     "compound",
     "DEFAULT_DENOMINATOR_CAP",
+    "rational_from_json",
+    "rational_to_json",
+    "int_from_json",
 ]
 
 DEFAULT_DENOMINATOR_CAP = 10**6
+
+
+def _is_json_int(obj: object) -> bool:
+    return isinstance(obj, int) and not isinstance(obj, bool)
+
+
+def int_from_json(obj: object) -> int:
+    """An integer field of a JSON document: an int, never a bool.
+
+    Floats and strings are rejected rather than truncated or parsed, so
+    2.5 never silently becomes 2.
+    """
+    if not _is_json_int(obj):
+        raise ValueError(f"not an integer: {obj!r}")
+    return obj
+
+
+def rational_from_json(obj: object, cap: int = DEFAULT_DENOMINATOR_CAP) -> Fraction:
+    """Parse a rational literal, the one rule for every number a user types.
+
+    Accepted forms:
+
+    * an int that is not a bool;
+    * an integer or "a/b" string, read exactly;
+    * a decimal or e-notation string, or a float: accepted only if the best
+      rational approximation with denominator at most ``cap`` round-trips
+      to the very same float;
+    * a [num, den] pair of ints with den != 0.
+
+    Everything else raises ValueError; a float or decimal that fails the
+    round trip (or is not finite) raises :class:`InexactExponent`.
+    """
+    if _is_json_int(obj):
+        return Fraction(obj)
+    if isinstance(obj, (list, tuple)) and len(obj) == 2 and all(map(_is_json_int, obj)):
+        if obj[1] == 0:
+            raise ValueError(f"zero denominator in {obj!r}")
+        return Fraction(obj[0], obj[1])
+    if isinstance(obj, str):
+        text = obj.strip().lower()
+        if "/" in text:
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise ValueError(f"zero denominator in {obj!r}") from None
+        if "." not in text and "e" not in text:
+            return Fraction(int(text))
+        obj = float(text)
+    if not isinstance(obj, float):
+        raise ValueError(f"not a rational literal: {obj!r}")
+    if not math.isfinite(obj):
+        raise InexactExponent(f"{obj!r} is not a finite rational")
+    cand = Fraction(obj).limit_denominator(cap)
+    if float(cand) != obj:
+        raise InexactExponent(f"{obj!r} has no exact rational form with denominator <= {cap}")
+    return cand
+
+
+def rational_to_json(value: Fraction) -> object:
+    """The JSON form of a rational: an int, or a [num, den] pair."""
+    if value.denominator == 1:
+        return value.numerator
+    return [value.numerator, value.denominator]
 
 _ExponentLike = Union["ExtExponent", int, Fraction, str]
 
@@ -74,19 +140,10 @@ class ExtExponent:
         object.__setattr__(self, "_frac", frac)
 
     @staticmethod
-    def _parse_str(text: str) -> Fraction | None:
-        stripped = text.strip().lower()
-        if stripped in ("inf", "infinity", "+inf"):
+    def _parse_str(text: str, cap: int = DEFAULT_DENOMINATOR_CAP) -> Fraction | None:
+        if text.strip().lower() in ("inf", "infinity", "+inf"):
             return None
-        if "/" in stripped:
-            try:
-                return Fraction(stripped)
-            except ZeroDivisionError:
-                raise ValueError(f"zero denominator in exponent {text!r}") from None
-        if "." in stripped or "e" in stripped:
-            # decimal literal: route through the float path for the cap check
-            return ExtExponent.from_float(float(stripped))._frac
-        return Fraction(int(stripped))
+        return rational_from_json(text, cap)
 
     @classmethod
     def from_float(
@@ -94,43 +151,19 @@ class ExtExponent:
     ) -> "ExtExponent":
         """Convert a float exactly, or raise :class:`InexactExponent`.
 
-        The candidate rational is the best approximation with denominator
-        at most ``cap``; it is accepted only if it round-trips to the very
-        same float.
+        +inf is the infinite exponent; any other float follows the float
+        rule of :func:`rational_from_json`.
         """
-        if math.isinf(value) and value > 0:
+        if value == math.inf:
             return INF
-        if math.isnan(value):
-            raise InexactExponent("nan is not an exponent")
-        if value <= 0:
-            raise ValueError(f"exponent must be positive, got {value}")
-        cand = Fraction(value).limit_denominator(cap)
-        if float(cand) != value:
-            raise InexactExponent(
-                f"{value!r} has no exact rational form with denominator <= {cap}"
-            )
-        return cls(cand)
+        return cls(rational_from_json(value, cap))
 
     @classmethod
     def from_json(cls, obj: object, cap: int = DEFAULT_DENOMINATOR_CAP) -> "ExtExponent":
-        """Parse the JSON form: a number, a [num, den] pair, or "inf"."""
-        if isinstance(obj, str):
-            return cls(obj)
-        if isinstance(obj, bool):
-            raise InexactExponent("bool is not an exponent")
-        if isinstance(obj, int):
-            return cls(obj)
-        if isinstance(obj, float):
-            return cls.from_float(obj, cap)
-        if (
-            isinstance(obj, (list, tuple))
-            and len(obj) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-        ):
-            if obj[1] == 0:
-                raise ValueError(f"zero denominator in exponent {obj!r}")
-            return cls(Fraction(obj[0], obj[1]))
-        raise InexactExponent(f"not an exponent literal: {obj!r}")
+        """Parse the JSON form: "inf" or a literal :func:`rational_from_json` accepts."""
+        parse = cls._parse_str if isinstance(obj, str) else rational_from_json
+        frac = parse(obj, cap)
+        return INF if frac is None else cls(frac)
 
     # ------------------------------------------------------------ accessors
 
@@ -154,9 +187,7 @@ class ExtExponent:
     def to_json(self) -> object:
         if self._frac is None:
             return "inf"
-        if self._frac.denominator == 1:
-            return self._frac.numerator
-        return [self._frac.numerator, self._frac.denominator]
+        return rational_to_json(self._frac)
 
     def __float__(self) -> float:
         return math.inf if self._frac is None else float(self._frac)

@@ -37,7 +37,7 @@ from .covering import (
     custom_covering_from_json,
 )
 from .errors import InvalidParams, SchemaError
-from .exponents import INF, ExtExponent, lower_conjugate
+from .exponents import INF, ExtExponent, int_from_json, lower_conjugate, rational_from_json
 from .seqspace import (
     Atom,
     CoordFactor,
@@ -47,7 +47,6 @@ from .seqspace import (
     Piece,
     ProductSector,
     RadialSector,
-    rat_from_json,
 )
 
 __all__ = [
@@ -105,12 +104,32 @@ def _pos(x: Fraction) -> Fraction:
     return x if x > 0 else Fraction(0)
 
 
-def _cmp_word(lhs: Fraction, rhs: Fraction) -> str:
-    if lhs > rhs:
-        return "above"
-    if lhs == rhs:
-        return "at"
-    return "below"
+def _refined_records(
+    anchor: str, noun: str, value: Fraction, thr: Fraction, cutoff: str, suff: bool, nec: bool
+) -> list[dict]:
+    """The S2 (sufficient) and N5 (necessary) records of a refined criterion.
+
+    ``noun`` names the compared quantity, ``value`` its value and ``thr``
+    the threshold; ``cutoff`` is the r-bound that equality admits for S2.
+    """
+    word = "above" if value > thr else "at" if value == thr else "below"
+    head = f"{noun} {word} threshold {thr}; "
+    return [
+        {
+            "id": "S2",
+            "anchor": anchor,
+            "role": "sufficient",
+            "holds": suff,
+            "detail": f"{head}equality admits r <= {cutoff}",
+        },
+        {
+            "id": "N5",
+            "anchor": anchor,
+            "role": "necessary",
+            "holds": nec,
+            "detail": f"{head}equality requires r <= q",
+        },
+    ]
 
 
 def _int_param(doc: dict, key: str, family: str, *, default=None, minimum=1) -> int:
@@ -118,9 +137,10 @@ def _int_param(doc: dict, key: str, family: str, *, default=None, minimum=1) -> 
         if default is None:
             raise InvalidParams(f"{family}: missing parameter {key!r}")
         return default
-    val = doc[key]
-    if isinstance(val, bool) or not isinstance(val, int):
-        raise InvalidParams(f"{family}: parameter {key!r} must be an integer")
+    try:
+        val = int_from_json(doc[key])
+    except ValueError:
+        raise InvalidParams(f"{family}: parameter {key!r} must be an integer") from None
     if val < minimum:
         raise InvalidParams(f"{family}: parameter {key!r} must be >= {minimum}")
     return val
@@ -132,8 +152,8 @@ def _rat_param(doc: dict, key: str, family: str, *, default=None) -> Fraction:
             raise InvalidParams(f"{family}: missing parameter {key!r}")
         return Fraction(default)
     try:
-        return rat_from_json(doc[key])
-    except (ValueError, TypeError) as exc:
+        return rational_from_json(doc[key])
+    except ValueError as exc:
         raise InvalidParams(f"{family}: parameter {key!r}: {exc}") from exc
 
 
@@ -296,25 +316,9 @@ class InhomBesovFamily(Family):
             return []
         thr = Fraction(k) + params.d * (p.reciprocal() - q.reciprocal())
         s = params.s
-        word = _cmp_word(s, thr)
         suff = p <= q and (s > thr or (s == thr and r <= _TWO))
         nec = s > thr or (s == thr and r <= q)
-        return [
-            {
-                "id": "S2",
-                "anchor": ANCHOR_INHOM_REFINED,
-                "role": "sufficient",
-                "holds": suff,
-                "detail": f"smoothness {word} threshold {thr}; equality admits r <= 2",
-            },
-            {
-                "id": "N5",
-                "anchor": ANCHOR_INHOM_REFINED,
-                "role": "necessary",
-                "holds": nec,
-                "detail": f"smoothness {word} threshold {thr}; equality requires r <= q",
-            },
-        ]
+        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", s, thr, "2", suff, nec)
 
 
 # ---------------------------------------------------------------------------
@@ -418,30 +422,14 @@ class AlphaModulationFamily(Family):
             + (1 - params.alpha) * tail
         )
         g = params.s
-        word = _cmp_word(g, rhs)
         sharp = params.alpha == 0 and p == q
         cutoff = q if sharp else _TWO
         suff = p <= q and (g > rhs or (g == rhs and r <= cutoff))
         nec = g > rhs or (g == rhs and r <= q)
         cut_txt = "q" if sharp else "2"
-        return [
-            {
-                "id": "S2",
-                "anchor": ANCHOR_ALPHA_REFINED,
-                "role": "sufficient",
-                "holds": suff,
-                "detail": f"weight exponent {word} threshold {rhs}; "
-                f"equality admits r <= {cut_txt}",
-            },
-            {
-                "id": "N5",
-                "anchor": ANCHOR_ALPHA_REFINED,
-                "role": "necessary",
-                "holds": nec,
-                "detail": f"weight exponent {word} threshold {rhs}; "
-                "equality requires r <= q",
-            },
-        ]
+        return _refined_records(
+            ANCHOR_ALPHA_REFINED, "weight exponent", g, rhs, cut_txt, suff, nec
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -528,25 +516,9 @@ class ShearletSmoothnessFamily(Family):
             + Fraction(1, 2) * tail
         )
         s = params.s
-        word = _cmp_word(s, thr)
         suff = p <= q and (s > thr or (s == thr and r <= _TWO))
         nec = s > thr or (s == thr and r <= q)
-        return [
-            {
-                "id": "S2",
-                "anchor": ANCHOR_SHEARLET_REFINED,
-                "role": "sufficient",
-                "holds": suff,
-                "detail": f"smoothness {word} threshold {thr}; equality admits r <= 2",
-            },
-            {
-                "id": "N5",
-                "anchor": ANCHOR_SHEARLET_REFINED,
-                "role": "necessary",
-                "holds": nec,
-                "detail": f"smoothness {word} threshold {thr}; equality requires r <= q",
-            },
-        ]
+        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", s, thr, "2", suff, nec)
 
 
 # ---------------------------------------------------------------------------
@@ -696,8 +668,8 @@ class DiagonalFamily(Family):
             else:
                 vals = [val] * d
             try:
-                return tuple(rat_from_json(v) for v in vals)
-            except (ValueError, TypeError) as exc:
+                return tuple(rational_from_json(v) for v in vals)
+            except ValueError as exc:
                 raise InvalidParams(f"{self.name}: parameter {key!r}: {exc}") from exc
 
         return DiagonalParams(d, vector("alpha"), vector("beta"))

@@ -32,6 +32,7 @@ from typing import Iterator, Sequence, Union
 import numpy as np
 
 from .errors import UnsupportedWeight
+from .exponents import int_from_json, rational_from_json, rational_to_json
 
 __all__ = [
     "LineSector",
@@ -51,8 +52,6 @@ __all__ = [
     "witness_norm_ratios",
     "sector_from_json",
     "expweight_from_json",
-    "rat_from_json",
-    "rat_to_json",
 ]
 
 RatLike = Union[int, Fraction]
@@ -61,41 +60,6 @@ RatLike = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # small numeric / rational helpers
 # ---------------------------------------------------------------------------
-
-def rat_from_json(obj: object) -> Fraction:
-    """Parse a rational literal: int, [num, den], or "a/b" string.
-
-    Every malformed literal raises ValueError, including a zero
-    denominator and a non-finite float.
-    """
-    if isinstance(obj, bool):
-        raise ValueError("bool is not a rational")
-    try:
-        if isinstance(obj, int):
-            return Fraction(obj)
-        if isinstance(obj, str):
-            return Fraction(obj)
-        if isinstance(obj, float):
-            cand = Fraction(obj).limit_denominator(10**6)
-            if float(cand) != obj:
-                raise ValueError(f"{obj!r} is not exactly rational at denominator <= 1e6")
-            return cand
-        if (
-            isinstance(obj, (list, tuple))
-            and len(obj) == 2
-            and all(isinstance(x, int) and not isinstance(x, bool) for x in obj)
-        ):
-            return Fraction(obj[0], obj[1])
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise ValueError(f"not a finite rational: {obj!r}") from exc
-    raise ValueError(f"not a rational literal: {obj!r}")
-
-
-def rat_to_json(fr: Fraction) -> object:
-    if fr.denominator == 1:
-        return fr.numerator
-    return [fr.numerator, fr.denominator]
-
 
 def pow2f(x: float) -> float:
     """2**x in float, saturating instead of raising OverflowError."""
@@ -290,7 +254,7 @@ class PairSector:
         return {
             "kind": "pairs",
             "n_domain": self.n_domain,
-            "lam": rat_to_json(self.lam),
+            "lam": rational_to_json(self.lam),
             "side": self.side,
             "shift": self.shift,
         }
@@ -306,15 +270,18 @@ def sector_from_json(obj: object) -> Sector:
     if kind in _LINE_DOMAINS:
         return LineSector(kind)
     if kind == "product":
-        return ProductSector(tuple(LineSector(d) for d in obj["domains"]))
+        domains = obj.get("domains")
+        if not isinstance(domains, list):
+            raise ValueError(f"product sector needs a list of line domains, got {domains!r}")
+        return ProductSector(tuple(LineSector(d) for d in domains))
     if kind == "radial":
-        return RadialSector(int(obj["d"]))
+        return RadialSector(int_from_json(obj.get("d")))
     if kind == "pairs":
         return PairSector(
             n_domain=obj.get("n_domain", "N0"),
-            lam=rat_from_json(obj.get("lam", 0)),
+            lam=rational_from_json(obj.get("lam", 0)),
             side=obj.get("side", "inside"),
-            shift=int(obj.get("shift", 0)),
+            shift=int_from_json(obj.get("shift", 0)),
         )
     raise ValueError(f"unknown sector kind {kind!r}")
 
@@ -502,18 +469,18 @@ class ExpPolyWeight:
         def atom_json(atom: Atom) -> dict:
             doc: dict[str, object] = {}
             if atom.coeff != 1:
-                doc["coeff"] = rat_to_json(atom.coeff)
+                doc["coeff"] = rational_to_json(atom.coeff)
             if atom.factors:
                 doc["exp2"] = [
-                    {"pos": rat_to_json(f.exp2_pos), "neg": rat_to_json(f.exp2_neg)}
+                    {"pos": rational_to_json(f.exp2_pos), "neg": rational_to_json(f.exp2_neg)}
                     for f in atom.factors
                 ]
                 doc["pow"] = [
-                    {"pos": rat_to_json(f.pow_pos), "neg": rat_to_json(f.pow_neg)}
+                    {"pos": rational_to_json(f.pow_pos), "neg": rational_to_json(f.pow_neg)}
                     for f in atom.factors
                 ]
             if atom.radial_pow:
-                doc["radial_pow"] = rat_to_json(atom.radial_pow)
+                doc["radial_pow"] = rational_to_json(atom.radial_pow)
             return doc
 
         pieces = [
@@ -531,17 +498,17 @@ class ExpPolyWeight:
 def _factor_from_json(obj: object) -> tuple[Fraction, Fraction]:
     """Parse a scalar-or-{pos,neg} exponent entry."""
     if isinstance(obj, dict):
-        pos = rat_from_json(obj.get("pos", 0))
-        neg = rat_from_json(obj.get("neg", 0))
+        pos = rational_from_json(obj.get("pos", 0))
+        neg = rational_from_json(obj.get("neg", 0))
         return pos, neg
-    val = rat_from_json(obj)
+    val = rational_from_json(obj)
     return val, val
 
 
 def _atom_from_json(obj: object, dims: int) -> Atom:
     if not isinstance(obj, dict):
         raise ValueError(f"not an atom descriptor: {obj!r}")
-    coeff = rat_from_json(obj.get("coeff", 1))
+    coeff = rational_from_json(obj.get("coeff", 1))
     exp2 = obj.get("exp2", [0] * dims)
     powers = obj.get("pow", [0] * dims)
     if not isinstance(exp2, list):
@@ -555,7 +522,7 @@ def _atom_from_json(obj: object, dims: int) -> Atom:
         e_pos, e_neg = _factor_from_json(e_entry)
         p_pos, p_neg = _factor_from_json(p_entry)
         factors.append(CoordFactor(e_pos, e_neg, p_pos, p_neg))
-    radial = rat_from_json(obj.get("radial_pow", 0))
+    radial = rational_from_json(obj.get("radial_pow", 0))
     return Atom(coeff, tuple(factors), radial)
 
 
@@ -563,6 +530,8 @@ def expweight_from_json(obj: object) -> ExpPolyWeight:
     """Parse {"lattice": ..., "atoms": [...]} or {"pieces": [...]}."""
     if isinstance(obj, dict) and "pieces" in obj:
         piece_docs = obj["pieces"]
+        if not isinstance(piece_docs, list):
+            raise ValueError(f"pieces must be a list, got {piece_docs!r}")
     else:
         piece_docs = [obj]
     pieces = []
@@ -571,6 +540,8 @@ def expweight_from_json(obj: object) -> ExpPolyWeight:
             raise ValueError(f"not a weight descriptor: {doc!r}")
         sector = sector_from_json(doc["lattice"])
         atom_docs = doc.get("atoms", [{}])
+        if not isinstance(atom_docs, list):
+            raise ValueError(f"atoms must be a list, got {atom_docs!r}")
         atoms = tuple(_atom_from_json(a, sector.dims) for a in atom_docs)
         pieces.append(Piece(sector, atoms))
     return ExpPolyWeight(tuple(pieces))

@@ -47,6 +47,13 @@ def test_outputs_are_single_json_lines_or_pretty():
             assert payload.count(b"\n") == 1
 
 
+def custom_covering(**fields) -> str:
+    """A one-index custom covering document with some fields replaced."""
+    doc = {"dimension": 1, "indices": [[0]], "T": [[[1]]], "b": [[0]],
+           "base_set": {"ball": {"center": [0], "radius": 1}}}
+    return json.dumps({"custom": {**doc, **fields}})
+
+
 @pytest.mark.parametrize("argv,code", [
     (["decide", "--family", "hom_besov", "-q", "2", "-r", "2"], 64),
     (["decide", "--family", "hom_besov", "-p", "0.1234567", "-q", "2", "-r", "2"], 64),
@@ -85,11 +92,70 @@ def test_outputs_are_single_json_lines_or_pretty():
     (["inspect-covering", "--covering", json.dumps({"custom": {
         "dimension": 1, "indices": [[0]], "T": [[[0]]], "b": [[0]],
         "base_set": {"ball": {"center": [0], "radius": 1}}}})], 65),
+    (["inspect-covering", "--covering", custom_covering(indices=[["a"]])], 65),
+    (["inspect-covering", "--covering", custom_covering(indices=[5])], 65),
+    (["inspect-covering", "--covering", custom_covering(dimension="x")], 65),
+    (["check-sequence", "--u", '{"lattice":{"kind":"product","domains":5}}',
+      "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"], 65),
+    (["check-sequence", "--u", '{"lattice":{"kind":"Z"},"atoms":5}',
+      "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"], 65),
+    (["decide", "--family", "hom_besov", "--params", '{"s":"0.1234567"}',
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["check-sequence", "--u", '{"lattice":{"kind":"radial","d":2.5}}',
+      "--v", '{"lattice":{"kind":"radial","d":2}}', "-r", "2", "-s", "2"], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
     assert got == code
-    assert err, "expected a diagnostic on stderr"
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert "Traceback" not in err
+
+
+def _leaves(doc, path=()):
+    if isinstance(doc, dict):
+        for key, val in doc.items():
+            yield from _leaves(val, path + (key,))
+    elif isinstance(doc, list):
+        for key, val in enumerate(doc):
+            yield from _leaves(val, path + (key,))
+    else:
+        yield path
+
+
+def _replace_leaf(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _leaf_mutations():
+    """Every golden check-sequence and custom-covering argv, one JSON leaf replaced."""
+    for case in MANIFEST:
+        if case["argv"][0] != "check-sequence" and case["name"] != "inspect_custom":
+            continue
+        argv = case["argv"]
+        for pos in range(1, len(argv)):
+            if argv[pos - 1] not in ("--u", "--v", "--covering"):
+                continue
+            doc = json.loads(argv[pos])
+            for path in _leaves(doc):
+                for value in (True, 2.5, "x", "1/0", [1], {}, None, -1):
+                    mutated = _replace_leaf(doc, path, value)
+                    yield pytest.param(
+                        argv[:pos] + [json.dumps(mutated)] + argv[pos + 1:],
+                        id=f"{case['name']}-{argv[pos - 1]}-{'.'.join(map(str, path))}={value!r}",
+                    )
+
+
+@pytest.mark.parametrize("argv", _leaf_mutations())
+def test_leaf_mutations_exit_cleanly(argv):
+    code, out, err = run_cli(argv)
+    assert code in {0, 1, 2, 10, 64, 65, 70}
+    if code in (0, 1, 2):
+        json.loads(out)
     assert "Traceback" not in err
 
 
@@ -103,7 +169,7 @@ def test_malformed_window_cap_is_a_usage_error(monkeypatch):
 def test_help_exits_clean():
     code, out, _ = run_cli(["--help"])
     assert code == 0
-    assert b"decide" in out
+    assert b"usage: decomp-embed" in out and b"decide" in out
 
 
 def test_decimal_exponents_with_small_denominator_are_accepted():

@@ -334,6 +334,12 @@ def test_norm_surrogate_on_dyadic_covering():
     assert res["max_ratio"] == pytest.approx(0.25)
 
 
+def test_norm_surrogate_rejects_an_empty_window():
+    cov = covering_from_json({"family": "alpha_modulation", "params": {}})
+    with pytest.raises(InvalidParams):
+        norm_surrogate_check(cov, 0)
+
+
 def test_norm_surrogate_requires_tightness():
     def tr(i):
         return ((2.0 ** (i[0] / 2),),), (0.0,)

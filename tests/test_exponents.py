@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,9 +11,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from decomp_embed.errors import InexactExponent
-from decomp_embed.exponents import INF, ExtExponent, compound, conjugate, lower_conjugate
+from decomp_embed.exponents import (
+    INF,
+    ExtExponent,
+    compound,
+    conjugate,
+    lower_conjugate,
+    rational_from_json,
+    rational_to_json,
+)
 
 E = ExtExponent
+F = Fraction
 
 
 def rationals(min_value: Fraction | None = None, max_den: int = 64):
@@ -95,6 +106,83 @@ def test_to_json_forms():
     assert E(2).to_json() == 2
     assert E("3/2").to_json() == [3, 2]
     assert INF.to_json() == "inf"
+
+
+# ---------------------------------------------------------------------------
+# the rational literal parser
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("doc, expect", [
+    (0, F(0)),
+    (-3, F(-3)),
+    (10**30, F(10**30)),
+    ("7", F(7)),
+    (" -3/4 ", F(-3, 4)),
+    ("0", F(0)),
+    ("0.5", F(1, 2)),
+    ("-2.5", F(-5, 2)),
+    ("1e3", F(1000)),
+    ("1E-2", F(1, 100)),
+    (0.25, F(1, 4)),
+    (-0.1, F(-1, 10)),
+    (0.0, F(0)),
+    ([3, 4], F(3, 4)),
+    ([-6, 4], F(-3, 2)),
+    ([0, 5], F(0)),
+])
+def test_rational_from_json_accepts(doc, expect):
+    assert rational_from_json(doc) == expect
+
+
+@pytest.mark.parametrize("doc, exc", [
+    ("0.1234567", InexactExponent),
+    ("1e-7", InexactExponent),
+    (1e-7, InexactExponent),
+    (math.pi, InexactExponent),
+    (float("nan"), InexactExponent),
+    (float("inf"), InexactExponent),
+    (float("-inf"), InexactExponent),
+    ("1e400", InexactExponent),
+    (True, ValueError),
+    (False, ValueError),
+    ([1, 0], ValueError),
+    ([1.0, 2], ValueError),
+    ([True, 2], ValueError),
+    ([1, 2, 3], ValueError),
+    ("1/0", ValueError),
+    ("inf", ValueError),
+    ("x", ValueError),
+    ("", ValueError),
+    (None, ValueError),
+    ({}, ValueError),
+])
+def test_rational_from_json_rejects(doc, exc):
+    with pytest.raises(exc):
+        rational_from_json(doc)
+
+
+@given(st.fractions())
+def test_rational_json_round_trip(x):
+    assert rational_from_json(json.loads(json.dumps(rational_to_json(x)))) == x
+
+
+_POSITIVE = st.fractions(min_value=F(1, 10**6), max_value=F(10**6), max_denominator=10**6)
+
+
+@given(st.one_of(
+    _POSITIVE.map(rational_to_json),
+    _POSITIVE.map(str),
+    _POSITIVE.map(float),
+    st.floats(min_value=1e-6, max_value=1e6).map(repr),
+))
+def test_from_json_agrees_with_the_rational_parser(doc):
+    try:
+        expect = rational_from_json(doc)
+    except InexactExponent:
+        with pytest.raises(InexactExponent):
+            E.from_json(doc)
+    else:
+        assert E.from_json(doc) == E(expect)
 
 
 # ---------------------------------------------------------------------------
