@@ -41,7 +41,7 @@ class SchemaError(DecompEmbedError, ValueError):
 
 
 class InexactExponent(DecompEmbedError, ValueError):
-    """A float input has no exact rational value under the denominator cap."""
+    """A float or decimal literal has no exact rational value under the denominator cap."""
 
 
 class WindowCapExceeded(DecompEmbedError, RuntimeError):

@@ -22,6 +22,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Union
 
@@ -57,20 +58,21 @@ def int_from_json(obj: object) -> int:
     return obj
 
 
-def rational_from_json(obj: object, cap: int = DEFAULT_DENOMINATOR_CAP) -> Fraction:
+def rational_from_json(obj: object) -> Fraction:
     """Parse a rational literal, the one rule for every number a user types.
 
     Accepted forms:
 
     * an int that is not a bool;
     * an integer or "a/b" string, read exactly;
-    * a decimal or e-notation string, or a float: accepted only if the best
-      rational approximation with denominator at most ``cap`` round-trips
-      to the very same float;
+    * a decimal or e-notation string, read exactly: accepted only if its
+      value is in the float range with denominator <= DEFAULT_DENOMINATOR_CAP;
+    * a float: accepted only if the best rational approximation with that
+      denominator cap round-trips to the very same float;
     * a [num, den] pair of ints with den != 0.
 
-    Everything else raises ValueError; a float or decimal that fails the
-    round trip (or is not finite) raises :class:`InexactExponent`.
+    Everything else raises ValueError; a decimal or float that fails its
+    cap rule (or is not finite) raises :class:`InexactExponent`.
     """
     if _is_json_int(obj):
         return Fraction(obj)
@@ -87,14 +89,22 @@ def rational_from_json(obj: object, cap: int = DEFAULT_DENOMINATOR_CAP) -> Fract
                 raise ValueError(f"zero denominator in {obj!r}") from None
         if "." not in text and "e" not in text:
             return Fraction(int(text))
-        obj = float(text)
+        value = float(text)
+        if value == 0 and Decimal(text).is_zero():  # never builds 10**999 for "0e-999"
+            return Fraction(0)
+        if value == 0 or not math.isfinite(value):
+            raise InexactExponent(f"{obj!r} is outside the float range")
+        exact = Fraction(text)
+        if exact.denominator > DEFAULT_DENOMINATOR_CAP:
+            raise InexactExponent(f"{obj!r} has a denominator above {DEFAULT_DENOMINATOR_CAP}")
+        return exact
     if not isinstance(obj, float):
         raise ValueError(f"not a rational literal: {obj!r}")
     if not math.isfinite(obj):
         raise InexactExponent(f"{obj!r} is not a finite rational")
-    cand = Fraction(obj).limit_denominator(cap)
+    cand = Fraction(obj).limit_denominator(DEFAULT_DENOMINATOR_CAP)
     if float(cand) != obj:
-        raise InexactExponent(f"{obj!r} has no exact rational form with denominator <= {cap}")
+        raise InexactExponent(f"{obj!r} is no fraction with denominator <= {DEFAULT_DENOMINATOR_CAP}")
     return cand
 
 
@@ -128,7 +138,7 @@ class ExtExponent:
         elif isinstance(value, (int, Fraction)):
             frac = Fraction(value)
         elif isinstance(value, str):
-            frac = self._parse_str(value)
+            frac = self._parse(value)
         elif isinstance(value, float):
             raise TypeError(
                 "float exponents must go through ExtExponent.from_float"
@@ -140,29 +150,25 @@ class ExtExponent:
         object.__setattr__(self, "_frac", frac)
 
     @staticmethod
-    def _parse_str(text: str, cap: int = DEFAULT_DENOMINATOR_CAP) -> Fraction | None:
-        if text.strip().lower() in ("inf", "infinity", "+inf"):
+    def _parse(obj: object) -> Fraction | None:
+        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`."""
+        if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
             return None
-        return rational_from_json(text, cap)
+        return rational_from_json(obj)
 
     @classmethod
-    def from_float(
-        cls, value: float, cap: int = DEFAULT_DENOMINATOR_CAP
-    ) -> "ExtExponent":
+    def from_float(cls, value: float) -> "ExtExponent":
         """Convert a float exactly, or raise :class:`InexactExponent`.
 
         +inf is the infinite exponent; any other float follows the float
         rule of :func:`rational_from_json`.
         """
-        if value == math.inf:
-            return INF
-        return cls(rational_from_json(value, cap))
+        return cls.from_json(value)
 
     @classmethod
-    def from_json(cls, obj: object, cap: int = DEFAULT_DENOMINATOR_CAP) -> "ExtExponent":
-        """Parse the JSON form: "inf" or a literal :func:`rational_from_json` accepts."""
-        parse = cls._parse_str if isinstance(obj, str) else rational_from_json
-        frac = parse(obj, cap)
+    def from_json(cls, obj: object) -> "ExtExponent":
+        """Parse the JSON form: "inf", +inf or a literal :func:`rational_from_json` accepts."""
+        frac = cls._parse(obj)
         return INF if frac is None else cls(frac)
 
     # ------------------------------------------------------------ accessors

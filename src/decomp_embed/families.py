@@ -441,9 +441,6 @@ class ShearletSmoothnessParams:
     s: Fraction
 
 
-_SWAP = ((0, 1), (1, 0))
-
-
 class ShearletSmoothnessFamily(Family):
     """Parabolic cone covering of the plane with weight 2^(2 n s).
 

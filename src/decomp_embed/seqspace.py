@@ -271,8 +271,8 @@ def sector_from_json(obj: object) -> Sector:
         return LineSector(kind)
     if kind == "product":
         domains = obj.get("domains")
-        if not isinstance(domains, list):
-            raise ValueError(f"product sector needs a list of line domains, got {domains!r}")
+        if not isinstance(domains, list) or not domains:
+            raise ValueError(f"product sector needs a non-empty list of domains, got {domains!r}")
         return ProductSector(tuple(LineSector(d) for d in domains))
     if kind == "radial":
         return RadialSector(int_from_json(obj.get("d")))

@@ -103,6 +103,10 @@ def custom_covering(**fields) -> str:
       "-p", "1", "-q", "2", "-r", "2"], 64),
     (["check-sequence", "--u", '{"lattice":{"kind":"radial","d":2.5}}',
       "--v", '{"lattice":{"kind":"radial","d":2}}', "-r", "2", "-s", "2"], 65),
+    (["decide", "--family", "hom_besov", "--params", '{"s":"1.0000000000000001"}',
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["check-sequence", "--u", '{"lattice":{"kind":"product","domains":[]}}',
+      "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)

@@ -86,6 +86,7 @@ def test_from_float_rejects_inexact():
     ("inf", INF),
     ("7/5", E("7/5")),
     (0.25, E("1/4")),
+    (float("inf"), INF),
 ])
 def test_from_json_accepts(doc, expect):
     assert E.from_json(doc) == expect
@@ -123,6 +124,9 @@ def test_to_json_forms():
     ("-2.5", F(-5, 2)),
     ("1e3", F(1000)),
     ("1E-2", F(1, 100)),
+    ("1e30", F(10**30)),                 # read exactly, not via the float
+    ("0.50000000000000000000", F(1, 2)),
+    ("0e-999999999", F(0)),
     (0.25, F(1, 4)),
     (-0.1, F(-1, 10)),
     (0.0, F(0)),
@@ -143,6 +147,10 @@ def test_rational_from_json_accepts(doc, expect):
     (float("inf"), InexactExponent),
     (float("-inf"), InexactExponent),
     ("1e400", InexactExponent),
+    ("1.0000000000000001", InexactExponent),   # the same float as 1
+    ("0.50000000000000001", InexactExponent),  # the same float as 0.5
+    ("1e-400", InexactExponent),               # the same float as 0
+    ("1e-999999999", InexactExponent),
     (True, ValueError),
     (False, ValueError),
     ([1, 0], ValueError),
