@@ -1,17 +1,37 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CLI transcripts under tests/golden/.
+"""Regenerate the golden files under tests/golden/.
+
+Two kinds of golden are frozen:
+
+* the CLI transcripts: one ``<case>.out`` per entry of ``CASES`` plus
+  ``manifest.json`` with the argv and exit code of each;
+* ``decide_grid.jsonl``: a seeded grid of library ``decide`` calls near
+  every family's threshold, one compact JSON line per call holding the
+  query and its ``Verdict.to_json()``.
 
 Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
-stdout byte for byte.
+the output byte for byte.  ``--check`` compares instead of writing: it
+names every golden file that would change and exits 1 if there is one.
+
+    PYTHONPATH=src python scripts/freeze_goldens.py [--check]
 """
 
+import argparse
 import contextlib
 import io
 import json
+import random
+import sys
+from fractions import Fraction
 from pathlib import Path
 
 from decomp_embed.cli import main
+from decomp_embed.embedding import decide
+from decomp_embed.families import FAMILY_NAMES
+
+GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
+GRID_FILE = "decide_grid.jsonl"
 
 CUSTOM_DOC = json.dumps(
     {
@@ -71,6 +91,98 @@ CASES = [
       "--radius", "4"]),
 ]
 
+# The decide grid: GRID_SWEEPS sweeps per family, each fixing (params, p, k)
+# near the family's threshold at a reference (q0, r0) with q0 in (2, inf),
+# so the equality cases and the refined criteria run, and deciding
+# GRID_SOBOLEV_CELLS cells of the Sobolev target ((q0, r0) and random
+# (q, r)), one C_b cell and, for k >= 1, one BV cell.
+GRID_SEED = 1601
+GRID_SWEEPS = 6
+GRID_SOBOLEV_CELLS = 4
+Q_AXIS = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+R_AXIS = ("1/2", "1", "3/2", "2", "5/2", "3", "4", "inf")
+P_AXIS = ("1/2", "1", "3/2", "2", "3")
+OFFSETS = tuple(Fraction(x) for x in ("-1/2", "-1/8", "0", "0", "0", "1/8", "1/2"))
+
+
+def _params(rng: random.Random, family: str, p: str, q0: str, r0: str, k: int) -> dict:
+    """Parameters on, or within 1/2 of, the family's threshold at (q0, r0)."""
+    off = rng.choice(OFFSETS)
+    dp = 1 / Fraction(p) - 1 / Fraction(q0)
+    # q0 lies in (2, inf), so 1/q0'' = 1 - 1/q0
+    tail = max(Fraction(0), 1 - 1 / Fraction(q0) - (0 if r0 == "inf" else 1 / Fraction(r0)))
+    if family in ("hom_besov", "inhom_besov"):
+        d = rng.choice((1, 2))
+        base = d * dp + (k if family == "inhom_besov" else 0)
+        return {"d": d, "s": str(base + off)}
+    if family == "alpha_modulation":
+        d = rng.choice((1, 2))
+        alpha = rng.choice((Fraction(0), Fraction(1, 3), Fraction(1, 2)))
+        rhs = k + d * (alpha * dp + (1 - alpha) * tail)
+        return {"d": d, "alpha": str(alpha), "s": str(rhs + off)}
+    if family == "shearlet_smoothness":
+        return {"s": str(k + Fraction(3, 2) * dp + tail / 2 + off)}
+    gamma = Fraction(1, 2) - (0 if r0 == "inf" else 1 / Fraction(r0)) + dp
+    if family == "shearlet_coorbit":
+        c = rng.choice((Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(2)))
+        beta = k + rng.choice((Fraction(0), Fraction(2)))
+        if c >= 1:
+            lo, hi = beta, c * (beta - k)
+        else:
+            lo, hi = max(c * beta, c * (beta - k)), beta - k
+        target = rng.choice((lo - 1, lo, (lo + hi) / 2, hi, hi + Fraction(1, 8)))
+        return {"c": str(c), "alpha": str(target - (1 + c) * gamma), "beta": str(beta)}
+    if rng.random() < 0.5:
+        da, db = rng.choice(OFFSETS), rng.choice(OFFSETS)
+        return {"d": 1, "alpha": str(da - gamma), "beta": str(db - gamma - k)}
+    return {"d": 2, "alpha": [str(-gamma), str(1 - gamma)],
+            "beta": [str(-gamma - k + off), str(-gamma - k - 1)]}
+
+
+def grid_queries() -> list[dict]:
+    """The seeded decide grid, as keyword arguments of ``decide``."""
+    rng = random.Random(GRID_SEED)
+    queries = []
+    for family in FAMILY_NAMES:
+        for _ in range(GRID_SWEEPS):
+            p = rng.choice(P_AXIS)
+            k = rng.choice((0, 1, 2))
+            q0, r0 = rng.choice(("5/2", "3", "4")), rng.choice(R_AXIS)
+            params = _params(rng, family, p, q0, r0, k)
+            cells = [("sobolev", q0, r0)]
+            cells += [("sobolev", rng.choice(Q_AXIS), rng.choice(R_AXIS))
+                      for _ in range(GRID_SOBOLEV_CELLS - 1)]
+            cells.append(("cb", None, rng.choice(R_AXIS)))
+            if k >= 1:
+                cells.append(("bv", None, rng.choice(R_AXIS)))
+            for target, q, r in cells:
+                query = {"family": family, "params": params, "target": target,
+                         "p": p, "r": r, "k": k}
+                if q is not None:
+                    query["q"] = q
+                queries.append(query)
+    return queries
+
+
+def grid_line(query: dict) -> str:
+    """One golden line: the query and its verdict, compact JSON."""
+    verdict = decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
+                     r=query["r"], target=query["target"], k=query["k"])
+    return json.dumps({"query": query, "verdict": verdict.to_json()},
+                      separators=(",", ":")) + "\n"
+
+
+def _check_coverage(queries: list[dict], lines: list[str]) -> None:
+    """Refuse a grid that misses a family, a target, an outcome or q in (2, inf)."""
+    outcomes = {json.loads(line)["verdict"]["outcome"] for line in lines}
+    missing = (sorted(set(FAMILY_NAMES) - {q["family"] for q in queries})
+               + sorted({"sobolev", "cb", "bv"} - {q["target"] for q in queries})
+               + sorted({"Embeds", "DoesNotEmbed", "Undetermined"} - outcomes))
+    if not any(q.get("q") in ("5/2", "3", "4") for q in queries):
+        missing.append("q in (2, inf)")
+    if missing:
+        raise SystemExit(f"decide grid lacks {missing}; change GRID_SEED")
+
 
 def run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
@@ -79,19 +191,42 @@ def run(argv: list[str]) -> tuple[int, bytes]:
     return code, out.getvalue().encode()
 
 
-def freeze() -> None:
-    golden = Path(__file__).resolve().parents[1] / "tests" / "golden"
-    golden.mkdir(parents=True, exist_ok=True)
+def goldens() -> dict[str, bytes]:
+    """Every golden file name with the content the code produces now."""
+    files = {}
     manifest = []
     for name, argv in CASES:
         code, payload = run(argv)
-        (golden / f"{name}.out").write_bytes(payload)
+        files[f"{name}.out"] = payload
         manifest.append({"name": name, "argv": argv, "exit": code})
-        print(f"{name}: exit {code}, {len(payload)} bytes")
-    manifest_text = json.dumps(manifest, indent=2) + "\n"
-    (golden / "manifest.json").write_text(manifest_text)
-    print(f"wrote {len(manifest)} cases to {golden}")
+    files["manifest.json"] = (json.dumps(manifest, indent=2) + "\n").encode()
+    queries = grid_queries()
+    lines = [grid_line(q) for q in queries]
+    _check_coverage(queries, lines)
+    files[GRID_FILE] = "".join(lines).encode()
+    return files
+
+
+def main_freeze(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="report drifted goldens and exit 1 without writing")
+    args = parser.parse_args(argv)
+    files = goldens()
+    if args.check:
+        drifted = [name for name, payload in files.items()
+                   if not (GOLDEN / name).is_file() or (GOLDEN / name).read_bytes() != payload]
+        for name in drifted:
+            print(f"drifted: {name}")
+        print(f"{len(files) - len(drifted)} of {len(files)} golden files unchanged")
+        return 1 if drifted else 0
+    GOLDEN.mkdir(parents=True, exist_ok=True)
+    for name, payload in files.items():
+        (GOLDEN / name).write_bytes(payload)
+        print(f"{name}: {len(payload)} bytes")
+    print(f"wrote {len(files)} files to {GOLDEN}")
+    return 0
 
 
 if __name__ == "__main__":
-    freeze()
+    sys.exit(main_freeze())

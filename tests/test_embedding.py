@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -339,3 +340,22 @@ def test_oracle_agrees_with_symbolic_route(family, params, kw):
     with_oracle = decide(family, params, oracle_check=True, **kw)
     without = decide(family, params, **kw)
     assert with_oracle == without
+
+
+DECIDE_GRID = Path(__file__).parent / "golden" / "decide_grid.jsonl"
+
+
+def test_decide_grid_replays_byte_for_byte():
+    """The frozen grid of scripts/freeze_goldens.py: query and verdict per line."""
+    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
+    assert len(lines) >= 200
+    drifted = []
+    for line in lines:
+        query = json.loads(line)["query"]
+        verdict = decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
+                         r=query["r"], target=query["target"], k=query["k"])
+        got = json.dumps({"query": query, "verdict": verdict.to_json()},
+                         separators=(",", ":")) + "\n"
+        if got != line:
+            drifted.append(query)
+    assert not drifted, f"{len(drifted)} of {len(lines)} verdicts drifted, first {drifted[0]}"
