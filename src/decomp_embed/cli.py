@@ -34,7 +34,7 @@ from .errors import (
     OracleDisagreement,
     SchemaError,
 )
-from .exponents import ExtExponent, compound
+from .exponents import ExtExponent, compound, json_float
 from .families import FAMILY_NAMES, covering_from_json, get_family
 from .seqspace import decide_sequence_embedding, expweight_from_json, truncated_oracle
 from .weights import build_weight
@@ -56,21 +56,34 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _radius(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"radius must be >= 0, got {value}")
+    """The argparse type of --radius: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
     return value
 
 
 def _json_arg(text: str, what: str) -> object:
+    """Parse a JSON argument; a number a float would round raises InexactExponent."""
     try:
-        return json.loads(text)
+        return json.loads(text, parse_float=json_float)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
+def _document_arg(text: str, what: str) -> object:
+    """Parse a weight or covering document, where a bad literal is a schema error."""
+    try:
+        return _json_arg(text, what)
+    except InexactExponent as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
 def _weight_arg(text: str, what: str):
-    doc = _json_arg(text, what)
+    doc = _document_arg(text, what)
     try:
         return expweight_from_json(doc)
     except ValueError as exc:
@@ -113,7 +126,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_covering(args: argparse.Namespace) -> int:
-    cov = covering_from_json(_json_arg(args.covering, "--covering"))
+    cov = covering_from_json(_document_arg(args.covering, "--covering"))
     window = enumerate_window(cov, args.radius)
     doc = {
         "label": cov.label,

@@ -349,11 +349,15 @@ def base_set_from_json(doc: object) -> BaseSet:
                 rational_from_json(body["outer"]),
             )
         if kind == "polygon":
-            return PolygonSet(_json_list(body["vertices"], _rat_pair))
+            vertices = _json_list(body["vertices"], _rat_pair)
+            if len(vertices) >= 3:
+                return PolygonSet(vertices)
         if kind == "cone_trapezoid":
             return cone_trapezoid(*_rat_pair(body["x"]), *_rat_pair(body["slope"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad base-set descriptor: {doc!r}") from exc
+    if kind == "polygon":
+        raise SchemaError("a polygon base set needs at least 3 vertices")
     raise SchemaError(f"unknown base-set kind {kind!r}")
 
 
@@ -876,6 +880,8 @@ def custom_covering_from_json(doc: object) -> Covering:
         indices = tuple(_json_list(idx, int_from_json) for idx in raw_indices)
     except ValueError as exc:
         raise SchemaError(f"bad dimension or index: {exc}") from exc
+    if len({len(idx) for idx in indices}) != 1:
+        raise SchemaError("custom covering indices must all have the same length")
     if len(set(indices)) != len(indices):
         raise SchemaError("duplicate indices in custom covering")
     try:

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, is_dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import InvalidParams, OracleDisagreement
 from .exponents import INF, ExtExponent, compound, conjugate, lower_conjugate
@@ -52,6 +52,7 @@ ANCHOR_KHINTCHINE_P = "Cor 5.2(2c-i)"
 ANCHOR_KHINTCHINE_2 = "Cor 5.2(2c-ii)"
 ANCHOR_BV_REDUCTION = "Cor 6.1"
 
+_ONE = ExtExponent(1)
 _TWO = ExtExponent(2)
 
 
@@ -94,8 +95,7 @@ class Verdict:
         return doc
 
 
-@dataclass(frozen=True)
-class _SummabilityCall:
+class _SummabilityCall(NamedTuple):
     """One symbolic membership decision, kept for the oracle cross-check."""
 
     label: str
@@ -131,6 +131,11 @@ def _validate_order(k: int) -> int:
     return k
 
 
+def _exponent(value) -> ExtExponent:
+    """Coerce an exponent argument once; an ExtExponent passes through."""
+    return value if isinstance(value, ExtExponent) else ExtExponent(value)
+
+
 def _resolve(family, params):
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
@@ -153,7 +158,7 @@ def decide_sobolev(
 ) -> Verdict:
     """Decide the embedding into the Sobolev space of order k over L^q."""
     fam, params = _resolve(family, params)
-    p, q, r = ExtExponent(p), ExtExponent(q), ExtExponent(r)
+    p, q, r = _exponent(p), _exponent(q), _exponent(r)
     k = _validate_order(k)
 
     evidence: list[Evidence] = []
@@ -170,7 +175,19 @@ def decide_sobolev(
         )
     )
 
-    quotient_q = fam.quotient_weight(params, k, p, q, r)
+    # the space weight u and each distinct quotient w^(t)/u are built once
+    u = fam.space_weight(params, r)
+    quotient_q = fam.quotient_weight(params, k, p, q, u)
+    built = [(q, quotient_q)]
+
+    def quotient_at(t: ExtExponent) -> ExpPolyWeight:
+        for t_built, quotient in built:
+            if t_built == t:
+                return quotient
+        quotient = fam.quotient_weight(params, k, p, t, u)
+        built.append((t, quotient))
+        return quotient
+
     theta_suff = compound(lower_conjugate(q), r)
     evidence.append(
         _membership_evidence(
@@ -214,7 +231,7 @@ def decide_sobolev(
 
     if not q.is_inf and fam.khintchine is not None:
         theta_k = compound(_TWO, r)
-        kq_p = fam.khintchine_quotient(params, k, p, p, r)
+        kq_p = fam.khintchine_quotient(quotient_at(p))
         evidence.append(
             _membership_evidence(
                 "N3",
@@ -227,7 +244,7 @@ def decide_sobolev(
             )
         )
         if _TWO <= q:
-            kq_2 = fam.khintchine_quotient(params, k, p, _TWO, r)
+            kq_2 = fam.khintchine_quotient(quotient_at(_TWO))
             evidence.append(
                 _membership_evidence(
                     "N4",
@@ -324,7 +341,7 @@ def decide_bv(
         family,
         params,
         p=p,
-        q=ExtExponent(1),
+        q=_ONE,
         r=r,
         k=k,
         refine=refine,

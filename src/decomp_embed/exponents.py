@@ -34,10 +34,12 @@ __all__ = [
     "conjugate",
     "lower_conjugate",
     "compound",
+    "reciprocal_gap",
     "DEFAULT_DENOMINATOR_CAP",
     "rational_from_json",
     "rational_to_json",
     "int_from_json",
+    "json_float",
 ]
 
 DEFAULT_DENOMINATOR_CAP = 10**6
@@ -108,6 +110,20 @@ def rational_from_json(obj: object) -> Fraction:
     return cand
 
 
+def json_float(text: str) -> float:
+    """The float of a JSON number's text, the ``parse_float`` hook for user JSON.
+
+    A JSON number whose text has more digits than its float keeps (or
+    that overflows it) would be rounded before :func:`rational_from_json`
+    sees it, so it raises :class:`InexactExponent` instead: the float's
+    shortest form must have the value the text spells.
+    """
+    value = float(text)
+    if Decimal(repr(value)) != Decimal(text):
+        raise InexactExponent(f"JSON number {text} is not the float {value!r} it would be read as")
+    return value
+
+
 def rational_to_json(value: Fraction) -> object:
     """The JSON form of a rational: an int, or a [num, den] pair."""
     if value.denominator == 1:
@@ -133,6 +149,8 @@ class ExtExponent:
     def __init__(self, value: _ExponentLike):
         if isinstance(value, ExtExponent):
             frac = value._frac
+        elif type(value) is Fraction:
+            frac = value
         elif isinstance(value, bool):
             raise TypeError("bool is not an exponent")
         elif isinstance(value, (int, Fraction)):
@@ -145,7 +163,7 @@ class ExtExponent:
             )
         else:
             raise TypeError(f"cannot build an exponent from {type(value).__name__}")
-        if frac is not None and frac <= 0:
+        if frac is not None and frac.numerator <= 0:
             raise ValueError(f"exponent must be positive, got {frac}")
         object.__setattr__(self, "_frac", frac)
 
@@ -187,8 +205,8 @@ class ExtExponent:
     def reciprocal(self) -> Fraction:
         """1/p as an exact Fraction, with 1/inf = 0."""
         if self._frac is None:
-            return Fraction(0)
-        return 1 / self._frac
+            return _ZERO
+        return Fraction(self._frac.denominator, self._frac.numerator)
 
     def to_json(self) -> object:
         if self._frac is None:
@@ -236,7 +254,11 @@ class ExtExponent:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self == coerced or self < coerced
+        if coerced._frac is None:
+            return True
+        if self._frac is None:
+            return False
+        return self._frac <= coerced._frac
 
     def __gt__(self, other: object) -> bool:
         coerced = self._coerce(other)
@@ -262,20 +284,38 @@ class ExtExponent:
 
 
 INF = ExtExponent("inf")
+_ONE = ExtExponent(1)
+_ZERO = Fraction(0)
 
 
 def conjugate(p: ExtExponent) -> ExtExponent:
     """The conjugate exponent: p/(p-1) on (1, inf), inf on (0, 1], 1 at inf."""
     if p.is_inf:
-        return ExtExponent(1)
-    if p.frac <= 1:
+        return _ONE
+    num, den = p.frac.numerator, p.frac.denominator
+    if num <= den:
         return INF
-    return ExtExponent(p.frac / (p.frac - 1))
+    # p/(p-1) = num/(num - den)
+    return ExtExponent(Fraction(num, num - den))
 
 
 def lower_conjugate(p: ExtExponent) -> ExtExponent:
     """min(p, conjugate(p)); always <= 2."""
     return min(p, conjugate(p))
+
+
+def reciprocal_gap(s: ExtExponent, r: ExtExponent) -> Fraction:
+    """1/s - 1/r as an exact Fraction, with 1/inf = 0."""
+    if r._frac is None:
+        return s.reciprocal()
+    if s._frac is None:
+        return -r.reciprocal()
+    a, b = s._frac, r._frac
+    # a.den/a.num - b.den/b.num over the common denominator a.num * b.num
+    return Fraction(
+        a.denominator * b.numerator - b.denominator * a.numerator,
+        a.numerator * b.numerator,
+    )
 
 
 def compound(s: ExtExponent, r: ExtExponent) -> ExtExponent:
@@ -284,7 +324,9 @@ def compound(s: ExtExponent, r: ExtExponent) -> ExtExponent:
     Equals inf exactly when r <= s.  For r > s this is the finite exponent
     through which the inner exponent r is traded against the outer s.
     """
-    recip = s.reciprocal() - r.reciprocal()
-    if recip <= 0:
+    if r.is_inf:
+        return s
+    recip = reciprocal_gap(s, r)
+    if recip.numerator <= 0:
         return INF
-    return ExtExponent(1 / recip)
+    return ExtExponent(Fraction(recip.denominator, recip.numerator))

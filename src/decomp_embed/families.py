@@ -37,7 +37,14 @@ from .covering import (
     custom_covering_from_json,
 )
 from .errors import InvalidParams, SchemaError
-from .exponents import INF, ExtExponent, int_from_json, lower_conjugate, rational_from_json
+from .exponents import (
+    INF,
+    ExtExponent,
+    int_from_json,
+    lower_conjugate,
+    rational_from_json,
+    reciprocal_gap,
+)
 from .seqspace import (
     Atom,
     CoordFactor,
@@ -77,8 +84,8 @@ def _diag(values) -> tuple:
     )
 
 
-def _scaled(atom: Atom, factor) -> Atom:
-    return Atom(atom.coeff * Fraction(factor), atom.factors, atom.radial_pow)
+def _scaled(atom: Atom, factor: int) -> Atom:
+    return Atom(atom.coeff * factor, atom.factors, atom.radial_pow)
 
 
 def _kind_atoms(kind: str, det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
@@ -186,16 +193,17 @@ class Family:
         raise NotImplementedError
 
     def quotient_weight(
-        self, params, k: int, p: ExtExponent, t: ExtExponent, r: ExtExponent
+        self, params, k: int, p: ExtExponent, t: ExtExponent, u: ExpPolyWeight
     ) -> ExpPolyWeight:
-        """The ratio w^(t)/u that the summability criteria test."""
-        w = self.weight_symbolic(params, "w_t", k, p, t)
-        return w.quotient(self.space_weight(params, r))
+        """The ratio w^(t)/u that the summability criteria test.
 
-    def khintchine_quotient(
-        self, params, k: int, p: ExtExponent, t: ExtExponent, r: ExtExponent
-    ) -> Optional[ExpPolyWeight]:
-        """w^(t)/u restricted to the expanding part of the covering.
+        ``u`` is the space weight ``space_weight(params, r)``; a caller
+        that tests several t against one r builds it once.
+        """
+        return self.weight_symbolic(params, "w_t", k, p, t).quotient(u)
+
+    def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
+        """A quotient w^(t)/u restricted to the expanding part of the covering.
 
         Families whose expanding part differs from the whole index set by
         more than finitely many indices restrict explicitly; None means the
@@ -203,10 +211,9 @@ class Family:
         """
         if self.khintchine is None:
             return None
-        quo = self.quotient_weight(params, k, p, t, r)
         if self.khintchine == "full":
-            return quo
-        (piece,) = quo.pieces
+            return quotient
+        (piece,) = quotient.pieces
         return ExpPolyWeight((Piece(LineSector("N0"), piece.atoms),))
 
     def to_point(self, index: Index) -> Optional[tuple]:
@@ -261,7 +268,7 @@ class HomBesovFamily(Family):
         return ExpPolyWeight.single(LineSector("Z"), Atom.line(exp2=params.s))
 
     def weight_symbolic(self, params, kind, k, p, t):
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         det_atom = Atom.line(exp2=params.d * dp)
         norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
         return ExpPolyWeight.single(
@@ -304,7 +311,7 @@ class InhomBesovFamily(Family):
 
     def weight_symbolic(self, params, kind, k, p, t):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         det_atom = Atom.line(exp2=params.d * dp)
         norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
         return ExpPolyWeight.single(
@@ -314,7 +321,7 @@ class InhomBesovFamily(Family):
     def refined_criteria(self, params, k, p, q, r):
         if not _TWO < q < INF:
             return []
-        thr = Fraction(k) + params.d * (p.reciprocal() - q.reciprocal())
+        thr = Fraction(k) + params.d * reciprocal_gap(p, q)
         s = params.s
         suff = p <= q and (s > thr or (s == thr and r <= _TWO))
         nec = s > thr or (s == thr and r <= q)
@@ -399,7 +406,7 @@ class AlphaModulationFamily(Family):
 
     def weight_symbolic(self, params, kind, k, p, t):
         a0 = self._a0(params)
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         base = params.d * a0 * dp
         det_atom = Atom.radial(params.d, base)
         norm_atoms = []
@@ -416,9 +423,9 @@ class AlphaModulationFamily(Family):
     def refined_criteria(self, params, k, p, q, r):
         if not _TWO < q < INF:
             return []
-        tail = _pos(lower_conjugate(q).reciprocal() - r.reciprocal())
+        tail = _pos(reciprocal_gap(lower_conjugate(q), r))
         rhs = Fraction(k) + params.d * (
-            params.alpha * (p.reciprocal() - q.reciprocal())
+            params.alpha * reciprocal_gap(p, q)
             + (1 - params.alpha) * tail
         )
         g = params.s
@@ -483,7 +490,7 @@ class ShearletSmoothnessFamily(Family):
 
     @staticmethod
     def _sector() -> PairSector:
-        return PairSector("N0", Fraction(1), "inside", 0)
+        return _SHEARLET_SECTOR
 
     def to_point(self, index: Index) -> Optional[tuple]:
         if index == (0,):
@@ -495,7 +502,7 @@ class ShearletSmoothnessFamily(Family):
         return ExpPolyWeight.single(self._sector(), Atom.pair(n_exp2=2 * params.s))
 
     def weight_symbolic(self, params, kind, k, p, t):
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         det_atom = Atom.pair(n_exp2=3 * dp)
         # ||T|| is comparable to 2^(2n) throughout the cone
         norm_atoms = [Atom.pair(n_exp2=3 * dp + 2 * k)] if k >= 1 else []
@@ -506,16 +513,19 @@ class ShearletSmoothnessFamily(Family):
     def refined_criteria(self, params, k, p, q, r):
         if not _TWO < q < INF:
             return []
-        tail = _pos(lower_conjugate(q).reciprocal() - r.reciprocal())
+        tail = _pos(reciprocal_gap(lower_conjugate(q), r))
         thr = (
             Fraction(k)
-            + Fraction(3, 2) * (p.reciprocal() - q.reciprocal())
+            + Fraction(3, 2) * reciprocal_gap(p, q)
             + Fraction(1, 2) * tail
         )
         s = params.s
         suff = p <= q and (s > thr or (s == thr and r <= _TWO))
         nec = s > thr or (s == thr and r <= q)
         return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", s, thr, "2", suff, nec)
+
+
+_SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -584,27 +594,28 @@ class ShearletCoorbitFamily(Family):
     def _sectors(params: CoorbitParams):
         """The four dominance sectors with (a, rho): ||T|| ~ 2^(a n) |m|^rho."""
         c = params.c
+        lam, zero, one = 1 - c, Fraction(0), Fraction(1)
         if c >= 1:
             sectors = (
-                PairSector("N0", Fraction(0), "outside", 0),
-                PairSector("N0", Fraction(0), "inside", -1),
-                PairSector("Nneg", 1 - c, "outside", 0),
-                PairSector("Nneg", 1 - c, "inside", -1),
+                PairSector("N0", zero, "outside", 0),
+                PairSector("N0", zero, "inside", -1),
+                PairSector("Nneg", lam, "outside", 0),
+                PairSector("Nneg", lam, "inside", -1),
             )
-            surrogates = ((c, 1), (c, 0), (c, 1), (Fraction(1), 0))
+            surrogates = ((c, 1), (c, 0), (c, 1), (one, 0))
         else:
             sectors = (
-                PairSector("N0", 1 - c, "inside", 0),
-                PairSector("N0", 1 - c, "outside", 1),
-                PairSector("Nneg", Fraction(0), "outside", 0),
-                PairSector("Nneg", Fraction(0), "inside", -1),
+                PairSector("N0", lam, "inside", 0),
+                PairSector("N0", lam, "outside", 1),
+                PairSector("Nneg", zero, "outside", 0),
+                PairSector("Nneg", zero, "inside", -1),
             )
-            surrogates = ((Fraction(1), 0), (c, 1), (c, 1), (c, 0))
+            surrogates = ((one, 0), (c, 1), (c, 1), (c, 0))
         return sectors, surrogates
 
     def space_weight(self, params: CoorbitParams, r: ExtExponent) -> ExpPolyWeight:
         c, alpha, beta = params.c, params.alpha, params.beta
-        base = -(1 + c) * (Fraction(1, 2) - r.reciprocal()) - alpha
+        base = -(1 + c) * reciprocal_gap(_TWO, r) - alpha
         sectors, surrogates = self._sectors(params)
         pieces = []
         for sector, (a, rho) in zip(sectors, surrogates):
@@ -614,12 +625,12 @@ class ShearletCoorbitFamily(Family):
 
     def weight_symbolic(self, params, kind, k, p, t):
         c = params.c
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         det_exp = (1 + c) * dp
         sectors, surrogates = self._sectors(params)
+        det_atom = Atom.pair(n_exp2=det_exp)
         pieces = []
         for sector, (a, rho) in zip(sectors, surrogates):
-            det_atom = Atom.pair(n_exp2=det_exp)
             norm_atoms = (
                 [Atom.pair(n_exp2=det_exp + a * k, m_power=rho * k)] if k >= 1 else []
             )
@@ -701,7 +712,7 @@ class DiagonalFamily(Family):
         return ProductSector(tuple(LineSector("Z") for _ in range(d)))
 
     def space_weight(self, params: DiagonalParams, r: ExtExponent) -> ExpPolyWeight:
-        shift = Fraction(1, 2) - r.reciprocal()
+        shift = reciprocal_gap(_TWO, r)
         factors = tuple(
             CoordFactor(a + shift, b + shift, 0, 0)
             for a, b in zip(params.alpha, params.beta)
@@ -710,7 +721,7 @@ class DiagonalFamily(Family):
 
     def weight_symbolic(self, params, kind, k, p, t):
         d = params.d
-        dp = p.reciprocal() - t.reciprocal()
+        dp = reciprocal_gap(p, t)
         det_atom = Atom(
             Fraction(1), tuple(CoordFactor.symmetric(-dp) for _ in range(d))
         )

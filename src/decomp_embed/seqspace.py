@@ -14,6 +14,13 @@ This module carries the sequence-space side of the decision engine:
   constant for the positive direction and a growing witness family for
   the negative one.
 
+Atoms are flat tuples of exact Fractions.  Values are coerced to Fraction
+once, at the boundary: in the public constructors of :class:`CoordFactor`
+and :class:`Atom`, their classmethods and :func:`expweight_from_json`.
+Internal arithmetic (quotients, the membership tests) passes Fractions
+through untouched, so a quotient is a field-wise subtraction and the
+membership tests compare signs and integer cross products.
+
 The decider and the oracle share no logic.  The decider manipulates
 exponents as exact rationals and never evaluates the weight; the oracle
 evaluates the weight numerically and never looks at the exponents.  Test
@@ -27,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -214,7 +221,8 @@ class PairSector:
             raise ValueError(f"pair sector side must be inside or outside, got {self.side!r}")
         if self.shift not in (-1, 0, 1):
             raise ValueError("pair sector shift must be in {-1, 0, 1}")
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        if type(self.lam) is not Fraction:
+            object.__setattr__(self, "lam", Fraction(self.lam))
 
     @property
     def dims(self) -> int:
@@ -290,30 +298,58 @@ def sector_from_json(obj: object) -> Sector:
 # atoms and weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoordFactor:
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _exact(value: RatLike) -> Fraction:
+    """value as a Fraction; a Fraction passes through untouched."""
+    return value if type(value) is Fraction else Fraction(value)
+
+
+def _diff(a: Fraction, b: Fraction) -> Fraction:
+    """a - b, without arithmetic when b is zero."""
+    return a - b if b else a
+
+
+class _CoordFactorFields(NamedTuple):
+    exp2_pos: Fraction
+    exp2_neg: Fraction
+    pow_pos: Fraction
+    pow_neg: Fraction
+
+
+class CoordFactor(_CoordFactorFields):
     """Per-coordinate factor 2^(a*n) * |n|^c with separate orthant exponents.
 
     On n >= 0 the factor is 2^(exp2_pos*n) * |n|^pow_pos, on n < 0 it is
     2^(exp2_neg*n) * |n|^pow_neg.  |0|^c is read as 1.
+
+    A plain tuple of four exact Fractions.  The constructor and
+    :meth:`symmetric` coerce ints; ``_make`` takes Fractions as they are.
     """
 
-    exp2_pos: Fraction = Fraction(0)
-    exp2_neg: Fraction = Fraction(0)
-    pow_pos: Fraction = Fraction(0)
-    pow_neg: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("exp2_pos", "exp2_neg", "pow_pos", "pow_neg"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __new__(
+        cls,
+        exp2_pos: RatLike = _ZERO,
+        exp2_neg: RatLike = _ZERO,
+        pow_pos: RatLike = _ZERO,
+        pow_neg: RatLike = _ZERO,
+    ) -> "CoordFactor":
+        return tuple.__new__(
+            cls, (_exact(exp2_pos), _exact(exp2_neg), _exact(pow_pos), _exact(pow_neg))
+        )
 
     @classmethod
-    def symmetric(cls, exp2: RatLike = 0, power: RatLike = 0) -> "CoordFactor":
-        return cls(Fraction(exp2), Fraction(exp2), Fraction(power), Fraction(power))
+    def symmetric(cls, exp2: RatLike = _ZERO, power: RatLike = _ZERO) -> "CoordFactor":
+        exp2, power = _exact(exp2), _exact(power)
+        return cls._make((exp2, exp2, power, power))
 
     @property
     def is_trivial(self) -> bool:
-        return not any((self.exp2_pos, self.exp2_neg, self.pow_pos, self.pow_neg))
+        return not any(self)
 
     def value(self, n: int) -> float:
         return pow2f(self.log2_value(n))
@@ -329,53 +365,72 @@ class CoordFactor:
         return out
 
     def sub(self, other: "CoordFactor") -> "CoordFactor":
-        return CoordFactor(
-            self.exp2_pos - other.exp2_pos,
-            self.exp2_neg - other.exp2_neg,
-            self.pow_pos - other.pow_pos,
-            self.pow_neg - other.pow_neg,
-        )
+        """Field-wise self - other.
+
+        Zero fields of other cost no arithmetic, and an orthant pair that
+        is one shared value on both sides (as :meth:`symmetric` builds it)
+        is subtracted once.
+        """
+        if not any(other):
+            return self
+        a_pos, a_neg, c_pos, c_neg = self
+        b_pos, b_neg, d_pos, d_neg = other
+        e_pos = _diff(a_pos, b_pos)
+        e_neg = e_pos if a_neg is a_pos and b_neg is b_pos else _diff(a_neg, b_neg)
+        p_pos = _diff(c_pos, d_pos)
+        p_neg = p_pos if c_neg is c_pos and d_neg is d_pos else _diff(c_neg, d_neg)
+        return CoordFactor._make((e_pos, e_neg, p_pos, p_neg))
 
 
-@dataclass(frozen=True)
-class Atom:
-    """coeff * prod_j factor_j(n_j) * |n|_2^radial_pow, strictly positive."""
+class _AtomFields(NamedTuple):
+    coeff: Fraction
+    factors: tuple[CoordFactor, ...]
+    radial_pow: Fraction
 
-    coeff: Fraction = Fraction(1)
-    factors: tuple[CoordFactor, ...] = ()
-    radial_pow: Fraction = Fraction(0)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
-        object.__setattr__(self, "radial_pow", Fraction(self.radial_pow))
-        if self.coeff <= 0:
+class Atom(_AtomFields):
+    """coeff * prod_j factor_j(n_j) * |n|_2^radial_pow, strictly positive.
+
+    A plain tuple of an exact coefficient, one :class:`CoordFactor` per
+    coordinate and an exact radial power.  The constructor and the
+    classmethods coerce ints and check the coefficient; ``_make`` takes
+    Fractions as they are.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        coeff: RatLike = _ONE,
+        factors: tuple[CoordFactor, ...] = (),
+        radial_pow: RatLike = _ZERO,
+    ) -> "Atom":
+        coeff = _exact(coeff)
+        if coeff.numerator <= 0:
             raise ValueError("atom coefficient must be positive")
+        return tuple.__new__(cls, (coeff, factors, _exact(radial_pow)))
 
     @classmethod
-    def line(cls, exp2: RatLike = 0, power: RatLike = 0, coeff: RatLike = 1) -> "Atom":
-        return cls(Fraction(coeff), (CoordFactor.symmetric(exp2, power),))
+    def line(cls, exp2: RatLike = _ZERO, power: RatLike = _ZERO, coeff: RatLike = _ONE) -> "Atom":
+        return cls(coeff, (CoordFactor.symmetric(exp2, power),))
 
     @classmethod
-    def radial(cls, d: int, power: RatLike, coeff: RatLike = 1) -> "Atom":
-        return cls(
-            Fraction(coeff),
-            tuple(CoordFactor() for _ in range(d)),
-            Fraction(power),
-        )
+    def radial(cls, d: int, power: RatLike, coeff: RatLike = _ONE) -> "Atom":
+        return cls(coeff, (_TRIVIAL_FACTOR,) * d, power)
 
     @classmethod
     def pair(
         cls,
-        n_exp2: RatLike = 0,
-        n_power: RatLike = 0,
-        m_power: RatLike = 0,
-        coeff: RatLike = 1,
+        n_exp2: RatLike = _ZERO,
+        n_power: RatLike = _ZERO,
+        m_power: RatLike = _ZERO,
+        coeff: RatLike = _ONE,
     ) -> "Atom":
         return cls(
-            Fraction(coeff),
+            coeff,
             (
                 CoordFactor.symmetric(n_exp2, n_power),
-                CoordFactor.symmetric(0, m_power),
+                CoordFactor.symmetric(_ZERO, m_power),
             ),
         )
 
@@ -393,13 +448,25 @@ class Atom:
         return float(self.coeff) * pow2f(log2mag)
 
     def quotient(self, den: "Atom") -> "Atom":
-        if len(den.factors) != len(self.factors):
+        """self/den as a field-wise subtraction of exponents.
+
+        A unit coefficient of den and zero exponents of den cost no
+        arithmetic.
+        """
+        coeff, factors, radial_pow = self
+        den_coeff, den_factors, den_radial = den
+        if len(den_factors) != len(factors):
             raise UnsupportedWeight("quotient of atoms over different lattices")
-        return Atom(
-            self.coeff / den.coeff,
-            tuple(f.sub(g) for f, g in zip(self.factors, den.factors)),
-            self.radial_pow - den.radial_pow,
+        return Atom._make(
+            (
+                coeff if den_coeff == 1 else coeff / den_coeff,
+                tuple([f.sub(g) for f, g in zip(factors, den_factors)]),
+                _diff(radial_pow, den_radial),
+            )
         )
+
+
+_TRIVIAL_FACTOR = CoordFactor()
 
 
 @dataclass(frozen=True)
@@ -556,98 +623,94 @@ class Membership(str, Enum):
     NOT_MEMBER = "NotMember"
 
 
-def _halfline_summable(a: Fraction, c: Fraction) -> bool:
-    """Finiteness of sum over n >= 1 of 2^(a*n) * n^c."""
-    if a < 0:
+def _halfline_member(sign: int, c: Fraction, theta: Fraction | None) -> bool:
+    """Whether 2^(a*n) * n^c over n >= 1 lies in l^theta, or is bounded
+    when theta is None; ``sign`` is any int with the sign of a.
+
+    For finite theta this is summability of 2^(theta*a*n) * n^(theta*c):
+    theta > 0 keeps the sign of a, and theta*c < -1 is compared as an
+    integer cross product, so no Fraction is built.
+    """
+    if sign < 0:
         return True
-    if a == 0:
-        return c < -1
-    return False
+    if sign > 0:
+        return False
+    if theta is None:
+        return c.numerator <= 0
+    return c.numerator * theta.numerator + c.denominator * theta.denominator < 0
 
 
-def _halfline_bounded(a: Fraction, c: Fraction) -> bool:
-    """Boundedness of 2^(a*n) * n^c over n >= 1."""
-    if a < 0:
-        return True
-    if a == 0:
-        return c <= 0
-    return False
+def _rate_sign(a: Fraction, lam: Fraction, x_num: int, x_den: int) -> int:
+    """An int with the sign of a + lam * x_num/x_den, for x_den > 0."""
+    return a.numerator * lam.denominator * x_den + lam.numerator * x_num * a.denominator
 
 
 def _line_member(domain: str, f: CoordFactor, theta: Fraction | None) -> bool:
-    if theta is None:
-        pos_ok = _halfline_bounded(f.exp2_pos, f.pow_pos)
-        neg_ok = _halfline_bounded(-f.exp2_neg, f.pow_neg)
-    else:
-        pos_ok = _halfline_summable(theta * f.exp2_pos, theta * f.pow_pos)
-        neg_ok = _halfline_summable(-theta * f.exp2_neg, theta * f.pow_neg)
-    if domain == "N0":
-        return pos_ok
-    if domain == "Nneg":
-        return neg_ok
-    return pos_ok and neg_ok
+    if domain != "Nneg" and not _halfline_member(f.exp2_pos.numerator, f.pow_pos, theta):
+        return False
+    return domain == "N0" or _halfline_member(-f.exp2_neg.numerator, f.pow_neg, theta)
 
 
 def _pair_atom_member(sector: PairSector, atom: Atom, theta: Fraction | None) -> bool:
     n_factor, m_factor = atom.factors
     if m_factor.exp2_pos or m_factor.exp2_neg:
         raise UnsupportedWeight("pair sectors support only power factors in m")
-    if m_factor.pow_pos != m_factor.pow_neg:
-        raise UnsupportedWeight("pair sectors need a symmetric m power")
     rho = m_factor.pow_pos
+    if rho != m_factor.pow_neg:
+        raise UnsupportedWeight("pair sectors need a symmetric m power")
     lam = sector.lam
     if sector.n_domain == "N0":
         if lam < 0:
             raise UnsupportedWeight("pair sector with lam < 0 on n >= 0")
         a, c = n_factor.exp2_pos, n_factor.pow_pos
-        mirror = False
+        orient = 1
     else:
         if lam > 0:
             raise UnsupportedWeight("pair sector with lam > 0 on n < 0")
+        # n runs to -inf, where 2^(a*n) decays at rate -a
         a, c = n_factor.exp2_neg, n_factor.pow_neg
-        mirror = True
-
-    def halfline(a_eff: Fraction, c_eff: Fraction, bounded: bool) -> bool:
-        a_use = -a_eff if mirror else a_eff
-        if bounded:
-            return _halfline_bounded(a_use, c_eff)
-        return _halfline_summable(a_use, c_eff)
+        orient = -1
+    outside = sector.side == "outside"
 
     if theta is None:
         # sup over the sector; the extremal |m| is the row bound when the
         # m power points outward, otherwise the smallest admissible |m|
-        if sector.side == "outside" and rho > 0:
+        if outside and rho > 0:
             return False
-        if (sector.side == "inside" and rho > 0) or (
-            sector.side == "outside" and rho <= 0
-        ):
-            return halfline(a + lam * rho, c, bounded=True)
-        return halfline(a, c, bounded=True)
+        if outside or rho > 0:
+            # rate a + lam*rho
+            sign = _rate_sign(a, lam, rho.numerator, rho.denominator)
+        else:
+            sign = a.numerator
+        return _halfline_member(orient * sign, c, None)
 
-    a_bar = theta * a
-    c_bar = theta * c
-    rho_bar = theta * rho
-    if sector.side == "outside":
-        if rho_bar >= -1:
-            return False  # every row has a divergent m-tail
-        return halfline(a_bar + lam * (1 + rho_bar), c_bar, bounded=False)
-    # inside rows: the m-sum behaves like bound^(1+rho_bar) above rho_bar=-1,
-    # like log(bound) at rho_bar=-1, and like a constant below
-    if rho_bar > -1:
-        return halfline(a_bar + lam * (1 + rho_bar), c_bar, bounded=False)
-    if rho_bar == -1:
-        bump = Fraction(1) if lam != 0 else Fraction(0)
-        return halfline(a_bar, c_bar + bump, bounded=False)
-    return halfline(a_bar, c_bar, bounded=False)
+    # all rates and powers below carry the factor theta > 0 of the
+    # l^theta sum; rho_side has the sign of theta*rho + 1
+    rho_side = rho.numerator * theta.numerator + rho.denominator * theta.denominator
+    if outside and rho_side >= 0:
+        return False  # every row has a divergent m-tail
+    # inside rows: the m-sum behaves like bound^(1+theta*rho) above
+    # theta*rho = -1, like log(bound) at -1, and like a constant below
+    if outside or rho_side > 0:
+        # rate theta*a + lam*(1 + theta*rho) = theta*(a + lam*(1/theta + rho))
+        x_num = theta.denominator * rho.denominator + rho.numerator * theta.numerator
+        sign = _rate_sign(a, lam, x_num, theta.numerator * rho.denominator)
+        return _halfline_member(orient * sign, c, theta)
+    if rho_side == 0 and lam and not a:
+        # the log(bound) factor raises the power theta*c by one
+        return c.numerator * theta.numerator + 2 * c.denominator * theta.denominator < 0
+    return _halfline_member(orient * a.numerator, c, theta)
 
 
 def _atom_member(sector: Sector, atom: Atom, theta: Fraction | None) -> bool:
     if isinstance(sector, RadialSector):
-        if any(not f.is_trivial for f in atom.factors):
+        if any(map(any, atom.factors)):
             raise UnsupportedWeight("radial sectors support only radial powers")
+        power = atom.radial_pow
         if theta is None:
-            return atom.radial_pow <= 0
-        return theta * atom.radial_pow < -sector.d
+            return power.numerator <= 0
+        # theta * power < -d, as an integer cross product
+        return power.numerator * theta.numerator < -sector.d * power.denominator * theta.denominator
     if atom.radial_pow:
         raise UnsupportedWeight("radial powers are only supported on radial sectors")
     if isinstance(sector, LineSector):

@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Optional
 
 from .covering import Covering, Index, mat_det, spectral_norm
 from .errors import UnsupportedWeight
-from .exponents import ExtExponent
+from .exponents import ExtExponent, reciprocal_gap
 from .seqspace import ExpPolyWeight
 
 __all__ = [
@@ -69,7 +69,7 @@ class CoveringWeight:
 
     @property
     def det_exponent(self) -> Fraction:
-        return self.p.reciprocal() - self.t.reciprocal()
+        return reciprocal_gap(self.p, self.t)
 
     def evaluate(self, index: Index) -> float:
         t_mat, b_vec = self.covering.transform(index)

@@ -4,8 +4,11 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomp_embed.cli import main
+from decomp_embed.families import FAMILY_NAMES
 from decomp_embed.seqspace import TailClassification
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -107,12 +110,38 @@ def custom_covering(**fields) -> str:
       "-p", "1", "-q", "2", "-r", "2"], 64),
     (["check-sequence", "--u", '{"lattice":{"kind":"product","domains":[]}}',
       "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        indices=[[0], [1, 2]], T=[[[1]], [[2]]], b=[[0], [3]])], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        dimension=2, T=[[[1, 0], [0, 1]]], b=[[0, 0]],
+        base_set={"polygon": {"vertices": [[0, 0], [1, 1]]}})], 65),
+    (["inspect-covering", "--covering", '{"family":"hom_besov"}', "--radius", "x"], 64),
+    (["decide", "--family", "hom_besov", "--params", '{"d":1,"s":1.0000000000000001}',
+      "-p", "1", "-q", "2", "-r", "2"], 64),
+    (["verify-family", "--family", "hom_besov", "--params", '{"s":1e400}'], 64),
+    (["check-sequence", "--u", '{"lattice":{"kind":"N0"},"atoms":[{"exp2":-1.0000000000000001}]}',
+      "--v", '{"lattice":{"kind":"N0"}}', "-r", "2", "-s", "2"], 65),
+    (["inspect-covering", "--covering",
+      custom_covering().replace('"radius": 1}', '"radius": 1.0000000000000001}')], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
+
+
+def test_radius_error_names_the_requirement():
+    _, _, err = run_cli(["inspect-covering", "--covering", '{"family":"hom_besov"}',
+                         "--radius", "x"])
+    assert err == "error: argument --radius: must be a non-negative integer, got 'x'\n"
+
+
+@pytest.mark.parametrize("number", ["0.5", "0.3333333333333333", "5e-1"])
+def test_json_numbers_a_float_keeps_follow_the_float_rule(number):
+    code, out, _ = run_cli(["decide", "--family", "hom_besov", "--params",
+                            f'{{"d":1,"s":{number}}}', "-p", "1", "-q", "2", "-r", "2"])
+    assert code in (0, 1) and json.loads(out)["outcome"]
 
 
 def _leaves(doc, path=()):
@@ -156,6 +185,64 @@ def _leaf_mutations():
 
 @pytest.mark.parametrize("argv", _leaf_mutations())
 def test_leaf_mutations_exit_cleanly(argv):
+    code, out, err = run_cli(argv)
+    assert code in {0, 1, 2, 10, 64, 65, 70}
+    if code in (0, 1, 2):
+        json.loads(out)
+    assert "Traceback" not in err
+
+
+_FLAGS = {
+    "decide": ("--family", "--params", "--target", "-p", "-q", "-r", "-k"),
+    "inspect-covering": ("--covering", "--radius", "--index"),
+    "check-sequence": ("--u", "--v", "-r", "-s"),
+    "verify-family": ("--family", "--params", "--radius"),
+}
+_SWITCHES = ("--pretty", "--refine", "--no-refine", "--oracle-check", "--oracle")
+# every JSON document of the golden argv, plus literals on both sides of each rule
+_VALUES = tuple(sorted({tok for c in MANIFEST for tok in c["argv"] if tok.startswith("{")})) + (
+    *FAMILY_NAMES, "nope", "sobolev", "cb", "bv", "1", "2", "3/2", "inf", "0", "-1", "1/0",
+    "0.5", "1e400", "1.0000000000000001", "x", "", "0,1", "99", "{}", "[1]", "{oops",
+    '{"s":1.0000000000000001}', '{"d":2,"s":"1/2"}', '{"lattice":{"kind":"radial","d":2}}',
+)
+
+
+@st.composite
+def _argvs(draw):
+    """A golden argv with a few options changed, dropped or added, and
+    sometimes a stray token."""
+    golden = draw(st.sampled_from(MANIFEST))["argv"]
+    command, rest = golden[0], golden[1:]
+    options = []  # (flag, value) pairs and (switch,) singletons
+    while rest:
+        takes_value = rest[0] not in _SWITCHES
+        options.append(tuple(rest[:1 + takes_value]))
+        rest = rest[1 + takes_value:]
+    flags = st.sampled_from(_FLAGS[command])
+    values = st.sampled_from(_VALUES)
+    for _ in range(draw(st.integers(0, 3))):
+        action = draw(st.sampled_from(("value", "drop", "add", "switch", "stray")))
+        pos = draw(st.integers(0, len(options)))
+        if action == "value" and pos < len(options) and len(options[pos]) == 2:
+            options[pos] = (options[pos][0], draw(values))
+        elif action == "drop" and pos < len(options):
+            del options[pos]
+        elif action == "add":
+            options.insert(pos, (draw(flags), draw(values)))
+        elif action == "switch":
+            options.insert(pos, (draw(st.sampled_from(_SWITCHES)),))
+        elif action == "stray":
+            options.insert(pos, (draw(st.one_of(values, flags)),))
+    argv = [command, *(tok for option in options for tok in option)]
+    if command in ("inspect-covering", "verify-family"):
+        # argparse keeps the last --radius; larger windows only cost time
+        argv += ["--radius", "0"]
+    return argv
+
+
+@given(_argvs())
+@settings(max_examples=100, deadline=None)
+def test_argv_fuzz_keeps_the_exit_code_contract(argv):
     code, out, err = run_cli(argv)
     assert code in {0, 1, 2, 10, 64, 65, 70}
     if code in (0, 1, 2):

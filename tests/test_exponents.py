@@ -16,9 +16,11 @@ from decomp_embed.exponents import (
     ExtExponent,
     compound,
     conjugate,
+    json_float,
     lower_conjugate,
     rational_from_json,
     rational_to_json,
+    reciprocal_gap,
 )
 
 E = ExtExponent
@@ -169,6 +171,22 @@ def test_rational_from_json_rejects(doc, exc):
         rational_from_json(doc)
 
 
+@pytest.mark.parametrize("text", ["0.5", "0.50", "0.3333333333333333", "1e3", "-2.5", "0e-999"])
+def test_json_float_accepts_what_a_float_keeps(text):
+    assert json_float(text) == float(text)
+
+
+@pytest.mark.parametrize("text", ["1.0000000000000001", "0.30000000000000001", "1e400", "1e-999999999"])
+def test_json_float_rejects_what_a_float_rounds(text):
+    with pytest.raises(InexactExponent):
+        json_float(text)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_json_float_keeps_every_float_json_writes(x):
+    assert json.loads(json.dumps(x), parse_float=json_float) == x
+
+
 @given(st.fractions())
 def test_rational_json_round_trip(x):
     assert rational_from_json(json.loads(json.dumps(rational_to_json(x)))) == x
@@ -267,6 +285,11 @@ def test_compound_reciprocal_identity(s, r):
     gap = s.reciprocal() - r.reciprocal()
     expected = max(gap, Fraction(0))
     assert compound(s, r).reciprocal() == expected
+
+
+@given(exponents(), exponents())
+def test_reciprocal_gap_is_the_difference_of_reciprocals(s, r):
+    assert reciprocal_gap(s, r) == s.reciprocal() - r.reciprocal()
 
 
 @given(exponents(), exponents())

@@ -236,7 +236,9 @@ def test_khintchine_restriction():
 
     hom = get_family("hom_besov")
     params = hom.parse_params({"d": 1, "s": "1/2"})
-    quot = hom.khintchine_quotient(params, 0, one, one, two)
+    quot = hom.khintchine_quotient(
+        hom.quotient_weight(params, 0, one, one, hom.space_weight(params, two))
+    )
     assert quot is not None
     assert len(quot.pieces) == 1
     assert quot.pieces[0].sector == LineSector("N0")
@@ -244,13 +246,19 @@ def test_khintchine_restriction():
 
     inhom = get_family("inhom_besov")
     ip = inhom.parse_params({"d": 1, "s": "1/2"})
-    full = inhom.khintchine_quotient(ip, 0, one, one, two)
+    full = inhom.khintchine_quotient(
+        inhom.quotient_weight(ip, 0, one, one, inhom.space_weight(ip, two))
+    )
     assert full is not None and full.contains((0,))
 
     coorbit = get_family("shearlet_coorbit")
     cp = coorbit.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
-    assert coorbit.khintchine_quotient(cp, 0, one, one, two) is None
+    assert coorbit.khintchine_quotient(
+        coorbit.quotient_weight(cp, 0, one, one, coorbit.space_weight(cp, two))
+    ) is None
 
     diag = get_family("diagonal")
     dp = diag.parse_params({"d": 1, "alpha": 0, "beta": 0})
-    assert diag.khintchine_quotient(dp, 0, one, one, two) is None
+    assert diag.khintchine_quotient(
+        diag.quotient_weight(dp, 0, one, one, diag.space_weight(dp, two))
+    ) is None
