@@ -12,7 +12,6 @@ from .covering import (
     adjacency,
     certify_constants,
     check_moderate,
-    enumerate_window,
     neighbors,
     norm_surrogate_check,
     spectral_norm,
@@ -66,7 +65,6 @@ __all__ = [
     "adjacency",
     "certify_constants",
     "check_moderate",
-    "enumerate_window",
     "neighbors",
     "norm_surrogate_check",
     "spectral_norm",

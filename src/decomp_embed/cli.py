@@ -10,9 +10,11 @@ Exit codes:
   (Embeds), 1 (DoesNotEmbed) or 2 (Undetermined); ``check-sequence`` and
   ``verify-family`` use 0/1 for pass/fail;
 * 10 -- the symbolic route and the numeric oracle disagree;
-* 64 -- usage: bad arguments, parameters, exponents or window cap;
-* 65 -- schema: malformed JSON documents;
-* 70 -- unsupported weights or geometry, and internal errors.
+* 64 -- usage: bad arguments, parameters or exponents, and a malformed
+  ``DECOMP_EMBED_MAX_WINDOW`` value;
+* 65 -- schema: malformed JSON documents, empty base sets among them;
+* 70 -- unsupported weights or geometry, a window that exceeds the cap,
+  and internal errors.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 from fractions import Fraction
 from typing import NoReturn
 
-from .covering import certify_constants, check_moderate, enumerate_window, neighbors, norm_surrogate_check
+from .covering import certify_constants, check_moderate, neighbors, norm_surrogate_check
 from .embedding import decide
 from .errors import (
     DecompEmbedError,
@@ -127,7 +129,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 def _cmd_inspect_covering(args: argparse.Namespace) -> int:
     cov = covering_from_json(_document_arg(args.covering, "--covering"))
-    window = enumerate_window(cov, args.radius)
+    window = cov.window(args.radius)
     doc = {
         "label": cov.label,
         "dimension": cov.dimension,
@@ -164,7 +166,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     # moderateness probe: the canonical order-0 weight between p = 1 and
     # t = 2; the k = 0 form is purely geometric, so the estimate settles
     # inside small windows
-    probe = build_weight(cov, "u_kpq", k=0, p=ExtExponent(1), t=ExtExponent(2))
+    probe = build_weight(cov, k=0, p=ExtExponent(1), t=ExtExponent(2))
     moderate = check_moderate(cov, probe.evaluate, (args.radius, args.radius + 2))
     try:
         surrogate = norm_surrogate_check(cov, args.radius)

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedGeometry,
     WindowCapExceeded,
 )
-from .exponents import int_from_json, rational_from_json, rational_to_json
+from .exponents import int_from_json, rational_from_json
 
 __all__ = [
     "BallSet",
@@ -48,7 +48,6 @@ __all__ = [
     "ExplicitScheme",
     "Covering",
     "cone_trapezoid",
-    "enumerate_window",
     "adjacency",
     "neighbors",
     "certify_constants",
@@ -199,14 +198,6 @@ class BallSet:
         r = float(self.radius)
         return c - r, c + r
 
-    def to_json(self) -> object:
-        return {
-            "ball": {
-                "center": [rational_to_json(Fraction(x)) for x in self.center],
-                "radius": rational_to_json(Fraction(self.radius)),
-            }
-        }
-
 
 @dataclass(frozen=True)
 class BoxSet:
@@ -231,14 +222,6 @@ class BoxSet:
             np.array([float(x) for x in self.hi]),
         )
 
-    def to_json(self) -> object:
-        return {
-            "box": {
-                "lo": [rational_to_json(Fraction(x)) for x in self.lo],
-                "hi": [rational_to_json(Fraction(x)) for x in self.hi],
-            }
-        }
-
 
 @dataclass(frozen=True)
 class AnnulusSet:
@@ -259,15 +242,6 @@ class AnnulusSet:
         r = float(self.outer)
         return np.full(self.dim_, -r), np.full(self.dim_, r)
 
-    def to_json(self) -> object:
-        return {
-            "annulus": {
-                "dim": self.dim_,
-                "inner": rational_to_json(Fraction(self.inner)),
-                "outer": rational_to_json(Fraction(self.outer)),
-            }
-        }
-
 
 @dataclass(frozen=True)
 class PolygonSet:
@@ -286,16 +260,6 @@ class PolygonSet:
         xs = [float(v[0]) for v in self.vertices]
         ys = [float(v[1]) for v in self.vertices]
         return np.array([min(xs), min(ys)]), np.array([max(xs), max(ys)])
-
-    def to_json(self) -> object:
-        return {
-            "polygon": {
-                "vertices": [
-                    [rational_to_json(Fraction(x)), rational_to_json(Fraction(y))]
-                    for x, y in self.vertices
-                ]
-            }
-        }
 
 
 BaseSet = Union[BallSet, BoxSet, AnnulusSet, PolygonSet]
@@ -327,38 +291,57 @@ def _rat_pair(raw: object) -> tuple:
     return _json_list(raw, rational_from_json, 2)
 
 
+def _is_degenerate(base: BaseSet) -> bool:
+    """Whether an open base set is empty, flat, or an annulus with inner < 0."""
+    if isinstance(base, BallSet):
+        return base.radius <= 0
+    if isinstance(base, BoxSet):
+        return any(lo >= hi for lo, hi in zip(base.lo, base.hi))
+    if isinstance(base, AnnulusSet):
+        return not 0 <= base.inner < base.outer
+    verts = base.vertices
+    return sum(
+        p[0] * q[1] - p[1] * q[0] for p, q in zip(verts, verts[1:] + verts[:1])
+    ) == 0
+
+
 def base_set_from_json(doc: object) -> BaseSet:
     if not isinstance(doc, dict) or len(doc) != 1:
         raise SchemaError(f"not a base-set descriptor: {doc!r}")
     (kind, body), = doc.items()
     if not isinstance(body, dict):
         raise SchemaError(f"bad base-set descriptor: {doc!r}")
+    base = None
     try:
         if kind == "ball":
-            return BallSet(
+            base = BallSet(
                 _json_list(body["center"], rational_from_json),
                 rational_from_json(body["radius"]),
             )
-        if kind == "box":
+        elif kind == "box":
             lo = _json_list(body["lo"], rational_from_json)
-            return BoxSet(lo, _json_list(body["hi"], rational_from_json, len(lo)))
-        if kind == "annulus":
-            return AnnulusSet(
+            base = BoxSet(lo, _json_list(body["hi"], rational_from_json, len(lo)))
+        elif kind == "annulus":
+            base = AnnulusSet(
                 int_from_json(body.get("dim", 1)),
                 rational_from_json(body["inner"]),
                 rational_from_json(body["outer"]),
             )
-        if kind == "polygon":
+        elif kind == "polygon":
             vertices = _json_list(body["vertices"], _rat_pair)
             if len(vertices) >= 3:
-                return PolygonSet(vertices)
-        if kind == "cone_trapezoid":
-            return cone_trapezoid(*_rat_pair(body["x"]), *_rat_pair(body["slope"]))
+                base = PolygonSet(vertices)
+        elif kind == "cone_trapezoid":
+            base = cone_trapezoid(*_rat_pair(body["x"]), *_rat_pair(body["slope"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaError(f"bad base-set descriptor: {doc!r}") from exc
-    if kind == "polygon":
-        raise SchemaError("a polygon base set needs at least 3 vertices")
-    raise SchemaError(f"unknown base-set kind {kind!r}")
+    if base is None:
+        if kind == "polygon":
+            raise SchemaError("a polygon base set needs at least 3 vertices")
+        raise SchemaError(f"unknown base-set kind {kind!r}")
+    if _is_degenerate(base):
+        raise SchemaError(f"base set {doc!r} is empty or degenerate")
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -569,8 +552,6 @@ def _check_cap(count: int) -> None:
 
 @dataclass(frozen=True)
 class ZScheme:
-    label: str = "Z"
-
     def window(self, radius: int) -> list[Index]:
         _check_cap(2 * radius + 1)
         return [(n,) for n in range(-radius, radius + 1)]
@@ -578,8 +559,6 @@ class ZScheme:
 
 @dataclass(frozen=True)
 class N0Scheme:
-    label: str = "N0"
-
     def window(self, radius: int) -> list[Index]:
         _check_cap(radius + 1)
         return [(n,) for n in range(0, radius + 1)]
@@ -588,7 +567,6 @@ class N0Scheme:
 @dataclass(frozen=True)
 class ZdPuncturedScheme:
     d: int
-    label: str = "Zd_punctured"
 
     def window(self, radius: int) -> list[Index]:
         _check_cap((2 * radius + 1) ** self.d - 1)
@@ -603,8 +581,6 @@ class ZdPuncturedScheme:
 @dataclass(frozen=True)
 class ShearletScheme:
     """Index (0,) plus cone indices (n, m, eps, delta)."""
-
-    label: str = "shearlet"
 
     def window(self, radius: int) -> list[Index]:
         count = 1 + sum(4 * (2 * 2**n + 1) for n in range(radius + 1))
@@ -622,8 +598,6 @@ class ShearletScheme:
 class CoorbitScheme:
     """Indices (n, m, eps) over Z^2 x {+-1}; windows cap |m| at 2^radius."""
 
-    label: str = "coorbit"
-
     def window(self, radius: int) -> list[Index]:
         count = (2 * radius + 1) * (2 * 2**radius + 1) * 2
         _check_cap(count)
@@ -640,7 +614,6 @@ class DiagonalScheme:
     """Indices (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d."""
 
     d: int
-    label: str = "diagonal"
 
     def window(self, radius: int) -> list[Index]:
         _check_cap(((2 * radius + 1) ** self.d) * 2**self.d)
@@ -655,7 +628,6 @@ class DiagonalScheme:
 @dataclass(frozen=True)
 class ExplicitScheme:
     indices: tuple[Index, ...]
-    label: str = "explicit"
 
     def window(self, radius: int) -> list[Index]:
         _check_cap(len(self.indices))
@@ -696,11 +668,6 @@ class Covering:
     def transformed_set(self, i: Index) -> tuple[BaseSet, bool]:
         t, b = self.transform(i)
         return transform_base(self.base_set(i), t, b)
-
-
-def enumerate_window(covering: Covering, radius: int) -> list[Index]:
-    """The finite index window at the given radius, in a fixed order."""
-    return covering.window(radius)
 
 
 def adjacency(

@@ -26,7 +26,7 @@ import enum
 from dataclasses import dataclass, is_dataclass
 from typing import NamedTuple, Optional
 
-from .errors import InvalidParams, OracleDisagreement
+from .errors import InconsistentVerdict, InvalidParams, OracleDisagreement
 from .exponents import INF, ExtExponent, compound, conjugate, lower_conjugate
 from .families import Family, get_family
 from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, truncated_oracle
@@ -286,7 +286,7 @@ def _aggregate(
     necessary_fail = any(not e.holds for e in evidence if e.role == "necessary")
     if sufficient_hit and necessary_fail:
         failing = [e.id for e in evidence if e.role == "necessary" and not e.holds]
-        raise RuntimeError(
+        raise InconsistentVerdict(
             "internal inconsistency: a sufficient criterion holds while "
             f"necessary criteria {failing} fail"
         )

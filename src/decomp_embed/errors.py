@@ -11,7 +11,7 @@ __all__ = [
     "InexactExponent",
     "WindowCapExceeded",
     "MissingTightnessWitness",
-    "ModerationUnknown",
+    "InconsistentVerdict",
     "OracleDisagreement",
 ]
 
@@ -52,8 +52,8 @@ class MissingTightnessWitness(DecompEmbedError):
     """The operation needs a tightness witness the covering does not carry."""
 
 
-class ModerationUnknown(DecompEmbedError):
-    """Weight moderateness could not be certified for this covering."""
+class InconsistentVerdict(DecompEmbedError, RuntimeError):
+    """A sufficient criterion holds while a necessary one fails: an internal bug."""
 
 
 class OracleDisagreement(DecompEmbedError):

@@ -139,7 +139,7 @@ class ExtExponent:
     Instances are immutable, hashable and totally ordered (with inf as the
     largest element).  Construct from an int, a Fraction, a string such as
     "3/2" or "inf", or another ExtExponent.  For floats use
-    :meth:`from_float`, which enforces exact representability.
+    :meth:`from_json`, which enforces exact representability.
     """
 
     __slots__ = ("_frac",)
@@ -159,7 +159,7 @@ class ExtExponent:
             frac = self._parse(value)
         elif isinstance(value, float):
             raise TypeError(
-                "float exponents must go through ExtExponent.from_float"
+                "float exponents must go through ExtExponent.from_json"
             )
         else:
             raise TypeError(f"cannot build an exponent from {type(value).__name__}")
@@ -173,15 +173,6 @@ class ExtExponent:
         if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
             return None
         return rational_from_json(obj)
-
-    @classmethod
-    def from_float(cls, value: float) -> "ExtExponent":
-        """Convert a float exactly, or raise :class:`InexactExponent`.
-
-        +inf is the infinite exponent; any other float follows the float
-        rule of :func:`rational_from_json`.
-        """
-        return cls.from_json(value)
 
     @classmethod
     def from_json(cls, obj: object) -> "ExtExponent":

@@ -4,15 +4,17 @@ Each family bundles four things behind one name:
 
 * a structured covering (affine images of a fixed base set over an index
   scheme),
-* the closed-form weight of its sequence space on the matching lattice,
-* quotient weights ready for the summability tests of the decision engine,
+* the closed-form weight u of its sequence space on the matching lattice,
+* the closed form of the covering weight
+  w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) and the
+  quotients w^(t)/u that the summability tests of the decision engine read,
 * optional sharpened criteria that extend the generic tests in the regime
   q in (2, inf).
 
 The closed forms use normal-form surrogates for the operator norms that are
 exact for the isotropic families and accurate up to uniform constants for
-the anisotropic ones; :mod:`decomp_embed.weights` cross-checks the two
-representations on finite windows.
+the anisotropic ones; :mod:`decomp_embed.weights` evaluates w^(t) numerically
+on the covering and cross-checks the two representations on finite windows.
 """
 
 from __future__ import annotations
@@ -84,26 +86,15 @@ def _diag(values) -> tuple:
     )
 
 
-def _scaled(atom: Atom, factor: int) -> Atom:
-    return Atom(atom.coeff * factor, atom.factors, atom.radial_pow)
-
-
-def _kind_atoms(kind: str, det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
-    """Assemble the atom list for one weight kind.
+def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
+    """The atoms of |det T|^(1/p - 1/t) * (1 + |b|^k + ||T||^k).
 
     ``det_atom`` is the pure determinant power, ``norm_atoms`` the terms of
     (|b|^k + ||T||^k) times that power for k >= 1; an empty list means
-    k == 0, where the norm polynomial collapses to a constant.
+    k == 0, where the norm polynomial collapses to the constant 3.
     """
-    if kind == "v0":
-        return (det_atom,)
-    if kind == "w_k":
-        if not norm_atoms:
-            return (_scaled(det_atom, 2),)
-        return tuple(norm_atoms)
-    # u_kpq and w_t share the formula 1 + |b|^k + ||T||^k
     if not norm_atoms:
-        return (_scaled(det_atom, 3),)
+        return (Atom(det_atom.coeff * 3, det_atom.factors, det_atom.radial_pow),)
     return (det_atom, *norm_atoms)
 
 
@@ -188,8 +179,9 @@ class Family:
         raise NotImplementedError
 
     def weight_symbolic(
-        self, params, kind: str, k: int, p: ExtExponent, t: ExtExponent
+        self, params, k: int, p: ExtExponent, t: ExtExponent
     ) -> ExpPolyWeight:
+        """The closed form of the covering weight w^(t) on the family's lattice."""
         raise NotImplementedError
 
     def quotient_weight(
@@ -200,7 +192,7 @@ class Family:
         ``u`` is the space weight ``space_weight(params, r)``; a caller
         that tests several t against one r builds it once.
         """
-        return self.weight_symbolic(params, "w_t", k, p, t).quotient(u)
+        return self.weight_symbolic(params, k, p, t).quotient(u)
 
     def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
         """A quotient w^(t)/u restricted to the expanding part of the covering.
@@ -267,12 +259,12 @@ class HomBesovFamily(Family):
     def space_weight(self, params: DyadicParams, r: ExtExponent) -> ExpPolyWeight:
         return ExpPolyWeight.single(LineSector("Z"), Atom.line(exp2=params.s))
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         dp = reciprocal_gap(p, t)
         det_atom = Atom.line(exp2=params.d * dp)
         norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
         return ExpPolyWeight.single(
-            LineSector("Z"), *_kind_atoms(kind, det_atom, norm_atoms)
+            LineSector("Z"), *_weight_atoms(det_atom, norm_atoms)
         )
 
 
@@ -309,13 +301,13 @@ class InhomBesovFamily(Family):
     def space_weight(self, params: DyadicParams, r: ExtExponent) -> ExpPolyWeight:
         return ExpPolyWeight.single(LineSector("N0"), Atom.line(exp2=params.s))
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
         dp = reciprocal_gap(p, t)
         det_atom = Atom.line(exp2=params.d * dp)
         norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
         return ExpPolyWeight.single(
-            LineSector("N0"), *_kind_atoms(kind, det_atom, norm_atoms)
+            LineSector("N0"), *_weight_atoms(det_atom, norm_atoms)
         )
 
     def refined_criteria(self, params, k, p, q, r):
@@ -404,7 +396,7 @@ class AlphaModulationFamily(Family):
             RadialSector(params.d), Atom.radial(params.d, power)
         )
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         a0 = self._a0(params)
         dp = reciprocal_gap(p, t)
         base = params.d * a0 * dp
@@ -417,7 +409,7 @@ class AlphaModulationFamily(Family):
                 Atom.radial(params.d, base + a0 * k),
             ]
         return ExpPolyWeight.single(
-            RadialSector(params.d), *_kind_atoms(kind, det_atom, norm_atoms)
+            RadialSector(params.d), *_weight_atoms(det_atom, norm_atoms)
         )
 
     def refined_criteria(self, params, k, p, q, r):
@@ -501,13 +493,13 @@ class ShearletSmoothnessFamily(Family):
     def space_weight(self, params, r: ExtExponent) -> ExpPolyWeight:
         return ExpPolyWeight.single(self._sector(), Atom.pair(n_exp2=2 * params.s))
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         dp = reciprocal_gap(p, t)
         det_atom = Atom.pair(n_exp2=3 * dp)
         # ||T|| is comparable to 2^(2n) throughout the cone
         norm_atoms = [Atom.pair(n_exp2=3 * dp + 2 * k)] if k >= 1 else []
         return ExpPolyWeight.single(
-            self._sector(), *_kind_atoms(kind, det_atom, norm_atoms)
+            self._sector(), *_weight_atoms(det_atom, norm_atoms)
         )
 
     def refined_criteria(self, params, k, p, q, r):
@@ -623,7 +615,7 @@ class ShearletCoorbitFamily(Family):
             pieces.append(Piece(sector, (atom,)))
         return ExpPolyWeight(tuple(pieces))
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         c = params.c
         dp = reciprocal_gap(p, t)
         det_exp = (1 + c) * dp
@@ -634,7 +626,7 @@ class ShearletCoorbitFamily(Family):
             norm_atoms = (
                 [Atom.pair(n_exp2=det_exp + a * k, m_power=rho * k)] if k >= 1 else []
             )
-            pieces.append(Piece(sector, _kind_atoms(kind, det_atom, norm_atoms)))
+            pieces.append(Piece(sector, _weight_atoms(det_atom, norm_atoms)))
         return ExpPolyWeight(tuple(pieces))
 
 
@@ -719,7 +711,7 @@ class DiagonalFamily(Family):
         )
         return ExpPolyWeight.single(self._sector(params.d), Atom(Fraction(1), factors))
 
-    def weight_symbolic(self, params, kind, k, p, t):
+    def weight_symbolic(self, params, k, p, t):
         d = params.d
         dp = reciprocal_gap(p, t)
         det_atom = Atom(
@@ -735,7 +727,7 @@ class DiagonalFamily(Family):
                 )
                 norm_atoms.append(Atom(Fraction(1), factors))
         return ExpPolyWeight.single(
-            self._sector(d), *_kind_atoms(kind, det_atom, norm_atoms)
+            self._sector(d), *_weight_atoms(det_atom, norm_atoms)
         )
 
 

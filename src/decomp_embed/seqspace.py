@@ -39,7 +39,7 @@ from typing import Iterator, NamedTuple, Sequence, Union
 import numpy as np
 
 from .errors import UnsupportedWeight
-from .exponents import int_from_json, rational_from_json, rational_to_json
+from .exponents import int_from_json, rational_from_json
 
 __all__ = [
     "LineSector",
@@ -145,9 +145,6 @@ class LineSector:
         for n in self.coord_values(radius):
             yield (n,)
 
-    def to_json(self) -> object:
-        return {"kind": self.domain}
-
 
 @dataclass(frozen=True)
 class ProductSector:
@@ -167,9 +164,6 @@ class ProductSector:
     def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
         axes = [line.coord_values(radius) for line in self.lines]
         return itertools.product(*axes)
-
-    def to_json(self) -> object:
-        return {"kind": "product", "domains": [line.domain for line in self.lines]}
 
 
 @dataclass(frozen=True)
@@ -194,9 +188,6 @@ class RadialSector:
         for pt in itertools.product(*([rng] * self.d)):
             if any(n != 0 for n in pt):
                 yield pt
-
-    def to_json(self) -> object:
-        return {"kind": "radial", "d": self.d}
 
 
 @dataclass(frozen=True)
@@ -257,15 +248,6 @@ class PairSector:
             bound = self.m_bound(n)
             for m in range(-bound, bound + 1):
                 yield (n, m)
-
-    def to_json(self) -> object:
-        return {
-            "kind": "pairs",
-            "n_domain": self.n_domain,
-            "lam": rational_to_json(self.lam),
-            "side": self.side,
-            "shift": self.shift,
-        }
 
 
 Sector = Union[LineSector, ProductSector, RadialSector, PairSector]
@@ -531,35 +513,6 @@ class ExpPolyWeight:
                 )
             )
         return ExpPolyWeight(tuple(out))
-
-    def to_json(self) -> object:
-        def atom_json(atom: Atom) -> dict:
-            doc: dict[str, object] = {}
-            if atom.coeff != 1:
-                doc["coeff"] = rational_to_json(atom.coeff)
-            if atom.factors:
-                doc["exp2"] = [
-                    {"pos": rational_to_json(f.exp2_pos), "neg": rational_to_json(f.exp2_neg)}
-                    for f in atom.factors
-                ]
-                doc["pow"] = [
-                    {"pos": rational_to_json(f.pow_pos), "neg": rational_to_json(f.pow_neg)}
-                    for f in atom.factors
-                ]
-            if atom.radial_pow:
-                doc["radial_pow"] = rational_to_json(atom.radial_pow)
-            return doc
-
-        pieces = [
-            {
-                "lattice": piece.sector.to_json(),
-                "atoms": [atom_json(a) for a in piece.atoms],
-            }
-            for piece in self.pieces
-        ]
-        if len(pieces) == 1:
-            return pieces[0]
-        return {"pieces": pieces}
 
 
 def _factor_from_json(obj: object) -> tuple[Fraction, Fraction]:

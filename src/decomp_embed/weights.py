@@ -1,20 +1,18 @@
-"""Weight builders attached to structured coverings.
+"""The numeric covering weight.
 
-A weight here is a positive function on a covering's index set.  Every
-supported kind is a determinant power of the covering transform scaled by a
-norm polynomial in its affine data:
+The criteria of the decision engine use one weight per covering, computed
+only from the covering's affine data and k, p, t:
 
-    value(i) = |det T_i|^(1/p - 1/t) * factor(i)
+    w^(t)(i) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k)
 
-with factor 1 (kind ``v0``), |b_i|^k + ||T_i||^k (kind ``w_k``), or
-1 + |b_i|^k + ||T_i||^k (kinds ``u_kpq`` and ``w_t``).  The two last kinds
-share a formula; ``u_kpq`` is the conventional name when t plays the role of
-the target integrability.
+The engine takes t = q, p and 2; with t = q this is the weight u^(k,p,q).
 
-The evaluators are numeric on purpose.  Families expose closed-form lattice
-weights separately, and :func:`agreement_report` cross-checks the two
-representations on a window, either to round-off accuracy or as a two-sided
-ratio envelope when the closed form is only accurate up to constants.
+The evaluator here is numeric on purpose.  The closed forms of the same
+weight on each family's lattice, and the quotients the criteria test, live
+in :mod:`decomp_embed.families`; :func:`agreement_report` cross-checks the
+two representations on a window, either to round-off accuracy or as a
+two-sided ratio envelope when the closed form is only accurate up to
+constants.
 """
 
 from __future__ import annotations
@@ -30,13 +28,10 @@ from .exponents import ExtExponent, reciprocal_gap
 from .seqspace import ExpPolyWeight
 
 __all__ = [
-    "WEIGHT_KINDS",
     "CoveringWeight",
     "build_weight",
     "agreement_report",
 ]
-
-WEIGHT_KINDS = ("u_kpq", "v0", "w_k", "w_t")
 
 EXACT_TOLERANCE = 1e-9
 
@@ -59,10 +54,9 @@ def _log_pow(base, expo: Fraction) -> float:
 
 @dataclass(frozen=True)
 class CoveringWeight:
-    """Numeric weight ``i -> |det T_i|^(1/p - 1/t) * factor(i)``."""
+    """Numeric weight ``i -> |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k)``."""
 
     covering: Covering
-    kind: str
     k: int
     p: ExtExponent
     t: ExtExponent
@@ -73,27 +67,17 @@ class CoveringWeight:
 
     def evaluate(self, index: Index) -> float:
         t_mat, b_vec = self.covering.transform(index)
-        det = mat_det(t_mat)
-        det_abs = abs(det)
-        value = _log_pow(det_abs, self.det_exponent)
-        if self.kind == "v0":
-            return value
+        value = _log_pow(abs(mat_det(t_mat)), self.det_exponent)
         norm_t = spectral_norm(t_mat)
         norm_b = math.sqrt(sum(float(x) * float(x) for x in b_vec))
-        # 0**0 == 1 here, so k == 0 degenerates to a constant factor.
-        if self.kind == "w_k":
-            return value * (norm_b**self.k + norm_t**self.k)
+        # 0**0 == 1 here, so k == 0 degenerates to the constant factor 3.
         return value * (1.0 + norm_b**self.k + norm_t**self.k)
 
 
-def build_weight(covering: Covering, kind: str, *, k: int, p, t) -> CoveringWeight:
-    if kind not in WEIGHT_KINDS:
-        raise UnsupportedWeight(
-            f"unknown weight kind {kind!r}; expected one of {WEIGHT_KINDS}"
-        )
+def build_weight(covering: Covering, *, k: int, p, t) -> CoveringWeight:
     if not isinstance(k, int) or isinstance(k, bool) or k < 0:
         raise UnsupportedWeight("smoothness order k must be a nonnegative integer")
-    return CoveringWeight(covering, kind, k, ExtExponent(p), ExtExponent(t))
+    return CoveringWeight(covering, k, ExtExponent(p), ExtExponent(t))
 
 
 def agreement_report(

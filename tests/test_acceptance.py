@@ -16,7 +16,6 @@ from pathlib import Path
 from decomp_embed.cli import main as cli_main
 from decomp_embed.covering import (
     certify_constants,
-    enumerate_window,
     neighbors,
     spectral_norm,
 )
@@ -308,7 +307,7 @@ def test_acceptance_5_covering_constants():
         extremes = {}
         for radius in (7, 8):
             ratios = []
-            for idx in enumerate_window(cov, radius):
+            for idx in cov.window(radius):
                 n, m = idx[0], idx[1]
                 if not (-8 <= n <= 8):
                     continue

@@ -123,6 +123,25 @@ def custom_covering(**fields) -> str:
       "--v", '{"lattice":{"kind":"N0"}}', "-r", "2", "-s", "2"], 65),
     (["inspect-covering", "--covering",
       custom_covering().replace('"radius": 1}', '"radius": 1.0000000000000001}')], 65),
+    # empty or degenerate base sets
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"ball": {"center": [0], "radius": -1}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"ball": {"center": [0], "radius": 0}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"box": {"lo": [2], "hi": [1]}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"box": {"lo": [1], "hi": [1]}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"annulus": {"inner": 3, "outer": 1}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"annulus": {"inner": -1, "outer": 1}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        dimension=2, T=[[[1, 0], [0, 1]]], b=[[0, 0]],
+        base_set={"polygon": {"vertices": [[0, 0], [1, 1], [2, 2]]}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        dimension=2, T=[[[1, 0], [0, 1]]], b=[[0, 0]],
+        base_set={"cone_trapezoid": {"x": [1, 1], "slope": [-1, 1]}})], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
@@ -257,6 +276,15 @@ def test_malformed_window_cap_is_a_usage_error(monkeypatch):
     assert "DECOMP_EMBED_MAX_WINDOW" in err
 
 
+def test_exceeded_window_cap_is_an_internal_limit(monkeypatch):
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "3")
+    code, out, err = run_cli(["inspect-covering", "--covering", '{"family":"hom_besov"}',
+                              "--radius", "4"])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: window of 9 indices exceeds the cap of 3 ")
+    assert err.count("\n") == 1
+
+
 def test_help_exits_clean():
     code, out, _ = run_cli(["--help"])
     assert code == 0
@@ -283,6 +311,19 @@ def test_oracle_disagreement_exit(monkeypatch):
     ])
     assert code == 10
     assert "oracle" in err
+
+
+def test_inconsistent_verdict_is_an_internal_error(monkeypatch):
+    from decomp_embed.families import HomBesovFamily
+
+    holding = {"id": "S2", "anchor": "test", "role": "sufficient", "holds": True,
+               "detail": "forced"}
+    monkeypatch.setattr(HomBesovFamily, "refined_criteria", lambda self, *a: [holding])
+    code, out, err = run_cli(["decide", "--family", "hom_besov",
+                              "-p", "3", "-q", "2", "-r", "2"])  # p > q fails N1
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: internal inconsistency") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_refine_toggle_changes_verdict():

@@ -29,7 +29,6 @@ from decomp_embed.covering import (
     check_moderate,
     cone_trapezoid,
     custom_covering_from_json,
-    enumerate_window,
     mat_inverse,
     mat_mul,
     neighbors,
@@ -182,14 +181,19 @@ def test_transform_general_matrix_on_ball_degrades():
     assert isinstance(img, BallSet) and float(img.radius) >= 2.0
 
 
-def test_base_set_json_round_trip():
-    for s in [
-        BallSet((F(1, 2), F(0)), F(3, 4)),
-        BoxSet((F(-1), F(0)), (F(1), F(2))),
-        AnnulusSet(2, F(1, 4), F(4)),
-        cone_trapezoid(F(1, 3), F(3), F(-1), F(1)),
-    ]:
-        assert base_set_from_json(s.to_json()) == s
+@pytest.mark.parametrize("doc,expect", [
+    ({"ball": {"center": [[1, 2], 0], "radius": "3/4"}},
+     BallSet((F(1, 2), F(0)), F(3, 4))),
+    ({"box": {"lo": [-1, 0], "hi": [1, 2]}}, BoxSet((F(-1), F(0)), (F(1), F(2)))),
+    ({"annulus": {"dim": 2, "inner": "1/4", "outer": 4}}, AnnulusSet(2, F(1, 4), F(4))),
+    ({"annulus": {"inner": 0, "outer": 1}}, AnnulusSet(1, F(0), F(1))),
+    ({"polygon": {"vertices": [[0, 0], [1, 0], [0, "1/2"]]}},
+     PolygonSet(((F(0), F(0)), (F(1), F(0)), (F(0), F(1, 2))))),
+    ({"cone_trapezoid": {"x": ["1/3", 3], "slope": [-1, 1]}},
+     PolygonSet(((F(1, 3), F(-1, 3)), (F(3), F(-3)), (F(3), F(3)), (F(1, 3), F(1, 3))))),
+])
+def test_base_set_from_json_accepts(doc, expect):
+    assert base_set_from_json(doc) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +270,7 @@ COVERING_DOCS = [
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_adjacency_matches_all_pairs_reference(doc, radius):
     cov = covering_from_json(doc)
-    indices = enumerate_window(cov, radius)
+    indices = cov.window(radius)
     placed = [cov.transformed_set(i) for i in indices]
     ref = {i: [] for i in indices}
     ref_certain = all(ok for _, ok in placed)
@@ -369,7 +373,7 @@ def test_custom_covering_from_json():
         "base_set": {"annulus": {"dim": 1, "inner": "1/2", "outer": 2}},
     }
     cov = custom_covering_from_json(doc)
-    assert enumerate_window(cov, 99) == [(0,), (1,), (2,)]
+    assert cov.window(99) == [(0,), (1,), (2,)]
     nbrs, certain = adjacency(cov, 99)
     assert certain
     assert nbrs[(0,)] == ((0,), (1,))  # 2^2*(1/2,2) = (2,8) only touches (1/2,2)

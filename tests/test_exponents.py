@@ -64,22 +64,22 @@ def test_constructor_rejects_bad_input():
         E(True)
 
 
-def test_from_float_exact_cases():
-    assert E.from_float(0.5) == E("1/2")
-    assert E.from_float(0.1) == E("1/10")
-    assert E.from_float(3.0) == E(3)
-    assert E.from_float(float("inf")).is_inf
+def test_from_json_float_exact_cases():
+    assert E.from_json(0.5) == E("1/2")
+    assert E.from_json(0.1) == E("1/10")
+    assert E.from_json(3.0) == E(3)
+    assert E.from_json(float("inf")).is_inf
 
 
-def test_from_float_rejects_inexact():
+def test_from_json_float_rejects_inexact():
     import math
 
     with pytest.raises(InexactExponent):
-        E.from_float(math.pi)
+        E.from_json(math.pi)
     with pytest.raises(InexactExponent):
-        E.from_float(float("nan"))
+        E.from_json(float("nan"))
     with pytest.raises(ValueError):
-        E.from_float(-2.0)
+        E.from_json(-2.0)
 
 
 @pytest.mark.parametrize("doc, expect", [

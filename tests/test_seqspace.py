@@ -18,6 +18,7 @@ from decomp_embed.seqspace import (
     LineSector,
     Membership,
     PairSector,
+    Piece,
     ProductSector,
     RadialSector,
     ceil_pow2,
@@ -406,22 +407,50 @@ def test_witness_ratios_flat_when_embedding_holds():
 # serialization and structure
 # ---------------------------------------------------------------------------
 
-def test_weight_json_round_trip():
-    w = ExpPolyWeight.single(
-        PairSector("N0", F(3, 2), "outside", 1),
-        Atom.pair(n_exp2=F(-1, 2), n_power=1, m_power=-2, coeff=F(3, 4)),
-    )
-    assert expweight_from_json(w.to_json()) == w
+@pytest.mark.parametrize("doc,expect", [
+    ({"kind": "Z"}, LineSector("Z")),
+    ({"kind": "N0"}, LineSector("N0")),
+    ({"kind": "Nneg"}, LineSector("Nneg")),
+    ({"kind": "Z_nonzero"}, LineSector("Z_nonzero")),
+    ({"kind": "product", "domains": ["N0", "Z"]},
+     ProductSector((LineSector("N0"), LineSector("Z")))),
+    ({"kind": "radial", "d": 3}, RadialSector(3)),
+    ({"kind": "pairs", "n_domain": "Nneg", "lam": -2, "side": "inside", "shift": -1},
+     PairSector("Nneg", F(-2), "inside", -1)),
+    ({"kind": "pairs"}, PairSector("N0", F(0), "inside", 0)),
+])
+def test_sector_from_json_accepts(doc, expect):
+    assert sector_from_json(doc) == expect
 
 
-def test_sector_json_round_trip():
-    for sector in [
-        LineSector("Z_nonzero"),
-        ProductSector((LineSector("N0"), LineSector("Z"))),
-        RadialSector(3),
-        PairSector("Nneg", F(-2), "inside", -1),
-    ]:
-        assert sector_from_json(sector.to_json()) == sector
+@pytest.mark.parametrize("doc,expect", [
+    ({"lattice": {"kind": "N0"}}, ExpPolyWeight.single(LineSector("N0"), Atom.line())),
+    ({"lattice": {"kind": "pairs", "lam": [3, 2], "side": "outside", "shift": 1},
+      "atoms": [{"coeff": "3/4", "exp2": ["-1/2", 0], "pow": [1, -2]}]},
+     ExpPolyWeight.single(
+         PairSector("N0", F(3, 2), "outside", 1),
+         Atom.pair(n_exp2=F(-1, 2), n_power=1, m_power=-2, coeff=F(3, 4)),
+     )),
+    ({"lattice": {"kind": "Z"},
+      "atoms": [{"exp2": {"pos": -1, "neg": 2}, "pow": 1}, {"exp2": "1/3"}]},
+     ExpPolyWeight.single(
+         LineSector("Z"),
+         Atom(1, (CoordFactor(-1, 2, 1, 1),)),
+         Atom.line(exp2=F(1, 3)),
+     )),
+    ({"lattice": {"kind": "radial", "d": 2}, "atoms": [{"radial_pow": "-5/2"}]},
+     ExpPolyWeight.single(RadialSector(2), Atom.radial(2, F(-5, 2)))),
+    ({"pieces": [
+        {"lattice": {"kind": "N0"}, "atoms": [{"exp2": -1}]},
+        {"lattice": {"kind": "Nneg"}, "atoms": [{"exp2": 1, "coeff": 2}]},
+    ]},
+     ExpPolyWeight((
+         Piece(LineSector("N0"), (Atom.line(exp2=-1),)),
+         Piece(LineSector("Nneg"), (Atom.line(exp2=1, coeff=2),)),
+     ))),
+])
+def test_expweight_from_json_accepts(doc, expect):
+    assert expweight_from_json(doc) == expect
 
 
 def test_quotient_matches_pointwise_division():

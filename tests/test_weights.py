@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from decomp_embed.covering import enumerate_window
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent
 from decomp_embed.families import get_family
-from decomp_embed.weights import WEIGHT_KINDS, agreement_report, build_weight
+from decomp_embed.weights import agreement_report, build_weight
 
 
 def _family_setup(name, pdoc):
@@ -16,47 +15,37 @@ def _family_setup(name, pdoc):
     return fam, params, fam.covering(params)
 
 
-def test_unknown_kind_rejected():
-    _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    with pytest.raises(UnsupportedWeight):
-        build_weight(cov, "w_q", k=0, p=1, t=2)
-
-
 @pytest.mark.parametrize("bad_k", [-1, True, 1.5])
 def test_bad_order_rejected(bad_k):
     _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
     with pytest.raises(UnsupportedWeight):
-        build_weight(cov, "w_t", k=bad_k, p=1, t=2)
+        build_weight(cov, k=bad_k, p=1, t=2)
 
 
 def test_det_exponent():
     _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    w = build_weight(cov, "v0", k=0, p="1/2", t=3)
+    w = build_weight(cov, k=0, p="1/2", t=3)
     assert w.det_exponent == Fraction(2) - Fraction(1, 3)
+    # |det T_1| = 2 and k = 0: w = 3 * 2^(5/3)
+    assert w.evaluate((1,)) == pytest.approx(3 * 2 ** (5 / 3), rel=1e-12)
 
 
 def test_hom_worked_value():
     # |det T_3| = 8, ||T_3|| = 8, b = 0: w = 8^(1/2) * (1 + 8)
     _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    w = build_weight(cov, "w_t", k=1, p=1, t=2)
+    w = build_weight(cov, k=1, p=1, t=2)
     assert w.evaluate((3,)) == pytest.approx(math.sqrt(8) * 9, rel=1e-12)
-    wk = build_weight(cov, "w_k", k=1, p=1, t=2)
-    assert wk.evaluate((3,)) == pytest.approx(math.sqrt(8) * 8, rel=1e-12)
-    v0 = build_weight(cov, "v0", k=1, p=1, t=2)
-    assert v0.evaluate((3,)) == pytest.approx(math.sqrt(8), rel=1e-12)
 
 
 def test_order_zero_constants():
-    # k = 0 collapses the norm polynomial: w_k -> 2, u_kpq/w_t -> 3
+    # k = 0 collapses the norm polynomial to 3: w = 3 * |det T_n|^(1/p - 1/t),
+    # and |det T_n| = 4^n in dimension 2
     _, _, cov = _family_setup("inhom_besov", {"d": 2, "s": 0})
-    v0 = build_weight(cov, "v0", k=0, p=2, t=2)
-    wk = build_weight(cov, "w_k", k=0, p=2, t=2)
-    wt = build_weight(cov, "w_t", k=0, p=2, t=2)
-    uk = build_weight(cov, "u_kpq", k=0, p=2, t=2)
-    for i in [(0,), (4,)]:
-        assert wk.evaluate(i) == pytest.approx(2 * v0.evaluate(i))
-        assert wt.evaluate(i) == pytest.approx(3 * v0.evaluate(i))
-        assert uk.evaluate(i) == wt.evaluate(i)
+    same = build_weight(cov, k=0, p=2, t=2)
+    half = build_weight(cov, k=0, p=1, t=2)
+    for n in (0, 4):
+        assert same.evaluate((n,)) == pytest.approx(3.0, rel=1e-12)
+        assert half.evaluate((n,)) == pytest.approx(3 * 2.0**n, rel=1e-12)
 
 
 EXACT_CASES = [
@@ -70,17 +59,14 @@ EXACT_CASES = [
 
 
 @pytest.mark.parametrize("name,pdoc,radius", EXACT_CASES)
-@pytest.mark.parametrize("kind", WEIGHT_KINDS)
-def test_exact_families_agree(name, pdoc, radius, kind):
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_exact_families_agree(name, pdoc, radius, k):
     fam, params, cov = _family_setup(name, pdoc)
-    for k in (0, 1, 2):
-        num = build_weight(cov, kind, k=k, p="3/2", t=3)
-        sym = fam.weight_symbolic(params, kind, k, ExtExponent("3/2"), ExtExponent(3))
-        rep = agreement_report(
-            num, sym, enumerate_window(cov, radius), to_point=fam.to_point
-        )
-        assert rep["ok"], rep
-        assert rep["max_rel_err"] <= 1e-9
+    num = build_weight(cov, k=k, p="3/2", t=3)
+    sym = fam.weight_symbolic(params, k, ExtExponent("3/2"), ExtExponent(3))
+    rep = agreement_report(num, sym, cov.window(radius), to_point=fam.to_point)
+    assert rep["ok"], rep
+    assert rep["max_rel_err"] <= 1e-9
 
 
 RATIO_CASES = [
@@ -93,13 +79,13 @@ RATIO_CASES = [
 
 
 @pytest.mark.parametrize("name,pdoc,radius", RATIO_CASES)
-@pytest.mark.parametrize("kind,k", [("w_t", 1), ("w_t", 0), ("w_k", 2), ("v0", 0)])
-def test_ratio_families_bounded(name, pdoc, radius, kind, k):
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_ratio_families_bounded(name, pdoc, radius, k):
     fam, params, cov = _family_setup(name, pdoc)
-    num = build_weight(cov, kind, k=k, p=1, t=3)
-    sym = fam.weight_symbolic(params, kind, k, ExtExponent(1), ExtExponent(3))
+    num = build_weight(cov, k=k, p=1, t=3)
+    sym = fam.weight_symbolic(params, k, ExtExponent(1), ExtExponent(3))
     rep = agreement_report(
-        num, sym, enumerate_window(cov, radius), to_point=fam.to_point, mode="ratio"
+        num, sym, cov.window(radius), to_point=fam.to_point, mode="ratio"
     )
     assert rep["ok"], rep
     # the per-power surrogate gap is < 2, so the envelope scales like 2^k
@@ -110,16 +96,16 @@ def test_ratio_families_bounded(name, pdoc, radius, kind, k):
 def test_diagonal_1d_is_exact():
     # with one coordinate the max-vs-sum surrogate gap closes entirely
     fam, params, cov = _family_setup("diagonal", {"d": 1, "alpha": 0, "beta": 0})
-    num = build_weight(cov, "w_t", k=2, p=1, t=3)
-    sym = fam.weight_symbolic(params, "w_t", 2, ExtExponent(1), ExtExponent(3))
-    rep = agreement_report(num, sym, enumerate_window(cov, 8), to_point=fam.to_point)
+    num = build_weight(cov, k=2, p=1, t=3)
+    sym = fam.weight_symbolic(params, 2, ExtExponent(1), ExtExponent(3))
+    rep = agreement_report(num, sym, cov.window(8), to_point=fam.to_point)
     assert rep["ok"]
 
 
 def test_agreement_needs_points():
     fam, params, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    num = build_weight(cov, "v0", k=0, p=1, t=2)
-    sym = fam.weight_symbolic(params, "v0", 0, ExtExponent(1), ExtExponent(2))
+    num = build_weight(cov, k=0, p=1, t=2)
+    sym = fam.weight_symbolic(params, 0, ExtExponent(1), ExtExponent(2))
     with pytest.raises(ValueError):
         agreement_report(num, sym, [], to_point=fam.to_point)
     with pytest.raises(ValueError):
@@ -127,9 +113,10 @@ def test_agreement_needs_points():
 
 
 def test_infinite_target_drops_det_power():
-    # t = inf and p = 1 gives |det|^1; t = p kills the determinant factor
+    # t = inf and p = 1 gives |det|^1; t = p kills the determinant factor,
+    # leaving the order-zero constant 3
     _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    w_inf = build_weight(cov, "v0", k=0, p=1, t=INF)
-    assert w_inf.evaluate((4,)) == pytest.approx(16.0)
-    w_same = build_weight(cov, "v0", k=0, p=2, t=2)
-    assert w_same.evaluate((4,)) == pytest.approx(1.0)
+    w_inf = build_weight(cov, k=0, p=1, t=INF)
+    assert w_inf.evaluate((4,)) == pytest.approx(3 * 16.0)
+    w_same = build_weight(cov, k=0, p=2, t=2)
+    assert w_same.evaluate((4,)) == pytest.approx(3.0)
