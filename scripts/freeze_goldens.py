@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Two kinds of golden are frozen:
+Three kinds of golden are frozen:
 
 * the CLI transcripts: one ``<case>.out`` per entry of ``CASES`` plus
   ``manifest.json`` with the argv and exit code of each;
 * ``decide_grid.jsonl``: a seeded grid of library ``decide`` calls near
   every family's threshold, one compact JSON line per call holding the
-  query and its ``Verdict.to_json()``.
+  query and its ``Verdict.to_json()``;
+* ``covering_constants.jsonl``: ``certify_constants`` and a sha256 of the
+  sorted neighbour map for every family covering at radii 0-3, one
+  compact JSON line per (covering, radius).
 
 Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
@@ -19,6 +22,7 @@ names every golden file that would change and exits 1 if there is one.
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -27,11 +31,14 @@ from fractions import Fraction
 from pathlib import Path
 
 from decomp_embed.cli import main
+from decomp_embed.covering import adjacency, certify_constants
 from decomp_embed.embedding import decide
-from decomp_embed.families import FAMILY_NAMES
+from decomp_embed.errors import InvalidParams
+from decomp_embed.families import FAMILY_NAMES, covering_from_json
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 GRID_FILE = "decide_grid.jsonl"
+CONSTANTS_FILE = "covering_constants.jsonl"
 
 CUSTOM_DOC = json.dumps(
     {
@@ -184,6 +191,38 @@ def _check_coverage(queries: list[dict], lines: list[str]) -> None:
         raise SystemExit(f"decide grid lacks {missing}; change GRID_SEED")
 
 
+# Every family, with exact and float geometry: alpha_modulation is exact
+# only for d = 1 with an integer alpha/(1 - alpha), shearlet_coorbit only
+# for an integer c.
+CONSTANTS_COVERINGS = [
+    {"family": "hom_besov", "params": {"d": 2}},
+    {"family": "inhom_besov", "params": {"d": 2}},
+    {"family": "alpha_modulation", "params": {"d": 1, "alpha": "1/2"}},
+    {"family": "alpha_modulation", "params": {"d": 2, "alpha": "1/2"}},
+    {"family": "shearlet_smoothness", "params": {}},
+    *({"family": "shearlet_coorbit", "params": {"c": c}}
+      for c in (-1, 1, 2, "1/2", "1/3", "3/2")),
+    {"family": "diagonal", "params": {"d": 2, "alpha": "1/2", "beta": [0, [-1, 2]]}},
+]
+CONSTANTS_RADII = (0, 1, 2, 3)
+
+
+def constants_line(doc: dict, radius: int) -> str:
+    """One golden line: the constants of a covering window and a hash of its
+    neighbour map, or the error an empty window raises."""
+    cov = covering_from_json(doc)
+    line = {"covering": doc, "radius": radius}
+    try:
+        line["constants"] = certify_constants(cov, radius)
+    except InvalidParams as exc:
+        line["error"] = str(exc)
+    else:
+        nbrs = sorted([list(i), [list(j) for j in js]] for i, js in adjacency(cov, radius)[0].items())
+        line["neighbors_sha256"] = hashlib.sha256(
+            json.dumps(nbrs, separators=(",", ":")).encode()).hexdigest()
+    return json.dumps(line, separators=(",", ":")) + "\n"
+
+
 def run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -204,6 +243,9 @@ def goldens() -> dict[str, bytes]:
     lines = [grid_line(q) for q in queries]
     _check_coverage(queries, lines)
     files[GRID_FILE] = "".join(lines).encode()
+    files[CONSTANTS_FILE] = "".join(
+        constants_line(doc, r) for doc in CONSTANTS_COVERINGS for r in CONSTANTS_RADII
+    ).encode()
     return files
 
 

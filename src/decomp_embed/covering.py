@@ -473,7 +473,7 @@ def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
         *(abs(float(x)) for v in a.vertices for x in v),
         *(abs(float(x)) for v in b.vertices for x in v),
     )
-    tol = 0.0 if exact else _FLOAT_GAP_TOL * scale
+    tol = 0 if exact else _FLOAT_GAP_TOL * scale
     certain = True
     for poly in (a, b):
         verts = poly.vertices

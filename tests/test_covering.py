@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from decomp_embed.covering import (
@@ -154,6 +157,157 @@ def test_polygon_separation_is_exact_for_rational_vertices():
     assert sets_intersect(p, touching) == (False, True)
 
 
+def _area2(verts):
+    """Twice the signed area of a polygon (positive when counter-clockwise)."""
+    return sum(p[0] * q[1] - p[1] * q[0] for p, q in zip(verts, verts[1:] + verts[:1]))
+
+
+def _clip_area2(subject, clip):
+    """Twice the area of subject & clip, by Sutherland-Hodgman clipping in Fractions.
+
+    The reference for ``sets_intersect`` on polygons: two open convex
+    polygons meet exactly when the intersection of their closures has
+    positive area.  It shares no code with the separating-axis test.
+    """
+    def ccw(verts):
+        verts = [tuple(F(x) for x in v) for v in verts]
+        return verts if _area2(verts) > 0 else verts[::-1]
+
+    out, clip = ccw(subject), ccw(clip)
+    for p, q in zip(clip, clip[1:] + clip[:1]):
+        def side(v):
+            return (q[0] - p[0]) * (v[1] - p[1]) - (q[1] - p[1]) * (v[0] - p[0])
+
+        inp, out = out, []
+        for k, cur in enumerate(inp):
+            prev = inp[k - 1]
+            s_cur, s_prev = side(cur), side(prev)
+            if (s_cur >= 0) != (s_prev >= 0):
+                t = s_prev / (s_prev - s_cur)
+                out.append(tuple(a + t * (b - a) for a, b in zip(prev, cur)))
+            if s_cur >= 0:
+                out.append(cur)
+        if not out:
+            return F(0)
+    return _area2(out)
+
+
+def _reference_meet(a, b) -> bool:
+    return _clip_area2(a.vertices, b.vertices) > 0
+
+
+def _doc_id(doc):
+    # the fractional coorbit document keeps the plain family name as its id
+    name = doc.get("family", "custom")
+    c = doc.get("params", {}).get("c", "1/2")
+    return name if c == "1/2" else f"{name}(c={c})"
+
+
+POLYGON_DOCS = [
+    {"family": "shearlet_smoothness", "params": {}},
+    {"family": "shearlet_coorbit", "params": {"c": -1}},
+    {"family": "shearlet_coorbit", "params": {"c": 1}},
+    {"family": "shearlet_coorbit", "params": {"c": 2}},
+    {"family": "shearlet_coorbit", "params": {"c": "1/2"}},
+]
+
+
+@pytest.mark.parametrize("doc", POLYGON_DOCS, ids=_doc_id)
+def test_polygon_test_matches_clipping_reference(doc):
+    """Every polygon pair whose boxes meet, on the family windows at radius 0-2."""
+    cov = covering_from_json(doc)
+    indices = cov.window(2)
+    sets = [cov.transformed_set(i)[0] for i in indices]
+    boxes = [s.bounding_box() for s in sets]
+    compared = 0
+    for a in range(len(sets)):
+        for b in range(a + 1, len(sets)):
+            (lo_a, hi_a), (lo_b, hi_b) = boxes[a], boxes[b]
+            if any(h < l for h, l in zip(hi_a, lo_b)) or any(h < l for h, l in zip(hi_b, lo_a)):
+                continue
+            want = _reference_meet(sets[a], sets[b])
+            hit, sure = sets_intersect(sets[a], sets[b])
+            if cov.exact:
+                assert (hit, sure) == (want, True), (indices[a], indices[b])
+            else:
+                # the float route may only err towards an uncertain "meets"
+                assert hit == want or (hit and not sure), (indices[a], indices[b])
+            compared += 1
+    assert compared > len(sets)
+
+
+def test_shearlet_low_pass_set_only_touches_the_scale_two_cones():
+    cov = covering_from_json({"family": "shearlet_smoothness", "params": {}})
+    low, _ = cov.transformed_set((0,))
+    for eps in (-1, 1):
+        cone, _ = cov.transformed_set((2, 0, eps, 1))
+        assert _clip_area2(low.vertices, cone.vertices) == 0
+        assert sets_intersect(low, cone) == (False, True)
+    assert certify_constants(cov, 2)["N_hat"] == 50
+
+
+_COORD = st.builds(F, st.integers(-24, 24), st.integers(1, 6))
+
+
+@st.composite
+def _convex_polygon(draw):
+    """The convex hull of a few rational points, counter-clockwise, area > 0."""
+    pts = sorted(set(draw(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=7))))
+
+    def half(points):
+        hull = []
+        for p in points:
+            while len(hull) >= 2 and _area2([hull[-2], hull[-1], p]) <= 0:
+                hull.pop()
+            hull.append(p)
+        return hull[:-1]
+
+    hull = half(pts) + half(pts[::-1])
+    assume(len(hull) >= 3)
+    return tuple(hull)
+
+
+def _reflect_across_edge(verts, k):
+    p, q = verts[k], verts[(k + 1) % len(verts)]
+    d = (q[0] - p[0], q[1] - p[1])
+    dd = d[0] * d[0] + d[1] * d[1]
+    out = []
+    for v in verts:
+        w = (v[0] - p[0], v[1] - p[1])
+        t = (w[0] * d[0] + w[1] * d[1]) / dd
+        out.append((p[0] + 2 * t * d[0] - w[0], p[1] + 2 * t * d[1] - w[1]))
+    return tuple(out)
+
+
+@st.composite
+def _polygon_pair(draw):
+    """Two rational convex polygons: independent, sharing an edge, sharing
+    only a vertex, or one of the touching pairs moved by a small shift."""
+    a = draw(_convex_polygon())
+    kind = draw(st.sampled_from(["independent", "edge", "vertex", "edge_shift", "vertex_shift"]))
+    if kind == "independent":
+        return a, draw(_convex_polygon())
+    k = draw(st.integers(0, len(a) - 1))
+    if kind.startswith("edge"):
+        b = _reflect_across_edge(a, k)
+    else:
+        v = a[k]
+        b = tuple((2 * v[0] - x, 2 * v[1] - y) for x, y in a)
+    if kind.endswith("shift"):
+        dx, dy = (draw(st.builds(F, st.integers(-3, 3), st.integers(8, 64))) for _ in "xy")
+        b = tuple((x + dx, y + dy) for x, y in b)
+    return a, b
+
+
+@given(_polygon_pair())
+@settings(max_examples=300, deadline=None)
+def test_rational_polygons_match_clipping_reference(pair):
+    a, b = (PolygonSet(v) for v in pair)
+    want = _reference_meet(a, b)
+    assert sets_intersect(a, b) == (want, True)
+    assert sets_intersect(b, a) == (want, True)
+
+
 def test_unsupported_pair_falls_back_conservatively():
     ball = BallSet((F(5), F(5)), F(1))
     poly = cone_trapezoid(F(1, 3), F(3), F(-1), F(1))
@@ -255,6 +409,8 @@ COVERING_DOCS = [
     {"family": "alpha_modulation", "params": {"d": 2, "alpha": "1/2"}},
     {"family": "shearlet_smoothness", "params": {}},
     {"family": "shearlet_coorbit", "params": {"c": "1/2"}},
+    {"family": "shearlet_coorbit", "params": {"c": -1}},
+    {"family": "shearlet_coorbit", "params": {"c": 2}},
     {"family": "diagonal", "params": {"d": 2, "alpha": "1/2", "beta": [0, [-1, 2]]}},
     {"custom": {
         "dimension": 2,
@@ -266,7 +422,7 @@ COVERING_DOCS = [
 ]
 
 
-@pytest.mark.parametrize("doc", COVERING_DOCS, ids=lambda d: d.get("family", "custom"))
+@pytest.mark.parametrize("doc", COVERING_DOCS, ids=_doc_id)
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_adjacency_matches_all_pairs_reference(doc, radius):
     cov = covering_from_json(doc)
@@ -329,6 +485,32 @@ def test_check_moderate_rejects_superexponential_weight():
     cov = dyadic_annulus_covering()
     res = check_moderate(cov, lambda i: 2.0 ** (i[0] ** 2), (5, 6))
     assert not res["ok"]
+
+
+CONSTANTS_GOLDEN = Path(__file__).parent / "golden" / "covering_constants.jsonl"
+
+
+def test_covering_constants_replay_byte_for_byte():
+    """The frozen constants of scripts/freeze_goldens.py: one line per (covering, radius)."""
+    lines = CONSTANTS_GOLDEN.read_text().splitlines(keepends=True)
+    assert len(lines) >= 48
+    drifted = []
+    for line in lines:
+        frozen = json.loads(line)
+        cov, radius = covering_from_json(frozen["covering"]), frozen["radius"]
+        got = {"covering": frozen["covering"], "radius": radius}
+        try:
+            got["constants"] = certify_constants(cov, radius)
+        except InvalidParams as exc:
+            got["error"] = str(exc)
+        else:
+            nbrs = sorted([list(i), [list(j) for j in js]]
+                          for i, js in adjacency(cov, radius)[0].items())
+            got["neighbors_sha256"] = hashlib.sha256(
+                json.dumps(nbrs, separators=(",", ":")).encode()).hexdigest()
+        if json.dumps(got, separators=(",", ":")) + "\n" != line:
+            drifted.append((frozen["covering"], radius))
+    assert not drifted, f"{len(drifted)} of {len(lines)} lines drifted, first {drifted[0]}"
 
 
 def test_norm_surrogate_on_dyadic_covering():
