@@ -20,6 +20,8 @@ import math
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import ge, le
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
 
@@ -193,10 +195,10 @@ class BallSet:
         c = math.sqrt(float(sum(x * x for x in self.center)))
         return c + float(self.radius)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        c = np.array([float(x) for x in self.center])
+    def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        c = [float(x) for x in self.center]
         r = float(self.radius)
-        return c - r, c + r
+        return tuple(x - r for x in c), tuple(x + r for x in c)
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,8 @@ class BoxSet:
             best = max(best, math.sqrt(float(sum(x * x for x in corner))))
         return best
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        return (
-            np.array([float(x) for x in self.lo]),
-            np.array([float(x) for x in self.hi]),
-        )
+    def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
+        return tuple(float(x) for x in self.lo), tuple(float(x) for x in self.hi)
 
 
 @dataclass(frozen=True)
@@ -238,9 +237,9 @@ class AnnulusSet:
     def sup_norm(self) -> float:
         return float(self.outer)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         r = float(self.outer)
-        return np.full(self.dim_, -r), np.full(self.dim_, r)
+        return (-r,) * self.dim_, (r,) * self.dim_
 
 
 @dataclass(frozen=True)
@@ -256,10 +255,20 @@ class PolygonSet:
     def sup_norm(self) -> float:
         return max(math.sqrt(float(x * x + y * y)) for x, y in self.vertices)
 
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+    def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         xs = [float(v[0]) for v in self.vertices]
         ys = [float(v[1]) for v in self.vertices]
-        return np.array([min(xs), min(ys)]), np.array([max(xs), max(ys)])
+        return (min(xs), min(ys)), (max(xs), max(ys))
+
+    @cached_property
+    def _lattice(self) -> tuple[int, list[tuple[int, int]]] | None:
+        """(s, s * vertices) as ints, s the lcm of the vertex denominators;
+        None when a coordinate is a float."""
+        coords = [x for v in self.vertices for x in v]
+        if not _is_exact(*coords):
+            return None
+        s = math.lcm(*(x.denominator for x in coords))
+        return s, [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
 
 
 BaseSet = Union[BallSet, BoxSet, AnnulusSet, PolygonSet]
@@ -462,28 +471,35 @@ def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
     """Separating-axis test for open convex polygons.
 
     Open interiors touching only along boundaries count as disjoint, so
-    weak separation (max <= min) already separates.  With float vertices
-    a near-tie is resolved conservatively as intersecting, uncertain.
+    weak separation (max <= min) already separates.  Exact vertices are
+    scaled to one integer lattice, the lcm of their denominators, and
+    tested on Python ints with no tolerance, so every answer is certain.
+    With float vertices a near-tie is resolved conservatively as
+    intersecting, uncertain.
     """
-    exact = _is_exact(*(x for v in a.vertices for x in v)) and _is_exact(
-        *(x for v in b.vertices for x in v)
-    )
-    scale = max(
-        1.0,
-        *(abs(float(x)) for v in a.vertices for x in v),
-        *(abs(float(x)) for v in b.vertices for x in v),
-    )
-    tol = 0 if exact else _FLOAT_GAP_TOL * scale
+    la, lb = a._lattice, b._lattice
+    exact = la is not None and lb is not None
+    if exact:
+        lattice = math.lcm(la[0], lb[0])
+        verts_a, verts_b = (
+            verts if s == lattice else [(x * (lattice // s), y * (lattice // s)) for x, y in verts]
+            for s, verts in (la, lb)
+        )
+        tol = 0
+    else:
+        verts_a, verts_b = a.vertices, b.vertices
+        tol = _FLOAT_GAP_TOL * max(
+            1.0, *(abs(float(x)) for v in verts_a + verts_b for x in v)
+        )
     certain = True
-    for poly in (a, b):
-        verts = poly.vertices
+    for verts in (verts_a, verts_b):
         for k in range(len(verts)):
             p, q = verts[k], verts[(k + 1) % len(verts)]
             axis = (q[1] - p[1], p[0] - q[0])
             if axis[0] == 0 and axis[1] == 0:
                 continue
-            lo_a, hi_a = _project(a.vertices, axis)
-            lo_b, hi_b = _project(b.vertices, axis)
+            lo_a, hi_a = _project(verts_a, axis)
+            lo_b, hi_b = _project(verts_b, axis)
             if hi_a <= lo_b - tol or hi_b <= lo_a - tol:
                 return False, True
             if not exact and (hi_a <= lo_b + tol or hi_b <= lo_a + tol):
@@ -676,8 +692,11 @@ def adjacency(
     """Neighbor map i -> i* over the window, and whether it is certain.
 
     The relation is reflexive (every nonempty set meets itself) and kept
-    symmetric by construction.  It is computed once per radius and kept on
-    the covering; the map is read-only because every caller shares it.
+    symmetric by construction.  Candidate pairs come from a sweep over the
+    bounding boxes sorted by their lower x bound; a pair whose boxes meet
+    (padded for float coverings) goes to ``sets_intersect``.  The map is
+    computed once per radius and kept on the covering; it is read-only
+    because every caller shares it.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
@@ -689,30 +708,29 @@ def adjacency(
         s, ok = covering.transformed_set(i)
         sets.append(s)
         certain = certain and ok
-    los = np.empty((len(sets), covering.dimension))
-    his = np.empty((len(sets), covering.dimension))
-    for row, s in enumerate(sets):
-        lo, hi = s.bounding_box()
-        los[row] = lo
-        his[row] = hi
     pad = 0.0 if covering.exact else _FLOAT_GAP_TOL
-    nbrs: dict[Index, list[Index]] = {i: [] for i in indices}
-    for row in range(len(indices)):
-        hit = np.nonzero(
-            np.all(his[row] >= los - pad, axis=1)
-            & np.all(los[row] <= his + pad, axis=1)
-        )[0]
-        for col in hit:
-            if col < row:
-                continue
-            if col == row:
-                nbrs[indices[row]].append(indices[row])
-                continue
-            meet, sure = sets_intersect(sets[row], sets[col])
-            certain = certain and sure
-            if meet:
-                nbrs[indices[row]].append(indices[col])
-                nbrs[indices[col]].append(indices[row])
+    boxes = [s.bounding_box() for s in sets]
+    los, his = [lo for lo, _ in boxes], [hi for _, hi in boxes]
+    los_pad = [tuple(x - pad for x in lo) for lo in los]
+    his_pad = [tuple(x + pad for x in hi) for hi in his]
+    nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
+    order = sorted(range(len(sets)), key=lambda k: los[k][0])
+    for pos, a in enumerate(order):
+        for b in order[pos + 1:]:
+            # b and every later box start too far right for the test below
+            # on x, whichever of a and b is the row
+            if los_pad[b][0] > his[a][0] and los[b][0] > his_pad[a][0]:
+                break
+            # the box test with the lower window position as row, as
+            # his[row] >= los[col] - pad and los[row] <= his[col] + pad, so
+            # float rounding gives the same candidates in any sweep order
+            row, col = (a, b) if a < b else (b, a)
+            if all(map(ge, his[row], los_pad[col])) and all(map(le, los[row], his_pad[col])):
+                meet, sure = sets_intersect(sets[row], sets[col])
+                certain = certain and sure
+                if meet:
+                    nbrs[indices[row]].append(indices[col])
+                    nbrs[indices[col]].append(indices[row])
     result = (MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), certain)
     covering._adjacency[radius] = result
     return result
@@ -738,14 +756,12 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
+    mats = {i: covering.transform(i)[0] for i in nbrs}
     c_hat = 0.0
-    inv_cache: dict[Index, Mat] = {}
     for i, js in nbrs.items():
-        if i not in inv_cache:
-            inv_cache[i] = mat_inverse(covering.transform(i)[0])
-        t_inv = inv_cache[i]
+        t_inv = mat_inverse(mats[i])
         for j in js:
-            c_hat = max(c_hat, spectral_norm(mat_mul(t_inv, covering.transform(j)[0])))
+            c_hat = max(c_hat, spectral_norm(mat_mul(t_inv, mats[j])))
     r_hat = max(covering.base_set(i).sup_norm() for i in nbrs)
     return {
         "N_hat": n_hat,
@@ -766,14 +782,18 @@ def check_moderate(
     check passes when the estimate is finite and moves by at most one
     percent between the two window radii.
     """
+    values: dict[Index, float] = {}
     estimates = []
     for radius in radii:
         nbrs, _ = adjacency(covering, radius)
+        for i in nbrs:
+            if i not in values:
+                values[i] = u(i)
         worst = 0.0
         for i, js in nbrs.items():
-            ui = u(i)
+            ui = values[i]
             for j in js:
-                uj = u(j)
+                uj = values[j]
                 if uj == 0.0:
                     worst = math.inf
                 else:
