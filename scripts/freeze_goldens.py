@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Regenerate the golden files under tests/golden/.
 
-Three kinds of golden are frozen:
+Four kinds of golden are frozen:
 
 * the CLI transcripts: one ``<case>.out`` per entry of ``CASES`` plus
   ``manifest.json`` with the argv and exit code of each;
@@ -10,7 +10,11 @@ Three kinds of golden are frozen:
   query and its ``Verdict.to_json()``;
 * ``covering_constants.jsonl``: ``certify_constants`` and a sha256 of the
   sorted neighbour map for every family covering at radii 0-3, one
-  compact JSON line per (covering, radius).
+  compact JSON line per (covering, radius);
+* ``oracle_tails.jsonl``: ``truncated_oracle(...).to_json()`` for every
+  distinct (weight, theta) that a fixed list of ``decide --oracle-check``
+  and ``check-sequence --oracle`` queries puts to the oracle, one compact
+  JSON line each holding the query, theta and the tail classification.
 
 Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
@@ -29,16 +33,22 @@ import random
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
+
+from decomp_embed import embedding
 
 from decomp_embed.cli import main
 from decomp_embed.covering import adjacency, certify_constants
 from decomp_embed.embedding import decide
 from decomp_embed.errors import InvalidParams
+from decomp_embed.exponents import ExtExponent, compound
 from decomp_embed.families import FAMILY_NAMES, covering_from_json
+from decomp_embed.seqspace import expweight_from_json, truncated_oracle
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 GRID_FILE = "decide_grid.jsonl"
 CONSTANTS_FILE = "covering_constants.jsonl"
+ORACLE_FILE = "oracle_tails.jsonl"
 
 CUSTOM_DOC = json.dumps(
     {
@@ -223,6 +233,80 @@ def constants_line(doc: dict, radius: int) -> str:
     return json.dumps(line, separators=(",", ":")) + "\n"
 
 
+# Every family and target under decide --oracle-check, the coorbit shapes on
+# both integer routes (c = 2 and c = -1), then check-sequence --oracle on a
+# line, a plane, a Z_nonzero power and an outside pair sector whose m-factor
+# has different exponents on +m and -m (theta = 2 and theta = inf); the
+# replay stays near a second.
+ORACLE_DECIDE = [
+    ("hom_besov", {"d": 1, "s": "1/2"}, "sobolev", "1", "2", "2", 0),
+    ("inhom_besov", {"d": 2, "s": "5/3"}, "bv", "1", None, "2", 1),
+    ("alpha_modulation", {"d": 1, "alpha": "1/3", "s": "1"}, "sobolev", "2", "3", "2", 0),
+    ("alpha_modulation", {"d": 2, "alpha": "1/2", "s": "3"}, "sobolev", "1", "2", "2", 1),
+    ("shearlet_smoothness", {"s": "2"}, "sobolev", "1", "2", "4", 1),
+    ("shearlet_smoothness", {"s": "7/6"}, "sobolev", "1", "3", "3", 0),
+    ("shearlet_coorbit", {"c": "2", "alpha": "-3", "beta": "1"}, "sobolev", "1", "2", "2", 0),
+    ("shearlet_coorbit", {"c": "-1", "alpha": "0", "beta": "1"}, "cb", "1", None, "2", 0),
+    ("shearlet_coorbit", {"c": "-1", "alpha": "1", "beta": "2"}, "bv", "1", None, "2", 1),
+    ("diagonal", {"d": 1, "alpha": -2, "beta": -3}, "cb", "1", None, "2", 1),
+    ("diagonal", {"d": 2, "alpha": ["-1/2", "0"], "beta": ["-3/2", "-2"]},
+     "sobolev", "1", "2", "2", 1),
+]
+_OUTSIDE = {"kind": "pairs", "lam": "1/2", "side": "outside", "shift": -1}
+_ASYMMETRIC_ATOMS = [
+    {"exp2": ["-1", {"pos": "0", "neg": "1/2"}], "pow": ["0", {"pos": "-2", "neg": "1"}]},
+    {"coeff": "1/3", "exp2": ["-1/2", {"pos": "-1", "neg": "1/8"}]},
+]
+ORACLE_SEQUENCE = [
+    ({"lattice": {"kind": "Z"}, "atoms": [{"exp2": ["-3/2"]}]},
+     {"lattice": {"kind": "Z"}, "atoms": [{"exp2": ["1/2"]}]}, "2", "1"),
+    ({"lattice": {"kind": "product", "domains": ["N0", "Nneg"]},
+      "atoms": [{"exp2": ["-1", "1/2"]}]},
+     {"lattice": {"kind": "product", "domains": ["N0", "Nneg"]}}, "3", "3/2"),
+    ({"lattice": {"kind": "Z_nonzero"}, "atoms": [{"exp2": ["0"], "pow": ["-3/2"]}]},
+     {"lattice": {"kind": "Z_nonzero"}}, "2", "1"),
+    ({"lattice": _OUTSIDE, "atoms": _ASYMMETRIC_ATOMS}, {"lattice": _OUTSIDE}, "2", "1"),
+    ({"lattice": _OUTSIDE, "atoms": _ASYMMETRIC_ATOMS}, {"lattice": _OUTSIDE}, "1", "2"),
+]
+
+
+def oracle_queries() -> list[dict]:
+    """The oracle golden's queries: decide keyword arguments, then
+    check-sequence weight pairs with their exponents r and s."""
+    queries = []
+    for family, params, target, p, q, r, k in ORACLE_DECIDE:
+        query = {"family": family, "params": params, "target": target, "p": p, "r": r, "k": k}
+        if q is not None:
+            query["q"] = q
+        queries.append(query)
+    queries += [{"u": u, "v": v, "r": r, "s": s} for u, v, r, s in ORACLE_SEQUENCE]
+    return queries
+
+
+def oracle_lines(query: dict) -> str:
+    """The golden lines of one query: one per distinct (weight, theta) the
+    query puts to the oracle, in the order of its first call."""
+    tails = {}
+    if "u" in query:
+        weight = expweight_from_json(query["u"]).quotient(expweight_from_json(query["v"]))
+        theta = compound(ExtExponent(query["s"]), ExtExponent(query["r"]))
+        tails[weight, theta] = truncated_oracle(weight, theta)
+    else:
+        def record(weight, theta):
+            tail = truncated_oracle(weight, theta)
+            tails.setdefault((weight, theta), tail)
+            return tail
+
+        with mock.patch.object(embedding, "truncated_oracle", record):
+            decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
+                   r=query["r"], target=query["target"], k=query["k"], oracle_check=True)
+    return "".join(
+        json.dumps({"query": query, "theta": str(theta), "tail": tail.to_json()},
+                   separators=(",", ":")) + "\n"
+        for (_, theta), tail in tails.items()
+    )
+
+
 def run(argv: list[str]) -> tuple[int, bytes]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -246,6 +330,7 @@ def goldens() -> dict[str, bytes]:
     files[CONSTANTS_FILE] = "".join(
         constants_line(doc, r) for doc in CONSTANTS_COVERINGS for r in CONSTANTS_RADII
     ).encode()
+    files[ORACLE_FILE] = "".join(oracle_lines(q) for q in oracle_queries()).encode()
     return files
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decomp_embed import embedding
 from decomp_embed.embedding import (
     Outcome,
     Verdict,
@@ -15,7 +17,8 @@ from decomp_embed.embedding import (
     decide_sobolev,
 )
 from decomp_embed.errors import InvalidParams
-from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
+from decomp_embed.exponents import INF, ExtExponent, compound, lower_conjugate
+from decomp_embed.seqspace import expweight_from_json, truncated_oracle
 
 
 def outcome(family, params, **kw):
@@ -359,3 +362,40 @@ def test_decide_grid_replays_byte_for_byte():
         if got != line:
             drifted.append(query)
     assert not drifted, f"{len(drifted)} of {len(lines)} verdicts drifted, first {drifted[0]}"
+
+
+ORACLE_TAILS = Path(__file__).parent / "golden" / "oracle_tails.jsonl"
+
+
+def _oracle_tail_lines(query: dict, monkeypatch) -> list[str]:
+    """One line per distinct (weight, theta) the query puts to the oracle,
+    in first-call order, as scripts/freeze_goldens.py writes them."""
+    tails = {}
+    if "u" in query:
+        weight = expweight_from_json(query["u"]).quotient(expweight_from_json(query["v"]))
+        theta = compound(ExtExponent(query["s"]), ExtExponent(query["r"]))
+        tails[weight, theta] = truncated_oracle(weight, theta)
+    else:
+        def record(weight, theta):
+            tail = truncated_oracle(weight, theta)
+            tails.setdefault((weight, theta), tail)
+            return tail
+
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "truncated_oracle", record)
+            decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
+                   r=query["r"], target=query["target"], k=query["k"], oracle_check=True)
+    return [json.dumps({"query": query, "theta": str(theta), "tail": tail.to_json()},
+                       separators=(",", ":")) + "\n"
+            for (_, theta), tail in tails.items()]
+
+
+def test_oracle_tails_replay_byte_for_byte(monkeypatch):
+    """The frozen oracle golden: every TailClassification, float for float."""
+    lines = ORACLE_TAILS.read_text().splitlines(keepends=True)
+    assert len(lines) >= 20
+    drifted = []
+    for query, group in itertools.groupby(lines, key=lambda line: json.loads(line)["query"]):
+        if _oracle_tail_lines(query, monkeypatch) != list(group):
+            drifted.append(query)
+    assert not drifted, f"{len(drifted)} queries drifted, first {drifted[0]}"
