@@ -16,7 +16,8 @@ criterion holds while a necessary one fails would be internally
 inconsistent and raises instead of returning.
 
 The optional oracle check reruns every symbolic summability call through
-the numeric tail oracle on truncated windows and raises
+the numeric tail oracle on truncated windows, once per distinct weight and
+exponent, and raises
 :class:`OracleDisagreement` if the two routes ever contradict each other.
 """
 
@@ -29,7 +30,13 @@ from typing import NamedTuple, Optional
 from .errors import InconsistentVerdict, InvalidParams, OracleDisagreement
 from .exponents import INF, ExtExponent, compound, conjugate, lower_conjugate
 from .families import Family, get_family
-from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, truncated_oracle
+from .seqspace import (
+    ExpPolyWeight,
+    Membership,
+    TailClassification,
+    decide_lp_membership,
+    truncated_oracle,
+)
 
 __all__ = [
     "Outcome",
@@ -304,8 +311,14 @@ def _aggregate(
 
 
 def _cross_check(calls: list[_SummabilityCall]) -> None:
+    """Check each call, in order, against the oracle; a weight and theta
+    that recur (theta_suff = theta_nec when q <= 2) are run once."""
+    tails: dict[tuple[ExpPolyWeight, ExtExponent], TailClassification] = {}
     for call in calls:
-        tail = truncated_oracle(call.weight, call.theta)
+        key = (call.weight, call.theta)
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = truncated_oracle(call.weight, call.theta)
         if tail.verdict == "Convergent" and call.verdict is Membership.NOT_MEMBER:
             raise OracleDisagreement(
                 f"{call.label}: oracle tail converges at l^{call.theta} but the "

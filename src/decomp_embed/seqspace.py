@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -772,14 +772,12 @@ def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
     raise UnsupportedWeight("no grid form for this sector")
 
 
-def _factor_on_axis(f: CoordFactor, n: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore", under="ignore"):
-        return np.exp2(np.clip(_factor_log2_on_axis(f, n), -1100.0, 1100.0))
-
-
-def _factor_log2_on_axis(f: CoordFactor, n: np.ndarray) -> np.ndarray:
-    a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
-    c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
+def _factor_log2_on_axis(f: Sequence[float], n: np.ndarray) -> np.ndarray:
+    """log2 of the factor f along an axis; f is a CoordFactor or its four
+    exponents (exp2_pos, exp2_neg, pow_pos, pow_neg) already as floats."""
+    a_pos, a_neg, c_pos, c_neg = map(float, f)
+    a = np.where(n >= 0, a_pos, a_neg)
+    c = np.where(n >= 0, c_pos, c_neg)
     absn = np.abs(n)
     safe = np.where(absn == 0, 1.0, absn)  # |0|^c reads as 1
     return a * n + c * np.log2(safe)
@@ -830,14 +828,28 @@ class _RowSum:
     truncated_significant: bool
 
 
-def _row_values(piece: Piece, n: int, ms: np.ndarray) -> np.ndarray:
-    """Vectorized piece values along one row n of a pair sector."""
-    total = np.zeros_like(ms)
+def _row_atoms(piece: Piece, n: int) -> list[tuple[float, tuple[float, ...]]]:
+    """The constants of row n of a pair sector, as floats once per row:
+    per atom, coeff * f0(n) and the m-factor's four exponents."""
+    row = []
     for atom in piece.atoms:
         if atom.radial_pow:
             raise UnsupportedWeight("radial powers are not supported on pair sectors")
-        base = float(atom.coeff) * atom.factors[0].value(n)
-        total = total + base * _factor_on_axis(atom.factors[1], ms)
+        f0, f1 = atom.factors
+        row.append((float(atom.coeff) * f0.value(n), tuple(map(float, f1))))
+    return row
+
+
+def _row_values(
+    row: list[tuple[float, tuple[float, ...]]], log2s: Iterable[np.ndarray]
+) -> np.ndarray:
+    """Piece values along a row: the sum over atoms, in atom order, of
+    coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom."""
+    total = None
+    with np.errstate(over="ignore", under="ignore"):
+        for (base, _), log2mag in zip(row, log2s):
+            vals = base * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
+            total = vals if total is None else total + vals
     return total
 
 
@@ -856,19 +868,24 @@ def _pair_row(
     Outside rows are summed in chunks of increasing |m| until the latest
     chunk is negligible relative to the running global sum (``scale``);
     if the step cap is reached while terms still matter, the row is
-    flagged so that the caller can refuse to certify convergence.
+    flagged so that the caller can refuse to certify convergence.  A
+    chunk takes one log2|m| for every atom and both signs of m.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
     bound = sector.m_bound(n)
 
+    if sector.side == "inside" and bound < 0:
+        return _RowSum(0.0, 0.0, False)
+    row = _row_atoms(piece, n)
+
     if sector.side == "inside":
-        if bound < 0:
-            return _RowSum(0.0, 0.0, False)
         cap = _ROW_STEP_CAP // 2
         half = min(bound, cap)
         truncated = bound > cap
         ms = np.arange(-half, half + 1, dtype=np.float64)
-        powered = _powered(_row_values(piece, n, ms), theta_f)
+        powered = _powered(
+            _row_values(row, (_factor_log2_on_axis(f1, ms) for _, f1 in row)), theta_f
+        )
         if theta_f is None:
             sup = float(powered.max())
             return _RowSum(sup, sup, truncated)
@@ -878,16 +895,29 @@ def _pair_row(
     total = 0.0
     sup = 0.0
     if bound <= 0:
-        z = _powered(_row_values(piece, n, np.zeros(1)), theta_f)
+        zero = np.zeros(1)
+        z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1 in row)), theta_f)
         total += float(z.sum())
         sup = max(sup, float(z.max()))
+    # with 2^(0*m) and one power |m|^c on both sides, the two halves differ
+    # at most in the sign of a zero exponent, which exp2 erases: the -m
+    # half is then the +m half, bit for bit
+    mirrored = all(a_pos == a_neg == 0.0 and c_pos == c_neg
+                   for _, (a_pos, a_neg, c_pos, c_neg) in row)
     chunk = 4096
     steps = 0
     last_chunk = 0.0
     while steps < _ROW_STEP_CAP:
         ms = np.arange(start + steps, start + steps + chunk, dtype=np.float64)
-        pos = _powered(_row_values(piece, n, ms), theta_f)
-        neg = _powered(_row_values(piece, n, -ms), theta_f)
+        lg = np.log2(ms)  # |m| >= 1 here
+        pos = _powered(_row_values(row, (a * ms + c * lg for _, (a, _, c, _) in row)), theta_f)
+        if mirrored:
+            neg = pos
+        else:
+            neg_ms = -ms
+            neg = _powered(
+                _row_values(row, (a * neg_ms + c * lg for _, (_, a, _, c) in row)), theta_f
+            )
         vals = np.maximum(pos, neg) if theta_f is None else pos + neg
         last_chunk = float(vals.sum())
         total += last_chunk
@@ -1082,12 +1112,20 @@ def truncated_oracle(
 ) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
+    Grid sectors are evaluated once on the largest window.  Pair sectors
+    are summed row by row; an outside row is summed in chunks of |m|, each
+    with one log2|m| shared by every atom and both signs of m, and the -m
+    half is taken from the +m half when every m-factor is even in m.
+
     Declares Divergent when partial sums exceed ``BLOWUP_THRESHOLD`` or
-    grow by at least ``GROWTH_FACTOR`` between the last two radii.
-    Declares Convergent, with a geometric tail bound, when the per-shell
+    grow by at least ``GROWTH_FACTOR`` between the last two radii, unless
+    a pair sector's structural bound on the rows past the window is
+    finite.  Declares Convergent, with a tail bound, when the per-shell
     contributions over the last three radii decay with ratio at most
-    ``SHELL_RATIO``.  Everything else is Inconclusive.  The verdict is
-    deterministic given the radius schedule.
+    ``SHELL_RATIO`` (theta = inf: stop raising the running max), no
+    truncated row still carries significant mass and the structural
+    bound is finite.  Everything else is Inconclusive.  The result is a
+    function of (weight, theta, radii) alone.
     """
     pieces = weight.pieces
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
@@ -1140,9 +1178,7 @@ def truncated_oracle(
         if theta_f is None:
             sup = float(vals.max()) if vals.size else 0.0
             return _RowSum(sup, sup, False)
-        with np.errstate(over="ignore", under="ignore"):
-            powered = np.where(vals > 0, vals**theta_f, 0.0)
-        return _RowSum(float(powered.sum()), 0.0, False)
+        return _RowSum(float(_powered(vals, theta_f).sum()), 0.0, False)
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""

@@ -16,9 +16,14 @@ from decomp_embed.embedding import (
     decide_cb,
     decide_sobolev,
 )
-from decomp_embed.errors import InvalidParams
+from decomp_embed.errors import InvalidParams, OracleDisagreement
 from decomp_embed.exponents import INF, ExtExponent, compound, lower_conjugate
-from decomp_embed.seqspace import expweight_from_json, truncated_oracle
+from decomp_embed.seqspace import (
+    TailClassification,
+    decide_lp_membership,
+    expweight_from_json,
+    truncated_oracle,
+)
 
 
 def outcome(family, params, **kw):
@@ -343,6 +348,35 @@ def test_oracle_agrees_with_symbolic_route(family, params, kw):
     with_oracle = decide(family, params, oracle_check=True, **kw)
     without = decide(family, params, **kw)
     assert with_oracle == without
+
+
+def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
+    asked, run = [], []
+
+    def member(weight, theta):
+        asked.append((weight, theta))
+        return decide_lp_membership(weight, theta)
+
+    def oracle(weight, theta):
+        run.append((weight, theta))
+        return truncated_oracle(weight, theta)
+
+    monkeypatch.setattr(embedding, "decide_lp_membership", member)
+    monkeypatch.setattr(embedding, "truncated_oracle", oracle)
+    decide("hom_besov", {"d": 1, "s": "1/2"}, p=1, q=2, r=2, k=0, target="sobolev",
+           oracle_check=True)
+    # q <= 2 makes theta_suff = theta_nec, so S1 and N2 ask the same question
+    assert len(set(asked)) < len(asked)
+    assert run == list(dict.fromkeys(asked))
+
+
+def test_cross_check_names_the_first_contradicting_call(monkeypatch):
+    # S1 and N2 (one weight and theta) are NotMember, N3 is the first Member
+    monkeypatch.setattr(embedding, "truncated_oracle",
+                        lambda weight, theta: TailClassification("Divergent", 0))
+    with pytest.raises(OracleDisagreement, match=r"^N3: oracle tail diverges"):
+        decide("alpha_modulation", {"d": 1, "alpha": 0, "s": "9/40"}, p=3, q="3/2", r=3,
+               k=0, target="sobolev", oracle_check=True)
 
 
 DECIDE_GRID = Path(__file__).parent / "golden" / "decide_grid.jsonl"

@@ -5,12 +5,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, compound
+from decomp_embed import seqspace
 from decomp_embed.seqspace import (
     Atom,
     CoordFactor,
@@ -342,6 +344,118 @@ def test_oracle_never_contradicts_decider_on_pairs(w, theta):
         assert memb is MEMBER
     elif res.verdict == "Divergent":
         assert memb is NOT_MEMBER
+
+
+
+# ---------------------------------------------------------------------------
+# pair rows against the per-atom row formula
+# ---------------------------------------------------------------------------
+
+def _reference_factor_on_axis(f, n):
+    a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
+    c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
+    absn = np.abs(n)
+    safe = np.where(absn == 0, 1.0, absn)
+    with np.errstate(over="ignore", under="ignore"):
+        return np.exp2(np.clip(a * n + c * np.log2(safe), -1100.0, 1100.0))
+
+
+def _reference_row_values(piece, n, ms):
+    total = np.zeros_like(ms)
+    for atom in piece.atoms:
+        base = float(atom.coeff) * atom.factors[0].value(n)
+        with np.errstate(over="ignore"):
+            total = total + base * _reference_factor_on_axis(atom.factors[1], ms)
+    return total
+
+
+def _reference_powered(vals, theta_f):
+    if theta_f is None:
+        return vals
+    with np.errstate(over="ignore", under="ignore"):
+        return np.where(vals > 0, vals**theta_f, 0.0)
+
+
+def _reference_pair_row(piece, n, theta_f, scale):
+    """The row sum with every atom evaluated on its own, on both halves of
+    every chunk: (value, sup, truncated_significant)."""
+    sector = piece.sector
+    bound = sector.m_bound(n)
+    if sector.side == "inside":
+        if bound < 0:
+            return 0.0, 0.0, False
+        cap = seqspace._ROW_STEP_CAP // 2
+        half = min(bound, cap)
+        ms = np.arange(-half, half + 1, dtype=np.float64)
+        powered = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
+        if theta_f is None:
+            return float(powered.max()), float(powered.max()), bound > cap
+        return float(powered.sum()), 0.0, bound > cap
+    start = max(bound, 1)
+    total = sup = last_chunk = 0.0
+    if bound <= 0:
+        z = _reference_powered(_reference_row_values(piece, n, np.zeros(1)), theta_f)
+        total += float(z.sum())
+        sup = max(sup, float(z.max()))
+    steps = 0
+    while steps < seqspace._ROW_STEP_CAP:
+        ms = np.arange(start + steps, start + steps + 4096, dtype=np.float64)
+        pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
+        neg = _reference_powered(_reference_row_values(piece, n, -ms), theta_f)
+        vals = np.maximum(pos, neg) if theta_f is None else pos + neg
+        last_chunk = float(vals.sum())
+        total += last_chunk
+        sup = max(sup, float(vals.max()))
+        steps += 4096
+        if not math.isfinite(total) or last_chunk <= (
+            seqspace._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
+        ):
+            return total, sup, False
+    significant = last_chunk >= seqspace._ROW_SIGNIFICANT * max(total, scale, 1e-300)
+    return (sup, sup, significant) if theta_f is None else (total, 0.0, significant)
+
+
+_m_rate = st.fractions(min_value=F(-2), max_value=F(1, 2), max_denominator=8)
+# an m-factor flat in 2^(a*m) and even in |m|^c, as Atom.pair builds it,
+# one with a single m-rate on both sides, or one with its own exponents on
+# +m and -m
+_m_factors = st.one_of(
+    small_pow.map(lambda c: CoordFactor.symmetric(0, c)),
+    st.builds(CoordFactor.symmetric, _m_rate, small_pow),
+    st.builds(CoordFactor, _m_rate, _m_rate, small_pow, small_pow),
+)
+
+
+@st.composite
+def pair_rows(draw):
+    domain = draw(st.sampled_from(["N0", "Nneg"]))
+    lam = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2)]))
+    sector = PairSector(
+        domain,
+        -lam if domain == "Nneg" else lam,
+        draw(st.sampled_from(["inside", "outside"])),
+        draw(st.sampled_from([-1, 0, 1])),
+    )
+    atoms = tuple(
+        Atom(
+            draw(st.sampled_from([F(1), F(1, 3), F(5, 2)])),
+            (CoordFactor(draw(small_exp), draw(small_exp), draw(small_pow), draw(small_pow)),
+             draw(_m_factors)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    n = draw(st.integers(0, 10))
+    return Piece(sector, atoms), -n if domain == "Nneg" else n
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair_rows(), st.sampled_from([0.5, 1.0, 2.0, None]), st.sampled_from([0.0, 1.0, 1e8]))
+def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
+    piece, n = row
+    got = seqspace._pair_row(piece, n, theta_f, scale=scale)
+    value, sup, flagged = _reference_pair_row(piece, n, theta_f, scale)
+    assert (got.value.hex(), got.sup.hex(), got.truncated_significant) == (
+        value.hex(), sup.hex(), flagged)
 
 
 # ---------------------------------------------------------------------------
