@@ -13,8 +13,9 @@ Four kinds of golden are frozen:
   compact JSON line per (covering, radius);
 * ``oracle_tails.jsonl``: ``truncated_oracle(...).to_json()`` for every
   distinct (weight, theta) that a fixed list of ``decide --oracle-check``
-  and ``check-sequence --oracle`` queries puts to the oracle, one compact
-  JSON line each holding the query, theta and the tail classification.
+  queries and ``check-sequence --oracle`` weight pairs puts to the oracle,
+  one compact JSON line each holding the query, theta and the tail
+  classification.
 
 Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
@@ -36,7 +37,6 @@ from pathlib import Path
 from unittest import mock
 
 from decomp_embed import embedding
-
 from decomp_embed.cli import main
 from decomp_embed.covering import adjacency, certify_constants
 from decomp_embed.embedding import decide
@@ -234,10 +234,12 @@ def constants_line(doc: dict, radius: int) -> str:
 
 
 # Every family and target under decide --oracle-check, the coorbit shapes on
-# both integer routes (c = 2 and c = -1), then check-sequence --oracle on a
-# line, a plane, a Z_nonzero power and an outside pair sector whose m-factor
-# has different exponents on +m and -m (theta = 2 and theta = inf); the
-# replay stays near a second.
+# both integer routes (c = 2 and c = -1), then the oracle half of
+# check-sequence --oracle, truncated_oracle(u.quotient(v), compound(s, r)),
+# on a line, a plane, a Z_nonzero power and an outside pair sector whose
+# m-factor has different exponents on +m and -m (theta = 2 and theta = inf).
+# The exact decider rejects that last weight (it needs a symmetric m power),
+# so only the library reaches its oracle rows.  The replay takes about 1.5 s.
 ORACLE_DECIDE = [
     ("hom_besov", {"d": 1, "s": "1/2"}, "sobolev", "1", "2", "2", 0),
     ("inhom_besov", {"d": 2, "s": "5/3"}, "bv", "1", None, "2", 1),

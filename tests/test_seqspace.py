@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from decomp_embed import seqspace
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, compound
-from decomp_embed import seqspace
 from decomp_embed.seqspace import (
     Atom,
     CoordFactor,
@@ -388,9 +388,8 @@ def _reference_pair_row(piece, n, theta_f, scale):
         half = min(bound, cap)
         ms = np.arange(-half, half + 1, dtype=np.float64)
         powered = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
-        if theta_f is None:
-            return float(powered.max()), float(powered.max()), bound > cap
-        return float(powered.sum()), 0.0, bound > cap
+        value = float(powered.max() if theta_f is None else powered.sum())
+        return value, value if theta_f is None else 0.0, bound > cap
     start = max(bound, 1)
     total = sup = last_chunk = 0.0
     if bound <= 0:
