@@ -11,6 +11,9 @@ Geometry is exact whenever every matrix entry, offset and set parameter
 is rational; numeric fallbacks are flagged through the ``certain`` bits
 so that downstream evidence never silently claims tightness it does not
 have.
+
+numpy is imported only by :func:`spectral_norm`, for matrices larger than
+1x1; the geometry itself runs on Python ints, Fractions and floats.
 """
 
 from __future__ import annotations
@@ -24,8 +27,6 @@ from functools import cached_property
 from operator import ge, le
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence, Union
-
-import numpy as np
 
 from .errors import (
     InvalidParams,
@@ -145,7 +146,20 @@ def mat_inverse(a: Mat) -> Mat:
 
 
 def spectral_norm(a: Mat | np.ndarray) -> float:
-    """The operator 2-norm, closed form up to 2x2, power iteration above."""
+    """The operator 2-norm, closed form up to 2x2, power iteration above.
+
+    A 1x1 tuple or list with a number entry is read without numpy:
+    ``np.asarray(..., dtype=np.float64)`` converts an entry with ``float()``,
+    so the result is the same float.
+    """
+    if (
+        isinstance(a, (tuple, list)) and len(a) == 1
+        and isinstance(a[0], (tuple, list)) and len(a[0]) == 1
+        and isinstance(a[0][0], (int, float, Fraction))
+    ):
+        return abs(float(a[0][0]))
+    import numpy as np
+
     m = np.asarray(a, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("spectral_norm expects a square matrix")

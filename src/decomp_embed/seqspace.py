@@ -23,8 +23,12 @@ membership tests compare signs and integer cross products.
 
 The decider and the oracle share no logic.  The decider manipulates
 exponents as exact rationals and never evaluates the weight; the oracle
-evaluates the weight numerically and never looks at the exponents.  Test
-suites drive both against each other.
+evaluates the weight numerically and reads exponents only for structural
+facts about what lies past its window (the pair-sector tail bound and the
+exponential-growth gate).  Test suites drive both against each other.
+
+numpy is imported only inside the oracle functions, so the exact decider
+runs without loading it.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
-
-import numpy as np
 
 from .errors import UnsupportedWeight
 from .exponents import int_from_json, rational_from_json
@@ -759,6 +761,8 @@ def default_radii(dims: int, has_pair: bool) -> tuple[int, ...]:
 
 
 def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
+    import numpy as np
+
     if isinstance(sector, LineSector):
         return [np.array(sector.coord_values(radius), dtype=np.float64)]
     if isinstance(sector, ProductSector):
@@ -775,6 +779,8 @@ def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
 def _factor_log2_on_axis(f: Sequence[float], n: np.ndarray) -> np.ndarray:
     """log2 of the factor f along an axis; f is a CoordFactor or its four
     exponents (exp2_pos, exp2_neg, pow_pos, pow_neg) already as floats."""
+    import numpy as np
+
     a_pos, a_neg, c_pos, c_neg = map(float, f)
     a = np.where(n >= 0, a_pos, a_neg)
     c = np.where(n >= 0, c_pos, c_neg)
@@ -785,6 +791,8 @@ def _factor_log2_on_axis(f: Sequence[float], n: np.ndarray) -> np.ndarray:
 
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and sup-norm radii of a piece on its window, as flat arrays."""
+    import numpy as np
+
     sector = piece.sector
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
@@ -845,6 +853,8 @@ def _row_values(
 ) -> np.ndarray:
     """Piece values along a row: the sum over atoms, in atom order, of
     coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom."""
+    import numpy as np
+
     total = None
     with np.errstate(over="ignore", under="ignore"):
         for (base, _), log2mag in zip(row, log2s):
@@ -854,6 +864,8 @@ def _row_values(
 
 
 def _powered(vals: np.ndarray, theta_f: float | None) -> np.ndarray:
+    import numpy as np
+
     if theta_f is None:
         return vals
     with np.errstate(over="ignore", under="ignore"):
@@ -871,6 +883,8 @@ def _pair_row(
     flagged so that the caller can refuse to certify convergence.  A
     chunk takes one log2|m| for every atom and both signs of m.
     """
+    import numpy as np
+
     sector: PairSector = piece.sector  # type: ignore[assignment]
     bound = sector.m_bound(n)
 
@@ -1105,6 +1119,29 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     return total
 
 
+def _grows_exponentially(piece: Piece) -> bool:
+    """Whether an atom of a line, product or radial piece has a factor
+    2^(a*n) that grows along an unbounded direction of its sector: a > 0
+    where n runs to +inf, or a < 0 where n runs to -inf.
+
+    All other factors are positive, so the piece's terms are then unbounded:
+    the series is neither summable nor bounded, however tame the window
+    looks.
+    """
+    sector = piece.sector
+    if isinstance(sector, LineSector):
+        domains = (sector.domain,)
+    elif isinstance(sector, ProductSector):
+        domains = tuple(line.domain for line in sector.lines)
+    else:
+        domains = ("Z",) * sector.dims
+    return any(
+        (f.exp2_pos > 0 and dom != "Nneg") or (f.exp2_neg < 0 and dom != "N0")
+        for atom in piece.atoms
+        for f, dom in zip(atom.factors, domains)
+    )
+
+
 def truncated_oracle(
     weight: ExpPolyWeight,
     theta,
@@ -1123,10 +1160,15 @@ def truncated_oracle(
     finite.  Declares Convergent, with a tail bound, when the per-shell
     contributions over the last three radii decay with ratio at most
     ``SHELL_RATIO`` (theta = inf: stop raising the running max), no
-    truncated row still carries significant mass and the structural
-    bound is finite.  Everything else is Inconclusive.  The result is a
-    function of (weight, theta, radii) alone.
+    truncated row still carries significant mass, the structural
+    bound is finite and no grid piece grows exponentially along an
+    unbounded axis (:func:`_grows_exponentially`; such a term can fall
+    across the whole window and still blow up past it).  Everything else
+    is Inconclusive.  The result is a function of (weight, theta, radii)
+    alone.
     """
+    import numpy as np
+
     pieces = weight.pieces
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     dims = max(p.sector.dims for p in pieces)
@@ -1232,7 +1274,15 @@ def truncated_oracle(
     # widening pair sector keeps past the window; bound those structurally
     beyond = pair_tail(last_radius)
 
-    if len(shells) >= RATIO_WINDOW and not flagged_any and math.isfinite(beyond):
+    grows = any(
+        _grows_exponentially(p) for p in pieces if not isinstance(p.sector, PairSector)
+    )
+    if (
+        len(shells) >= RATIO_WINDOW
+        and not flagged_any
+        and not grows
+        and math.isfinite(beyond)
+    ):
         window = shells[-RATIO_WINDOW:]
         if theta_f is None:
             # sup semantics: certify boundedness when newer shells stop

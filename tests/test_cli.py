@@ -1,12 +1,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import decomp_embed
 from decomp_embed.cli import main
 from decomp_embed.families import FAMILY_NAMES
 from decomp_embed.seqspace import TailClassification
@@ -332,3 +336,42 @@ def test_refine_toggle_changes_verdict():
     code_on, _, _ = run_cli(base)
     code_off, _, _ = run_cli(base + ["--no-refine"])
     assert (code_on, code_off) == (0, 2)
+
+
+# each probe is a fresh interpreter: numpy, once loaded, stays in sys.modules
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+code = None
+if argv is None:
+    import decomp_embed
+else:
+    from decomp_embed.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules}))
+"""
+
+_CASES = {c["name"]: c for c in MANIFEST}
+
+
+@pytest.mark.parametrize("name, loads_numpy", [
+    ("import decomp_embed", False),
+    ("decide_hom_gap", False),       # decide without --oracle-check
+    ("check_seq_fails", False),      # check-sequence without --oracle
+    ("inspect_custom", False),       # 1-D coverings: 1x1 spectral norms
+    ("verify_inhom", False),
+    ("decide_hom_embeds", True),     # control: --oracle-check runs the oracle
+])
+def test_numpy_is_imported_only_by_the_oracle_and_larger_norms(name, loads_numpy):
+    case = _CASES.get(name)
+    src = Path(decomp_embed.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(case and case["argv"])],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result == {"exit": case and case["exit"], "numpy": loads_numpy}

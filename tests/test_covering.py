@@ -369,6 +369,34 @@ def test_spectral_norm_matches_reference(d, data):
     assert spectral_norm(mat) == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
 
+@given(st.one_of(
+    st.integers(-(2**1000), 2**1000),
+    st.fractions(),
+    st.floats(allow_nan=False),
+))
+@settings(max_examples=200, deadline=None)
+def test_spectral_norm_1x1_matches_the_numpy_route_bit_for_bit(x):
+    # an ndarray argument always takes the numpy route
+    ref = spectral_norm(np.asarray([[x]], dtype=np.float64)).hex()
+    assert spectral_norm(((x,),)).hex() == ref
+    assert spectral_norm([[x]]).hex() == ref
+
+
+@pytest.mark.parametrize("mat", [
+    [[1, 2]],
+    ((F(1),), (F(2), F(3))),
+    [[1, 2], [3]],
+    (),
+    [],
+    [[]],
+    [[[1]]],
+], ids=["1x2", "ragged-1-2", "ragged-2-1", "no-rows-tuple", "no-rows-list",
+        "one-empty-row", "1x1x1"])
+def test_spectral_norm_rejects_non_square_input(mat):
+    with pytest.raises(ValueError):
+        spectral_norm(mat)
+
+
 def test_mat_inverse_is_exact_on_rationals():
     m = ((F(1), F(2)), (F(3), F(4)))
     assert mat_mul(m, mat_inverse(m)) == ((F(1), F(0)), (F(0), F(1)))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomp_embed import seqspace
@@ -324,8 +324,18 @@ def test_oracle_never_contradicts_decider_on_lines(w, theta):
         assert memb is NOT_MEMBER
 
 
+# 2^(2n/3) * n^-6 on the middle axis falls across the whole radius-32
+# window and grows only past it
+_PRODUCT_GROWING_PAST_THE_WINDOW = ExpPolyWeight.single(
+    ProductSector((LineSector("Z"),) * 3),
+    Atom(F(1), (CoordFactor.symmetric(0, -1), CoordFactor.symmetric(F(1, 3), -3),
+                CoordFactor.symmetric(0, -1))),
+)
+
+
 @settings(max_examples=25, deadline=None)
 @given(product_weights(), thetas)
+@example(_PRODUCT_GROWING_PAST_THE_WINDOW, E(2))
 def test_oracle_never_contradicts_decider_on_products(w, theta):
     res = truncated_oracle(w, theta)
     memb = decide_lp_membership(w, theta)
@@ -345,6 +355,40 @@ def test_oracle_never_contradicts_decider_on_pairs(w, theta):
     elif res.verdict == "Divergent":
         assert memb is NOT_MEMBER
 
+
+
+_FLAT = CoordFactor()
+
+
+@pytest.mark.parametrize("w, theta", [
+    (_PRODUCT_GROWING_PAST_THE_WINDOW, E(2)),
+    (line("N0", F(1, 1000), -30), E(1)),
+    (line("Nneg", F(-1, 1000), -30), INF),
+    (line("Z_nonzero", F(1, 1000), -30), INF),
+    (ExpPolyWeight.single(
+        RadialSector(2), Atom(F(1), (CoordFactor.symmetric(F(1, 100)), _FLAT), -20)), E(1)),
+    (ExpPolyWeight.single(
+        RadialSector(2), Atom(F(1), (_FLAT, CoordFactor(0, F(-1, 100))), -20)), INF),
+], ids=["product", "line-N0", "line-Nneg-sup", "line-Z_nonzero-sup", "radial",
+        "radial-negative-side-sup"])
+def test_oracle_never_certifies_a_term_growing_past_the_window(w, theta):
+    # each term falls across the whole default window, so the shell test
+    # alone would call it Convergent; 2^(a*n) on an unbounded side says no
+    assert truncated_oracle(w, theta).verdict == "Inconclusive"
+
+
+@pytest.mark.parametrize("w, theta", [
+    (line("Nneg", F(1, 10)), E(1)),
+    (ExpPolyWeight.single(LineSector("N0"), Atom(F(1), (CoordFactor(F(-1, 10), F(-1, 10)),))),
+     E(1)),
+    (ExpPolyWeight.single(
+        ProductSector((LineSector("N0"), LineSector("Nneg"))),
+        Atom(F(1), (CoordFactor.symmetric(F(-1, 10)), CoordFactor.symmetric(F(1, 10))))),
+     INF),
+], ids=["line-Nneg", "line-N0-unused-negative-side", "product-sup"])
+def test_growth_gate_ignores_sides_outside_the_domain(w, theta):
+    assert truncated_oracle(w, theta).verdict == "Convergent"
+    assert decide_lp_membership(w, theta) is MEMBER
 
 
 # ---------------------------------------------------------------------------
