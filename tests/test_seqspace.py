@@ -356,7 +356,6 @@ def test_oracle_never_contradicts_decider_on_pairs(w, theta):
         assert memb is NOT_MEMBER
 
 
-
 _FLAT = CoordFactor()
 
 
