@@ -12,9 +12,11 @@ Exit codes:
 * 10 -- the symbolic route and the numeric oracle disagree;
 * 64 -- usage: bad arguments, parameters or exponents, and a malformed
   ``DECOMP_EMBED_MAX_WINDOW`` value;
-* 65 -- schema: malformed JSON documents, empty base sets among them;
-* 70 -- unsupported weights or geometry, a window that exceeds the cap,
-  and internal errors.
+* 65 -- schema: malformed JSON documents, empty base sets and covering
+  numbers outside the float range among them;
+* 70 -- unsupported weights or geometry (a covering whose derived
+  geometry leaves the float range among it), a window that exceeds the
+  cap, and internal errors.
 """
 
 from __future__ import annotations
@@ -72,7 +74,9 @@ def _json_arg(text: str, what: str) -> object:
     """Parse a JSON argument; a number a float would round raises InexactExponent."""
     try:
         return json.loads(text, parse_float=json_float)
-    except json.JSONDecodeError as exc:
+    except InexactExponent:
+        raise
+    except ValueError as exc:  # bad syntax, or an integer above the int digit limit
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 

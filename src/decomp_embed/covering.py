@@ -21,12 +21,13 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import ge, le
+from operator import ge, le, mul
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, Sequence, Union
 
 from .errors import (
     InvalidParams,
@@ -92,6 +93,17 @@ def _is_exact(*values: object) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+@contextmanager
+def _in_float_range(covering: Covering, radius: int) -> Iterator[None]:
+    """Report a float overflow in derived geometry as UnsupportedGeometry."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise UnsupportedGeometry(
+            f"covering {covering.label!r} at radius {radius} leaves the float range: {exc}"
+        ) from exc
+
+
 # ---------------------------------------------------------------------------
 # matrices
 # ---------------------------------------------------------------------------
@@ -102,6 +114,16 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
         tuple(sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
     )
+
+
+def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...] | None, int]:
+    """(A, s) with a == A / s, A an integer matrix and s the lcm of the entry
+    denominators; (None, 0) when an entry is a float."""
+    entries = [x for row in a for x in row]
+    if not _is_exact(*entries):
+        return None, 0
+    s = math.lcm(*(x.denominator for x in entries))
+    return tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in a), s
 
 
 def mat_vec(a: Mat, x: Vec) -> Vec:
@@ -123,6 +145,21 @@ def mat_det(a: Mat) -> Scalar:
         sign = 1 if col % 2 == 0 else -1
         total = total + sign * a[0][col] * mat_det(minor)
     return total
+
+
+def _adjugate(a: Mat) -> Mat:
+    """The adjugate: a times it is det(a) times the identity."""
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple(
+            (-1) ** (r + c)
+            * mat_det(tuple(row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c))
+            for c in range(n)
+        )
+        for r in range(n)
+    )
 
 
 def mat_inverse(a: Mat) -> Mat:
@@ -182,7 +219,7 @@ def spectral_norm(a: Mat | np.ndarray) -> float:
         if norm == 0.0:
             return 0.0
         v_next = w / norm
-        if abs(norm - lam) <= 1e-12 * max(norm, 1.0):
+        if abs(norm - lam) <= 1e-12 * norm:
             lam = norm
             break
         lam = norm
@@ -310,8 +347,18 @@ def _json_list(raw: object, parse: Callable, length: int | None = None) -> tuple
     return tuple(parse(x) for x in raw)
 
 
+def _float_rational(obj: object) -> Fraction:
+    """A rational literal of a covering document, whose value a float holds."""
+    value = rational_from_json(obj)
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError("a number is outside the float range") from None
+    return value
+
+
 def _rat_pair(raw: object) -> tuple:
-    return _json_list(raw, rational_from_json, 2)
+    return _json_list(raw, _float_rational, 2)
 
 
 def _is_degenerate(base: BaseSet) -> bool:
@@ -338,17 +385,17 @@ def base_set_from_json(doc: object) -> BaseSet:
     try:
         if kind == "ball":
             base = BallSet(
-                _json_list(body["center"], rational_from_json),
-                rational_from_json(body["radius"]),
+                _json_list(body["center"], _float_rational),
+                _float_rational(body["radius"]),
             )
         elif kind == "box":
-            lo = _json_list(body["lo"], rational_from_json)
-            base = BoxSet(lo, _json_list(body["hi"], rational_from_json, len(lo)))
+            lo = _json_list(body["lo"], _float_rational)
+            base = BoxSet(lo, _json_list(body["hi"], _float_rational, len(lo)))
         elif kind == "annulus":
             base = AnnulusSet(
                 int_from_json(body.get("dim", 1)),
-                rational_from_json(body["inner"]),
-                rational_from_json(body["outer"]),
+                _float_rational(body["inner"]),
+                _float_rational(body["outer"]),
             )
         elif kind == "polygon":
             vertices = _json_list(body["vertices"], _rat_pair)
@@ -718,12 +765,13 @@ def adjacency(
     indices = covering.window(radius)
     sets = []
     certain = True
-    for i in indices:
-        s, ok = covering.transformed_set(i)
-        sets.append(s)
-        certain = certain and ok
+    with _in_float_range(covering, radius):
+        for i in indices:
+            s, ok = covering.transformed_set(i)
+            sets.append(s)
+            certain = certain and ok
+        boxes = [s.bounding_box() for s in sets]
     pad = 0.0 if covering.exact else _FLOAT_GAP_TOL
-    boxes = [s.bounding_box() for s in sets]
     los, his = [lo for lo, _ in boxes], [hi for _, hi in boxes]
     los_pad = [tuple(x - pad for x in lo) for lo in los]
     his_pad = [tuple(x + pad for x in hi) for hi in his]
@@ -765,18 +813,46 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     norm ||T_i^-1 T_j|| over intersecting pairs; R_hat: the largest
     base-set radius sup_{x in Q'_i} |x|.  tightness_ok reports whether
     every ingredient was computed from exact geometry.
+
+    For exact T_i and T_j each entry of T_i^-1 T_j is an integer dot
+    product over one common denominator, divided once, so it is the float
+    of the exact entry; a float transform takes ``mat_mul``.  The spectral
+    norm is computed once per distinct float matrix T_i^-1 T_j.
     """
     nbrs, certain = adjacency(covering, radius)
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
     mats = {i: covering.transform(i)[0] for i in nbrs}
+    # T_j = A_j / d_j with A_j integer, for every exact T_j: (columns of A_j, d_j)
+    scaled = {i: _integer_scaled(t) for i, t in mats.items()}
+    columns = {i: (tuple(zip(*a)), d) for i, (a, d) in scaled.items() if d}
+    all_exact = len(columns) == len(mats)
+    norms: dict[Mat, float] = {}  # spectral norm by the float entries of T_i^-1 T_j
     c_hat = 0.0
-    for i, js in nbrs.items():
-        t_inv = mat_inverse(mats[i])
-        for j in js:
-            c_hat = max(c_hat, spectral_norm(mat_mul(t_inv, mats[j])))
-    r_hat = max(covering.base_set(i).sup_norm() for i in nbrs)
+    with _in_float_range(covering, radius):
+        for i, js in nbrs.items():
+            a, d = scaled[i]
+            if d:
+                # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i) and e_i = det(A_i)
+                inv = tuple(tuple(d * x for x in row) for row in _adjugate(a))
+                e = mat_det(a)
+            t_inv = None if all_exact else mat_inverse(mats[i])
+            for j in js:
+                if d and j in columns:
+                    # one correctly rounded int/int division per entry of
+                    # B_i A_j / (e_i d_j) gives the float of the exact entry
+                    cols, d_j = columns[j]
+                    den = e * d_j
+                    key = tuple(tuple(sum(map(mul, row, col)) / den for col in cols) for row in inv)
+                else:
+                    key = tuple(tuple(map(float, row)) for row in mat_mul(t_inv, mats[j]))
+                val = norms.get(key)
+                if val is None:
+                    val = norms[key] = spectral_norm(key)
+                c_hat = max(c_hat, val)
+        bases = {id(base): base for base in map(covering.base_set, nbrs)}
+        r_hat = max(base.sup_norm() for base in bases.values())
     return {
         "N_hat": n_hat,
         "C_hat": c_hat,
@@ -887,10 +963,10 @@ def custom_covering_from_json(doc: object) -> Covering:
         raise SchemaError("duplicate indices in custom covering")
     try:
         mats = [
-            _json_list(mat, lambda row: _json_list(row, rational_from_json))
+            _json_list(mat, lambda row: _json_list(row, _float_rational))
             for mat in raw_t
         ]
-        vecs = [_json_list(vec, rational_from_json) for vec in raw_b]
+        vecs = [_json_list(vec, _float_rational) for vec in raw_b]
     except ValueError as exc:
         raise SchemaError(f"bad transform entry: {exc}") from exc
     for mat in mats:

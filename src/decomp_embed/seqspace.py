@@ -760,16 +760,25 @@ def default_radii(dims: int, has_pair: bool) -> tuple[int, ...]:
     return (4, 8, 16, 32)
 
 
+def _line_axis(domain: str, radius: int) -> np.ndarray:
+    """``LineSector(domain).coord_values(radius)`` as float64, without the list."""
+    import numpy as np
+
+    if domain == "N0":
+        return np.arange(0, radius + 1, dtype=np.float64)
+    if domain == "Nneg":
+        return np.arange(-radius, 0, dtype=np.float64)
+    axis = np.arange(-radius, radius + 1, dtype=np.float64)
+    return np.delete(axis, radius) if domain == "Z_nonzero" else axis
+
+
 def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
     import numpy as np
 
     if isinstance(sector, LineSector):
-        return [np.array(sector.coord_values(radius), dtype=np.float64)]
+        return [_line_axis(sector.domain, radius)]
     if isinstance(sector, ProductSector):
-        return [
-            np.array(line.coord_values(radius), dtype=np.float64)
-            for line in sector.lines
-        ]
+        return [_line_axis(line.domain, radius) for line in sector.lines]
     if isinstance(sector, RadialSector):
         rng = np.arange(-radius, radius + 1, dtype=np.float64)
         return [rng] * sector.d

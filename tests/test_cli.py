@@ -146,6 +146,23 @@ def custom_covering(**fields) -> str:
     (["inspect-covering", "--covering", custom_covering(
         dimension=2, T=[[[1, 0], [0, 1]]], b=[[0, 0]],
         base_set={"cone_trapezoid": {"x": [1, 1], "slope": [-1, 1]}})], 65),
+    # numbers outside the float range: in the document (65), or reached
+    # only by T^-1, a transition matrix or a transformed set (70)
+    (["inspect-covering", "--covering", custom_covering(T=[[[10**400]]])], 65),
+    (["inspect-covering", "--covering", custom_covering(b=[[-10**400]])], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"ball": {"center": [10**400], "radius": 1}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        dimension=2, T=[[[1, 0], [0, 1]]], b=[[0, 0]],
+        base_set={"polygon": {"vertices": [[0, 0], [1, 0], [0, f"{10**400}/3"]]}})], 65),
+    (["inspect-covering", "--covering", custom_covering(
+        indices=[[0], [1]], T=[[[f"1/{10**400}"]], [[1]]], b=[[0], [0]])], 70),
+    (["inspect-covering", "--covering", custom_covering(
+        indices=[[0], [1]], T=[[[f"1/{10**200}"]], [[10**200]]], b=[[0], [0]])], 70),
+    (["inspect-covering", "--covering", custom_covering(
+        T=[[[10**200]]], base_set={"ball": {"center": [0], "radius": 10**200}})], 70),
+    (["inspect-covering", "--covering",
+      custom_covering().replace('"radius": 1}', '"radius": 1' + "0" * 5000 + "}")], 65),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)

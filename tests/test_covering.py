@@ -7,12 +7,14 @@ import json
 import math
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from decomp_embed import covering as covering_module
 from decomp_embed.covering import (
     AnnulusSet,
     BallSet,
@@ -354,17 +356,17 @@ def test_base_set_from_json_accepts(doc, expect):
 # spectral norms and inverses
 # ---------------------------------------------------------------------------
 
-@given(st.integers(1, 4), st.data())
+def _square_floats(d: int):
+    row = st.tuples(*[st.floats(min_value=-8, max_value=8, allow_nan=False)] * d)
+    return st.tuples(*[row] * d)
+
+
+@given(st.integers(1, 4).flatmap(_square_floats))
+# norms below 1 once stopped the power iteration after one step
+@example(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e-6)))
+@example(((1e-6, 0.0, 0.0), (0.0, 2e-6, 0.0), (0.0, 0.0, 3e-6)))
 @settings(max_examples=80, deadline=None)
-def test_spectral_norm_matches_reference(d, data):
-    entries = data.draw(
-        st.lists(
-            st.floats(min_value=-8, max_value=8, allow_nan=False),
-            min_size=d * d,
-            max_size=d * d,
-        )
-    )
-    mat = tuple(tuple(entries[r * d + c] for c in range(d)) for r in range(d))
+def test_spectral_norm_matches_reference(mat):
     ref = float(np.linalg.norm(np.array(mat), 2))
     assert spectral_norm(mat) == pytest.approx(ref, abs=1e-9, rel=1e-9)
 
@@ -513,6 +515,70 @@ def test_check_moderate_rejects_superexponential_weight():
     cov = dyadic_annulus_covering()
     res = check_moderate(cov, lambda i: 2.0 ** (i[0] ** 2), (5, 6))
     assert not res["ok"]
+
+
+def _pair_formula_c_hat(cov: Covering, radius: int) -> float:
+    """C_hat as one mat_mul and one spectral_norm per neighbour pair."""
+    c_hat = 0.0
+    for i, js in adjacency(cov, radius)[0].items():
+        t_inv = mat_inverse(cov.transform(i)[0])
+        for j in js:
+            c_hat = max(c_hat, spectral_norm(mat_mul(t_inv, cov.transform(j)[0])))
+    return c_hat
+
+
+def _invertible(d: int, entry):
+    row = st.tuples(*[entry] * d)
+    return st.tuples(*[row] * d).filter(lambda m: abs(np.linalg.det(np.array(m, dtype=float))) > 1e-3)
+
+
+_rational_entry = st.fractions(min_value=-4, max_value=4, max_denominator=10**9)
+_float_entry = st.floats(min_value=-4, max_value=4, allow_subnormal=False)
+
+
+@st.composite
+def _shared_transform_covering(draw):
+    """Up to 12 indices drawing T_i from a pool of at most 4 matrices, exact,
+    float or both, around one origin ball, so that every pair meets and many
+    pairs share T_i^-1 T_j."""
+    d = draw(st.sampled_from([2, 3]))
+    entry = draw(st.sampled_from(["rational", "float", "mixed"]))
+    entries = {
+        "rational": _rational_entry, "float": _float_entry,
+        "mixed": st.one_of(_rational_entry, _float_entry),
+    }[entry]
+    pool = draw(st.lists(_invertible(d, entries), min_size=1, max_size=4))
+    picks = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    mats = dict(enumerate(picks))
+    return Covering(
+        label="pool",
+        dimension=d,
+        scheme=ExplicitScheme(tuple((k,) for k in mats)),
+        transform=lambda i: (mats[i[0]], (0,) * d),
+        base_set=lambda i: BallSet((0,) * d, 1),
+        exact=entry == "rational",
+    )
+
+
+@given(_shared_transform_covering())
+@settings(max_examples=150, deadline=None)
+def test_c_hat_matches_the_pair_formula_with_one_norm_per_product(cov):
+    nbrs, _ = adjacency(cov, 0)
+    products = {
+        tuple(tuple(map(float, row)) for row in mat_mul(mat_inverse(cov.transform(i)[0]),
+                                                         cov.transform(j)[0]))
+        for i, js in nbrs.items() for j in js
+    }
+    calls = []
+
+    def counting_norm(mat):
+        calls.append(mat)
+        return spectral_norm(mat)
+
+    with mock.patch.object(covering_module, "spectral_norm", counting_norm):
+        got = certify_constants(cov, 0)["C_hat"]
+    assert got.hex() == _pair_formula_c_hat(cov, 0).hex()
+    assert len(calls) == len(set(calls)) and set(calls) == products
 
 
 CONSTANTS_GOLDEN = Path(__file__).parent / "golden" / "covering_constants.jsonl"

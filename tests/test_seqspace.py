@@ -500,6 +500,17 @@ def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
         value.hex(), sup.hex(), flagged)
 
 
+@pytest.mark.parametrize("domain", ["Z", "N0", "Nneg", "Z_nonzero"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 5, 16384])
+def test_grid_axes_are_the_coordinate_values(domain, radius):
+    sector = LineSector(domain)
+    want = np.array(sector.coord_values(radius), dtype=np.float64).tobytes()
+    (axis,) = seqspace._grid_axes(sector, radius)
+    assert axis.dtype == np.float64 and axis.tobytes() == want
+    axes = seqspace._grid_axes(ProductSector((sector, LineSector("Z"))), radius)
+    assert axes[0].tobytes() == want
+
+
 # ---------------------------------------------------------------------------
 # the sequence embedding and its two numeric directions
 # ---------------------------------------------------------------------------
