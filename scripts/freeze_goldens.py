@@ -21,6 +21,8 @@ Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
 the output byte for byte.  ``--check`` compares instead of writing: it
 names every golden file that would change and exits 1 if there is one.
+It also replays the decide grid a second time, in reverse order, on the
+weight memos the first pass left warm, and names any line that differs.
 
     PYTHONPATH=src python scripts/freeze_goldens.py [--check]
 """
@@ -336,6 +338,14 @@ def goldens() -> dict[str, bytes]:
     return files
 
 
+def warm_grid_drift(grid: bytes) -> list[dict]:
+    """The queries whose line differs when the decide grid is replayed in
+    reverse order right after a forward pass, on the memos that pass left."""
+    lines = grid.decode().splitlines(keepends=True)
+    queries = [json.loads(line)["query"] for line in lines]
+    return [q for q, line in zip(reversed(queries), reversed(lines)) if grid_line(q) != line]
+
+
 def main_freeze(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -348,7 +358,11 @@ def main_freeze(argv=None) -> int:
         for name in drifted:
             print(f"drifted: {name}")
         print(f"{len(files) - len(drifted)} of {len(files)} golden files unchanged")
-        return 1 if drifted else 0
+        warm = warm_grid_drift(files[GRID_FILE])
+        if warm:
+            print(f"drifted: {GRID_FILE} replayed in reverse on a warm memo, "
+                  f"{len(warm)} lines, first {json.dumps(warm[0])}")
+        return 1 if drifted or warm else 0
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for name, payload in files.items():
         (GOLDEN / name).write_bytes(payload)

@@ -182,12 +182,20 @@ def mat_inverse(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+# Both routes below square the Gram matrix m^T m, so they need the 4th power
+# of the largest entry to stay a normal float; outside 2^+-_NORM_SAFE_EXP a
+# matrix is scaled by a power of two first, which is exact.
+_NORM_SAFE_EXP = 240
+
+
 def spectral_norm(a: Mat | np.ndarray) -> float:
     """The operator 2-norm, closed form up to 2x2, power iteration above.
 
     A 1x1 tuple or list with a number entry is read without numpy:
     ``np.asarray(..., dtype=np.float64)`` converts an entry with ``float()``,
-    so the result is the same float.
+    so the result is the same float.  A matrix whose largest entry lies
+    outside [2^-240, 2^240] is scaled by a power of two and the norm scaled
+    back; a norm past the float range raises OverflowError.
     """
     if (
         isinstance(a, (tuple, list)) and len(a) == 1
@@ -203,6 +211,9 @@ def spectral_norm(a: Mat | np.ndarray) -> float:
     d = m.shape[0]
     if d == 1:
         return abs(float(m[0, 0]))
+    _, exp = math.frexp(float(np.max(np.abs(m))))
+    if abs(exp) > _NORM_SAFE_EXP:
+        return math.ldexp(spectral_norm(np.ldexp(m, -exp)), exp)
     if d == 2:
         g = m.T @ m
         tr = g[0, 0] + g[1, 1]
@@ -577,14 +588,20 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
     """
     if isinstance(a, BallSet) and isinstance(b, BallSet):
         exact = _is_exact(*a.center, a.radius, *b.center, b.radius)
-        gap2 = sum((x - y) ** 2 for x, y in zip(a.center, b.center))
-        lim2 = (a.radius + b.radius) ** 2
+        try:
+            gap2 = sum((x - y) ** 2 for x, y in zip(a.center, b.center))
+            lim2 = (a.radius + b.radius) ** 2
+            if not exact:
+                gap2, lim2 = float(gap2), float(lim2)
+        except OverflowError:
+            # a float length whose square leaves the float range: undecided,
+            # so counted as meeting
+            return True, False
         if exact:
             return gap2 < lim2, True
-        g, l = float(gap2), float(lim2)
-        if abs(g - l) <= _FLOAT_GAP_TOL * max(g, l, 1.0):
+        if abs(gap2 - lim2) <= _FLOAT_GAP_TOL * max(gap2, lim2, 1.0):
             return True, False
-        return g < l, True
+        return gap2 < lim2, True
     if isinstance(a, BoxSet) and isinstance(b, BoxSet):
         exact = _is_exact(*a.lo, *a.hi, *b.lo, *b.hi)
         certain = True

@@ -19,12 +19,22 @@ The optional oracle check reruns every symbolic summability call through
 the numeric tail oracle on truncated windows, once per distinct weight and
 exponent, and raises
 :class:`OracleDisagreement` if the two routes ever contradict each other.
+
+The weights a verdict reads are pure functions of immutable keys, so they
+are kept in bounded least-recently-used memos across calls: the parsed
+params of a family (keyed by the canonical JSON text of the document), the
+space weight u(r), the covering weight w^(t) and the quotient w^(t)/u.  A
+(q, r) sweep with fixed family, params, p and k thus builds each of them
+once.  Only successful builds are kept, so bad input raises on every call;
+membership, the refined criteria and the oracle run on every call.
 """
 
 from __future__ import annotations
 
 import enum
+import json
 from dataclasses import dataclass, is_dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .errors import InconsistentVerdict, InvalidParams, OracleDisagreement
@@ -61,6 +71,15 @@ ANCHOR_BV_REDUCTION = "Cor 6.1"
 
 _ONE = ExtExponent(1)
 _TWO = ExtExponent(2)
+
+# Bounds of the weight memos, each about one sweep's working set.  A sweep
+# over a (q, r) grid of one (family, params, p, k) reads one params document,
+# one space weight per r, one covering weight per t (the q axis, p and 2) and
+# one quotient per (t, r), of which only those at t = p and t = 2 recur, 16
+# on the 7 x 8 grid; every (q, r) cell is distinct.
+PARAMS_MEMO_SIZE = 8
+WEIGHT_MEMO_SIZE = 16
+QUOTIENT_MEMO_SIZE = 32
 
 
 class Outcome(str, enum.Enum):
@@ -143,12 +162,65 @@ def _exponent(value) -> ExtExponent:
     return value if isinstance(value, ExtExponent) else ExtExponent(value)
 
 
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _plain_json(obj) -> bool:
+    """Whether a document is built from JSON types alone, subclasses excluded."""
+    kind = type(obj)
+    if kind is dict:
+        return all(type(key) is str and _plain_json(val) for key, val in obj.items())
+    if kind is list:
+        return all(map(_plain_json, obj))
+    return kind in _JSON_SCALARS
+
+
+def _json_text(doc) -> Optional[str]:
+    """The canonical JSON text of a plain JSON document, the params memo key.
+
+    The text tells 1, 1.0, true and "1" apart; None means the document holds
+    some other type (a tuple, a Fraction, a subclass), which is not memoized.
+    """
+    if not _plain_json(doc):
+        return None
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except ValueError:  # an int past the digit limit of int-to-str conversion
+        return None
+
+
+@lru_cache(maxsize=PARAMS_MEMO_SIZE)
+def _parsed_params(fam: Family, text: str):
+    return fam.parse_params(json.loads(text))
+
+
+@lru_cache(maxsize=WEIGHT_MEMO_SIZE)
+def _space_weight(fam: Family, params, r: ExtExponent) -> ExpPolyWeight:
+    return fam.space_weight(params, r)
+
+
+@lru_cache(maxsize=WEIGHT_MEMO_SIZE)
+def _covering_weight(fam: Family, params, k: int, p: ExtExponent, t: ExtExponent):
+    return fam.weight_symbolic(params, k, p, t)
+
+
+@lru_cache(maxsize=QUOTIENT_MEMO_SIZE)
+def _quotient(
+    fam: Family, params, k: int, p: ExtExponent, t: ExtExponent, r: ExtExponent
+) -> ExpPolyWeight:
+    """w^(t)/u(r), from the memoized covering and space weights."""
+    return fam.quotient_weight(
+        _covering_weight(fam, params, k, p, t), _space_weight(fam, params, r)
+    )
+
+
 def _resolve(family, params):
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
         raise InvalidParams(f"not a family: {family!r}")
     if not is_dataclass(params):
-        params = fam.parse_params(params)
+        text = _json_text(params)
+        params = fam.parse_params(params) if text is None else _parsed_params(fam, text)
     return fam, params
 
 
@@ -182,19 +254,7 @@ def decide_sobolev(
         )
     )
 
-    # the space weight u and each distinct quotient w^(t)/u are built once
-    u = fam.space_weight(params, r)
-    quotient_q = fam.quotient_weight(params, k, p, q, u)
-    built = [(q, quotient_q)]
-
-    def quotient_at(t: ExtExponent) -> ExpPolyWeight:
-        for t_built, quotient in built:
-            if t_built == t:
-                return quotient
-        quotient = fam.quotient_weight(params, k, p, t, u)
-        built.append((t, quotient))
-        return quotient
-
+    quotient_q = _quotient(fam, params, k, p, q, r)
     theta_suff = compound(lower_conjugate(q), r)
     evidence.append(
         _membership_evidence(
@@ -238,7 +298,7 @@ def decide_sobolev(
 
     if not q.is_inf and fam.khintchine is not None:
         theta_k = compound(_TWO, r)
-        kq_p = fam.khintchine_quotient(quotient_at(p))
+        kq_p = fam.khintchine_quotient(_quotient(fam, params, k, p, p, r))
         evidence.append(
             _membership_evidence(
                 "N3",
@@ -251,7 +311,7 @@ def decide_sobolev(
             )
         )
         if _TWO <= q:
-            kq_2 = fam.khintchine_quotient(quotient_at(_TWO))
+            kq_2 = fam.khintchine_quotient(_quotient(fam, params, k, p, _TWO, r))
             evidence.append(
                 _membership_evidence(
                     "N4",

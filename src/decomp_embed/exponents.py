@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .errors import InexactExponent
@@ -43,6 +44,8 @@ __all__ = [
 ]
 
 DEFAULT_DENOMINATOR_CAP = 10**6
+# bound of the memo of exponent literal strings (see ExtExponent._parse)
+LITERAL_MEMO_SIZE = 32
 
 
 def _is_json_int(obj: object) -> bool:
@@ -142,7 +145,7 @@ class ExtExponent:
     :meth:`from_json`, which enforces exact representability.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_frac", "_hash")
 
     _frac: Fraction | None  # None encodes +inf
 
@@ -169,10 +172,15 @@ class ExtExponent:
 
     @staticmethod
     def _parse(obj: object) -> Fraction | None:
-        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`."""
-        if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
-            return None
-        return rational_from_json(obj)
+        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`.
+
+        A str is read through a bounded memo of literals, because sweeps
+        spell the same few exponents again and again; a literal that
+        raises is not kept.
+        """
+        if type(obj) is str:
+            return _parse_literal(obj)
+        return _parse_value(obj)
 
     @classmethod
     def from_json(cls, obj: object) -> "ExtExponent":
@@ -229,7 +237,12 @@ class ExtExponent:
         return self._frac == coerced._frac
 
     def __hash__(self) -> int:
-        return hash(("ExtExponent", self._frac))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash(("ExtExponent", self._frac))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __lt__(self, other: object) -> bool:
         coerced = self._coerce(other)
@@ -273,6 +286,14 @@ class ExtExponent:
             return "inf"
         return str(self._frac)
 
+
+def _parse_value(obj: object) -> Fraction | None:
+    if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
+        return None
+    return rational_from_json(obj)
+
+
+_parse_literal = lru_cache(maxsize=LITERAL_MEMO_SIZE)(_parse_value)
 
 INF = ExtExponent("inf")
 _ONE = ExtExponent(1)

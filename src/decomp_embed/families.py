@@ -79,11 +79,12 @@ def _zeros(d: int) -> tuple:
 
 
 def _diag(values) -> tuple:
+    """The diagonal matrix of ``values``; off the diagonal a zero of the same
+    kind (0.0 beside floats), so products stay on one number type."""
     vals = list(values)
     d = len(vals)
-    return tuple(
-        tuple(vals[i] if i == j else Fraction(0) for j in range(d)) for i in range(d)
-    )
+    zero = 0.0 if any(isinstance(v, float) for v in vals) else Fraction(0)
+    return tuple(tuple(vals[i] if i == j else zero for j in range(d)) for i in range(d))
 
 
 def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
@@ -184,15 +185,15 @@ class Family:
         """The closed form of the covering weight w^(t) on the family's lattice."""
         raise NotImplementedError
 
-    def quotient_weight(
-        self, params, k: int, p: ExtExponent, t: ExtExponent, u: ExpPolyWeight
-    ) -> ExpPolyWeight:
+    def quotient_weight(self, w: ExpPolyWeight, u: ExpPolyWeight) -> ExpPolyWeight:
         """The ratio w^(t)/u that the summability criteria test.
 
-        ``u`` is the space weight ``space_weight(params, r)``; a caller
-        that tests several t against one r builds it once.
+        ``w`` is the covering weight ``weight_symbolic(params, k, p, t)`` and
+        ``u`` the space weight ``space_weight(params, r)``.  The decision
+        engine builds each w, u and quotient once per distinct key and keeps
+        them in bounded memos (see :mod:`decomp_embed.embedding`).
         """
-        return self.weight_symbolic(params, k, p, t).quotient(u)
+        return w.quotient(u)
 
     def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
         """A quotient w^(t)/u restricted to the expanding part of the covering.

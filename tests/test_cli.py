@@ -171,6 +171,20 @@ def test_error_exit_codes(argv, code):
     assert "Traceback" not in err
 
 
+# T_0 has no closed-form image of the ball, so it takes a bounding ball whose
+# radius ||T_0|| squares past the float range; both sets hold the origin
+@pytest.mark.parametrize("t0", [[["1e160", 1], [0, 1]], [["1e160", 0], [0, 1]]])
+@pytest.mark.filterwarnings("error")
+def test_norms_past_the_squared_float_range_keep_the_neighbours(t0):
+    doc = custom_covering(dimension=2, indices=[[0], [1]], T=[t0, [[1, 0], [0, 1]]],
+                          b=[[0, 0], [0, 0]], base_set={"ball": {"center": [0, 0], "radius": 1}})
+    code, out, err = run_cli(["inspect-covering", "--covering", doc, "--radius", "1"])
+    assert (code, err) == (0, "")
+    constants = json.loads(out)["constants"]
+    assert constants["N_hat"] == 2
+    assert constants["C_hat"] == pytest.approx(1e160, rel=1e-12)
+
+
 def test_radius_error_names_the_requirement():
     _, _, err = run_cli(["inspect-covering", "--covering", '{"family":"hom_besov"}',
                          "--radius", "x"])

@@ -365,10 +365,35 @@ def _square_floats(d: int):
 # norms below 1 once stopped the power iteration after one step
 @example(((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 1e-6)))
 @example(((1e-6, 0.0, 0.0), (0.0, 2e-6, 0.0), (0.0, 0.0, 3e-6)))
+# the Gram matrix of these once overflowed or underflowed
+@example(((1e80, 0.0), (0.0, 1.0)))
+@example(((1e100, 0.0), (0.0, 1e100)))
+@example(((1e-200, 0.0), (0.0, 1e-200)))
+@example(((1e100, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)))
 @settings(max_examples=80, deadline=None)
 def test_spectral_norm_matches_reference(mat):
     ref = float(np.linalg.norm(np.array(mat), 2))
     assert spectral_norm(mat) == pytest.approx(ref, abs=1e-9, rel=1e-9)
+
+
+@pytest.mark.parametrize("mat, norm", [
+    (((1e80, 0.0), (0.0, 1.0)), 1e80),
+    (((1e100, 0.0), (0.0, 1e100)), 1e100),
+    (((1e-200, 0.0), (0.0, 1e-200)), 1e-200),
+    (((3e-200, 0.0), (4e-200, 0.0)), 5e-200),
+    (((1e100, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)), 1e100),
+    (((1e-200, 0.0, 0.0), (0.0, 2e-200, 0.0), (0.0, 0.0, 0.0)), 2e-200),
+    (((F(10**160), F(1)), (F(0), F(1))), 1e160),
+])
+@pytest.mark.filterwarnings("error")
+def test_spectral_norm_keeps_relative_accuracy_far_from_one(mat, norm):
+    # the absolute tolerance above cannot see an underflow to 0.0
+    assert spectral_norm(mat) == pytest.approx(norm, rel=1e-12, abs=0.0)
+
+
+def test_spectral_norm_past_the_float_range_overflows():
+    with pytest.raises(OverflowError):
+        spectral_norm(((1e308, 1e308), (1e308, 1e308)))
 
 
 @given(st.one_of(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import embedding
+from decomp_embed import embedding, exponents
 from decomp_embed.embedding import (
     Outcome,
     Verdict,
@@ -18,6 +18,7 @@ from decomp_embed.embedding import (
 )
 from decomp_embed.errors import InvalidParams, OracleDisagreement
 from decomp_embed.exponents import INF, ExtExponent, compound, lower_conjugate
+from decomp_embed.families import get_family
 from decomp_embed.seqspace import (
     TailClassification,
     decide_lp_membership,
@@ -382,10 +383,8 @@ def test_cross_check_names_the_first_contradicting_call(monkeypatch):
 DECIDE_GRID = Path(__file__).parent / "golden" / "decide_grid.jsonl"
 
 
-def test_decide_grid_replays_byte_for_byte():
-    """The frozen grid of scripts/freeze_goldens.py: query and verdict per line."""
-    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
-    assert len(lines) >= 200
+def _grid_drift(lines: list[str]) -> list[dict]:
+    """The queries of the decide grid lines whose replay differs, in order."""
     drifted = []
     for line in lines:
         query = json.loads(line)["query"]
@@ -395,7 +394,90 @@ def test_decide_grid_replays_byte_for_byte():
                          separators=(",", ":")) + "\n"
         if got != line:
             drifted.append(query)
+    return drifted
+
+
+MEMOS = (embedding._parsed_params, embedding._space_weight, embedding._covering_weight,
+         embedding._quotient, exponents._parse_literal)
+
+
+def _clear_memos() -> None:
+    for memo in MEMOS:
+        memo.cache_clear()
+
+
+def test_decide_grid_replays_byte_for_byte():
+    """The frozen grid of scripts/freeze_goldens.py: query and verdict per line."""
+    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
+    assert len(lines) >= 200
+    drifted = _grid_drift(lines)
     assert not drifted, f"{len(drifted)} of {len(lines)} verdicts drifted, first {drifted[0]}"
+
+
+def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
+    """The weight memos are invisible: a cold pass, then a pass in reverse
+    order that starts on the memo entries the first one left."""
+    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
+    _clear_memos()
+    for order in (lines, lines[::-1]):
+        drifted = _grid_drift(order)
+        assert not drifted, f"{len(drifted)} verdicts drifted, first {drifted[0]}"
+    assert embedding._quotient.cache_info().hits > 0
+
+
+def _decided(family: str, params) -> object:
+    """The params and verdict of one fixed query, or the InvalidParams message."""
+    try:
+        _, parsed = embedding._resolve(family, params)
+        verdict = decide(family, params, p=1, q=3, r=2, k=1, target="sobolev")
+    except InvalidParams as exc:
+        return f"InvalidParams: {exc}"
+    return parsed, verdict.to_json()
+
+
+def _parsed_directly(family: str, params) -> object:
+    try:
+        parsed = get_family(family).parse_params(params)
+    except InvalidParams as exc:
+        return f"InvalidParams: {exc}"
+    return _decided(family, parsed)
+
+
+# each probe follows a cached look-alike that a key on values alone (1 ==
+# 1.0 == True, a tuple dumped as a list) would confuse it with
+@pytest.mark.parametrize("family, cached, probe", [
+    ("inhom_besov", {"d": 1, "s": "5/3"}, {"d": True, "s": "5/3"}),
+    ("inhom_besov", {"d": 1, "s": "5/3"}, {"d": 1.0, "s": "5/3"}),
+    ("inhom_besov", {"d": 1, "s": "5/3"}, {"d": "1", "s": "5/3"}),
+    ("inhom_besov", {"d": 1, "s": "1/2"}, {"d": 1, "s": 0.5}),
+    ("inhom_besov", {"d": 1, "s": "1/2"}, {"d": 1, "s": "1/2", "t": 0}),
+    ("inhom_besov", {"d": 1, "s": "1/2"}, [["d", 1], ["s", "1/2"]]),
+    ("diagonal", {"d": 2, "alpha": ["1/2", 1]}, {"d": 2, "alpha": ("1/2", 1)}),
+    ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": (1, 2)}),
+])
+def test_params_memo_keeps_look_alikes_apart(family, cached, probe):
+    want = _parsed_directly(family, probe)
+    _decided(family, cached)
+    # twice: a probe that raises must raise again, as nothing failed is kept
+    assert _decided(family, probe) == want
+    assert _decided(family, probe) == want
+
+
+def test_memos_stay_within_their_bounds():
+    _clear_memos()
+    sizes = {memo: memo.cache_info().maxsize for memo in MEMOS}
+    assert sizes[embedding._parsed_params] == embedding.PARAMS_MEMO_SIZE
+    assert sizes[embedding._space_weight] == embedding.WEIGHT_MEMO_SIZE
+    assert sizes[embedding._covering_weight] == embedding.WEIGHT_MEMO_SIZE
+    assert sizes[embedding._quotient] == embedding.QUOTIENT_MEMO_SIZE
+    assert sizes[exponents._parse_literal] == exponents.LITERAL_MEMO_SIZE
+    # more distinct params, exponent literals and weights than any bound
+    for i in range(max(sizes.values()) + 8):
+        for r in (f"{i + 2}/{i + 1}", "inf"):
+            decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p="1", q=f"{i + 3}/{i + 1}", r=r,
+                   target="sobolev", k=0)
+    for memo, size in sizes.items():
+        assert memo.cache_info().currsize == size
 
 
 ORACLE_TAILS = Path(__file__).parent / "golden" / "oracle_tails.jsonl"
