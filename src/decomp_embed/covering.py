@@ -11,9 +11,6 @@ Geometry is exact whenever every matrix entry, offset and set parameter
 is rational; numeric fallbacks are flagged through the ``certain`` bits
 so that downstream evidence never silently claims tightness it does not
 have.
-
-numpy is imported only by :func:`spectral_norm`, for matrices larger than
-1x1; the geometry itself runs on Python ints, Fractions and floats.
 """
 
 from __future__ import annotations
@@ -21,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -182,60 +180,57 @@ def mat_inverse(a: Mat) -> Mat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-# Both routes below square the Gram matrix m^T m, so they need the 4th power
-# of the largest entry to stay a normal float; outside 2^+-_NORM_SAFE_EXP a
-# matrix is scaled by a power of two first, which is exact.
+# m^T m needs the 4th power of the largest entry to stay a normal float, so a
+# matrix outside 2^+-_NORM_SAFE_EXP is first scaled by a power of two (exact).
 _NORM_SAFE_EXP = 240
 
 
-def spectral_norm(a: Mat | np.ndarray) -> float:
-    """The operator 2-norm, closed form up to 2x2, power iteration above.
+def spectral_norm(a: Mat) -> float:
+    """The operator 2-norm, the root of the largest eigenvalue of m^T m.
 
-    A 1x1 tuple or list with a number entry is read without numpy:
-    ``np.asarray(..., dtype=np.float64)`` converts an entry with ``float()``,
-    so the result is the same float.  A matrix whose largest entry lies
-    outside [2^-240, 2^240] is scaled by a power of two and the norm scaled
-    back; a norm past the float range raises OverflowError.
+    Entries are read with ``float()``: a non-square matrix or a non-number
+    entry raises ValueError, and a norm past the float range OverflowError.
+    Cyclic Jacobi rotations need no start vector and keep a diagonal m^T m
+    as it is, so a (permuted) diagonal matrix has norm exactly max |entry|.
     """
-    if (
-        isinstance(a, (tuple, list)) and len(a) == 1
-        and isinstance(a[0], (tuple, list)) and len(a[0]) == 1
-        and isinstance(a[0][0], (int, float, Fraction))
-    ):
-        return abs(float(a[0][0]))
-    import numpy as np
-
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("spectral_norm expects a square matrix")
-    d = m.shape[0]
-    if d == 1:
-        return abs(float(m[0, 0]))
-    _, exp = math.frexp(float(np.max(np.abs(m))))
+    try:
+        m = tuple(tuple(map(float, row)) for row in a)
+    except TypeError:
+        m = ()
+    if not m or any(len(row) != len(m) for row in m):
+        raise ValueError("spectral_norm expects a square matrix of numbers")
+    _, exp = math.frexp(max(abs(x) for row in m for x in row))
     if abs(exp) > _NORM_SAFE_EXP:
-        return math.ldexp(spectral_norm(np.ldexp(m, -exp)), exp)
-    if d == 2:
-        g = m.T @ m
-        tr = g[0, 0] + g[1, 1]
-        det = g[0, 0] * g[1, 1] - g[0, 1] * g[1, 0]
+        scaled = tuple(tuple(math.ldexp(x, -exp) for x in row) for row in m)
+        return math.ldexp(spectral_norm(scaled), exp)
+    g = [list(row) for row in mat_mul(tuple(zip(*m)), m)]
+    # the 2x2 closed form stays only for the last bits of golden C_hat values
+    # (Jacobi differs by ulps); a diagonal m^T m skips it, as Jacobi keeps it exact
+    if len(g) == 2 and g[0][1]:
+        tr = g[0][0] + g[1][1]
+        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
         disc = max(tr * tr - 4.0 * det, 0.0)
         return math.sqrt(max((tr + math.sqrt(disc)) / 2.0, 0.0))
-    g = m.T @ m
-    v = np.ones(d) + 1e-3 * np.arange(d)  # deterministic, never orthogonal to all
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(10**4):
-        w = g @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v_next = w / norm
-        if abs(norm - lam) <= 1e-12 * norm:
-            lam = norm
+    # an entry below eps * sqrt(g_pp g_qq) moves no eigenvalue by more than eps
+    # times the largest; the sweep cap only bounds non-finite input
+    for _ in range(50):
+        rotated = False
+        for p, q in itertools.combinations(range(len(g)), 2):
+            if abs(g[p][q]) <= sys.float_info.epsilon * math.sqrt(abs(g[p][p] * g[q][q])):
+                continue
+            rotated = True
+            theta = (g[q][q] - g[p][p]) / (2.0 * g[p][q])
+            t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+            c = 1.0 / math.hypot(t, 1.0)
+            s = t * c
+            for row in g:
+                row[p], row[q] = c * row[p] - s * row[q], s * row[p] + c * row[q]
+            g[p], g[q] = ([c * x - s * y for x, y in zip(g[p], g[q])],
+                          [s * x + c * y for x, y in zip(g[p], g[q])])
+            g[p][q] = g[q][p] = 0.0
+        if not rotated:
             break
-        lam = norm
-        v = v_next
-    return math.sqrt(lam)
+    return math.sqrt(max(row[k] for k, row in enumerate(g)))
 
 
 # ---------------------------------------------------------------------------

@@ -912,7 +912,8 @@ def _pair_row(
         if theta_f is None:
             sup = float(powered.max())
             return _RowSum(sup, sup, truncated)
-        return _RowSum(float(powered.sum()), 0.0, truncated)
+        with np.errstate(over="ignore", under="ignore"):
+            return _RowSum(float(powered.sum()), 0.0, truncated)
 
     start = max(bound, 1)
     total = 0.0
@@ -920,7 +921,8 @@ def _pair_row(
     if bound <= 0:
         zero = np.zeros(1)
         z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1 in row)), theta_f)
-        total += float(z.sum())
+        with np.errstate(over="ignore", under="ignore"):
+            total += float(z.sum())
         sup = max(sup, float(z.max()))
     # with 2^(0*m) and one power |m|^c on both sides, the two halves differ
     # at most in the sign of a zero exponent, which exp2 erases: the -m
@@ -941,8 +943,9 @@ def _pair_row(
             neg = _powered(
                 _row_values(row, (a * neg_ms + c * lg for _, (_, a, _, c) in row)), theta_f
             )
-        vals = np.maximum(pos, neg) if theta_f is None else pos + neg
-        last_chunk = float(vals.sum())
+        with np.errstate(over="ignore", under="ignore"):
+            vals = np.maximum(pos, neg) if theta_f is None else pos + neg
+            last_chunk = float(vals.sum())
         total += last_chunk
         sup = max(sup, float(vals.max()))
         steps += chunk
@@ -1229,7 +1232,8 @@ def truncated_oracle(
         if theta_f is None:
             sup = float(vals.max()) if vals.size else 0.0
             return _RowSum(sup, sup, False)
-        return _RowSum(float(_powered(vals, theta_f).sum()), 0.0, False)
+        with np.errstate(over="ignore", under="ignore"):
+            return _RowSum(float(_powered(vals, theta_f).sum()), 0.0, False)
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""

@@ -383,26 +383,37 @@ else:
 print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules}))
 """
 
-_CASES = {c["name"]: c for c in MANIFEST}
-
-
-@pytest.mark.parametrize("name, loads_numpy", [
-    ("import decomp_embed", False),
-    ("decide_hom_gap", False),       # decide without --oracle-check
-    ("check_seq_fails", False),      # check-sequence without --oracle
-    ("inspect_custom", False),       # 1-D coverings: 1x1 spectral norms
-    ("verify_inhom", False),
-    ("decide_hom_embeds", True),     # control: --oracle-check runs the oracle
-])
-def test_numpy_is_imported_only_by_the_oracle_and_larger_norms(name, loads_numpy):
-    case = _CASES.get(name)
+def _run_python(args):
+    """A fresh interpreter with this checkout's package first on the path."""
     src = Path(decomp_embed.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _NUMPY_PROBE, json.dumps(case and case["argv"])],
-        capture_output=True, text=True, env=env, timeout=120,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("case", [None, *MANIFEST],
+                         ids=["import decomp_embed", *(c["name"] for c in MANIFEST)])
+def test_numpy_is_imported_only_by_the_oracle(case):
+    argv = case and case["argv"]
+    proc = _run_python(["-c", _NUMPY_PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
+    loads_numpy = bool(argv) and ("--oracle" in argv or "--oracle-check" in argv)
     assert result == {"exit": case and case["exit"], "numpy": loads_numpy}
+
+
+def test_oracle_overflow_leaves_stderr_empty():
+    # the outside pair row of |m|^100 overflows float64 in its chunk sums
+    proc = _run_python([
+        "-m", "decomp_embed.cli", "check-sequence",
+        "--u", '{"lattice":{"kind":"pairs","side":"outside"},"atoms":[{"pow":[0,100]}]}',
+        "--v", '{"lattice":{"kind":"pairs","side":"outside"},"atoms":[{}]}',
+        "-r", "1", "-s", "1", "--oracle",
+    ])
+    assert (proc.returncode, proc.stderr) == (1, "")
+    assert proc.stdout == (
+        '{"embeds":false,"exponent":"inf","oracle":{"verdict":"Divergent",'
+        '"window_radius":3,"partial_sum":Infinity,"tail_bound":null,"growth":Infinity}}\n'
+    )
