@@ -22,7 +22,8 @@ the refreshed files in.  The test suite replays every case and compares
 the output byte for byte.  ``--check`` compares instead of writing: it
 names every golden file that would change and exits 1 if there is one.
 It also replays the decide grid a second time, in reverse order, on the
-weight memos the first pass left warm, and names any line that differs.
+exponent literal memo the first pass left warm (the one cache the package
+keeps across calls), and names any line that differs.
 
     PYTHONPATH=src python scripts/freeze_goldens.py [--check]
 """
@@ -340,7 +341,7 @@ def goldens() -> dict[str, bytes]:
 
 def warm_grid_drift(grid: bytes) -> list[dict]:
     """The queries whose line differs when the decide grid is replayed in
-    reverse order right after a forward pass, on the memos that pass left."""
+    reverse order right after a forward pass, on the literal memo that pass left."""
     lines = grid.decode().splitlines(keepends=True)
     queries = [json.loads(line)["query"] for line in lines]
     return [q for q, line in zip(reversed(queries), reversed(lines)) if grid_line(q) != line]

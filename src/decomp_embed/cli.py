@@ -22,6 +22,7 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -196,7 +197,9 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     return EX_OK if doc["ok"] else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = _Parser(
         prog="decomp-embed",
         description="decide decomposition-space embeddings into smoothness targets",

@@ -145,7 +145,7 @@ class ExtExponent:
     :meth:`from_json`, which enforces exact representability.
     """
 
-    __slots__ = ("_frac", "_hash")
+    __slots__ = ("_frac",)
 
     _frac: Fraction | None  # None encodes +inf
 
@@ -237,12 +237,7 @@ class ExtExponent:
         return self._frac == coerced._frac
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            value = hash(("ExtExponent", self._frac))
-            object.__setattr__(self, "_hash", value)
-            return value
+        return hash(("ExtExponent", self._frac))
 
     def __lt__(self, other: object) -> bool:
         coerced = self._coerce(other)

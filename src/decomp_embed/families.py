@@ -1,20 +1,22 @@
 """Registered model families.
 
-Each family bundles four things behind one name:
+Each family bundles three things behind one name:
 
 * a structured covering (affine images of a fixed base set over an index
   scheme),
-* the closed-form weight u of its sequence space on the matching lattice,
-* the closed form of the covering weight
-  w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) and the
-  quotients w^(t)/u that the summability tests of the decision engine read,
+* the closed form of the quotient w^(t)/u that the summability tests of the
+  decision engine read: the covering weight
+  w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) over the weight
+  u of its sequence space on the matching lattice, built in one step from
+  the gaps 1/p - 1/t and 1/2 - 1/r,
 * optional sharpened criteria that extend the generic tests in the regime
   q in (2, inf).
 
 The closed forms use normal-form surrogates for the operator norms that are
 exact for the isotropic families and accurate up to uniform constants for
 the anisotropic ones; :mod:`decomp_embed.weights` evaluates w^(t) numerically
-on the covering and cross-checks the two representations on finite windows.
+on the covering, and its tests compare that with the quotient at a unit space
+weight (the space parameters zero and r = 2) on finite windows.
 """
 
 from __future__ import annotations
@@ -64,6 +66,7 @@ __all__ = [
     "covering_from_json",
 ]
 
+_ONE = Fraction(1)
 _TWO = ExtExponent(2)
 
 # Evidence anchors for the family-specific sharpened criteria.  These are
@@ -88,11 +91,11 @@ def _diag(values) -> tuple:
 
 
 def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
-    """The atoms of |det T|^(1/p - 1/t) * (1 + |b|^k + ||T||^k).
+    """The atoms of |det T|^(1/p - 1/t) * (1 + |b|^k + ||T||^k) / u.
 
-    ``det_atom`` is the pure determinant power, ``norm_atoms`` the terms of
-    (|b|^k + ||T||^k) times that power for k >= 1; an empty list means
-    k == 0, where the norm polynomial collapses to the constant 3.
+    ``det_atom`` is the determinant power over u, ``norm_atoms`` the terms
+    of (|b|^k + ||T||^k) times it for k >= 1; an empty list means k == 0,
+    where the norm polynomial collapses to the constant 3.
     """
     if not norm_atoms:
         return (Atom(det_atom.coeff * 3, det_atom.factors, det_atom.radial_pow),)
@@ -176,24 +179,16 @@ class Family:
     def covering(self, params) -> Covering:
         raise NotImplementedError
 
-    def space_weight(self, params, r: ExtExponent) -> ExpPolyWeight:
-        raise NotImplementedError
+    def quotient_weight(self, params, k: int, dp: Fraction, g: Fraction) -> ExpPolyWeight:
+        """The ratio w^(t)/u(r) that the summability criteria test.
 
-    def weight_symbolic(
-        self, params, k: int, p: ExtExponent, t: ExtExponent
-    ) -> ExpPolyWeight:
-        """The closed form of the covering weight w^(t) on the family's lattice."""
-        raise NotImplementedError
-
-    def quotient_weight(self, w: ExpPolyWeight, u: ExpPolyWeight) -> ExpPolyWeight:
-        """The ratio w^(t)/u that the summability criteria test.
-
-        ``w`` is the covering weight ``weight_symbolic(params, k, p, t)`` and
-        ``u`` the space weight ``space_weight(params, r)``.  The decision
-        engine builds each w, u and quotient once per distinct key and keeps
-        them in bounded memos (see :mod:`decomp_embed.embedding`).
+        w^(t) is the closed form of the covering weight on the family's
+        lattice and u(r) the weight of its sequence space.  Both read t and
+        r only through the gaps ``dp`` = 1/p - 1/t and ``g`` = 1/2 - 1/r,
+        so the quotient is built from them directly, one atom per term of
+        w^(t) over the single atom of u(r) on each sector.
         """
-        return w.quotient(u)
+        raise NotImplementedError
 
     def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
         """A quotient w^(t)/u restricted to the expanding part of the covering.
@@ -228,6 +223,17 @@ class DyadicParams:
     s: Fraction
 
 
+_Z = LineSector("Z")
+_N0 = LineSector("N0")
+
+
+def _dyadic_atoms(params: DyadicParams, k: int, dp: Fraction) -> tuple[Atom, ...]:
+    """2^(d dp n) * (1 + 2^(k n)) over the space weight 2^(s n); |b| = 0."""
+    base = params.d * dp - params.s
+    norm_atoms = [Atom.line(exp2=base + k)] if k >= 1 else []
+    return _weight_atoms(Atom.line(exp2=base), norm_atoms)
+
+
 class HomBesovFamily(Family):
     """Dyadic annuli 2^n A over n in Z with weight 2^(s n)."""
 
@@ -257,16 +263,8 @@ class HomBesovFamily(Family):
             base_set=lambda i: base,
         )
 
-    def space_weight(self, params: DyadicParams, r: ExtExponent) -> ExpPolyWeight:
-        return ExpPolyWeight.single(LineSector("Z"), Atom.line(exp2=params.s))
-
-    def weight_symbolic(self, params, k, p, t):
-        dp = reciprocal_gap(p, t)
-        det_atom = Atom.line(exp2=params.d * dp)
-        norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
-        return ExpPolyWeight.single(
-            LineSector("Z"), *_weight_atoms(det_atom, norm_atoms)
-        )
+    def quotient_weight(self, params, k, dp, g):
+        return ExpPolyWeight.single(_Z, *_dyadic_atoms(params, k, dp))
 
 
 class InhomBesovFamily(Family):
@@ -299,17 +297,9 @@ class InhomBesovFamily(Family):
             base_set=lambda i: ball if i == (0,) else annulus,
         )
 
-    def space_weight(self, params: DyadicParams, r: ExtExponent) -> ExpPolyWeight:
-        return ExpPolyWeight.single(LineSector("N0"), Atom.line(exp2=params.s))
-
-    def weight_symbolic(self, params, k, p, t):
+    def quotient_weight(self, params, k, dp, g):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
-        dp = reciprocal_gap(p, t)
-        det_atom = Atom.line(exp2=params.d * dp)
-        norm_atoms = [Atom.line(exp2=params.d * dp + k)] if k >= 1 else []
-        return ExpPolyWeight.single(
-            LineSector("N0"), *_weight_atoms(det_atom, norm_atoms)
-        )
+        return ExpPolyWeight.single(_N0, *_dyadic_atoms(params, k, dp))
 
     def refined_criteria(self, params, k, p, q, r):
         if not _TWO < q < INF:
@@ -391,26 +381,19 @@ class AlphaModulationFamily(Family):
             exact=exact,
         )
 
-    def space_weight(self, params: AlphaModParams, r: ExtExponent) -> ExpPolyWeight:
-        power = params.s / (1 - params.alpha)
-        return ExpPolyWeight.single(
-            RadialSector(params.d), Atom.radial(params.d, power)
-        )
-
-    def weight_symbolic(self, params, k, p, t):
-        a0 = self._a0(params)
-        dp = reciprocal_gap(p, t)
-        base = params.d * a0 * dp
-        det_atom = Atom.radial(params.d, base)
+    def quotient_weight(self, params, k, dp, g):
+        d, a0 = params.d, self._a0(params)
+        # |det T|^dp = |k|^(d a0 dp) over the space weight |k|^(s/(1 - alpha))
+        base = d * a0 * dp - params.s / (1 - params.alpha)
         norm_atoms = []
         if k >= 1:
             # |b| = |k|^(a0 + 1) and ||T|| = |k|^a0, in that order
             norm_atoms = [
-                Atom.radial(params.d, base + (a0 + 1) * k),
-                Atom.radial(params.d, base + a0 * k),
+                Atom.radial(d, base + (a0 + 1) * k),
+                Atom.radial(d, base + a0 * k),
             ]
         return ExpPolyWeight.single(
-            RadialSector(params.d), *_weight_atoms(det_atom, norm_atoms)
+            RadialSector(d), *_weight_atoms(Atom.radial(d, base), norm_atoms)
         )
 
     def refined_criteria(self, params, k, p, q, r):
@@ -491,16 +474,13 @@ class ShearletSmoothnessFamily(Family):
         n, m, _eps, _delta = index
         return (n, m)
 
-    def space_weight(self, params, r: ExtExponent) -> ExpPolyWeight:
-        return ExpPolyWeight.single(self._sector(), Atom.pair(n_exp2=2 * params.s))
-
-    def weight_symbolic(self, params, k, p, t):
-        dp = reciprocal_gap(p, t)
-        det_atom = Atom.pair(n_exp2=3 * dp)
+    def quotient_weight(self, params, k, dp, g):
+        # |det T|^dp = 2^(3 dp n) over the space weight 2^(2 s n)
+        base = 3 * dp - 2 * params.s
         # ||T|| is comparable to 2^(2n) throughout the cone
-        norm_atoms = [Atom.pair(n_exp2=3 * dp + 2 * k)] if k >= 1 else []
+        norm_atoms = [Atom.pair(n_exp2=base + 2 * k)] if k >= 1 else []
         return ExpPolyWeight.single(
-            self._sector(), *_weight_atoms(det_atom, norm_atoms)
+            self._sector(), *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
         )
 
     def refined_criteria(self, params, k, p, q, r):
@@ -606,26 +586,18 @@ class ShearletCoorbitFamily(Family):
             surrogates = ((one, 0), (c, 1), (c, 1), (c, 0))
         return sectors, surrogates
 
-    def space_weight(self, params: CoorbitParams, r: ExtExponent) -> ExpPolyWeight:
-        c, alpha, beta = params.c, params.alpha, params.beta
-        base = -(1 + c) * reciprocal_gap(_TWO, r) - alpha
+    def quotient_weight(self, params, k, dp, g):
+        # |det T|^dp = 2^((1 + c) dp n) over the space weight
+        # 2^(-(1 + c) g n - alpha n) * ||T||^beta, per sector
+        beta = params.beta
+        base = (1 + params.c) * (dp + g) + params.alpha
+        gain = k - beta
         sectors, surrogates = self._sectors(params)
         pieces = []
         for sector, (a, rho) in zip(sectors, surrogates):
-            atom = Atom.pair(n_exp2=base + a * beta, m_power=rho * beta)
-            pieces.append(Piece(sector, (atom,)))
-        return ExpPolyWeight(tuple(pieces))
-
-    def weight_symbolic(self, params, k, p, t):
-        c = params.c
-        dp = reciprocal_gap(p, t)
-        det_exp = (1 + c) * dp
-        sectors, surrogates = self._sectors(params)
-        det_atom = Atom.pair(n_exp2=det_exp)
-        pieces = []
-        for sector, (a, rho) in zip(sectors, surrogates):
+            det_atom = Atom.pair(n_exp2=base - a * beta, m_power=-rho * beta)
             norm_atoms = (
-                [Atom.pair(n_exp2=det_exp + a * k, m_power=rho * k)] if k >= 1 else []
+                [Atom.pair(n_exp2=base + a * gain, m_power=rho * gain)] if k >= 1 else []
             )
             pieces.append(Piece(sector, _weight_atoms(det_atom, norm_atoms)))
         return ExpPolyWeight(tuple(pieces))
@@ -702,33 +674,22 @@ class DiagonalFamily(Family):
 
     @staticmethod
     def _sector(d: int) -> ProductSector:
-        return ProductSector(tuple(LineSector("Z") for _ in range(d)))
+        return ProductSector((_Z,) * d)
 
-    def space_weight(self, params: DiagonalParams, r: ExtExponent) -> ExpPolyWeight:
-        shift = reciprocal_gap(_TWO, r)
-        factors = tuple(
-            CoordFactor(a + shift, b + shift, 0, 0)
-            for a, b in zip(params.alpha, params.beta)
-        )
-        return ExpPolyWeight.single(self._sector(params.d), Atom(Fraction(1), factors))
-
-    def weight_symbolic(self, params, k, p, t):
-        d = params.d
-        dp = reciprocal_gap(p, t)
-        det_atom = Atom(
-            Fraction(1), tuple(CoordFactor.symmetric(-dp) for _ in range(d))
-        )
+    def quotient_weight(self, params, k, dp, g):
+        # |det T|^dp = prod_l 2^(-dp k_l) over the space weight, whose
+        # coordinate l is 2^((alpha_l + g) k_l) on k_l >= 0, beta_l on k_l < 0
+        rates = [(-dp - g - a, -dp - g - b) for a, b in zip(params.alpha, params.beta)]
+        det_factors = tuple(CoordFactor(pos, neg) for pos, neg in rates)
         norm_atoms = []
         if k >= 1:
             # ||T|| = max_l 2^(-k_l), comparable to the sum over l
-            for axis in range(d):
-                factors = tuple(
-                    CoordFactor.symmetric(-dp - (k if j == axis else 0))
-                    for j in range(d)
-                )
-                norm_atoms.append(Atom(Fraction(1), factors))
+            for axis, (pos, neg) in enumerate(rates):
+                factors = list(det_factors)
+                factors[axis] = CoordFactor(pos - k, neg - k)
+                norm_atoms.append(Atom(_ONE, tuple(factors)))
         return ExpPolyWeight.single(
-            self._sector(d), *_weight_atoms(det_atom, norm_atoms)
+            self._sector(params.d), *_weight_atoms(Atom(_ONE, det_factors), norm_atoms)
         )
 
 

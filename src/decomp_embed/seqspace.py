@@ -291,11 +291,6 @@ def _exact(value: RatLike) -> Fraction:
     return value if type(value) is Fraction else Fraction(value)
 
 
-def _diff(a: Fraction, b: Fraction) -> Fraction:
-    """a - b, without arithmetic when b is zero."""
-    return a - b if b else a
-
-
 class _CoordFactorFields(NamedTuple):
     exp2_pos: Fraction
     exp2_neg: Fraction
@@ -349,21 +344,8 @@ class CoordFactor(_CoordFactorFields):
         return out
 
     def sub(self, other: "CoordFactor") -> "CoordFactor":
-        """Field-wise self - other.
-
-        Zero fields of other cost no arithmetic, and an orthant pair that
-        is one shared value on both sides (as :meth:`symmetric` builds it)
-        is subtracted once.
-        """
-        if not any(other):
-            return self
-        a_pos, a_neg, c_pos, c_neg = self
-        b_pos, b_neg, d_pos, d_neg = other
-        e_pos = _diff(a_pos, b_pos)
-        e_neg = e_pos if a_neg is a_pos and b_neg is b_pos else _diff(a_neg, b_neg)
-        p_pos = _diff(c_pos, d_pos)
-        p_neg = p_pos if c_neg is c_pos and d_neg is d_pos else _diff(c_neg, d_neg)
-        return CoordFactor._make((e_pos, e_neg, p_pos, p_neg))
+        """Field-wise self - other."""
+        return CoordFactor._make(a - b for a, b in zip(self, other))
 
 
 class _AtomFields(NamedTuple):
@@ -432,20 +414,14 @@ class Atom(_AtomFields):
         return float(self.coeff) * pow2f(log2mag)
 
     def quotient(self, den: "Atom") -> "Atom":
-        """self/den as a field-wise subtraction of exponents.
-
-        A unit coefficient of den and zero exponents of den cost no
-        arithmetic.
-        """
-        coeff, factors, radial_pow = self
-        den_coeff, den_factors, den_radial = den
-        if len(den_factors) != len(factors):
+        """self/den: the coefficients divide, the exponents subtract field-wise."""
+        if len(den.factors) != len(self.factors):
             raise UnsupportedWeight("quotient of atoms over different lattices")
         return Atom._make(
             (
-                coeff if den_coeff == 1 else coeff / den_coeff,
-                tuple([f.sub(g) for f, g in zip(factors, den_factors)]),
-                _diff(radial_pow, den_radial),
+                self.coeff / den.coeff,
+                tuple(f.sub(g) for f, g in zip(self.factors, den.factors)),
+                self.radial_pow - den.radial_pow,
             )
         )
 

@@ -7,12 +7,13 @@ only from the covering's affine data and k, p, t:
 
 The engine takes t = q, p and 2; with t = q this is the weight u^(k,p,q).
 
-The evaluator here is numeric on purpose.  The closed forms of the same
-weight on each family's lattice, and the quotients the criteria test, live
-in :mod:`decomp_embed.families`; :func:`agreement_report` cross-checks the
-two representations on a window, either to round-off accuracy or as a
-two-sided ratio envelope when the closed form is only accurate up to
-constants.
+The evaluator here is numeric on purpose.  The criteria read closed forms
+of the quotients w^(t)/u, built by :mod:`decomp_embed.families`; with the
+space weight u set to 1 (the space parameters zero and r = 2) such a
+quotient is the closed form of w^(t) itself.  :func:`agreement_report`
+cross-checks the numeric and the closed form on a window, either to
+round-off accuracy or as a two-sided ratio envelope when the closed form is
+only accurate up to constants.
 """
 
 from __future__ import annotations
@@ -68,9 +69,11 @@ class CoveringWeight:
     def evaluate(self, index: Index) -> float:
         t_mat, b_vec = self.covering.transform(index)
         value = _log_pow(abs(mat_det(t_mat)), self.det_exponent)
+        if self.k == 0:
+            # 1 + |b|^0 + ||T||^0, with 0**0 == 1
+            return value * 3.0
         norm_t = spectral_norm(t_mat)
         norm_b = math.sqrt(sum(float(x) * float(x) for x in b_vec))
-        # 0**0 == 1 here, so k == 0 degenerates to the constant factor 3.
         return value * (1.0 + norm_b**self.k + norm_t**self.k)
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decomp_embed
+from decomp_embed import cli
 from decomp_embed.cli import main
 from decomp_embed.families import FAMILY_NAMES
 from decomp_embed.seqspace import TailClassification
@@ -318,6 +319,15 @@ def test_exceeded_window_cap_is_an_internal_limit(monkeypatch):
     assert (code, out) == (70, b"")
     assert err.startswith("error: window of 9 indices exceeds the cap of 3 ")
     assert err.count("\n") == 1
+
+
+def test_parser_is_built_once_per_process():
+    cli._build_parser.cache_clear()
+    for case in MANIFEST[:4]:
+        run_cli(case["argv"])
+    run_cli(["decide", "--family", "nope"])
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 def test_help_exits_clean():

@@ -397,15 +397,6 @@ def _grid_drift(lines: list[str]) -> list[dict]:
     return drifted
 
 
-MEMOS = (embedding._parsed_params, embedding._space_weight, embedding._covering_weight,
-         embedding._quotient, exponents._parse_literal)
-
-
-def _clear_memos() -> None:
-    for memo in MEMOS:
-        memo.cache_clear()
-
-
 def test_decide_grid_replays_byte_for_byte():
     """The frozen grid of scripts/freeze_goldens.py: query and verdict per line."""
     lines = DECIDE_GRID.read_text().splitlines(keepends=True)
@@ -415,14 +406,14 @@ def test_decide_grid_replays_byte_for_byte():
 
 
 def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
-    """The weight memos are invisible: a cold pass, then a pass in reverse
-    order that starts on the memo entries the first one left."""
+    """The exponent literal memo is invisible: a cold pass, then a pass in
+    reverse order that starts on the memo entries the first one left."""
     lines = DECIDE_GRID.read_text().splitlines(keepends=True)
-    _clear_memos()
+    exponents._parse_literal.cache_clear()
     for order in (lines, lines[::-1]):
         drifted = _grid_drift(order)
         assert not drifted, f"{len(drifted)} verdicts drifted, first {drifted[0]}"
-    assert embedding._quotient.cache_info().hits > 0
+    assert exponents._parse_literal.cache_info().hits > 0
 
 
 def _decided(family: str, params) -> object:
@@ -443,8 +434,8 @@ def _parsed_directly(family: str, params) -> object:
     return _decided(family, parsed)
 
 
-# each probe follows a cached look-alike that a key on values alone (1 ==
-# 1.0 == True, a tuple dumped as a list) would confuse it with
+# each probe follows a look-alike that a params memo keyed on values alone
+# (1 == 1.0 == True, a tuple dumped as a list) would confuse it with
 @pytest.mark.parametrize("family, cached, probe", [
     ("inhom_besov", {"d": 1, "s": "5/3"}, {"d": True, "s": "5/3"}),
     ("inhom_besov", {"d": 1, "s": "5/3"}, {"d": 1.0, "s": "5/3"}),
@@ -464,20 +455,16 @@ def test_params_memo_keeps_look_alikes_apart(family, cached, probe):
 
 
 def test_memos_stay_within_their_bounds():
-    _clear_memos()
-    sizes = {memo: memo.cache_info().maxsize for memo in MEMOS}
-    assert sizes[embedding._parsed_params] == embedding.PARAMS_MEMO_SIZE
-    assert sizes[embedding._space_weight] == embedding.WEIGHT_MEMO_SIZE
-    assert sizes[embedding._covering_weight] == embedding.WEIGHT_MEMO_SIZE
-    assert sizes[embedding._quotient] == embedding.QUOTIENT_MEMO_SIZE
-    assert sizes[exponents._parse_literal] == exponents.LITERAL_MEMO_SIZE
-    # more distinct params, exponent literals and weights than any bound
-    for i in range(max(sizes.values()) + 8):
+    memo = exponents._parse_literal
+    memo.cache_clear()
+    size = memo.cache_info().maxsize
+    assert size == exponents.LITERAL_MEMO_SIZE
+    # more distinct exponent literals than the bound
+    for i in range(size + 8):
         for r in (f"{i + 2}/{i + 1}", "inf"):
             decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p="1", q=f"{i + 3}/{i + 1}", r=r,
                    target="sobolev", k=0)
-    for memo, size in sizes.items():
-        assert memo.cache_info().currsize == size
+    assert memo.cache_info().currsize == size
 
 
 ORACLE_TAILS = Path(__file__).parent / "golden" / "oracle_tails.jsonl"

@@ -2,15 +2,18 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from decomp_embed.covering import CoorbitScheme, Covering
 from decomp_embed.embedding import decide_sobolev
 from decomp_embed.errors import InvalidParams, SchemaError
-from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
+from decomp_embed.exponents import INF, ExtExponent, lower_conjugate, reciprocal_gap
 from decomp_embed.families import FAMILY_NAMES, covering_from_json, get_family
 from decomp_embed.seqspace import LineSector
 
 from golden_refs import golden_verdict
+from reference_weights import REFERENCE
 
 EXPS = [ExtExponent(Fraction(1, 2)), ExtExponent(1), ExtExponent(2),
         ExtExponent(3), INF]
@@ -216,7 +219,7 @@ def test_to_point_projections():
 def test_coorbit_sectors_partition_the_pair_lattice(c):
     fam = get_family("shearlet_coorbit")
     params = fam.parse_params({"c": c, "alpha": 0, "beta": 1})
-    weight = fam.space_weight(params, ExtExponent(2))
+    weight = fam.quotient_weight(params, 1, Fraction(1, 2), Fraction(0))
     for n in range(-6, 7):
         for m in range(-40, 41):
             hits = sum(p.sector.contains((n, m)) for p in weight.pieces)
@@ -228,18 +231,16 @@ def test_coorbit_scheme_and_weight_agree_on_dimension():
     params = fam.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
     cov = fam.covering(params)
     assert isinstance(cov.scheme, CoorbitScheme)
-    assert fam.space_weight(params, ExtExponent(2)).dims == 2
+    assert fam.quotient_weight(params, 1, Fraction(1, 2), Fraction(0)).dims == 2
 
 
 def test_khintchine_restriction():
-    one, two = ExtExponent(1), ExtExponent(2)
+    # t = p and r = 2: both gaps are zero
+    zero = Fraction(0)
 
     hom = get_family("hom_besov")
     params = hom.parse_params({"d": 1, "s": "1/2"})
-    quot = hom.khintchine_quotient(
-        hom.quotient_weight(hom.weight_symbolic(params, 0, one, one),
-                            hom.space_weight(params, two))
-    )
+    quot = hom.khintchine_quotient(hom.quotient_weight(params, 0, zero, zero))
     assert quot is not None
     assert len(quot.pieces) == 1
     assert quot.pieces[0].sector == LineSector("N0")
@@ -247,22 +248,63 @@ def test_khintchine_restriction():
 
     inhom = get_family("inhom_besov")
     ip = inhom.parse_params({"d": 1, "s": "1/2"})
-    full = inhom.khintchine_quotient(
-        inhom.quotient_weight(inhom.weight_symbolic(ip, 0, one, one),
-                              inhom.space_weight(ip, two))
-    )
+    full = inhom.khintchine_quotient(inhom.quotient_weight(ip, 0, zero, zero))
     assert full is not None and full.contains((0,))
 
     coorbit = get_family("shearlet_coorbit")
     cp = coorbit.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
-    assert coorbit.khintchine_quotient(
-        coorbit.quotient_weight(coorbit.weight_symbolic(cp, 0, one, one),
-                                coorbit.space_weight(cp, two))
-    ) is None
+    assert coorbit.khintchine_quotient(coorbit.quotient_weight(cp, 0, zero, zero)) is None
 
     diag = get_family("diagonal")
     dp = diag.parse_params({"d": 1, "alpha": 0, "beta": 0})
-    assert diag.khintchine_quotient(
-        diag.quotient_weight(diag.weight_symbolic(dp, 0, one, one),
-                             diag.space_weight(dp, two))
-    ) is None
+    assert diag.khintchine_quotient(diag.quotient_weight(dp, 0, zero, zero)) is None
+
+
+# ---------------------------------------------------------------------------
+# the one-step quotient against the covering and space weights built apart
+# ---------------------------------------------------------------------------
+
+# the exponent axes of the decide_batch benchmark workload
+BATCH_P = ("1/2", "1", "3/2", "2", "3")
+BATCH_Q = ("1", "3/2", "2", "5/2", "3", "4", "inf")
+BATCH_R = ("1/2", "1", "3/2", "2", "5/2", "3", "4", "inf")
+
+_RAT = st.fractions(min_value=-4, max_value=4, max_denominator=12).map(str)
+_DIM = st.integers(min_value=1, max_value=3)
+PARAM_DOCS = {
+    "hom_besov": st.fixed_dictionaries({"d": _DIM, "s": _RAT}),
+    "inhom_besov": st.fixed_dictionaries({"d": _DIM, "s": _RAT}),
+    "alpha_modulation": st.fixed_dictionaries({
+        "d": _DIM,
+        "alpha": st.fractions(min_value=0, max_value=Fraction(11, 12),
+                              max_denominator=12).map(str),
+        "s": _RAT,
+    }),
+    "shearlet_smoothness": st.fixed_dictionaries({"s": _RAT}),
+    "shearlet_coorbit": st.fixed_dictionaries({"c": _RAT, "alpha": _RAT, "beta": _RAT}),
+    "diagonal": _DIM.flatmap(lambda d: st.fixed_dictionaries({
+        "d": st.just(d),
+        "alpha": st.lists(_RAT, min_size=d, max_size=d),
+        "beta": st.lists(_RAT, min_size=d, max_size=d),
+    })),
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    k=st.sampled_from((0, 1, 2)),
+    p=st.sampled_from(BATCH_P),
+    t=st.sampled_from(BATCH_P + BATCH_Q),
+    r=st.sampled_from(BATCH_R),
+)
+def test_quotient_weight_equals_the_reference_quotient(family, data, k, p, t, r):
+    """quotient_weight(params, k, 1/p - 1/t, 1/2 - 1/r) is w^(t)/u(r) with
+    w^(t) and u(r) built apart by the reference builders and then divided."""
+    fam, ref = get_family(family), REFERENCE[family]
+    params = fam.parse_params(data.draw(PARAM_DOCS[family]))
+    p, t, r = ExtExponent(p), ExtExponent(t), ExtExponent(r)
+    want = ref.weight_symbolic(params, k, p, t).quotient(ref.space_weight(params, r))
+    got = fam.quotient_weight(params, k, reciprocal_gap(p, t), reciprocal_gap(ExtExponent(2), r))
+    assert got == want

@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from decomp_embed import weights
 from decomp_embed.errors import UnsupportedWeight
-from decomp_embed.exponents import INF, ExtExponent
-from decomp_embed.families import get_family
+from decomp_embed.exponents import INF, ExtExponent, reciprocal_gap
+from decomp_embed.families import CoorbitParams, DiagonalParams, get_family
 from decomp_embed.weights import agreement_report, build_weight
 
 
@@ -13,6 +15,19 @@ def _family_setup(name, pdoc):
     fam = get_family(name)
     params = fam.parse_params(pdoc)
     return fam, params, fam.covering(params)
+
+
+def _closed_form(fam, params, k, p, t):
+    """The closed form of w^(t): the family's quotient over a unit space
+    weight, with s (or alpha and beta) zero and 1/2 - 1/r = 0."""
+    zero = Fraction(0)
+    if isinstance(params, CoorbitParams):
+        unit = replace(params, alpha=zero, beta=zero)
+    elif isinstance(params, DiagonalParams):
+        unit = replace(params, alpha=(zero,) * params.d, beta=(zero,) * params.d)
+    else:
+        unit = replace(params, s=zero)
+    return fam.quotient_weight(unit, k, reciprocal_gap(ExtExponent(p), ExtExponent(t)), zero)
 
 
 @pytest.mark.parametrize("bad_k", [-1, True, 1.5])
@@ -35,6 +50,22 @@ def test_hom_worked_value():
     _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
     w = build_weight(cov, k=1, p=1, t=2)
     assert w.evaluate((3,)) == pytest.approx(math.sqrt(8) * 9, rel=1e-12)
+
+
+def test_order_zero_reads_no_norm(monkeypatch):
+    # k = 0: the factor is 3 whatever ||T|| and |b| are, so neither is computed
+    calls = []
+
+    def counting_norm(mat):
+        calls.append(mat)
+        return 1.0
+
+    monkeypatch.setattr(weights, "spectral_norm", counting_norm)
+    _, _, cov = _family_setup("alpha_modulation", {"d": 2, "alpha": "1/2", "s": 1})
+    assert build_weight(cov, k=0, p=1, t=1).evaluate((1, 2)) == 3.0
+    assert calls == []
+    build_weight(cov, k=1, p=1, t=1).evaluate((1, 2))
+    assert len(calls) == 1
 
 
 def test_order_zero_constants():
@@ -63,7 +94,7 @@ EXACT_CASES = [
 def test_exact_families_agree(name, pdoc, radius, k):
     fam, params, cov = _family_setup(name, pdoc)
     num = build_weight(cov, k=k, p="3/2", t=3)
-    sym = fam.weight_symbolic(params, k, ExtExponent("3/2"), ExtExponent(3))
+    sym = _closed_form(fam, params, k, "3/2", 3)
     rep = agreement_report(num, sym, cov.window(radius), to_point=fam.to_point)
     assert rep["ok"], rep
     assert rep["max_rel_err"] <= 1e-9
@@ -83,7 +114,7 @@ RATIO_CASES = [
 def test_ratio_families_bounded(name, pdoc, radius, k):
     fam, params, cov = _family_setup(name, pdoc)
     num = build_weight(cov, k=k, p=1, t=3)
-    sym = fam.weight_symbolic(params, k, ExtExponent(1), ExtExponent(3))
+    sym = _closed_form(fam, params, k, 1, 3)
     rep = agreement_report(
         num, sym, cov.window(radius), to_point=fam.to_point, mode="ratio"
     )
@@ -97,7 +128,7 @@ def test_diagonal_1d_is_exact():
     # with one coordinate the max-vs-sum surrogate gap closes entirely
     fam, params, cov = _family_setup("diagonal", {"d": 1, "alpha": 0, "beta": 0})
     num = build_weight(cov, k=2, p=1, t=3)
-    sym = fam.weight_symbolic(params, 2, ExtExponent(1), ExtExponent(3))
+    sym = _closed_form(fam, params, 2, 1, 3)
     rep = agreement_report(num, sym, cov.window(8), to_point=fam.to_point)
     assert rep["ok"]
 
@@ -105,7 +136,7 @@ def test_diagonal_1d_is_exact():
 def test_agreement_needs_points():
     fam, params, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
     num = build_weight(cov, k=0, p=1, t=2)
-    sym = fam.weight_symbolic(params, 0, ExtExponent(1), ExtExponent(2))
+    sym = _closed_form(fam, params, 0, 1, 2)
     with pytest.raises(ValueError):
         agreement_report(num, sym, [], to_point=fam.to_point)
     with pytest.raises(ValueError):
