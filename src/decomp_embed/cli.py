@@ -26,7 +26,6 @@ import functools
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import NoReturn
 
 from .covering import certify_constants, check_moderate, neighbors, norm_surrogate_check
@@ -97,16 +96,6 @@ def _weight_arg(text: str, what: str):
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
-
-
 def _emit(doc: object, pretty: bool) -> None:
     if pretty:
         text = json.dumps(doc, indent=2)
@@ -148,7 +137,7 @@ def _cmd_inspect_covering(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InvalidParams(f"--index must be a comma-separated integer tuple: {exc}")
         doc["neighbors"] = sorted(list(j) for j in neighbors(cov, idx, args.radius))
-    _emit(_jsonable(doc), args.pretty)
+    _emit(doc, args.pretty)
     return EX_OK
 
 
@@ -193,7 +182,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
         "checks": checks,
         "ok": all(checks.values()),
     }
-    _emit(_jsonable(doc), args.pretty)
+    _emit(doc, args.pretty)
     return EX_OK if doc["ok"] else 1
 
 

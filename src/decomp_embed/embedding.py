@@ -271,16 +271,7 @@ def decide_sobolev(
             )
 
     if refine:
-        for item in fam.refined_criteria(params, k, p, q, r):
-            evidence.append(
-                Evidence(
-                    item["id"],
-                    item["anchor"],
-                    item["holds"],
-                    item["detail"],
-                    item["role"],
-                )
-            )
+        evidence.extend(Evidence(**item) for item in fam.refined_criteria(params, k, p, q, r))
 
     verdict = _aggregate(evidence, q, r, theta_suff, theta_nec)
     if oracle_check:

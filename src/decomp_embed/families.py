@@ -107,13 +107,19 @@ def _pos(x: Fraction) -> Fraction:
 
 
 def _refined_records(
-    anchor: str, noun: str, value: Fraction, thr: Fraction, cutoff: str, suff: bool, nec: bool
+    anchor: str, noun: str, value: Fraction, thr: Fraction,
+    p: ExtExponent, q: ExtExponent, r: ExtExponent, sharp: bool = False,
 ) -> list[dict]:
     """The S2 (sufficient) and N5 (necessary) records of a refined criterion.
 
     ``noun`` names the compared quantity, ``value`` its value and ``thr``
-    the threshold; ``cutoff`` is the r-bound that equality admits for S2.
+    the threshold.  Both hold above the threshold, S2 only for p <= q.  At
+    equality S2 admits r <= 2, or r <= q when ``sharp``, and N5 requires
+    r <= q.
     """
+    cutoff = q if sharp else _TWO
+    suff = p <= q and (value > thr or (value == thr and r <= cutoff))
+    nec = value > thr or (value == thr and r <= q)
     word = "above" if value > thr else "at" if value == thr else "below"
     head = f"{noun} {word} threshold {thr}; "
     return [
@@ -122,7 +128,7 @@ def _refined_records(
             "anchor": anchor,
             "role": "sufficient",
             "holds": suff,
-            "detail": f"{head}equality admits r <= {cutoff}",
+            "detail": f"{head}equality admits r <= {'q' if sharp else '2'}",
         },
         {
             "id": "N5",
@@ -305,10 +311,7 @@ class InhomBesovFamily(Family):
         if not _TWO < q < INF:
             return []
         thr = Fraction(k) + params.d * reciprocal_gap(p, q)
-        s = params.s
-        suff = p <= q and (s > thr or (s == thr and r <= _TWO))
-        nec = s > thr or (s == thr and r <= q)
-        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", s, thr, "2", suff, nec)
+        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", params.s, thr, p, q, r)
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +407,9 @@ class AlphaModulationFamily(Family):
             params.alpha * reciprocal_gap(p, q)
             + (1 - params.alpha) * tail
         )
-        g = params.s
-        sharp = params.alpha == 0 and p == q
-        cutoff = q if sharp else _TWO
-        suff = p <= q and (g > rhs or (g == rhs and r <= cutoff))
-        nec = g > rhs or (g == rhs and r <= q)
-        cut_txt = "q" if sharp else "2"
         return _refined_records(
-            ANCHOR_ALPHA_REFINED, "weight exponent", g, rhs, cut_txt, suff, nec
+            ANCHOR_ALPHA_REFINED, "weight exponent", params.s, rhs, p, q, r,
+            sharp=params.alpha == 0 and p == q,
         )
 
 
@@ -492,10 +490,7 @@ class ShearletSmoothnessFamily(Family):
             + Fraction(3, 2) * reciprocal_gap(p, q)
             + Fraction(1, 2) * tail
         )
-        s = params.s
-        suff = p <= q and (s > thr or (s == thr and r <= _TWO))
-        nec = s > thr or (s == thr and r <= q)
-        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", s, thr, "2", suff, nec)
+        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", params.s, thr, p, q, r)
 
 
 _SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)

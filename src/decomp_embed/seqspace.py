@@ -7,7 +7,8 @@ This module carries the sequence-space side of the decision engine:
   + shift),
 * exp-poly weights, finite sums of atoms 2^(a*n) * |n|^c per coordinate
   with per-orthant exponents,
-* an exact decider for membership of such a weight in l^theta,
+* an exact decider for membership of such a weight in l^theta, whose
+  rules read x = 1/theta, with x = 0 for theta = inf (boundedness),
 * an independent numeric truncation oracle that classifies the same
   membership question from partial sums alone, and
 * the two directions of the weighted sequence embedding test: a Hoelder
@@ -19,7 +20,8 @@ once, at the boundary: in the public constructors of :class:`CoordFactor`
 and :class:`Atom`, their classmethods and :func:`expweight_from_json`.
 Internal arithmetic (quotients, the membership tests) passes Fractions
 through untouched, so a quotient is a field-wise subtraction and the
-membership tests compare signs and integer cross products.
+membership tests compare signs and integer cross products affine in
+1/theta; only the closed boundary at theta = inf sets that case apart.
 
 The decider and the oracle share no logic.  The decider manipulates
 exponents as exact rationals and never evaluates the weight; the oracle
@@ -41,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple, Sequence, Union
 
 from .errors import UnsupportedWeight
-from .exponents import int_from_json, rational_from_json
+from .exponents import compound, int_from_json, rational_from_json
 
 __all__ = [
     "LineSector",
@@ -554,35 +556,33 @@ class Membership(str, Enum):
     NOT_MEMBER = "NotMember"
 
 
-def _halfline_member(sign: int, c: Fraction, theta: Fraction | None) -> bool:
-    """Whether 2^(a*n) * n^c over n >= 1 lies in l^theta, or is bounded
-    when theta is None; ``sign`` is any int with the sign of a.
+def _below(v: int, xn: int) -> bool:
+    """Whether a rule whose integer cross product is ``v`` admits the atom:
+    v < 0, or v == 0 at theta = inf (xn == 0), where a bounded term is
+    enough and the boundary is closed."""
+    return v < 0 or (v == 0 and xn == 0)
 
-    For finite theta this is summability of 2^(theta*a*n) * n^(theta*c):
-    theta > 0 keeps the sign of a, and theta*c < -1 is compared as an
-    integer cross product, so no Fraction is built.
+
+def _halfline_member(sign: int, c: Fraction, xn: int, xd: int) -> bool:
+    """Whether 2^(a*n) * n^c over n >= 1 lies in l^theta, 1/theta = xn/xd;
+    ``sign`` is any int with the sign of a.
+
+    This is summability of 2^(theta*a*n) * n^(theta*c) (boundedness at
+    theta = inf): theta > 0 keeps the sign of a, and at a = 0 the test
+    c + 1/theta < 0 is an integer cross product, so no Fraction is built.
     """
-    if sign < 0:
-        return True
-    if sign > 0:
+    if sign:
+        return sign < 0
+    return _below(c.numerator * xd + c.denominator * xn, xn)
+
+
+def _line_member(domain: str, f: CoordFactor, xn: int, xd: int) -> bool:
+    if domain != "Nneg" and not _halfline_member(f.exp2_pos.numerator, f.pow_pos, xn, xd):
         return False
-    if theta is None:
-        return c.numerator <= 0
-    return c.numerator * theta.numerator + c.denominator * theta.denominator < 0
+    return domain == "N0" or _halfline_member(-f.exp2_neg.numerator, f.pow_neg, xn, xd)
 
 
-def _rate_sign(a: Fraction, lam: Fraction, x_num: int, x_den: int) -> int:
-    """An int with the sign of a + lam * x_num/x_den, for x_den > 0."""
-    return a.numerator * lam.denominator * x_den + lam.numerator * x_num * a.denominator
-
-
-def _line_member(domain: str, f: CoordFactor, theta: Fraction | None) -> bool:
-    if domain != "Nneg" and not _halfline_member(f.exp2_pos.numerator, f.pow_pos, theta):
-        return False
-    return domain == "N0" or _halfline_member(-f.exp2_neg.numerator, f.pow_neg, theta)
-
-
-def _pair_atom_member(sector: PairSector, atom: Atom, theta: Fraction | None) -> bool:
+def _pair_atom_member(sector: PairSector, atom: Atom, xn: int, xd: int) -> bool:
     n_factor, m_factor = atom.factors
     if m_factor.exp2_pos or m_factor.exp2_neg:
         raise UnsupportedWeight("pair sectors support only power factors in m")
@@ -603,56 +603,45 @@ def _pair_atom_member(sector: PairSector, atom: Atom, theta: Fraction | None) ->
         orient = -1
     outside = sector.side == "outside"
 
-    if theta is None:
-        # sup over the sector; the extremal |m| is the row bound when the
-        # m power points outward, otherwise the smallest admissible |m|
-        if outside and rho > 0:
-            return False
-        if outside or rho > 0:
-            # rate a + lam*rho
-            sign = _rate_sign(a, lam, rho.numerator, rho.denominator)
-        else:
-            sign = a.numerator
-        return _halfline_member(orient * sign, c, None)
-
-    # all rates and powers below carry the factor theta > 0 of the
-    # l^theta sum; rho_side has the sign of theta*rho + 1
-    rho_side = rho.numerator * theta.numerator + rho.denominator * theta.denominator
-    if outside and rho_side >= 0:
-        return False  # every row has a divergent m-tail
-    # inside rows: the m-sum behaves like bound^(1+theta*rho) above
-    # theta*rho = -1, like log(bound) at -1, and like a constant below
+    # the l^theta sum (a sup at theta = inf) read per unit theta: every
+    # rate and power below is divided by theta, and rho_side has the
+    # sign of 1/theta + rho
+    rho_side = rho.numerator * xd + rho.denominator * xn
+    if outside and not _below(rho_side, xn):
+        return False  # every row has a divergent (or unbounded) m-tail
+    # rows grow like bound^(1/theta + rho) when the m power points
+    # outward; inside rows behave like log(bound) at 1/theta + rho = 0
+    # and like a constant below
     if outside or rho_side > 0:
-        # rate theta*a + lam*(1 + theta*rho) = theta*(a + lam*(1/theta + rho))
-        x_num = theta.denominator * rho.denominator + rho.numerator * theta.numerator
-        sign = _rate_sign(a, lam, x_num, theta.numerator * rho.denominator)
-        return _halfline_member(orient * sign, c, theta)
+        # the sign of the rate a + lam*(1/theta + rho), with
+        # 1/theta + rho = rho_side / (xd * rho.denominator)
+        sign = (a.numerator * lam.denominator * xd * rho.denominator
+                + lam.numerator * rho_side * a.denominator)
+        return _halfline_member(orient * sign, c, xn, xd)
     if rho_side == 0 and lam and not a:
-        # the log(bound) factor raises the power theta*c by one
-        return c.numerator * theta.numerator + 2 * c.denominator * theta.denominator < 0
-    return _halfline_member(orient * a.numerator, c, theta)
+        # the log(bound) factor raises the power c by 1/theta
+        return _below(c.numerator * xd + 2 * c.denominator * xn, xn)
+    return _halfline_member(orient * a.numerator, c, xn, xd)
 
 
-def _atom_member(sector: Sector, atom: Atom, theta: Fraction | None) -> bool:
+def _atom_member(sector: Sector, atom: Atom, xn: int, xd: int) -> bool:
     if isinstance(sector, RadialSector):
         if any(not f.is_trivial for f in atom.factors):
             raise UnsupportedWeight("radial sectors support only radial powers")
+        # power + d/theta < 0, as an integer cross product
         power = atom.radial_pow
-        if theta is None:
-            return power.numerator <= 0
-        # theta * power < -d, as an integer cross product
-        return power.numerator * theta.numerator < -sector.d * power.denominator * theta.denominator
+        return _below(power.numerator * xd + sector.d * power.denominator * xn, xn)
     if atom.radial_pow:
         raise UnsupportedWeight("radial powers are only supported on radial sectors")
     if isinstance(sector, LineSector):
-        return _line_member(sector.domain, atom.factors[0], theta)
+        return _line_member(sector.domain, atom.factors[0], xn, xd)
     if isinstance(sector, ProductSector):
         return all(
-            _line_member(line.domain, f, theta)
+            _line_member(line.domain, f, xn, xd)
             for line, f in zip(sector.lines, atom.factors)
         )
     if isinstance(sector, PairSector):
-        return _pair_atom_member(sector, atom, theta)
+        return _pair_atom_member(sector, atom, xn, xd)
     raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
 
 
@@ -661,13 +650,16 @@ def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
 
     For finite theta a sum of atoms is summable exactly when every atom
     is (the theta-power of a finite sum of positive terms is comparable
-    to the sum of theta-powers), so the decision distributes over atoms
-    and pieces.
+    to the sum of theta-powers), and at theta = inf it is bounded exactly
+    when every atom is, so the decision distributes over atoms and
+    pieces.  The rules read x = 1/theta as two ints xn/xd, with xn = 0
+    for theta = inf; each compares an integer cross product affine in x
+    with 0.
     """
-    theta_frac = None if theta.is_inf else theta.frac
+    xn, xd = (0, 1) if theta.is_inf else (theta.frac.denominator, theta.frac.numerator)
     for piece in w.pieces:
         for atom in piece.atoms:
-            if not _atom_member(piece.sector, atom, theta_frac):
+            if not _atom_member(piece.sector, atom, xn, xd):
                 return Membership.NOT_MEMBER
     return Membership.MEMBER
 
@@ -679,8 +671,6 @@ def decide_sequence_embedding(u: ExpPolyWeight, v: ExpPolyWeight, r, s) -> str:
 
     Returns "Embeds" or "DoesNotEmbed".
     """
-    from .exponents import compound
-
     theta = compound(s, r)
     quot = u.quotient(v)
     if decide_lp_membership(quot, theta) is Membership.MEMBER:
@@ -1130,11 +1120,7 @@ def _grows_exponentially(piece: Piece) -> bool:
     )
 
 
-def truncated_oracle(
-    weight: ExpPolyWeight,
-    theta,
-    radii: Sequence[int] | None = None,
-) -> TailClassification:
+def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
     Grid sectors are evaluated once on the largest window.  Pair sectors
@@ -1152,7 +1138,8 @@ def truncated_oracle(
     bound is finite and no grid piece grows exponentially along an
     unbounded axis (:func:`_grows_exponentially`; such a term can fall
     across the whole window and still blow up past it).  Everything else
-    is Inconclusive.  The result is a function of (weight, theta, radii)
+    is Inconclusive.  The radii are :func:`default_radii` of the weight's
+    dimension and sectors, so the result is a function of (weight, theta)
     alone.
     """
     import numpy as np
@@ -1160,9 +1147,7 @@ def truncated_oracle(
     pieces = weight.pieces
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     dims = max(p.sector.dims for p in pieces)
-    if radii is None:
-        radii = default_radii(dims, has_pair)
-    radii = sorted({int(r) for r in radii})
+    radii = default_radii(dims, has_pair)
     if has_pair:
         # keep only radii whose inside rows fit the per-row step cap, so
         # that complete shells stay certifiable
@@ -1337,8 +1322,6 @@ def holder_constant(u: ExpPolyWeight, v: ExpPolyWeight, r, s, radius: int) -> fl
     supported in the window, the weighted l^s norm against u is at most
     this constant times the weighted l^r norm against v.
     """
-    from .exponents import compound
-
     theta = compound(s, r)
     ratios = [
         u.evaluate(pt) / v.evaluate(pt) for pt in dict.fromkeys(u.iter_points(radius))
@@ -1363,8 +1346,6 @@ def witness_norm_ratios(
     worst index when theta is infinite) drives the ratio of the two
     weighted norms to infinity; callers check the growth across radii.
     """
-    from .exponents import compound
-
     theta = compound(s, r)
     out = []
     for radius in radii:

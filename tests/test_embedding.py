@@ -446,7 +446,7 @@ def _parsed_directly(family: str, params) -> object:
     ("diagonal", {"d": 2, "alpha": ["1/2", 1]}, {"d": 2, "alpha": ("1/2", 1)}),
     ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": (1, 2)}),
 ])
-def test_params_memo_keeps_look_alikes_apart(family, cached, probe):
+def test_look_alike_params_decide_as_parsed(family, cached, probe):
     want = _parsed_directly(family, probe)
     _decided(family, cached)
     # twice: a probe that raises must raise again, as nothing failed is kept
@@ -454,7 +454,7 @@ def test_params_memo_keeps_look_alikes_apart(family, cached, probe):
     assert _decided(family, probe) == want
 
 
-def test_memos_stay_within_their_bounds():
+def test_literal_memo_stays_within_its_bound():
     memo = exponents._parse_literal
     memo.cache_clear()
     size = memo.cache_info().maxsize

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -33,6 +34,8 @@ from decomp_embed.seqspace import (
     truncated_oracle,
     witness_norm_ratios,
 )
+
+import reference_membership
 
 E = ExtExponent
 F = Fraction
@@ -100,7 +103,8 @@ def test_sum_of_atoms_requires_every_atom():
     (3, -3, "1", NOT_MEMBER),
     (3, -2, "2", MEMBER),       # 2*2 = 4 > 3
     (2, F(1, 5), "inf", NOT_MEMBER),
-    (2, 0, "inf", MEMBER),
+    (2, 0, "inf", MEMBER),      # bounded: the closed boundary at inf
+    (2, 0, "1000", NOT_MEMBER),
 ])
 def test_radial_membership(d, power, theta, expect):
     w = ExpPolyWeight.single(RadialSector(d), Atom.radial(d, power))
@@ -178,6 +182,123 @@ class TestPairSectors:
             decide_lp_membership(ExpPolyWeight.single(sector, atom), E(1))
 
 
+@pytest.mark.parametrize("side, n_exp2, theta, expect", [
+    # rho = 0 inside: at inf, 1/theta + rho = 0 with lam != 0 and a = 0
+    # takes the log branch
+    ("inside", 0, "inf", MEMBER),
+    ("inside", 0, "1000", NOT_MEMBER),
+    # rho = 0 outside: bounded rows, divergent m-tails
+    ("outside", -1, "inf", MEMBER),
+    ("outside", -1, "1000", NOT_MEMBER),
+])
+def test_pair_membership_at_rho_zero(side, n_exp2, theta, expect):
+    w = ExpPolyWeight.single(PairSector("N0", F(1), side, 0), Atom.pair(n_exp2=n_exp2))
+    assert decide_lp_membership(w, E(theta)) is expect
+
+
+# ---------------------------------------------------------------------------
+# exact decider against the rules with a separate case for theta = inf
+# ---------------------------------------------------------------------------
+
+ref_thetas = st.one_of(
+    st.just(INF),
+    st.fractions(min_value=F(1, 4), max_value=F(6), max_denominator=4).map(E),
+)
+
+
+def ref_exps(x):
+    """Exponents that often sit on a boundary of the rules at 1/theta = x."""
+    return st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=F(-3), max_value=F(3), max_denominator=4),
+        st.sampled_from([x, -x / 2, -x, -2 * x, -3 * x]),
+    )
+
+
+@st.composite
+def ref_factors(draw, x):
+    """A factor that is symmetric or free."""
+    if draw(st.booleans()):
+        return CoordFactor.symmetric(draw(ref_exps(x)), draw(ref_exps(x)))
+    return CoordFactor(*(draw(ref_exps(x)) for _ in range(4)))
+
+
+@st.composite
+def ref_atoms(draw, kind, x):
+    """A sector of ``kind`` and an atom of its arity, with exponents drawn
+    near the boundaries at 1/theta = x; about two atoms in five have a
+    shape the decider may refuse."""
+    defect = draw(st.sampled_from([None, None, None, "radial_pow", "shape"]))
+    if kind == "radial":
+        d = draw(st.integers(1, 3))
+        factors = (CoordFactor(),) * d
+        if defect == "shape":
+            factors = (draw(ref_factors(x)),) + factors[1:]
+        return RadialSector(d), Atom(F(1), factors, draw(ref_exps(x)))
+    radial_pow = draw(ref_exps(x)) if defect == "radial_pow" else F(0)
+    domains = st.sampled_from(["Z", "N0", "Nneg", "Z_nonzero"])
+    if kind == "line":
+        return LineSector(draw(domains)), Atom(F(1), (draw(ref_factors(x)),), radial_pow)
+    if kind == "product":
+        lines = tuple(LineSector(draw(domains)) for _ in range(draw(st.integers(2, 3))))
+        factors = tuple(draw(ref_factors(x)) for _ in lines)
+        return ProductSector(lines), Atom(F(1), factors, radial_pow)
+    domain = draw(st.sampled_from(["N0", "Nneg"]))
+    lam = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2)]))
+    shape = draw(st.sampled_from(["lam", "m_exp2", "m_power"])) if defect == "shape" else None
+    if (domain == "Nneg") != (shape == "lam"):
+        lam = -lam
+    sector = PairSector(domain, lam, draw(st.sampled_from(["inside", "outside"])),
+                        draw(st.sampled_from([-1, 0, 1])))
+    rho = draw(ref_exps(x))
+    m_factor = CoordFactor(
+        draw(ref_exps(x)) if shape == "m_exp2" else 0,
+        0,
+        rho,
+        draw(ref_exps(x)) if shape == "m_power" else rho,
+    )
+    return sector, Atom(F(1), (draw(ref_factors(x)), m_factor), radial_pow)
+
+
+def _outcome(rule, *args):
+    try:
+        return rule(*args)
+    except UnsupportedWeight as exc:
+        return f"UnsupportedWeight: {exc}"
+
+
+@pytest.mark.parametrize("kind", ["line", "product", "radial", "pair"])
+@settings(max_examples=250, deadline=None)
+@given(data=st.data(), theta=ref_thetas)
+def test_membership_equals_the_reference_rules(kind, data, theta):
+    sector, atom = data.draw(ref_atoms(kind, theta.reciprocal()))
+    want = _outcome(
+        reference_membership._atom_member, sector, atom, None if theta.is_inf else theta.frac
+    )
+    got = _outcome(decide_lp_membership, ExpPolyWeight.single(sector, atom), theta)
+    if isinstance(got, Membership):
+        got = got is MEMBER
+    assert got == want
+
+
+@pytest.mark.parametrize("theta", [E("1/2"), E(1), E("3/2"), E(3), INF])
+def test_pair_rules_equal_the_reference_rules_on_a_boundary_grid(theta):
+    # every rate and power on a small grid around the boundaries at
+    # 1/theta = x: c + x, c + 2x, rho + x and a + lam*(x + rho) all hit 0
+    x = theta.reciprocal()
+    vals = sorted({F(0), x / 2, -x / 2, x, -x, 2 * x, -2 * x, -3 * x / 2, -3 * x,
+                   F(1, 2), F(-1, 2)})
+    frac = None if theta.is_inf else theta.frac
+    for domain, side, lam, a, c, rho in itertools.product(
+        ["N0", "Nneg"], ["inside", "outside"], [F(0), F(1), F(2)], vals, vals, vals
+    ):
+        sector = PairSector(domain, lam if domain == "N0" else -lam, side, 0)
+        atom = Atom.pair(n_exp2=a, n_power=c, m_power=rho)
+        want = reference_membership._atom_member(sector, atom, frac)
+        got = decide_lp_membership(ExpPolyWeight.single(sector, atom), theta) is MEMBER
+        assert got == want, (sector, atom)
+
+
 def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
     for num in range(-12, 25):
         for den in (1, 2, 3, 5):
@@ -234,11 +355,6 @@ class TestTruncatedOracle:
         a = truncated_oracle(w, E(1))
         b = truncated_oracle(w, E(1))
         assert a == b
-
-    def test_custom_radius_schedule(self):
-        res = truncated_oracle(line("N0", exp2=-1), E(1), radii=(4, 8, 16, 32))
-        assert res.window_radius == 32
-        assert res.verdict == "Convergent"
 
     def test_pair_inside_convergent(self):
         w = ExpPolyWeight.single(
