@@ -21,7 +21,9 @@ Run after a deliberate output-format change, inspect the diff, and check
 the refreshed files in.  The test suite replays every case and compares
 the output byte for byte.  ``--check`` compares instead of writing: it
 names every golden file that would change and exits 1 if there is one.
-It also replays the decide grid a second time, in reverse order, on the
+For a drifted JSONL golden it also prints each changed line: the fields
+the old and new line share (the query and theta of an oracle line), then
+every field that moved, old -> new.  It also replays the decide grid a second time, in reverse order, on the
 exponent literal memo the first pass left warm (the one cache the package
 keeps across calls), and names any line that differs.
 
@@ -347,6 +349,33 @@ def warm_grid_drift(grid: bytes) -> list[dict]:
     return [q for q, line in zip(reversed(queries), reversed(lines)) if grid_line(q) != line]
 
 
+def _leaves(obj, path: str = ""):
+    """(dotted path, value) for every non-dict value of a JSON document."""
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    else:
+        yield path, obj
+
+
+def jsonl_changes(old: bytes, new: bytes) -> list[str]:
+    """The report lines of a drifted JSONL golden, line by line: what the
+    old and new line share, then each field that moved, old -> new."""
+    olds, news = old.decode().splitlines(), new.decode().splitlines()
+    out = [] if len(olds) == len(news) else [f"  {len(olds)} lines -> {len(news)} lines"]
+    for lineno, (a, b) in enumerate(zip(olds, news), 1):
+        if a == b:
+            continue
+        ja, jb = json.loads(a), json.loads(b)
+        same = {k: v for k, v in jb.items() if ja.get(k) == v}
+        out.append(f"  line {lineno}: {json.dumps(same, separators=(',', ':'))}")
+        was, now = dict(_leaves(ja)), dict(_leaves(jb))
+        for path in dict.fromkeys([*was, *now]):
+            if was.get(path, "absent") != now.get(path, "absent"):
+                out.append(f"    {path}: {was.get(path, 'absent')} -> {now.get(path, 'absent')}")
+    return out
+
+
 def main_freeze(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--check", action="store_true",
@@ -358,6 +387,9 @@ def main_freeze(argv=None) -> int:
                    if not (GOLDEN / name).is_file() or (GOLDEN / name).read_bytes() != payload]
         for name in drifted:
             print(f"drifted: {name}")
+            if name.endswith(".jsonl") and (GOLDEN / name).is_file():
+                for line in jsonl_changes((GOLDEN / name).read_bytes(), files[name]):
+                    print(line)
         print(f"{len(files) - len(drifted)} of {len(files)} golden files unchanged")
         warm = warm_grid_drift(files[GRID_FILE])
         if warm:
