@@ -751,17 +751,28 @@ def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
     raise UnsupportedWeight("no grid form for this sector")
 
 
-def _factor_log2_on_axis(f: Sequence[float], n: np.ndarray) -> np.ndarray:
-    """log2 of the factor f along an axis; f is a CoordFactor or its four
-    exponents (exp2_pos, exp2_neg, pow_pos, pow_neg) already as floats."""
+def _axis_logs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What every factor on the axis n reads: n, the mask n >= 0 and
+    log2|n|, once per axis however many atoms share it."""
     import numpy as np
 
-    a_pos, a_neg, c_pos, c_neg = map(float, f)
-    a = np.where(n >= 0, a_pos, a_neg)
-    c = np.where(n >= 0, c_pos, c_neg)
     absn = np.abs(n)
-    safe = np.where(absn == 0, 1.0, absn)  # |0|^c reads as 1
-    return a * n + c * np.log2(safe)
+    return n, n >= 0, np.log2(np.where(absn == 0, 1.0, absn))  # |0|^c reads as 1
+
+
+def _factor_log2_on_axis(
+    f: Sequence[float], axis: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """log2 of the factor f along an axis given by :func:`_axis_logs`; f is a
+    CoordFactor or its four exponents (exp2_pos, exp2_neg, pow_pos, pow_neg)
+    already as floats."""
+    import numpy as np
+
+    n, nonneg, lg = axis
+    a_pos, a_neg, c_pos, c_neg = map(float, f)
+    a = np.where(nonneg, a_pos, a_neg)
+    c = np.where(nonneg, c_pos, c_neg)
+    return a * n + c * lg
 
 
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
@@ -771,24 +782,28 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     sector = piece.sector
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
+    logs = [_axis_logs(ax) for ax in axes]
+    log2_sq = None
     total = np.zeros(shape, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         for atom in piece.atoms:
             # same rationale as Atom.evaluate: add exponents, then
             # exponentiate once, so saturation cannot produce inf * 0
             log2mag = np.zeros(shape)
-            for dim, (factor, ax) in enumerate(zip(atom.factors, axes)):
-                fv = _factor_log2_on_axis(factor, ax)
+            for dim, (factor, axis) in enumerate(zip(atom.factors, logs)):
+                fv = _factor_log2_on_axis(factor, axis)
                 log2mag = log2mag + fv.reshape(
                     [-1 if i == dim else 1 for i in range(len(axes))]
                 )
             if atom.radial_pow:
-                sq = np.zeros(shape)
-                for dim, ax in enumerate(axes):
-                    sq = sq + (ax**2).reshape(
-                        [-1 if i == dim else 1 for i in range(len(axes))]
-                    )
-                log2mag = log2mag + 0.5 * float(atom.radial_pow) * np.log2(sq)
+                if log2_sq is None:
+                    sq = np.zeros(shape)
+                    for dim, ax in enumerate(axes):
+                        sq = sq + (ax**2).reshape(
+                            [-1 if i == dim else 1 for i in range(len(axes))]
+                        )
+                    log2_sq = np.log2(sq)
+                log2mag = log2mag + 0.5 * float(atom.radial_pow) * log2_sq
             vals = np.exp2(np.clip(log2mag, -1100.0, 1100.0))
             total = total + float(atom.coeff) * vals
     radii = np.zeros(shape)
@@ -871,9 +886,9 @@ def _pair_row(
         cap = _ROW_STEP_CAP // 2
         half = min(bound, cap)
         truncated = bound > cap
-        ms = np.arange(-half, half + 1, dtype=np.float64)
+        axis = _axis_logs(np.arange(-half, half + 1, dtype=np.float64))
         powered = _powered(
-            _row_values(row, (_factor_log2_on_axis(f1, ms) for _, f1 in row)), theta_f
+            _row_values(row, (_factor_log2_on_axis(f1, axis) for _, f1 in row)), theta_f
         )
         if theta_f is None:
             sup = float(powered.max())
@@ -885,7 +900,7 @@ def _pair_row(
     total = 0.0
     sup = 0.0
     if bound <= 0:
-        zero = np.zeros(1)
+        zero = _axis_logs(np.zeros(1))
         z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1 in row)), theta_f)
         with np.errstate(over="ignore", under="ignore"):
             total += float(z.sum())
