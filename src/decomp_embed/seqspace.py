@@ -821,8 +821,7 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class _RowSum:
-    value: float
-    sup: float
+    value: float  # the powered sum, or the sup when theta = inf
     truncated_significant: bool
 
 
@@ -862,16 +861,55 @@ def _powered(vals: np.ndarray, theta_f: float | None) -> np.ndarray:
         return np.where(vals > 0, vals**theta_f, 0.0)
 
 
+def _row_remainder_bound(
+    row: list[tuple[float, tuple[float, ...]]], lo: float, theta_f: float | None
+) -> float:
+    """Upper bound, in closed form, for what the terms |m| >= lo of an
+    outside row (both signs of m) still add: the sum of their theta-powers,
+    or their sup when theta_f is None.  ``row`` is :func:`_row_atoms`'.
+
+    Per atom and side the bound is base^theta times :func:`_sum_exp_poly`
+    of the powered m-factor.  With k > 1 atoms, (x_1 + ... + x_k)^theta is
+    at most the sum of the x_i^theta for theta <= 1 and at most k^theta
+    times it above, as in :func:`_pair_tail_bound`.  The sup is at most k
+    times the largest per-atom sup (:func:`_sup_exp_poly`).  May be inf or
+    nan, which decides nothing.
+    """
+    sides = [
+        (base, a, c)
+        for base, (a_pos, a_neg, c_pos, c_neg) in row
+        for a, c in ((a_pos, c_pos), (-a_neg, c_neg))
+    ]
+    if theta_f is None:
+        peaks = [base * _sup_exp_poly(a, c, lo, math.inf) for base, a, c in sides]
+        return math.nan if any(map(math.isnan, peaks)) else len(row) * max(peaks)
+    try:
+        total = sum(
+            base**theta_f * _sum_exp_poly(theta_f * a, theta_f * c, lo, math.inf)
+            for base, a, c in sides
+        )
+    except OverflowError:  # base^theta past the float range
+        return math.inf
+    if theta_f > 1.0 and len(row) > 1:
+        total *= float(len(row)) ** theta_f
+    return total
+
+
 def _pair_row(
     piece: Piece, n: int, theta_f: float | None, scale: float = 0.0
 ) -> _RowSum:
-    """Sum (or sup) of the theta-powers over one row of a pair sector.
+    """Sum of the theta-powers over one row of a pair sector, or the sup
+    of the row when theta_f is None (theta = inf).
 
-    Outside rows are summed in chunks of increasing |m| until the latest
-    chunk is negligible relative to the running global sum (``scale``);
-    if the step cap is reached while terms still matter, the row is
-    flagged so that the caller can refuse to certify convergence.  A
-    chunk takes one log2|m| for every atom and both signs of m.
+    Outside rows are summed in chunks of 4096 values of |m|, each with one
+    log2|m| for every atom and both signs of m.  After each chunk,
+    :func:`_row_remainder_bound` bounds the rest of the row in closed form;
+    the row stops unflagged once that bound is negligible relative to the
+    running row and global sums (``scale``), or, for the sup, once it does
+    not exceed the sup so far.  Otherwise the row stops at the first chunk
+    that is itself negligible, or at the step cap; a row capped while its
+    last chunk still matters is flagged so that the caller can refuse to
+    certify convergence.
     """
     import numpy as np
 
@@ -879,7 +917,7 @@ def _pair_row(
     bound = sector.m_bound(n)
 
     if sector.side == "inside" and bound < 0:
-        return _RowSum(0.0, 0.0, False)
+        return _RowSum(0.0, False)
     row = _row_atoms(piece, n)
 
     if sector.side == "inside":
@@ -891,10 +929,9 @@ def _pair_row(
             _row_values(row, (_factor_log2_on_axis(f1, axis) for _, f1 in row)), theta_f
         )
         if theta_f is None:
-            sup = float(powered.max())
-            return _RowSum(sup, sup, truncated)
+            return _RowSum(float(powered.max()), truncated)
         with np.errstate(over="ignore", under="ignore"):
-            return _RowSum(float(powered.sum()), 0.0, truncated)
+            return _RowSum(float(powered.sum()), truncated)
 
     start = max(bound, 1)
     total = 0.0
@@ -931,13 +968,19 @@ def _pair_row(
         sup = max(sup, float(vals.max()))
         steps += chunk
         if not math.isfinite(total):
-            return _RowSum(total, sup, False)
-        if last_chunk <= _ROW_NEGLIGIBLE * max(total, scale, 1e-300):
-            return _RowSum(total, sup, False)
+            # for the sup, a sum of chunk maxima past the float range means
+            # a term near it, or a nan term
+            return _RowSum(total, False)
+        value = sup if theta_f is None else total
+        negligible = _ROW_NEGLIGIBLE * max(total, scale, 1e-300)
+        if last_chunk <= negligible:
+            return _RowSum(value, False)
+        # the rest cannot raise the sup, or cannot move the sum
+        rest = _row_remainder_bound(row, float(start + steps), theta_f)
+        if math.isfinite(rest) and rest <= (value if theta_f is None else negligible):
+            return _RowSum(value, False)
     significant = last_chunk >= _ROW_SIGNIFICANT * max(total, scale, 1e-300)
-    if theta_f is None:
-        return _RowSum(sup, sup, significant)
-    return _RowSum(total, 0.0, significant)
+    return _RowSum(value, significant)
 
 
 _LN2 = math.log(2.0)
@@ -1141,7 +1184,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     Grid sectors are evaluated once on the largest window.  Pair sectors
     are summed row by row; an outside row is summed in chunks of |m|, each
     with one log2|m| shared by every atom and both signs of m, and the -m
-    half is taken from the +m half when every m-factor is even in m.
+    half is taken from the +m half when every m-factor is even in m.  After
+    each chunk a closed-form bound on the rest of the row stops it once
+    the rest cannot move the sum or raise the sup (:func:`_pair_row`).
+    At theta = inf every shell, every row and the running partial "sum"
+    are maxima: a row reports its sup and a shell the largest of its rows.
 
     Declares Divergent when partial sums exceed ``BLOWUP_THRESHOLD`` or
     grow by at least ``GROWTH_FACTOR`` between the last two radii, unless
@@ -1192,24 +1239,22 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     def shell_contrib(idx: int, r_prev: int, r: int, scale: float) -> _RowSum:
         piece = pieces[idx]
         if isinstance(piece.sector, PairSector):
-            total, sup = 0.0, 0.0
+            total = 0.0
             flagged = False
             for n in piece.sector.n_values(r):
                 if abs(n) <= r_prev:
                     continue
                 row = _pair_row(piece, n, theta_f, scale=max(scale, total))
-                total += row.value
-                sup = max(sup, row.sup)
+                total = max(total, row.value) if theta_f is None else total + row.value
                 flagged = flagged or row.truncated_significant
-            return _RowSum(total, sup, flagged)
+            return _RowSum(total, flagged)
         values, pt_radii = grid_cache[idx]
         mask = (pt_radii > r_prev) & (pt_radii <= r)
         vals = values[mask]
         if theta_f is None:
-            sup = float(vals.max()) if vals.size else 0.0
-            return _RowSum(sup, sup, False)
+            return _RowSum(float(vals.max()) if vals.size else 0.0, False)
         with np.errstate(over="ignore", under="ignore"):
-            return _RowSum(float(_powered(vals, theta_f).sum()), 0.0, False)
+            return _RowSum(float(_powered(vals, theta_f).sum()), False)
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""

@@ -472,6 +472,38 @@ def test_oracle_never_contradicts_decider_on_pairs(w, theta):
         assert memb is NOT_MEMBER
 
 
+_coeffs = st.sampled_from([F(1, 3), F(1), F(5)])
+
+
+@st.composite
+def multi_atom_pair_weights(draw):
+    """pair_weights with 1-3 atoms, each with its own coefficient."""
+    domain = draw(st.sampled_from(["N0", "Nneg"]))
+    lam = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2)]))
+    sector = PairSector(domain, -lam if domain == "Nneg" else lam,
+                        draw(st.sampled_from(["inside", "outside"])),
+                        draw(st.sampled_from([-1, 0, 1])))
+    atoms = tuple(
+        Atom.pair(n_exp2=draw(small_exp), n_power=draw(small_pow),
+                  m_power=draw(small_pow), coeff=draw(_coeffs))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return ExpPolyWeight.single(sector, *atoms)
+
+
+@settings(max_examples=40, deadline=None)
+@given(multi_atom_pair_weights(), thetas)
+def test_oracle_never_contradicts_decider_on_multi_atom_pairs(w, theta):
+    # with k > 1 atoms an outside row stops on the k^theta (sum) or k-times
+    # (sup) combination of the per-atom remainder bounds
+    res = truncated_oracle(w, theta)
+    memb = decide_lp_membership(w, theta)
+    if res.verdict == "Convergent":
+        assert memb is MEMBER
+    elif res.verdict == "Divergent":
+        assert memb is NOT_MEMBER
+
+
 _FLAT = CoordFactor()
 
 
@@ -535,21 +567,46 @@ def _reference_powered(vals, theta_f):
         return np.where(vals > 0, vals**theta_f, 0.0)
 
 
+def _reference_rest(piece, n, lo, theta_f):
+    """The closed-form bound on the terms |m| >= lo of row n, atom by atom
+    and side by side: base^theta times the powered m-factor's sum, times
+    k^theta for k > 1 atoms above theta = 1; k times the largest sup for
+    theta = inf."""
+    terms = []
+    for atom in piece.atoms:
+        base = float(atom.coeff) * atom.factors[0].value(n)
+        f = atom.factors[1]
+        for a, c in ((float(f.exp2_pos), float(f.pow_pos)),
+                     (-float(f.exp2_neg), float(f.pow_neg))):
+            if theta_f is None:
+                terms.append(base * seqspace._sup_exp_poly(a, c, lo, math.inf))
+            else:
+                terms.append(base**theta_f * seqspace._sum_exp_poly(
+                    theta_f * a, theta_f * c, lo, math.inf))
+    k = len(piece.atoms)
+    if theta_f is None:
+        return k * max(terms)
+    total = 0.0
+    for term in terms:
+        total += term
+    return total * float(k) ** theta_f if theta_f > 1.0 and k > 1 else total
+
+
 def _reference_pair_row(piece, n, theta_f, scale):
-    """The row sum with every atom evaluated on its own, on both halves of
-    every chunk: (value, sup, truncated_significant)."""
+    """The row sum (the sup for theta = inf) with every atom evaluated on its
+    own, on both halves of every chunk: (value, truncated_significant)."""
     sector = piece.sector
     bound = sector.m_bound(n)
     if sector.side == "inside":
         if bound < 0:
-            return 0.0, 0.0, False
+            return 0.0, False
         cap = seqspace._ROW_STEP_CAP // 2
         half = min(bound, cap)
         ms = np.arange(-half, half + 1, dtype=np.float64)
         powered = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
         with np.errstate(over="ignore"):
             value = float(powered.max() if theta_f is None else powered.sum())
-        return value, value if theta_f is None else 0.0, bound > cap
+        return value, bound > cap
     start = max(bound, 1)
     total = sup = last_chunk = 0.0
     if bound <= 0:
@@ -568,12 +625,17 @@ def _reference_pair_row(piece, n, theta_f, scale):
         total += last_chunk
         sup = max(sup, float(vals.max()))
         steps += 4096
-        if not math.isfinite(total) or last_chunk <= (
-            seqspace._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
+        if not math.isfinite(total):
+            return total, False
+        value = sup if theta_f is None else total
+        negligible = seqspace._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
+        rest = _reference_rest(piece, n, float(start + steps), theta_f)
+        if last_chunk <= negligible or (
+            math.isfinite(rest) and rest <= (sup if theta_f is None else negligible)
         ):
-            return total, sup, False
+            return value, False
     significant = last_chunk >= seqspace._ROW_SIGNIFICANT * max(total, scale, 1e-300)
-    return (sup, sup, significant) if theta_f is None else (total, 0.0, significant)
+    return sup if theta_f is None else total, significant
 
 
 _m_rate = st.fractions(min_value=F(-2), max_value=F(1, 2), max_denominator=8)
@@ -615,14 +677,115 @@ def pair_rows(draw):
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
     got = seqspace._pair_row(piece, n, theta_f, scale=scale)
-    value, sup, flagged = _reference_pair_row(piece, n, theta_f, scale)
+    value, flagged = _reference_pair_row(piece, n, theta_f, scale)
     # A row whose sum overflows reads inf on both sides, and inf.hex() is the
     # same however far past the float range each sum went.  Equality still
     # means both overflowed the same way: each side returns at the first
-    # chunk whose running total is not finite, with the sup over the chunks
-    # so far, and that sup and the flag are compared bit for bit too.
-    assert (got.value.hex(), got.sup.hex(), got.truncated_significant) == (
-        value.hex(), sup.hex(), flagged)
+    # chunk whose running total is not finite, and the flag is compared too.
+    assert (got.value.hex(), got.truncated_significant) == (value.hex(), flagged)
+
+
+@st.composite
+def outside_rows(draw):
+    """An outside row of 1-3 atoms with coefficients in {1/3, 1, 5}, and a
+    first unsummed |m|."""
+    atoms = tuple(
+        Atom(draw(_coeffs),
+             (CoordFactor(draw(small_exp), draw(small_exp), draw(small_pow), draw(small_pow)),
+              draw(_m_factors)))
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    piece = Piece(PairSector("N0", F(1, 2), "outside", 0), atoms)
+    return piece, draw(st.integers(0, 10)), draw(st.integers(1, 100_000))
+
+
+def _outside_row(*atoms):
+    """Row 0 (every base is its coefficient) of an outside sector, from |m| = 1."""
+    return Piece(PairSector("N0", F(0), "outside", 0), atoms), 0, 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(outside_rows(), st.sampled_from([0.5, 1.0, 2.0, 3.0, None]))
+# near-tight cases, one per part of the bound: two equal atoms, whose
+# (x + x)^3 = 8 x^3 needs the k^theta factor; a coefficient 5 that enters
+# as 5^2; two flat atoms, whose sup 2 is twice the largest atom's
+@example(_outside_row(*[Atom.pair(m_power=-3)] * 2), 3.0)
+@example(_outside_row(Atom.pair(m_power=-3, coeff=5)), 2.0)
+@example(_outside_row(*[Atom.pair()] * 2), None)
+def test_row_remainder_bound_covers_the_rest_of_the_row(row, theta_f):
+    piece, n, lo = row
+    rest = seqspace._row_remainder_bound(seqspace._row_atoms(piece, n), float(lo), theta_f)
+    ms = np.arange(lo, lo + 50_001, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
+        neg = _reference_powered(_reference_row_values(piece, n, -ms), theta_f)
+        brute = float(max(pos.max(), neg.max()) if theta_f is None else pos.sum() + neg.sum())
+    # the closed form and numpy may round one power apart in its last bits;
+    # with a single decreasing atom the sup bound is the first term itself
+    assert brute <= rest * (1.0 + 1e-12)
+
+
+def _count_row_values(monkeypatch):
+    calls = []
+    real = seqspace._row_values
+
+    def counted(row, log2s):
+        calls.append(1)
+        return real(row, log2s)
+
+    monkeypatch.setattr(seqspace, "_row_values", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m_power", [F(0), F(-1, 2), F(-3)])
+def test_sup_row_stops_once_the_rest_cannot_raise_it(monkeypatch, m_power):
+    # row 3 of an outside sector starts at |m| = 8 and falls from there;
+    # the m-factor is even, so one _row_values call makes one chunk
+    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=m_power),))
+    calls = _count_row_values(monkeypatch)
+    row = seqspace._pair_row(piece, 3, None)
+    assert (len(calls), row.value, row.truncated_significant) == (1, 8.0 ** float(m_power), False)
+
+
+def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
+    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-3),))
+    calls = _count_row_values(monkeypatch)
+    row = seqspace._pair_row(piece, 3, 2.0)
+    # 2 * sum_{m > 4103} m^-6 < 1e-18 is past 1e-12 of the row's mass
+    assert (len(calls), row.truncated_significant) == (1, False)
+    assert row.value == pytest.approx(2.0 * sum(m**-6.0 for m in range(8, 4104)), rel=1e-14)
+    # |m|^-1 at theta = 2 leaves about 2/|m| behind, which no chunk before
+    # the cap makes negligible: the row runs on as before
+    slow = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),))
+    calls.clear()
+    seqspace._pair_row(slow, 3, 2.0)
+    assert len(calls) == -(-seqspace._ROW_STEP_CAP // 4096)
+
+
+def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
+    # shearlet_coorbit c = -1 at theta = inf: the shells are maxima over
+    # rows, and no row is cut off while its rest could raise the sup
+    from decomp_embed import embedding
+    from decomp_embed.cli import main
+
+    tails = []
+
+    def record(weight, theta):
+        tail = truncated_oracle(weight, theta)
+        tails.append((weight, theta, tail))
+        return tail
+
+    monkeypatch.setattr(embedding, "truncated_oracle", record)
+    code = main(["decide", "--family", "shearlet_coorbit", "--params",
+                 '{"c":"-1","alpha":"0","beta":"1"}', "--target", "cb",
+                 "-p", "1", "-r", "2", "-k", "0", "--oracle-check"])
+    capsys.readouterr()
+    assert code == 1  # DoesNotEmbed, no oracle disagreement (10)
+    sups = [(w, tail) for w, theta, tail in tails if theta.is_inf]
+    assert len(sups) == 1
+    w, tail = sups[0]
+    assert (tail.verdict, tail.partial_sum) == ("Convergent", 3.0)
+    assert decide_lp_membership(w, INF) is MEMBER
 
 
 @pytest.mark.parametrize("domain", ["Z", "N0", "Nneg", "Z_nonzero"])
