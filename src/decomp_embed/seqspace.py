@@ -783,33 +783,35 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
     logs = [_axis_logs(ax) for ax in axes]
-    log2_sq = None
     total = np.zeros(shape, dtype=np.float64)
+    # whole-window arrays are updated in place: the same operations in the
+    # same order, without a fresh temporary per step
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         for atom in piece.atoms:
             # same rationale as Atom.evaluate: add exponents, then
             # exponentiate once, so saturation cannot produce inf * 0
             log2mag = np.zeros(shape)
             for dim, (factor, axis) in enumerate(zip(atom.factors, logs)):
-                fv = _factor_log2_on_axis(factor, axis)
-                log2mag = log2mag + fv.reshape(
+                log2mag += _factor_log2_on_axis(factor, axis).reshape(
                     [-1 if i == dim else 1 for i in range(len(axes))]
                 )
             if atom.radial_pow:
-                if log2_sq is None:
-                    sq = np.zeros(shape)
-                    for dim, ax in enumerate(axes):
-                        sq = sq + (ax**2).reshape(
-                            [-1 if i == dim else 1 for i in range(len(axes))]
-                        )
-                    log2_sq = np.log2(sq)
-                log2mag = log2mag + 0.5 * float(atom.radial_pow) * log2_sq
-            vals = np.exp2(np.clip(log2mag, -1100.0, 1100.0))
-            total = total + float(atom.coeff) * vals
+                sq = np.zeros(shape)
+                for dim, ax in enumerate(axes):
+                    sq += (ax**2).reshape([-1 if i == dim else 1 for i in range(len(axes))])
+                np.log2(sq, out=sq)
+                sq *= 0.5 * float(atom.radial_pow)
+                log2mag += sq
+                del sq
+            np.clip(log2mag, -1100.0, 1100.0, out=log2mag)
+            np.exp2(log2mag, out=log2mag)
+            log2mag *= float(atom.coeff)
+            total += log2mag
     radii = np.zeros(shape)
     for dim, ax in enumerate(axes):
-        radii = np.maximum(
-            radii, np.abs(ax).reshape([-1 if i == dim else 1 for i in range(len(axes))])
+        np.maximum(
+            radii, np.abs(ax).reshape([-1 if i == dim else 1 for i in range(len(axes))]),
+            out=radii,
         )
     values = total.ravel()
     radii = radii.ravel()
