@@ -74,7 +74,7 @@ RatLike = Union[int, Fraction]
 
 def pow2f(x: float) -> float:
     """2**x in float, saturating instead of raising OverflowError."""
-    if x > 1100.0:
+    if x >= 1024.0:  # 2.0 ** x raises from 2^1024 on
         return math.inf
     if x < -1100.0:
         return 0.0

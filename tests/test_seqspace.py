@@ -307,6 +307,29 @@ def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
             assert ceil_pow2(fr) == expect, fr
 
 
+@pytest.mark.parametrize("x, expect", [
+    (1023.5, 2.0**1023.5), (1024.0, math.inf), (1050.0, math.inf), (1100.0, math.inf),
+    (1101.0, math.inf), (-1074.0, 2.0**-1074), (-1100.0, 0.0), (-1101.0, 0.0),
+])
+def test_pow2f_saturates_instead_of_raising(x, expect):
+    assert seqspace.pow2f(x) == expect
+
+
+def test_oracle_survives_a_row_factor_past_the_float_range():
+    # 2^(80 n) |m|^-60 on |m| >= 4^n: row 13's n-factor is 2^1040, which
+    # 2.0 ** x refuses; every term is at most 2^(-40 n), so the sup is 1.
+    # The saturated factor meets m-terms that underflow to 0, and inf * 0
+    # is nan there, which numpy reports as an invalid value
+    w = ExpPolyWeight.single(
+        PairSector("N0", F(2), "outside", 0),
+        Atom(F(1), (CoordFactor.symmetric(80), CoordFactor.symmetric(0, -60))),
+    )
+    with np.errstate(invalid="ignore"):
+        res = truncated_oracle(w, INF)
+    assert (res.verdict, res.partial_sum) == ("Convergent", 1.0)
+    assert decide_lp_membership(w, INF) is MEMBER
+
+
 def test_radial_atom_on_line_sector_is_rejected():
     w = ExpPolyWeight.single(LineSector("Z"), Atom(F(1), (CoordFactor(),), F(-2)))
     with pytest.raises(UnsupportedWeight):
@@ -786,6 +809,70 @@ def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
     w, tail = sups[0]
     assert (tail.verdict, tail.partial_sum) == ("Convergent", 3.0)
     assert decide_lp_membership(w, INF) is MEMBER
+
+
+def _reference_grid_values(piece, radius):
+    """Values and radii of a grid piece, each factor's log2 taken on its own
+    axis and every step of the sum allocating a fresh array."""
+    axes = seqspace._grid_axes(piece.sector, radius)
+    shape = tuple(len(ax) for ax in axes)
+
+    def along(arr, dim):
+        return arr.reshape([-1 if i == dim else 1 for i in range(len(axes))])
+
+    total = np.zeros(shape)
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        for atom in piece.atoms:
+            log2mag = np.zeros(shape)
+            for dim, (f, n) in enumerate(zip(atom.factors, axes)):
+                a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
+                c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
+                absn = np.abs(n)
+                log2mag = log2mag + along(a * n + c * np.log2(np.where(absn == 0, 1.0, absn)), dim)
+            if atom.radial_pow:
+                sq = np.zeros(shape)
+                for dim, n in enumerate(axes):
+                    sq = sq + along(n**2, dim)
+                log2mag = log2mag + 0.5 * float(atom.radial_pow) * np.log2(sq)
+            total = total + float(atom.coeff) * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
+    radii = np.zeros(shape)
+    for dim, n in enumerate(axes):
+        radii = np.maximum(radii, along(np.abs(n), dim))
+    values, radii = total.ravel(), radii.ravel()
+    if isinstance(piece.sector, RadialSector):
+        values, radii = values[radii > 0], radii[radii > 0]
+    return values, radii
+
+
+@st.composite
+def grid_pieces(draw):
+    kind = draw(st.sampled_from(["line", "product", "radial"]))
+    if kind == "line":
+        sector = LineSector(draw(st.sampled_from(["Z", "N0", "Nneg", "Z_nonzero"])))
+    elif kind == "product":
+        sector = ProductSector(tuple(
+            LineSector(draw(st.sampled_from(["Z", "N0", "Nneg"])))
+            for _ in range(draw(st.integers(2, 3)))))
+    else:
+        sector = RadialSector(draw(st.integers(2, 3)))
+    atoms = tuple(
+        Atom(draw(_coeffs),
+             tuple(CoordFactor(draw(small_exp), draw(small_exp), draw(small_pow), draw(small_pow))
+                   for _ in range(sector.dims)),
+             draw(small_pow) if kind == "radial" else 0)
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return Piece(sector, atoms), draw(st.integers(0, 40 if kind == "line" else 6))
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pieces())
+@pytest.mark.filterwarnings("error")
+def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
+    piece, radius = piece_radius
+    got = seqspace._grid_values(piece, radius)
+    want = _reference_grid_values(piece, radius)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 @pytest.mark.parametrize("domain", ["Z", "N0", "Nneg", "Z_nonzero"])
