@@ -802,7 +802,7 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
                 np.log2(sq, out=sq)
                 sq *= 0.5 * float(atom.radial_pow)
                 log2mag += sq
-                del sq
+                del sq  # one window-sized array fewer while exp2 runs
             np.clip(log2mag, -1100.0, 1100.0, out=log2mag)
             np.exp2(log2mag, out=log2mag)
             log2mag *= float(atom.coeff)
