@@ -41,7 +41,7 @@ from .seqspace import (
     decide_sequence_embedding,
     truncated_oracle,
 )
-from .weights import agreement_report, build_weight
+from .weights import build_weight
 
 __all__ = [
     "INF",
@@ -78,7 +78,6 @@ __all__ = [
     "FAMILY_NAMES",
     "covering_from_json",
     "get_family",
-    "agreement_report",
     "build_weight",
 ]
 

@@ -15,19 +15,27 @@ anchor so the verdict is machine-checkable.  A verdict where a sufficient
 criterion holds while a necessary one fails would be internally
 inconsistent and raises instead of returning.
 
-The optional oracle check reruns every symbolic summability call through
-the numeric tail oracle on truncated windows, once per distinct weight and
-exponent, and raises
-:class:`OracleDisagreement` if the two routes ever contradict each other.
+Each quotient w^(t)/u(r) a verdict reads is a family's quotient form, whose
+exponents are affine in the gaps 1/p - 1/t and 1/2 - 1/r, evaluated at the
+cell's gaps with t = q, p and 2.  A cell is decided on the form's integer
+coefficients and builds no weight.  The one thing kept across calls is a
+bounded LRU cache of the parsed params and forms, keyed by the family, the
+canonical JSON text of the params document (or the parsed params
+themselves) and k, so a (q, r) sweep parses and compiles once.
 
-Each quotient w^(t)/u(r) a verdict reads is built by its family in one step
-from the gaps 1/p - 1/t and 1/2 - 1/r, with t = q, p and 2.  Nothing is kept
-across calls.
+The optional oracle check builds each weight a verdict read, checks the
+compiled verdict against :func:`decide_lp_membership` on it (a mismatch
+raises :class:`InconsistentVerdict`), and reruns every summability call
+through the numeric tail oracle on truncated windows, once per distinct
+weight and exponent; it raises :class:`OracleDisagreement` if the two routes
+ever contradict each other.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import json
 from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -45,7 +53,9 @@ from .families import Family, get_family
 from .seqspace import (
     ExpPolyWeight,
     Membership,
+    QuotientForm,
     TailClassification,
+    decide_exponents,
     decide_lp_membership,
     truncated_oracle,
 )
@@ -74,6 +84,8 @@ ANCHOR_BV_REDUCTION = "Cor 6.1"
 _ONE = ExtExponent(1)
 _TWO = ExtExponent(2)
 _ZERO = Fraction(0)
+# bound of the cache of parsed params and quotient forms (see _compiled)
+FORM_MEMO_SIZE = 16
 
 
 class Outcome(str, enum.Enum):
@@ -115,11 +127,25 @@ class Verdict:
         return doc
 
 
+class _Cell(NamedTuple):
+    """A quotient form at one (dp, g): the exponent pairs the rules read,
+    and what builds the weight when the oracle check needs it."""
+
+    form: QuotientForm
+    dp: Fraction
+    g: Fraction
+    exponents: list
+
+
+def _cell(form: QuotientForm, dp: Fraction, g: Fraction) -> _Cell:
+    return _Cell(form, dp, g, form.exponents(dp, g))
+
+
 class _SummabilityCall(NamedTuple):
     """One symbolic membership decision, kept for the oracle cross-check."""
 
     label: str
-    weight: ExpPolyWeight
+    cell: _Cell
     theta: ExtExponent
     verdict: Membership
 
@@ -128,7 +154,7 @@ def _membership_evidence(
     ev_id: str,
     anchor: str,
     role: str,
-    weight: ExpPolyWeight,
+    cell: _Cell,
     theta: ExtExponent,
     what: str,
     calls: list[_SummabilityCall],
@@ -136,8 +162,8 @@ def _membership_evidence(
     extra_ok: bool = True,
     extra_note: str = "",
 ) -> Evidence:
-    member = decide_lp_membership(weight, theta)
-    calls.append(_SummabilityCall(ev_id, weight, theta, member))
+    member = decide_exponents(cell.exponents, theta)
+    calls.append(_SummabilityCall(ev_id, cell, theta, member))
     holds = extra_ok and member is Membership.MEMBER
     detail = f"{what} is {member.value} of l^{theta}"
     if extra_note:
@@ -145,8 +171,12 @@ def _membership_evidence(
     return Evidence(ev_id, anchor, holds, detail, role)
 
 
+def _is_order(k) -> bool:
+    return isinstance(k, int) and not isinstance(k, bool) and k >= 0
+
+
 def _validate_order(k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, int) or k < 0:
+    if not _is_order(k):
         raise InvalidParams("smoothness order k must be a nonnegative integer")
     return k
 
@@ -156,13 +186,60 @@ def _exponent(value) -> ExtExponent:
     return value if isinstance(value, ExtExponent) else ExtExponent(value)
 
 
-def _resolve(family, params):
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _plain_json(obj) -> bool:
+    """Whether a document is built from JSON types alone, subclasses excluded."""
+    kind = type(obj)
+    if kind is dict:
+        return all(type(key) is str and _plain_json(val) for key, val in obj.items())
+    if kind is list:
+        return all(map(_plain_json, obj))
+    return kind in _JSON_SCALARS
+
+
+def _params_key(doc) -> Optional[str]:
+    """The cache key of a params document: its ``json.dumps`` text with
+    sorted keys, which tells 1, 1.0, true and "1" apart.  None for a
+    document of other types (a tuple, which dumps like a list, a Fraction, a
+    non-string key) or past the digit limit, which is parsed uncached."""
+    if not _plain_json(doc):
+        return None
+    try:
+        return json.dumps(doc, sort_keys=True)
+    except ValueError:  # an int past the digit limit of int-to-str conversion
+        return None
+
+
+def _compile(fam: Family, params, k: int) -> tuple:
+    form = fam.quotient_form(params, k)
+    return fam, params, form, fam.khintchine_quotient(form)
+
+
+@functools.lru_cache(maxsize=FORM_MEMO_SIZE)
+def _compiled_memo(fam: Family, key, k: int) -> tuple:
+    # a failed parse raises, and lru_cache keeps nothing for it
+    return _compile(fam, fam.parse_params(json.loads(key)) if type(key) is str else key, k)
+
+
+def _compiled(family, params, k) -> tuple:
+    """(family, parsed params, quotient form, Khintchine-restricted form or
+    None), from the bounded cache when the params have a key: the parsed
+    params dataclass itself, or :func:`_params_key` of a document.
+
+    An invalid k leaves both forms None; the caller reports it after the
+    exponents, so errors keep their order: family, params, exponents, k.
+    """
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
         raise InvalidParams(f"not a family: {family!r}")
+    key = params if is_dataclass(params) else _params_key(params)
+    if key is not None and _is_order(k):
+        return _compiled_memo(fam, key, k)
     if not is_dataclass(params):
         params = fam.parse_params(params)
-    return fam, params
+    return _compile(fam, params, k) if _is_order(k) else (fam, params, None, None)
 
 
 def decide_sobolev(
@@ -177,7 +254,7 @@ def decide_sobolev(
     oracle_check: bool = False,
 ) -> Verdict:
     """Decide the embedding into the Sobolev space of order k over L^q."""
-    fam, params = _resolve(family, params)
+    fam, params, form, kform = _compiled(family, params, k)
     p, q, r = _exponent(p), _exponent(q), _exponent(r)
     k = _validate_order(k)
 
@@ -198,7 +275,7 @@ def decide_sobolev(
     # each quotient reads r only through g = 1/2 - 1/r, and t = q, p or 2
     # only through 1/p - 1/t
     g = reciprocal_gap(_TWO, r)
-    quotient_q = fam.quotient_weight(params, k, reciprocal_gap(p, q), g)
+    quotient_q = _cell(form, reciprocal_gap(p, q), g)
     theta_suff = compound(lower_conjugate(q), r)
     evidence.append(
         _membership_evidence(
@@ -240,9 +317,9 @@ def decide_sobolev(
             )
         )
 
-    if not q.is_inf and fam.khintchine is not None:
+    if not q.is_inf and kform is not None:
         theta_k = compound(_TWO, r)
-        kq_p = fam.khintchine_quotient(fam.quotient_weight(params, k, _ZERO, g))
+        kq_p = _cell(kform, _ZERO, g)
         evidence.append(
             _membership_evidence(
                 "N3",
@@ -255,9 +332,7 @@ def decide_sobolev(
             )
         )
         if _TWO <= q:
-            kq_2 = fam.khintchine_quotient(
-                fam.quotient_weight(params, k, reciprocal_gap(p, _TWO), g)
-            )
+            kq_2 = _cell(kform, reciprocal_gap(p, _TWO), g)
             evidence.append(
                 _membership_evidence(
                     "N4",
@@ -308,14 +383,27 @@ def _aggregate(
 
 
 def _cross_check(calls: list[_SummabilityCall]) -> None:
-    """Check each call, in order, against the oracle; a weight and theta
-    that recur (theta_suff = theta_nec when q <= 2) are run once."""
+    """Check each call, in order: build its weight, which must get the
+    compiled verdict from :func:`decide_lp_membership`, and put it to the
+    oracle; a weight and theta that recur (theta_suff = theta_nec when
+    q <= 2) are run once."""
+    built_of: dict[int, ExpPolyWeight] = {}  # S1, N2 and N2b share one cell
     tails: dict[tuple[ExpPolyWeight, ExtExponent], TailClassification] = {}
     for call in calls:
-        key = (call.weight, call.theta)
+        cell = call.cell
+        weight = built_of.get(id(cell))
+        if weight is None:
+            weight = built_of[id(cell)] = cell.form.at(cell.dp, cell.g)
+        built = decide_lp_membership(weight, call.theta)
+        if built is not call.verdict:
+            raise InconsistentVerdict(
+                f"{call.label}: the compiled form says {call.verdict.value} at "
+                f"l^{call.theta} but its built weight is {built.value}"
+            )
+        key = (weight, call.theta)
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = truncated_oracle(call.weight, call.theta)
+            tail = tails[key] = truncated_oracle(weight, call.theta)
         if tail.verdict == "Convergent" and call.verdict is Membership.NOT_MEMBER:
             raise OracleDisagreement(
                 f"{call.label}: oracle tail converges at l^{call.theta} but the "

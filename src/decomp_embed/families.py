@@ -7,8 +7,8 @@ Each family bundles three things behind one name:
 * the closed form of the quotient w^(t)/u that the summability tests of the
   decision engine read: the covering weight
   w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) over the weight
-  u of its sequence space on the matching lattice, built in one step from
-  the gaps 1/p - 1/t and 1/2 - 1/r,
+  u of its sequence space on the matching lattice, built once per (params,
+  k) with every exponent affine in the gaps 1/p - 1/t and 1/2 - 1/r,
 * optional sharpened criteria that extend the generic tests in the regime
   q in (2, inf).
 
@@ -50,6 +50,7 @@ from .exponents import (
     reciprocal_gap,
 )
 from .seqspace import (
+    Affine,
     Atom,
     CoordFactor,
     ExpPolyWeight,
@@ -57,6 +58,7 @@ from .seqspace import (
     PairSector,
     Piece,
     ProductSector,
+    QuotientForm,
     RadialSector,
 )
 
@@ -68,6 +70,9 @@ __all__ = [
 
 _ONE = Fraction(1)
 _TWO = ExtExponent(2)
+# the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, as the exponents of a form read them
+_DP = Affine(0, 1, 0)
+_G = Affine(0, 0, 1)
 
 # Evidence anchors for the family-specific sharpened criteria.  These are
 # opaque labels fixed by the output contract; downstream tooling matches on
@@ -185,19 +190,26 @@ class Family:
     def covering(self, params) -> Covering:
         raise NotImplementedError
 
-    def quotient_weight(self, params, k: int, dp: Fraction, g: Fraction) -> ExpPolyWeight:
-        """The ratio w^(t)/u(r) that the summability criteria test.
+    def quotient_form(self, params, k: int) -> QuotientForm:
+        """The ratio w^(t)/u(r) that the summability criteria test, for
+        every (t, r) at once.
 
         w^(t) is the closed form of the covering weight on the family's
         lattice and u(r) the weight of its sequence space.  Both read t and
-        r only through the gaps ``dp`` = 1/p - 1/t and ``g`` = 1/2 - 1/r,
-        so the quotient is built from them directly, one atom per term of
-        w^(t) over the single atom of u(r) on each sector.
+        r only through the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, so each
+        exponent of the quotient is affine in them (``_DP`` and ``_G``):
+        one atom per term of w^(t) over the single atom of u(r) on each
+        sector.
         """
         raise NotImplementedError
 
-    def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
-        """A quotient w^(t)/u restricted to the expanding part of the covering.
+    def quotient_weight(self, params, k: int, dp: Fraction, g: Fraction) -> ExpPolyWeight:
+        """The quotient w^(t)/u(r) at ``dp`` = 1/p - 1/t and ``g`` = 1/2 - 1/r."""
+        return self.quotient_form(params, k).at(dp, g)
+
+    def khintchine_quotient(self, quotient):
+        """A quotient w^(t)/u, or its form, restricted to the expanding part
+        of the covering.
 
         Families whose expanding part differs from the whole index set by
         more than finitely many indices restrict explicitly; None means the
@@ -208,7 +220,7 @@ class Family:
         if self.khintchine == "full":
             return quotient
         (piece,) = quotient.pieces
-        return ExpPolyWeight((Piece(LineSector("N0"), piece.atoms),))
+        return type(quotient)((Piece(LineSector("N0"), piece.atoms),))
 
     def to_point(self, index: Index) -> Optional[tuple]:
         return index
@@ -233,9 +245,9 @@ _Z = LineSector("Z")
 _N0 = LineSector("N0")
 
 
-def _dyadic_atoms(params: DyadicParams, k: int, dp: Fraction) -> tuple[Atom, ...]:
+def _dyadic_atoms(params: DyadicParams, k: int) -> tuple[Atom, ...]:
     """2^(d dp n) * (1 + 2^(k n)) over the space weight 2^(s n); |b| = 0."""
-    base = params.d * dp - params.s
+    base = params.d * _DP - params.s
     norm_atoms = [Atom.line(exp2=base + k)] if k >= 1 else []
     return _weight_atoms(Atom.line(exp2=base), norm_atoms)
 
@@ -269,8 +281,8 @@ class HomBesovFamily(Family):
             base_set=lambda i: base,
         )
 
-    def quotient_weight(self, params, k, dp, g):
-        return ExpPolyWeight.single(_Z, *_dyadic_atoms(params, k, dp))
+    def quotient_form(self, params, k):
+        return QuotientForm.single(_Z, *_dyadic_atoms(params, k))
 
 
 class InhomBesovFamily(Family):
@@ -303,9 +315,9 @@ class InhomBesovFamily(Family):
             base_set=lambda i: ball if i == (0,) else annulus,
         )
 
-    def quotient_weight(self, params, k, dp, g):
+    def quotient_form(self, params, k):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
-        return ExpPolyWeight.single(_N0, *_dyadic_atoms(params, k, dp))
+        return QuotientForm.single(_N0, *_dyadic_atoms(params, k))
 
     def refined_criteria(self, params, k, p, q, r):
         if not _TWO < q < INF:
@@ -384,10 +396,10 @@ class AlphaModulationFamily(Family):
             exact=exact,
         )
 
-    def quotient_weight(self, params, k, dp, g):
+    def quotient_form(self, params, k):
         d, a0 = params.d, self._a0(params)
         # |det T|^dp = |k|^(d a0 dp) over the space weight |k|^(s/(1 - alpha))
-        base = d * a0 * dp - params.s / (1 - params.alpha)
+        base = d * a0 * _DP - params.s / (1 - params.alpha)
         norm_atoms = []
         if k >= 1:
             # |b| = |k|^(a0 + 1) and ||T|| = |k|^a0, in that order
@@ -395,7 +407,7 @@ class AlphaModulationFamily(Family):
                 Atom.radial(d, base + (a0 + 1) * k),
                 Atom.radial(d, base + a0 * k),
             ]
-        return ExpPolyWeight.single(
+        return QuotientForm.single(
             RadialSector(d), *_weight_atoms(Atom.radial(d, base), norm_atoms)
         )
 
@@ -472,12 +484,12 @@ class ShearletSmoothnessFamily(Family):
         n, m, _eps, _delta = index
         return (n, m)
 
-    def quotient_weight(self, params, k, dp, g):
+    def quotient_form(self, params, k):
         # |det T|^dp = 2^(3 dp n) over the space weight 2^(2 s n)
-        base = 3 * dp - 2 * params.s
+        base = 3 * _DP - 2 * params.s
         # ||T|| is comparable to 2^(2n) throughout the cone
         norm_atoms = [Atom.pair(n_exp2=base + 2 * k)] if k >= 1 else []
-        return ExpPolyWeight.single(
+        return QuotientForm.single(
             self._sector(), *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
         )
 
@@ -581,11 +593,11 @@ class ShearletCoorbitFamily(Family):
             surrogates = ((one, 0), (c, 1), (c, 1), (c, 0))
         return sectors, surrogates
 
-    def quotient_weight(self, params, k, dp, g):
+    def quotient_form(self, params, k):
         # |det T|^dp = 2^((1 + c) dp n) over the space weight
         # 2^(-(1 + c) g n - alpha n) * ||T||^beta, per sector
         beta = params.beta
-        base = (1 + params.c) * (dp + g) + params.alpha
+        base = (1 + params.c) * (_DP + _G) + params.alpha
         gain = k - beta
         sectors, surrogates = self._sectors(params)
         pieces = []
@@ -595,7 +607,7 @@ class ShearletCoorbitFamily(Family):
                 [Atom.pair(n_exp2=base + a * gain, m_power=rho * gain)] if k >= 1 else []
             )
             pieces.append(Piece(sector, _weight_atoms(det_atom, norm_atoms)))
-        return ExpPolyWeight(tuple(pieces))
+        return QuotientForm(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -671,10 +683,10 @@ class DiagonalFamily(Family):
     def _sector(d: int) -> ProductSector:
         return ProductSector((_Z,) * d)
 
-    def quotient_weight(self, params, k, dp, g):
+    def quotient_form(self, params, k):
         # |det T|^dp = prod_l 2^(-dp k_l) over the space weight, whose
         # coordinate l is 2^((alpha_l + g) k_l) on k_l >= 0, beta_l on k_l < 0
-        rates = [(-dp - g - a, -dp - g - b) for a, b in zip(params.alpha, params.beta)]
+        rates = [(-_DP - _G - a, -_DP - _G - b) for a, b in zip(params.alpha, params.beta)]
         det_factors = tuple(CoordFactor(pos, neg) for pos, neg in rates)
         norm_atoms = []
         if k >= 1:
@@ -683,7 +695,7 @@ class DiagonalFamily(Family):
                 factors = list(det_factors)
                 factors[axis] = CoordFactor(pos - k, neg - k)
                 norm_atoms.append(Atom(_ONE, tuple(factors)))
-        return ExpPolyWeight.single(
+        return QuotientForm.single(
             self._sector(params.d), *_weight_atoms(Atom(_ONE, det_factors), norm_atoms)
         )
 

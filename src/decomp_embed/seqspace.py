@@ -6,22 +6,26 @@ This module carries the sequence-space side of the decision engine:
   weights, and constrained pair sectors of the form |m| <= ceil(2^(lam*n))
   + shift),
 * exp-poly weights, finite sums of atoms 2^(a*n) * |n|^c per coordinate
-  with per-orthant exponents,
+  with per-orthant exponents, and quotient forms, weights whose exponents
+  are affine in the gaps 1/p - 1/t and 1/2 - 1/r,
 * an exact decider for membership of such a weight in l^theta, whose
   rules read x = 1/theta, with x = 0 for theta = inf (boundedness),
 * an independent numeric truncation oracle that classifies the same
   membership question from partial sums alone, and
-* the two directions of the weighted sequence embedding test: a Hoelder
-  constant for the positive direction and a growing witness family for
-  the negative one.
+* the weighted sequence embedding test, decided through membership of
+  the quotient u/v.
 
 Atoms are flat tuples of exact Fractions.  Values are coerced to Fraction
 once, at the boundary: in the public constructors of :class:`CoordFactor`
 and :class:`Atom`, their classmethods and :func:`expweight_from_json`.
-Internal arithmetic (quotients, the membership tests) passes Fractions
-through untouched, so a quotient is a field-wise subtraction and the
-membership tests compare signs and integer cross products affine in
-1/theta; only the closed boundary at theta = inf sets that case apart.
+Internal arithmetic passes Fractions through untouched, so a quotient is a
+field-wise subtraction.  In a :class:`QuotientForm` an exponent may instead
+be an :class:`Affine` in the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, which
+the form compiles once to integer coefficients.  The membership rules read
+every exponent as an int pair (numerator, positive denominator), from an
+atom's Fractions or from a form's coefficients at one (dp, g), and compare
+signs and integer cross products affine in 1/theta; only the closed
+boundary at theta = inf sets that case apart.
 
 The decider and the oracle share no logic.  The decider manipulates
 exponents as exact rationals and never evaluates the weight; the oracle
@@ -37,10 +41,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import UnsupportedWeight
 from .exponents import compound, int_from_json, rational_from_json
@@ -53,19 +57,21 @@ __all__ = [
     "CoordFactor",
     "Atom",
     "ExpPolyWeight",
+    "Affine",
+    "QuotientForm",
     "Membership",
     "TailClassification",
+    "decide_exponents",
     "decide_lp_membership",
     "decide_sequence_embedding",
     "truncated_oracle",
-    "holder_constant",
-    "sequence_norm",
-    "witness_norm_ratios",
     "sector_from_json",
     "expweight_from_json",
 ]
 
 RatLike = Union[int, Fraction]
+# an exact exponent as (numerator, positive denominator), not necessarily reduced
+Pair = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -135,20 +141,6 @@ class LineSector:
             return n != 0
         return True
 
-    def coord_values(self, radius: int) -> list[int]:
-        if self.domain == "N0":
-            return list(range(0, radius + 1))
-        if self.domain == "Nneg":
-            return list(range(-radius, 0))
-        vals = list(range(-radius, radius + 1))
-        if self.domain == "Z_nonzero":
-            vals.remove(0)
-        return vals
-
-    def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
-        for n in self.coord_values(radius):
-            yield (n,)
-
 
 @dataclass(frozen=True)
 class ProductSector:
@@ -164,10 +156,6 @@ class ProductSector:
         return len(pt) == self.dims and all(
             line.contains((n,)) for line, n in zip(self.lines, pt)
         )
-
-    def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
-        axes = [line.coord_values(radius) for line in self.lines]
-        return itertools.product(*axes)
 
 
 @dataclass(frozen=True)
@@ -186,12 +174,6 @@ class RadialSector:
 
     def contains(self, pt: tuple[int, ...]) -> bool:
         return len(pt) == self.d and any(n != 0 for n in pt)
-
-    def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
-        rng = range(-radius, radius + 1)
-        for pt in itertools.product(*([rng] * self.d)):
-            if any(n != 0 for n in pt):
-                yield pt
 
 
 @dataclass(frozen=True)
@@ -243,16 +225,6 @@ class PairSector:
             return abs(m) <= bound
         return abs(m) >= bound
 
-    def iter_window(self, radius: int) -> Iterator[tuple[int, ...]]:
-        if self.side == "outside":
-            raise UnsupportedWeight(
-                "outside pair sectors have unbounded rows; no finite window"
-            )
-        for n in self.n_values(radius):
-            bound = self.m_bound(n)
-            for m in range(-bound, bound + 1):
-                yield (n, m)
-
 
 Sector = Union[LineSector, ProductSector, RadialSector, PairSector]
 
@@ -288,9 +260,48 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+class Affine:
+    """The exact affine function c0 + c_dp*dp + c_g*g of the two gaps
+    dp = 1/p - 1/t and g = 1/2 - 1/r: an exponent of a :class:`QuotientForm`.
+
+    Sums with ints, Fractions and other Affines, and products with ints and
+    Fractions, stay Affine, so a family builds its form with the same
+    arithmetic it would spend on one (dp, g).
+    """
+
+    __slots__ = ("c0", "c_dp", "c_g")
+
+    def __init__(self, c0: RatLike = _ZERO, c_dp: RatLike = _ZERO, c_g: RatLike = _ZERO):
+        self.c0, self.c_dp, self.c_g = _exact(c0), _exact(c_dp), _exact(c_g)
+
+    def __add__(self, other) -> "Affine":
+        if type(other) is Affine:
+            return Affine(self.c0 + other.c0, self.c_dp + other.c_dp, self.c_g + other.c_g)
+        return Affine(self.c0 + other, self.c_dp, self.c_g)
+
+    __radd__ = __add__
+
+    def __neg__(self) -> "Affine":
+        return Affine(-self.c0, -self.c_dp, -self.c_g)
+
+    def __sub__(self, other) -> "Affine":
+        return self + -other
+
+    def __rsub__(self, other) -> "Affine":
+        return -self + other
+
+    def __mul__(self, scalar: RatLike) -> "Affine":
+        return Affine(self.c0 * scalar, self.c_dp * scalar, self.c_g * scalar)
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"Affine({self.c0}, {self.c_dp}, {self.c_g})"
+
+
 def _exact(value: RatLike) -> Fraction:
-    """value as a Fraction; a Fraction passes through untouched."""
-    return value if type(value) is Fraction else Fraction(value)
+    """value as a Fraction; a Fraction or an Affine passes through untouched."""
+    return value if type(value) is Fraction or type(value) is Affine else Fraction(value)
 
 
 class _CoordFactorFields(NamedTuple):
@@ -471,10 +482,6 @@ class ExpPolyWeight:
     def contains(self, pt: tuple[int, ...]) -> bool:
         return any(piece.sector.contains(pt) for piece in self.pieces)
 
-    def iter_points(self, radius: int) -> Iterator[tuple[int, ...]]:
-        for piece in self.pieces:
-            yield from piece.sector.iter_window(radius)
-
     def quotient(self, den: "ExpPolyWeight") -> "ExpPolyWeight":
         """Pointwise self/den; den must carry one atom per matching sector."""
         if len(den.pieces) != len(self.pieces):
@@ -493,6 +500,90 @@ class ExpPolyWeight:
                 )
             )
         return ExpPolyWeight(tuple(out))
+
+
+def _exponents_of(atom: Atom) -> tuple:
+    """The exponents of an atom in reading order: exp2_pos, exp2_neg,
+    pow_pos and pow_neg of each coordinate factor, then the radial power."""
+    return (*itertools.chain.from_iterable(atom.factors), atom.radial_pow)
+
+
+def _affine_parts(e) -> tuple[Fraction, Fraction, Fraction]:
+    return (e.c0, e.c_dp, e.c_g) if type(e) is Affine else (e, _ZERO, _ZERO)
+
+
+@dataclass(frozen=True)
+class QuotientForm:
+    """A family's quotient w^(t)/u(r) for every (t, r) at once.
+
+    The pieces and atoms are those of the quotient at any one (t, r), and
+    each exponent is a Fraction or an :class:`Affine` in the gaps
+    dp = 1/p - 1/t and g = 1/2 - 1/r.  The coefficients are compiled once
+    to ints (a, b, c) over one common denominator D, so at (dp, g) an
+    exponent is (a*s + b*u + c*v) / (D*s) with the same s, u, v for all of
+    them.  :meth:`exponents` gives these as the int pairs that
+    :func:`decide_exponents` reads, without building a weight; :meth:`at`
+    builds the weight.
+    """
+
+    pieces: tuple[Piece, ...]
+    _den: int = field(init=False, repr=False, compare=False)
+    _rows: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        exps = [_exponents_of(atom) for piece in self.pieces for atom in piece.atoms]
+        # many exponents are one shared object (a zero, a symmetric factor)
+        parts = {id(e): _affine_parts(e) for atom in exps for e in atom}
+        den = math.lcm(*(c.denominator for part in parts.values() for c in part))
+        ints = {
+            key: tuple(c.numerator * (den // c.denominator) for c in part)
+            for key, part in parts.items()
+        }
+        rows = iter([tuple(ints[id(e)] for e in atom) for atom in exps])
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_rows", tuple(
+            tuple(next(rows) for _ in piece.atoms) for piece in self.pieces
+        ))
+
+    @classmethod
+    def single(cls, sector: Sector, *atoms: Atom) -> "QuotientForm":
+        return cls((Piece(sector, tuple(atoms)),))
+
+    def _scale(self, dp: Fraction, g: Fraction) -> tuple[int, int, int, int]:
+        """(s, u, v, D*s) at (dp, g)."""
+        s = dp.denominator * g.denominator
+        return s, dp.numerator * g.denominator, g.numerator * dp.denominator, self._den * s
+
+    def exponents(self, dp: Fraction, g: Fraction) -> list:
+        """Per piece its sector and, per atom, the exponent pairs at (dp, g),
+        as :func:`decide_exponents` reads them.
+
+        Lists, not tuples built from generators: those are sized by a
+        guess and shrunk, and the tuples they free pile up in CPython's
+        per-size free lists, which a sweep of cells fills to their cap.
+        """
+        s, u, v, den = self._scale(dp, g)
+        return [
+            (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
+            for piece, rows in zip(self.pieces, self._rows)
+        ]
+
+    def at(self, dp: Fraction, g: Fraction) -> ExpPolyWeight:
+        """The quotient at one (dp, g), every exponent a Fraction."""
+        s, u, v, den = self._scale(dp, g)
+
+        def atom_at(atom: Atom, row: tuple) -> Atom:
+            vals = [
+                Fraction(a * s + b * u + c * v, den) if type(e) is Affine else e
+                for e, (a, b, c) in zip(_exponents_of(atom), row)
+            ]
+            factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
+            return Atom._make((atom.coeff, factors, vals[-1]))
+
+        return ExpPolyWeight(tuple(
+            Piece(piece.sector, tuple(map(atom_at, piece.atoms, rows)))
+            for piece, rows in zip(self.pieces, self._rows)
+        ))
 
 
 def _factor_from_json(obj: object) -> tuple[Fraction, Fraction]:
@@ -563,50 +654,53 @@ def _below(v: int, xn: int) -> bool:
     return v < 0 or (v == 0 and xn == 0)
 
 
-def _halfline_member(sign: int, c: Fraction, xn: int, xd: int) -> bool:
+def _halfline_member(sign: int, c: Pair, xn: int, xd: int) -> bool:
     """Whether 2^(a*n) * n^c over n >= 1 lies in l^theta, 1/theta = xn/xd;
     ``sign`` is any int with the sign of a.
 
     This is summability of 2^(theta*a*n) * n^(theta*c) (boundedness at
     theta = inf): theta > 0 keeps the sign of a, and at a = 0 the test
-    c + 1/theta < 0 is an integer cross product, so no Fraction is built.
+    c + 1/theta < 0 is an integer cross product.
     """
     if sign:
         return sign < 0
-    return _below(c.numerator * xd + c.denominator * xn, xn)
+    cn, cd = c
+    return _below(cn * xd + cd * xn, xn)
 
 
-def _line_member(domain: str, f: CoordFactor, xn: int, xd: int) -> bool:
-    if domain != "Nneg" and not _halfline_member(f.exp2_pos.numerator, f.pow_pos, xn, xd):
+def _line_member(domain: str, f: Sequence[Pair], xn: int, xd: int) -> bool:
+    """``f`` is a coordinate factor's (exp2_pos, exp2_neg, pow_pos, pow_neg)."""
+    a_pos, a_neg, c_pos, c_neg = f
+    if domain != "Nneg" and not _halfline_member(a_pos[0], c_pos, xn, xd):
         return False
-    return domain == "N0" or _halfline_member(-f.exp2_neg.numerator, f.pow_neg, xn, xd)
+    return domain == "N0" or _halfline_member(-a_neg[0], c_neg, xn, xd)
 
 
-def _pair_atom_member(sector: PairSector, atom: Atom, xn: int, xd: int) -> bool:
-    n_factor, m_factor = atom.factors
-    if m_factor.exp2_pos or m_factor.exp2_neg:
+def _pair_atom_member(sector: PairSector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
+    a_pos, a_neg, c_pos, c_neg, m_exp2_pos, m_exp2_neg, rho, rho_neg = ex[:8]
+    if m_exp2_pos[0] or m_exp2_neg[0]:
         raise UnsupportedWeight("pair sectors support only power factors in m")
-    rho = m_factor.pow_pos
-    if rho != m_factor.pow_neg:
+    rn, rd = rho
+    if rn * rho_neg[1] != rho_neg[0] * rd:
         raise UnsupportedWeight("pair sectors need a symmetric m power")
     lam = sector.lam
     if sector.n_domain == "N0":
         if lam < 0:
             raise UnsupportedWeight("pair sector with lam < 0 on n >= 0")
-        a, c = n_factor.exp2_pos, n_factor.pow_pos
+        (an, ad), c = a_pos, c_pos
         orient = 1
     else:
         if lam > 0:
             raise UnsupportedWeight("pair sector with lam > 0 on n < 0")
         # n runs to -inf, where 2^(a*n) decays at rate -a
-        a, c = n_factor.exp2_neg, n_factor.pow_neg
+        (an, ad), c = a_neg, c_neg
         orient = -1
     outside = sector.side == "outside"
 
     # the l^theta sum (a sup at theta = inf) read per unit theta: every
     # rate and power below is divided by theta, and rho_side has the
     # sign of 1/theta + rho
-    rho_side = rho.numerator * xd + rho.denominator * xn
+    rho_side = rn * xd + rd * xn
     if outside and not _below(rho_side, xn):
         return False  # every row has a divergent (or unbounded) m-tail
     # rows grow like bound^(1/theta + rho) when the m power points
@@ -614,35 +708,62 @@ def _pair_atom_member(sector: PairSector, atom: Atom, xn: int, xd: int) -> bool:
     # and like a constant below
     if outside or rho_side > 0:
         # the sign of the rate a + lam*(1/theta + rho), with
-        # 1/theta + rho = rho_side / (xd * rho.denominator)
-        sign = (a.numerator * lam.denominator * xd * rho.denominator
-                + lam.numerator * rho_side * a.denominator)
+        # 1/theta + rho = rho_side / (xd * rd)
+        sign = an * lam.denominator * xd * rd + lam.numerator * rho_side * ad
         return _halfline_member(orient * sign, c, xn, xd)
-    if rho_side == 0 and lam and not a:
+    if rho_side == 0 and lam and not an:
         # the log(bound) factor raises the power c by 1/theta
-        return _below(c.numerator * xd + 2 * c.denominator * xn, xn)
-    return _halfline_member(orient * a.numerator, c, xn, xd)
+        cn, cd = c
+        return _below(cn * xd + 2 * cd * xn, xn)
+    return _halfline_member(orient * an, c, xn, xd)
 
 
-def _atom_member(sector: Sector, atom: Atom, xn: int, xd: int) -> bool:
+def _atom_member(sector: Sector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
+    """The rule of one atom, given its exponents as int pairs in the
+    reading order of :func:`_exponents_of`."""
     if isinstance(sector, RadialSector):
-        if any(not f.is_trivial for f in atom.factors):
+        if any(num for num, _ in ex[:-1]):
             raise UnsupportedWeight("radial sectors support only radial powers")
         # power + d/theta < 0, as an integer cross product
-        power = atom.radial_pow
-        return _below(power.numerator * xd + sector.d * power.denominator * xn, xn)
-    if atom.radial_pow:
+        pn, pd = ex[-1]
+        return _below(pn * xd + sector.d * pd * xn, xn)
+    if ex[-1][0]:
         raise UnsupportedWeight("radial powers are only supported on radial sectors")
     if isinstance(sector, LineSector):
-        return _line_member(sector.domain, atom.factors[0], xn, xd)
+        return _line_member(sector.domain, ex[:4], xn, xd)
     if isinstance(sector, ProductSector):
         return all(
-            _line_member(line.domain, f, xn, xd)
-            for line, f in zip(sector.lines, atom.factors)
+            _line_member(line.domain, ex[4 * j:4 * j + 4], xn, xd)
+            for j, line in enumerate(sector.lines)
         )
     if isinstance(sector, PairSector):
-        return _pair_atom_member(sector, atom, xn, xd)
+        return _pair_atom_member(sector, ex, xn, xd)
     raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
+
+
+def _exponent_pairs(atom: Atom) -> list[Pair]:
+    """The exponents of an atom in reading order, each as an int pair
+    (numerator, denominator)."""
+    return [(e.numerator, e.denominator) for e in _exponents_of(atom)]
+
+
+def decide_exponents(
+    pieces: Iterable[tuple[Sector, Iterable[Sequence[Pair]]]], theta
+) -> Membership:
+    """Exact decision of a weight in l^theta, given per piece its sector and
+    the exponents of each atom as int pairs in the reading order of
+    :func:`_exponents_of`.
+
+    A pair is (numerator, positive denominator) and need not be reduced:
+    every rule is the sign of an integer cross product affine in
+    x = 1/theta, read as two ints xn/xd with xn = 0 for theta = inf.
+    """
+    xn, xd = (0, 1) if theta.is_inf else (theta.frac.denominator, theta.frac.numerator)
+    for sector, atoms in pieces:
+        for ex in atoms:
+            if not _atom_member(sector, ex, xn, xd):
+                return Membership.NOT_MEMBER
+    return Membership.MEMBER
 
 
 def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
@@ -652,16 +773,11 @@ def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
     is (the theta-power of a finite sum of positive terms is comparable
     to the sum of theta-powers), and at theta = inf it is bounded exactly
     when every atom is, so the decision distributes over atoms and
-    pieces.  The rules read x = 1/theta as two ints xn/xd, with xn = 0
-    for theta = inf; each compares an integer cross product affine in x
-    with 0.
+    pieces (:func:`decide_exponents`).
     """
-    xn, xd = (0, 1) if theta.is_inf else (theta.frac.denominator, theta.frac.numerator)
-    for piece in w.pieces:
-        for atom in piece.atoms:
-            if not _atom_member(piece.sector, atom, xn, xd):
-                return Membership.NOT_MEMBER
-    return Membership.MEMBER
+    return decide_exponents(
+        ((piece.sector, map(_exponent_pairs, piece.atoms)) for piece in w.pieces), theta
+    )
 
 
 def decide_sequence_embedding(u: ExpPolyWeight, v: ExpPolyWeight, r, s) -> str:
@@ -689,6 +805,8 @@ RATIO_WINDOW = 3
 
 _ROW_STEP_CAP = 200_000
 _ROW_NEGLIGIBLE = 1e-12
+# a row whose bound 2^(lam*n) reaches 2^1024 has no float |m| to start from
+_ROW_LOG2_CAP = 1024
 # a truncated row only blocks a Convergent verdict when the missing mass
 # could move a shell ratio; 1e-6 relative mass cannot cross the 0.9 gate.
 # both thresholds are read relative to the global partial sum, so tiny
@@ -727,7 +845,7 @@ def default_radii(dims: int, has_pair: bool) -> tuple[int, ...]:
 
 
 def _line_axis(domain: str, radius: int) -> np.ndarray:
-    """``LineSector(domain).coord_values(radius)`` as float64, without the list."""
+    """The coordinate values of ``LineSector(domain)`` up to ``radius``, as float64."""
     import numpy as np
 
     if domain == "N0":
@@ -827,29 +945,45 @@ class _RowSum:
     truncated_significant: bool
 
 
-def _row_atoms(piece: Piece, n: int) -> list[tuple[float, tuple[float, ...]]]:
+RowAtom = tuple[float, tuple[float, ...], Union[float, None]]
+
+
+def _row_atoms(piece: Piece, n: int) -> list[RowAtom]:
     """The constants of row n of a pair sector, as floats once per row:
-    per atom, coeff * f0(n) and the m-factor's four exponents."""
+    per atom, the base coeff * f0(n), the m-factor's four exponents, and
+    log2 of the base when the base saturated to inf or 0 (else None)."""
     row = []
     for atom in piece.atoms:
         if atom.radial_pow:
             raise UnsupportedWeight("radial powers are not supported on pair sectors")
         f0, f1 = atom.factors
-        row.append((float(atom.coeff) * f0.value(n), tuple(map(float, f1))))
+        log2_f0 = f0.log2_value(n)
+        base = float(atom.coeff) * pow2f(log2_f0)
+        saturated = base == 0.0 or base == math.inf
+        row.append((
+            base,
+            tuple(map(float, f1)),
+            math.log2(atom.coeff) + log2_f0 if saturated else None,
+        ))
     return row
 
 
-def _row_values(
-    row: list[tuple[float, tuple[float, ...]]], log2s: Iterable[np.ndarray]
-) -> np.ndarray:
+def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
     """Piece values along a row: the sum over atoms, in atom order, of
-    coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom."""
+    coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom.
+
+    A base that saturated to inf or 0 adds its log to log2 before the one
+    exponentiation, as :meth:`Atom.evaluate` does, so that it cannot meet
+    a saturated m-term as inf * 0."""
     import numpy as np
 
     total = None
     with np.errstate(over="ignore", under="ignore"):
-        for (base, _), log2mag in zip(row, log2s):
-            vals = base * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
+        for (base, _, log2_base), log2mag in zip(row, log2s):
+            if log2_base is None:
+                vals = base * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
+            else:
+                vals = np.exp2(np.clip(log2mag + log2_base, -1100.0, 1100.0))
             total = vals if total is None else total + vals
     return total
 
@@ -863,9 +997,7 @@ def _powered(vals: np.ndarray, theta_f: float | None) -> np.ndarray:
         return np.where(vals > 0, vals**theta_f, 0.0)
 
 
-def _row_remainder_bound(
-    row: list[tuple[float, tuple[float, ...]]], lo: float, theta_f: float | None
-) -> float:
+def _row_remainder_bound(row: list[RowAtom], lo: float, theta_f: float | None) -> float:
     """Upper bound, in closed form, for what the terms |m| >= lo of an
     outside row (both signs of m) still add: the sum of their theta-powers,
     or their sup when theta_f is None.  ``row`` is :func:`_row_atoms`'.
@@ -879,7 +1011,7 @@ def _row_remainder_bound(
     """
     sides = [
         (base, a, c)
-        for base, (a_pos, a_neg, c_pos, c_neg) in row
+        for base, (a_pos, a_neg, c_pos, c_neg), _ in row
         for a, c in ((a_pos, c_pos), (-a_neg, c_neg))
     ]
     if theta_f is None:
@@ -911,11 +1043,15 @@ def _pair_row(
     not exceed the sup so far.  Otherwise the row stops at the first chunk
     that is itself negligible, or at the step cap; a row capped while its
     last chunk still matters is flagged so that the caller can refuse to
-    certify convergence.
+    certify convergence.  A row whose bound is past the float range
+    (lam*n >= 1024) is not evaluated: it adds nothing and is flagged.
     """
     import numpy as np
 
     sector: PairSector = piece.sector  # type: ignore[assignment]
+    lam = sector.lam
+    if abs(lam.numerator * n) >= _ROW_LOG2_CAP * lam.denominator:
+        return _RowSum(0.0, True)
     bound = sector.m_bound(n)
 
     if sector.side == "inside" and bound < 0:
@@ -928,7 +1064,7 @@ def _pair_row(
         truncated = bound > cap
         axis = _axis_logs(np.arange(-half, half + 1, dtype=np.float64))
         powered = _powered(
-            _row_values(row, (_factor_log2_on_axis(f1, axis) for _, f1 in row)), theta_f
+            _row_values(row, (_factor_log2_on_axis(f1, axis) for _, f1, _ in row)), theta_f
         )
         if theta_f is None:
             return _RowSum(float(powered.max()), truncated)
@@ -940,7 +1076,7 @@ def _pair_row(
     sup = 0.0
     if bound <= 0:
         zero = _axis_logs(np.zeros(1))
-        z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1 in row)), theta_f)
+        z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1, _ in row)), theta_f)
         with np.errstate(over="ignore", under="ignore"):
             total += float(z.sum())
         sup = max(sup, float(z.max()))
@@ -948,20 +1084,20 @@ def _pair_row(
     # at most in the sign of a zero exponent, which exp2 erases: the -m
     # half is then the +m half, bit for bit
     mirrored = all(a_pos == a_neg == 0.0 and c_pos == c_neg
-                   for _, (a_pos, a_neg, c_pos, c_neg) in row)
+                   for _, (a_pos, a_neg, c_pos, c_neg), _ in row)
     chunk = 4096
     steps = 0
     last_chunk = 0.0
     while steps < _ROW_STEP_CAP:
         ms = np.arange(start + steps, start + steps + chunk, dtype=np.float64)
         lg = np.log2(ms)  # |m| >= 1 here
-        pos = _powered(_row_values(row, (a * ms + c * lg for _, (a, _, c, _) in row)), theta_f)
+        pos = _powered(_row_values(row, (a * ms + c * lg for _, (a, _, c, _), _ in row)), theta_f)
         if mirrored:
             neg = pos
         else:
             neg_ms = -ms
             neg = _powered(
-                _row_values(row, (a * neg_ms + c * lg for _, (_, a, _, c) in row)), theta_f
+                _row_values(row, (a * neg_ms + c * lg for _, (_, a, _, c), _ in row)), theta_f
             )
         with np.errstate(over="ignore", under="ignore"):
             vals = np.maximum(pos, neg) if theta_f is None else pos + neg
@@ -1358,70 +1494,3 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
                 )
 
     return TailClassification("Inconclusive", last_radius, partial_sum=partials[-1])
-
-
-# ---------------------------------------------------------------------------
-# the two directions of the sequence embedding, numerically
-# ---------------------------------------------------------------------------
-
-def sequence_norm(
-    values: dict[tuple[int, ...], float],
-    weight: ExpPolyWeight,
-    p,
-) -> float:
-    """The weighted l^p norm of a finitely supported sequence."""
-    terms = [weight.evaluate(pt) * abs(c) for pt, c in values.items()]
-    if p.is_inf:
-        return max(terms, default=0.0)
-    pf = float(p)
-    return sum(t**pf for t in terms) ** (1.0 / pf)
-
-
-def holder_constant(u: ExpPolyWeight, v: ExpPolyWeight, r, s, radius: int) -> float:
-    """The l^theta norm of u/v over the window, theta = compound(s, r).
-
-    This is the constant of the positive direction: for sequences
-    supported in the window, the weighted l^s norm against u is at most
-    this constant times the weighted l^r norm against v.
-    """
-    theta = compound(s, r)
-    ratios = [
-        u.evaluate(pt) / v.evaluate(pt) for pt in dict.fromkeys(u.iter_points(radius))
-    ]
-    if theta.is_inf:
-        return max(ratios, default=0.0)
-    tf = float(theta)
-    return sum(x**tf for x in ratios) ** (1.0 / tf)
-
-
-def witness_norm_ratios(
-    u: ExpPolyWeight,
-    v: ExpPolyWeight,
-    r,
-    s,
-    radii: Sequence[int] = (4, 8, 16),
-) -> list[tuple[int, float]]:
-    """Norm ratios of the canonical witness family across window radii.
-
-    When u/v fails membership at the compound exponent, the sequence
-    c = (u/v)^(theta/s) / u (for finite theta; a scaled delta at the
-    worst index when theta is infinite) drives the ratio of the two
-    weighted norms to infinity; callers check the growth across radii.
-    """
-    theta = compound(s, r)
-    out = []
-    for radius in radii:
-        points = list(dict.fromkeys(u.iter_points(radius)))
-        if theta.is_inf:
-            ratio = max(u.evaluate(pt) / v.evaluate(pt) for pt in points)
-        else:
-            beta = float(theta) / float(s)
-            coeffs = {
-                pt: (u.evaluate(pt) / v.evaluate(pt)) ** beta / u.evaluate(pt)
-                for pt in points
-            }
-            num = sequence_norm(coeffs, u, s)
-            den = sequence_norm(coeffs, v, r)
-            ratio = num / den if den > 0 else math.inf
-        out.append((radius, ratio))
-    return out

@@ -10,10 +10,8 @@ The engine takes t = q, p and 2; with t = q this is the weight u^(k,p,q).
 The evaluator here is numeric on purpose.  The criteria read closed forms
 of the quotients w^(t)/u, built by :mod:`decomp_embed.families`; with the
 space weight u set to 1 (the space parameters zero and r = 2) such a
-quotient is the closed form of w^(t) itself.  :func:`agreement_report`
-cross-checks the numeric and the closed form on a window, either to
-round-off accuracy or as a two-sided ratio envelope when the closed form is
-only accurate up to constants.
+quotient is the closed form of w^(t) itself, and the tests compare the two
+on finite windows.
 """
 
 from __future__ import annotations
@@ -21,20 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
 
 from .covering import Covering, Index, mat_det, spectral_norm
 from .errors import UnsupportedWeight
 from .exponents import ExtExponent, reciprocal_gap
-from .seqspace import ExpPolyWeight
 
 __all__ = [
     "CoveringWeight",
     "build_weight",
-    "agreement_report",
 ]
-
-EXACT_TOLERANCE = 1e-9
 
 
 def _log_pow(base, expo: Fraction) -> float:
@@ -82,49 +75,3 @@ def build_weight(covering: Covering, *, k: int, p, t) -> CoveringWeight:
         raise UnsupportedWeight("smoothness order k must be a nonnegative integer")
     return CoveringWeight(covering, k, ExtExponent(p), ExtExponent(t))
 
-
-def agreement_report(
-    weight: CoveringWeight,
-    symbolic: ExpPolyWeight,
-    indices: Iterable[Index],
-    *,
-    to_point: Optional[Callable[[Index], Optional[tuple]]] = None,
-    mode: str = "exact",
-) -> dict:
-    """Compare the covering evaluator against a closed-form lattice weight.
-
-    ``mode="exact"`` demands agreement to ``EXACT_TOLERANCE`` relative error;
-    ``mode="ratio"`` only records the envelope of numeric/symbolic ratios and
-    calls the pair consistent when the envelope is finite and positive.
-    Indices that ``to_point`` maps to ``None`` are skipped; they carry no
-    asymptotic information.
-    """
-    if mode not in ("exact", "ratio"):
-        raise ValueError(f"unknown comparison mode {mode!r}")
-    worst = 0.0
-    lo = math.inf
-    hi = 0.0
-    count = 0
-    for index in indices:
-        point = to_point(index) if to_point is not None else index
-        if point is None:
-            continue
-        num = weight.evaluate(index)
-        sym = symbolic.evaluate(point)
-        if sym <= 0.0 or not math.isfinite(num) or not math.isfinite(sym):
-            raise ValueError("agreement check needs finite positive samples")
-        ratio = num / sym
-        lo = min(lo, ratio)
-        hi = max(hi, ratio)
-        worst = max(worst, abs(ratio - 1.0))
-        count += 1
-    if count == 0:
-        raise ValueError("no comparable indices supplied")
-    ok = worst <= EXACT_TOLERANCE if mode == "exact" else (0.0 < lo <= hi < math.inf)
-    return {
-        "count": count,
-        "min_ratio": lo,
-        "max_ratio": hi,
-        "max_rel_err": worst,
-        "ok": ok,
-    }

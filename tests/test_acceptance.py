@@ -37,11 +37,8 @@ from decomp_embed.seqspace import (
     ProductSector,
     decide_lp_membership,
     decide_sequence_embedding,
-    holder_constant,
     pow2f,
-    sequence_norm,
     truncated_oracle,
-    witness_norm_ratios,
 )
 
 from golden_refs import golden_verdict
@@ -53,6 +50,7 @@ from test_embedding import (
     INHOM_CASES,
     SHEARLET_CASES,
 )
+from witnesses import holder_constant, iter_points, sequence_norm, witness_norm_ratios
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -120,7 +118,7 @@ def test_acceptance_2_sequence_embedding_characterization():
         if verdict == "Embeds":
             embed_count += 1
             const = holder_constant(u, v, r_exp, s_exp, 8)
-            points = list(u.iter_points(8))
+            points = list(iter_points(u, 8))
             for _ in range(3):
                 support = rng.sample(points, k=min(6, len(points)))
                 vals = {pt: rng.uniform(-2.0, 2.0) for pt in support}

@@ -427,3 +427,32 @@ def test_oracle_overflow_leaves_stderr_empty():
         '{"embeds":false,"exponent":"inf","oracle":{"verdict":"Divergent",'
         '"window_radius":3,"partial_sum":Infinity,"tail_bound":null,"growth":Infinity}}\n'
     )
+
+
+@pytest.mark.parametrize("c", ["500", "-1000"])
+def test_oracle_check_passes_over_row_bounds_past_the_float_range(c):
+    # from some row on the bound 2^(lam n) of a pair sector passes 2^1024,
+    # where no float |m| exists; those rows are left unevaluated and flagged
+    argv = ["decide", "--family", "shearlet_coorbit",
+            "--params", json.dumps({"c": c, "alpha": "0", "beta": "1"}),
+            "-p", "1", "-q", "2", "-r", "2", "-k", "0"]
+    plain = run_cli(argv)
+    assert plain[0] == 0
+    assert run_cli([*argv, "--oracle-check"]) == plain
+
+
+@pytest.mark.filterwarnings("error")
+def test_oracle_row_with_a_saturated_base_makes_no_nan():
+    # 2^(80 n) |m|^-60 on |m| >= 4^n: from row 13 on the n-factor is past the
+    # float range while the m-terms underflow, and their product must not
+    # become inf * 0; every term is at most 2^(-40 n), so the sup is 1
+    pairs = {"kind": "pairs", "n_domain": "N0", "lam": 2, "side": "outside"}
+    code, out, err = run_cli([
+        "check-sequence",
+        "--u", json.dumps({"lattice": pairs, "atoms": [{"exp2": [80, 0], "pow": [0, -60]}]}),
+        "--v", json.dumps({"lattice": pairs, "atoms": [{}]}),
+        "-r", "1", "-s", "1", "--oracle",
+    ])
+    assert (code, err) == (0, "")
+    oracle = json.loads(out)["oracle"]
+    assert (oracle["verdict"], oracle["partial_sum"]) == ("Convergent", 1.0)

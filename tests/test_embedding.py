@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,14 +18,23 @@ from decomp_embed.embedding import (
     decide_sobolev,
 )
 from decomp_embed.errors import InvalidParams, OracleDisagreement
-from decomp_embed.exponents import INF, ExtExponent, compound, lower_conjugate
-from decomp_embed.families import get_family
+from decomp_embed.exponents import (
+    INF,
+    ExtExponent,
+    compound,
+    conjugate,
+    lower_conjugate,
+    reciprocal_gap,
+)
+from decomp_embed.families import FAMILY_NAMES, get_family
 from decomp_embed.seqspace import (
     TailClassification,
     decide_lp_membership,
     expweight_from_json,
     truncated_oracle,
 )
+
+from test_families import BATCH_P, BATCH_Q, BATCH_R
 
 
 def outcome(family, params, **kw):
@@ -419,7 +429,7 @@ def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
 def _decided(family: str, params) -> object:
     """The params and verdict of one fixed query, or the InvalidParams message."""
     try:
-        _, parsed = embedding._resolve(family, params)
+        _, parsed, _, _ = embedding._compiled(family, params, 1)
         verdict = decide(family, params, p=1, q=3, r=2, k=1, target="sobolev")
     except InvalidParams as exc:
         return f"InvalidParams: {exc}"
@@ -452,6 +462,105 @@ def test_look_alike_params_decide_as_parsed(family, cached, probe):
     # twice: a probe that raises must raise again, as nothing failed is kept
     assert _decided(family, probe) == want
     assert _decided(family, probe) == want
+
+
+def test_params_cache_keeps_look_alikes_apart():
+    """After {"d": 1} is cached, documents that equal it as values or that
+    JSON cannot encode still raise the parser's own error, every time:
+    a failed parse is not cached."""
+    embedding._compiled_memo.cache_clear()
+    decide("hom_besov", {"d": 1}, p=1, q=2, r=2, k=0, target="sobolev")
+    for probe in ({"d": True}, {"d": 1.0}, {"s": Fraction(1, 2)}):
+        with pytest.raises(InvalidParams) as want:
+            get_family("hom_besov").parse_params(probe)
+        for _ in range(2):
+            with pytest.raises(InvalidParams, match=f"^{re.escape(str(want.value))}$"):
+                decide("hom_besov", probe, p=1, q=2, r=2, k=0, target="sobolev")
+    assert embedding._compiled_memo.cache_info().currsize == 1
+
+
+def test_form_cache_stays_within_its_bound():
+    memo = embedding._compiled_memo
+    memo.cache_clear()
+    size = memo.cache_info().maxsize
+    assert size == embedding.FORM_MEMO_SIZE
+    for i in range(size + 8):
+        decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p=1, q=2, r=2, k=0, target="sobolev")
+    assert memo.cache_info().currsize == size
+
+
+OFFSETS = (Fraction(-1, 2), Fraction(-1, 8), Fraction(0), Fraction(0), Fraction(1, 8),
+           Fraction(1, 2))
+
+
+@st.composite
+def near_threshold(draw, family, k):
+    """A params document on, or within 1/2 of, the family's threshold at a
+    reference (p, q0, r0), q0 in (2, inf), as the decide_batch workload
+    draws them."""
+    def pick(values):
+        return draw(st.sampled_from(values))
+
+    p, q0, r0 = (ExtExponent(pick(axis)) for axis in (BATCH_P, ("5/2", "3", "4"), BATCH_R))
+    dp = reciprocal_gap(p, q0)
+    tail = max(reciprocal_gap(lower_conjugate(q0), r0), Fraction(0))
+    gamma = Fraction(1, 2) - r0.reciprocal() + dp
+    off, d = pick(OFFSETS), pick((1, 2))
+    if family == "hom_besov":
+        return {"d": d, "s": str(d * dp + off)}
+    if family == "inhom_besov":
+        return {"d": d, "s": str(k + d * dp + off)}
+    if family == "alpha_modulation":
+        alpha = pick((Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)))
+        rhs = k + d * (alpha * dp + (1 - alpha) * tail)
+        return {"d": d, "alpha": str(alpha), "s": str(rhs + off)}
+    if family == "shearlet_smoothness":
+        return {"s": str(k + Fraction(3, 2) * dp + Fraction(1, 2) * tail + off)}
+    if family == "shearlet_coorbit":
+        c = pick((Fraction(-1), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(2)))
+        beta = k + pick((Fraction(0), Fraction(1, 2), Fraction(2)))
+        lo, hi = (beta, c * (beta - k)) if c >= 1 else (max(c * beta, c * (beta - k)), beta - k)
+        target = pick((lo - 1, lo, (lo + hi) / 2, hi, hi + Fraction(1, 8)))
+        return {"c": str(c), "alpha": str(target - (1 + c) * gamma), "beta": str(beta)}
+    return {"d": d, "alpha": [str(-gamma + off + j) for j in range(d)],
+            "beta": [str(-gamma - k + pick(OFFSETS) - j) for j in range(d)]}
+
+
+def _reported(verdict: Verdict) -> dict:
+    """Per membership record, the verdict and theta its detail reports."""
+    found = (re.search(r" is (Member|NotMember) of l\^(\S+)$", e.detail) for e in verdict.evidence)
+    return {e.id: m.groups() for e, m in zip(verdict.evidence, found) if m}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), k=st.sampled_from((0, 1, 2)), p=st.sampled_from(BATCH_P),
+       q=st.sampled_from(BATCH_Q), r=st.sampled_from(BATCH_R))
+def test_compiled_verdicts_equal_membership_of_the_built_quotients(family, data, k, p, q, r):
+    """Each S1/N2/N2b/N3/N4 verdict, decided on the compiled form, is
+    decide_lp_membership of the quotient_weight it stands for (restricted
+    by khintchine_quotient for N3 and N4)."""
+    doc = data.draw(near_threshold(family, k))
+    fam = get_family(family)
+    params = fam.parse_params(doc)
+    p, q, r = ExtExponent(p), ExtExponent(q), ExtExponent(r)
+    two = ExtExponent(2)
+    g, dp_q = reciprocal_gap(two, r), reciprocal_gap(p, q)
+    asked = {"S1": (dp_q, compound(lower_conjugate(q), r), False),
+             "N2": (dp_q, compound(q, r), False)}
+    if q.is_inf:
+        asked["N2b"] = (dp_q, conjugate(r), False)
+    elif fam.khintchine is not None:
+        asked["N3"] = (Fraction(0), compound(two, r), True)
+        if two <= q:
+            asked["N4"] = (reciprocal_gap(p, two), compound(two, r), True)
+    want = {}
+    for ev_id, (dp, theta, restrict) in asked.items():
+        weight = fam.quotient_weight(params, k, dp, g)
+        if restrict:
+            weight = fam.khintchine_quotient(weight)
+        want[ev_id] = (decide_lp_membership(weight, theta).value, str(theta))
+    assert _reported(decide_sobolev(family, doc, p=p, q=q, r=r, k=k, refine=False)) == want
 
 
 def test_literal_memo_stays_within_its_bound():

@@ -15,6 +15,7 @@ from decomp_embed import seqspace
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, compound
 from decomp_embed.seqspace import (
+    Affine,
     Atom,
     CoordFactor,
     ExpPolyWeight,
@@ -23,19 +24,19 @@ from decomp_embed.seqspace import (
     PairSector,
     Piece,
     ProductSector,
+    QuotientForm,
     RadialSector,
     ceil_pow2,
+    decide_exponents,
     decide_lp_membership,
     decide_sequence_embedding,
     expweight_from_json,
-    holder_constant,
     sector_from_json,
-    sequence_norm,
     truncated_oracle,
-    witness_norm_ratios,
 )
 
 import reference_membership
+from witnesses import coord_values, holder_constant, iter_points, sequence_norm, witness_norm_ratios
 
 E = ExtExponent
 F = Fraction
@@ -299,6 +300,40 @@ def test_pair_rules_equal_the_reference_rules_on_a_boundary_grid(theta):
         assert got == want, (sector, atom)
 
 
+_gap = st.fractions(min_value=F(-2), max_value=F(2), max_denominator=6)
+_slope = st.sampled_from([F(0), F(0), F(1), F(-1), F(3, 2), F(-2, 3)])
+
+
+@st.composite
+def affine_forms(draw, kind, x):
+    """A one-atom form and a (dp, g) at which it is a reference atom: every
+    exponent e becomes e - a*dp - b*g + a*_DP + b*_G for drawn slopes a, b,
+    so the rules meet unreduced pairs over the form's common denominator."""
+    sector, atom = draw(ref_atoms(kind, x))
+    dp, g = draw(_gap), draw(_gap)
+
+    def lift(e):
+        a, b = draw(_slope), draw(_slope)
+        return Affine(e - a * dp - b * g, a, b) if a or b else e
+
+    form = QuotientForm.single(sector, Atom._make((
+        atom.coeff,
+        tuple(CoordFactor._make(map(lift, f)) for f in atom.factors),
+        lift(atom.radial_pow),
+    )))
+    return form, dp, g, ExpPolyWeight.single(sector, atom)
+
+
+@pytest.mark.parametrize("kind", ["line", "product", "radial", "pair"])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), theta=ref_thetas)
+def test_form_exponents_decide_as_the_built_weight(kind, data, theta):
+    form, dp, g, weight = data.draw(affine_forms(kind, theta.reciprocal()))
+    assert form.at(dp, g) == weight
+    want = _outcome(decide_lp_membership, weight, theta)
+    assert _outcome(decide_exponents, form.exponents(dp, g), theta) == want
+
+
 def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
     for num in range(-12, 25):
         for den in (1, 2, 3, 5):
@@ -315,17 +350,17 @@ def test_pow2f_saturates_instead_of_raising(x, expect):
     assert seqspace.pow2f(x) == expect
 
 
+@pytest.mark.filterwarnings("error")
 def test_oracle_survives_a_row_factor_past_the_float_range():
     # 2^(80 n) |m|^-60 on |m| >= 4^n: row 13's n-factor is 2^1040, which
     # 2.0 ** x refuses; every term is at most 2^(-40 n), so the sup is 1.
-    # The saturated factor meets m-terms that underflow to 0, and inf * 0
-    # is nan there, which numpy reports as an invalid value
+    # The saturated factor meets m-terms that underflow to 0; adding the
+    # logs first keeps inf * 0 = nan out of the row
     w = ExpPolyWeight.single(
         PairSector("N0", F(2), "outside", 0),
         Atom(F(1), (CoordFactor.symmetric(80), CoordFactor.symmetric(0, -60))),
     )
-    with np.errstate(invalid="ignore"):
-        res = truncated_oracle(w, INF)
+    res = truncated_oracle(w, INF)
     assert (res.verdict, res.partial_sum) == ("Convergent", 1.0)
     assert decide_lp_membership(w, INF) is MEMBER
 
@@ -879,7 +914,7 @@ def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
 @pytest.mark.parametrize("radius", [0, 1, 2, 5, 16384])
 def test_grid_axes_are_the_coordinate_values(domain, radius):
     sector = LineSector(domain)
-    want = np.array(sector.coord_values(radius), dtype=np.float64).tobytes()
+    want = np.array(coord_values(sector, radius), dtype=np.float64).tobytes()
     (axis,) = seqspace._grid_axes(sector, radius)
     assert axis.dtype == np.float64 and axis.tobytes() == want
     axes = seqspace._grid_axes(ProductSector((sector, LineSector("Z"))), radius)
@@ -918,7 +953,7 @@ def test_holder_direction_bounds_random_sequences():
     v = line("Z", exp2=F(1, 2))
     r, s = E(1), E(2)
     const = holder_constant(u, v, r, s, radius=8)
-    pts = list(u.iter_points(8))
+    pts = list(iter_points(u, 8))
     for _ in range(50):
         support = rng.sample(pts, k=rng.randint(1, len(pts)))
         seq = {pt: rng.uniform(-2.0, 2.0) for pt in support}

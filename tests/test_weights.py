@@ -8,7 +8,9 @@ from decomp_embed import weights
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, reciprocal_gap
 from decomp_embed.families import CoorbitParams, DiagonalParams, get_family
-from decomp_embed.weights import agreement_report, build_weight
+from decomp_embed.weights import build_weight
+
+from witnesses import agreement_report
 
 
 def _family_setup(name, pdoc):
