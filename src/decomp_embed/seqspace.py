@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -512,7 +512,6 @@ def _affine_parts(e) -> tuple[Fraction, Fraction, Fraction]:
     return (e.c0, e.c_dp, e.c_g) if type(e) is Affine else (e, _ZERO, _ZERO)
 
 
-@dataclass(frozen=True)
 class QuotientForm:
     """A family's quotient w^(t)/u(r) for every (t, r) at once.
 
@@ -526,12 +525,11 @@ class QuotientForm:
     builds the weight.
     """
 
-    pieces: tuple[Piece, ...]
-    _den: int = field(init=False, repr=False, compare=False)
-    _rows: tuple = field(init=False, repr=False, compare=False)
+    __slots__ = ("pieces", "_den", "_rows")
 
-    def __post_init__(self) -> None:
-        exps = [_exponents_of(atom) for piece in self.pieces for atom in piece.atoms]
+    def __init__(self, pieces: tuple[Piece, ...]):
+        self.pieces = pieces
+        exps = [_exponents_of(atom) for piece in pieces for atom in piece.atoms]
         # many exponents are one shared object (a zero, a symmetric factor)
         parts = {id(e): _affine_parts(e) for atom in exps for e in atom}
         den = math.lcm(*(c.denominator for part in parts.values() for c in part))
@@ -540,19 +538,12 @@ class QuotientForm:
             for key, part in parts.items()
         }
         rows = iter([tuple(ints[id(e)] for e in atom) for atom in exps])
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_rows", tuple(
-            tuple(next(rows) for _ in piece.atoms) for piece in self.pieces
-        ))
+        self._den = den
+        self._rows = tuple(tuple(next(rows) for _ in piece.atoms) for piece in pieces)
 
     @classmethod
     def single(cls, sector: Sector, *atoms: Atom) -> "QuotientForm":
         return cls((Piece(sector, tuple(atoms)),))
-
-    def _scale(self, dp: Fraction, g: Fraction) -> tuple[int, int, int, int]:
-        """(s, u, v, D*s) at (dp, g)."""
-        s = dp.denominator * g.denominator
-        return s, dp.numerator * g.denominator, g.numerator * dp.denominator, self._den * s
 
     def exponents(self, dp: Fraction, g: Fraction) -> list:
         """Per piece its sector and, per atom, the exponent pairs at (dp, g),
@@ -562,7 +553,8 @@ class QuotientForm:
         guess and shrunk, and the tuples they free pile up in CPython's
         per-size free lists, which a sweep of cells fills to their cap.
         """
-        s, u, v, den = self._scale(dp, g)
+        s = dp.denominator * g.denominator
+        u, v, den = dp.numerator * g.denominator, g.numerator * dp.denominator, self._den * s
         return [
             (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
             for piece, rows in zip(self.pieces, self._rows)
@@ -570,19 +562,14 @@ class QuotientForm:
 
     def at(self, dp: Fraction, g: Fraction) -> ExpPolyWeight:
         """The quotient at one (dp, g), every exponent a Fraction."""
-        s, u, v, den = self._scale(dp, g)
-
-        def atom_at(atom: Atom, row: tuple) -> Atom:
-            vals = [
-                Fraction(a * s + b * u + c * v, den) if type(e) is Affine else e
-                for e, (a, b, c) in zip(_exponents_of(atom), row)
-            ]
+        def atom_at(atom: Atom, pairs: list[Pair]) -> Atom:
+            vals = [Fraction(num, den) for num, den in pairs]
             factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
             return Atom._make((atom.coeff, factors, vals[-1]))
 
         return ExpPolyWeight(tuple(
-            Piece(piece.sector, tuple(map(atom_at, piece.atoms, rows)))
-            for piece, rows in zip(self.pieces, self._rows)
+            Piece(piece.sector, tuple(map(atom_at, piece.atoms, atoms)))
+            for piece, (_, atoms) in zip(self.pieces, self.exponents(dp, g))
         ))
 
 
