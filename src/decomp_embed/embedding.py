@@ -187,6 +187,8 @@ def _exponent(value) -> ExtExponent:
 
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
+# the encoder json.dumps(doc, sort_keys=True) builds on every call, built once
+_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def _plain_json(obj) -> bool:
@@ -202,14 +204,14 @@ def _plain_json(obj) -> bool:
 def _params_key(doc) -> Optional[str]:
     """The cache key of a params document: its ``json.dumps`` text with
     sorted keys, which tells 1, 1.0, true and "1" apart.  None for a
-    document of other types (a tuple, which dumps like a list, a Fraction, a
-    non-string key) or past the digit limit, which is parsed uncached."""
-    if not _plain_json(doc):
-        return None
+    document JSON cannot encode (a Fraction, mixed key types, a cycle, an
+    int past the digit limit) or that holds other types (a tuple, which
+    encodes like a list, a non-string key), which is parsed uncached."""
     try:
-        return json.dumps(doc, sort_keys=True)
-    except ValueError:  # an int past the digit limit of int-to-str conversion
+        text = _KEY_ENCODER.encode(doc)
+    except (TypeError, ValueError):
         return None
+    return text if _plain_json(doc) else None
 
 
 def _compile(fam: Family, params, k: int) -> tuple:

@@ -466,11 +466,13 @@ def test_look_alike_params_decide_as_parsed(family, cached, probe):
 
 def test_params_cache_keeps_look_alikes_apart():
     """After {"d": 1} is cached, documents that equal it as values or that
-    JSON cannot encode still raise the parser's own error, every time:
-    a failed parse is not cached."""
+    JSON cannot encode (a Fraction, a cycle) still raise the parser's own
+    error, every time: a failed parse is not cached."""
     embedding._compiled_memo.cache_clear()
     decide("hom_besov", {"d": 1}, p=1, q=2, r=2, k=0, target="sobolev")
-    for probe in ({"d": True}, {"d": 1.0}, {"s": Fraction(1, 2)}):
+    cyclic = {"d": 1}
+    cyclic["s"] = cyclic
+    for probe in ({"d": True}, {"d": 1.0}, {"s": Fraction(1, 2)}, cyclic):
         with pytest.raises(InvalidParams) as want:
             get_family("hom_besov").parse_params(probe)
         for _ in range(2):
