@@ -23,9 +23,11 @@ the output byte for byte.  ``--check`` compares instead of writing: it
 names every golden file that would change and exits 1 if there is one.
 For a drifted JSONL golden it also prints each changed line: the fields
 the old and new line share (the query and theta of an oracle line), then
-every field that moved, old -> new.  It also replays the decide grid a second time, in reverse order, on the
-exponent literal memo the first pass left warm (the one cache the package
-keeps across calls), and names any line that differs.
+every field that moved, old -> new.  It also replays the decide grid a
+second time, in reverse order, on the two caches the package keeps across
+calls as the first pass left them warm: the exponent literal memo
+(``exponents._parse_literal``) and the cache of parsed params and quotient
+forms (``embedding._compiled_memo``); it names any line that differs.
 
     PYTHONPATH=src python scripts/freeze_goldens.py [--check]
 """
@@ -343,7 +345,8 @@ def goldens() -> dict[str, bytes]:
 
 def warm_grid_drift(grid: bytes) -> list[dict]:
     """The queries whose line differs when the decide grid is replayed in
-    reverse order right after a forward pass, on the literal memo that pass left."""
+    reverse order right after a forward pass, on the literal memo and the
+    form cache as that pass left them."""
     lines = grid.decode().splitlines(keepends=True)
     queries = [json.loads(line)["query"] for line in lines]
     return [q for q, line in zip(reversed(queries), reversed(lines)) if grid_line(q) != line]
@@ -393,7 +396,7 @@ def main_freeze(argv=None) -> int:
         print(f"{len(files) - len(drifted)} of {len(files)} golden files unchanged")
         warm = warm_grid_drift(files[GRID_FILE])
         if warm:
-            print(f"drifted: {GRID_FILE} replayed in reverse on a warm memo, "
+            print(f"drifted: {GRID_FILE} replayed in reverse on warm caches, "
                   f"{len(warm)} lines, first {json.dumps(warm[0])}")
         return 1 if drifted or warm else 0
     GOLDEN.mkdir(parents=True, exist_ok=True)

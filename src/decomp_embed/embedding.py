@@ -15,20 +15,27 @@ anchor so the verdict is machine-checkable.  A verdict where a sufficient
 criterion holds while a necessary one fails would be internally
 inconsistent and raises instead of returning.
 
-Each quotient w^(t)/u(r) a verdict reads is a family's quotient form, whose
-exponents are affine in the gaps 1/p - 1/t and 1/2 - 1/r, evaluated at the
-cell's gaps with t = q, p and 2.  A cell is decided on the form's integer
-coefficients and builds no weight.  The one thing kept across calls is a
-bounded LRU cache of the parsed params and forms, keyed by the family, the
-canonical JSON text of the params document (or the parsed params
-themselves) and k, so a (q, r) sweep parses and compiles once.
+A (q, r) cell is read as reciprocal int pairs.  p, q and r are parsed once
+(a literal string through the literal memo of :mod:`decomp_embed.exponents`)
+into 1/p, 1/q and 1/r as reduced pairs (numerator, positive denominator),
+1/inf = (0, 1).  Every gap and every 1/theta a verdict reads is affine in
+them, clamped at 0, and every comparison is an integer cross product.  Each
+quotient w^(t)/u(r) is a family's quotient form, whose exponents are affine
+in the gaps 1/p - 1/t and 1/2 - 1/r, evaluated at the cell's gaps with
+t = q, p and 2, and decided on the form's integer coefficients without
+building a weight.  An :class:`ExtExponent` or a ``Fraction`` appears only
+in the refined criteria's thresholds and under the oracle check; the
+evidence text is made from the pairs.  Parsed params and forms are kept
+across calls in a bounded LRU cache, keyed by the family, the canonical JSON
+text of the params document (or the parsed params themselves) and k, so a
+(q, r) sweep parses and compiles once.
 
-The optional oracle check builds each weight a verdict read, checks the
-compiled verdict against :func:`decide_lp_membership` on it (a mismatch
-raises :class:`InconsistentVerdict`), and reruns every summability call
-through the numeric tail oracle on truncated windows, once per distinct
-weight and exponent; it raises :class:`OracleDisagreement` if the two routes
-ever contradict each other.
+The optional oracle check builds each weight and theta a verdict read,
+checks the compiled verdict against :func:`decide_lp_membership` on them (a
+mismatch raises :class:`InconsistentVerdict`), and reruns every summability
+call through the numeric tail oracle on truncated windows, once per
+distinct weight and exponent; it raises :class:`OracleDisagreement` if the
+two routes ever contradict each other.
 """
 
 from __future__ import annotations
@@ -44,10 +51,15 @@ from .errors import InconsistentVerdict, InvalidParams, OracleDisagreement
 from .exponents import (
     INF,
     ExtExponent,
-    compound,
-    conjugate,
-    lower_conjugate,
-    reciprocal_gap,
+    Pair,
+    clamped,
+    conjugate_pair,
+    exponent_text,
+    from_reciprocal,
+    lower_conjugate_pair,
+    pair_le,
+    pair_sub,
+    reciprocal_pair,
 )
 from .families import Family, get_family
 from .seqspace import (
@@ -55,8 +67,8 @@ from .seqspace import (
     Membership,
     QuotientForm,
     TailClassification,
-    decide_exponents,
     decide_lp_membership,
+    decide_reciprocal,
     truncated_oracle,
 )
 
@@ -80,10 +92,16 @@ ANCHOR_NECESSARY_SUP = "Cor 5.2(2b)"
 ANCHOR_KHINTCHINE_P = "Cor 5.2(2c-i)"
 ANCHOR_KHINTCHINE_2 = "Cor 5.2(2c-ii)"
 ANCHOR_BV_REDUCTION = "Cor 6.1"
+_MEMBERSHIP_ANCHORS = {
+    "S1": ANCHOR_SUFFICIENT,
+    "N2": ANCHOR_NECESSARY,
+    "N2b": ANCHOR_NECESSARY_SUP,
+    "N3": ANCHOR_KHINTCHINE_P,
+    "N4": ANCHOR_KHINTCHINE_2,
+}
 
 _ONE = ExtExponent(1)
-_TWO = ExtExponent(2)
-_ZERO = Fraction(0)
+_HALF = (1, 2)
 # bound of the cache of parsed params and quotient forms (see _compiled)
 FORM_MEMO_SIZE = 16
 
@@ -127,48 +145,65 @@ class Verdict:
         return doc
 
 
+class _Reciprocals(NamedTuple):
+    """One (p, q, r) as a verdict reads it: 1/p, 1/q and 1/r, the gaps
+    dp = 1/p - 1/q and g = 1/2 - 1/r, and 1/theta of each membership
+    criterion (``n34`` for N3 and N4), each a reduced int pair with
+    1/inf = (0, 1); and the comparisons.  The refined criteria read it too.
+    """
+
+    p: Pair
+    q: Pair
+    r: Pair
+    dp: Pair
+    g: Pair
+    s1: Pair
+    n2: Pair
+    n2b: Pair
+    n34: Pair
+    p_le_q: bool
+    r_le_q: bool
+    two_le_q: bool
+
+
+def _reciprocals(p, q, r) -> _Reciprocals:
+    """Parse p, q and r once, then every gap and 1/theta is an affine
+    function of their reciprocals clamped at 0: 1/q'' - 1/r for S1 (q'' the
+    lower conjugate), 1/q - 1/r for N2, 1 - 1/r for N2b (theta = r') and
+    1/2 - 1/r for N3 and N4."""
+    xp, xq, xr = reciprocal_pair(p), reciprocal_pair(q), reciprocal_pair(r)
+    g = pair_sub(_HALF, xr)
+    return _Reciprocals(
+        xp, xq, xr, pair_sub(xp, xq), g,
+        clamped(pair_sub(lower_conjugate_pair(xq), xr)), clamped(pair_sub(xq, xr)),
+        conjugate_pair(xr), clamped(g),
+        pair_le(xq, xp), pair_le(xq, xr), pair_le(xq, _HALF),
+    )
+
+
 class _Cell(NamedTuple):
-    """A quotient form at one (dp, g): the exponent pairs the rules read,
-    and what builds the weight when the oracle check needs it."""
+    """A quotient form at one (dp, g), both int pairs: the exponent pairs
+    the rules read, and what builds the weight when the oracle check needs
+    it."""
 
     form: QuotientForm
-    dp: Fraction
-    g: Fraction
+    dp: Pair
+    g: Pair
     exponents: list
 
 
-def _cell(form: QuotientForm, dp: Fraction, g: Fraction) -> _Cell:
-    return _Cell(form, dp, g, form.exponents(dp, g))
+def _cell(form: QuotientForm, dp: Pair, g: Pair) -> _Cell:
+    return _Cell(form, dp, g, form.pairs_at(dp, g))
 
 
 class _SummabilityCall(NamedTuple):
-    """One symbolic membership decision, kept for the oracle cross-check."""
+    """One symbolic membership decision, kept for the oracle cross-check;
+    ``x`` is 1/theta."""
 
     label: str
     cell: _Cell
-    theta: ExtExponent
+    x: Pair
     verdict: Membership
-
-
-def _membership_evidence(
-    ev_id: str,
-    anchor: str,
-    role: str,
-    cell: _Cell,
-    theta: ExtExponent,
-    what: str,
-    calls: list[_SummabilityCall],
-    *,
-    extra_ok: bool = True,
-    extra_note: str = "",
-) -> Evidence:
-    member = decide_exponents(cell.exponents, theta)
-    calls.append(_SummabilityCall(ev_id, cell, theta, member))
-    holds = extra_ok and member is Membership.MEMBER
-    detail = f"{what} is {member.value} of l^{theta}"
-    if extra_note:
-        detail = f"{extra_note}; {detail}"
-    return Evidence(ev_id, anchor, holds, detail, role)
 
 
 def _is_order(k) -> bool:
@@ -179,11 +214,6 @@ def _validate_order(k: int) -> int:
     if not _is_order(k):
         raise InvalidParams("smoothness order k must be a nonnegative integer")
     return k
-
-
-def _exponent(value) -> ExtExponent:
-    """Coerce an exponent argument once; an ExtExponent passes through."""
-    return value if isinstance(value, ExtExponent) else ExtExponent(value)
 
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
@@ -257,112 +287,59 @@ def decide_sobolev(
 ) -> Verdict:
     """Decide the embedding into the Sobolev space of order k over L^q."""
     fam, params, form, kform = _compiled(family, params, k)
-    p, q, r = _exponent(p), _exponent(q), _exponent(r)
+    x = _reciprocals(p, q, r)
     k = _validate_order(k)
 
-    evidence: list[Evidence] = []
-    calls: list[_SummabilityCall] = []
-
-    p_le_q = p <= q
-    evidence.append(
+    holds = "holds" if x.p_le_q else "fails"
+    evidence = [
         Evidence(
             "N1",
             ANCHOR_P_LE_Q,
-            p_le_q,
-            f"p <= q {'holds' if p_le_q else 'fails'} for p = {p}, q = {q}",
+            x.p_le_q,
+            f"p <= q {holds} for p = {exponent_text(x.p)}, q = {exponent_text(x.q)}",
             "necessary",
         )
-    )
+    ]
 
     # each quotient reads r only through g = 1/2 - 1/r, and t = q, p or 2
-    # only through 1/p - 1/t
-    g = reciprocal_gap(_TWO, r)
-    quotient_q = _cell(form, reciprocal_gap(p, q), g)
-    theta_suff = compound(lower_conjugate(q), r)
-    evidence.append(
-        _membership_evidence(
-            "S1",
-            ANCHOR_SUFFICIENT,
-            "sufficient",
-            quotient_q,
-            theta_suff,
-            "w(q)/u",
-            calls,
-            extra_ok=p_le_q,
-            extra_note=f"requires p <= q ({'holds' if p_le_q else 'fails'})",
-        )
-    )
-
-    theta_nec = compound(q, r)
-    evidence.append(
-        _membership_evidence(
-            "N2",
-            ANCHOR_NECESSARY,
-            "necessary",
-            quotient_q,
-            theta_nec,
-            "w(q)/u",
-            calls,
-        )
-    )
-
-    if q.is_inf:
+    # only through 1/p - 1/t; per criterion its cell, 1/theta, the text
+    # before its verdict, and what else it requires
+    quotient_q = _cell(form, x.dp, x.g)
+    asked = [
+        ("S1", quotient_q, x.s1, f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
+        ("N2", quotient_q, x.n2, "w(q)/u", True),
+    ]
+    if not x.q[0]:  # q = inf
+        asked.append(("N2b", quotient_q, x.n2b, "w(inf)/u", True))
+    elif kform is not None:
+        asked.append(("N3", _cell(kform, (0, 1), x.g), x.n34, "w(p)/u on the expanding part", True))
+        if x.two_le_q:
+            kq_2 = _cell(kform, pair_sub(x.p, _HALF), x.g)
+            asked.append(("N4", kq_2, x.n34, "w(2)/u on the expanding part", True))
+    calls: list[_SummabilityCall] = []
+    for ev_id, cell, recip, what, ok in asked:
+        member = decide_reciprocal(cell.exponents, recip)
+        calls.append(_SummabilityCall(ev_id, cell, recip, member))
         evidence.append(
-            _membership_evidence(
-                "N2b",
-                ANCHOR_NECESSARY_SUP,
-                "necessary",
-                quotient_q,
-                conjugate(r),
-                "w(inf)/u",
-                calls,
+            Evidence(
+                ev_id,
+                _MEMBERSHIP_ANCHORS[ev_id],
+                ok and member is Membership.MEMBER,
+                f"{what} is {member.value} of l^{exponent_text(recip)}",
+                "sufficient" if ev_id == "S1" else "necessary",
             )
         )
-
-    if not q.is_inf and kform is not None:
-        theta_k = compound(_TWO, r)
-        kq_p = _cell(kform, _ZERO, g)
-        evidence.append(
-            _membership_evidence(
-                "N3",
-                ANCHOR_KHINTCHINE_P,
-                "necessary",
-                kq_p,
-                theta_k,
-                "w(p)/u on the expanding part",
-                calls,
-            )
-        )
-        if _TWO <= q:
-            kq_2 = _cell(kform, reciprocal_gap(p, _TWO), g)
-            evidence.append(
-                _membership_evidence(
-                    "N4",
-                    ANCHOR_KHINTCHINE_2,
-                    "necessary",
-                    kq_2,
-                    theta_k,
-                    "w(2)/u on the expanding part",
-                    calls,
-                )
-            )
 
     if refine:
-        evidence.extend(Evidence(**item) for item in fam.refined_criteria(params, k, p, q, r))
+        evidence.extend(Evidence(**item) for item in fam.refined_criteria(params, k, x))
 
-    verdict = _aggregate(evidence, q, r, theta_suff, theta_nec)
+    verdict = _aggregate(evidence, x)
     if oracle_check:
         _cross_check(calls)
     return verdict
 
 
-def _aggregate(
-    evidence: list[Evidence],
-    q: ExtExponent,
-    r: ExtExponent,
-    theta_suff: ExtExponent,
-    theta_nec: ExtExponent,
-) -> Verdict:
+def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
     sufficient_hit = any(e.holds for e in evidence if e.role == "sufficient")
     necessary_fail = any(not e.holds for e in evidence if e.role == "necessary")
     if sufficient_hit and necessary_fail:
@@ -375,45 +352,46 @@ def _aggregate(
         return Verdict(Outcome.EMBEDS, tuple(evidence))
     if necessary_fail:
         return Verdict(Outcome.DOES_NOT_EMBED, tuple(evidence))
-    r_location = "in (q'', q]" if r <= q else "above q"
+    r_location = "in (q'', q]" if x.r_le_q else "above q"
     note = (
-        f"summability holds at l^{theta_nec} but is unresolved at "
-        f"l^{theta_suff}; the borderline regime with q = {q} in (2, inf) and "
-        f"r = {r} {r_location} is outside the decided range"
+        f"summability holds at l^{exponent_text(x.n2)} but is unresolved at "
+        f"l^{exponent_text(x.s1)}; the borderline regime with q = {exponent_text(x.q)} "
+        f"in (2, inf) and r = {exponent_text(x.r)} {r_location} is outside the "
+        "decided range"
     )
     return Verdict(Outcome.UNDETERMINED, tuple(evidence), note)
 
 
 def _cross_check(calls: list[_SummabilityCall]) -> None:
-    """Check each call, in order: build its weight, which must get the
-    compiled verdict from :func:`decide_lp_membership`, and put it to the
-    oracle; a weight and theta that recur (theta_suff = theta_nec when
-    q <= 2) are run once."""
+    """Check each call, in order: build its weight and theta, the weight
+    must get the compiled verdict from :func:`decide_lp_membership`, and put
+    both to the oracle; a weight and theta that recur (theta_suff =
+    theta_nec when q <= 2) are run once."""
     built_of: dict[int, ExpPolyWeight] = {}  # S1, N2 and N2b share one cell
     tails: dict[tuple[ExpPolyWeight, ExtExponent], TailClassification] = {}
     for call in calls:
-        cell = call.cell
+        cell, theta = call.cell, from_reciprocal(call.x)
         weight = built_of.get(id(cell))
         if weight is None:
-            weight = built_of[id(cell)] = cell.form.at(cell.dp, cell.g)
-        built = decide_lp_membership(weight, call.theta)
+            weight = built_of[id(cell)] = cell.form.at(Fraction(*cell.dp), Fraction(*cell.g))
+        built = decide_lp_membership(weight, theta)
         if built is not call.verdict:
             raise InconsistentVerdict(
                 f"{call.label}: the compiled form says {call.verdict.value} at "
-                f"l^{call.theta} but its built weight is {built.value}"
+                f"l^{theta} but its built weight is {built.value}"
             )
-        key = (weight, call.theta)
+        key = (weight, theta)
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = truncated_oracle(weight, call.theta)
+            tail = tails[key] = truncated_oracle(weight, theta)
         if tail.verdict == "Convergent" and call.verdict is Membership.NOT_MEMBER:
             raise OracleDisagreement(
-                f"{call.label}: oracle tail converges at l^{call.theta} but the "
+                f"{call.label}: oracle tail converges at l^{theta} but the "
                 "symbolic rule says NotMember"
             )
         if tail.verdict == "Divergent" and call.verdict is Membership.MEMBER:
             raise OracleDisagreement(
-                f"{call.label}: oracle tail diverges at l^{call.theta} but the "
+                f"{call.label}: oracle tail diverges at l^{theta} but the "
                 "symbolic rule says Member"
             )
 

@@ -17,6 +17,12 @@ Conventions used throughout:
   embedding with outer exponent s and inner exponent r.  It satisfies
   1/compound(s, r) = max(1/s - 1/r, 0), and compound(s, r) = inf exactly
   when r <= s.
+
+In reciprocals all of these are affine, clamped at 0, so the arithmetic is
+done once, on reciprocals x = 1/p as reduced int pairs (numerator, positive
+denominator) with 1/inf = (0, 1): 1/conjugate(p) = max(1 - x, 0) and
+1/lower_conjugate(p) = max(x, 1 - x).  The public functions are wrappers
+on these pair helpers, which the decision engine calls directly.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 from .errors import InexactExponent
@@ -46,6 +52,9 @@ __all__ = [
 DEFAULT_DENOMINATOR_CAP = 10**6
 # bound of the memo of exponent literal strings (see ExtExponent._parse)
 LITERAL_MEMO_SIZE = 32
+# an exact rational as (numerator, positive denominator); the reciprocals
+# below are reduced, the exponent pairs of a quotient form need not be
+Pair = tuple[int, int]
 
 
 def _is_json_int(obj: object) -> bool:
@@ -136,11 +145,12 @@ def rational_to_json(value: Fraction) -> object:
 _ExponentLike = Union["ExtExponent", int, Fraction, str]
 
 
+@total_ordering
 class ExtExponent:
     """A value in (0, inf], stored as an exact rational or infinity.
 
     Instances are immutable, hashable and totally ordered (with inf as the
-    largest element).  Construct from an int, a Fraction, a string such as
+    largest element), by the reciprocals.  Construct from an int, a Fraction, a string such as
     "3/2" or "inf", or another ExtExponent.  For floats use
     :meth:`from_json`, which enforces exact representability.
     """
@@ -153,11 +163,11 @@ class ExtExponent:
         if isinstance(value, ExtExponent):
             frac = value._frac
         elif type(value) is Fraction:
-            frac = value
+            frac = _positive(value)
         elif isinstance(value, bool):
             raise TypeError("bool is not an exponent")
         elif isinstance(value, (int, Fraction)):
-            frac = Fraction(value)
+            frac = _positive(Fraction(value))
         elif isinstance(value, str):
             frac = self._parse(value)
         elif isinstance(value, float):
@@ -166,13 +176,12 @@ class ExtExponent:
             )
         else:
             raise TypeError(f"cannot build an exponent from {type(value).__name__}")
-        if frac is not None and frac.numerator <= 0:
-            raise ValueError(f"exponent must be positive, got {frac}")
         object.__setattr__(self, "_frac", frac)
 
     @staticmethod
     def _parse(obj: object) -> Fraction | None:
-        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`.
+        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`,
+        which must be positive.
 
         A str is read through a bounded memo of literals, because sweeps
         spell the same few exponents again and again; a literal that
@@ -203,9 +212,7 @@ class ExtExponent:
 
     def reciprocal(self) -> Fraction:
         """1/p as an exact Fraction, with 1/inf = 0."""
-        if self._frac is None:
-            return _ZERO
-        return Fraction(self._frac.denominator, self._frac.numerator)
+        return Fraction(*reciprocal_pair(self))
 
     def to_json(self) -> object:
         if self._frac is None:
@@ -243,86 +250,98 @@ class ExtExponent:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        if self._frac is None:
-            return False
-        if coerced._frac is None:
-            return True
-        return self._frac < coerced._frac
+        return not pair_le(reciprocal_pair(self), reciprocal_pair(coerced))
 
     def __le__(self, other: object) -> bool:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        if coerced._frac is None:
-            return True
-        if self._frac is None:
-            return False
-        return self._frac <= coerced._frac
-
-    def __gt__(self, other: object) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced < self
-
-    def __ge__(self, other: object) -> bool:
-        coerced = self._coerce(other)
-        if coerced is None:
-            return NotImplemented
-        return coerced <= self
+        return pair_le(reciprocal_pair(coerced), reciprocal_pair(self))
 
     def __repr__(self) -> str:
-        if self._frac is None:
-            return "ExtExponent('inf')"
-        return f"ExtExponent('{self._frac}')"
+        return f"ExtExponent('{self}')"
 
     def __str__(self) -> str:
-        if self._frac is None:
-            return "inf"
-        return str(self._frac)
+        return exponent_text(reciprocal_pair(self))
 
 
 def _parse_value(obj: object) -> Fraction | None:
     if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
         return None
-    return rational_from_json(obj)
+    return _positive(rational_from_json(obj))
+
+
+def _positive(frac: Fraction) -> Fraction:
+    if frac.numerator <= 0:
+        raise ValueError(f"exponent must be positive, got {frac}")
+    return frac
 
 
 _parse_literal = lru_cache(maxsize=LITERAL_MEMO_SIZE)(_parse_value)
 
 INF = ExtExponent("inf")
-_ONE = ExtExponent(1)
-_ZERO = Fraction(0)
+
+
+def reciprocal_pair(p) -> Pair:
+    """1/p of an exponent, or of what :class:`ExtExponent` accepts, as a
+    reduced pair; a literal string is read through the literal memo."""
+    if type(p) is str:
+        frac = _parse_literal(p)
+    else:
+        frac = (p if isinstance(p, ExtExponent) else ExtExponent(p))._frac
+    return (0, 1) if frac is None else (frac.denominator, frac.numerator)
+
+
+def pair_sub(x: Pair, y: Pair) -> Pair:
+    """x - y, reduced."""
+    num, den = x[0] * y[1] - y[0] * x[1], x[1] * y[1]
+    c = math.gcd(num, den)
+    return num // c, den // c
+
+
+def pair_le(x: Pair, y: Pair) -> bool:
+    return x[0] * y[1] <= y[0] * x[1]
+
+
+def clamped(x: Pair) -> Pair:
+    """max(x, 0)."""
+    return x if x[0] > 0 else (0, 1)
+
+
+def conjugate_pair(x: Pair) -> Pair:
+    """1/conjugate(p) = max(1 - x, 0) at x = 1/p."""
+    return (x[1] - x[0], x[1]) if x[0] < x[1] else (0, 1)
+
+
+def lower_conjugate_pair(x: Pair) -> Pair:
+    """1/lower_conjugate(p) = max(x, 1 - x) at x = 1/p."""
+    return x if 2 * x[0] >= x[1] else (x[1] - x[0], x[1])
+
+
+def exponent_text(x: Pair) -> str:
+    """``str`` of the exponent with reciprocal x >= 0: "inf" at 0."""
+    num, den = x
+    return "inf" if not num else str(den) if num == 1 else f"{den}/{num}"
+
+
+def from_reciprocal(x: Pair) -> ExtExponent:
+    """The exponent with reciprocal x >= 0, inf at 0."""
+    return INF if not x[0] else ExtExponent(Fraction(x[1], x[0]))
 
 
 def conjugate(p: ExtExponent) -> ExtExponent:
     """The conjugate exponent: p/(p-1) on (1, inf), inf on (0, 1], 1 at inf."""
-    if p.is_inf:
-        return _ONE
-    num, den = p.frac.numerator, p.frac.denominator
-    if num <= den:
-        return INF
-    # p/(p-1) = num/(num - den)
-    return ExtExponent(Fraction(num, num - den))
+    return from_reciprocal(conjugate_pair(reciprocal_pair(p)))
 
 
 def lower_conjugate(p: ExtExponent) -> ExtExponent:
     """min(p, conjugate(p)); always <= 2."""
-    return min(p, conjugate(p))
+    return from_reciprocal(lower_conjugate_pair(reciprocal_pair(p)))
 
 
 def reciprocal_gap(s: ExtExponent, r: ExtExponent) -> Fraction:
     """1/s - 1/r as an exact Fraction, with 1/inf = 0."""
-    if r._frac is None:
-        return s.reciprocal()
-    if s._frac is None:
-        return -r.reciprocal()
-    a, b = s._frac, r._frac
-    # a.den/a.num - b.den/b.num over the common denominator a.num * b.num
-    return Fraction(
-        a.denominator * b.numerator - b.denominator * a.numerator,
-        a.numerator * b.numerator,
-    )
+    return Fraction(*pair_sub(reciprocal_pair(s), reciprocal_pair(r)))
 
 
 def compound(s: ExtExponent, r: ExtExponent) -> ExtExponent:
@@ -331,9 +350,4 @@ def compound(s: ExtExponent, r: ExtExponent) -> ExtExponent:
     Equals inf exactly when r <= s.  For r > s this is the finite exponent
     through which the inner exponent r is traded against the outer s.
     """
-    if r.is_inf:
-        return s
-    recip = reciprocal_gap(s, r)
-    if recip.numerator <= 0:
-        return INF
-    return ExtExponent(Fraction(recip.denominator, recip.numerator))
+    return from_reciprocal(clamped(pair_sub(reciprocal_pair(s), reciprocal_pair(r))))

@@ -41,14 +41,7 @@ from .covering import (
     custom_covering_from_json,
 )
 from .errors import InvalidParams, SchemaError
-from .exponents import (
-    INF,
-    ExtExponent,
-    int_from_json,
-    lower_conjugate,
-    rational_from_json,
-    reciprocal_gap,
-)
+from .exponents import int_from_json, rational_from_json
 from .seqspace import (
     Affine,
     Atom,
@@ -69,7 +62,6 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
-_TWO = ExtExponent(2)
 # the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, as the exponents of a form read them
 _DP = Affine(0, 1, 0)
 _G = Affine(0, 0, 1)
@@ -107,24 +99,24 @@ def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
     return (det_atom, *norm_atoms)
 
 
-def _pos(x: Fraction) -> Fraction:
-    return x if x > 0 else Fraction(0)
+def _q_mid(x) -> bool:
+    """Whether 2 < q < inf, where the refined criteria apply."""
+    return 0 < 2 * x.q[0] < x.q[1]
 
 
 def _refined_records(
-    anchor: str, noun: str, value: Fraction, thr: Fraction,
-    p: ExtExponent, q: ExtExponent, r: ExtExponent, sharp: bool = False,
+    anchor: str, noun: str, value: Fraction, thr: Fraction, x, sharp: bool = False
 ) -> list[dict]:
     """The S2 (sufficient) and N5 (necessary) records of a refined criterion.
 
     ``noun`` names the compared quantity, ``value`` its value and ``thr``
-    the threshold.  Both hold above the threshold, S2 only for p <= q.  At
-    equality S2 admits r <= 2, or r <= q when ``sharp``, and N5 requires
-    r <= q.
+    the threshold; ``x`` is the engine's reciprocals of (p, q, r).  Both
+    hold above the threshold, S2 only for p <= q.  At equality S2 admits
+    r <= 2 (g <= 0), or r <= q when ``sharp``, and N5 requires r <= q.
     """
-    cutoff = q if sharp else _TWO
-    suff = p <= q and (value > thr or (value == thr and r <= cutoff))
-    nec = value > thr or (value == thr and r <= q)
+    r_ok = x.r_le_q if sharp else x.g[0] <= 0
+    suff = x.p_le_q and (value > thr or (value == thr and r_ok))
+    nec = value > thr or (value == thr and x.r_le_q)
     word = "above" if value > thr else "at" if value == thr else "below"
     head = f"{noun} {word} threshold {thr}; "
     return [
@@ -225,9 +217,10 @@ class Family:
     def to_point(self, index: Index) -> Optional[tuple]:
         return index
 
-    def refined_criteria(
-        self, params, k: int, p: ExtExponent, q: ExtExponent, r: ExtExponent
-    ) -> list[dict]:
+    def refined_criteria(self, params, k: int, x) -> list[dict]:
+        """The S2 and N5 records at the engine's reciprocals ``x`` of
+        (p, q, r): the gap dp = 1/p - 1/q and the tail 1/q'' - 1/r clamped
+        at 0 (1/theta of S1) as int pairs, and the comparisons."""
         return []
 
 
@@ -319,11 +312,11 @@ class InhomBesovFamily(Family):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
         return QuotientForm.single(_N0, *_dyadic_atoms(params, k))
 
-    def refined_criteria(self, params, k, p, q, r):
-        if not _TWO < q < INF:
+    def refined_criteria(self, params, k, x):
+        if not _q_mid(x):
             return []
-        thr = Fraction(k) + params.d * reciprocal_gap(p, q)
-        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", params.s, thr, p, q, r)
+        thr = k + params.d * Fraction(*x.dp)
+        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", params.s, thr, x)
 
 
 # ---------------------------------------------------------------------------
@@ -411,17 +404,15 @@ class AlphaModulationFamily(Family):
             RadialSector(d), *_weight_atoms(Atom.radial(d, base), norm_atoms)
         )
 
-    def refined_criteria(self, params, k, p, q, r):
-        if not _TWO < q < INF:
+    def refined_criteria(self, params, k, x):
+        if not _q_mid(x):
             return []
-        tail = _pos(reciprocal_gap(lower_conjugate(q), r))
-        rhs = Fraction(k) + params.d * (
-            params.alpha * reciprocal_gap(p, q)
-            + (1 - params.alpha) * tail
+        rhs = k + params.d * (
+            params.alpha * Fraction(*x.dp) + (1 - params.alpha) * Fraction(*x.s1)
         )
         return _refined_records(
-            ANCHOR_ALPHA_REFINED, "weight exponent", params.s, rhs, p, q, r,
-            sharp=params.alpha == 0 and p == q,
+            ANCHOR_ALPHA_REFINED, "weight exponent", params.s, rhs, x,
+            sharp=params.alpha == 0 and not x.dp[0],
         )
 
 
@@ -493,16 +484,11 @@ class ShearletSmoothnessFamily(Family):
             self._sector(), *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
         )
 
-    def refined_criteria(self, params, k, p, q, r):
-        if not _TWO < q < INF:
+    def refined_criteria(self, params, k, x):
+        if not _q_mid(x):
             return []
-        tail = _pos(reciprocal_gap(lower_conjugate(q), r))
-        thr = (
-            Fraction(k)
-            + Fraction(3, 2) * reciprocal_gap(p, q)
-            + Fraction(1, 2) * tail
-        )
-        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", params.s, thr, p, q, r)
+        thr = k + Fraction(3, 2) * Fraction(*x.dp) + Fraction(1, 2) * Fraction(*x.s1)
+        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", params.s, thr, x)
 
 
 _SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)

@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import UnsupportedWeight
-from .exponents import compound, int_from_json, rational_from_json
+from .exponents import Pair, compound, int_from_json, rational_from_json, reciprocal_pair
 
 __all__ = [
     "LineSector",
@@ -70,8 +70,6 @@ __all__ = [
 ]
 
 RatLike = Union[int, Fraction]
-# an exact exponent as (numerator, positive denominator), not necessarily reduced
-Pair = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +341,6 @@ class CoordFactor(_CoordFactorFields):
     def is_trivial(self) -> bool:
         return not any(self)
 
-    def value(self, n: int) -> float:
-        return pow2f(self.log2_value(n))
-
     def log2_value(self, n: int) -> float:
         if n >= 0:
             a, c = self.exp2_pos, self.pow_pos
@@ -520,9 +515,10 @@ class QuotientForm:
     dp = 1/p - 1/t and g = 1/2 - 1/r.  The coefficients are compiled once
     to ints (a, b, c) over one common denominator D, so at (dp, g) an
     exponent is (a*s + b*u + c*v) / (D*s) with the same s, u, v for all of
-    them.  :meth:`exponents` gives these as the int pairs that
-    :func:`decide_exponents` reads, without building a weight; :meth:`at`
-    builds the weight.
+    them.  :meth:`pairs_at` gives these as the int pairs that
+    :func:`decide_reciprocal` reads, without building a weight, from dp and
+    g as int pairs; :meth:`exponents` takes them as Fractions, and
+    :meth:`at` builds the weight.
     """
 
     __slots__ = ("pieces", "_den", "_rows")
@@ -546,15 +542,21 @@ class QuotientForm:
         return cls((Piece(sector, tuple(atoms)),))
 
     def exponents(self, dp: Fraction, g: Fraction) -> list:
-        """Per piece its sector and, per atom, the exponent pairs at (dp, g),
-        as :func:`decide_exponents` reads them.
+        """:meth:`pairs_at` the Fractions dp and g."""
+        return self.pairs_at((dp.numerator, dp.denominator), (g.numerator, g.denominator))
+
+    def pairs_at(self, dp: Pair, g: Pair) -> list:
+        """Per piece its sector and, per atom, the exponent pairs at the
+        gaps dp and g, given as int pairs, as :func:`decide_exponents`
+        reads them.
 
         Lists, not tuples built from generators: those are sized by a
         guess and shrunk, and the tuples they free pile up in CPython's
         per-size free lists, which a sweep of cells fills to their cap.
         """
-        s = dp.denominator * g.denominator
-        u, v, den = dp.numerator * g.denominator, g.numerator * dp.denominator, self._den * s
+        (dn, dd), (gn, gd) = dp, g
+        s = dd * gd
+        u, v, den = dn * gd, gn * dd, self._den * s
         return [
             (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
             for piece, rows in zip(self.pieces, self._rows)
@@ -670,14 +672,14 @@ def _pair_atom_member(sector: PairSector, ex: Sequence[Pair], xn: int, xd: int) 
     rn, rd = rho
     if rn * rho_neg[1] != rho_neg[0] * rd:
         raise UnsupportedWeight("pair sectors need a symmetric m power")
-    lam = sector.lam
+    ln, ld = sector.lam.numerator, sector.lam.denominator
     if sector.n_domain == "N0":
-        if lam < 0:
+        if ln < 0:
             raise UnsupportedWeight("pair sector with lam < 0 on n >= 0")
         (an, ad), c = a_pos, c_pos
         orient = 1
     else:
-        if lam > 0:
+        if ln > 0:
             raise UnsupportedWeight("pair sector with lam > 0 on n < 0")
         # n runs to -inf, where 2^(a*n) decays at rate -a
         (an, ad), c = a_neg, c_neg
@@ -696,9 +698,9 @@ def _pair_atom_member(sector: PairSector, ex: Sequence[Pair], xn: int, xd: int) 
     if outside or rho_side > 0:
         # the sign of the rate a + lam*(1/theta + rho), with
         # 1/theta + rho = rho_side / (xd * rd)
-        sign = an * lam.denominator * xd * rd + lam.numerator * rho_side * ad
+        sign = an * ld * xd * rd + ln * rho_side * ad
         return _halfline_member(orient * sign, c, xn, xd)
-    if rho_side == 0 and lam and not an:
+    if rho_side == 0 and ln and not an:
         # the log(bound) factor raises the power c by 1/theta
         cn, cd = c
         return _below(cn * xd + 2 * cd * xn, xn)
@@ -741,11 +743,24 @@ def decide_exponents(
     the exponents of each atom as int pairs in the reading order of
     :func:`_exponents_of`.
 
+    The rules read theta only as its reciprocal, so this is an entry onto
+    :func:`decide_reciprocal`, which the decision engine calls with 1/theta
+    as the int pair it computed; theta is an exponent or a literal.
+    """
+    return decide_reciprocal(pieces, reciprocal_pair(theta))
+
+
+def decide_reciprocal(
+    pieces: Iterable[tuple[Sector, Iterable[Sequence[Pair]]]], x: Pair
+) -> Membership:
+    """:func:`decide_exponents` at 1/theta = x, an int pair.
+
     A pair is (numerator, positive denominator) and need not be reduced:
     every rule is the sign of an integer cross product affine in
-    x = 1/theta, read as two ints xn/xd with xn = 0 for theta = inf.
+    x = 1/theta, read as two ints xn/xd with xn = 0 for theta = inf.  No
+    Fraction or exponent object is built.
     """
-    xn, xd = (0, 1) if theta.is_inf else (theta.frac.denominator, theta.frac.numerator)
+    xn, xd = x
     for sector, atoms in pieces:
         for ex in atoms:
             if not _atom_member(sector, ex, xn, xd):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from decomp_embed.exponents import (
     ExtExponent,
     compound,
     conjugate,
+    exponent_text,
     lower_conjugate,
     reciprocal_gap,
 )
@@ -416,14 +418,112 @@ def test_decide_grid_replays_byte_for_byte():
 
 
 def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
-    """The exponent literal memo is invisible: a cold pass, then a pass in
-    reverse order that starts on the memo entries the first one left."""
+    """The two caches kept across calls, the exponent literal memo and the
+    form cache, are invisible: a cold pass, then a pass in reverse order
+    that starts on the entries the first one left."""
     lines = DECIDE_GRID.read_text().splitlines(keepends=True)
-    exponents._parse_literal.cache_clear()
+    memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo}
+    for memo in memos.values():
+        memo.cache_clear()
     for order in (lines, lines[::-1]):
         drifted = _grid_drift(order)
         assert not drifted, f"{len(drifted)} verdicts drifted, first {drifted[0]}"
-    assert exponents._parse_literal.cache_info().hits > 0
+    for name, memo in memos.items():
+        assert memo.cache_info().hits > 0, name
+
+
+def _inverse(e: ExtExponent) -> Fraction:
+    """1/e by Fraction arithmetic, 0 at inf."""
+    return Fraction(0) if e.is_inf else 1 / e.frac
+
+
+def _as_pair(value: Fraction) -> tuple[int, int]:
+    return value.numerator, value.denominator
+
+
+_POSITIVE = st.fractions(min_value=Fraction(1, 10**6), max_value=Fraction(10**6),
+                         max_denominator=10**6)
+# what a caller may pass as p, q or r: inf in each spelling, 1, 2, values
+# below 1, unreduced literals such as "4/2" and large numerators
+EXPONENT_ARGS = st.one_of(
+    st.sampled_from(("inf", "Infinity", INF, 1, 2, "1", "2", "4/2", "2/4", "1/2", "3/6",
+                     ExtExponent("3/2"))),
+    _POSITIVE.map(str),
+    st.tuples(_POSITIVE, st.integers(2, 10**9)).map(
+        lambda fk: f"{fk[0].numerator * fk[1]}/{fk[0].denominator * fk[1]}"),
+    st.tuples(st.integers(1, 10**40), st.integers(1, 10**6)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=EXPONENT_ARGS, q=EXPONENT_ARGS, r=EXPONENT_ARGS)
+def test_engine_reciprocals_match_the_exponent_helpers(p, q, r):
+    """Every gap, 1/theta, comparison and theta text the engine reads off
+    its reciprocal int pairs is what the ExtExponent helpers give, and what
+    plain Fraction arithmetic gives."""
+    x = embedding._reciprocals(p, q, r)
+    P, Q, R = ExtExponent(p), ExtExponent(q), ExtExponent(r)
+    two = ExtExponent(2)
+    xp, xq, xr = _inverse(P), _inverse(Q), _inverse(R)
+    assert (x.p, x.q, x.r) == (_as_pair(xp), _as_pair(xq), _as_pair(xr))
+    assert x.dp == _as_pair(reciprocal_gap(P, Q)) == _as_pair(xp - xq)
+    assert x.g == _as_pair(reciprocal_gap(two, R)) == _as_pair(Fraction(1, 2) - xr)
+    thetas = {
+        "s1": (compound(lower_conjugate(Q), R), max(xq, 1 - xq) - xr),
+        "n2": (compound(Q, R), xq - xr),
+        "n2b": (conjugate(R), 1 - xr),
+        "n34": (compound(two, R), Fraction(1, 2) - xr),
+    }
+    for name, (theta, gap) in thetas.items():
+        got = getattr(x, name)
+        assert got == _as_pair(_inverse(theta)) == _as_pair(max(gap, Fraction(0))), name
+        assert exponent_text(got) == str(theta) == ("inf" if theta.is_inf else str(theta.frac))
+    for e, text in ((P, x.p), (Q, x.q), (R, x.r)):
+        assert exponent_text(text) == str(e) == ("inf" if e.is_inf else str(e.frac))
+    assert (x.p_le_q, x.r_le_q, x.two_le_q) == (P <= Q, R <= Q, two <= Q)
+    assert (x.p_le_q, x.r_le_q, x.two_le_q) == (xq <= xp, xq <= xr, xq <= Fraction(1, 2))
+
+
+def _exponent_objects_built(call) -> list[str]:
+    """The Fraction and ExtExponent constructors that ``call()`` runs."""
+    watched = {Fraction.__new__.__code__, ExtExponent.__init__.__code__}
+    built = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in watched:
+            built.append(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return built
+
+
+WARM_PARAMS = {
+    "hom_besov": {"d": 1, "s": "1/2"},
+    "inhom_besov": {"d": 1, "s": "5/3"},
+    "alpha_modulation": {"d": 1, "alpha": "1/2", "s": "1/4"},
+    "shearlet_smoothness": {"s": "7/6"},
+    "shearlet_coorbit": {"c": "1/2", "alpha": "13/8", "beta": 3},
+    "diagonal": {"d": 2, "alpha": ["-1/2", 0], "beta": ["-3/2", "-2"]},
+}
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("q", ("4/2", "3", "inf"))
+def test_a_warm_decide_builds_no_exponent_objects(family, q):
+    """After one call on the same literals, a decide reads p, q and r from
+    the literal memo and the form from the form cache, and builds no
+    ExtExponent and no Fraction: every cell is int pairs."""
+    def run():
+        return decide_sobolev(family, WARM_PARAMS[family], p="3/2", q=q, r="5/2", k=1,
+                              refine=False)
+
+    want = run().to_json()
+    assert _exponent_objects_built(run) == []
+    assert run().to_json() == want
 
 
 def _decided(family: str, params) -> object:

@@ -31,6 +31,7 @@ from decomp_embed.seqspace import (
     decide_lp_membership,
     decide_sequence_embedding,
     expweight_from_json,
+    pow2f,
     sector_from_json,
     truncated_oracle,
 )
@@ -612,7 +613,7 @@ def _reference_factor_on_axis(f, n):
 def _reference_row_values(piece, n, ms):
     total = np.zeros_like(ms)
     for atom in piece.atoms:
-        base = float(atom.coeff) * atom.factors[0].value(n)
+        base = float(atom.coeff) * pow2f(atom.factors[0].log2_value(n))
         with np.errstate(over="ignore"):
             total = total + base * _reference_factor_on_axis(atom.factors[1], ms)
     return total
@@ -632,7 +633,7 @@ def _reference_rest(piece, n, lo, theta_f):
     theta = inf."""
     terms = []
     for atom in piece.atoms:
-        base = float(atom.coeff) * atom.factors[0].value(n)
+        base = float(atom.coeff) * pow2f(atom.factors[0].log2_value(n))
         f = atom.factors[1]
         for a, c in ((float(f.exp2_pos), float(f.pow_pos)),
                      (-float(f.exp2_neg), float(f.pow_neg))):
