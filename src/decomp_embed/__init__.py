@@ -41,7 +41,6 @@ from .seqspace import (
     decide_sequence_embedding,
     truncated_oracle,
 )
-from .weights import build_weight
 
 __all__ = [
     "INF",
@@ -78,7 +77,6 @@ __all__ = [
     "FAMILY_NAMES",
     "covering_from_json",
     "get_family",
-    "build_weight",
 ]
 
 __version__ = "0.1.0"

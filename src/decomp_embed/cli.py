@@ -41,7 +41,7 @@ from .errors import (
 from .exponents import ExtExponent, compound, json_float
 from .families import FAMILY_NAMES, covering_from_json, get_family
 from .seqspace import decide_sequence_embedding, expweight_from_json, truncated_oracle
-from .weights import build_weight
+from .weights import probe_weight
 
 EX_OK = 0
 EX_ORACLE = 10
@@ -157,11 +157,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     params = fam.parse_params(_json_arg(args.params, "--params"))
     cov = fam.covering(params)
     constants = certify_constants(cov, args.radius)
-    # moderateness probe: the canonical order-0 weight between p = 1 and
-    # t = 2; the k = 0 form is purely geometric, so the estimate settles
-    # inside small windows
-    probe = build_weight(cov, k=0, p=ExtExponent(1), t=ExtExponent(2))
-    moderate = check_moderate(cov, probe.evaluate, (args.radius, args.radius + 2))
+    moderate = check_moderate(cov, probe_weight(cov), (args.radius, args.radius + 2))
     try:
         surrogate = norm_surrogate_check(cov, args.radius)
     except MissingTightnessWitness:

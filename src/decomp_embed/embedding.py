@@ -65,7 +65,6 @@ from .families import Family, get_family
 from .seqspace import (
     ExpPolyWeight,
     Membership,
-    QuotientForm,
     TailClassification,
     decide_lp_membership,
     decide_reciprocal,
@@ -186,13 +185,13 @@ class _Cell(NamedTuple):
     the rules read, and what builds the weight when the oracle check needs
     it."""
 
-    form: QuotientForm
+    form: ExpPolyWeight
     dp: Pair
     g: Pair
     exponents: list
 
 
-def _cell(form: QuotientForm, dp: Pair, g: Pair) -> _Cell:
+def _cell(form: ExpPolyWeight, dp: Pair, g: Pair) -> _Cell:
     return _Cell(form, dp, g, form.pairs_at(dp, g))
 
 

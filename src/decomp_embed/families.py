@@ -8,15 +8,17 @@ Each family bundles three things behind one name:
   decision engine read: the covering weight
   w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) over the weight
   u of its sequence space on the matching lattice, built once per (params,
-  k) with every exponent affine in the gaps 1/p - 1/t and 1/2 - 1/r,
+  k) as one :class:`ExpPolyWeight` whose exponents are affine in the gaps
+  1/p - 1/t and 1/2 - 1/r,
 * optional sharpened criteria that extend the generic tests in the regime
   q in (2, inf).
 
 The closed forms use normal-form surrogates for the operator norms that are
 exact for the isotropic families and accurate up to uniform constants for
-the anisotropic ones; :mod:`decomp_embed.weights` evaluates w^(t) numerically
-on the covering, and its tests compare that with the quotient at a unit space
-weight (the space parameters zero and r = 2) on finite windows.
+the anisotropic ones.  The tests evaluate w^(t) numerically on the covering
+(the reference in ``tests/witnesses.py``) and compare that with the quotient
+at a unit space weight (the space parameters zero and r = 2) on finite
+windows.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .seqspace import (
     PairSector,
     Piece,
     ProductSector,
-    QuotientForm,
     RadialSector,
 )
 
@@ -182,7 +183,7 @@ class Family:
     def covering(self, params) -> Covering:
         raise NotImplementedError
 
-    def quotient_form(self, params, k: int) -> QuotientForm:
+    def quotient_form(self, params, k: int) -> ExpPolyWeight:
         """The ratio w^(t)/u(r) that the summability criteria test, for
         every (t, r) at once.
 
@@ -195,13 +196,9 @@ class Family:
         """
         raise NotImplementedError
 
-    def quotient_weight(self, params, k: int, dp: Fraction, g: Fraction) -> ExpPolyWeight:
-        """The quotient w^(t)/u(r) at ``dp`` = 1/p - 1/t and ``g`` = 1/2 - 1/r."""
-        return self.quotient_form(params, k).at(dp, g)
-
-    def khintchine_quotient(self, quotient):
-        """A quotient w^(t)/u, or its form, restricted to the expanding part
-        of the covering.
+    def khintchine_quotient(self, quotient: ExpPolyWeight) -> Optional[ExpPolyWeight]:
+        """A quotient w^(t)/u restricted to the expanding part of the
+        covering.
 
         Families whose expanding part differs from the whole index set by
         more than finitely many indices restrict explicitly; None means the
@@ -212,7 +209,7 @@ class Family:
         if self.khintchine == "full":
             return quotient
         (piece,) = quotient.pieces
-        return type(quotient)((Piece(LineSector("N0"), piece.atoms),))
+        return ExpPolyWeight((Piece(LineSector("N0"), piece.atoms),))
 
     def to_point(self, index: Index) -> Optional[tuple]:
         return index
@@ -275,7 +272,7 @@ class HomBesovFamily(Family):
         )
 
     def quotient_form(self, params, k):
-        return QuotientForm.single(_Z, *_dyadic_atoms(params, k))
+        return ExpPolyWeight.single(_Z, *_dyadic_atoms(params, k))
 
 
 class InhomBesovFamily(Family):
@@ -310,7 +307,7 @@ class InhomBesovFamily(Family):
 
     def quotient_form(self, params, k):
         # T_n = 2^n id for every n >= 0, so one formula covers the whole ray
-        return QuotientForm.single(_N0, *_dyadic_atoms(params, k))
+        return ExpPolyWeight.single(_N0, *_dyadic_atoms(params, k))
 
     def refined_criteria(self, params, k, x):
         if not _q_mid(x):
@@ -400,7 +397,7 @@ class AlphaModulationFamily(Family):
                 Atom.radial(d, base + (a0 + 1) * k),
                 Atom.radial(d, base + a0 * k),
             ]
-        return QuotientForm.single(
+        return ExpPolyWeight.single(
             RadialSector(d), *_weight_atoms(Atom.radial(d, base), norm_atoms)
         )
 
@@ -480,7 +477,7 @@ class ShearletSmoothnessFamily(Family):
         base = 3 * _DP - 2 * params.s
         # ||T|| is comparable to 2^(2n) throughout the cone
         norm_atoms = [Atom.pair(n_exp2=base + 2 * k)] if k >= 1 else []
-        return QuotientForm.single(
+        return ExpPolyWeight.single(
             self._sector(), *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
         )
 
@@ -593,7 +590,7 @@ class ShearletCoorbitFamily(Family):
                 [Atom.pair(n_exp2=base + a * gain, m_power=rho * gain)] if k >= 1 else []
             )
             pieces.append(Piece(sector, _weight_atoms(det_atom, norm_atoms)))
-        return QuotientForm(tuple(pieces))
+        return ExpPolyWeight(tuple(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +678,7 @@ class DiagonalFamily(Family):
                 factors = list(det_factors)
                 factors[axis] = CoordFactor(pos - k, neg - k)
                 norm_atoms.append(Atom(_ONE, tuple(factors)))
-        return QuotientForm.single(
+        return ExpPolyWeight.single(
             self._sector(params.d), *_weight_atoms(Atom(_ONE, det_factors), norm_atoms)
         )
 

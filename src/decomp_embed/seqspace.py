@@ -6,8 +6,8 @@ This module carries the sequence-space side of the decision engine:
   weights, and constrained pair sectors of the form |m| <= ceil(2^(lam*n))
   + shift),
 * exp-poly weights, finite sums of atoms 2^(a*n) * |n|^c per coordinate
-  with per-orthant exponents, and quotient forms, weights whose exponents
-  are affine in the gaps 1/p - 1/t and 1/2 - 1/r,
+  with per-orthant exponents, each exponent a rational or affine in the
+  gaps 1/p - 1/t and 1/2 - 1/r,
 * an exact decider for membership of such a weight in l^theta, whose
   rules read x = 1/theta, with x = 0 for theta = inf (boundedness),
 * an independent numeric truncation oracle that classifies the same
@@ -19,19 +19,20 @@ Atoms are flat tuples of exact Fractions.  Values are coerced to Fraction
 once, at the boundary: in the public constructors of :class:`CoordFactor`
 and :class:`Atom`, their classmethods and :func:`expweight_from_json`.
 Internal arithmetic passes Fractions through untouched, so a quotient is a
-field-wise subtraction.  In a :class:`QuotientForm` an exponent may instead
-be an :class:`Affine` in the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, which
-the form compiles once to integer coefficients.  The membership rules read
-every exponent as an int pair (numerator, positive denominator), from an
-atom's Fractions or from a form's coefficients at one (dp, g), and compare
-signs and integer cross products affine in 1/theta; only the closed
-boundary at theta = inf sets that case apart.
+field-wise subtraction.  An exponent may instead be an :class:`Affine` in
+the gaps dp = 1/p - 1/t and g = 1/2 - 1/r.  The membership rules read every
+exponent as an int pair (numerator, positive denominator) at one (dp, g),
+from the integer coefficients a weight compiles once, and compare signs
+and integer cross products affine in 1/theta; only the closed boundary at
+theta = inf sets that case apart.
 
 The decider and the oracle share no logic.  The decider manipulates
 exponents as exact rationals and never evaluates the weight; the oracle
-evaluates the weight numerically and reads exponents only for structural
-facts about what lies past its window (the pair-sector tail bound and the
-exponential-growth gate).  Test suites drive both against each other.
+reads every coefficient and exponent as a float once, evaluates the weight
+numerically, and reads exponents only for structural facts about what
+lies past its window (the pair-sector tail bound and, on the exact
+exponents, the exponential-growth gate).  Test suites drive both against
+each other.
 
 numpy is imported only inside the oracle functions, so the exact decider
 runs without loading it.
@@ -58,10 +59,9 @@ __all__ = [
     "Atom",
     "ExpPolyWeight",
     "Affine",
-    "QuotientForm",
     "Membership",
     "TailClassification",
-    "decide_exponents",
+    "decide_reciprocal",
     "decide_lp_membership",
     "decide_sequence_embedding",
     "truncated_oracle",
@@ -260,7 +260,7 @@ _ONE = Fraction(1)
 
 class Affine:
     """The exact affine function c0 + c_dp*dp + c_g*g of the two gaps
-    dp = 1/p - 1/t and g = 1/2 - 1/r: an exponent of a :class:`QuotientForm`.
+    dp = 1/p - 1/t and g = 1/2 - 1/r: an exponent of an :class:`ExpPolyWeight`.
 
     Sums with ints, Fractions and other Affines, and products with ints and
     Fractions, stay Affine, so a family builds its form with the same
@@ -336,10 +336,6 @@ class CoordFactor(_CoordFactorFields):
     def symmetric(cls, exp2: RatLike = _ZERO, power: RatLike = _ZERO) -> "CoordFactor":
         exp2, power = _exact(exp2), _exact(power)
         return cls._make((exp2, exp2, power, power))
-
-    @property
-    def is_trivial(self) -> bool:
-        return not any(self)
 
     def log2_value(self, n: int) -> float:
         if n >= 0:
@@ -450,23 +446,91 @@ class Piece:
                 raise ValueError("atom arity does not match sector dimension")
 
 
-@dataclass(frozen=True)
+def _exponents_of(atom: Atom) -> tuple:
+    """The exponents of an atom in reading order: exp2_pos, exp2_neg,
+    pow_pos and pow_neg of each coordinate factor, then the radial power."""
+    return (*itertools.chain.from_iterable(atom.factors), atom.radial_pow)
+
+
 class ExpPolyWeight:
     """A positive weight given piecewise as sums of atoms over sectors.
 
     Pieces partition the intended index set; membership in l^theta is the
     conjunction of membership on every piece.
+
+    An exponent is a Fraction or an :class:`Affine` in the gaps
+    dp = 1/p - 1/t and g = 1/2 - 1/r, so a family's quotient w^(t)/u(r) is
+    one weight for every (t, r).  The constructor compiles the exponents to
+    ints (a, b, c) over one common denominator D: at (dp, g) an exponent is
+    (a*s + b*u + c*v) / (D*s), with the same s, u, v for all.
+    :meth:`pairs_at` gives the int pairs :func:`decide_reciprocal` reads;
+    :meth:`at` builds the Fraction weight that :meth:`evaluate` reads.
     """
 
-    pieces: tuple[Piece, ...]
+    __slots__ = ("pieces", "_den", "_rows")
+
+    def __init__(self, pieces: tuple[Piece, ...]):
+        self.pieces = pieces
+        exps = [_exponents_of(atom) for piece in pieces for atom in piece.atoms]
+        # many exponents are one shared object (a zero, a symmetric factor)
+        parts = {id(e): (e.c0, e.c_dp, e.c_g) if type(e) is Affine else (e, _ZERO, _ZERO)
+                 for atom in exps for e in atom}
+        den = math.lcm(*(c.denominator for part in parts.values() for c in part))
+        ints = {
+            key: tuple(c.numerator * (den // c.denominator) for c in part)
+            for key, part in parts.items()
+        }
+        rows = iter([tuple(ints[id(e)] for e in atom) for atom in exps])
+        self._den = den
+        self._rows = tuple(tuple(next(rows) for _ in piece.atoms) for piece in pieces)
 
     @classmethod
     def single(cls, sector: Sector, *atoms: Atom) -> "ExpPolyWeight":
         return cls((Piece(sector, tuple(atoms)),))
 
+    def __eq__(self, other) -> bool:
+        return type(other) is ExpPolyWeight and self.pieces == other.pieces
+
+    def __hash__(self) -> int:
+        return hash(self.pieces)
+
+    def __repr__(self) -> str:
+        return f"ExpPolyWeight({self.pieces!r})"
+
     @property
     def dims(self) -> int:
         return self.pieces[0].sector.dims
+
+    def pairs_at(self, dp: Pair = (0, 1), g: Pair = (0, 1)) -> list:
+        """Per piece its sector and, per atom, the exponent pairs at the
+        gaps dp and g, given as int pairs, as :func:`decide_reciprocal`
+        reads them; a weight without :class:`Affine` exponents reads the
+        same at every (dp, g).
+
+        Lists, not tuples built from generators: those are sized by a
+        guess and shrunk, and the tuples they free pile up in CPython's
+        per-size free lists, which a sweep of cells fills to their cap.
+        """
+        (dn, dd), (gn, gd) = dp, g
+        s = dd * gd
+        u, v, den = dn * gd, gn * dd, self._den * s
+        return [
+            (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
+            for piece, rows in zip(self.pieces, self._rows)
+        ]
+
+    def at(self, dp: Fraction, g: Fraction) -> "ExpPolyWeight":
+        """The weight at one (dp, g), every exponent a Fraction."""
+        def atom_at(atom: Atom, pairs: list[Pair]) -> Atom:
+            vals = [Fraction(num, den) for num, den in pairs]
+            factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
+            return Atom._make((atom.coeff, factors, vals[-1]))
+
+        pairs = self.pairs_at((dp.numerator, dp.denominator), (g.numerator, g.denominator))
+        return ExpPolyWeight(tuple(
+            Piece(piece.sector, tuple(map(atom_at, piece.atoms, atoms)))
+            for piece, (_, atoms) in zip(self.pieces, pairs)
+        ))
 
     def evaluate(self, pt: tuple[int, ...]) -> float:
         for piece in self.pieces:
@@ -495,84 +559,6 @@ class ExpPolyWeight:
                 )
             )
         return ExpPolyWeight(tuple(out))
-
-
-def _exponents_of(atom: Atom) -> tuple:
-    """The exponents of an atom in reading order: exp2_pos, exp2_neg,
-    pow_pos and pow_neg of each coordinate factor, then the radial power."""
-    return (*itertools.chain.from_iterable(atom.factors), atom.radial_pow)
-
-
-def _affine_parts(e) -> tuple[Fraction, Fraction, Fraction]:
-    return (e.c0, e.c_dp, e.c_g) if type(e) is Affine else (e, _ZERO, _ZERO)
-
-
-class QuotientForm:
-    """A family's quotient w^(t)/u(r) for every (t, r) at once.
-
-    The pieces and atoms are those of the quotient at any one (t, r), and
-    each exponent is a Fraction or an :class:`Affine` in the gaps
-    dp = 1/p - 1/t and g = 1/2 - 1/r.  The coefficients are compiled once
-    to ints (a, b, c) over one common denominator D, so at (dp, g) an
-    exponent is (a*s + b*u + c*v) / (D*s) with the same s, u, v for all of
-    them.  :meth:`pairs_at` gives these as the int pairs that
-    :func:`decide_reciprocal` reads, without building a weight, from dp and
-    g as int pairs; :meth:`exponents` takes them as Fractions, and
-    :meth:`at` builds the weight.
-    """
-
-    __slots__ = ("pieces", "_den", "_rows")
-
-    def __init__(self, pieces: tuple[Piece, ...]):
-        self.pieces = pieces
-        exps = [_exponents_of(atom) for piece in pieces for atom in piece.atoms]
-        # many exponents are one shared object (a zero, a symmetric factor)
-        parts = {id(e): _affine_parts(e) for atom in exps for e in atom}
-        den = math.lcm(*(c.denominator for part in parts.values() for c in part))
-        ints = {
-            key: tuple(c.numerator * (den // c.denominator) for c in part)
-            for key, part in parts.items()
-        }
-        rows = iter([tuple(ints[id(e)] for e in atom) for atom in exps])
-        self._den = den
-        self._rows = tuple(tuple(next(rows) for _ in piece.atoms) for piece in pieces)
-
-    @classmethod
-    def single(cls, sector: Sector, *atoms: Atom) -> "QuotientForm":
-        return cls((Piece(sector, tuple(atoms)),))
-
-    def exponents(self, dp: Fraction, g: Fraction) -> list:
-        """:meth:`pairs_at` the Fractions dp and g."""
-        return self.pairs_at((dp.numerator, dp.denominator), (g.numerator, g.denominator))
-
-    def pairs_at(self, dp: Pair, g: Pair) -> list:
-        """Per piece its sector and, per atom, the exponent pairs at the
-        gaps dp and g, given as int pairs, as :func:`decide_exponents`
-        reads them.
-
-        Lists, not tuples built from generators: those are sized by a
-        guess and shrunk, and the tuples they free pile up in CPython's
-        per-size free lists, which a sweep of cells fills to their cap.
-        """
-        (dn, dd), (gn, gd) = dp, g
-        s = dd * gd
-        u, v, den = dn * gd, gn * dd, self._den * s
-        return [
-            (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
-            for piece, rows in zip(self.pieces, self._rows)
-        ]
-
-    def at(self, dp: Fraction, g: Fraction) -> ExpPolyWeight:
-        """The quotient at one (dp, g), every exponent a Fraction."""
-        def atom_at(atom: Atom, pairs: list[Pair]) -> Atom:
-            vals = [Fraction(num, den) for num, den in pairs]
-            factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
-            return Atom._make((atom.coeff, factors, vals[-1]))
-
-        return ExpPolyWeight(tuple(
-            Piece(piece.sector, tuple(map(atom_at, piece.atoms, atoms)))
-            for piece, (_, atoms) in zip(self.pieces, self.exponents(dp, g))
-        ))
 
 
 def _factor_from_json(obj: object) -> tuple[Fraction, Fraction]:
@@ -730,30 +716,12 @@ def _atom_member(sector: Sector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
     raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
 
 
-def _exponent_pairs(atom: Atom) -> list[Pair]:
-    """The exponents of an atom in reading order, each as an int pair
-    (numerator, denominator)."""
-    return [(e.numerator, e.denominator) for e in _exponents_of(atom)]
-
-
-def decide_exponents(
-    pieces: Iterable[tuple[Sector, Iterable[Sequence[Pair]]]], theta
-) -> Membership:
-    """Exact decision of a weight in l^theta, given per piece its sector and
-    the exponents of each atom as int pairs in the reading order of
-    :func:`_exponents_of`.
-
-    The rules read theta only as its reciprocal, so this is an entry onto
-    :func:`decide_reciprocal`, which the decision engine calls with 1/theta
-    as the int pair it computed; theta is an exponent or a literal.
-    """
-    return decide_reciprocal(pieces, reciprocal_pair(theta))
-
-
 def decide_reciprocal(
     pieces: Iterable[tuple[Sector, Iterable[Sequence[Pair]]]], x: Pair
 ) -> Membership:
-    """:func:`decide_exponents` at 1/theta = x, an int pair.
+    """Exact decision of a weight in l^theta, given per piece its sector and
+    the exponents of each atom as int pairs in the reading order of
+    :func:`_exponents_of` (:meth:`ExpPolyWeight.pairs_at`), and 1/theta = x.
 
     A pair is (numerator, positive denominator) and need not be reduced:
     every rule is the sign of an integer cross product affine in
@@ -769,17 +737,16 @@ def decide_reciprocal(
 
 
 def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
-    """Exact decision of w in l^theta over the weight's lattice.
+    """Exact decision of w in l^theta over the weight's lattice; theta is an
+    exponent or a literal.
 
     For finite theta a sum of atoms is summable exactly when every atom
     is (the theta-power of a finite sum of positive terms is comparable
     to the sum of theta-powers), and at theta = inf it is bounded exactly
     when every atom is, so the decision distributes over atoms and
-    pieces (:func:`decide_exponents`).
+    pieces (:func:`decide_reciprocal`).
     """
-    return decide_exponents(
-        ((piece.sector, map(_exponent_pairs, piece.atoms)) for piece in w.pieces), theta
-    )
+    return decide_reciprocal(w.pairs_at(), reciprocal_pair(theta))
 
 
 def decide_sequence_embedding(u: ExpPolyWeight, v: ExpPolyWeight, r, s) -> str:
@@ -1318,10 +1285,32 @@ def _grows_exponentially(piece: Piece) -> bool:
     )
 
 
+def _float_pieces(weight: ExpPolyWeight) -> list[Piece]:
+    """The pieces of a weight with every coefficient and exponent read as a
+    float, once; the oracle's helpers read these as they would Fractions.
+    A number past the float range (float() raises rather than give inf) or
+    a coefficient that underflows to 0 raises :class:`UnsupportedWeight`."""
+    try:
+        pieces = [Piece(piece.sector, tuple(Atom._make((
+            float(atom.coeff),
+            tuple(CoordFactor._make(map(float, f)) for f in atom.factors),
+            float(atom.radial_pow),
+        )) for atom in piece.atoms)) for piece in weight.pieces]
+    except OverflowError:
+        pieces = None
+    if pieces is None or not all(atom.coeff > 0.0 for pc in pieces for atom in pc.atoms):
+        raise UnsupportedWeight(
+            "the numeric oracle needs every exponent to be a finite float and "
+            "every coefficient a positive one"
+        )
+    return pieces
+
+
 def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
-    Grid sectors are evaluated once on the largest window.  Pair sectors
+    Every coefficient and exponent is read as a float once, on entry
+    (:func:`_float_pieces`).  Grid sectors are evaluated once on the largest window.  Pair sectors
     are summed row by row; an outside row is summed in chunks of |m|, each
     with one log2|m| shared by every atom and both signs of m, and the -m
     half is taken from the +m half when every m-factor is even in m.  After
@@ -1346,7 +1335,7 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     """
     import numpy as np
 
-    pieces = weight.pieces
+    pieces = _float_pieces(weight)
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     dims = max(p.sector.dims for p in pieces)
     radii = default_radii(dims, has_pair)
@@ -1449,7 +1438,7 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     beyond = pair_tail(last_radius)
 
     grows = any(
-        _grows_exponentially(p) for p in pieces if not isinstance(p.sector, PairSector)
+        _grows_exponentially(p) for p in weight.pieces if not isinstance(p.sector, PairSector)
     )
     if (
         len(shells) >= RATIO_WINDOW

@@ -106,7 +106,7 @@ def _pair_atom_member(sector: PairSector, atom: Atom, theta: Fraction | None) ->
 
 def _atom_member(sector: Sector, atom: Atom, theta: Fraction | None) -> bool:
     if isinstance(sector, RadialSector):
-        if any(not f.is_trivial for f in atom.factors):
+        if any(any(f) for f in atom.factors):
             raise UnsupportedWeight("radial sectors support only radial powers")
         power = atom.radial_pow
         if theta is None:

@@ -4,7 +4,7 @@
 ``space_weight(params, r)`` that of u(r), each from the exponents
 themselves.  They are the reference of the equivalence test in
 ``test_families.py``: ``weight_symbolic(...).quotient(space_weight(...))``
-must equal the family's one-step ``quotient_weight(params, k, 1/p - 1/t,
+must equal the family's ``quotient_form(params, k).at(1/p - 1/t,
 1/2 - 1/r)``.
 """
 

@@ -164,6 +164,22 @@ def custom_covering(**fields) -> str:
         T=[[[10**200]]], base_set={"ball": {"center": [0], "radius": 10**200}})], 70),
     (["inspect-covering", "--covering",
       custom_covering().replace('"radius": 1}', '"radius": 1' + "0" * 5000 + "}")], 65),
+    # the oracle reads coefficients and exponents as floats: one past the
+    # float range, or a coefficient that underflows to 0, is unsupported
+    (["check-sequence", "--u", json.dumps({"lattice": {"kind": "Z"},
+                                           "atoms": [{"coeff": 10**400}]}),
+      "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "1", "--oracle"], 70),
+    (["check-sequence", "--u", json.dumps({"lattice": {"kind": "N0"},
+                                           "atoms": [{"exp2": -10**400}]}),
+      "--v", '{"lattice":{"kind":"N0"}}', "-r", "2", "-s", "1", "--oracle"], 70),
+    (["decide", "--family", "hom_besov", "--params", json.dumps({"s": 10**400}),
+      "-p", "1", "-q", "2", "-r", "2", "--oracle-check"], 70),
+    (["check-sequence", "--u", json.dumps({"lattice": {"kind": "pairs"},
+                                           "atoms": [{"coeff": f"1/{10**400}"}]}),
+      "--v", '{"lattice":{"kind":"pairs"}}', "-r", "2", "-s", "1", "--oracle"], 70),
+    (["check-sequence", "--u", json.dumps({"lattice": {"kind": "Z"},
+                                           "atoms": [{"coeff": f"1/{10**400}"}]}),
+      "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "1", "--oracle"], 70),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)

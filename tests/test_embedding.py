@@ -640,7 +640,7 @@ def _reported(verdict: Verdict) -> dict:
        q=st.sampled_from(BATCH_Q), r=st.sampled_from(BATCH_R))
 def test_compiled_verdicts_equal_membership_of_the_built_quotients(family, data, k, p, q, r):
     """Each S1/N2/N2b/N3/N4 verdict, decided on the compiled form, is
-    decide_lp_membership of the quotient_weight it stands for (restricted
+    decide_lp_membership of the quotient weight it stands for (restricted
     by khintchine_quotient for N3 and N4)."""
     doc = data.draw(near_threshold(family, k))
     fam = get_family(family)
@@ -658,7 +658,7 @@ def test_compiled_verdicts_equal_membership_of_the_built_quotients(family, data,
             asked["N4"] = (reciprocal_gap(p, two), compound(two, r), True)
     want = {}
     for ev_id, (dp, theta, restrict) in asked.items():
-        weight = fam.quotient_weight(params, k, dp, g)
+        weight = fam.quotient_form(params, k).at(dp, g)
         if restrict:
             weight = fam.khintchine_quotient(weight)
         want[ev_id] = (decide_lp_membership(weight, theta).value, str(theta))

@@ -219,7 +219,7 @@ def test_to_point_projections():
 def test_coorbit_sectors_partition_the_pair_lattice(c):
     fam = get_family("shearlet_coorbit")
     params = fam.parse_params({"c": c, "alpha": 0, "beta": 1})
-    weight = fam.quotient_weight(params, 1, Fraction(1, 2), Fraction(0))
+    weight = fam.quotient_form(params, 1).at(Fraction(1, 2), Fraction(0))
     for n in range(-6, 7):
         for m in range(-40, 41):
             hits = sum(p.sector.contains((n, m)) for p in weight.pieces)
@@ -231,7 +231,7 @@ def test_coorbit_scheme_and_weight_agree_on_dimension():
     params = fam.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
     cov = fam.covering(params)
     assert isinstance(cov.scheme, CoorbitScheme)
-    assert fam.quotient_weight(params, 1, Fraction(1, 2), Fraction(0)).dims == 2
+    assert fam.quotient_form(params, 1).at(Fraction(1, 2), Fraction(0)).dims == 2
 
 
 def test_khintchine_restriction():
@@ -240,7 +240,7 @@ def test_khintchine_restriction():
 
     hom = get_family("hom_besov")
     params = hom.parse_params({"d": 1, "s": "1/2"})
-    quot = hom.khintchine_quotient(hom.quotient_weight(params, 0, zero, zero))
+    quot = hom.khintchine_quotient(hom.quotient_form(params, 0).at(zero, zero))
     assert quot is not None
     assert len(quot.pieces) == 1
     assert quot.pieces[0].sector == LineSector("N0")
@@ -248,16 +248,16 @@ def test_khintchine_restriction():
 
     inhom = get_family("inhom_besov")
     ip = inhom.parse_params({"d": 1, "s": "1/2"})
-    full = inhom.khintchine_quotient(inhom.quotient_weight(ip, 0, zero, zero))
+    full = inhom.khintchine_quotient(inhom.quotient_form(ip, 0).at(zero, zero))
     assert full is not None and full.contains((0,))
 
     coorbit = get_family("shearlet_coorbit")
     cp = coorbit.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
-    assert coorbit.khintchine_quotient(coorbit.quotient_weight(cp, 0, zero, zero)) is None
+    assert coorbit.khintchine_quotient(coorbit.quotient_form(cp, 0).at(zero, zero)) is None
 
     diag = get_family("diagonal")
     dp = diag.parse_params({"d": 1, "alpha": 0, "beta": 0})
-    assert diag.khintchine_quotient(diag.quotient_weight(dp, 0, zero, zero)) is None
+    assert diag.khintchine_quotient(diag.quotient_form(dp, 0).at(zero, zero)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +300,11 @@ PARAM_DOCS = {
     r=st.sampled_from(BATCH_R),
 )
 def test_quotient_weight_equals_the_reference_quotient(family, data, k, p, t, r):
-    """quotient_weight(params, k, 1/p - 1/t, 1/2 - 1/r) is w^(t)/u(r) with
+    """quotient_form(params, k).at(1/p - 1/t, 1/2 - 1/r) is w^(t)/u(r) with
     w^(t) and u(r) built apart by the reference builders and then divided."""
     fam, ref = get_family(family), REFERENCE[family]
     params = fam.parse_params(data.draw(PARAM_DOCS[family]))
     p, t, r = ExtExponent(p), ExtExponent(t), ExtExponent(r)
     want = ref.weight_symbolic(params, k, p, t).quotient(ref.space_weight(params, r))
-    got = fam.quotient_weight(params, k, reciprocal_gap(p, t), reciprocal_gap(ExtExponent(2), r))
+    got = fam.quotient_form(params, k).at(reciprocal_gap(p, t), reciprocal_gap(ExtExponent(2), r))
     assert got == want

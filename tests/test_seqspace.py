@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from decomp_embed import seqspace
 from decomp_embed.errors import UnsupportedWeight
-from decomp_embed.exponents import INF, ExtExponent, compound
+from decomp_embed.exponents import INF, ExtExponent, compound, reciprocal_pair
 from decomp_embed.seqspace import (
     Affine,
     Atom,
@@ -24,11 +24,10 @@ from decomp_embed.seqspace import (
     PairSector,
     Piece,
     ProductSector,
-    QuotientForm,
     RadialSector,
     ceil_pow2,
-    decide_exponents,
     decide_lp_membership,
+    decide_reciprocal,
     decide_sequence_embedding,
     expweight_from_json,
     pow2f,
@@ -317,7 +316,7 @@ def affine_forms(draw, kind, x):
         a, b = draw(_slope), draw(_slope)
         return Affine(e - a * dp - b * g, a, b) if a or b else e
 
-    form = QuotientForm.single(sector, Atom._make((
+    form = ExpPolyWeight.single(sector, Atom._make((
         atom.coeff,
         tuple(CoordFactor._make(map(lift, f)) for f in atom.factors),
         lift(atom.radial_pow),
@@ -331,8 +330,15 @@ def affine_forms(draw, kind, x):
 def test_form_exponents_decide_as_the_built_weight(kind, data, theta):
     form, dp, g, weight = data.draw(affine_forms(kind, theta.reciprocal()))
     assert form.at(dp, g) == weight
+    assert hash(form.at(dp, g)) == hash(weight)
+    x = reciprocal_pair(theta)
     want = _outcome(decide_lp_membership, weight, theta)
-    assert _outcome(decide_exponents, form.exponents(dp, g), theta) == want
+    pairs = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
+    assert _outcome(decide_reciprocal, form.pairs_at(*pairs), x) == want
+    # without Affine exponents a weight reads the same at every (dp, g)
+    other = [(e.numerator, e.denominator) for e in (data.draw(_gap), data.draw(_gap))]
+    assert _outcome(decide_reciprocal, weight.pairs_at(*other), x) == want
+    assert _outcome(decide_reciprocal, weight.pairs_at(), x) == want
 
 
 def test_ceil_pow2_matches_float_ceil_on_safe_inputs():

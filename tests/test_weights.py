@@ -4,13 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from decomp_embed import weights
-from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, reciprocal_gap
 from decomp_embed.families import CoorbitParams, DiagonalParams, get_family
-from decomp_embed.weights import build_weight
+from decomp_embed.weights import probe_weight
 
-from witnesses import agreement_report
+import witnesses
+from witnesses import agreement_report, build_weight
 
 
 def _family_setup(name, pdoc):
@@ -29,14 +28,7 @@ def _closed_form(fam, params, k, p, t):
         unit = replace(params, alpha=(zero,) * params.d, beta=(zero,) * params.d)
     else:
         unit = replace(params, s=zero)
-    return fam.quotient_weight(unit, k, reciprocal_gap(ExtExponent(p), ExtExponent(t)), zero)
-
-
-@pytest.mark.parametrize("bad_k", [-1, True, 1.5])
-def test_bad_order_rejected(bad_k):
-    _, _, cov = _family_setup("hom_besov", {"d": 1, "s": 0})
-    with pytest.raises(UnsupportedWeight):
-        build_weight(cov, k=bad_k, p=1, t=2)
+    return fam.quotient_form(unit, k).at(reciprocal_gap(ExtExponent(p), ExtExponent(t)), zero)
 
 
 def test_det_exponent():
@@ -62,7 +54,7 @@ def test_order_zero_reads_no_norm(monkeypatch):
         calls.append(mat)
         return 1.0
 
-    monkeypatch.setattr(weights, "spectral_norm", counting_norm)
+    monkeypatch.setattr(witnesses, "spectral_norm", counting_norm)
     _, _, cov = _family_setup("alpha_modulation", {"d": 2, "alpha": "1/2", "s": 1})
     assert build_weight(cov, k=0, p=1, t=1).evaluate((1, 2)) == 3.0
     assert calls == []
@@ -153,3 +145,13 @@ def test_infinite_target_drops_det_power():
     assert w_inf.evaluate((4,)) == pytest.approx(3 * 16.0)
     w_same = build_weight(cov, k=0, p=2, t=2)
     assert w_same.evaluate((4,)) == pytest.approx(3.0)
+
+
+@pytest.mark.parametrize("name,pdoc", [(name, pdoc) for name, pdoc, _ in EXACT_CASES + RATIO_CASES])
+def test_probe_is_the_reference_order_zero_weight(name, pdoc):
+    # the probe is computed apart from the reference w^(2) at k = 0, p = 1
+    _, _, cov = _family_setup(name, pdoc)
+    reference = build_weight(cov, k=0, p=1, t=2)
+    probe = probe_weight(cov)
+    for index in cov.window(2):
+        assert probe(index) == reference.evaluate(index), index

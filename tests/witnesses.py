@@ -2,21 +2,23 @@
 
 The two directions of the weighted sequence embedding (a Hoelder constant
 for the positive one, a growing witness family for the negative one), the
-finite windows of a weight's sectors that they sum over, and the agreement
-report between the numeric covering weight and a family's closed form.
-The library's decisions never evaluate them; the tests check the exact
-decider and the closed forms against them.
+finite windows of a weight's sectors that they sum over, the numeric
+covering weight w^(t) and its agreement report against a family's closed
+form.  The library's decisions never evaluate them; the tests check the
+exact decider and the closed forms against them.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
-from decomp_embed.covering import Index
+from decomp_embed.covering import Covering, Index, mat_det, spectral_norm
 from decomp_embed.errors import UnsupportedWeight
-from decomp_embed.exponents import compound
+from decomp_embed.exponents import ExtExponent, compound, reciprocal_gap
 from decomp_embed.seqspace import (
     ExpPolyWeight,
     LineSector,
@@ -25,7 +27,7 @@ from decomp_embed.seqspace import (
     RadialSector,
     Sector,
 )
-from decomp_embed.weights import CoveringWeight
+from decomp_embed.weights import _log_pow
 
 EXACT_TOLERANCE = 1e-9
 
@@ -143,6 +145,40 @@ def witness_norm_ratios(
 # ---------------------------------------------------------------------------
 # the numeric covering weight against a closed form
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CoveringWeight:
+    """Numeric weight ``i -> |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k)``.
+
+    The reference for the families' closed forms of w^(t); at k = 0, p = 1
+    and t = 2 it is the probe of ``verify-family``
+    (:func:`decomp_embed.weights.probe_weight`), and the determinant power
+    goes through the same ``_log_pow``.
+    """
+
+    covering: Covering
+    k: int
+    p: ExtExponent
+    t: ExtExponent
+
+    @property
+    def det_exponent(self) -> Fraction:
+        return reciprocal_gap(self.p, self.t)
+
+    def evaluate(self, index: Index) -> float:
+        t_mat, b_vec = self.covering.transform(index)
+        value = _log_pow(abs(mat_det(t_mat)), self.det_exponent)
+        if self.k == 0:
+            # 1 + |b|^0 + ||T||^0, with 0**0 == 1
+            return value * 3.0
+        norm_t = spectral_norm(t_mat)
+        norm_b = math.sqrt(sum(float(x) * float(x) for x in b_vec))
+        return value * (1.0 + norm_b**self.k + norm_t**self.k)
+
+
+def build_weight(covering: Covering, *, k: int, p, t) -> CoveringWeight:
+    return CoveringWeight(covering, k, ExtExponent(p), ExtExponent(t))
+
 
 def agreement_report(
     weight: CoveringWeight,
