@@ -43,14 +43,15 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from decomp_embed import embedding
+from decomp_embed import oracle
 from decomp_embed.cli import main
 from decomp_embed.covering import adjacency, certify_constants
 from decomp_embed.embedding import decide
 from decomp_embed.errors import InvalidParams
 from decomp_embed.exponents import ExtExponent, compound
 from decomp_embed.families import FAMILY_NAMES, covering_from_json
-from decomp_embed.seqspace import expweight_from_json, truncated_oracle
+from decomp_embed.oracle import truncated_oracle
+from decomp_embed.seqspace import expweight_from_json
 
 GOLDEN = Path(__file__).resolve().parents[1] / "tests" / "golden"
 GRID_FILE = "decide_grid.jsonl"
@@ -306,7 +307,7 @@ def oracle_lines(query: dict) -> str:
             tails.setdefault((weight, theta), tail)
             return tail
 
-        with mock.patch.object(embedding, "truncated_oracle", record):
+        with mock.patch.object(oracle, "truncated_oracle", record):
             decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
                    r=query["r"], target=query["target"], k=query["k"], oracle_check=True)
     return "".join(

@@ -36,11 +36,10 @@ from .seqspace import (
     PairSector,
     ProductSector,
     RadialSector,
-    TailClassification,
     decide_lp_membership,
     decide_sequence_embedding,
-    truncated_oracle,
 )
+from .oracle import TailClassification, truncated_oracle
 
 __all__ = [
     "INF",

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .exponents import ExtExponent, compound, json_float
 from .families import FAMILY_NAMES, covering_from_json, get_family
-from .seqspace import decide_sequence_embedding, expweight_from_json, truncated_oracle
+from .seqspace import decide_sequence_embedding, expweight_from_json
 from .weights import probe_weight
 
 EX_OK = 0
@@ -147,7 +147,9 @@ def _cmd_check_sequence(args: argparse.Namespace) -> int:
     embeds = decide_sequence_embedding(u, v, args.r, args.s) == "Embeds"
     doc = {"embeds": embeds, "exponent": compound(args.s, args.r).to_json()}
     if args.oracle:
-        doc["oracle"] = truncated_oracle(u.quotient(v), compound(args.s, args.r)).to_json()
+        from . import oracle
+
+        doc["oracle"] = oracle.truncated_oracle(u.quotient(v), compound(args.s, args.r)).to_json()
     _emit(doc, args.pretty)
     return EX_OK if embeds else 1
 

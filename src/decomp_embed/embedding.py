@@ -62,14 +62,7 @@ from .exponents import (
     reciprocal_pair,
 )
 from .families import Family, get_family
-from .seqspace import (
-    ExpPolyWeight,
-    Membership,
-    TailClassification,
-    decide_lp_membership,
-    decide_reciprocal,
-    truncated_oracle,
-)
+from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal
 
 __all__ = [
     "Outcome",
@@ -366,8 +359,10 @@ def _cross_check(calls: list[_SummabilityCall]) -> None:
     must get the compiled verdict from :func:`decide_lp_membership`, and put
     both to the oracle; a weight and theta that recur (theta_suff =
     theta_nec when q <= 2) are run once."""
+    from . import oracle
+
     built_of: dict[int, ExpPolyWeight] = {}  # S1, N2 and N2b share one cell
-    tails: dict[tuple[ExpPolyWeight, ExtExponent], TailClassification] = {}
+    tails: dict[tuple[ExpPolyWeight, ExtExponent], oracle.TailClassification] = {}
     for call in calls:
         cell, theta = call.cell, from_reciprocal(call.x)
         weight = built_of.get(id(cell))
@@ -382,7 +377,7 @@ def _cross_check(calls: list[_SummabilityCall]) -> None:
         key = (weight, theta)
         tail = tails.get(key)
         if tail is None:
-            tail = tails[key] = truncated_oracle(weight, theta)
+            tail = tails[key] = oracle.truncated_oracle(weight, theta)
         if tail.verdict == "Convergent" and call.verdict is Membership.NOT_MEMBER:
             raise OracleDisagreement(
                 f"{call.label}: oracle tail converges at l^{theta} but the "

@@ -14,7 +14,7 @@ import decomp_embed
 from decomp_embed import cli
 from decomp_embed.cli import main
 from decomp_embed.families import FAMILY_NAMES
-from decomp_embed.seqspace import TailClassification
+from decomp_embed.oracle import TailClassification
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -180,12 +180,33 @@ def custom_covering(**fields) -> str:
     (["check-sequence", "--u", json.dumps({"lattice": {"kind": "Z"},
                                            "atoms": [{"coeff": f"1/{10**400}"}]}),
       "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "1", "--oracle"], 70),
+    # the tail bound reads a pair sector's lam as a float
+    *([["check-sequence", "--u", doc, "--v", doc, "-r", "1", "-s", "1", "--oracle"], 70]
+      for doc in [json.dumps({"lattice": {"kind": "pairs", "lam": 10**400, "side": side},
+                              "atoms": [{}]}) for side in ("outside", "inside")]),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
     assert got == code
     assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
     assert "Traceback" not in err
+    if argv[:1] == ["check-sequence"] and argv[-1] == "--oracle":
+        # the exact route keeps its verdict without the oracle
+        assert run_cli(argv[:-1])[0] in (0, 1)
+
+
+@pytest.mark.parametrize("r, s, exponent", [("2", "1", 2), ("1", "1", "inf")])
+def test_oracle_sums_a_weight_without_pieces_to_zero(r, s, exponent):
+    # an empty quotient is the zero sequence: it embeds, and the oracle agrees
+    argv = ["check-sequence", "--u", '{"pieces": []}', "--v", '{"pieces": []}',
+            "-r", r, "-s", s]
+    code, out, err = run_cli(argv)
+    assert (code, json.loads(out), err) == (0, {"embeds": True, "exponent": exponent}, "")
+    code, out, err = run_cli([*argv, "--oracle"])
+    assert (code, err) == (0, "")
+    oracle = json.loads(out)["oracle"]
+    assert (oracle["verdict"], oracle["partial_sum"], oracle["tail_bound"]) == (
+        "Convergent", 0.0, 0.0)
 
 
 # T_0 has no closed-form image of the ball, so it takes a bounding ball whose
@@ -362,10 +383,10 @@ def test_decimal_exponents_with_small_denominator_are_accepted():
 
 
 def test_oracle_disagreement_exit(monkeypatch):
-    import decomp_embed.embedding as embedding
+    import decomp_embed.oracle as oracle
 
     fake = TailClassification(verdict="Divergent", window_radius=8, partial_sum=1e15)
-    monkeypatch.setattr(embedding, "truncated_oracle", lambda *a, **kw: fake)
+    monkeypatch.setattr(oracle, "truncated_oracle", lambda *a, **kw: fake)
     code, _, err = run_cli([
         "decide", "--family", "hom_besov", "--params", '{"d":1,"s":"1/2"}',
         "-p", "1", "-q", "2", "-r", "2", "--oracle-check",

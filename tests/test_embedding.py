@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp_embed import embedding, exponents
+from decomp_embed import oracle as oracle_module
 from decomp_embed.embedding import (
     Outcome,
     Verdict,
@@ -29,12 +30,8 @@ from decomp_embed.exponents import (
     reciprocal_gap,
 )
 from decomp_embed.families import FAMILY_NAMES, get_family
-from decomp_embed.seqspace import (
-    TailClassification,
-    decide_lp_membership,
-    expweight_from_json,
-    truncated_oracle,
-)
+from decomp_embed.oracle import TailClassification, truncated_oracle
+from decomp_embed.seqspace import decide_lp_membership, expweight_from_json
 
 from test_families import BATCH_P, BATCH_Q, BATCH_R
 
@@ -375,7 +372,7 @@ def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
         return truncated_oracle(weight, theta)
 
     monkeypatch.setattr(embedding, "decide_lp_membership", member)
-    monkeypatch.setattr(embedding, "truncated_oracle", oracle)
+    monkeypatch.setattr(oracle_module, "truncated_oracle", oracle)
     decide("hom_besov", {"d": 1, "s": "1/2"}, p=1, q=2, r=2, k=0, target="sobolev",
            oracle_check=True)
     # q <= 2 makes theta_suff = theta_nec, so S1 and N2 ask the same question
@@ -385,7 +382,7 @@ def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
 
 def test_cross_check_names_the_first_contradicting_call(monkeypatch):
     # S1 and N2 (one weight and theta) are NotMember, N3 is the first Member
-    monkeypatch.setattr(embedding, "truncated_oracle",
+    monkeypatch.setattr(oracle_module, "truncated_oracle",
                         lambda weight, theta: TailClassification("Divergent", 0))
     with pytest.raises(OracleDisagreement, match=r"^N3: oracle tail diverges"):
         decide("alpha_modulation", {"d": 1, "alpha": 0, "s": "9/40"}, p=3, q="3/2", r=3,
@@ -696,7 +693,7 @@ def _oracle_tail_lines(query: dict, monkeypatch) -> list[str]:
             return tail
 
         with monkeypatch.context() as patch:
-            patch.setattr(embedding, "truncated_oracle", record)
+            patch.setattr(oracle_module, "truncated_oracle", record)
             decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
                    r=query["r"], target=query["target"], k=query["k"], oracle_check=True)
     return [json.dumps({"query": query, "theta": str(theta), "tail": tail.to_json()},

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import seqspace
+from decomp_embed import oracle, seqspace
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, compound, reciprocal_pair
 from decomp_embed.seqspace import (
@@ -32,8 +32,8 @@ from decomp_embed.seqspace import (
     expweight_from_json,
     pow2f,
     sector_from_json,
-    truncated_oracle,
 )
+from decomp_embed.oracle import truncated_oracle
 
 import reference_membership
 from witnesses import coord_values, holder_constant, iter_points, sequence_norm, witness_norm_ratios
@@ -644,9 +644,9 @@ def _reference_rest(piece, n, lo, theta_f):
         for a, c in ((float(f.exp2_pos), float(f.pow_pos)),
                      (-float(f.exp2_neg), float(f.pow_neg))):
             if theta_f is None:
-                terms.append(base * seqspace._sup_exp_poly(a, c, lo, math.inf))
+                terms.append(base * oracle._sup_exp_poly(a, c, lo, math.inf))
             else:
-                terms.append(base**theta_f * seqspace._sum_exp_poly(
+                terms.append(base**theta_f * oracle._sum_exp_poly(
                     theta_f * a, theta_f * c, lo, math.inf))
     k = len(piece.atoms)
     if theta_f is None:
@@ -665,7 +665,7 @@ def _reference_pair_row(piece, n, theta_f, scale):
     if sector.side == "inside":
         if bound < 0:
             return 0.0, False
-        cap = seqspace._ROW_STEP_CAP // 2
+        cap = oracle._ROW_STEP_CAP // 2
         half = min(bound, cap)
         ms = np.arange(-half, half + 1, dtype=np.float64)
         powered = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
@@ -680,7 +680,7 @@ def _reference_pair_row(piece, n, theta_f, scale):
             total += float(z.sum())
         sup = max(sup, float(z.max()))
     steps = 0
-    while steps < seqspace._ROW_STEP_CAP:
+    while steps < oracle._ROW_STEP_CAP:
         ms = np.arange(start + steps, start + steps + 4096, dtype=np.float64)
         pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
         neg = _reference_powered(_reference_row_values(piece, n, -ms), theta_f)
@@ -693,13 +693,13 @@ def _reference_pair_row(piece, n, theta_f, scale):
         if not math.isfinite(total):
             return total, False
         value = sup if theta_f is None else total
-        negligible = seqspace._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
+        negligible = oracle._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
         rest = _reference_rest(piece, n, float(start + steps), theta_f)
         if last_chunk <= negligible or (
             math.isfinite(rest) and rest <= (sup if theta_f is None else negligible)
         ):
             return value, False
-    significant = last_chunk >= seqspace._ROW_SIGNIFICANT * max(total, scale, 1e-300)
+    significant = last_chunk >= oracle._ROW_SIGNIFICANT * max(total, scale, 1e-300)
     return sup if theta_f is None else total, significant
 
 
@@ -741,7 +741,7 @@ def pair_rows(draw):
 @pytest.mark.filterwarnings("error")
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
-    got = seqspace._pair_row(piece, n, theta_f, scale=scale)
+    got = oracle._pair_row(piece, n, theta_f, scale=scale)
     value, flagged = _reference_pair_row(piece, n, theta_f, scale)
     # A row whose sum overflows reads inf on both sides, and inf.hex() is the
     # same however far past the float range each sum went.  Equality still
@@ -779,7 +779,7 @@ def _outside_row(*atoms):
 @example(_outside_row(*[Atom.pair()] * 2), None)
 def test_row_remainder_bound_covers_the_rest_of_the_row(row, theta_f):
     piece, n, lo = row
-    rest = seqspace._row_remainder_bound(seqspace._row_atoms(piece, n), float(lo), theta_f)
+    rest = oracle._row_remainder_bound(oracle._row_atoms(piece, n), float(lo), theta_f)
     ms = np.arange(lo, lo + 50_001, dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
@@ -792,13 +792,13 @@ def test_row_remainder_bound_covers_the_rest_of_the_row(row, theta_f):
 
 def _count_row_values(monkeypatch):
     calls = []
-    real = seqspace._row_values
+    real = oracle._row_values
 
     def counted(row, log2s):
         calls.append(1)
         return real(row, log2s)
 
-    monkeypatch.setattr(seqspace, "_row_values", counted)
+    monkeypatch.setattr(oracle, "_row_values", counted)
     return calls
 
 
@@ -808,14 +808,14 @@ def test_sup_row_stops_once_the_rest_cannot_raise_it(monkeypatch, m_power):
     # the m-factor is even, so one _row_values call makes one chunk
     piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=m_power),))
     calls = _count_row_values(monkeypatch)
-    row = seqspace._pair_row(piece, 3, None)
+    row = oracle._pair_row(piece, 3, None)
     assert (len(calls), row.value, row.truncated_significant) == (1, 8.0 ** float(m_power), False)
 
 
 def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
     piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-3),))
     calls = _count_row_values(monkeypatch)
-    row = seqspace._pair_row(piece, 3, 2.0)
+    row = oracle._pair_row(piece, 3, 2.0)
     # 2 * sum_{m > 4103} m^-6 < 1e-18 is past 1e-12 of the row's mass
     assert (len(calls), row.truncated_significant) == (1, False)
     assert row.value == pytest.approx(2.0 * sum(m**-6.0 for m in range(8, 4104)), rel=1e-14)
@@ -823,14 +823,13 @@ def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
     # the cap makes negligible: the row runs on as before
     slow = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),))
     calls.clear()
-    seqspace._pair_row(slow, 3, 2.0)
-    assert len(calls) == -(-seqspace._ROW_STEP_CAP // 4096)
+    oracle._pair_row(slow, 3, 2.0)
+    assert len(calls) == -(-oracle._ROW_STEP_CAP // 4096)
 
 
 def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
     # shearlet_coorbit c = -1 at theta = inf: the shells are maxima over
     # rows, and no row is cut off while its rest could raise the sup
-    from decomp_embed import embedding
     from decomp_embed.cli import main
 
     tails = []
@@ -840,7 +839,7 @@ def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
         tails.append((weight, theta, tail))
         return tail
 
-    monkeypatch.setattr(embedding, "truncated_oracle", record)
+    monkeypatch.setattr(oracle, "truncated_oracle", record)
     code = main(["decide", "--family", "shearlet_coorbit", "--params",
                  '{"c":"-1","alpha":"0","beta":"1"}', "--target", "cb",
                  "-p", "1", "-r", "2", "-k", "0", "--oracle-check"])
@@ -856,7 +855,7 @@ def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
 def _reference_grid_values(piece, radius):
     """Values and radii of a grid piece, each factor's log2 taken on its own
     axis and every step of the sum allocating a fresh array."""
-    axes = seqspace._grid_axes(piece.sector, radius)
+    axes = oracle._grid_axes(piece.sector, radius)
     shape = tuple(len(ax) for ax in axes)
 
     def along(arr, dim):
@@ -912,7 +911,7 @@ def grid_pieces(draw):
 @pytest.mark.filterwarnings("error")
 def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
     piece, radius = piece_radius
-    got = seqspace._grid_values(piece, radius)
+    got = oracle._grid_values(piece, radius)
     want = _reference_grid_values(piece, radius)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -922,9 +921,9 @@ def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
 def test_grid_axes_are_the_coordinate_values(domain, radius):
     sector = LineSector(domain)
     want = np.array(coord_values(sector, radius), dtype=np.float64).tobytes()
-    (axis,) = seqspace._grid_axes(sector, radius)
+    (axis,) = oracle._grid_axes(sector, radius)
     assert axis.dtype == np.float64 and axis.tobytes() == want
-    axes = seqspace._grid_axes(ProductSector((sector, LineSector("Z"))), radius)
+    axes = oracle._grid_axes(ProductSector((sector, LineSector("Z"))), radius)
     assert axes[0].tobytes() == want
 
 
