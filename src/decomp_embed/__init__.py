@@ -5,17 +5,12 @@ structured covering, an integrability pair and a weighted sequence space,
 embeds into a Sobolev, bounded-continuous or bounded-variation target.
 Every verdict ships with machine-checkable evidence, and an independent
 numeric oracle can replay each summability claim on truncated windows.
+The covering and oracle names load their modules on first use (PEP 562),
+so that an exact decision imports neither.
 """
 
-from .covering import (
-    Covering,
-    adjacency,
-    certify_constants,
-    check_moderate,
-    neighbors,
-    norm_surrogate_check,
-    spectral_norm,
-)
+from importlib import import_module
+
 from .embedding import (
     Evidence,
     Outcome,
@@ -39,7 +34,12 @@ from .seqspace import (
     decide_lp_membership,
     decide_sequence_embedding,
 )
-from .oracle import TailClassification, truncated_oracle
+
+_LAZY = {
+    **dict.fromkeys(("TailClassification", "truncated_oracle"), "oracle"),
+    **dict.fromkeys(("Covering", "adjacency", "certify_constants", "check_moderate",
+                     "neighbors", "norm_surrogate_check", "spectral_norm"), "covering"),
+}
 
 __all__ = [
     "INF",
@@ -79,3 +79,10 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value

@@ -28,7 +28,6 @@ import math
 import sys
 from typing import NoReturn
 
-from .covering import certify_constants, check_moderate, neighbors, norm_surrogate_check
 from .embedding import decide
 from .errors import (
     DecompEmbedError,
@@ -41,7 +40,6 @@ from .errors import (
 from .exponents import ExtExponent, compound, json_float
 from .families import FAMILY_NAMES, covering_from_json, get_family
 from .seqspace import decide_sequence_embedding, expweight_from_json
-from .weights import probe_weight
 
 EX_OK = 0
 EX_ORACLE = 10
@@ -122,6 +120,8 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_covering(args: argparse.Namespace) -> int:
+    from .covering import certify_constants, neighbors
+
     cov = covering_from_json(_document_arg(args.covering, "--covering"))
     window = cov.window(args.radius)
     doc = {
@@ -155,6 +155,9 @@ def _cmd_check_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_family(args: argparse.Namespace) -> int:
+    from .covering import certify_constants, check_moderate, norm_surrogate_check
+    from .weights import probe_weight
+
     fam = get_family(args.family)
     params = fam.parse_params(_json_arg(args.params, "--params"))
     cov = fam.covering(params)

@@ -25,23 +25,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .covering import (
-    AnnulusSet,
-    BallSet,
-    BoxSet,
-    CoorbitScheme,
-    Covering,
-    DiagonalScheme,
-    Index,
-    N0Scheme,
-    ShearletScheme,
-    ZScheme,
-    ZdPuncturedScheme,
-    cone_trapezoid,
-    custom_covering_from_json,
-)
 from .errors import InvalidParams, SchemaError
 from .exponents import int_from_json, rational_from_json
 from .seqspace import (
@@ -55,6 +40,9 @@ from .seqspace import (
     ProductSector,
     RadialSector,
 )
+
+if TYPE_CHECKING:  # the coverings import covering geometry on use
+    from .covering import Covering, Index
 
 __all__ = [
     "FAMILY_NAMES",
@@ -256,6 +244,8 @@ class HomBesovFamily(Family):
         )
 
     def covering(self, params: DyadicParams) -> Covering:
+        from .covering import AnnulusSet, Covering, ZScheme
+
         d = params.d
         base = AnnulusSet(d, Fraction(1, 4), Fraction(4))
 
@@ -289,6 +279,8 @@ class InhomBesovFamily(Family):
         )
 
     def covering(self, params: DyadicParams) -> Covering:
+        from .covering import AnnulusSet, BallSet, Covering, N0Scheme
+
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
         ball = BallSet(_zeros(d), Fraction(2))
@@ -362,6 +354,8 @@ class AlphaModulationFamily(Family):
         return params.alpha / (1 - params.alpha)
 
     def covering(self, params: AlphaModParams) -> Covering:
+        from .covering import BallSet, Covering, ZdPuncturedScheme
+
         d = params.d
         a0 = self._a0(params)
         exact = params.alpha == 0 or (d == 1 and a0.denominator == 1)
@@ -438,6 +432,8 @@ class ShearletSmoothnessFamily(Family):
         return ShearletSmoothnessParams(_rat_param(doc, "s", self.name, default=0))
 
     def covering(self, params: ShearletSmoothnessParams) -> Covering:
+        from .covering import Covering, ShearletScheme, cone_trapezoid
+
         base = cone_trapezoid(Fraction(1, 3), Fraction(3), Fraction(-1), Fraction(1))
 
         def transform(i: Index):
@@ -523,6 +519,8 @@ class ShearletCoorbitFamily(Family):
         )
 
     def covering(self, params: CoorbitParams) -> Covering:
+        from .covering import CoorbitScheme, Covering, cone_trapezoid
+
         c = params.c
         exact = c.denominator == 1
         base = cone_trapezoid(Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(1))
@@ -638,6 +636,8 @@ class DiagonalFamily(Family):
         return DiagonalParams(d, vector("alpha"), vector("beta"))
 
     def covering(self, params: DiagonalParams) -> Covering:
+        from .covering import BoxSet, Covering, DiagonalScheme
+
         d = params.d
         base = BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d)
 
@@ -712,6 +712,8 @@ def covering_from_json(doc: object) -> Covering:
     if not isinstance(doc, dict):
         raise SchemaError(f"covering document must be an object, got {type(doc).__name__}")
     if "custom" in doc:
+        from .covering import custom_covering_from_json
+
         return custom_covering_from_json(doc["custom"])
     if "family" in doc:
         name = doc["family"]
