@@ -43,7 +43,6 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from dataclasses import dataclass, is_dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -61,8 +60,8 @@ from .exponents import (
     pair_sub,
     reciprocal_pair,
 )
-from .families import Family, get_family
-from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal
+from .families import PARAMS_TYPES, Family, get_family
+from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal, record
 
 __all__ = [
     "Outcome",
@@ -104,8 +103,8 @@ class Outcome(str, enum.Enum):
     UNDETERMINED = "Undetermined"
 
 
-@dataclass(frozen=True)
-class Evidence:
+@record
+class Evidence(NamedTuple):
     id: str
     anchor: str
     holds: bool
@@ -121,8 +120,8 @@ class Evidence:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+@record
+class Verdict(NamedTuple):
     outcome: Outcome
     evidence: tuple[Evidence, ...]
     gap_note: Optional[str] = None
@@ -249,8 +248,9 @@ def _compiled_memo(fam: Family, key, k: int) -> tuple:
 
 def _compiled(family, params, k) -> tuple:
     """(family, parsed params, quotient form, Khintchine-restricted form or
-    None), from the bounded cache when the params have a key: the parsed
-    params dataclass itself, or :func:`_params_key` of a document.
+    None), from the bounded cache when the params have a key: parsed params
+    (one of ``PARAMS_TYPES``) themselves, or :func:`_params_key` of a
+    document.
 
     An invalid k leaves both forms None; the caller reports it after the
     exponents, so errors keep their order: family, params, exponents, k.
@@ -258,10 +258,11 @@ def _compiled(family, params, k) -> tuple:
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
         raise InvalidParams(f"not a family: {family!r}")
-    key = params if is_dataclass(params) else _params_key(params)
+    parsed = isinstance(params, PARAMS_TYPES)
+    key = params if parsed else _params_key(params)
     if key is not None and _is_order(k):
         return _compiled_memo(fam, key, k)
-    if not is_dataclass(params):
+    if not parsed:
         params = fam.parse_params(params)
     return _compile(fam, params, k) if _is_order(k) else (fam, params, None, None)
 

@@ -23,9 +23,8 @@ windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InvalidParams, SchemaError
 from .exponents import int_from_json, rational_from_json
@@ -39,6 +38,7 @@ from .seqspace import (
     Piece,
     ProductSector,
     RadialSector,
+    record,
 )
 
 if TYPE_CHECKING:  # the coverings import covering geometry on use
@@ -213,8 +213,8 @@ class Family:
 # dyadic families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DyadicParams:
+@record
+class DyadicParams(NamedTuple):
     d: int
     s: Fraction
 
@@ -312,8 +312,8 @@ class InhomBesovFamily(Family):
 # alpha modulation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AlphaModParams:
+@record
+class AlphaModParams(NamedTuple):
     d: int
     alpha: Fraction
     s: Fraction
@@ -411,8 +411,8 @@ class AlphaModulationFamily(Family):
 # shearlet smoothness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ShearletSmoothnessParams:
+@record
+class ShearletSmoothnessParams(NamedTuple):
     s: Fraction
 
 
@@ -491,8 +491,8 @@ _SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)
 # shearlet coorbit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CoorbitParams:
+@record
+class CoorbitParams(NamedTuple):
     c: Fraction
     alpha: Fraction
     beta: Fraction
@@ -595,8 +595,8 @@ class ShearletCoorbitFamily(Family):
 # diagonal group
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DiagonalParams:
+@record
+class DiagonalParams(NamedTuple):
     d: int
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
@@ -696,6 +696,10 @@ FAMILIES = {
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
+# the parsed params of every family, as parse_params returns them
+PARAMS_TYPES = (
+    DyadicParams, AlphaModParams, ShearletSmoothnessParams, CoorbitParams, DiagonalParams
+)
 
 
 def get_family(name: str) -> Family:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
@@ -94,6 +93,16 @@ def ceil_pow2(fr: Fraction) -> int:
     return hi
 
 
+def record(cls: type) -> type:
+    """Make the tuple class ``cls`` (a NamedTuple) a value type: equal to,
+    and hashed like, instances of its own class only, where a tuple equals
+    any tuple of equal items."""
+    cls.__eq__ = lambda self, other: type(other) is cls and tuple.__eq__(self, other)
+    cls.__ne__ = lambda self, other: not self == other
+    cls.__hash__ = tuple.__hash__
+    return cls
+
+
 # ---------------------------------------------------------------------------
 # sectors
 # ---------------------------------------------------------------------------
@@ -101,18 +110,23 @@ def ceil_pow2(fr: Fraction) -> int:
 _LINE_DOMAINS = ("Z", "N0", "Nneg", "Z_nonzero")
 
 
-@dataclass(frozen=True)
-class LineSector:
+class _LineFields(NamedTuple):
+    domain: str
+
+
+@record
+class LineSector(_LineFields):
     """A one-dimensional integer sector.
 
     domain is one of "Z", "N0" (n >= 0), "Nneg" (n <= -1), "Z_nonzero".
     """
 
-    domain: str = "Z"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.domain not in _LINE_DOMAINS:
-            raise ValueError(f"unknown line domain {self.domain!r}")
+    def __new__(cls, domain: str = "Z") -> "LineSector":
+        if domain not in _LINE_DOMAINS:
+            raise ValueError(f"unknown line domain {domain!r}")
+        return tuple.__new__(cls, (domain,))
 
     @property
     def dims(self) -> int:
@@ -129,8 +143,8 @@ class LineSector:
         return True
 
 
-@dataclass(frozen=True)
-class ProductSector:
+@record
+class ProductSector(NamedTuple):
     """A product of line sectors, one per coordinate."""
 
     lines: tuple[LineSector, ...]
@@ -145,15 +159,20 @@ class ProductSector:
         )
 
 
-@dataclass(frozen=True)
-class RadialSector:
-    """The punctured lattice Z^d minus the origin, with radial atoms."""
-
+class _RadialFields(NamedTuple):
     d: int
 
-    def __post_init__(self) -> None:
-        if self.d < 1:
+
+@record
+class RadialSector(_RadialFields):
+    """The punctured lattice Z^d minus the origin, with radial atoms."""
+
+    __slots__ = ()
+
+    def __new__(cls, d: int) -> "RadialSector":
+        if d < 1:
             raise ValueError("dimension must be >= 1")
+        return tuple.__new__(cls, (d,))
 
     @property
     def dims(self) -> int:
@@ -163,8 +182,15 @@ class RadialSector:
         return len(pt) == self.d and any(n != 0 for n in pt)
 
 
-@dataclass(frozen=True)
-class PairSector:
+class _PairFields(NamedTuple):
+    n_domain: str  # "N0" or "Nneg"
+    lam: Fraction
+    side: str
+    shift: int
+
+
+@record
+class PairSector(_PairFields):
     """Pairs (n, m) with n in a half-line and |m| constrained by 2^(lam*n).
 
     side "inside" means |m| <= ceil(2^(lam*n)) + shift, side "outside"
@@ -173,20 +199,19 @@ class PairSector:
     the bound never collapses below 1 by more than the shift.
     """
 
-    n_domain: str = "N0"  # "N0" or "Nneg"
-    lam: Fraction = Fraction(0)
-    side: str = "inside"
-    shift: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n_domain not in ("N0", "Nneg"):
-            raise ValueError(f"pair sector n-domain must be N0 or Nneg, got {self.n_domain!r}")
-        if self.side not in ("inside", "outside"):
-            raise ValueError(f"pair sector side must be inside or outside, got {self.side!r}")
-        if self.shift not in (-1, 0, 1):
+    def __new__(
+        cls, n_domain: str = "N0", lam: RatLike = 0, side: str = "inside", shift: int = 0
+    ) -> "PairSector":
+        if n_domain not in ("N0", "Nneg"):
+            raise ValueError(f"pair sector n-domain must be N0 or Nneg, got {n_domain!r}")
+        if side not in ("inside", "outside"):
+            raise ValueError(f"pair sector side must be inside or outside, got {side!r}")
+        if shift not in (-1, 0, 1):
             raise ValueError("pair sector shift must be in {-1, 0, 1}")
-        if type(self.lam) is not Fraction:
-            object.__setattr__(self, "lam", Fraction(self.lam))
+        lam = lam if type(lam) is Fraction else Fraction(lam)
+        return tuple.__new__(cls, (n_domain, lam, side, shift))
 
     @property
     def dims(self) -> int:
@@ -422,17 +447,22 @@ class Atom(_AtomFields):
 _TRIVIAL_FACTOR = CoordFactor()
 
 
-@dataclass(frozen=True)
-class Piece:
+class _PieceFields(NamedTuple):
     sector: Sector
     atoms: tuple[Atom, ...]
 
-    def __post_init__(self) -> None:
-        if not self.atoms:
+
+@record
+class Piece(_PieceFields):
+    __slots__ = ()
+
+    def __new__(cls, sector: Sector, atoms: tuple[Atom, ...]) -> "Piece":
+        if not atoms:
             raise ValueError("piece needs at least one atom")
-        for atom in self.atoms:
-            if len(atom.factors) != self.sector.dims:
+        for atom in atoms:
+            if len(atom.factors) != sector.dims:
                 raise ValueError("atom arity does not match sector dimension")
+        return tuple.__new__(cls, (sector, atoms))
 
 
 def _exponents_of(atom: Atom) -> tuple:

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,11 +22,11 @@ def _closed_form(fam, params, k, p, t):
     weight, with s (or alpha and beta) zero and 1/2 - 1/r = 0."""
     zero = Fraction(0)
     if isinstance(params, CoorbitParams):
-        unit = replace(params, alpha=zero, beta=zero)
+        unit = params._replace(alpha=zero, beta=zero)
     elif isinstance(params, DiagonalParams):
-        unit = replace(params, alpha=(zero,) * params.d, beta=(zero,) * params.d)
+        unit = params._replace(alpha=(zero,) * params.d, beta=(zero,) * params.d)
     else:
-        unit = replace(params, s=zero)
+        unit = params._replace(s=zero)
     return fam.quotient_form(unit, k).at(reciprocal_gap(ExtExponent(p), ExtExponent(t)), zero)
 
 
