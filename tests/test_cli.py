@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -209,6 +210,17 @@ def test_oracle_sums_a_weight_without_pieces_to_zero(r, s, exponent):
         "Convergent", 0.0, 0.0)
 
 
+def test_oracle_skips_inside_rows_too_wide_to_count():
+    # lam = 10^300 is a float, but 2^(lam n) is no int the row cap could be
+    # checked against: from row 1 on every row is past the cap, and flagged
+    doc = json.dumps({"lattice": {"kind": "pairs", "lam": 10**300, "side": "inside"},
+                      "atoms": [{}]})
+    code, out, err = run_cli(["check-sequence", "--u", doc, "--v", doc,
+                              "-r", "1", "-s", "1", "--oracle"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["oracle"]["verdict"] == "Inconclusive"
+
+
 # T_0 has no closed-form image of the ball, so it takes a bounding ball whose
 # radius ||T_0|| squares past the float range; both sets hold the origin
 @pytest.mark.parametrize("t0", [[["1e160", 1], [0, 1]], [["1e160", 0], [0, 1]]])
@@ -416,7 +428,9 @@ def test_refine_toggle_changes_verdict():
     assert (code_on, code_off) == (0, 2)
 
 
-# each probe is a fresh interpreter: numpy, once loaded, stays in sys.modules
+# each probe is a fresh interpreter: a module, once loaded, stays in sys.modules
+_PROBED = ("numpy", "decomp_embed.covering", "decomp_embed.oracle", "decomp_embed.weights",
+           "dataclasses")
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -427,8 +441,8 @@ else:
     from decomp_embed.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-print(json.dumps({"exit": code, "numpy": "numpy" in sys.modules}))
-"""
+print(json.dumps({"exit": code, "loaded": [m for m in %r if m in sys.modules]}))
+""" % (_PROBED,)
 
 def _run_python(args):
     """A fresh interpreter with this checkout's package first on the path."""
@@ -443,12 +457,54 @@ def _run_python(args):
 @pytest.mark.parametrize("case", [None, *MANIFEST],
                          ids=["import decomp_embed", *(c["name"] for c in MANIFEST)])
 def test_numpy_is_imported_only_by_the_oracle(case):
+    """Only --oracle and --oracle-check load the oracle and numpy, only
+    inspect-covering and verify-family load covering geometry, and only
+    verify-family its probe weight; the package's own dataclasses live in
+    the oracle and in covering."""
     argv = case and case["argv"]
     proc = _run_python(["-c", _NUMPY_PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    loads_numpy = bool(argv) and ("--oracle" in argv or "--oracle-check" in argv)
-    assert result == {"exit": case and case["exit"], "numpy": loads_numpy}
+    oracle = bool(argv) and ("--oracle" in argv or "--oracle-check" in argv)
+    geometry = bool(argv) and argv[0] in ("inspect-covering", "verify-family")
+    loaded = {"numpy": oracle, "decomp_embed.oracle": oracle, "decomp_embed.covering": geometry,
+              "decomp_embed.weights": geometry and argv[0] == "verify-family",
+              "dataclasses": oracle or geometry}
+    assert result == {"exit": case and case["exit"], "loaded": [m for m in _PROBED if loaded[m]]}
+
+
+def _import_time_nodes(node):
+    """The nodes of a module that run when it is imported: all but the
+    bodies of functions."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _import_time_nodes(child)
+
+
+def _imported(node) -> set:
+    """The modules an import statement of the package may load."""
+    if isinstance(node, ast.Import):
+        return {alias.name for alias in node.names}
+    module = ".".join(filter(None, ["decomp_embed" if node.level else "", node.module]))
+    return {module, *(f"{module}.{alias.name}" for alias in node.names)}
+
+
+def test_the_oracle_shares_no_code_with_the_decider():
+    """oracle.py takes only the weight types and pow2f from seqspace, and
+    no module of the package imports it when it is itself imported."""
+    package = Path(decomp_embed.__file__).parent
+    tree = ast.parse((package / "oracle.py").read_text())
+    from_package = {node.module: {alias.name for alias in node.names}
+                    for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level}
+    assert set(from_package) == {"errors", "seqspace"}
+    assert from_package["seqspace"] <= {
+        "ExpPolyWeight", "Piece", "Atom", "CoordFactor", "LineSector", "ProductSector",
+        "RadialSector", "PairSector", "Sector", "pow2f"}
+    for path in package.glob("*.py"):
+        for node in _import_time_nodes(ast.parse(path.read_text())):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                assert "decomp_embed.oracle" not in _imported(node), path.name
 
 
 def test_oracle_overflow_leaves_stderr_empty():

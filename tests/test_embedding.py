@@ -29,9 +29,9 @@ from decomp_embed.exponents import (
     lower_conjugate,
     reciprocal_gap,
 )
-from decomp_embed.families import FAMILY_NAMES, get_family
+from decomp_embed.families import FAMILY_NAMES, ShearletSmoothnessParams, get_family
 from decomp_embed.oracle import TailClassification, truncated_oracle
-from decomp_embed.seqspace import decide_lp_membership, expweight_from_json
+from decomp_embed.seqspace import RadialSector, decide_lp_membership, expweight_from_json
 
 from test_families import BATCH_P, BATCH_Q, BATCH_R
 
@@ -586,6 +586,37 @@ def test_form_cache_stays_within_its_bound():
     for i in range(size + 8):
         decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p=1, q=2, r=2, k=0, target="sobolev")
     assert memo.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_parsed_params_key_the_form_cache(family):
+    """Parsed params are their own cache key: a second decide with them hits
+    the cache.  Their values as a plain tuple or list are a document, which
+    the parser refuses, every time."""
+    params = get_family(family).parse_params({})
+    memo = embedding._compiled_memo
+    memo.cache_clear()
+    first = decide(family, params, p=1, q=2, r=2, k=0, target="sobolev")
+    assert decide(family, params, p=1, q=2, r=2, k=0, target="sobolev") == first
+    assert (memo.cache_info().hits, memo.cache_info().currsize) == (1, 1)
+    for look_alike in (tuple(params), list(params)) * 2:
+        with pytest.raises(InvalidParams, match="parameters must be a JSON object$"):
+            decide(family, look_alike, p=1, q=2, r=2, k=0, target="sobolev")
+    assert memo.cache_info().currsize == 1
+
+
+def test_records_equal_instances_of_their_own_class_only():
+    sector, params = RadialSector(2), ShearletSmoothnessParams(Fraction(2))
+    assert tuple(sector) == tuple(params) and hash(sector) == hash(params)
+    assert sector != params and not sector == params
+    assert params != (Fraction(2),) and (Fraction(2),) != params
+    assert sector == RadialSector(2) and hash(sector) == hash(RadialSector(2))
+    assert not sector != RadialSector(2)
+    assert {sector: 1, params: 2}[sector] == 1
+    with pytest.raises(AttributeError):
+        sector.d = 3
+    with pytest.raises(AttributeError):
+        params.t = 0
 
 
 OFFSETS = (Fraction(-1, 2), Fraction(-1, 8), Fraction(0), Fraction(0), Fraction(1, 8),
