@@ -199,9 +199,6 @@ class Family:
         (piece,) = quotient.pieces
         return ExpPolyWeight((Piece(LineSector("N0"), piece.atoms),))
 
-    def to_point(self, index: Index) -> Optional[tuple]:
-        return index
-
     def refined_criteria(self, params, k: int, x) -> list[dict]:
         """The S2 and N5 records at the engine's reciprocals ``x`` of
         (p, q, r): the gap dp = 1/p - 1/q and the tail 1/q'' - 1/r clamped
@@ -462,12 +459,6 @@ class ShearletSmoothnessFamily(Family):
     def _sector() -> PairSector:
         return _SHEARLET_SECTOR
 
-    def to_point(self, index: Index) -> Optional[tuple]:
-        if index == (0,):
-            return None
-        n, m, _eps, _delta = index
-        return (n, m)
-
     def quotient_form(self, params, k):
         # |det T|^dp = 2^(3 dp n) over the space weight 2^(2 s n)
         base = 3 * _DP - 2 * params.s
@@ -546,10 +537,6 @@ class ShearletCoorbitFamily(Family):
             base_set=lambda i: base,
             exact=exact,
         )
-
-    def to_point(self, index: Index) -> Optional[tuple]:
-        n, m, _eps = index
-        return (n, m)
 
     @staticmethod
     def _sectors(params: CoorbitParams):
@@ -654,13 +641,6 @@ class DiagonalFamily(Family):
             transform=transform,
             base_set=lambda i: base,
         )
-
-    def to_point(self, index: Index) -> Optional[tuple]:
-        return index[: self.dim_of(index)]
-
-    @staticmethod
-    def dim_of(index: Index) -> int:
-        return len(index) // 2
 
     @staticmethod
     def _sector(d: int) -> ProductSector:

@@ -2,10 +2,12 @@
 
 :func:`truncated_oracle` classifies whether an exp-poly weight of
 :mod:`decomp_embed.seqspace` lies in l^theta from partial sums over nested
-windows alone.  It shares no logic with the exact decider: it reads every
-coefficient and exponent as a float once, evaluates the weight numerically,
-and reads exponents only for structural facts about what lies past its
-window (the pair-sector tail bound and, on the exact exponents, the
+windows alone.  It shares no logic with the exact decider: it takes only
+the weight types from :mod:`decomp_embed.seqspace`, reads every
+coefficient and exponent as a float once, evaluates the weight numerically
+with its own helpers (:func:`pow2f` and a coordinate factor's log2), and
+reads exponents only for structural facts about what lies past its window
+(the pair-sector tail bound and, on the exact exponents, the
 exponential-growth gate).  Test suites drive both against each other.
 
 Only the oracle imports numpy, inside its functions, and no module imports
@@ -29,7 +31,6 @@ from .seqspace import (
     ProductSector,
     RadialSector,
     Sector,
-    pow2f,
 )
 
 __all__ = ["TailClassification", "truncated_oracle"]
@@ -68,6 +69,27 @@ class TailClassification:
             "tail_bound": self.tail_bound,
             "growth": self.growth,
         }
+
+
+def pow2f(x: float) -> float:
+    """2**x in float, saturating instead of raising OverflowError."""
+    if x >= 1024.0:  # 2.0 ** x raises from 2^1024 on
+        return math.inf
+    if x < -1100.0:
+        return 0.0
+    return 2.0 ** x
+
+
+def _log2_factor(f: CoordFactor, n: int) -> float:
+    """log2 of the coordinate factor f at n; |0|^c reads as 1."""
+    if n >= 0:
+        a, c = f.exp2_pos, f.pow_pos
+    else:
+        a, c = f.exp2_neg, f.pow_neg
+    out = float(a) * n
+    if c and n != 0:
+        out += float(c) * math.log2(abs(n))
+    return out
 
 
 def default_radii(dims: int, has_pair: bool) -> tuple[int, ...]:
@@ -142,8 +164,8 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     # same order, without a fresh temporary per step
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         for atom in piece.atoms:
-            # same rationale as Atom.evaluate: add exponents, then
-            # exponentiate once, so saturation cannot produce inf * 0
+            # add exponents, then exponentiate once, so that saturated
+            # per-factor values cannot meet as inf * 0 = nan
             log2mag = np.zeros(shape)
             for dim, (factor, axis) in enumerate(zip(atom.factors, logs)):
                 log2mag += _factor_log2_on_axis(factor, axis).reshape(
@@ -193,7 +215,7 @@ def _row_atoms(piece: Piece, n: int) -> list[RowAtom]:
         if atom.radial_pow:
             raise UnsupportedWeight("radial powers are not supported on pair sectors")
         f0, f1 = atom.factors
-        log2_f0 = f0.log2_value(n)
+        log2_f0 = _log2_factor(f0, n)
         base = float(atom.coeff) * pow2f(log2_f0)
         saturated = base == 0.0 or base == math.inf
         row.append((
@@ -209,8 +231,8 @@ def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
     coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom.
 
     A base that saturated to inf or 0 adds its log to log2 before the one
-    exponentiation, as :meth:`Atom.evaluate` does, so that it cannot meet
-    a saturated m-term as inf * 0."""
+    exponentiation, as the grid path sums an atom's exponents first, so
+    that it cannot meet a saturated m-term as inf * 0."""
     import numpy as np
 
     total = None

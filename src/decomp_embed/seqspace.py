@@ -24,9 +24,11 @@ from the integer coefficients a weight compiles once, and compare signs
 and integer cross products affine in 1/theta; only the closed boundary at
 theta = inf sets that case apart.
 
-The decider manipulates exponents as exact rationals and never evaluates
-the weight.  The numeric oracle that checks it lives in
-:mod:`decomp_embed.oracle`, which this module does not import.
+The decider manipulates exponents as exact rationals; this module is the
+exact side only and evaluates no weight at a point.  The numeric oracle
+that checks it, with its own float evaluation, lives in
+:mod:`decomp_embed.oracle`, which this module does not import; the tests
+keep a pointwise reference evaluator of their own.
 """
 
 from __future__ import annotations
@@ -61,17 +63,8 @@ RatLike = Union[int, Fraction]
 
 
 # ---------------------------------------------------------------------------
-# small numeric / rational helpers
+# small rational helpers
 # ---------------------------------------------------------------------------
-
-def pow2f(x: float) -> float:
-    """2**x in float, saturating instead of raising OverflowError."""
-    if x >= 1024.0:  # 2.0 ** x raises from 2^1024 on
-        return math.inf
-    if x < -1100.0:
-        return 0.0
-    return 2.0 ** x
-
 
 def ceil_pow2(fr: Fraction) -> int:
     """ceil(2**fr) for rational fr, computed in integer arithmetic."""
@@ -132,16 +125,6 @@ class LineSector(_LineFields):
     def dims(self) -> int:
         return 1
 
-    def contains(self, pt: tuple[int, ...]) -> bool:
-        (n,) = pt
-        if self.domain == "N0":
-            return n >= 0
-        if self.domain == "Nneg":
-            return n <= -1
-        if self.domain == "Z_nonzero":
-            return n != 0
-        return True
-
 
 @record
 class ProductSector(NamedTuple):
@@ -152,11 +135,6 @@ class ProductSector(NamedTuple):
     @property
     def dims(self) -> int:
         return len(self.lines)
-
-    def contains(self, pt: tuple[int, ...]) -> bool:
-        return len(pt) == self.dims and all(
-            line.contains((n,)) for line, n in zip(self.lines, pt)
-        )
 
 
 class _RadialFields(NamedTuple):
@@ -177,9 +155,6 @@ class RadialSector(_RadialFields):
     @property
     def dims(self) -> int:
         return self.d
-
-    def contains(self, pt: tuple[int, ...]) -> bool:
-        return len(pt) == self.d and any(n != 0 for n in pt)
 
 
 class _PairFields(NamedTuple):
@@ -225,17 +200,6 @@ class PairSector(_PairFields):
     def m_bound(self, n: int) -> int:
         """The row bound ceil(2^(lam*n)) + shift for row n."""
         return ceil_pow2(self.lam * n) + self.shift
-
-    def contains(self, pt: tuple[int, ...]) -> bool:
-        n, m = pt
-        if self.n_domain == "N0" and n < 0:
-            return False
-        if self.n_domain == "Nneg" and n >= 0:
-            return False
-        bound = self.m_bound(n)
-        if self.side == "inside":
-            return abs(m) <= bound
-        return abs(m) >= bound
 
 
 Sector = Union[LineSector, ProductSector, RadialSector, PairSector]
@@ -351,16 +315,6 @@ class CoordFactor(_CoordFactorFields):
         exp2, power = _exact(exp2), _exact(power)
         return cls._make((exp2, exp2, power, power))
 
-    def log2_value(self, n: int) -> float:
-        if n >= 0:
-            a, c = self.exp2_pos, self.pow_pos
-        else:
-            a, c = self.exp2_neg, self.pow_neg
-        out = float(a) * n
-        if c and n != 0:
-            out += float(c) * math.log2(abs(n))
-        return out
-
     def sub(self, other: "CoordFactor") -> "CoordFactor":
         """Field-wise self - other."""
         return CoordFactor._make(a - b for a, b in zip(self, other))
@@ -418,19 +372,6 @@ class Atom(_AtomFields):
             ),
         )
 
-    def evaluate(self, pt: tuple[int, ...]) -> float:
-        # sum exponents before exponentiating: saturated per-factor values
-        # would otherwise meet as inf * 0 = nan on steep mixed-rate atoms
-        log2mag = 0.0
-        for factor, n in zip(self.factors, pt):
-            log2mag += factor.log2_value(n)
-        if self.radial_pow:
-            rr = math.sqrt(sum(n * n for n in pt))
-            if rr == 0.0:
-                return float(self.coeff) * pow2f(log2mag) * rr ** float(self.radial_pow)
-            log2mag += float(self.radial_pow) * math.log2(rr)
-        return float(self.coeff) * pow2f(log2mag)
-
     def quotient(self, den: "Atom") -> "Atom":
         """self/den: the coefficients divide, the exponents subtract field-wise."""
         if len(den.factors) != len(self.factors):
@@ -483,7 +424,7 @@ class ExpPolyWeight:
     ints (a, b, c) over one common denominator D: at (dp, g) an exponent is
     (a*s + b*u + c*v) / (D*s), with the same s, u, v for all.
     :meth:`pairs_at` gives the int pairs :func:`decide_reciprocal` reads;
-    :meth:`at` builds the Fraction weight that :meth:`evaluate` reads.
+    :meth:`at` builds the Fraction weight that the numeric oracle reads.
     """
 
     __slots__ = ("pieces", "_den", "_rows")
@@ -550,15 +491,6 @@ class ExpPolyWeight:
             Piece(piece.sector, tuple(map(atom_at, piece.atoms, atoms)))
             for piece, (_, atoms) in zip(self.pieces, pairs)
         ))
-
-    def evaluate(self, pt: tuple[int, ...]) -> float:
-        for piece in self.pieces:
-            if piece.sector.contains(pt):
-                return sum(atom.evaluate(pt) for atom in piece.atoms)
-        raise ValueError(f"point {pt} lies in no piece of this weight")
-
-    def contains(self, pt: tuple[int, ...]) -> bool:
-        return any(piece.sector.contains(pt) for piece in self.pieces)
 
     def quotient(self, den: "ExpPolyWeight") -> "ExpPolyWeight":
         """Pointwise self/den; den must carry one atom per matching sector."""

@@ -37,9 +37,8 @@ from decomp_embed.seqspace import (
     ProductSector,
     decide_lp_membership,
     decide_sequence_embedding,
-    pow2f,
 )
-from decomp_embed.oracle import truncated_oracle
+from decomp_embed.oracle import pow2f, truncated_oracle
 
 from golden_refs import golden_verdict
 from test_embedding import (

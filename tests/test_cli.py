@@ -491,7 +491,7 @@ def _imported(node) -> set:
 
 
 def test_the_oracle_shares_no_code_with_the_decider():
-    """oracle.py takes only the weight types and pow2f from seqspace, and
+    """oracle.py takes only the weight types from seqspace, and
     no module of the package imports it when it is itself imported."""
     package = Path(decomp_embed.__file__).parent
     tree = ast.parse((package / "oracle.py").read_text())
@@ -500,7 +500,7 @@ def test_the_oracle_shares_no_code_with_the_decider():
     assert set(from_package) == {"errors", "seqspace"}
     assert from_package["seqspace"] <= {
         "ExpPolyWeight", "Piece", "Atom", "CoordFactor", "LineSector", "ProductSector",
-        "RadialSector", "PairSector", "Sector", "pow2f"}
+        "RadialSector", "PairSector", "Sector"}
     for path in package.glob("*.py"):
         for node in _import_time_nodes(ast.parse(path.read_text())):
             if isinstance(node, (ast.Import, ast.ImportFrom)):

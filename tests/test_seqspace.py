@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import oracle, seqspace
+from decomp_embed import oracle
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import INF, ExtExponent, compound, reciprocal_pair
 from decomp_embed.seqspace import (
@@ -30,13 +30,21 @@ from decomp_embed.seqspace import (
     decide_reciprocal,
     decide_sequence_embedding,
     expweight_from_json,
-    pow2f,
     sector_from_json,
 )
 from decomp_embed.oracle import truncated_oracle
 
 import reference_membership
-from witnesses import coord_values, holder_constant, iter_points, sequence_norm, witness_norm_ratios
+import witnesses
+from witnesses import (
+    coord_values,
+    evaluate,
+    holder_constant,
+    iter_points,
+    iter_window,
+    sequence_norm,
+    witness_norm_ratios,
+)
 
 E = ExtExponent
 F = Fraction
@@ -85,8 +93,8 @@ def test_two_sided_decay_needs_per_orthant_exponents():
     factor = CoordFactor(exp2_pos=F(-1), exp2_neg=F(1), pow_pos=F(0), pow_neg=F(0))
     w = ExpPolyWeight.single(LineSector("Z"), Atom(F(1), (factor,)))
     assert decide_lp_membership(w, E(1)) is MEMBER
-    assert w.evaluate((4,)) == pytest.approx(2.0**-4)
-    assert w.evaluate((-4,)) == pytest.approx(2.0**-4)
+    assert evaluate(w, (4,)) == pytest.approx(2.0**-4)
+    assert evaluate(w, (-4,)) == pytest.approx(2.0**-4)
 
 
 def test_sum_of_atoms_requires_every_atom():
@@ -354,7 +362,7 @@ def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
     (1101.0, math.inf), (-1074.0, 2.0**-1074), (-1100.0, 0.0), (-1101.0, 0.0),
 ])
 def test_pow2f_saturates_instead_of_raising(x, expect):
-    assert seqspace.pow2f(x) == expect
+    assert oracle.pow2f(x) == expect
 
 
 @pytest.mark.filterwarnings("error")
@@ -619,7 +627,7 @@ def _reference_factor_on_axis(f, n):
 def _reference_row_values(piece, n, ms):
     total = np.zeros_like(ms)
     for atom in piece.atoms:
-        base = float(atom.coeff) * pow2f(atom.factors[0].log2_value(n))
+        base = float(atom.coeff) * witnesses.pow2f(witnesses.log2_value(atom.factors[0], n))
         with np.errstate(over="ignore"):
             total = total + base * _reference_factor_on_axis(atom.factors[1], ms)
     return total
@@ -639,7 +647,7 @@ def _reference_rest(piece, n, lo, theta_f):
     theta = inf."""
     terms = []
     for atom in piece.atoms:
-        base = float(atom.coeff) * pow2f(atom.factors[0].log2_value(n))
+        base = float(atom.coeff) * witnesses.pow2f(witnesses.log2_value(atom.factors[0], n))
         f = atom.factors[1]
         for a, c in ((float(f.exp2_pos), float(f.pow_pos)),
                      (-float(f.exp2_neg), float(f.pow_neg))):
@@ -916,6 +924,20 @@ def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
+@settings(max_examples=80, deadline=None)
+@given(grid_pieces())
+def test_grid_values_match_the_reference_evaluator_point_by_point(piece_radius):
+    # the grid runs over the window in the order iter_window lists it, and
+    # both leave out the origin of a radial sector
+    piece, radius = piece_radius
+    values, _ = oracle._grid_values(piece, radius)
+    points = list(iter_window(piece.sector, radius))
+    assert len(values) == len(points)
+    weight = ExpPolyWeight((piece,))
+    for got, pt in zip(values.tolist(), points):
+        assert math.isclose(got, evaluate(weight, pt), rel_tol=1e-9), pt
+
+
 @pytest.mark.parametrize("domain", ["Z", "N0", "Nneg", "Z_nonzero"])
 @pytest.mark.parametrize("radius", [0, 1, 2, 5, 16384])
 def test_grid_axes_are_the_coordinate_values(domain, radius):
@@ -1043,8 +1065,8 @@ def test_quotient_matches_pointwise_division():
     v = ExpPolyWeight.single(LineSector("Z"), Atom.line(exp2=F(1, 6), power=-1, coeff=2))
     q = u.quotient(v)
     for n in range(-9, 10):
-        expect = u.evaluate((n,)) / v.evaluate((n,))
-        assert q.evaluate((n,)) == pytest.approx(expect, rel=1e-12)
+        expect = evaluate(u, (n,)) / evaluate(v, (n,))
+        assert evaluate(q, (n,)) == pytest.approx(expect, rel=1e-12)
 
 
 def test_quotient_requires_single_atom_denominator():
@@ -1057,4 +1079,4 @@ def test_quotient_requires_single_atom_denominator():
 def test_evaluate_outside_every_piece_raises():
     w = line("N0")
     with pytest.raises(ValueError):
-        w.evaluate((-3,))
+        evaluate(w, (-3,))

@@ -88,7 +88,7 @@ def test_exact_families_agree(name, pdoc, radius, k):
     fam, params, cov = _family_setup(name, pdoc)
     num = build_weight(cov, k=k, p="3/2", t=3)
     sym = _closed_form(fam, params, k, "3/2", 3)
-    rep = agreement_report(num, sym, cov.window(radius), to_point=fam.to_point)
+    rep = agreement_report(num, sym, cov.window(radius), family=fam.name)
     assert rep["ok"], rep
     assert rep["max_rel_err"] <= 1e-9
 
@@ -109,7 +109,7 @@ def test_ratio_families_bounded(name, pdoc, radius, k):
     num = build_weight(cov, k=k, p=1, t=3)
     sym = _closed_form(fam, params, k, 1, 3)
     rep = agreement_report(
-        num, sym, cov.window(radius), to_point=fam.to_point, mode="ratio"
+        num, sym, cov.window(radius), family=fam.name, mode="ratio"
     )
     assert rep["ok"], rep
     # the per-power surrogate gap is < 2, so the envelope scales like 2^k
@@ -122,7 +122,7 @@ def test_diagonal_1d_is_exact():
     fam, params, cov = _family_setup("diagonal", {"d": 1, "alpha": 0, "beta": 0})
     num = build_weight(cov, k=2, p=1, t=3)
     sym = _closed_form(fam, params, 2, 1, 3)
-    rep = agreement_report(num, sym, cov.window(8), to_point=fam.to_point)
+    rep = agreement_report(num, sym, cov.window(8), family=fam.name)
     assert rep["ok"]
 
 
@@ -131,9 +131,9 @@ def test_agreement_needs_points():
     num = build_weight(cov, k=0, p=1, t=2)
     sym = _closed_form(fam, params, 0, 1, 2)
     with pytest.raises(ValueError):
-        agreement_report(num, sym, [], to_point=fam.to_point)
+        agreement_report(num, sym, [], family=fam.name)
     with pytest.raises(ValueError):
-        agreement_report(num, sym, [(0,)], to_point=fam.to_point, mode="envelope")
+        agreement_report(num, sym, [(0,)], family=fam.name, mode="envelope")
 
 
 def test_infinite_target_drops_det_power():

@@ -1,11 +1,16 @@
 """Numeric witnesses that only the tests read.
 
-The two directions of the weighted sequence embedding (a Hoelder constant
-for the positive one, a growing witness family for the negative one), the
-finite windows of a weight's sectors that they sum over, the numeric
-covering weight w^(t) and its agreement report against a family's closed
-form.  The library's decisions never evaluate them; the tests check the
-exact decider and the closed forms against them.
+The pointwise evaluation of an exp-poly weight (sector membership, the
+value of a weight at a lattice point, and each family's map from covering
+indices to lattice points), the two directions of the weighted sequence
+embedding (a Hoelder constant for the positive one, a growing witness
+family for the negative one), the finite windows of a weight's sectors
+that they sum over, the numeric covering weight w^(t) and its agreement
+report against a family's closed form.  The library's decisions never
+evaluate them; the tests check the exact decider, the numeric oracle and
+the closed forms against them.  This module keeps its own float helpers
+and imports nothing from :mod:`decomp_embed.oracle`, so a fault in the
+oracle's helpers cannot pass on both sides.
 """
 
 from __future__ import annotations
@@ -14,12 +19,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from decomp_embed.covering import Covering, Index, mat_det, spectral_norm
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import ExtExponent, compound, reciprocal_gap
 from decomp_embed.seqspace import (
+    Atom,
+    CoordFactor,
     ExpPolyWeight,
     LineSector,
     PairSector,
@@ -30,6 +37,97 @@ from decomp_embed.seqspace import (
 from decomp_embed.weights import _log_pow
 
 EXACT_TOLERANCE = 1e-9
+
+
+# ---------------------------------------------------------------------------
+# pointwise evaluation
+# ---------------------------------------------------------------------------
+
+def pow2f(x: float) -> float:
+    """2**x in float, saturating instead of raising OverflowError."""
+    if x >= 1024.0:  # 2.0 ** x raises from 2^1024 on
+        return math.inf
+    if x < -1100.0:
+        return 0.0
+    return 2.0 ** x
+
+
+def log2_value(factor: CoordFactor, n: int) -> float:
+    """log2 of the coordinate factor at n; |0|^c reads as 1."""
+    if n >= 0:
+        a, c = factor.exp2_pos, factor.pow_pos
+    else:
+        a, c = factor.exp2_neg, factor.pow_neg
+    out = float(a) * n
+    if c and n != 0:
+        out += float(c) * math.log2(abs(n))
+    return out
+
+
+def _atom_value(atom: Atom, pt: tuple[int, ...]) -> float:
+    # sum exponents before exponentiating: saturated per-factor values
+    # would otherwise meet as inf * 0 = nan on steep mixed-rate atoms
+    log2mag = 0.0
+    for factor, n in zip(atom.factors, pt):
+        log2mag += log2_value(factor, n)
+    if atom.radial_pow:
+        rr = math.sqrt(sum(n * n for n in pt))
+        if rr == 0.0:
+            return float(atom.coeff) * pow2f(log2mag) * rr ** float(atom.radial_pow)
+        log2mag += float(atom.radial_pow) * math.log2(rr)
+    return float(atom.coeff) * pow2f(log2mag)
+
+
+def contains(where, pt: tuple[int, ...]) -> bool:
+    """Whether the lattice point lies in a sector, or in some piece of a weight."""
+    if isinstance(where, ExpPolyWeight):
+        return any(contains(piece.sector, pt) for piece in where.pieces)
+    if isinstance(where, LineSector):
+        (n,) = pt
+        if where.domain == "N0":
+            return n >= 0
+        if where.domain == "Nneg":
+            return n <= -1
+        if where.domain == "Z_nonzero":
+            return n != 0
+        return True
+    if isinstance(where, ProductSector):
+        return len(pt) == where.dims and all(
+            contains(line, (n,)) for line, n in zip(where.lines, pt)
+        )
+    if isinstance(where, RadialSector):
+        return len(pt) == where.d and any(n != 0 for n in pt)
+    n, m = pt
+    if where.n_domain == "N0" and n < 0:
+        return False
+    if where.n_domain == "Nneg" and n >= 0:
+        return False
+    bound = where.m_bound(n)
+    if where.side == "inside":
+        return abs(m) <= bound
+    return abs(m) >= bound
+
+
+def evaluate(weight: ExpPolyWeight, pt: tuple[int, ...]) -> float:
+    """The weight at a lattice point: the sum of the atoms of the first piece
+    whose sector holds it."""
+    for piece in weight.pieces:
+        if contains(piece.sector, pt):
+            return sum(_atom_value(atom, pt) for atom in piece.atoms)
+    raise ValueError(f"point {pt} lies in no piece of this weight")
+
+
+def to_point(family: str, index: Index) -> Optional[tuple]:
+    """The lattice point of the family's closed form at a covering index, or
+    None for an index that carries no asymptotic content."""
+    if family == "shearlet_smoothness":
+        return None if index == (0,) else index[:2]
+    if family == "shearlet_coorbit":
+        return index[:2]
+    if family == "diagonal":
+        # (k_1..k_d, eps_1..eps_d): the signs collapse onto the k lattice
+        return index[: len(index) // 2]
+    return index
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +183,7 @@ def sequence_norm(
     p,
 ) -> float:
     """The weighted l^p norm of a finitely supported sequence."""
-    terms = [weight.evaluate(pt) * abs(c) for pt, c in values.items()]
+    terms = [evaluate(weight, pt) * abs(c) for pt, c in values.items()]
     if p.is_inf:
         return max(terms, default=0.0)
     pf = float(p)
@@ -101,7 +199,7 @@ def holder_constant(u: ExpPolyWeight, v: ExpPolyWeight, r, s, radius: int) -> fl
     """
     theta = compound(s, r)
     ratios = [
-        u.evaluate(pt) / v.evaluate(pt) for pt in dict.fromkeys(iter_points(u, radius))
+        evaluate(u, pt) / evaluate(v, pt) for pt in dict.fromkeys(iter_points(u, radius))
     ]
     if theta.is_inf:
         return max(ratios, default=0.0)
@@ -128,11 +226,11 @@ def witness_norm_ratios(
     for radius in radii:
         points = list(dict.fromkeys(iter_points(u, radius)))
         if theta.is_inf:
-            ratio = max(u.evaluate(pt) / v.evaluate(pt) for pt in points)
+            ratio = max(evaluate(u, pt) / evaluate(v, pt) for pt in points)
         else:
             beta = float(theta) / float(s)
             coeffs = {
-                pt: (u.evaluate(pt) / v.evaluate(pt)) ** beta / u.evaluate(pt)
+                pt: (evaluate(u, pt) / evaluate(v, pt)) ** beta / evaluate(u, pt)
                 for pt in points
             }
             num = sequence_norm(coeffs, u, s)
@@ -185,15 +283,16 @@ def agreement_report(
     symbolic: ExpPolyWeight,
     indices: Iterable[Index],
     *,
-    to_point: Optional[Callable[[Index], Optional[tuple]]] = None,
+    family: str,
     mode: str = "exact",
 ) -> dict:
-    """Compare the covering evaluator against a closed-form lattice weight.
+    """Compare the covering evaluator of ``family`` against a closed-form
+    lattice weight.
 
     ``mode="exact"`` demands agreement to ``EXACT_TOLERANCE`` relative error;
     ``mode="ratio"`` only records the envelope of numeric/symbolic ratios and
     calls the pair consistent when the envelope is finite and positive.
-    Indices that ``to_point`` maps to ``None`` are skipped; they carry no
+    Indices that :func:`to_point` maps to ``None`` are skipped; they carry no
     asymptotic information.
     """
     if mode not in ("exact", "ratio"):
@@ -203,11 +302,11 @@ def agreement_report(
     hi = 0.0
     count = 0
     for index in indices:
-        point = to_point(index) if to_point is not None else index
+        point = to_point(family, index)
         if point is None:
             continue
         num = weight.evaluate(index)
-        sym = symbolic.evaluate(point)
+        sym = evaluate(symbolic, point)
         if sym <= 0.0 or not math.isfinite(num) or not math.isfinite(sym):
             raise ValueError("agreement check needs finite positive samples")
         ratio = num / sym
