@@ -10,8 +10,8 @@ reads exponents only for structural facts about what lies past its window
 (the pair-sector tail bound and, on the exact exponents, the
 exponential-growth gate).  Test suites drive both against each other.
 
-Only the oracle imports numpy, inside its functions, and no module imports
-this one at top level, so an exact decision loads neither.
+numpy is loaded only by this module, and no module imports this one at
+top level, so an exact decision loads neither.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
+
+import numpy as np
 
 from .errors import UnsupportedWeight
 from .seqspace import (
@@ -104,8 +106,6 @@ def default_radii(dims: int, has_pair: bool) -> tuple[int, ...]:
 
 def _line_axis(domain: str, radius: int) -> np.ndarray:
     """The coordinate values of ``LineSector(domain)`` up to ``radius``, as float64."""
-    import numpy as np
-
     if domain == "N0":
         return np.arange(0, radius + 1, dtype=np.float64)
     if domain == "Nneg":
@@ -115,8 +115,6 @@ def _line_axis(domain: str, radius: int) -> np.ndarray:
 
 
 def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
-    import numpy as np
-
     if isinstance(sector, LineSector):
         return [_line_axis(sector.domain, radius)]
     if isinstance(sector, ProductSector):
@@ -130,8 +128,6 @@ def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
 def _axis_logs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What every factor on the axis n reads: n, the mask n >= 0 and
     log2|n|, once per axis however many atoms share it."""
-    import numpy as np
-
     absn = np.abs(n)
     return n, n >= 0, np.log2(np.where(absn == 0, 1.0, absn))  # |0|^c reads as 1
 
@@ -142,8 +138,6 @@ def _factor_log2_on_axis(
     """log2 of the factor f along an axis given by :func:`_axis_logs`; f is a
     CoordFactor or its four exponents (exp2_pos, exp2_neg, pow_pos, pow_neg)
     already as floats."""
-    import numpy as np
-
     n, nonneg, lg = axis
     a_pos, a_neg, c_pos, c_neg = map(float, f)
     a = np.where(nonneg, a_pos, a_neg)
@@ -153,8 +147,6 @@ def _factor_log2_on_axis(
 
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and sup-norm radii of a piece on its window, as flat arrays."""
-    import numpy as np
-
     sector = piece.sector
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
@@ -233,8 +225,6 @@ def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
     A base that saturated to inf or 0 adds its log to log2 before the one
     exponentiation, as the grid path sums an atom's exponents first, so
     that it cannot meet a saturated m-term as inf * 0."""
-    import numpy as np
-
     total = None
     with np.errstate(over="ignore", under="ignore"):
         for (base, _, log2_base), log2mag in zip(row, log2s):
@@ -247,8 +237,6 @@ def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
 
 
 def _powered(vals: np.ndarray, theta_f: float | None) -> np.ndarray:
-    import numpy as np
-
     if theta_f is None:
         return vals
     with np.errstate(over="ignore", under="ignore"):
@@ -304,8 +292,6 @@ def _pair_row(
     certify convergence.  A row whose bound is past the float range
     (lam*n >= 1024) is not evaluated: it adds nothing and is flagged.
     """
-    import numpy as np
-
     sector: PairSector = piece.sector  # type: ignore[assignment]
     lam = sector.lam
     if abs(lam.numerator * n) >= _ROW_LOG2_CAP * lam.denominator:
@@ -626,8 +612,6 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     dimension and sectors, so the result is a function of (weight, theta)
     alone.
     """
-    import numpy as np
-
     pieces = _float_pieces(weight)
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     # no pieces is the zero sequence, which every window sums to 0
