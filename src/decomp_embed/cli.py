@@ -155,8 +155,7 @@ def _cmd_check_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_family(args: argparse.Namespace) -> int:
-    from .covering import certify_constants, check_moderate, norm_surrogate_check
-    from .weights import probe_weight
+    from .covering import certify_constants, check_moderate, norm_surrogate_check, probe_weight
 
     fam = get_family(args.family)
     params = fam.parse_params(_json_arg(args.params, "--params"))

@@ -429,8 +429,7 @@ def test_refine_toggle_changes_verdict():
 
 
 # each probe is a fresh interpreter: a module, once loaded, stays in sys.modules
-_PROBED = ("numpy", "decomp_embed.covering", "decomp_embed.oracle", "decomp_embed.weights",
-           "dataclasses")
+_PROBED = ("numpy", "decomp_embed.covering", "decomp_embed.oracle", "dataclasses")
 _NUMPY_PROBE = """
 import contextlib, io, json, sys
 argv = json.loads(sys.argv[1])
@@ -457,10 +456,9 @@ def _run_python(args):
 @pytest.mark.parametrize("case", [None, *MANIFEST],
                          ids=["import decomp_embed", *(c["name"] for c in MANIFEST)])
 def test_numpy_is_imported_only_by_the_oracle(case):
-    """Only --oracle and --oracle-check load the oracle and numpy, only
-    inspect-covering and verify-family load covering geometry, and only
-    verify-family its probe weight; the package's own dataclasses live in
-    the oracle and in covering."""
+    """Only --oracle and --oracle-check load the oracle and numpy, and only
+    inspect-covering and verify-family load covering geometry; the
+    package's own dataclasses live in the oracle and in covering."""
     argv = case and case["argv"]
     proc = _run_python(["-c", _NUMPY_PROBE, json.dumps(argv)])
     assert proc.returncode == 0, proc.stderr
@@ -468,7 +466,6 @@ def test_numpy_is_imported_only_by_the_oracle(case):
     oracle = bool(argv) and ("--oracle" in argv or "--oracle-check" in argv)
     geometry = bool(argv) and argv[0] in ("inspect-covering", "verify-family")
     loaded = {"numpy": oracle, "decomp_embed.oracle": oracle, "decomp_embed.covering": geometry,
-              "decomp_embed.weights": geometry and argv[0] == "verify-family",
               "dataclasses": oracle or geometry}
     assert result == {"exit": case and case["exit"], "loaded": [m for m in _PROBED if loaded[m]]}
 

@@ -5,7 +5,7 @@ import pytest
 
 from decomp_embed.exponents import INF, ExtExponent, reciprocal_gap
 from decomp_embed.families import CoorbitParams, DiagonalParams, get_family
-from decomp_embed.weights import probe_weight
+from decomp_embed.covering import probe_weight
 
 import witnesses
 from witnesses import agreement_report, build_weight

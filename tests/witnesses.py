@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from decomp_embed.covering import Covering, Index, mat_det, spectral_norm
+from decomp_embed.covering import Covering, Index, _log_pow, mat_det, spectral_norm
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import ExtExponent, compound, reciprocal_gap
 from decomp_embed.seqspace import (
@@ -34,7 +34,6 @@ from decomp_embed.seqspace import (
     RadialSector,
     Sector,
 )
-from decomp_embed.weights import _log_pow
 
 EXACT_TOLERANCE = 1e-9
 
@@ -250,7 +249,7 @@ class CoveringWeight:
 
     The reference for the families' closed forms of w^(t); at k = 0, p = 1
     and t = 2 it is the probe of ``verify-family``
-    (:func:`decomp_embed.weights.probe_weight`), and the determinant power
+    (:func:`decomp_embed.covering.probe_weight`), and the determinant power
     goes through the same ``_log_pow``.
     """
 
