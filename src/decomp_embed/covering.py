@@ -205,13 +205,6 @@ def spectral_norm(a: Mat) -> float:
         scaled = tuple(tuple(math.ldexp(x, -exp) for x in row) for row in m)
         return math.ldexp(spectral_norm(scaled), exp)
     g = [list(row) for row in mat_mul(tuple(zip(*m)), m)]
-    # the 2x2 closed form stays only for the last bits of golden C_hat values
-    # (Jacobi differs by ulps); a diagonal m^T m skips it, as Jacobi keeps it exact
-    if len(g) == 2 and g[0][1]:
-        tr = g[0][0] + g[1][1]
-        det = g[0][0] * g[1][1] - g[0][1] * g[1][0]
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        return math.sqrt(max((tr + math.sqrt(disc)) / 2.0, 0.0))
     # an entry below eps * sqrt(g_pp g_qq) moves no eigenvalue by more than eps
     # times the largest; the sweep cap only bounds non-finite input
     for _ in range(50):
