@@ -96,7 +96,7 @@ def contains(where, pt: tuple[int, ...]) -> bool:
         )
     if isinstance(where, RadialSector):
         return len(pt) == where.d and any(n != 0 for n in pt)
-    n, m = pt
+    n, m = pt  # a PairSector
     if where.n_domain == "N0" and n < 0:
         return False
     if where.n_domain == "Nneg" and n >= 0:
