@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -32,7 +31,7 @@ from .errors import (
     MissingTightnessWitness,
     SchemaError,
     UnsupportedGeometry,
-    WindowCapExceeded,
+    check_window_cap,
 )
 from .exponents import int_from_json, rational_from_json
 
@@ -64,7 +63,6 @@ __all__ = [
     "sets_intersect",
     "base_set_from_json",
     "custom_covering_from_json",
-    "window_cap",
 ]
 
 Scalar = Union[int, float, Fraction]
@@ -72,20 +70,7 @@ Vec = tuple[Scalar, ...]
 Mat = tuple[Vec, ...]
 Index = tuple[int, ...]
 
-WINDOW_CAP_ENV = "DECOMP_EMBED_MAX_WINDOW"
-_DEFAULT_WINDOW_CAP = 10**6
-
 _FLOAT_GAP_TOL = 1e-9
-
-
-def window_cap() -> int:
-    raw = os.environ.get(WINDOW_CAP_ENV)
-    if raw is None:
-        return _DEFAULT_WINDOW_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParams(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def _is_exact(*values: object) -> bool:
@@ -624,26 +609,17 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
 # index schemes
 # ---------------------------------------------------------------------------
 
-def _check_cap(count: int) -> None:
-    cap = window_cap()
-    if count > cap:
-        raise WindowCapExceeded(
-            f"window of {count} indices exceeds the cap of {cap} "
-            f"(override via {WINDOW_CAP_ENV})"
-        )
-
-
 @dataclass(frozen=True)
 class ZScheme:
     def window(self, radius: int) -> list[Index]:
-        _check_cap(2 * radius + 1)
+        check_window_cap(2 * radius + 1)
         return [(n,) for n in range(-radius, radius + 1)]
 
 
 @dataclass(frozen=True)
 class N0Scheme:
     def window(self, radius: int) -> list[Index]:
-        _check_cap(radius + 1)
+        check_window_cap(radius + 1)
         return [(n,) for n in range(0, radius + 1)]
 
 
@@ -652,7 +628,7 @@ class ZdPuncturedScheme:
     d: int
 
     def window(self, radius: int) -> list[Index]:
-        _check_cap((2 * radius + 1) ** self.d - 1)
+        check_window_cap((2 * radius + 1) ** self.d - 1)
         rng = range(-radius, radius + 1)
         return [
             pt
@@ -667,7 +643,7 @@ class ShearletScheme:
 
     def window(self, radius: int) -> list[Index]:
         count = 1 + sum(4 * (2 * 2**n + 1) for n in range(radius + 1))
-        _check_cap(count)
+        check_window_cap(count)
         out: list[Index] = [(0,)]
         for n in range(radius + 1):
             for m in range(-(2**n), 2**n + 1):
@@ -683,7 +659,7 @@ class CoorbitScheme:
 
     def window(self, radius: int) -> list[Index]:
         count = (2 * radius + 1) * (2 * 2**radius + 1) * 2
-        _check_cap(count)
+        check_window_cap(count)
         out: list[Index] = []
         for n in range(-radius, radius + 1):
             for m in range(-(2**radius), 2**radius + 1):
@@ -699,7 +675,7 @@ class DiagonalScheme:
     d: int
 
     def window(self, radius: int) -> list[Index]:
-        _check_cap(((2 * radius + 1) ** self.d) * 2**self.d)
+        check_window_cap(((2 * radius + 1) ** self.d) * 2**self.d)
         rng = range(-radius, radius + 1)
         out: list[Index] = []
         for ks in itertools.product(*([rng] * self.d)):
@@ -713,7 +689,7 @@ class ExplicitScheme:
     indices: tuple[Index, ...]
 
     def window(self, radius: int) -> list[Index]:
-        _check_cap(len(self.indices))
+        check_window_cap(len(self.indices))
         return list(self.indices)
 
 

@@ -1,6 +1,8 @@
-"""Exception taxonomy shared across the package."""
+"""Exception taxonomy shared across the package, and the window-size cap."""
 
 from __future__ import annotations
+
+import os
 
 __all__ = [
     "DecompEmbedError",
@@ -13,7 +15,12 @@ __all__ = [
     "MissingTightnessWitness",
     "InconsistentVerdict",
     "OracleDisagreement",
+    "window_cap",
+    "check_window_cap",
 ]
+
+WINDOW_CAP_ENV = "DECOMP_EMBED_MAX_WINDOW"
+_DEFAULT_WINDOW_CAP = 10**6
 
 
 class DecompEmbedError(Exception):
@@ -46,6 +53,27 @@ class InexactExponent(DecompEmbedError, ValueError):
 
 class WindowCapExceeded(DecompEmbedError, RuntimeError):
     """An index window would exceed the configured size cap."""
+
+
+def window_cap() -> int:
+    """The largest window a covering or the oracle's grid may enumerate."""
+    raw = os.environ.get(WINDOW_CAP_ENV)
+    if raw is None:
+        return _DEFAULT_WINDOW_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParams(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}") from None
+
+
+def check_window_cap(count: int) -> None:
+    """Raise WindowCapExceeded before a window of ``count`` indices is built."""
+    cap = window_cap()
+    if count > cap:
+        raise WindowCapExceeded(
+            f"window of {count} indices exceeds the cap of {cap} "
+            f"(override via {WINDOW_CAP_ENV})"
+        )
 
 
 class MissingTightnessWitness(DecompEmbedError):

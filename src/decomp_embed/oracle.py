@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import UnsupportedWeight
+from .errors import UnsupportedWeight, check_window_cap
 from .seqspace import (
     Atom,
     CoordFactor,
@@ -146,10 +146,15 @@ def _factor_log2_on_axis(
 
 
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and sup-norm radii of a piece on its window, as flat arrays."""
+    """Values and sup-norm radii of a piece on its window, as flat arrays.
+
+    A window past ``DECOMP_EMBED_MAX_WINDOW`` points raises
+    WindowCapExceeded before any window-sized array is allocated.
+    """
     sector = piece.sector
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
+    check_window_cap(math.prod(shape))
     logs = [_axis_logs(ax) for ax in axes]
     total = np.zeros(shape, dtype=np.float64)
     # whole-window arrays are updated in place: the same operations in the

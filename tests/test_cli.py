@@ -370,6 +370,17 @@ def test_exceeded_window_cap_is_an_internal_limit(monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):
+    # the 2-D grid at radius 256 holds 513^2 points; the cap is checked first
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
+    code, out, err = run_cli(["decide", "--family", "alpha_modulation",
+                              "--params", '{"d":2,"alpha":"1/2","s":3}',
+                              "-p", "1", "-q", "2", "-r", "2", "-k", "1", "--oracle-check"])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: window of 263169 indices exceeds the cap of 1000 ")
+    assert err.count("\n") == 1
+
+
 def test_parser_is_built_once_per_process():
     cli._build_parser.cache_clear()
     for case in MANIFEST[:4]:

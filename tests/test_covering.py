@@ -41,13 +41,13 @@ from decomp_embed.covering import (
     sets_intersect,
     spectral_norm,
     transform_base,
-    window_cap,
 )
 from decomp_embed.errors import (
     InvalidParams,
     MissingTightnessWitness,
     SchemaError,
     WindowCapExceeded,
+    window_cap,
 )
 from decomp_embed.families import covering_from_json
 
