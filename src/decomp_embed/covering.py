@@ -77,6 +77,11 @@ def _is_exact(*values: object) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
+def _exact_transform(t: Mat, b: Vec) -> bool:
+    """Whether every entry of T_i and b_i is an int or a Fraction."""
+    return _is_exact(*itertools.chain(*t), *b)
+
+
 @contextmanager
 def _in_float_range(covering: Covering, radius: int) -> Iterator[None]:
     """Report a float overflow in derived geometry as UnsupportedGeometry."""
@@ -710,14 +715,18 @@ IndexScheme = Union[
 
 @dataclass(frozen=True)
 class Covering:
-    """An indexed family of sets T_i Q'_i + b_i over an index scheme."""
+    """An indexed family of sets T_i Q'_i + b_i over an index scheme.
+
+    Exactness is read from the data: a transform is exact when every entry
+    of T_i and b_i is an int or a Fraction, and only exact transforms over
+    certain geometry claim tightness.
+    """
 
     label: str
     dimension: int
     scheme: IndexScheme
     transform: Callable[[Index], tuple[Mat, Vec]]
     base_set: Callable[[Index], BaseSet]
-    exact: bool = True
     # adjacency results by radius, filled by ``adjacency``
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -736,8 +745,9 @@ def adjacency(
 
     The relation is reflexive (every nonempty set meets itself) and kept
     symmetric by construction.  Candidate pairs come from a sweep over the
-    bounding boxes sorted by their lower x bound; a pair whose boxes meet
-    (padded for float coverings) goes to ``sets_intersect``.  The map is
+    bounding boxes sorted by their lower x bound; a pair whose boxes meet,
+    each padded by ``_FLOAT_GAP_TOL``, goes to ``sets_intersect``.  The pad
+    only adds candidates, which exact sets still decide exactly.  The map is
     computed once per radius and kept on the covering; it is read-only
     because every caller shares it.
     """
@@ -753,7 +763,7 @@ def adjacency(
             sets.append(s)
             certain = certain and ok
         boxes = [s.bounding_box() for s in sets]
-    pad = 0.0 if covering.exact else _FLOAT_GAP_TOL
+    pad = _FLOAT_GAP_TOL
     los, his = [lo for lo, _ in boxes], [hi for _, hi in boxes]
     los_pad = [tuple(x - pad for x in lo) for lo in los]
     his_pad = [tuple(x + pad for x in hi) for hi in his]
@@ -794,7 +804,7 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     N_hat: the largest neighbor count; C_hat: the largest transition
     norm ||T_i^-1 T_j|| over intersecting pairs; R_hat: the largest
     base-set radius sup_{x in Q'_i} |x|.  tightness_ok reports whether
-    every ingredient was computed from exact geometry.
+    every T_i and b_i in the window is exact and the adjacency is certain.
 
     For exact T_i and T_j each entry of T_i^-1 T_j is an integer dot
     product over one common denominator, divided once, so it is the float
@@ -805,7 +815,8 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
-    mats = {i: covering.transform(i)[0] for i in nbrs}
+    placed = {i: covering.transform(i) for i in nbrs}
+    mats = {i: t for i, (t, _) in placed.items()}
     # T_j = A_j / d_j with A_j integer, for every exact T_j: (columns of A_j, d_j)
     scaled = {i: _integer_scaled(t) for i, t in mats.items()}
     columns = {i: (tuple(zip(*a)), d) for i, (a, d) in scaled.items() if d}
@@ -839,7 +850,7 @@ def certify_constants(covering: Covering, radius: int) -> dict:
         "N_hat": n_hat,
         "C_hat": c_hat,
         "R_hat": r_hat,
-        "tightness_ok": bool(covering.exact and certain),
+        "tightness_ok": certain and all(_exact_transform(*tb) for tb in placed.values()),
     }
 
 
@@ -920,12 +931,12 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
         raise InvalidParams(f"the window of radius {radius} is empty")
     ratios = []
     for i in indices:
-        s, ok = covering.transformed_set(i)
-        if not (covering.exact and ok):
+        t, b = covering.transform(i)
+        s, ok = transform_base(covering.base_set(i), t, b)
+        if not (ok and _exact_transform(t, b)):
             raise MissingTightnessWitness(
                 f"covering {covering.label!r} has no tight bound for index {i}"
             )
-        t, b = covering.transform(i)
         surrogate = math.sqrt(float(sum(x * x for x in b))) + spectral_norm(t)
         extent = s.sup_norm()
         ratios.append(surrogate / extent)
@@ -1007,5 +1018,4 @@ def custom_covering_from_json(doc: object) -> Covering:
         scheme=ExplicitScheme(indices),
         transform=lambda i: (t_of[i], b_of[i]),
         base_set=lambda i: base_of[i],
-        exact=True,
     )

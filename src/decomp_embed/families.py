@@ -374,7 +374,6 @@ class AlphaModulationFamily(Family):
             scheme=ZdPuncturedScheme(d),
             transform=transform,
             base_set=lambda i: base,
-            exact=exact,
         )
 
     def quotient_form(self, params, k):
@@ -535,7 +534,6 @@ class ShearletCoorbitFamily(Family):
             scheme=CoorbitScheme(),
             transform=transform,
             base_set=lambda i: base,
-            exact=exact,
         )
 
     @staticmethod

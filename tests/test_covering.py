@@ -221,6 +221,7 @@ def test_polygon_test_matches_clipping_reference(doc):
     indices = cov.window(2)
     sets = [cov.transformed_set(i)[0] for i in indices]
     boxes = [s.bounding_box() for s in sets]
+    exact = all(isinstance(x, (int, F)) for i in indices for row in cov.transform(i)[0] for x in row)
     compared = 0
     for a in range(len(sets)):
         for b in range(a + 1, len(sets)):
@@ -229,7 +230,7 @@ def test_polygon_test_matches_clipping_reference(doc):
                 continue
             want = _reference_meet(sets[a], sets[b])
             hit, sure = sets_intersect(sets[a], sets[b])
-            if cov.exact:
+            if exact:
                 assert (hit, sure) == (want, True), (indices[a], indices[b])
             else:
                 # the float route may only err towards an uncertain "meets"
@@ -551,6 +552,19 @@ def test_dyadic_constants_in_two_dimensions():
     assert consts["tightness_ok"]
 
 
+def test_float_transforms_never_claim_tightness():
+    """Certain geometry over float data, with nothing declared about it."""
+    cov = Covering(
+        label="sqrt2",
+        dimension=1,
+        scheme=ZScheme(),
+        transform=lambda i: (((math.sqrt(2),),), (3.0 * i[0],)),
+        base_set=lambda i: BallSet((F(0),), F(1)),
+    )
+    assert adjacency(cov, 3)[1]
+    assert certify_constants(cov, 3)["tightness_ok"] is False
+
+
 def test_check_moderate_accepts_dyadic_weight():
     cov = dyadic_annulus_covering()
     res = check_moderate(cov, lambda i: 2.0 ** i[0], (5, 6))
@@ -603,7 +617,6 @@ def _shared_transform_covering(draw):
         scheme=ExplicitScheme(tuple((k,) for k in mats)),
         transform=lambda i: (mats[i[0]], (0,) * d),
         base_set=lambda i: BallSet((0,) * d, 1),
-        exact=entry == "rational",
     )
 
 
@@ -677,7 +690,6 @@ def test_norm_surrogate_requires_tightness():
         scheme=ZScheme(),
         transform=tr,
         base_set=lambda i: AnnulusSet(1, F(1, 4), F(4)),
-        exact=False,
     )
     with pytest.raises(MissingTightnessWitness):
         norm_surrogate_check(cov, 4)
