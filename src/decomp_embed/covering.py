@@ -57,7 +57,6 @@ __all__ = [
     "norm_surrogate_check",
     "spectral_norm",
     "mat_det",
-    "mat_inverse",
     "mat_mul",
     "transform_base",
     "sets_intersect",
@@ -105,14 +104,13 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...] | None, int]:
-    """(A, s) with a == A / s, A an integer matrix and s the lcm of the entry
-    denominators; (None, 0) when an entry is a float."""
-    entries = [x for row in a for x in row]
-    if not _is_exact(*entries):
-        return None, 0
-    s = math.lcm(*(x.denominator for x in entries))
-    return tuple(tuple(x.numerator * (s // x.denominator) for x in row) for row in a), s
+def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(A, s) with a == A / s exactly, A an integer matrix and s the lcm of the
+    entry denominators; ``as_integer_ratio`` reads int, Fraction and finite
+    float entries exactly."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in a]
+    s = math.lcm(*(d for row in ratios for _, d in row))
+    return tuple(tuple(n * (s // d) for n, d in row) for row in ratios), s
 
 
 def mat_vec(a: Mat, x: Vec) -> Vec:
@@ -149,26 +147,6 @@ def _adjugate(a: Mat) -> Mat:
         )
         for r in range(n)
     )
-
-
-def mat_inverse(a: Mat) -> Mat:
-    """Inverse by Gaussian elimination; exact when the entries are exact."""
-    n = len(a)
-    exact = _is_exact(*(v for row in a for v in row))
-    cast = Fraction if exact else float
-    aug = [[cast(a[i][j]) for j in range(n)] + [cast(i == j) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
-        if aug[pivot][col] == 0:
-            raise ZeroDivisionError("singular transform")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = aug[col][col]
-        aug[col] = [v / inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 # m^T m needs the 4th power of the largest entry to stay a normal float, so a
@@ -806,9 +784,9 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     base-set radius sup_{x in Q'_i} |x|.  tightness_ok reports whether
     every T_i and b_i in the window is exact and the adjacency is certain.
 
-    For exact T_i and T_j each entry of T_i^-1 T_j is an integer dot
-    product over one common denominator, divided once, so it is the float
-    of the exact entry; a float transform takes ``mat_mul``.  The spectral
+    Every transform, float or exact, is read exactly as an integer matrix
+    over a common denominator, so each entry of T_i^-1 T_j is an integer
+    dot product divided once: the float of the exact entry.  The spectral
     norm is computed once per distinct float matrix T_i^-1 T_j.
     """
     nbrs, certain = adjacency(covering, radius)
@@ -816,30 +794,23 @@ def certify_constants(covering: Covering, radius: int) -> dict:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
     placed = {i: covering.transform(i) for i in nbrs}
-    mats = {i: t for i, (t, _) in placed.items()}
-    # T_j = A_j / d_j with A_j integer, for every exact T_j: (columns of A_j, d_j)
-    scaled = {i: _integer_scaled(t) for i, t in mats.items()}
-    columns = {i: (tuple(zip(*a)), d) for i, (a, d) in scaled.items() if d}
-    all_exact = len(columns) == len(mats)
     norms: dict[Mat, float] = {}  # spectral norm by the float entries of T_i^-1 T_j
     c_hat = 0.0
     with _in_float_range(covering, radius):
+        # T_j = A_j / d_j with A_j an integer matrix: (columns of A_j, d_j)
+        scaled = {i: _integer_scaled(t) for i, (t, _) in placed.items()}
+        columns = {i: (tuple(zip(*a)), d) for i, (a, d) in scaled.items()}
         for i, js in nbrs.items():
             a, d = scaled[i]
-            if d:
-                # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i) and e_i = det(A_i)
-                inv = tuple(tuple(d * x for x in row) for row in _adjugate(a))
-                e = mat_det(a)
-            t_inv = None if all_exact else mat_inverse(mats[i])
+            # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i) and e_i = det(A_i)
+            inv = tuple(tuple(d * x for x in row) for row in _adjugate(a))
+            e = mat_det(a)
             for j in js:
-                if d and j in columns:
-                    # one correctly rounded int/int division per entry of
-                    # B_i A_j / (e_i d_j) gives the float of the exact entry
-                    cols, d_j = columns[j]
-                    den = e * d_j
-                    key = tuple(tuple(sum(map(mul, row, col)) / den for col in cols) for row in inv)
-                else:
-                    key = tuple(tuple(map(float, row)) for row in mat_mul(t_inv, mats[j]))
+                # one correctly rounded int/int division per entry of
+                # B_i A_j / (e_i d_j) gives the float of the exact entry
+                cols, d_j = columns[j]
+                den = e * d_j
+                key = tuple(tuple(sum(map(mul, row, col)) / den for col in cols) for row in inv)
                 val = norms.get(key)
                 if val is None:
                     val = norms[key] = spectral_norm(key)

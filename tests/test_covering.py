@@ -34,7 +34,6 @@ from decomp_embed.covering import (
     check_moderate,
     cone_trapezoid,
     custom_covering_from_json,
-    mat_inverse,
     mat_mul,
     neighbors,
     norm_surrogate_check,
@@ -50,6 +49,7 @@ from decomp_embed.errors import (
     window_cap,
 )
 from decomp_embed.families import covering_from_json
+from witnesses import mat_inverse
 
 F = Fraction
 
@@ -578,13 +578,19 @@ def test_check_moderate_rejects_superexponential_weight():
     assert not res["ok"]
 
 
+def _exact_product(cov: Covering, i, j) -> tuple:
+    """The float entries of T_i^-1 T_j, read as Fractions, inverted and
+    multiplied exactly."""
+    t_i, t_j = (tuple(tuple(map(F, row)) for row in cov.transform(k)[0]) for k in (i, j))
+    return tuple(tuple(map(float, row)) for row in mat_mul(mat_inverse(t_i), t_j))
+
+
 def _pair_formula_c_hat(cov: Covering, radius: int) -> float:
-    """C_hat as one mat_mul and one spectral_norm per neighbour pair."""
+    """C_hat as one exact product and one spectral_norm per neighbour pair."""
     c_hat = 0.0
     for i, js in adjacency(cov, radius)[0].items():
-        t_inv = mat_inverse(cov.transform(i)[0])
         for j in js:
-            c_hat = max(c_hat, spectral_norm(mat_mul(t_inv, cov.transform(j)[0])))
+            c_hat = max(c_hat, spectral_norm(_exact_product(cov, i, j)))
     return c_hat
 
 
@@ -624,11 +630,7 @@ def _shared_transform_covering(draw):
 @settings(max_examples=150, deadline=None)
 def test_c_hat_matches_the_pair_formula_with_one_norm_per_product(cov):
     nbrs, _ = adjacency(cov, 0)
-    products = {
-        tuple(tuple(map(float, row)) for row in mat_mul(mat_inverse(cov.transform(i)[0]),
-                                                         cov.transform(j)[0]))
-        for i, js in nbrs.items() for j in js
-    }
+    products = {_exact_product(cov, i, j) for i, js in nbrs.items() for j in js}
     calls = []
 
     def counting_norm(mat):
@@ -639,6 +641,19 @@ def test_c_hat_matches_the_pair_formula_with_one_norm_per_product(cov):
         got = certify_constants(cov, 0)["C_hat"]
     assert got.hex() == _pair_formula_c_hat(cov, 0).hex()
     assert len(calls) == len(set(calls)) and set(calls) == products
+
+
+def test_float_transform_c_hat_is_exactly_one():
+    """T^-1 T is the identity for a float T too: its entries are read exactly."""
+    t = ((0.1, 0.7), (0.3, 1.9))
+    cov = Covering(
+        label="one_float_index",
+        dimension=2,
+        scheme=ExplicitScheme(((0,),)),
+        transform=lambda i: (t, (0.0, 0.0)),
+        base_set=lambda i: BallSet((F(0), F(0)), F(1)),
+    )
+    assert certify_constants(cov, 0)["C_hat"] == 1.0
 
 
 CONSTANTS_GOLDEN = Path(__file__).parent / "golden" / "covering_constants.jsonl"

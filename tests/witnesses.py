@@ -6,9 +6,10 @@ indices to lattice points), the two directions of the weighted sequence
 embedding (a Hoelder constant for the positive one, a growing witness
 family for the negative one), the finite windows of a weight's sectors
 that they sum over, the numeric covering weight w^(t) and its agreement
-report against a family's closed form.  The library's decisions never
-evaluate them; the tests check the exact decider, the numeric oracle and
-the closed forms against them.  This module keeps its own float helpers
+report against a family's closed form, and the Gaussian matrix inverse
+that the covering constants are checked against.  The library's decisions
+never evaluate them; the tests check the exact decider, the numeric oracle,
+the closed forms and the constants against them.  This module keeps its own float helpers
 and imports nothing from :mod:`decomp_embed.oracle`, so a fault in the
 oracle's helpers cannot pass on both sides.
 """
@@ -271,6 +272,26 @@ class CoveringWeight:
         norm_t = spectral_norm(t_mat)
         norm_b = math.sqrt(sum(float(x) * float(x) for x in b_vec))
         return value * (1.0 + norm_b**self.k + norm_t**self.k)
+
+
+def mat_inverse(a: Sequence[Sequence]) -> tuple:
+    """Inverse by Gaussian elimination; exact when the entries are exact."""
+    n = len(a)
+    exact = all(isinstance(v, (int, Fraction)) for row in a for v in row)
+    cast = Fraction if exact else float
+    aug = [[cast(a[i][j]) for j in range(n)] + [cast(i == j) for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = max(range(col, n), key=lambda r: abs(aug[r][col]))
+        if aug[pivot][col] == 0:
+            raise ZeroDivisionError("singular transform")
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        inv_p = aug[col][col]
+        aug[col] = [v / inv_p for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                factor = aug[r][col]
+                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
 
 
 def build_weight(covering: Covering, *, k: int, p, t) -> CoveringWeight:
