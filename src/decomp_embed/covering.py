@@ -76,11 +76,6 @@ def _is_exact(*values: object) -> bool:
     return all(isinstance(v, (int, Fraction)) for v in values)
 
 
-def _exact_transform(t: Mat, b: Vec) -> bool:
-    """Whether every entry of T_i and b_i is an int or a Fraction."""
-    return _is_exact(*itertools.chain(*t), *b)
-
-
 @contextmanager
 def _in_float_range(covering: Covering, radius: int) -> Iterator[None]:
     """Report a float overflow in derived geometry as UnsupportedGeometry."""
@@ -280,14 +275,11 @@ class PolygonSet:
         return (min(xs), min(ys)), (max(xs), max(ys))
 
     @cached_property
-    def _lattice(self) -> tuple[int, list[tuple[int, int]]] | None:
-        """(s, s * vertices) as ints, s the lcm of the vertex denominators;
+    def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+        """(s * vertices, s) as ints, s the lcm of the vertex denominators;
         None when a coordinate is a float."""
-        coords = [x for v in self.vertices for x in v]
-        if not _is_exact(*coords):
-            return None
-        s = math.lcm(*(x.denominator for x in coords))
-        return s, [tuple(x.numerator * (s // x.denominator) for x in v) for v in self.vertices]
+        exact = _is_exact(*itertools.chain(*self.vertices))
+        return _integer_scaled(self.vertices) if exact else None
 
 
 BaseSet = Union[BallSet, BoxSet, AnnulusSet, PolygonSet]
@@ -509,10 +501,10 @@ def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
     la, lb = a._lattice, b._lattice
     exact = la is not None and lb is not None
     if exact:
-        lattice = math.lcm(la[0], lb[0])
+        lattice = math.lcm(la[1], lb[1])
         verts_a, verts_b = (
             verts if s == lattice else [(x * (lattice // s), y * (lattice // s)) for x, y in verts]
-            for s, verts in (la, lb)
+            for verts, s in (la, lb)
         )
         tol = 0
     else:
@@ -695,9 +687,8 @@ IndexScheme = Union[
 class Covering:
     """An indexed family of sets T_i Q'_i + b_i over an index scheme.
 
-    Exactness is read from the data: a transform is exact when every entry
-    of T_i and b_i is an int or a Fraction, and only exact transforms over
-    certain geometry claim tightness.
+    Exactness is read from the data: only T_i and b_i of int and Fraction
+    entries, over certain geometry, claim tightness.
     """
 
     label: str
@@ -821,7 +812,8 @@ def certify_constants(covering: Covering, radius: int) -> dict:
         "N_hat": n_hat,
         "C_hat": c_hat,
         "R_hat": r_hat,
-        "tightness_ok": certain and all(_exact_transform(*tb) for tb in placed.values()),
+        "tightness_ok": certain and all(
+            _is_exact(*itertools.chain(*t, b)) for t, b in placed.values()),
     }
 
 
@@ -904,7 +896,7 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     for i in indices:
         t, b = covering.transform(i)
         s, ok = transform_base(covering.base_set(i), t, b)
-        if not (ok and _exact_transform(t, b)):
+        if not (ok and _is_exact(*itertools.chain(*t, b))):
             raise MissingTightnessWitness(
                 f"covering {covering.label!r} has no tight bound for index {i}"
             )

@@ -15,8 +15,6 @@ __all__ = [
     "MissingTightnessWitness",
     "InconsistentVerdict",
     "OracleDisagreement",
-    "window_cap",
-    "check_window_cap",
 ]
 
 WINDOW_CAP_ENV = "DECOMP_EMBED_MAX_WINDOW"

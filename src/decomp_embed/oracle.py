@@ -146,15 +146,11 @@ def _factor_log2_on_axis(
 
 
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and sup-norm radii of a piece on its window, as flat arrays.
-
-    A window past ``DECOMP_EMBED_MAX_WINDOW`` points raises
-    WindowCapExceeded before any window-sized array is allocated.
-    """
+    """Values and sup-norm radii of a piece on its window, as flat arrays."""
     sector = piece.sector
     axes = _grid_axes(sector, radius)
     shape = tuple(len(ax) for ax in axes)
-    check_window_cap(math.prod(shape))
+    check_window_cap(math.prod(shape))  # before any window-sized array
     logs = [_axis_logs(ax) for ax in axes]
     total = np.zeros(shape, dtype=np.float64)
     # whole-window arrays are updated in place: the same operations in the
