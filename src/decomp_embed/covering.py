@@ -185,7 +185,8 @@ def spectral_norm(a: Mat) -> float:
             g[p], g[q] = ([c * x - s * y for x, y in zip(g[p], g[q])],
                           [s * x + c * y for x, y in zip(g[p], g[q])])
             g[p][q] = g[q][p] = 0.0
-        if not rotated:
+        # a 2x2 matrix is diagonal after its one rotation
+        if not rotated or len(g) == 2:
             break
     return math.sqrt(max(row[k] for k, row in enumerate(g)))
 
