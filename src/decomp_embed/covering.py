@@ -282,6 +282,15 @@ class PolygonSet:
         exact = _is_exact(*itertools.chain(*self.vertices))
         return _integer_scaled(self.vertices) if exact else None
 
+    @cached_property
+    def _lattice_axes(self) -> tuple[tuple[int, ...], ...]:
+        return _edge_axes(self._lattice[0])
+
+    @cached_property
+    def _float_axes(self) -> tuple[tuple[tuple[Scalar, ...], ...], float]:
+        """Axes on the raw vertices, and the largest |coordinate|."""
+        return _edge_axes(self.vertices), max(abs(float(x)) for v in self.vertices for x in v)
+
 
 BaseSet = Union[BallSet, BoxSet, AnnulusSet, PolygonSet]
 
@@ -410,9 +419,13 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
     degrades to a conservative bounding ball with the bit cleared.
     """
     if isinstance(base, PolygonSet) and len(t) == 2:
-        verts = tuple(
-            tuple(x + y for x, y in zip(mat_vec(t, v), b)) for v in base.vertices
-        )
+        if base._lattice is not None and _is_exact(*t[0], *t[1], *b):
+            return _lattice_image(base._lattice, t, b), True
+        verts = base.vertices
+        if all(type(x) is float for row in t for x in row):
+            # float op Fraction is float op float(Fraction): convert once
+            verts, b = [tuple(map(float, v)) for v in verts], tuple(map(float, b))
+        verts = tuple(tuple(x + y for x, y in zip(mat_vec(t, v), b)) for v in verts)
         return PolygonSet(verts), True
     if isinstance(base, BallSet):
         s = _is_similarity(t)
@@ -438,6 +451,20 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
     )
     radius = spectral_norm(t) * float(r0)
     return BallSet(center, radius), False
+
+
+def _lattice_image(lattice: tuple, t: Mat, b: Vec) -> PolygonSet:
+    """T P + b on ints for exact T and b, P given as (s * vertices, s); the
+    image is seeded with the lattice ``_integer_scaled`` would give it."""
+    pts, s = lattice
+    m, s_m = _integer_scaled(tuple((*row, c) for row, c in zip(t, b)))  # (T | b) = m / s_m
+    rows = [[r0 * x + r1 * y + r2 * s for x, y in pts] for r0, r1, r2 in m]
+    # dividing out this gcd leaves the lcm of the image's own denominators
+    g = math.gcd(s_m * s, *rows[0], *rows[1])
+    image_pts, den = tuple((x // g, y // g) for x, y in zip(*rows)), s_m * s // g
+    image = PolygonSet(tuple((Fraction(x, den), Fraction(y, den)) for x, y in image_pts))
+    image.__dict__["_lattice"] = image_pts, den  # the cached_property's slot
+    return image
 
 
 def _bounding_ball(base: BaseSet) -> tuple[Vec, Scalar]:
@@ -484,47 +511,49 @@ def _intervals_overlap(a: tuple, b: tuple) -> bool:
     return lo < hi
 
 
-def _project(vertices: Sequence[Vec], axis: Vec) -> tuple[Scalar, Scalar]:
-    vals = [v[0] * axis[0] + v[1] * axis[1] for v in vertices]
-    return min(vals), max(vals)
+def _edge_axes(verts: Sequence[Vec]) -> tuple[tuple[Scalar, ...], ...]:
+    """(nx, ny, lo, hi) per nonzero edge normal, [lo, hi] the own projection."""
+    axes = []
+    for p, q in zip(verts, verts[1:] + verts[:1]):
+        nx, ny = q[1] - p[1], p[0] - q[0]
+        if nx == 0 and ny == 0:
+            continue
+        vals = [v[0] * nx + v[1] * ny for v in verts]
+        axes.append((nx, ny, min(vals), max(vals)))
+    return tuple(axes)
 
 
 def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
     """Separating-axis test for open convex polygons.
 
     Open interiors touching only along boundaries count as disjoint, so
-    weak separation (max <= min) already separates.  Exact vertices are
-    scaled to one integer lattice, the lcm of their denominators, and
-    tested on Python ints with no tolerance, so every answer is certain.
-    With float vertices a near-tie is resolved conservatively as
-    intersecting, uncertain.
+    weak separation (max <= min) already separates.  Each polygon's edge
+    normals and own projections on them are built once.  Exact polygons use
+    their lattices s * vertices: on a normal of a, b projects at s_a s_b and
+    a at s_a^2 times the rational values, so hi_a <= lo_b reads
+    hi_a s_b <= lo_b s_a on ints, and is certain.  Any float vertex sends
+    the pair to the raw vertices, where a near-tie counts as meeting,
+    uncertain.
     """
     la, lb = a._lattice, b._lattice
-    exact = la is not None and lb is not None
-    if exact:
-        lattice = math.lcm(la[1], lb[1])
-        verts_a, verts_b = (
-            verts if s == lattice else [(x * (lattice // s), y * (lattice // s)) for x, y in verts]
-            for verts, s in (la, lb)
-        )
-        tol = 0
-    else:
-        verts_a, verts_b = a.vertices, b.vertices
-        tol = _FLOAT_GAP_TOL * max(
-            1.0, *(abs(float(x)) for v in verts_a + verts_b for x in v)
-        )
+    if la is not None and lb is not None:
+        for axes, (_, s_own), (pts, s_other) in (
+                (a._lattice_axes, la, lb), (b._lattice_axes, lb, la)):
+            for nx, ny, lo, hi in axes:
+                vals = [x * nx + y * ny for x, y in pts]
+                if hi * s_other <= min(vals) * s_own or max(vals) * s_own <= lo * s_other:
+                    return False, True
+        return True, True
+    (axes_a, big_a), (axes_b, big_b) = a._float_axes, b._float_axes
+    tol = _FLOAT_GAP_TOL * max(1.0, big_a, big_b)
     certain = True
-    for verts in (verts_a, verts_b):
-        for k in range(len(verts)):
-            p, q = verts[k], verts[(k + 1) % len(verts)]
-            axis = (q[1] - p[1], p[0] - q[0])
-            if axis[0] == 0 and axis[1] == 0:
-                continue
-            lo_a, hi_a = _project(verts_a, axis)
-            lo_b, hi_b = _project(verts_b, axis)
-            if hi_a <= lo_b - tol or hi_b <= lo_a - tol:
+    for axes, verts in ((axes_a, b.vertices), (axes_b, a.vertices)):
+        for nx, ny, lo, hi in axes:
+            vals = [v[0] * nx + v[1] * ny for v in verts]
+            lo_o, hi_o = min(vals), max(vals)
+            if hi <= lo_o - tol or hi_o <= lo - tol:
                 return False, True
-            if not exact and (hi_a <= lo_b + tol or hi_b <= lo_a + tol):
+            if hi <= lo_o + tol or hi_o <= lo + tol:
                 certain = False
     return True, certain
 
@@ -536,6 +565,8 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
     neighbor counting, and flagged so constants built on them never
     claim tightness.
     """
+    if isinstance(a, PolygonSet) and isinstance(b, PolygonSet):
+        return _polygons_intersect(a, b)
     if isinstance(a, BallSet) and isinstance(b, BallSet):
         exact = _is_exact(*a.center, a.radius, *b.center, b.radius)
         try:
@@ -576,8 +607,6 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
         if abs(hi - lo) <= _FLOAT_GAP_TOL * max(hi, lo, 1.0):
             return True, False
         return hit, True
-    if isinstance(a, PolygonSet) and isinstance(b, PolygonSet):
-        return _polygons_intersect(a, b)
     return True, False
 
 

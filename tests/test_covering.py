@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from decomp_embed import covering as covering_module
 from decomp_embed.covering import (
+    _FLOAT_GAP_TOL,
     AnnulusSet,
     BallSet,
     BoxSet,
@@ -49,7 +50,7 @@ from decomp_embed.errors import (
     window_cap,
 )
 from decomp_embed.families import covering_from_json
-from witnesses import mat_inverse
+from witnesses import mat_inverse, polygons_intersect
 
 F = Fraction
 
@@ -211,12 +212,15 @@ POLYGON_DOCS = [
     {"family": "shearlet_coorbit", "params": {"c": 1}},
     {"family": "shearlet_coorbit", "params": {"c": 2}},
     {"family": "shearlet_coorbit", "params": {"c": "1/2"}},
+    {"family": "shearlet_coorbit", "params": {"c": "1/3"}},
+    {"family": "shearlet_coorbit", "params": {"c": "3/2"}},
 ]
 
 
 @pytest.mark.parametrize("doc", POLYGON_DOCS, ids=_doc_id)
 def test_polygon_test_matches_clipping_reference(doc):
-    """Every polygon pair whose boxes meet, on the family windows at radius 0-2."""
+    """Every polygon pair whose boxes meet, on the family windows at radius
+    0-2, against the clipped area and the per-pair separating-axis test."""
     cov = covering_from_json(doc)
     indices = cov.window(2)
     sets = [cov.transformed_set(i)[0] for i in indices]
@@ -230,6 +234,7 @@ def test_polygon_test_matches_clipping_reference(doc):
                 continue
             want = _reference_meet(sets[a], sets[b])
             hit, sure = sets_intersect(sets[a], sets[b])
+            assert (hit, sure) == polygons_intersect(sets[a], sets[b]), (indices[a], indices[b])
             if exact:
                 assert (hit, sure) == (want, True), (indices[a], indices[b])
             else:
@@ -309,6 +314,105 @@ def test_rational_polygons_match_clipping_reference(pair):
     want = _reference_meet(a, b)
     assert sets_intersect(a, b) == (want, True)
     assert sets_intersect(b, a) == (want, True)
+
+
+def _as_float(verts):
+    return tuple((float(x), float(y)) for x, y in verts)
+
+
+@st.composite
+def _kernel_pair(draw):
+    """A polygon pair of ``_polygon_pair`` at a power-of-two scale, each side
+    in either orientation and rational or float; a float side is nudged by a
+    multiple of the pair's float tolerance, so near-ties on both sides of it
+    occur."""
+    pair = draw(_polygon_pair())
+    scale = F(2) ** draw(st.integers(-6, 24))
+    a, b = (
+        tuple((x * scale, y * scale) for x, y in (verts[::-1] if draw(st.booleans()) else verts))
+        for verts in pair
+    )
+    kind = draw(st.sampled_from(["rational", "float", "mixed", "mixed_swapped"]))
+    if kind == "rational":
+        return a, b
+    tol = _FLOAT_GAP_TOL * max(1.0, *(abs(float(x)) for v in a + b for x in v))
+    nudge = draw(st.sampled_from([0, 0.25, 0.5, 0.999, 1, 1.001, 2, -0.5, -1, -1.001]))
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (-1, 2)]))
+    b = tuple((x + dx * nudge * tol, y + dy * nudge * tol) for x, y in _as_float(b))
+    if kind == "float":
+        return _as_float(a), b
+    return (a, b) if kind == "mixed" else (b, a)
+
+
+@given(_kernel_pair())
+@settings(max_examples=400, deadline=None)
+def test_polygon_kernel_matches_the_per_pair_reference(pair):
+    want = polygons_intersect(*(PolygonSet(v) for v in pair))
+    want_swapped = polygons_intersect(*(PolygonSet(v) for v in pair[::-1]))
+    a, b = (PolygonSet(v) for v in pair)
+    assert sets_intersect(a, b) == want
+    assert sets_intersect(b, a) == want_swapped
+    # again on the axis data the first calls cached
+    assert sets_intersect(a, b) == want
+
+
+def test_mixed_polygon_pairs_take_the_float_route():
+    square = ((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1)))
+    exact = PolygonSet(square)
+    inside = PolygonSet(((0.5, 0.5), (1.5, 0.5), (1.5, 1.5), (0.5, 1.5)))
+    apart = PolygonSet(((2.0, 0.0), (3.0, 0.0), (3.0, 1.0), (2.0, 1.0)))
+    touching = PolygonSet(((1.0, 0.0), (2.0, 0.0), (2.0, 1.0), (1.0, 1.0)))
+    assert sets_intersect(exact, inside) == sets_intersect(inside, exact) == (True, True)
+    assert sets_intersect(exact, apart) == sets_intersect(apart, exact) == (False, True)
+    # a float touch is a near-tie: meets, uncertain
+    assert sets_intersect(exact, touching) == (True, False)
+    # the exact side kept its integer lattice for exact partners
+    assert sets_intersect(exact, PolygonSet(square)) == (True, True)
+
+
+_ENTRY = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
+_RATIONAL_MAT = st.tuples(st.tuples(_ENTRY, _ENTRY), st.tuples(_ENTRY, _ENTRY))
+_FLOAT = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False),
+    st.builds(lambda n, m: 2.0 ** n * m, st.integers(-30, 30), st.integers(-8, 8)),
+)
+
+
+def _mat_vec_image(base, t, b):
+    return tuple(
+        tuple(x + y for x, y in zip(covering_module.mat_vec(t, v), b)) for v in base.vertices
+    )
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=6),
+       _RATIONAL_MAT, st.tuples(_ENTRY, _ENTRY))
+@settings(max_examples=300, deadline=None)
+def test_lattice_image_matches_fraction_arithmetic(verts, t, b):
+    base = PolygonSet(tuple(verts))
+    img, ok = transform_base(base, t, b)
+    want = PolygonSet(_mat_vec_image(base, t, b))
+    assert ok and img.vertices == want.vertices
+    assert all(type(x) is F for v in img.vertices for x in v)
+    assert img.bounding_box() == want.bounding_box()
+    assert img.sup_norm() == want.sup_norm()
+    # the seeded lattice holds the same points, on the lattice the vertices give
+    assert "_lattice" in vars(img)
+    pts, s = img._lattice
+    assert tuple((F(x, s), F(y, s)) for x, y in pts) == img.vertices
+    assert (pts, s) == covering_module._integer_scaled(want.vertices)
+
+
+@given(st.lists(st.tuples(_COORD, _COORD), min_size=3, max_size=6),
+       st.tuples(st.tuples(_FLOAT, _FLOAT), st.tuples(_FLOAT, _FLOAT)),
+       st.tuples(st.one_of(_ENTRY, _FLOAT), st.one_of(_ENTRY, _FLOAT)))
+@settings(max_examples=300, deadline=None)
+def test_float_transform_image_matches_raw_arithmetic(verts, t, b):
+    base = PolygonSet(tuple(verts))
+    img, ok = transform_base(base, t, b)
+    want = _mat_vec_image(base, t, b)
+    assert ok and img._lattice is None
+    # bit for bit, signed zeros included
+    assert [x.hex() for v in img.vertices for x in v] == [x.hex() for v in want for x in v]
 
 
 def test_unsupported_pair_falls_back_conservatively():

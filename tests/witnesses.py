@@ -6,10 +6,12 @@ indices to lattice points), the two directions of the weighted sequence
 embedding (a Hoelder constant for the positive one, a growing witness
 family for the negative one), the finite windows of a weight's sectors
 that they sum over, the numeric covering weight w^(t) and its agreement
-report against a family's closed form, and the Gaussian matrix inverse
-that the covering constants are checked against.  The library's decisions
-never evaluate them; the tests check the exact decider, the numeric oracle,
-the closed forms and the constants against them.  This module keeps its own float helpers
+report against a family's closed form, the Gaussian matrix inverse that
+the covering constants are checked against, and the per-pair
+separating-axis test that the polygon kernel is checked against.  The
+library's decisions never evaluate them; the tests check the exact
+decider, the numeric oracle, the closed forms, the constants and the
+polygon kernel against them.  This module keeps its own float helpers
 and imports nothing from :mod:`decomp_embed.oracle`, so a fault in the
 oracle's helpers cannot pass on both sides.
 """
@@ -22,7 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from decomp_embed.covering import Covering, Index, _log_pow, mat_det, spectral_norm
+from decomp_embed.covering import (
+    _FLOAT_GAP_TOL,
+    Covering,
+    Index,
+    PolygonSet,
+    _log_pow,
+    mat_det,
+    spectral_norm,
+)
 from decomp_embed.errors import UnsupportedWeight
 from decomp_embed.exponents import ExtExponent, compound, reciprocal_gap
 from decomp_embed.seqspace import (
@@ -292,6 +302,46 @@ def mat_inverse(a: Sequence[Sequence]) -> tuple:
                 factor = aug[r][col]
                 aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
+    """The separating-axis test that recomputes every projection per pair.
+
+    The reference for ``covering._polygons_intersect``, which builds each
+    polygon's axes once: exact vertices are scaled to one integer lattice,
+    the lcm of every denominator of the pair, and compared with no
+    tolerance; any float vertex sends the pair to the raw vertices with the
+    tolerance ``_FLOAT_GAP_TOL`` times the largest |coordinate| of the pair.
+    """
+    def project(verts, axis):
+        vals = [v[0] * axis[0] + v[1] * axis[1] for v in verts]
+        return min(vals), max(vals)
+
+    coords = [x for v in a.vertices + b.vertices for x in v]
+    exact = all(isinstance(x, (int, Fraction)) for x in coords)
+    if exact:
+        lattice = math.lcm(*(Fraction(x).denominator for x in coords))
+        verts_a, verts_b = (
+            [tuple(int(x * lattice) for x in v) for v in p.vertices] for p in (a, b)
+        )
+        tol = 0
+    else:
+        verts_a, verts_b = a.vertices, b.vertices
+        tol = _FLOAT_GAP_TOL * max(1.0, *(abs(float(x)) for x in coords))
+    certain = True
+    for verts in (verts_a, verts_b):
+        for k in range(len(verts)):
+            p, q = verts[k], verts[(k + 1) % len(verts)]
+            axis = (q[1] - p[1], p[0] - q[0])
+            if axis[0] == 0 and axis[1] == 0:
+                continue
+            lo_a, hi_a = project(verts_a, axis)
+            lo_b, hi_b = project(verts_b, axis)
+            if hi_a <= lo_b - tol or hi_b <= lo_a - tol:
+                return False, True
+            if not exact and (hi_a <= lo_b + tol or hi_b <= lo_a + tol):
+                certain = False
+    return True, certain
 
 
 def build_weight(covering: Covering, *, k: int, p, t) -> CoveringWeight:
