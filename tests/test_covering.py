@@ -370,6 +370,16 @@ def test_mixed_polygon_pairs_take_the_float_route():
     assert sets_intersect(exact, PolygonSet(square)) == (True, True)
 
 
+def test_float_tolerance_scales_with_the_larger_polygon():
+    # 5e-4 apart: past the unit square's own tolerance 1e-9, inside the
+    # tolerance 1e-9 * 1e6 that the larger polygon sets for the pair
+    big = PolygonSet(((1.0005, 0.0), (1e6, 0.0), (1e6, 1.0), (1.0005, 1.0)))
+    square = ((0, 0), (1, 0), (1, 1), (0, 1))
+    for coord in (float, F):
+        small = PolygonSet(tuple((coord(x), coord(y)) for x, y in square))
+        assert sets_intersect(small, big) == sets_intersect(big, small) == (True, False)
+
+
 _ENTRY = st.builds(F, st.integers(-12, 12), st.integers(1, 8))
 _RATIONAL_MAT = st.tuples(st.tuples(_ENTRY, _ENTRY), st.tuples(_ENTRY, _ENTRY))
 _FLOAT = st.one_of(
