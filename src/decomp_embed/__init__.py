@@ -11,15 +11,7 @@ so that an exact decision imports neither.
 
 from importlib import import_module
 
-from .embedding import (
-    Evidence,
-    Outcome,
-    Verdict,
-    decide,
-    decide_bv,
-    decide_cb,
-    decide_sobolev,
-)
+from .embedding import Evidence, Outcome, Verdict, decide, decide_sobolev
 from .exponents import INF, ExtExponent, compound, conjugate, lower_conjugate
 from .families import FAMILY_NAMES, covering_from_json, get_family
 from .seqspace import (
@@ -70,8 +62,6 @@ __all__ = [
     "Outcome",
     "Verdict",
     "decide",
-    "decide_bv",
-    "decide_cb",
     "decide_sobolev",
     "FAMILY_NAMES",
     "covering_from_json",

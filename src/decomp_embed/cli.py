@@ -28,7 +28,7 @@ import math
 import sys
 from typing import NoReturn
 
-from .embedding import decide
+from .embedding import TARGETS, decide
 from .errors import (
     DecompEmbedError,
     InexactExponent,
@@ -145,11 +145,12 @@ def _cmd_check_sequence(args: argparse.Namespace) -> int:
     u = _weight_arg(args.u, "--u")
     v = _weight_arg(args.v, "--v")
     embeds = decide_sequence_embedding(u, v, args.r, args.s) == "Embeds"
-    doc = {"embeds": embeds, "exponent": compound(args.s, args.r).to_json()}
+    theta = compound(args.s, args.r)
+    doc = {"embeds": embeds, "exponent": theta.to_json()}
     if args.oracle:
         from . import oracle
 
-        doc["oracle"] = oracle.truncated_oracle(u.quotient(v), compound(args.s, args.r)).to_json()
+        doc["oracle"] = oracle.truncated_oracle(u.quotient(v), theta).to_json()
     _emit(doc, args.pretty)
     return EX_OK if embeds else 1
 
@@ -204,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     d.add_argument("--family", required=True, choices=list(FAMILY_NAMES))
     d.add_argument("--params", default="{}", help="family parameters as JSON")
-    d.add_argument("--target", default="sobolev", choices=["sobolev", "cb", "bv"])
+    d.add_argument("--target", default="sobolev", choices=list(TARGETS))
     d.add_argument("-p", type=ExtExponent, required=True, metavar="P")
     d.add_argument("-q", type=ExtExponent, default=None, metavar="Q",
                    help="integrability of the sobolev target")

@@ -476,15 +476,7 @@ def _bounding_ball(base: BaseSet) -> tuple[Vec, Scalar]:
         center = tuple((lo + hi) / 2 for lo, hi in zip(base.lo, base.hi))
         rad = math.sqrt(float(sum((hi - lo) ** 2 for lo, hi in zip(base.lo, base.hi)))) / 2
         return center, rad
-    if isinstance(base, PolygonSet):
-        n = len(base.vertices)
-        cx = sum(v[0] for v in base.vertices) / n
-        cy = sum(v[1] for v in base.vertices) / n
-        rad = max(
-            math.sqrt(float((v[0] - cx) ** 2 + (v[1] - cy) ** 2))
-            for v in base.vertices
-        )
-        return (cx, cy), rad
+    # a polygon is a plane set, which transform_base maps under its 2x2 T
     raise UnsupportedGeometry(f"no bounding ball for {type(base).__name__}")
 
 

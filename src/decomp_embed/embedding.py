@@ -69,8 +69,6 @@ __all__ = [
     "Verdict",
     "decide",
     "decide_sobolev",
-    "decide_cb",
-    "decide_bv",
     "TARGETS",
 ]
 
@@ -391,43 +389,13 @@ def _cross_check(calls: list[_SummabilityCall]) -> None:
             )
 
 
-def decide_cb(
-    family, params, *, p, r, k: int, refine: bool = True, oracle_check: bool = False
-) -> Verdict:
-    """Decide the embedding into C_b^k; this is the q = inf target."""
-    return decide_sobolev(
-        family, params, p=p, q=INF, r=r, k=k, refine=refine, oracle_check=oracle_check
-    )
-
-
-def decide_bv(
-    family, params, *, p, r, k: int, refine: bool = True, oracle_check: bool = False
-) -> Verdict:
-    """Decide the embedding into the order-k bounded-variation space, k >= 1.
-
-    The target coincides with the order-k Sobolev space over L^1, so the
-    verdict is that of q = 1 with a reduction record prepended.
-    """
-    if _validate_order(k) < 1:
-        raise InvalidParams("the bounded-variation target needs k >= 1")
-    inner = decide_sobolev(
-        family,
-        params,
-        p=p,
-        q=_ONE,
-        r=r,
-        k=k,
-        refine=refine,
-        oracle_check=oracle_check,
-    )
-    reduction = Evidence(
-        "R1",
-        ANCHOR_BV_REDUCTION,
-        True,
-        "bounded-variation target of order k coincides with the q = 1 Sobolev target",
-        "reduction",
-    )
-    return Verdict(inner.outcome, (reduction, *inner.evidence), inner.gap_note)
+_BV_REDUCTION = Evidence(
+    "R1",
+    ANCHOR_BV_REDUCTION,
+    True,
+    "bounded-variation target of order k coincides with the q = 1 Sobolev target",
+    "reduction",
+)
 
 
 def decide(
@@ -442,21 +410,29 @@ def decide(
     refine: bool = True,
     oracle_check: bool = False,
 ) -> Verdict:
-    """Dispatch on the target space name; q is only meaningful for sobolev."""
+    """Decide the embedding into the target space named by ``target``.
+
+    ``sobolev`` is the order-k Sobolev space over L^q and the only target
+    that takes q.  ``cb`` is C_b^k, the q = inf case.  ``bv`` is the order-k
+    bounded-variation space, k >= 1, which coincides with the q = 1 case:
+    its verdict is that of q = 1 with a reduction record prepended.
+    """
     if target == "sobolev":
         if q is None:
             raise InvalidParams("target 'sobolev' needs the exponent q")
-        return decide_sobolev(
-            family, params, p=p, q=q, r=r, k=k, refine=refine, oracle_check=oracle_check
-        )
-    if q is not None:
+    elif q is not None:
         raise InvalidParams(f"target {target!r} does not take q")
-    if target == "cb":
-        return decide_cb(
-            family, params, p=p, r=r, k=k, refine=refine, oracle_check=oracle_check
-        )
-    if target == "bv":
-        return decide_bv(
-            family, params, p=p, r=r, k=k, refine=refine, oracle_check=oracle_check
-        )
-    raise InvalidParams(f"unknown target {target!r}; expected one of {TARGETS}")
+    elif target == "cb":
+        q = INF
+    elif target == "bv":
+        if _validate_order(k) < 1:
+            raise InvalidParams("the bounded-variation target needs k >= 1")
+        q = _ONE
+    else:
+        raise InvalidParams(f"unknown target {target!r}; expected one of {TARGETS}")
+    verdict = decide_sobolev(
+        family, params, p=p, q=q, r=r, k=k, refine=refine, oracle_check=oracle_check
+    )
+    if target != "bv":
+        return verdict
+    return Verdict(verdict.outcome, (_BV_REDUCTION, *verdict.evidence), verdict.gap_note)

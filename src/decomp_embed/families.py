@@ -227,11 +227,8 @@ def _dyadic_atoms(params: DyadicParams, k: int) -> tuple[Atom, ...]:
     return _weight_atoms(Atom.line(exp2=base), norm_atoms)
 
 
-class HomBesovFamily(Family):
-    """Dyadic annuli 2^n A over n in Z with weight 2^(s n)."""
-
-    name = "hom_besov"
-    khintchine = "N0"
+class _DyadicFamily(Family):
+    """The dyadic families: T_n = 2^n id, b_n = 0 and weight 2^(s n)."""
 
     def parse_params(self, doc: dict) -> DyadicParams:
         _check_keys(doc, {"d", "s"}, self.name)
@@ -240,21 +237,27 @@ class HomBesovFamily(Family):
             _rat_param(doc, "s", self.name, default=0),
         )
 
+    @staticmethod
+    def _transform(d: int):
+        return lambda i: (_diag([Fraction(2) ** i[0]] * d), _zeros(d))
+
+
+class HomBesovFamily(_DyadicFamily):
+    """Dyadic annuli 2^n A over n in Z with weight 2^(s n)."""
+
+    name = "hom_besov"
+    khintchine = "N0"
+
     def covering(self, params: DyadicParams) -> Covering:
         from .covering import AnnulusSet, Covering, ZScheme
 
         d = params.d
         base = AnnulusSet(d, Fraction(1, 4), Fraction(4))
-
-        def transform(i: Index):
-            (n,) = i
-            return _diag([Fraction(2) ** n] * d), _zeros(d)
-
         return Covering(
             label=f"hom_besov(d={d})",
             dimension=d,
             scheme=ZScheme(),
-            transform=transform,
+            transform=self._transform(d),
             base_set=lambda i: base,
         )
 
@@ -262,18 +265,11 @@ class HomBesovFamily(Family):
         return ExpPolyWeight.single(_Z, *_dyadic_atoms(params, k))
 
 
-class InhomBesovFamily(Family):
+class InhomBesovFamily(_DyadicFamily):
     """Dyadic annuli over n >= 1 plus a ball at the origin, weight 2^(s n)."""
 
     name = "inhom_besov"
     khintchine = "full"
-
-    def parse_params(self, doc: dict) -> DyadicParams:
-        _check_keys(doc, {"d", "s"}, self.name)
-        return DyadicParams(
-            _int_param(doc, "d", self.name, default=1),
-            _rat_param(doc, "s", self.name, default=0),
-        )
 
     def covering(self, params: DyadicParams) -> Covering:
         from .covering import AnnulusSet, BallSet, Covering, N0Scheme
@@ -281,16 +277,11 @@ class InhomBesovFamily(Family):
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
         ball = BallSet(_zeros(d), Fraction(2))
-
-        def transform(i: Index):
-            (n,) = i
-            return _diag([Fraction(2) ** n] * d), _zeros(d)
-
         return Covering(
             label=f"inhom_besov(d={d})",
             dimension=d,
             scheme=N0Scheme(),
-            transform=transform,
+            transform=self._transform(d),
             base_set=lambda i: ball if i == (0,) else annulus,
         )
 
@@ -454,17 +445,13 @@ class ShearletSmoothnessFamily(Family):
             base_set=lambda i: base,
         )
 
-    @staticmethod
-    def _sector() -> PairSector:
-        return _SHEARLET_SECTOR
-
     def quotient_form(self, params, k):
         # |det T|^dp = 2^(3 dp n) over the space weight 2^(2 s n)
         base = 3 * _DP - 2 * params.s
         # ||T|| is comparable to 2^(2n) throughout the cone
         norm_atoms = [Atom.pair(n_exp2=base + 2 * k)] if k >= 1 else []
         return ExpPolyWeight.single(
-            self._sector(), *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
+            _SHEARLET_SECTOR, *_weight_atoms(Atom.pair(n_exp2=base), norm_atoms)
         )
 
     def refined_criteria(self, params, k, x):
@@ -640,10 +627,6 @@ class DiagonalFamily(Family):
             base_set=lambda i: base,
         )
 
-    @staticmethod
-    def _sector(d: int) -> ProductSector:
-        return ProductSector((_Z,) * d)
-
     def quotient_form(self, params, k):
         # |det T|^dp = prod_l 2^(-dp k_l) over the space weight, whose
         # coordinate l is 2^((alpha_l + g) k_l) on k_l >= 0, beta_l on k_l < 0
@@ -657,7 +640,7 @@ class DiagonalFamily(Family):
                 factors[axis] = CoordFactor(pos - k, neg - k)
                 norm_atoms.append(Atom(_ONE, tuple(factors)))
         return ExpPolyWeight.single(
-            self._sector(params.d), *_weight_atoms(Atom(_ONE, det_factors), norm_atoms)
+            ProductSector((_Z,) * params.d), *_weight_atoms(Atom(_ONE, det_factors), norm_atoms)
         )
 
 

@@ -348,15 +348,17 @@ def _pair_row(
             vals = np.maximum(pos, neg) if theta_f is None else pos + neg
             last_chunk = float(vals.sum())
         total += last_chunk
-        sup = max(sup, float(vals.max()))
+        top = float(vals.max())
+        sup = max(sup, top)  # max keeps sup over a nan top
         steps += chunk
-        if not math.isfinite(total):
-            # for the sup, a sum of chunk maxima past the float range means
-            # a term near it, or a nan term
-            return _RowSum(total, False)
         value = sup if theta_f is None else total
+        if not math.isfinite(value) or math.isnan(top):
+            # an inf or nan term, or a sum past the float range
+            return _RowSum(top if math.isnan(top) else value, False)
         negligible = _ROW_NEGLIGIBLE * max(total, scale, 1e-300)
-        if last_chunk <= negligible:
+        # a sup row's sum of chunk maxima past the float range leaves every
+        # chunk negligible against it, and says nothing of the sup
+        if last_chunk <= negligible and math.isfinite(total):
             return _RowSum(value, False)
         # the rest cannot raise the sup, or cannot move the sum
         rest = _row_remainder_bound(row, float(start + steps), theta_f)

@@ -19,7 +19,7 @@ from decomp_embed.covering import (
     neighbors,
     spectral_norm,
 )
-from decomp_embed.embedding import Outcome, decide_bv, decide_cb, decide_sobolev
+from decomp_embed.embedding import Outcome, decide, decide_sobolev
 from decomp_embed.exponents import (
     INF,
     ExtExponent,
@@ -368,10 +368,10 @@ def test_acceptance_6_query_invariants():
             assert lower_conjugate(q) < r
             assert verdict.gap_note
         if i % 6 == 0:
-            vc = decide_cb(family, params, p=p, r=r, k=k)
+            vc = decide(family, params, p=p, r=r, target="cb", k=k)
             assert vc == decide_sobolev(family, params, p=p, q=INF, r=r, k=k)
         if i % 6 == 3 and k >= 1:
-            vb = decide_bv(family, params, p=p, r=r, k=k)
+            vb = decide(family, params, p=p, r=r, target="bv", k=k)
             inner = decide_sobolev(family, params, p=p, q=ExtExponent(1), r=r, k=k)
             assert vb.outcome == inner.outcome
             assert vb.evidence[0].id == "R1"

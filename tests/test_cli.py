@@ -530,6 +530,24 @@ def test_oracle_overflow_leaves_stderr_empty():
     )
 
 
+@pytest.mark.filterwarnings("error")
+def test_oracle_sup_row_of_large_terms_is_their_sup():
+    # every term of the row is 1e305: the sup is finite although the sum of
+    # one chunk's maxima is past the float range
+    pairs = {"kind": "pairs", "lam": 0, "side": "outside"}
+    code, out, err = run_cli([
+        "check-sequence",
+        "--u", json.dumps({"lattice": pairs, "atoms": [{"coeff": "1e305"}]}),
+        "--v", json.dumps({"lattice": pairs}),
+        "-r", "1", "-s", "inf", "--oracle",
+    ])
+    assert (code, err) == (0, "")
+    assert out == (
+        b'{"embeds":true,"exponent":"inf","oracle":{"verdict":"Convergent",'
+        b'"window_radius":20,"partial_sum":1e+305,"tail_bound":2e+305,"growth":null}}\n'
+    )
+
+
 @pytest.mark.parametrize("c", ["500", "-1000"])
 def test_oracle_check_passes_over_row_bounds_past_the_float_range(c):
     # from some row on the bound 2^(lam n) of a pair sector passes 2^1024,

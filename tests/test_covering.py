@@ -452,6 +452,90 @@ def test_transform_general_matrix_on_ball_degrades():
     assert isinstance(img, BallSet) and float(img.radius) >= 2.0
 
 
+def _row_covering(base, t, step) -> Covering:
+    """Three copies of one base set under T, the i-th shifted by
+    ``step`` * (i + 1) along the first axis."""
+    d = len(t)
+    return Covering(
+        label="row",
+        dimension=d,
+        scheme=ExplicitScheme(((0,), (1,), (2,))),
+        transform=lambda i: (t, (step * (i[0] + 1), *[F(0)] * (d - 1))),
+        base_set=lambda i: base,
+    )
+
+
+_CHAIN = {(0,): ((0,), (1,)), (1,): ((0,), (1,), (2,)), (2,): ((1,), (2,))}
+
+
+@pytest.mark.parametrize("base, t, step, center, radius", [
+    # an annulus shifted off the origin is only its bounding ball, |x| < 1
+    (AnnulusSet(1, F(1, 2), F(1)), ((F(1),),), F(3, 2), (3.0,), 1.0),
+    # a box under a rotation: the ball around its center through its corners
+    (BoxSet((F(0), F(0)), (F(1), F(1))), ((F(0), F(-1)), (F(1), F(0))), F(1),
+     (1.5, 0.5), math.sqrt(2) / 2),
+])
+def test_bounding_ball_images_are_flagged(base, t, step, center, radius):
+    cov = _row_covering(base, t, step)
+    img, ok = cov.transformed_set((1,))
+    assert not ok and isinstance(img, BallSet)
+    assert img.center == center and img.radius == pytest.approx(radius)
+    # float balls one step apart meet, two steps apart miss, both for certain
+    first, last = cov.transformed_set((0,))[0], cov.transformed_set((2,))[0]
+    assert sets_intersect(first, img) == (True, True)
+    assert sets_intersect(first, last) == (False, True)
+    assert adjacency(cov, 0) == (_CHAIN, False)
+    assert certify_constants(cov, 0)["tightness_ok"] is False
+
+
+def test_annuli_under_a_float_scale_meet_by_float_norm_intervals():
+    """T_i = 2^i [[1, 1], [-1, 1]] is sqrt(2) 2^i times a rotation, so the
+    annuli keep float radii; i and i + 2 touch at 2 sqrt(2) 2^i."""
+    rot = ((F(1), F(1)), (F(-1), F(1)))
+    cov = Covering(
+        label="float_annuli",
+        dimension=2,
+        scheme=ExplicitScheme(((0,), (1,), (2,), (3,))),
+        transform=lambda i: (tuple(tuple(x * 2 ** i[0] for x in row) for row in rot),
+                             (F(0), F(0))),
+        base_set=lambda i: AnnulusSet(2, F(1, 2), F(2)),
+    )
+    sets = {i: cov.transformed_set(i) for i in cov.window(0)}
+    assert all(ok and type(s.outer) is float for s, ok in sets.values())
+    pair = {(i, j): sets_intersect(sets[(i,)][0], sets[(j,)][0])
+            for i in range(4) for j in range(i + 1, 4)}
+    assert pair == {
+        (0, 1): (True, True), (1, 2): (True, True), (2, 3): (True, True),
+        (0, 2): (True, False), (1, 3): (True, False),
+        (0, 3): (False, True),
+    }
+    nbrs, certain = adjacency(cov, 0)
+    assert dict(nbrs) == {
+        (0,): ((0,), (1,), (2,)), (1,): ((0,), (1,), (2,), (3,)),
+        (2,): ((0,), (1,), (2,), (3,)), (3,): ((1,), (2,), (3,)),
+    }
+    assert not certain
+    assert certify_constants(cov, 0)["tightness_ok"] is False
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_alpha_zero_modulation_is_the_exact_uniform_covering(d):
+    """alpha = 0: T_k = id and b_k = k, so balls of radius 2 meet iff
+    |k - k'| < 4, decided exactly."""
+    cov = covering_from_json({"family": "alpha_modulation", "params": {"d": d, "alpha": 0}})
+    window = cov.window(3)
+    assert all(cov.transform(k) == (tuple(tuple(F(r == c) for c in range(d)) for r in range(d)),
+                                     tuple(map(F, k))) for k in window)
+    nbrs, certain = adjacency(cov, 3)
+    assert certain
+    assert dict(nbrs) == {
+        k: tuple(sorted(j for j in window if sum((x - y) ** 2 for x, y in zip(k, j)) < 16))
+        for k in window
+    }
+    consts = certify_constants(cov, 3)
+    assert consts["C_hat"] == 1.0 and consts["tightness_ok"] is True
+
+
 @pytest.mark.parametrize("doc,expect", [
     ({"ball": {"center": [[1, 2], 0], "radius": "3/4"}},
      BallSet((F(1, 2), F(0)), F(3, 4))),
@@ -692,20 +776,21 @@ def test_check_moderate_rejects_superexponential_weight():
     assert not res["ok"]
 
 
-def _exact_product(cov: Covering, i, j) -> tuple:
-    """The float entries of T_i^-1 T_j, read as Fractions, inverted and
-    multiplied exactly."""
-    t_i, t_j = (tuple(tuple(map(F, row)) for row in cov.transform(k)[0]) for k in (i, j))
-    return tuple(tuple(map(float, row)) for row in mat_mul(mat_inverse(t_i), t_j))
+def _exact_products(cov: Covering, radius: int) -> dict:
+    """T_i^-1 T_j per neighbour pair (i, j): the float entries of each T_i,
+    read as Fractions, inverted once per i and multiplied exactly."""
+    nbrs = adjacency(cov, radius)[0]
+    exact = {i: tuple(tuple(map(F, row)) for row in cov.transform(i)[0]) for i in nbrs}
+    inverse = {i: mat_inverse(t_i) for i, t_i in exact.items()}
+    return {
+        (i, j): tuple(tuple(map(float, row)) for row in mat_mul(inverse[i], exact[j]))
+        for i, js in nbrs.items() for j in js
+    }
 
 
-def _pair_formula_c_hat(cov: Covering, radius: int) -> float:
-    """C_hat as one exact product and one spectral_norm per neighbour pair."""
-    c_hat = 0.0
-    for i, js in adjacency(cov, radius)[0].items():
-        for j in js:
-            c_hat = max(c_hat, spectral_norm(_exact_product(cov, i, j)))
-    return c_hat
+def _pair_formula_c_hat(products: dict) -> float:
+    """C_hat as one spectral_norm per neighbour pair of ``_exact_products``."""
+    return max([0.0, *map(spectral_norm, products.values())])
 
 
 def _invertible(d: int, entry):
@@ -743,8 +828,8 @@ def _shared_transform_covering(draw):
 @given(_shared_transform_covering())
 @settings(max_examples=150, deadline=None)
 def test_c_hat_matches_the_pair_formula_with_one_norm_per_product(cov):
-    nbrs, _ = adjacency(cov, 0)
-    products = {_exact_product(cov, i, j) for i, js in nbrs.items() for j in js}
+    pairs = _exact_products(cov, 0)
+    products = set(pairs.values())
     calls = []
 
     def counting_norm(mat):
@@ -753,7 +838,7 @@ def test_c_hat_matches_the_pair_formula_with_one_norm_per_product(cov):
 
     with mock.patch.object(covering_module, "spectral_norm", counting_norm):
         got = certify_constants(cov, 0)["C_hat"]
-    assert got.hex() == _pair_formula_c_hat(cov, 0).hex()
+    assert got.hex() == _pair_formula_c_hat(pairs).hex()
     assert len(calls) == len(set(calls)) and set(calls) == products
 
 

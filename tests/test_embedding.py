@@ -15,8 +15,6 @@ from decomp_embed.embedding import (
     Outcome,
     Verdict,
     decide,
-    decide_bv,
-    decide_cb,
     decide_sobolev,
 )
 from decomp_embed.errors import InvalidParams, OracleDisagreement
@@ -206,7 +204,7 @@ def test_verdict_json_shape():
 
 
 def test_bv_prepends_reduction_record():
-    vb = decide_bv("inhom_besov", {"d": 1, "s": 2}, p=1, r=2, k=1)
+    vb = decide("inhom_besov", {"d": 1, "s": 2}, p=1, r=2, target="bv", k=1)
     v1 = decide_sobolev("inhom_besov", {"d": 1, "s": 2}, p=1, q=1, r=2, k=1)
     assert vb.outcome == v1.outcome
     assert vb.evidence[0].id == "R1"
@@ -215,7 +213,7 @@ def test_bv_prepends_reduction_record():
 
 
 def test_cb_equals_sup_sobolev():
-    vc = decide_cb("hom_besov", {"d": 1, "s": "1/2"}, p=2, r=1, k=0)
+    vc = decide("hom_besov", {"d": 1, "s": "1/2"}, p=2, r=1, target="cb", k=0)
     vi = decide_sobolev("hom_besov", {"d": 1, "s": "1/2"}, p=2, q=INF, r=1, k=0)
     assert vc == vi
 
@@ -235,7 +233,7 @@ def test_refine_flag_controls_sharpening():
 
 def test_bv_needs_positive_order():
     with pytest.raises(InvalidParams):
-        decide_bv("hom_besov", {"d": 1, "s": 0}, p=1, r=1, k=0)
+        decide("hom_besov", {"d": 1, "s": 0}, p=1, r=1, target="bv", k=0)
 
 
 @pytest.mark.parametrize("k", [-1, True, 1.5, None])
@@ -253,6 +251,22 @@ def test_target_dispatch_validation():
         decide("hom_besov", {"d": 1, "s": 0}, p=1, r=1, target="besov", k=0)
     with pytest.raises(InvalidParams):
         decide("nonsense", {}, p=1, r=1, target="cb", k=0)
+
+
+@pytest.mark.parametrize("target, q, k, message", [
+    ("sobolev", None, 0, "target 'sobolev' needs the exponent q"),
+    ("bv", 2, 0, "target 'bv' does not take q"),
+    ("besov", 2, 0, "target 'besov' does not take q"),
+    ("bv", None, 0, "the bounded-variation target needs k >= 1"),
+    ("bv", None, -1, "smoothness order k must be a nonnegative integer"),
+    ("besov", None, -1, "unknown target 'besov'; expected one of ('sobolev', 'cb', 'bv')"),
+    ("cb", None, -1, "unknown family 'nonsense'"),
+])
+def test_target_errors_come_first_in_their_order(target, q, k, message):
+    """q, then the bv order, then the target name, all ahead of the family."""
+    with pytest.raises(InvalidParams) as err:
+        decide("nonsense", {}, p=1, r=1, target=target, k=k, q=q)
+    assert str(err.value).startswith(message)
 
 
 # ---------------------------------------------------------------------------

@@ -696,14 +696,17 @@ def _reference_pair_row(piece, n, theta_f, scale):
             vals = np.maximum(pos, neg) if theta_f is None else pos + neg
             last_chunk = float(vals.sum())
         total += last_chunk
-        sup = max(sup, float(vals.max()))
+        top = float(vals.max())
+        sup = max(sup, top)
         steps += 4096
-        if not math.isfinite(total):
+        if theta_f is None and (math.isnan(top) or math.isinf(sup)):
+            return top if math.isnan(top) else sup, False
+        if theta_f is not None and not math.isfinite(total):
             return total, False
         value = sup if theta_f is None else total
         negligible = oracle._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
         rest = _reference_rest(piece, n, float(start + steps), theta_f)
-        if last_chunk <= negligible or (
+        if (last_chunk <= negligible and math.isfinite(total)) or (
             math.isfinite(rest) and rest <= (sup if theta_f is None else negligible)
         ):
             return value, False
@@ -746,6 +749,9 @@ def pair_rows(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(pair_rows(), st.sampled_from([0.5, 1.0, 2.0, None]), st.sampled_from([0.0, 1.0, 1e8]))
+# a sup row of terms 1e305, whose chunk sums are past the float range
+@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(coeff=F(10**305)),)), 0),
+         None, 0.0)
 @pytest.mark.filterwarnings("error")
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
@@ -754,7 +760,8 @@ def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     # A row whose sum overflows reads inf on both sides, and inf.hex() is the
     # same however far past the float range each sum went.  Equality still
     # means both overflowed the same way: each side returns at the first
-    # chunk whose running total is not finite, and the flag is compared too.
+    # chunk whose running total (the sup, for theta = inf) is not finite, and
+    # the flag is compared too.
     assert (got.value.hex(), got.truncated_significant) == (value.hex(), flagged)
 
 
@@ -818,6 +825,33 @@ def test_sup_row_stops_once_the_rest_cannot_raise_it(monkeypatch, m_power):
     calls = _count_row_values(monkeypatch)
     row = oracle._pair_row(piece, 3, None)
     assert (len(calls), row.value, row.truncated_significant) == (1, 8.0 ** float(m_power), False)
+
+
+@pytest.mark.parametrize("m_power, flagged", [(F(0), False), (F(1, 100), True)])
+def test_sup_row_reads_its_terms_not_their_overflowed_sum(m_power, flagged):
+    # terms near 1e305 sum past the float range in one chunk: a flat row
+    # ends on its rest bound, a growing one runs to the cap, flagged
+    piece = Piece(PairSector("N0", F(0), "outside", 0),
+                  (Atom.pair(coeff=F(10**305), m_power=m_power),))
+    row = oracle._pair_row(piece, 0, None)
+    top = 1e305 * float(oracle._ROW_STEP_CAP) ** float(m_power)
+    assert row.value == pytest.approx(top, rel=1e-4)
+    assert row.truncated_significant is flagged
+
+
+def test_a_nan_term_ends_a_sup_row(monkeypatch):
+    # max(sup, nan) keeps sup, so the row must read the chunk's own maximum
+    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(),))
+    real = oracle._row_values
+
+    def with_nan(row, log2s):
+        vals = real(row, log2s)
+        vals[vals.size // 2] = np.nan
+        return vals
+
+    monkeypatch.setattr(oracle, "_row_values", with_nan)
+    row = oracle._pair_row(piece, 3, None)
+    assert math.isnan(row.value) and not row.truncated_significant
 
 
 def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
