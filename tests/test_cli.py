@@ -361,12 +361,30 @@ def test_malformed_window_cap_is_a_usage_error(monkeypatch):
     assert "DECOMP_EMBED_MAX_WINDOW" in err
 
 
-def test_exceeded_window_cap_is_an_internal_limit(monkeypatch):
+_FOUR_INDEX_CUSTOM = {"custom": {
+    "dimension": 1,
+    "indices": [[3], [-1], [0], [1]],
+    "T": [[[1]], [[2]], [[4]], [[8]]],
+    "b": [[0], [0], [0], [0]],
+    "base_set": {"ball": {"center": [0], "radius": 1}},
+}}
+
+
+@pytest.mark.parametrize("doc, count", [
+    ({"family": "hom_besov"}, 9),
+    ({"family": "inhom_besov"}, 5),
+    ({"family": "alpha_modulation", "params": {"d": 2}}, 80),
+    ({"family": "shearlet_smoothness"}, 269),
+    ({"family": "shearlet_coorbit"}, 594),
+    ({"family": "diagonal", "params": {"d": 2}}, 324),
+    (_FOUR_INDEX_CUSTOM, 4),
+], ids=lambda v: v.get("family", "custom") if isinstance(v, dict) else None)
+def test_exceeded_window_cap_is_an_internal_limit(monkeypatch, doc, count):
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "3")
-    code, out, err = run_cli(["inspect-covering", "--covering", '{"family":"hom_besov"}',
+    code, out, err = run_cli(["inspect-covering", "--covering", json.dumps(doc),
                               "--radius", "4"])
     assert (code, out) == (70, b"")
-    assert err.startswith("error: window of 9 indices exceeds the cap of 3 ")
+    assert err.startswith(f"error: window of {count} indices exceeds the cap of 3 ")
     assert err.count("\n") == 1
 
 

@@ -103,6 +103,38 @@ def test_window_cap_is_enforced(monkeypatch):
     assert window_cap() == 10**6
 
 
+# sha256 of the JSON list of each window at radius 2, in window order: the
+# goldens hash sorted neighbour maps, so only this pins the order
+_WINDOW_DIGESTS = [
+    ({"family": "hom_besov"},
+     "4a8696914f593540e78b78228fa950caa360a4faa9514bc494fea7e75e162f10"),
+    ({"family": "inhom_besov"},
+     "e743549bc64d382cd6be49eaf302163aa318a3cf3af64d150dbc8723430ee88f"),
+    ({"family": "alpha_modulation", "params": {"d": 2}},
+     "fff3423491eedcd505e0a0df1f29b9d8cc3a78741690498250ddb8b0d30e2e95"),
+    ({"family": "shearlet_smoothness"},
+     "7a3012caba1d3fc82fb58c32a182935a7a3c584c5a3f961b7ccd18d357fe6d81"),
+    ({"family": "shearlet_coorbit"},
+     "442c420539a59aba1a665d9aa3969f6e11cfa60fb1d749811ba30281fc8ba1ee"),
+    ({"family": "diagonal", "params": {"d": 2}},
+     "da4a52ae55df7e942b3510ca69c9817712008de3c7204d053e728ce94dec81c0"),
+    ({"custom": {
+        "dimension": 1,
+        "indices": [[3], [-1], [0]],
+        "T": [[[1]], [[2]], [[4]]],
+        "b": [[0], [0], [0]],
+        "base_set": {"ball": {"center": [0], "radius": 1}},
+    }}, "08e8d4fc3340d807c23e65b58fdc02f644fe9474a74b9772f981845caa640d61"),
+]
+
+
+@pytest.mark.parametrize("doc, digest", _WINDOW_DIGESTS,
+                         ids=[doc.get("family", "custom") for doc, _ in _WINDOW_DIGESTS])
+def test_window_lists_are_pinned(doc, digest):
+    window = covering_from_json(doc).window(2)
+    assert hashlib.sha256(json.dumps(window).encode()).hexdigest() == digest
+
+
 def test_shearlet_window_contents():
     win = ShearletScheme().window(1)
     assert win[0] == (0,)
