@@ -1,11 +1,12 @@
 """Structured coverings of frequency space.
 
-A covering is a family of sets Q_i = T_i Q'_i + b_i indexed by a lattice
-scheme.  This module provides window enumeration, exact intersection
-tests for the supported base-set shapes (balls, boxes, origin-centered
-annuli and convex polygons), adjacency structure, and the empirical
-structure constants used as evidence: the neighbor count N_hat, the
-transition norm C_hat and the base-set radius R_hat.
+A covering is a family of sets Q_i = T_i Q'_i + b_i whose windows of
+indices, maps and base sets are defined by the family.  This module
+provides exact intersection tests for the supported base-set shapes
+(balls, boxes, origin-centered annuli and convex polygons), custom
+coverings, adjacency structure, and the empirical structure constants
+used as evidence: the neighbor count N_hat, the transition norm C_hat
+and the base-set radius R_hat.
 
 Geometry is exact whenever every matrix entry, offset and set parameter
 is rational; numeric fallbacks are flagged through the ``certain`` bits
@@ -40,13 +41,6 @@ __all__ = [
     "BoxSet",
     "AnnulusSet",
     "PolygonSet",
-    "ZScheme",
-    "N0Scheme",
-    "ZdPuncturedScheme",
-    "ShearletScheme",
-    "CoorbitScheme",
-    "DiagonalScheme",
-    "ExplicitScheme",
     "Covering",
     "cone_trapezoid",
     "adjacency",
@@ -603,130 +597,27 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
-# index schemes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ZScheme:
-    def window(self, radius: int) -> list[Index]:
-        check_window_cap(2 * radius + 1)
-        return [(n,) for n in range(-radius, radius + 1)]
-
-
-@dataclass(frozen=True)
-class N0Scheme:
-    def window(self, radius: int) -> list[Index]:
-        check_window_cap(radius + 1)
-        return [(n,) for n in range(0, radius + 1)]
-
-
-@dataclass(frozen=True)
-class ZdPuncturedScheme:
-    d: int
-
-    def window(self, radius: int) -> list[Index]:
-        check_window_cap((2 * radius + 1) ** self.d - 1)
-        rng = range(-radius, radius + 1)
-        return [
-            pt
-            for pt in itertools.product(*([rng] * self.d))
-            if any(x != 0 for x in pt)
-        ]
-
-
-@dataclass(frozen=True)
-class ShearletScheme:
-    """Index (0,) plus cone indices (n, m, eps, delta)."""
-
-    def window(self, radius: int) -> list[Index]:
-        count = 1 + sum(4 * (2 * 2**n + 1) for n in range(radius + 1))
-        check_window_cap(count)
-        out: list[Index] = [(0,)]
-        for n in range(radius + 1):
-            for m in range(-(2**n), 2**n + 1):
-                for eps in (-1, 1):
-                    for delta in (0, 1):
-                        out.append((n, m, eps, delta))
-        return out
-
-
-@dataclass(frozen=True)
-class CoorbitScheme:
-    """Indices (n, m, eps) over Z^2 x {+-1}; windows cap |m| at 2^radius."""
-
-    def window(self, radius: int) -> list[Index]:
-        count = (2 * radius + 1) * (2 * 2**radius + 1) * 2
-        check_window_cap(count)
-        out: list[Index] = []
-        for n in range(-radius, radius + 1):
-            for m in range(-(2**radius), 2**radius + 1):
-                for eps in (-1, 1):
-                    out.append((n, m, eps))
-        return out
-
-
-@dataclass(frozen=True)
-class DiagonalScheme:
-    """Indices (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d."""
-
-    d: int
-
-    def window(self, radius: int) -> list[Index]:
-        check_window_cap(((2 * radius + 1) ** self.d) * 2**self.d)
-        rng = range(-radius, radius + 1)
-        out: list[Index] = []
-        for ks in itertools.product(*([rng] * self.d)):
-            for eps in itertools.product(*([(-1, 1)] * self.d)):
-                out.append(ks + eps)
-        return out
-
-
-@dataclass(frozen=True)
-class ExplicitScheme:
-    indices: tuple[Index, ...]
-
-    def window(self, radius: int) -> list[Index]:
-        check_window_cap(len(self.indices))
-        return list(self.indices)
-
-
-IndexScheme = Union[
-    ZScheme,
-    N0Scheme,
-    ZdPuncturedScheme,
-    ShearletScheme,
-    CoorbitScheme,
-    DiagonalScheme,
-    ExplicitScheme,
-]
-
-
-# ---------------------------------------------------------------------------
 # coverings
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Covering:
-    """An indexed family of sets T_i Q'_i + b_i over an index scheme.
+    """An indexed family of sets T_i Q'_i + b_i: three functions of the
+    index, all defined by the family.
 
-    Exactness is read from the data: only T_i and b_i of int and Fraction
-    entries, over certain geometry, claim tightness.
+    ``window(radius)`` lists the indices of one window, in a fixed order,
+    after ``check_window_cap`` on their count.  Exactness is read from the
+    data: only T_i and b_i of int and Fraction entries, over certain
+    geometry, claim tightness.
     """
 
     label: str
     dimension: int
-    scheme: IndexScheme
+    window: Callable[[int], list[Index]]
     transform: Callable[[Index], tuple[Mat, Vec]]
     base_set: Callable[[Index], BaseSet]
     # adjacency results by radius, filled by ``adjacency``
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def window(self, radius: int) -> list[Index]:
-        return self.scheme.window(radius)
-
-    def transformed_set(self, i: Index) -> tuple[BaseSet, bool]:
-        t, b = self.transform(i)
-        return transform_base(self.base_set(i), t, b)
 
 
 def adjacency(
@@ -750,7 +641,8 @@ def adjacency(
     certain = True
     with _in_float_range(covering, radius):
         for i in indices:
-            s, ok = covering.transformed_set(i)
+            t, b = covering.transform(i)
+            s, ok = transform_base(covering.base_set(i), t, b)
             sets.append(s)
             certain = certain and ok
         boxes = [s.bounding_box() for s in sets]
@@ -854,9 +746,10 @@ def check_moderate(
     estimates = []
     for radius in radii:
         nbrs, _ = adjacency(covering, radius)
-        for i in nbrs:
-            if i not in values:
-                values[i] = u(i)
+        with _in_float_range(covering, radius):
+            for i in nbrs:
+                if i not in values:
+                    values[i] = u(i)
         worst = 0.0
         for i, js in nbrs.items():
             ui = values[i]
@@ -900,9 +793,16 @@ def probe_weight(covering: Covering) -> Callable[[Index], float]:
     + ||T_i||^k) at k = 0, p = 1 and t = 2, with 1 + |b|^0 + ||T||^0 = 3:
     purely geometric, so the estimate settles inside small windows.  The
     criteria read w^(t) only through the closed forms of
-    :mod:`decomp_embed.families`.
+    :mod:`decomp_embed.families`.  A value past the float range raises
+    OverflowError.
     """
-    return lambda index: _log_pow(abs(mat_det(covering.transform(index)[0])), Fraction(1, 2)) * 3.0
+    def weight(index: Index) -> float:
+        value = _log_pow(abs(mat_det(covering.transform(index)[0])), Fraction(1, 2)) * 3.0
+        if not math.isfinite(value):
+            raise OverflowError(f"the probe weight at index {index} is {value}")
+        return value
+
+    return weight
 
 
 def norm_surrogate_check(covering: Covering, radius: int) -> dict:
@@ -915,16 +815,16 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     if not indices:
         raise InvalidParams(f"the window of radius {radius} is empty")
     ratios = []
-    for i in indices:
-        t, b = covering.transform(i)
-        s, ok = transform_base(covering.base_set(i), t, b)
-        if not (ok and _is_exact(*itertools.chain(*t, b))):
-            raise MissingTightnessWitness(
-                f"covering {covering.label!r} has no tight bound for index {i}"
-            )
-        surrogate = math.sqrt(float(sum(x * x for x in b))) + spectral_norm(t)
-        extent = s.sup_norm()
-        ratios.append(surrogate / extent)
+    with _in_float_range(covering, radius):
+        for i in indices:
+            t, b = covering.transform(i)
+            s, ok = transform_base(covering.base_set(i), t, b)
+            if not (ok and _is_exact(*itertools.chain(*t, b))):
+                raise MissingTightnessWitness(
+                    f"covering {covering.label!r} has no tight bound for index {i}"
+                )
+            surrogate = math.sqrt(float(sum(x * x for x in b))) + spectral_norm(t)
+            ratios.append(surrogate / s.sup_norm())
     return {"min_ratio": min(ratios), "max_ratio": max(ratios)}
 
 
@@ -997,10 +897,15 @@ def custom_covering_from_json(doc: object) -> Covering:
     t_of = dict(zip(indices, mats))
     b_of = dict(zip(indices, vecs))
     base_of = dict(zip(indices, bases))
+
+    def window(radius: int) -> list[Index]:
+        check_window_cap(len(indices))
+        return list(indices)
+
     return Covering(
         label="custom",
         dimension=dim,
-        scheme=ExplicitScheme(indices),
+        window=window,
         transform=lambda i: (t_of[i], b_of[i]),
         base_set=lambda i: base_of[i],
     )

@@ -2,8 +2,8 @@
 
 Each family bundles three things behind one name:
 
-* a structured covering (affine images of a fixed base set over an index
-  scheme),
+* a structured covering: its index set, as the window of each radius, and
+  the affine images T_i Q'_i + b_i of its base sets over it,
 * the closed form of the quotient w^(t)/u that the summability tests of the
   decision engine read: the covering weight
   w^(t) = |det T_i|^(1/p - 1/t) * (1 + |b_i|^k + ||T_i||^k) over the weight
@@ -23,10 +23,11 @@ windows.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import InvalidParams, SchemaError
+from .errors import InvalidParams, SchemaError, check_window_cap
 from .exponents import int_from_json, rational_from_json
 from .seqspace import (
     Affine,
@@ -249,14 +250,19 @@ class HomBesovFamily(_DyadicFamily):
     khintchine = "N0"
 
     def covering(self, params: DyadicParams) -> Covering:
-        from .covering import AnnulusSet, Covering, ZScheme
+        from .covering import AnnulusSet, Covering
 
         d = params.d
         base = AnnulusSet(d, Fraction(1, 4), Fraction(4))
+
+        def window(radius: int) -> list[Index]:
+            check_window_cap(2 * radius + 1)
+            return [(n,) for n in range(-radius, radius + 1)]
+
         return Covering(
             label=f"hom_besov(d={d})",
             dimension=d,
-            scheme=ZScheme(),
+            window=window,
             transform=self._transform(d),
             base_set=lambda i: base,
         )
@@ -272,15 +278,20 @@ class InhomBesovFamily(_DyadicFamily):
     khintchine = "full"
 
     def covering(self, params: DyadicParams) -> Covering:
-        from .covering import AnnulusSet, BallSet, Covering, N0Scheme
+        from .covering import AnnulusSet, BallSet, Covering
 
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
         ball = BallSet(_zeros(d), Fraction(2))
+
+        def window(radius: int) -> list[Index]:
+            check_window_cap(radius + 1)
+            return [(n,) for n in range(radius + 1)]
+
         return Covering(
             label=f"inhom_besov(d={d})",
             dimension=d,
-            scheme=N0Scheme(),
+            window=window,
             transform=self._transform(d),
             base_set=lambda i: ball if i == (0,) else annulus,
         )
@@ -342,12 +353,16 @@ class AlphaModulationFamily(Family):
         return params.alpha / (1 - params.alpha)
 
     def covering(self, params: AlphaModParams) -> Covering:
-        from .covering import BallSet, Covering, ZdPuncturedScheme
+        from .covering import BallSet, Covering
 
         d = params.d
         a0 = self._a0(params)
         exact = params.alpha == 0 or (d == 1 and a0.denominator == 1)
         base = BallSet(_zeros(d), params.base_radius)
+
+        def window(radius: int) -> list[Index]:
+            check_window_cap((2 * radius + 1) ** d - 1)
+            return [k for k in itertools.product(range(-radius, radius + 1), repeat=d) if any(k)]
 
         def transform(i: Index):
             if params.alpha == 0:
@@ -362,7 +377,7 @@ class AlphaModulationFamily(Family):
         return Covering(
             label=f"alpha_modulation(d={d}, alpha={params.alpha})",
             dimension=d,
-            scheme=ZdPuncturedScheme(d),
+            window=window,
             transform=transform,
             base_set=lambda i: base,
         )
@@ -419,9 +434,19 @@ class ShearletSmoothnessFamily(Family):
         return ShearletSmoothnessParams(_rat_param(doc, "s", self.name, default=0))
 
     def covering(self, params: ShearletSmoothnessParams) -> Covering:
-        from .covering import Covering, ShearletScheme, cone_trapezoid
+        from .covering import Covering, cone_trapezoid
 
         base = cone_trapezoid(Fraction(1, 3), Fraction(3), Fraction(-1), Fraction(1))
+
+        def window(radius: int) -> list[Index]:
+            check_window_cap(1 + sum(4 * (2 * 2**n + 1) for n in range(radius + 1)))
+            return [(0,), *(
+                (n, m, eps, delta)
+                for n in range(radius + 1)
+                for m in range(-(2**n), 2**n + 1)
+                for eps in (-1, 1)
+                for delta in (0, 1)
+            )]
 
         def transform(i: Index):
             if i == (0,):
@@ -440,7 +465,7 @@ class ShearletSmoothnessFamily(Family):
         return Covering(
             label="shearlet_smoothness",
             dimension=2,
-            scheme=ShearletScheme(),
+            window=window,
             transform=transform,
             base_set=lambda i: base,
         )
@@ -496,11 +521,17 @@ class ShearletCoorbitFamily(Family):
         )
 
     def covering(self, params: CoorbitParams) -> Covering:
-        from .covering import CoorbitScheme, Covering, cone_trapezoid
+        from .covering import Covering, cone_trapezoid
 
         c = params.c
         exact = c.denominator == 1
         base = cone_trapezoid(Fraction(1, 2), Fraction(2), Fraction(-1), Fraction(1))
+
+        def window(radius: int) -> list[Index]:
+            # (n, m, eps) over Z^2 x {+-1}, with |m| capped at 2^radius
+            check_window_cap((2 * radius + 1) * (2 * 2**radius + 1) * 2)
+            return list(itertools.product(
+                range(-radius, radius + 1), range(-(2**radius), 2**radius + 1), (-1, 1)))
 
         def transform(i: Index):
             n, m, eps = i
@@ -518,7 +549,7 @@ class ShearletCoorbitFamily(Family):
         return Covering(
             label=f"shearlet_coorbit(c={c})",
             dimension=2,
-            scheme=CoorbitScheme(),
+            window=window,
             transform=transform,
             base_set=lambda i: base,
         )
@@ -608,10 +639,17 @@ class DiagonalFamily(Family):
         return DiagonalParams(d, vector("alpha"), vector("beta"))
 
     def covering(self, params: DiagonalParams) -> Covering:
-        from .covering import BoxSet, Covering, DiagonalScheme
+        from .covering import BoxSet, Covering
 
         d = params.d
         base = BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d)
+
+        def window(radius: int) -> list[Index]:
+            # (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d
+            check_window_cap((2 * radius + 1) ** d * 2**d)
+            signs = list(itertools.product((-1, 1), repeat=d))
+            return [ks + eps for ks in itertools.product(range(-radius, radius + 1), repeat=d)
+                    for eps in signs]
 
         def transform(i: Index):
             ks, eps = i[:d], i[d:]
@@ -622,7 +660,7 @@ class DiagonalFamily(Family):
         return Covering(
             label=f"diagonal(d={d})",
             dimension=d,
-            scheme=DiagonalScheme(d),
+            window=window,
             transform=transform,
             base_set=lambda i: base,
         )

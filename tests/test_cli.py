@@ -361,30 +361,31 @@ def test_malformed_window_cap_is_a_usage_error(monkeypatch):
     assert "DECOMP_EMBED_MAX_WINDOW" in err
 
 
-_FOUR_INDEX_CUSTOM = {"custom": {
-    "dimension": 1,
-    "indices": [[3], [-1], [0], [1]],
-    "T": [[[1]], [[2]], [[4]], [[8]]],
-    "b": [[0], [0], [0], [0]],
-    "base_set": {"ball": {"center": [0], "radius": 1}},
-}}
-
-
 @pytest.mark.parametrize("doc, count", [
-    ({"family": "hom_besov"}, 9),
-    ({"family": "inhom_besov"}, 5),
-    ({"family": "alpha_modulation", "params": {"d": 2}}, 80),
-    ({"family": "shearlet_smoothness"}, 269),
-    ({"family": "shearlet_coorbit"}, 594),
-    ({"family": "diagonal", "params": {"d": 2}}, 324),
-    (_FOUR_INDEX_CUSTOM, 4),
-], ids=lambda v: v.get("family", "custom") if isinstance(v, dict) else None)
+    ('{"family":"hom_besov"}', 9),
+    ('{"family":"inhom_besov"}', 5),
+    ('{"family":"alpha_modulation","params":{"d":2}}', 80),
+    ('{"family":"shearlet_smoothness"}', 269),
+    ('{"family":"shearlet_coorbit"}', 594),
+    ('{"family":"diagonal","params":{"d":2}}', 324),
+    (custom_covering(indices=[[3], [-1], [0], [1]], T=[[[1]], [[2]], [[4]], [[8]]],
+                     b=[[0]] * 4), 4),
+], ids=[*FAMILY_NAMES, "custom"])
 def test_exceeded_window_cap_is_an_internal_limit(monkeypatch, doc, count):
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "3")
-    code, out, err = run_cli(["inspect-covering", "--covering", json.dumps(doc),
-                              "--radius", "4"])
+    code, out, err = run_cli(["inspect-covering", "--covering", doc, "--radius", "4"])
     assert (code, out) == (70, b"")
     assert err.startswith(f"error: window of {count} indices exceeds the cap of 3 ")
+    assert err.count("\n") == 1
+
+
+def test_verify_family_surrogate_past_the_float_range_is_unsupported():
+    # b_35 = 35^100 is exact, but its square, about 1e309, is no float
+    code, out, err = run_cli(["verify-family", "--family", "alpha_modulation",
+                              "--params", '{"d":1,"alpha":"99/100"}', "--radius", "35"])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: covering 'alpha_modulation(d=1, alpha=99/100)' at radius 35 "
+                          "leaves the float range: ")
     assert err.count("\n") == 1
 
 

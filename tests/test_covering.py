@@ -21,14 +21,7 @@ from decomp_embed.covering import (
     BallSet,
     BoxSet,
     Covering,
-    CoorbitScheme,
-    DiagonalScheme,
-    ExplicitScheme,
-    N0Scheme,
     PolygonSet,
-    ShearletScheme,
-    ZScheme,
-    ZdPuncturedScheme,
     adjacency,
     base_set_from_json,
     certify_constants,
@@ -38,6 +31,7 @@ from decomp_embed.covering import (
     mat_mul,
     neighbors,
     norm_surrogate_check,
+    probe_weight,
     sets_intersect,
     spectral_norm,
     transform_base,
@@ -46,6 +40,7 @@ from decomp_embed.errors import (
     InvalidParams,
     MissingTightnessWitness,
     SchemaError,
+    UnsupportedGeometry,
     WindowCapExceeded,
     window_cap,
 )
@@ -53,6 +48,18 @@ from decomp_embed.families import covering_from_json
 from witnesses import mat_inverse, polygons_intersect
 
 F = Fraction
+HOM_BESOV_WINDOW = covering_from_json({"family": "hom_besov"}).window
+
+
+def fixed_window(*indices):
+    """A custom covering's window: the same index list at every radius."""
+    return lambda radius: list(indices)
+
+
+def placed(cov: Covering, i) -> tuple:
+    """T_i Q'_i + b_i in normal form, with its exactness bit."""
+    t, b = cov.transform(i)
+    return transform_base(cov.base_set(i), t, b)
 
 
 def dyadic_annulus_covering(dim: int = 1) -> Covering:
@@ -67,7 +74,7 @@ def dyadic_annulus_covering(dim: int = 1) -> Covering:
     return Covering(
         label="dyadic_annuli",
         dimension=dim,
-        scheme=ZScheme(),
+        window=HOM_BESOV_WINDOW,
         transform=tr,
         base_set=lambda i: AnnulusSet(dim, F(1, 4), F(4)),
     )
@@ -77,18 +84,20 @@ def dyadic_annulus_covering(dim: int = 1) -> Covering:
 # windows
 # ---------------------------------------------------------------------------
 
+# each family's index scheme, named by a covering document
 @pytest.mark.parametrize("scheme", [
-    ZScheme(),
-    N0Scheme(),
-    ZdPuncturedScheme(2),
-    ShearletScheme(),
-    CoorbitScheme(),
-    DiagonalScheme(2),
+    {"family": "hom_besov"},
+    {"family": "inhom_besov"},
+    {"family": "alpha_modulation", "params": {"d": 2}},
+    {"family": "shearlet_smoothness"},
+    {"family": "shearlet_coorbit"},
+    {"family": "diagonal", "params": {"d": 2}},
 ])
 def test_windows_are_deterministic_nested_and_duplicate_free(scheme):
-    small = scheme.window(3)
-    again = scheme.window(3)
-    big = scheme.window(5)
+    window = covering_from_json(scheme).window
+    small = window(3)
+    again = window(3)
+    big = window(5)
     assert small == again
     assert len(set(small)) == len(small)
     assert set(small) <= set(big)
@@ -98,7 +107,7 @@ def test_window_cap_is_enforced(monkeypatch):
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "100")
     assert window_cap() == 100
     with pytest.raises(WindowCapExceeded):
-        ZScheme().window(1000)
+        HOM_BESOV_WINDOW(1000)
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
     assert window_cap() == 10**6
 
@@ -136,7 +145,7 @@ def test_window_lists_are_pinned(doc, digest):
 
 
 def test_shearlet_window_contents():
-    win = ShearletScheme().window(1)
+    win = covering_from_json({"family": "shearlet_smoothness"}).window(1)
     assert win[0] == (0,)
     assert (0, 0, -1, 0) in win and (1, -2, 1, 1) in win
     assert (2, 0, 1, 0) not in win
@@ -255,7 +264,7 @@ def test_polygon_test_matches_clipping_reference(doc):
     0-2, against the clipped area and the per-pair separating-axis test."""
     cov = covering_from_json(doc)
     indices = cov.window(2)
-    sets = [cov.transformed_set(i)[0] for i in indices]
+    sets = [placed(cov, i)[0] for i in indices]
     boxes = [s.bounding_box() for s in sets]
     exact = all(isinstance(x, (int, F)) for i in indices for row in cov.transform(i)[0] for x in row)
     compared = 0
@@ -278,9 +287,9 @@ def test_polygon_test_matches_clipping_reference(doc):
 
 def test_shearlet_low_pass_set_only_touches_the_scale_two_cones():
     cov = covering_from_json({"family": "shearlet_smoothness", "params": {}})
-    low, _ = cov.transformed_set((0,))
+    low, _ = placed(cov, (0,))
     for eps in (-1, 1):
-        cone, _ = cov.transformed_set((2, 0, eps, 1))
+        cone, _ = placed(cov, (2, 0, eps, 1))
         assert _clip_area2(low.vertices, cone.vertices) == 0
         assert sets_intersect(low, cone) == (False, True)
     assert certify_constants(cov, 2)["N_hat"] == 50
@@ -491,7 +500,7 @@ def _row_covering(base, t, step) -> Covering:
     return Covering(
         label="row",
         dimension=d,
-        scheme=ExplicitScheme(((0,), (1,), (2,))),
+        window=fixed_window((0,), (1,), (2,)),
         transform=lambda i: (t, (step * (i[0] + 1), *[F(0)] * (d - 1))),
         base_set=lambda i: base,
     )
@@ -509,11 +518,11 @@ _CHAIN = {(0,): ((0,), (1,)), (1,): ((0,), (1,), (2,)), (2,): ((1,), (2,))}
 ])
 def test_bounding_ball_images_are_flagged(base, t, step, center, radius):
     cov = _row_covering(base, t, step)
-    img, ok = cov.transformed_set((1,))
+    img, ok = placed(cov, (1,))
     assert not ok and isinstance(img, BallSet)
     assert img.center == center and img.radius == pytest.approx(radius)
     # float balls one step apart meet, two steps apart miss, both for certain
-    first, last = cov.transformed_set((0,))[0], cov.transformed_set((2,))[0]
+    first, last = placed(cov, (0,))[0], placed(cov, (2,))[0]
     assert sets_intersect(first, img) == (True, True)
     assert sets_intersect(first, last) == (False, True)
     assert adjacency(cov, 0) == (_CHAIN, False)
@@ -527,12 +536,12 @@ def test_annuli_under_a_float_scale_meet_by_float_norm_intervals():
     cov = Covering(
         label="float_annuli",
         dimension=2,
-        scheme=ExplicitScheme(((0,), (1,), (2,), (3,))),
+        window=fixed_window((0,), (1,), (2,), (3,)),
         transform=lambda i: (tuple(tuple(x * 2 ** i[0] for x in row) for row in rot),
                              (F(0), F(0))),
         base_set=lambda i: AnnulusSet(2, F(1, 2), F(2)),
     )
-    sets = {i: cov.transformed_set(i) for i in cov.window(0)}
+    sets = {i: placed(cov, i) for i in cov.window(0)}
     assert all(ok and type(s.outer) is float for s, ok in sets.values())
     pair = {(i, j): sets_intersect(sets[(i,)][0], sets[(j,)][0])
             for i in range(4) for j in range(i + 1, 4)}
@@ -735,15 +744,15 @@ COVERING_DOCS = [
 def test_adjacency_matches_all_pairs_reference(doc, radius):
     cov = covering_from_json(doc)
     indices = cov.window(radius)
-    placed = [cov.transformed_set(i) for i in indices]
+    images = [placed(cov, i) for i in indices]
     ref = {i: [] for i in indices}
-    ref_certain = all(ok for _, ok in placed)
+    ref_certain = all(ok for _, ok in images)
     for a, i in enumerate(indices):
         for b, j in enumerate(indices):
             if a == b:
                 ref[i].append(j)
                 continue
-            meet, sure = sets_intersect(placed[a][0], placed[b][0])
+            meet, sure = sets_intersect(images[a][0], images[b][0])
             ref_certain = ref_certain and sure
             if meet:
                 ref[i].append(j)
@@ -787,7 +796,7 @@ def test_float_transforms_never_claim_tightness():
     cov = Covering(
         label="sqrt2",
         dimension=1,
-        scheme=ZScheme(),
+        window=HOM_BESOV_WINDOW,
         transform=lambda i: (((math.sqrt(2),),), (3.0 * i[0],)),
         base_set=lambda i: BallSet((F(0),), F(1)),
     )
@@ -806,6 +815,27 @@ def test_check_moderate_rejects_superexponential_weight():
     cov = dyadic_annulus_covering()
     res = check_moderate(cov, lambda i: 2.0 ** (i[0] ** 2), (5, 6))
     assert not res["ok"]
+
+
+@pytest.mark.parametrize("log2_det", [
+    2100,  # |det T_1|^(1/2) = 2^1050 overflows in math.exp
+    2046,  # 2^1023 is a float, 3 * 2^1023 is not
+])
+def test_moderateness_probe_past_the_float_range_is_unsupported(log2_det):
+    """T_i = 2^(log2_det i) maps Q'_i = (-2^-(log2_det i), 2^-(log2_det i))
+    onto (-1, 1): the geometry stays in range, the probe weight does not."""
+    cov = Covering(
+        label="steep",
+        dimension=1,
+        window=fixed_window((0,), (1,)),
+        transform=lambda i: (((F(2) ** (log2_det * i[0]),),), (F(0),)),
+        base_set=lambda i: BallSet((F(0),), F(1, 2 ** (log2_det * i[0]))),
+    )
+    assert adjacency(cov, 0)[0][(0,)] == ((0,), (1,))
+    with pytest.raises(OverflowError):
+        probe_weight(cov)((1,))
+    with pytest.raises(UnsupportedGeometry, match="'steep' at radius 0 leaves the float range"):
+        check_moderate(cov, probe_weight(cov), (0, 1))
 
 
 def _exact_products(cov: Covering, radius: int) -> dict:
@@ -851,7 +881,7 @@ def _shared_transform_covering(draw):
     return Covering(
         label="pool",
         dimension=d,
-        scheme=ExplicitScheme(tuple((k,) for k in mats)),
+        window=fixed_window(*((k,) for k in mats)),
         transform=lambda i: (mats[i[0]], (0,) * d),
         base_set=lambda i: BallSet((0,) * d, 1),
     )
@@ -880,7 +910,7 @@ def test_float_transform_c_hat_is_exactly_one():
     cov = Covering(
         label="one_float_index",
         dimension=2,
-        scheme=ExplicitScheme(((0,),)),
+        window=fixed_window((0,)),
         transform=lambda i: (t, (0.0, 0.0)),
         base_set=lambda i: BallSet((F(0), F(0)), F(1)),
     )
@@ -933,7 +963,7 @@ def test_norm_surrogate_requires_tightness():
     cov = Covering(
         label="sqrt_scales",
         dimension=1,
-        scheme=ZScheme(),
+        window=HOM_BESOV_WINDOW,
         transform=tr,
         base_set=lambda i: AnnulusSet(1, F(1, 4), F(4)),
     )
@@ -984,5 +1014,11 @@ def test_custom_covering_schema_errors(broken):
 
 
 def test_explicit_scheme_ignores_radius():
-    scheme = ExplicitScheme(((0,), (5,)))
-    assert scheme.window(1) == [(0,), (5,)]
+    cov = custom_covering_from_json({
+        "dimension": 1,
+        "indices": [[0], [5]],
+        "T": [[[1]], [[2]]],
+        "b": [[0], [0]],
+        "base_set": {"ball": {"center": [0], "radius": 1}},
+    })
+    assert cov.window(1) == [(0,), (5,)]
