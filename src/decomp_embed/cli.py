@@ -39,7 +39,7 @@ from .errors import (
 )
 from .exponents import ExtExponent, compound, json_float
 from .families import FAMILY_NAMES, covering_from_json, get_family
-from .seqspace import decide_sequence_embedding, expweight_from_json
+from .seqspace import Membership, decide_lp_membership, expweight_from_json
 
 EX_OK = 0
 EX_ORACLE = 10
@@ -144,13 +144,13 @@ def _cmd_inspect_covering(args: argparse.Namespace) -> int:
 def _cmd_check_sequence(args: argparse.Namespace) -> int:
     u = _weight_arg(args.u, "--u")
     v = _weight_arg(args.v, "--v")
-    embeds = decide_sequence_embedding(u, v, args.r, args.s) == "Embeds"
-    theta = compound(args.s, args.r)
+    theta, quot = compound(args.s, args.r), u.quotient(v)
+    embeds = decide_lp_membership(quot, theta) is Membership.MEMBER
     doc = {"embeds": embeds, "exponent": theta.to_json()}
     if args.oracle:
         from . import oracle
 
-        doc["oracle"] = oracle.truncated_oracle(u.quotient(v), theta).to_json()
+        doc["oracle"] = oracle.truncated_oracle(quot, theta).to_json()
     _emit(doc, args.pretty)
     return EX_OK if embeds else 1
 

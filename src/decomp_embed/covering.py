@@ -77,7 +77,7 @@ def _in_float_range(covering: Covering, radius: int) -> Iterator[None]:
         yield
     except OverflowError as exc:
         raise UnsupportedGeometry(
-            f"covering {covering.label!r} at radius {radius} leaves the float range: {exc}"
+            f"covering {covering.label!r} at radius {radius} leaves the float range: {exc.args[-1]}"
         ) from exc
 
 

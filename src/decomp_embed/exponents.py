@@ -2,8 +2,8 @@
 
 Every decision in this package ultimately reduces to comparisons between
 exponents at exact boundaries (is r <= q, is s strictly above a threshold,
-and so on), so exponents are stored as exact rationals or as the infinity
-marker. Floats never enter a comparison; they are converted once, at the
+and so on), so an exponent is stored as its exact reciprocal, with
+1/inf = 0. Floats never enter a comparison; they are converted once, at the
 boundary of the system, with an explicit denominator cap and a round-trip
 check.
 
@@ -41,7 +41,6 @@ __all__ = [
     "conjugate",
     "lower_conjugate",
     "compound",
-    "reciprocal_gap",
     "DEFAULT_DENOMINATOR_CAP",
     "rational_from_json",
     "rational_to_json",
@@ -50,7 +49,7 @@ __all__ = [
 ]
 
 DEFAULT_DENOMINATOR_CAP = 10**6
-# bound of the memo of exponent literal strings (see ExtExponent._parse)
+# bound of the memo of exponent literal strings (see _parse_literal)
 LITERAL_MEMO_SIZE = 32
 # an exact rational as (numerator, positive denominator); the reciprocals
 # below are reduced, the exponent pairs of a quotient form need not be
@@ -147,80 +146,56 @@ _ExponentLike = Union["ExtExponent", int, Fraction, str]
 
 @total_ordering
 class ExtExponent:
-    """A value in (0, inf], stored as an exact rational or infinity.
+    """A value in (0, inf], stored as its reciprocal 1/p, a reduced pair.
 
     Instances are immutable, hashable and totally ordered (with inf as the
-    largest element), by the reciprocals.  Construct from an int, a Fraction, a string such as
-    "3/2" or "inf", or another ExtExponent.  For floats use
+    largest element), by the reciprocals.  Construct from an int, a Fraction,
+    a string such as "3/2" or "inf", or another ExtExponent.  For floats use
     :meth:`from_json`, which enforces exact representability.
     """
 
-    __slots__ = ("_frac",)
+    __slots__ = ("_x",)
 
-    _frac: Fraction | None  # None encodes +inf
+    _x: Pair  # 1/p, reduced; (0, 1) encodes +inf
 
     def __init__(self, value: _ExponentLike):
         if isinstance(value, ExtExponent):
-            frac = value._frac
+            x = value._x
         elif type(value) is Fraction:
-            frac = _positive(value)
+            x = _reciprocal(value)
         elif isinstance(value, bool):
             raise TypeError("bool is not an exponent")
         elif isinstance(value, (int, Fraction)):
-            frac = _positive(Fraction(value))
+            x = _reciprocal(Fraction(value))
         elif isinstance(value, str):
-            frac = self._parse(value)
+            x = _parse_literal(value)
         elif isinstance(value, float):
-            raise TypeError(
-                "float exponents must go through ExtExponent.from_json"
-            )
+            raise TypeError("float exponents must go through ExtExponent.from_json")
         else:
             raise TypeError(f"cannot build an exponent from {type(value).__name__}")
-        object.__setattr__(self, "_frac", frac)
-
-    @staticmethod
-    def _parse(obj: object) -> Fraction | None:
-        """None for "inf" or +inf (both print as inf), else :func:`rational_from_json`,
-        which must be positive.
-
-        A str is read through a bounded memo of literals, because sweeps
-        spell the same few exponents again and again; a literal that
-        raises is not kept.
-        """
-        if type(obj) is str:
-            return _parse_literal(obj)
-        return _parse_value(obj)
+        object.__setattr__(self, "_x", x)
 
     @classmethod
     def from_json(cls, obj: object) -> "ExtExponent":
         """Parse the JSON form: "inf", +inf or a literal :func:`rational_from_json` accepts."""
-        frac = cls._parse(obj)
-        return INF if frac is None else cls(frac)
+        return from_reciprocal(_parse_literal(obj) if type(obj) is str else _parse_value(obj))
 
     # ------------------------------------------------------------ accessors
 
     @property
     def is_inf(self) -> bool:
-        return self._frac is None
-
-    @property
-    def frac(self) -> Fraction:
-        """The exact rational value; raises on inf."""
-        if self._frac is None:
-            raise ValueError("infinite exponent has no rational value")
-        return self._frac
+        return not self._x[0]
 
     def reciprocal(self) -> Fraction:
         """1/p as an exact Fraction, with 1/inf = 0."""
-        return Fraction(*reciprocal_pair(self))
+        return Fraction(*self._x)
 
     def to_json(self) -> object:
-        if self._frac is None:
-            return "inf"
-        return rational_to_json(self._frac)
+        num, den = self._x
+        return "inf" if not num else den if num == 1 else [den, num]
 
     def __float__(self) -> float:
-        return math.inf if self._frac is None else float(self._frac)
+        return self._x[1] / self._x[0] if self._x[0] else math.inf
 
     # ------------------------------------------------------------ ordering
 
@@ -228,55 +203,58 @@ class ExtExponent:
     def _coerce(other: object) -> "ExtExponent | None":
         if isinstance(other, ExtExponent):
             return other
-        if isinstance(other, bool):
-            return None
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             try:
                 return ExtExponent(other)
             except ValueError:
-                return None
+                pass
         return None
 
     def __eq__(self, other: object) -> bool:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return self._frac == coerced._frac
+        return self._x == coerced._x
 
     def __hash__(self) -> int:
-        return hash(("ExtExponent", self._frac))
+        return hash(("ExtExponent", self._x))
 
     def __lt__(self, other: object) -> bool:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return not pair_le(reciprocal_pair(self), reciprocal_pair(coerced))
+        return not pair_le(self._x, coerced._x)
 
     def __le__(self, other: object) -> bool:
         coerced = self._coerce(other)
         if coerced is None:
             return NotImplemented
-        return pair_le(reciprocal_pair(coerced), reciprocal_pair(self))
+        return pair_le(coerced._x, self._x)
 
     def __repr__(self) -> str:
         return f"ExtExponent('{self}')"
 
     def __str__(self) -> str:
-        return exponent_text(reciprocal_pair(self))
+        return exponent_text(self._x)
 
 
-def _parse_value(obj: object) -> Fraction | None:
+def _parse_value(obj: object) -> Pair:
+    """1/p of "inf" or +inf (both print as inf), else of the positive value
+    :func:`rational_from_json` reads."""
     if str(obj).strip().lower() in ("inf", "infinity", "+inf"):
-        return None
-    return _positive(rational_from_json(obj))
+        return (0, 1)
+    return _reciprocal(rational_from_json(obj))
 
 
-def _positive(frac: Fraction) -> Fraction:
+def _reciprocal(frac: Fraction) -> Pair:
+    """1/frac as a reduced pair; frac must be positive."""
     if frac.numerator <= 0:
         raise ValueError(f"exponent must be positive, got {frac}")
-    return frac
+    return frac.denominator, frac.numerator
 
 
+# sweeps spell the same few exponents again and again, so a literal string
+# is read through a bounded memo; a literal that raises is not kept
 _parse_literal = lru_cache(maxsize=LITERAL_MEMO_SIZE)(_parse_value)
 
 INF = ExtExponent("inf")
@@ -286,10 +264,8 @@ def reciprocal_pair(p) -> Pair:
     """1/p of an exponent, or of what :class:`ExtExponent` accepts, as a
     reduced pair; a literal string is read through the literal memo."""
     if type(p) is str:
-        frac = _parse_literal(p)
-    else:
-        frac = (p if isinstance(p, ExtExponent) else ExtExponent(p))._frac
-    return (0, 1) if frac is None else (frac.denominator, frac.numerator)
+        return _parse_literal(p)
+    return (p if isinstance(p, ExtExponent) else ExtExponent(p))._x
 
 
 def pair_sub(x: Pair, y: Pair) -> Pair:
@@ -325,8 +301,13 @@ def exponent_text(x: Pair) -> str:
 
 
 def from_reciprocal(x: Pair) -> ExtExponent:
-    """The exponent with reciprocal x >= 0, inf at 0."""
-    return INF if not x[0] else ExtExponent(Fraction(x[1], x[0]))
+    """The exponent with reciprocal x >= 0 (positive denominator), inf at 0."""
+    if not x[0]:
+        return INF
+    c = math.gcd(*x)
+    e = object.__new__(ExtExponent)
+    object.__setattr__(e, "_x", (x[0] // c, x[1] // c))
+    return e
 
 
 def conjugate(p: ExtExponent) -> ExtExponent:
@@ -337,11 +318,6 @@ def conjugate(p: ExtExponent) -> ExtExponent:
 def lower_conjugate(p: ExtExponent) -> ExtExponent:
     """min(p, conjugate(p)); always <= 2."""
     return from_reciprocal(lower_conjugate_pair(reciprocal_pair(p)))
-
-
-def reciprocal_gap(s: ExtExponent, r: ExtExponent) -> Fraction:
-    """1/s - 1/r as an exact Fraction, with 1/inf = 0."""
-    return Fraction(*pair_sub(reciprocal_pair(s), reciprocal_pair(r)))
 
 
 def compound(s: ExtExponent, r: ExtExponent) -> ExtExponent:

@@ -390,18 +390,18 @@ def _sum_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
 
     lo >= 1; hi may be inf.  Splitting off half the exponential rate turns
     the summand into a geometric envelope, so the bound is finite exactly
-    when the true series converges.
+    when the true series converges and the envelope's sum is a float.
     """
     if lo > hi:
         return 0.0
-    if a < 0:
-        peak = _sup_exp_poly(a / 2.0, c, lo, hi)
-        return peak * pow2f(a * lo / 2.0) / (1.0 - pow2f(a / 2.0))
-    if a > 0:
-        if math.isinf(hi):
+    if a != 0:
+        if a > 0 and math.isinf(hi):
             return math.inf
-        peak = _sup_exp_poly(a / 2.0, c, lo, hi)
-        return peak * pow2f(a * hi / 2.0) / (1.0 - pow2f(-a / 2.0))
+        peak = _sup_exp_poly(a / 2.0, c, lo, hi) * pow2f(a * (lo if a < 0 else hi) / 2.0)
+        # 1 - 2^(-|a|/2) by expm1 where the subtraction cancels to 0; a gap
+        # still 0 leaves the bound past the float range
+        gap = 1.0 - pow2f(-abs(a) / 2.0) or -math.expm1(-abs(a) * _LN2 / 2.0)
+        return peak / gap if gap else math.inf
     if c >= 0:
         if math.isinf(hi):
             return math.inf

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from decomp_embed.exponents import ExtExponent, reciprocal_gap
+from decomp_embed.exponents import ExtExponent
 from decomp_embed.families import (
     AlphaModParams,
     CoorbitParams,
@@ -29,6 +29,8 @@ from decomp_embed.seqspace import (
     ProductSector,
     RadialSector,
 )
+
+from witnesses import reciprocal_gap
 
 _TWO = ExtExponent(2)
 _SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)

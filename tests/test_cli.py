@@ -196,6 +196,74 @@ def test_error_exit_codes(argv, code):
         assert run_cli(argv[:-1])[0] in (0, 1)
 
 
+def _check_u(u, v='{"lattice":{"kind":"Z"}}'):
+    return ["check-sequence", "--u", u, "--v", v, "-r", "2", "-s", "2"]
+
+
+_BALL_2D = {"ball": {"center": [0, 0], "radius": 1}}
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    # base sets and custom coverings
+    (["inspect-covering", "--covering", custom_covering(base_set="ball")], 65,
+     "not a base-set descriptor"),
+    (["inspect-covering", "--covering", custom_covering(base_set={"ball": 5})], 65,
+     "bad base-set descriptor"),
+    (["inspect-covering", "--covering", custom_covering(base_set={"sphere": {}})], 65,
+     "unknown base-set kind 'sphere'"),
+    (["inspect-covering", "--covering", '{"custom":5}'], 65,
+     "custom covering must be an object"),
+    (["inspect-covering", "--covering", custom_covering(b=[[0], [1]])], 65,
+     "T and b must run parallel to the index list"),
+    (["inspect-covering", "--covering", custom_covering(b=[[0, 0]])], 65,
+     "offsets must have one entry per dimension"),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set=[{"ball": {"center": [0], "radius": 1}}] * 2)], 65,
+     "per-index base sets must run parallel to indices"),
+    (["inspect-covering", "--covering", custom_covering(base_set=[_BALL_2D])], 65,
+     "base-set dimension mismatch"),
+    (["inspect-covering", "--covering", custom_covering(base_set=_BALL_2D)], 65,
+     "base-set dimension mismatch"),
+    # sectors, atoms and weights
+    (_check_u('{"lattice":{"kind":"product","domains":["bogus"]}}'), 65,
+     "unknown line domain 'bogus'"),
+    (_check_u('{"lattice":{"kind":"radial","d":0}}'), 65, "dimension must be >= 1"),
+    (_check_u('{"lattice":{"kind":"pairs","n_domain":"Z"}}'), 65,
+     "pair sector n-domain must be N0 or Nneg"),
+    (_check_u('{"lattice":{"kind":"pairs","side":"middle"}}'), 65,
+     "pair sector side must be inside or outside"),
+    (_check_u('{"lattice":{"kind":"pairs","shift":2}}'), 65,
+     "pair sector shift must be in {-1, 0, 1}"),
+    (_check_u('{"lattice":"Z"}'), 65, "not a sector descriptor"),
+    (_check_u('{"lattice":{"kind":"Z"},"atoms":[{"coeff":0}]}'), 65,
+     "atom coefficient must be positive"),
+    (_check_u('{"lattice":{"kind":"Z"},"atoms":[5]}'), 65, "not an atom descriptor"),
+    (_check_u('{"lattice":{"kind":"Z"},"atoms":[{"exp2":[0,0]}]}'), 65,
+     "atom exponent lists must match the sector dimension"),
+    (_check_u('{"pieces":5}'), 65, "pieces must be a list"),
+    # a u/v pair on different lattices has no quotient
+    (_check_u('{"lattice":{"kind":"Z"}}', '{"lattice":{"kind":"N0"}}'), 70,
+     "quotient across different sectors"),
+])
+def test_schema_refusals_print_one_error_line(argv, code, message):
+    got, out, err = run_cli(argv)
+    assert (got, out) == (code, b"")
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    assert message in err
+
+
+@pytest.mark.parametrize("side", ["inside", "outside"])
+def test_oracle_bounds_a_row_rate_whose_float_gap_cancels(side):
+    # at a = -10^-20, 1 - 2^(a/2) rounds to 0, which the tail bound divided by
+    lattice = {"kind": "pairs", "side": side}
+    u = json.dumps({"lattice": lattice, "atoms": [{"exp2": [f"-1/{10**20}", 0], "pow": [0, -3]}]})
+    code, out, err = run_cli(["check-sequence", "--u", u, "--v", json.dumps({"lattice": lattice}),
+                              "-r", "2", "-s", "1", "--oracle"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["embeds"] is True and doc["oracle"]["verdict"] in ("Convergent", "Inconclusive")
+
+
 @pytest.mark.parametrize("r, s, exponent", [("2", "1", 2), ("1", "1", "inf")])
 def test_oracle_sums_a_weight_without_pieces_to_zero(r, s, exponent):
     # an empty quotient is the zero sequence: it embeds, and the oracle agrees
@@ -387,6 +455,17 @@ def test_verify_family_surrogate_past_the_float_range_is_unsupported():
     assert err.startswith("error: covering 'alpha_modulation(d=1, alpha=99/100)' at radius 35 "
                           "leaves the float range: ")
     assert err.count("\n") == 1
+
+
+def test_float_power_overflow_in_a_transform_prints_its_message():
+    # float ** float in the transform overflows; its OverflowError carries
+    # the (errno, message) tuple as args, and only the message is printed
+    code, out, err = run_cli(["verify-family", "--family", "alpha_modulation",
+                              "--params", '{"d":2,"alpha":"999/1000"}', "--radius", "1"])
+    assert (code, out) == (70, b"")
+    assert err == ("error: covering 'alpha_modulation(d=2, alpha=999/1000)' at radius 3 "
+                   "leaves the float range: Numerical result out of range\n")
+    assert "(34," not in err
 
 
 def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):

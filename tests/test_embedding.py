@@ -25,13 +25,13 @@ from decomp_embed.exponents import (
     conjugate,
     exponent_text,
     lower_conjugate,
-    reciprocal_gap,
 )
 from decomp_embed.families import FAMILY_NAMES, ShearletSmoothnessParams, get_family
 from decomp_embed.oracle import TailClassification, truncated_oracle
 from decomp_embed.seqspace import RadialSector, decide_lp_membership, expweight_from_json
 
 from test_families import BATCH_P, BATCH_Q, BATCH_R
+from witnesses import reciprocal_gap
 
 
 def outcome(family, params, **kw):
@@ -443,9 +443,10 @@ def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
         assert memo.cache_info().hits > 0, name
 
 
-def _inverse(e: ExtExponent) -> Fraction:
-    """1/e by Fraction arithmetic, 0 at inf."""
-    return Fraction(0) if e.is_inf else 1 / e.frac
+def _inverse(arg) -> Fraction:
+    """1/arg by Fraction arithmetic on its literal, 0 at inf."""
+    text = str(arg)
+    return Fraction(0) if text.lower() in ("inf", "infinity") else 1 / Fraction(text)
 
 
 def _as_pair(value: Fraction) -> tuple[int, int]:
@@ -475,7 +476,8 @@ def test_engine_reciprocals_match_the_exponent_helpers(p, q, r):
     x = embedding._reciprocals(p, q, r)
     P, Q, R = ExtExponent(p), ExtExponent(q), ExtExponent(r)
     two = ExtExponent(2)
-    xp, xq, xr = _inverse(P), _inverse(Q), _inverse(R)
+    xp, xq, xr = _inverse(p), _inverse(q), _inverse(r)
+    assert (xp, xq, xr) == (P.reciprocal(), Q.reciprocal(), R.reciprocal())
     assert (x.p, x.q, x.r) == (_as_pair(xp), _as_pair(xq), _as_pair(xr))
     assert x.dp == _as_pair(reciprocal_gap(P, Q)) == _as_pair(xp - xq)
     assert x.g == _as_pair(reciprocal_gap(two, R)) == _as_pair(Fraction(1, 2) - xr)
@@ -487,10 +489,10 @@ def test_engine_reciprocals_match_the_exponent_helpers(p, q, r):
     }
     for name, (theta, gap) in thetas.items():
         got = getattr(x, name)
-        assert got == _as_pair(_inverse(theta)) == _as_pair(max(gap, Fraction(0))), name
-        assert exponent_text(got) == str(theta) == ("inf" if theta.is_inf else str(theta.frac))
+        assert got == _as_pair(theta.reciprocal()) == _as_pair(max(gap, Fraction(0))), name
+        assert exponent_text(got) == str(theta) == ("inf" if theta.is_inf else str(1 / gap))
     for e, text in ((P, x.p), (Q, x.q), (R, x.r)):
-        assert exponent_text(text) == str(e) == ("inf" if e.is_inf else str(e.frac))
+        assert exponent_text(text) == str(e) == ("inf" if e.is_inf else str(1 / e.reciprocal()))
     assert (x.p_le_q, x.r_le_q, x.two_le_q) == (P <= Q, R <= Q, two <= Q)
     assert (x.p_le_q, x.r_le_q, x.two_le_q) == (xq <= xp, xq <= xr, xq <= Fraction(1, 2))
 

@@ -20,7 +20,6 @@ from decomp_embed.exponents import (
     lower_conjugate,
     rational_from_json,
     rational_to_json,
-    reciprocal_gap,
 )
 
 E = ExtExponent
@@ -285,11 +284,6 @@ def test_compound_reciprocal_identity(s, r):
     gap = s.reciprocal() - r.reciprocal()
     expected = max(gap, Fraction(0))
     assert compound(s, r).reciprocal() == expected
-
-
-@given(exponents(), exponents())
-def test_reciprocal_gap_is_the_difference_of_reciprocals(s, r):
-    assert reciprocal_gap(s, r) == s.reciprocal() - r.reciprocal()
 
 
 @given(exponents(), exponents())

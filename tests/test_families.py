@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from decomp_embed.covering import Covering
 from decomp_embed.embedding import decide_sobolev
 from decomp_embed.errors import InvalidParams, SchemaError
-from decomp_embed.exponents import INF, ExtExponent, lower_conjugate, reciprocal_gap
+from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
 from decomp_embed.families import FAMILY_NAMES, covering_from_json, get_family
 from decomp_embed.seqspace import LineSector
 
 from golden_refs import golden_verdict
 from reference_weights import REFERENCE
-from witnesses import contains, to_point
+from witnesses import contains, reciprocal_gap, to_point
 
 EXPS = [ExtExponent(Fraction(1, 2)), ExtExponent(1), ExtExponent(2),
         ExtExponent(3), INF]

@@ -281,9 +281,8 @@ def _outcome(rule, *args):
 @given(data=st.data(), theta=ref_thetas)
 def test_membership_equals_the_reference_rules(kind, data, theta):
     sector, atom = data.draw(ref_atoms(kind, theta.reciprocal()))
-    want = _outcome(
-        reference_membership._atom_member, sector, atom, None if theta.is_inf else theta.frac
-    )
+    frac = None if theta.is_inf else 1 / theta.reciprocal()
+    want = _outcome(reference_membership._atom_member, sector, atom, frac)
     got = _outcome(decide_lp_membership, ExpPolyWeight.single(sector, atom), theta)
     if isinstance(got, Membership):
         got = got is MEMBER
@@ -297,7 +296,7 @@ def test_pair_rules_equal_the_reference_rules_on_a_boundary_grid(theta):
     x = theta.reciprocal()
     vals = sorted({F(0), x / 2, -x / 2, x, -x, 2 * x, -2 * x, -3 * x / 2, -3 * x,
                    F(1, 2), F(-1, 2)})
-    frac = None if theta.is_inf else theta.frac
+    frac = None if theta.is_inf else 1 / x
     for domain, side, lam, a, c, rho in itertools.product(
         ["N0", "Nneg"], ["inside", "outside"], [F(0), F(1), F(2)], vals, vals, vals
     ):
@@ -638,6 +637,36 @@ def _reference_powered(vals, theta_f):
         return vals
     with np.errstate(over="ignore", under="ignore"):
         return np.where(vals > 0, vals**theta_f, 0.0)
+
+
+_RATES = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -2.0]),
+                   st.floats(-4.0, 4.0, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_RATES, c=_RATES, lo=st.integers(1, 50), span=st.integers(-3, 60))
+# rates so small that 1 - 2^(-|a|/2) cancels to 0 in floats
+@example(a=-1e-20, c=-3.0, lo=1, span=0)
+@example(a=1.7048041364312603e-57, c=0.0, lo=1, span=0)
+@example(a=-5e-324, c=0.0, lo=1, span=0)
+def test_exp_poly_bounds_dominate_the_brute_force_sum_and_max(a, c, lo, span):
+    """Over [lo, hi] the sum bound is at least the fsum of 2^(a*j) * j^c and
+    the sup bound at least its largest term, to a relative 1e-12, and both
+    are 0 on an empty range; up to inf the sum bound is infinite exactly
+    when the series diverges (a > 0, or a = 0 and c >= -1), as long as the
+    bound, about |a|^-(c+1) for a < 0, is in the float range."""
+    hi = lo + span
+    terms = [2.0 ** (a * j) * float(j) ** c for j in range(lo, hi + 1)]
+    total = oracle._sum_exp_poly(a, c, float(lo), float(hi))
+    peak = oracle._sup_exp_poly(a, c, float(lo), float(hi))
+    assert total >= math.fsum(terms) * (1 - 1e-12)
+    assert peak >= max(terms, default=0.0) * (1 - 1e-12)
+    if not terms:
+        assert total == peak == 0.0
+    diverges = a > 0 or (a == 0 and c >= -1)
+    tail = oracle._sum_exp_poly(a, c, float(lo), math.inf)
+    if diverges or a == 0 or abs(a) >= 1e-50:
+        assert math.isinf(tail) == diverges
 
 
 def _reference_rest(piece, n, lo, theta_f):

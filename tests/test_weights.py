@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from decomp_embed.exponents import INF, ExtExponent, reciprocal_gap
+from decomp_embed.exponents import INF, ExtExponent
 from decomp_embed.families import CoorbitParams, DiagonalParams, get_family
 from decomp_embed.covering import probe_weight
 
 import witnesses
-from witnesses import agreement_report, build_weight
+from witnesses import agreement_report, build_weight, reciprocal_gap
 
 
 def _family_setup(name, pdoc):

@@ -34,7 +34,7 @@ from decomp_embed.covering import (
     spectral_norm,
 )
 from decomp_embed.errors import UnsupportedWeight
-from decomp_embed.exponents import ExtExponent, compound, reciprocal_gap
+from decomp_embed.exponents import ExtExponent, compound
 from decomp_embed.seqspace import (
     Atom,
     CoordFactor,
@@ -253,6 +253,11 @@ def witness_norm_ratios(
 # ---------------------------------------------------------------------------
 # the numeric covering weight against a closed form
 # ---------------------------------------------------------------------------
+
+def reciprocal_gap(s: ExtExponent, r: ExtExponent) -> Fraction:
+    """1/s - 1/r as an exact Fraction, with 1/inf = 0."""
+    return s.reciprocal() - r.reciprocal()
+
 
 @dataclass(frozen=True)
 class CoveringWeight:
