@@ -242,8 +242,10 @@ def constants_line(doc: dict, radius: int) -> str:
 
 
 # Every family and target under decide --oracle-check, the coorbit shapes on
-# both integer routes (c = 2 and c = -1), then the oracle half of
-# check-sequence --oracle, truncated_oracle(u.quotient(v), compound(s, r)),
+# both integer routes (c = 2 and c = -1), a second c = -1 C_b query at
+# beta = 17/16 whose outside rows have a finite closed-form rest, then the
+# oracle half of check-sequence --oracle,
+# truncated_oracle(u.quotient(v), compound(s, r)),
 # on a line, a plane, a Z_nonzero power and an outside pair sector whose
 # m-factor has different exponents on +m and -m (theta = 2 and theta = inf).
 # The exact decider rejects that last weight (it needs a symmetric m power),
@@ -257,6 +259,7 @@ ORACLE_DECIDE = [
     ("shearlet_smoothness", {"s": "7/6"}, "sobolev", "1", "3", "3", 0),
     ("shearlet_coorbit", {"c": "2", "alpha": "-3", "beta": "1"}, "sobolev", "1", "2", "2", 0),
     ("shearlet_coorbit", {"c": "-1", "alpha": "0", "beta": "1"}, "cb", "1", None, "2", 0),
+    ("shearlet_coorbit", {"c": "-1", "alpha": "0", "beta": "17/16"}, "cb", "1", None, "2", 0),
     ("shearlet_coorbit", {"c": "-1", "alpha": "1", "beta": "2"}, "bv", "1", None, "2", 1),
     ("diagonal", {"d": 1, "alpha": -2, "beta": -3}, "cb", "1", None, "2", 1),
     ("diagonal", {"d": 2, "alpha": ["-1/2", "0"], "beta": ["-3/2", "-2"]},
