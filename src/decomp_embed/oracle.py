@@ -51,6 +51,8 @@ _ROW_LOG2_CAP = 1024
 # both thresholds are read relative to the global partial sum, so tiny
 # rows with fat relative tails do not block certification
 _ROW_SIGNIFICANT = 1e-6
+# an outside sum row ends once its closed-form rest is at most this share
+_ROW_REST_SHARE = 1e-3
 
 
 @dataclass
@@ -284,13 +286,16 @@ def _pair_row(
 
     Outside rows are summed in chunks of 4096 values of |m|, each with one
     log2|m| for every atom and both signs of m.  After each chunk,
-    :func:`_row_remainder_bound` bounds the rest of the row in closed form;
-    the row stops unflagged once that bound is negligible relative to the
-    running row and global sums (``scale``), or, for the sup, once it does
-    not exceed the sup so far.  Otherwise the row stops at the first chunk
-    that is itself negligible, or at the step cap; a row capped while its
-    last chunk still matters is flagged so that the caller can refuse to
-    certify convergence.  A row whose bound is past the float range
+    :func:`_row_remainder_bound` bounds the rest of the row in closed form.
+    The row reports its partial sum, unflagged, at the first negligible
+    chunk, once the rest is negligible against the row and global sums
+    (``scale``), or, for the sup, once the rest cannot raise it.  It
+    reports the sum plus the rest (the sup: the larger of the two), an
+    upper bound on the row, unflagged, once a finite rest is at most
+    ``_ROW_REST_SHARE`` of the sum, or at the step cap if the rest is
+    finite.  A row capped with an inf or nan rest while its last chunk
+    still matters is flagged, so that the caller can refuse to certify
+    convergence.  A row whose bound is past the float range
     (lam*n >= 1024) is not evaluated: it adds nothing and is flagged.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
@@ -364,6 +369,10 @@ def _pair_row(
         rest = _row_remainder_bound(row, float(start + steps), theta_f)
         if math.isfinite(rest) and rest <= (value if theta_f is None else negligible):
             return _RowSum(value, False)
+        if theta_f is not None and rest <= _ROW_REST_SHARE * total:
+            return _RowSum(total + rest, False)
+    if math.isfinite(rest):
+        return _RowSum(max(sup, rest) if theta_f is None else total + rest, False)
     significant = last_chunk >= _ROW_SIGNIFICANT * max(total, scale, 1e-300)
     return _RowSum(value, significant)
 
@@ -378,11 +387,11 @@ def _sup_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
     if math.isinf(hi) and (a > 0 or (a == 0 and c > 0)):
         return math.inf
     cands = [lo] if math.isinf(hi) else [lo, hi]
-    if a != 0.0:
-        jstar = -c / (a * _LN2)
-        if lo <= jstar <= hi:
-            cands.append(jstar)
-    return max(pow2f(a * j + c * math.log2(j)) for j in cands)
+    logs = [a * j + c * math.log2(j) for j in cands]
+    if a != 0.0 and lo <= -c / (a * _LN2) <= hi:
+        # j* in log space, as it may overflow: log2 j* = log2|c| - log2(|a| ln 2)
+        logs.append(-c / _LN2 + c * (math.log2(abs(c)) - math.log2(abs(a)) - math.log2(_LN2)))
+    return pow2f(max(logs))
 
 
 def _sum_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
@@ -597,7 +606,8 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     with one log2|m| shared by every atom and both signs of m, and the -m
     half is taken from the +m half when every m-factor is even in m.  After
     each chunk a closed-form bound on the rest of the row stops it once
-    the rest cannot move the sum or raise the sup (:func:`_pair_row`).
+    the rest cannot move the sum or raise the sup; a row that ends on a
+    larger finite rest reports an upper bound on itself (:func:`_pair_row`).
     At theta = inf every shell, every row and the running partial "sum"
     are maxima: a row reports its sup and a shell the largest of its rows.
 
@@ -606,9 +616,9 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     a pair sector's structural bound on the rows past the window is
     finite.  Declares Convergent, with a tail bound, when the per-shell
     contributions over the last three radii decay with ratio at most
-    ``SHELL_RATIO`` (theta = inf: stop raising the running max), no
-    truncated row still carries significant mass, the structural
-    bound is finite and no grid piece grows exponentially along an
+    ``SHELL_RATIO`` (theta = inf: stop raising the running max), no row
+    capped with an inf or nan rest carries significant mass, the
+    structural bound is finite and no grid piece grows exponentially along an
     unbounded axis (:func:`_grows_exponentially`; such a term can fall
     across the whole window and still blow up past it).  Everything else
     is Inconclusive.  The radii are :func:`default_radii` of the weight's

@@ -444,15 +444,16 @@ class TestTruncatedOracle:
         res = truncated_oracle(w, E(1))
         assert res.verdict == "Convergent"
 
-    def test_truncated_divergence_stays_unclassified(self):
-        # rows diverge in m beyond any feasible window; the oracle must
-        # refuse to certify convergence rather than guess
+    def test_growing_outside_rows_end_divergent(self):
+        # each row's m^-2 tail is summable, but the row masses grow like
+        # 2^n: a row ends on its closed-form rest, an upper bound on its
+        # mass, so the shells grow past the gate as the exact decider says
         w = ExpPolyWeight.single(
             PairSector("N0", F(2), "outside", 1),
             Atom.pair(n_exp2=3, m_power=-2),
         )
         res = truncated_oracle(w, E(1))
-        assert res.verdict == "Inconclusive"
+        assert res.verdict == "Divergent"
         assert decide_lp_membership(w, E(1)) is NOT_MEMBER
 
 
@@ -669,6 +670,24 @@ def test_exp_poly_bounds_dominate_the_brute_force_sum_and_max(a, c, lo, span):
         assert math.isinf(tail) == diverges
 
 
+def test_sup_whose_stationary_point_overflows_is_inf():
+    # 2^(a*j) * j peaks at j* = 1/(|a| ln 2) with value 1/(e |a| ln 2),
+    # about 5e309 for a = -1e-310: past the float range, so inf is the
+    # sound sup, although j* itself overflows to inf
+    assert oracle._sup_exp_poly(-1e-310, 1.0, 1.0, math.inf) == math.inf
+    assert oracle._sup_exp_poly(-1e-310, 1.0, 21.0, math.inf) == math.inf
+    # the sup of 2^(-j) * j over j >= 1 is that same 1/(e ln 2) at j* = 1/ln 2
+    assert oracle._sup_exp_poly(-1.0, 1.0, 1.0, math.inf) == pytest.approx(
+        1.0 / (math.e * math.log(2.0)), rel=1e-15)
+    # a pair weight with that rate on n: the bound on the rows past radius
+    # 20 reads the same sup, so it is inf rather than 21
+    w = expweight_from_json({"lattice": {"kind": "pairs"},
+                             "atoms": [{"exp2": [f"-1/{10**310}", "0"], "pow": ["1", "0"]}]})
+    assert oracle._pair_tail_bound(oracle._float_pieces(w)[0], 20, None) == math.inf
+    assert truncated_oracle(w, INF).verdict == "Inconclusive"
+    assert decide_lp_membership(w, INF) is MEMBER
+
+
 def _reference_rest(piece, n, lo, theta_f):
     """The closed-form bound on the terms |m| >= lo of row n, atom by atom
     and side by side: base^theta times the powered m-factor's sum, times
@@ -688,15 +707,16 @@ def _reference_rest(piece, n, lo, theta_f):
     k = len(piece.atoms)
     if theta_f is None:
         return k * max(terms)
-    total = 0.0
-    for term in terms:
-        total += term
+    total = sum(terms)
     return total * float(k) ** theta_f if theta_f > 1.0 and k > 1 else total
 
 
 def _reference_pair_row(piece, n, theta_f, scale):
     """The row sum (the sup for theta = inf) with every atom evaluated on its
-    own, on both halves of every chunk: (value, truncated_significant)."""
+    own, on both halves of every chunk: (value, truncated_significant).  An
+    outside row that ends on its rest (a share of at most _ROW_REST_SHARE of
+    the sum, or any finite rest at the cap) reports the sum plus the rest,
+    or the larger of the sup and the rest."""
     sector = piece.sector
     bound = sector.m_bound(n)
     if sector.side == "inside":
@@ -739,6 +759,10 @@ def _reference_pair_row(piece, n, theta_f, scale):
             math.isfinite(rest) and rest <= (sup if theta_f is None else negligible)
         ):
             return value, False
+        if theta_f is not None and math.isfinite(rest) and rest <= oracle._ROW_REST_SHARE * total:
+            return total + rest, False
+    if math.isfinite(rest):
+        return (max(sup, rest) if theta_f is None else total + rest), False
     significant = last_chunk >= oracle._ROW_SIGNIFICANT * max(total, scale, 1e-300)
     return sup if theta_f is None else total, significant
 
@@ -781,6 +805,8 @@ def pair_rows(draw):
 # a sup row of terms 1e305, whose chunk sums are past the float range
 @example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(coeff=F(10**305)),)), 0),
          None, 0.0)
+# |m|^-1 at theta = 2: the row ends on its rest after two chunks
+@example((Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),)), 3), 2.0, 0.0)
 @pytest.mark.filterwarnings("error")
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
@@ -832,6 +858,28 @@ def test_row_remainder_bound_covers_the_rest_of_the_row(row, theta_f):
     # the closed form and numpy may round one power apart in its last bits;
     # with a single decreasing atom the sup bound is the first term itself
     assert brute <= rest * (1.0 + 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_rows().filter(lambda row: row[0].sector.side == "outside"),
+       st.sampled_from([0.5, 1.0, 2.0, 3.0, None]))
+@example(_outside_row(Atom.pair(m_power=-1))[:2], 2.0)
+@example(_outside_row(*[Atom.pair()] * 2)[:2], None)
+def test_outside_row_value_dominates_its_first_terms(row, theta_f):
+    """An outside row's value, read on its own (scale 0), is at least the
+    brute-force sum (the sup, for theta = inf) of its first 50 000 |m| on
+    both sides, and of m = 0 when the row holds it, to a relative 1e-12."""
+    piece, n = row
+    bound = piece.sector.m_bound(n)
+    ms = np.arange(max(bound, 1), max(bound, 1) + 50_000, dtype=np.float64)
+    if bound <= 0:
+        ms = np.concatenate([[0.0], ms])
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
+        neg = _reference_powered(_reference_row_values(piece, n, -ms[ms > 0]), theta_f)
+        brute = float(max(pos.max(), neg.max()) if theta_f is None else pos.sum() + neg.sum())
+    value = oracle._pair_row(piece, n, theta_f).value
+    assert value >= brute * (1.0 - 1e-12)
 
 
 def _count_row_values(monkeypatch):
@@ -890,12 +938,18 @@ def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
     # 2 * sum_{m > 4103} m^-6 < 1e-18 is past 1e-12 of the row's mass
     assert (len(calls), row.truncated_significant) == (1, False)
     assert row.value == pytest.approx(2.0 * sum(m**-6.0 for m in range(8, 4104)), rel=1e-14)
-    # |m|^-1 at theta = 2 leaves about 2/|m| behind, which no chunk before
-    # the cap makes negligible: the row runs on as before
+    # |m|^-1 at theta = 2 leaves 2/|m| + 2/|m|^2 behind, which no chunk
+    # before the cap makes negligible; after two chunks that rest is below
+    # 1e-3 of the row's sum, and the row reports the sum plus the rest
     slow = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),))
     calls.clear()
-    oracle._pair_row(slow, 3, 2.0)
-    assert len(calls) == -(-oracle._ROW_STEP_CAP // 4096)
+    row = oracle._pair_row(slow, 3, 2.0)
+    lo = 8 + 2 * 4096
+    assert (len(calls), row.truncated_significant) == (2, False)
+    summed = 2.0 * math.fsum(m**-2.0 for m in range(8, lo))
+    assert row.value == pytest.approx(summed + 2.0 * (1.0 / lo + lo**-2.0), rel=1e-14)
+    # an upper bound on the whole row, 2 * (pi^2/6 - sum_{m < 8} m^-2)
+    assert row.value >= 2.0 * (math.pi**2 / 6 - math.fsum(m**-2.0 for m in range(1, 8)))
 
 
 def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
