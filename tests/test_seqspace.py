@@ -807,6 +807,13 @@ def pair_rows(draw):
          None, 0.0)
 # |m|^-1 at theta = 2: the row ends on its rest after two chunks
 @example((Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),)), 3), 2.0, 0.0)
+# rows that reach the cap with a finite rest: |m|^-3/2 leaves about
+# 4/sqrt(|m|), above 1e-3 of the sum up to 200 000; a flat atom's rest 2
+# stays above the sup 1 + 1/2 of a flat and a falling atom
+@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(m_power=F(-1, 2)),)), 0),
+         3.0, 0.0)
+@example((Piece(PairSector("N0", F(0), "outside", 0),
+                (Atom.pair(), Atom.pair(m_power=-3, coeff=F(1, 2)))), 0), None, 0.0)
 @pytest.mark.filterwarnings("error")
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
