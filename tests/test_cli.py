@@ -16,6 +16,7 @@ from decomp_embed import cli
 from decomp_embed.cli import main
 from decomp_embed.families import FAMILY_NAMES
 from decomp_embed.oracle import TailClassification
+from witnesses import WARNINGS_AS_ERRORS
 
 GOLDEN = Path(__file__).parent / "golden"
 MANIFEST = json.loads((GOLDEN / "manifest.json").read_text())
@@ -292,7 +293,7 @@ def test_oracle_skips_inside_rows_too_wide_to_count():
 # T_0 has no closed-form image of the ball, so it takes a bounding ball whose
 # radius ||T_0|| squares past the float range; both sets hold the origin
 @pytest.mark.parametrize("t0", [[["1e160", 1], [0, 1]], [["1e160", 0], [0, 1]]])
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_norms_past_the_squared_float_range_keep_the_neighbours(t0):
     doc = custom_covering(dimension=2, indices=[[0], [1]], T=[t0, [[1, 0], [0, 1]]],
                           b=[[0, 0], [0, 0]], base_set={"ball": {"center": [0, 0], "radius": 1}})
@@ -628,7 +629,7 @@ def test_oracle_overflow_leaves_stderr_empty():
     )
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_oracle_sup_row_of_large_terms_is_their_sup():
     # every term of the row is 1e305: the sup is finite although the sum of
     # one chunk's maxima is past the float range
@@ -658,7 +659,7 @@ def test_oracle_check_passes_over_row_bounds_past_the_float_range(c):
     assert run_cli([*argv, "--oracle-check"]) == plain
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_oracle_row_with_a_saturated_base_makes_no_nan():
     # 2^(80 n) |m|^-60 on |m| >= 4^n: from row 13 on the n-factor is past the
     # float range while the m-terms underflow, and their product must not

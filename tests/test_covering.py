@@ -45,7 +45,7 @@ from decomp_embed.errors import (
     window_cap,
 )
 from decomp_embed.families import covering_from_json
-from witnesses import mat_inverse, polygons_intersect
+from witnesses import WARNINGS_AS_ERRORS, mat_inverse, polygons_intersect
 
 F = Fraction
 HOM_BESOV_WINDOW = covering_from_json({"family": "hom_besov"}).window
@@ -628,7 +628,7 @@ def test_spectral_norm_matches_reference(mat):
     (((1e-200, 0.0, 0.0), (0.0, 2e-200, 0.0), (0.0, 0.0, 0.0)), 2e-200),
     (((F(10**160), F(1)), (F(0), F(1))), 1e160),
 ])
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_spectral_norm_keeps_relative_accuracy_far_from_one(mat, norm):
     # the absolute tolerance above cannot see an underflow to 0.0
     assert spectral_norm(mat) == pytest.approx(norm, rel=1e-12, abs=0.0)

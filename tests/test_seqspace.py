@@ -37,6 +37,7 @@ from decomp_embed.oracle import truncated_oracle
 import reference_membership
 import witnesses
 from witnesses import (
+    WARNINGS_AS_ERRORS,
     coord_values,
     evaluate,
     holder_constant,
@@ -364,7 +365,7 @@ def test_pow2f_saturates_instead_of_raising(x, expect):
     assert oracle.pow2f(x) == expect
 
 
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_oracle_survives_a_row_factor_past_the_float_range():
     # 2^(80 n) |m|^-60 on |m| >= 4^n: row 13's n-factor is 2^1040, which
     # 2.0 ** x refuses; every term is at most 2^(-40 n), so the sup is 1.
@@ -814,7 +815,7 @@ def pair_rows(draw):
          3.0, 0.0)
 @example((Piece(PairSector("N0", F(0), "outside", 0),
                 (Atom.pair(), Atom.pair(m_power=-3, coeff=F(1, 2)))), 0), None, 0.0)
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
     piece, n = row
     got = oracle._pair_row(piece, n, theta_f, scale=scale)
@@ -1040,7 +1041,7 @@ def grid_pieces(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(grid_pieces())
-@pytest.mark.filterwarnings("error")
+@WARNINGS_AS_ERRORS
 def test_grid_values_match_per_factor_formula_bit_for_bit(piece_radius):
     piece, radius = piece_radius
     got = oracle._grid_values(piece, radius)

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
+import pytest
+
 from decomp_embed.covering import (
     _FLOAT_GAP_TOL,
     Covering,
@@ -47,6 +49,13 @@ from decomp_embed.seqspace import (
 )
 
 EXACT_TOLERANCE = 1e-9
+
+# Every warning fails a test with this mark, except the DeprecationWarning
+# that hypothesis's failure report raises through mypy_extensions: under a
+# bare "error" filter it turns one failing example into a pytest
+# INTERNALERROR that ends the whole run.
+WARNINGS_AS_ERRORS = pytest.mark.filterwarnings(
+    "error", "ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 
 
 # ---------------------------------------------------------------------------
