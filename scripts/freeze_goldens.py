@@ -246,10 +246,11 @@ def constants_line(doc: dict, radius: int) -> str:
 # beta = 17/16 whose outside rows have a finite closed-form rest, then the
 # oracle half of check-sequence --oracle,
 # truncated_oracle(u.quotient(v), compound(s, r)),
-# on a line, a plane, a Z_nonzero power and an outside pair sector whose
-# m-factor has different exponents on +m and -m (theta = 2 and theta = inf).
-# The exact decider rejects that last weight (it needs a symmetric m power),
-# so only the library reaches its oracle rows.  The replay takes about 1.5 s.
+# on a line, a plane, a Z_nonzero power and a two-atom weight on an outside
+# pair sector (theta = 2 and theta = inf).  That last weight has an exp2
+# rate on n and one power |m|^c per atom, so it also goes through
+# check-sequence --oracle, exact decider and oracle alike.  The replay takes
+# about 1.5 s.
 ORACLE_DECIDE = [
     ("hom_besov", {"d": 1, "s": "1/2"}, "sobolev", "1", "2", "2", 0),
     ("inhom_besov", {"d": 2, "s": "5/3"}, "bv", "1", None, "2", 1),
@@ -266,9 +267,9 @@ ORACLE_DECIDE = [
      "sobolev", "1", "2", "2", 1),
 ]
 _OUTSIDE = {"kind": "pairs", "lam": "1/2", "side": "outside", "shift": -1}
-_ASYMMETRIC_ATOMS = [
-    {"exp2": ["-1", {"pos": "0", "neg": "1/2"}], "pow": ["0", {"pos": "-2", "neg": "1"}]},
-    {"coeff": "1/3", "exp2": ["-1/2", {"pos": "-1", "neg": "1/8"}]},
+_OUTSIDE_ATOMS = [
+    {"exp2": ["-1", "0"], "pow": ["0", "-2"]},
+    {"coeff": "1/3", "exp2": ["-1/2", "0"], "pow": ["0", "-3/2"]},
 ]
 ORACLE_SEQUENCE = [
     ({"lattice": {"kind": "Z"}, "atoms": [{"exp2": ["-3/2"]}]},
@@ -278,8 +279,8 @@ ORACLE_SEQUENCE = [
      {"lattice": {"kind": "product", "domains": ["N0", "Nneg"]}}, "3", "3/2"),
     ({"lattice": {"kind": "Z_nonzero"}, "atoms": [{"exp2": ["0"], "pow": ["-3/2"]}]},
      {"lattice": {"kind": "Z_nonzero"}}, "2", "1"),
-    ({"lattice": _OUTSIDE, "atoms": _ASYMMETRIC_ATOMS}, {"lattice": _OUTSIDE}, "2", "1"),
-    ({"lattice": _OUTSIDE, "atoms": _ASYMMETRIC_ATOMS}, {"lattice": _OUTSIDE}, "1", "2"),
+    ({"lattice": _OUTSIDE, "atoms": _OUTSIDE_ATOMS}, {"lattice": _OUTSIDE}, "2", "1"),
+    ({"lattice": _OUTSIDE, "atoms": _OUTSIDE_ATOMS}, {"lattice": _OUTSIDE}, "1", "2"),
 ]
 
 
