@@ -8,7 +8,9 @@ coefficient and exponent as a float once, evaluates the weight numerically
 with its own helpers (:func:`pow2f` and a coordinate factor's log2), and
 reads exponents only for structural facts about what lies past its window
 (the pair-sector tail bound and, on the exact exponents, the
-exponential-growth gate).  Test suites drive both against each other.
+exponential-growth gate).  On pair sectors it takes the weights the exact
+decider takes, m-factors |m|^c with one power on both signs of m, and
+refuses the rest.  Test suites drive both against each other.
 
 numpy is loaded only by this module, and no module imports this one at
 top level, so an exact decision loads neither.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -198,24 +200,22 @@ class _RowSum:
     truncated_significant: bool
 
 
-RowAtom = tuple[float, tuple[float, ...], Union[float, None]]
+RowAtom = tuple[float, float, float | None]
 
 
 def _row_atoms(piece: Piece, n: int) -> list[RowAtom]:
     """The constants of row n of a pair sector, as floats once per row:
-    per atom, the base coeff * f0(n), the m-factor's four exponents, and
-    log2 of the base when the base saturated to inf or 0 (else None)."""
+    per atom, the base coeff * f0(n), the power c of its m-factor |m|^c,
+    and log2 of the base when the base saturated to inf or 0 (else None)."""
     row = []
     for atom in piece.atoms:
-        if atom.radial_pow:
-            raise UnsupportedWeight("radial powers are not supported on pair sectors")
         f0, f1 = atom.factors
         log2_f0 = _log2_factor(f0, n)
         base = float(atom.coeff) * pow2f(log2_f0)
         saturated = base == 0.0 or base == math.inf
         row.append((
             base,
-            tuple(map(float, f1)),
+            float(f1.pow_pos),
             math.log2(atom.coeff) + log2_f0 if saturated else None,
         ))
     return row
@@ -251,25 +251,22 @@ def _row_remainder_bound(row: list[RowAtom], lo: float, theta_f: float | None) -
     outside row (both signs of m) still add: the sum of their theta-powers,
     or their sup when theta_f is None.  ``row`` is :func:`_row_atoms`'.
 
-    Per atom and side the bound is base^theta times :func:`_sum_exp_poly`
-    of the powered m-factor.  With k > 1 atoms, (x_1 + ... + x_k)^theta is
-    at most the sum of the x_i^theta for theta <= 1 and at most k^theta
-    times it above, as in :func:`_pair_tail_bound`.  The sup is at most k
-    times the largest per-atom sup (:func:`_sup_exp_poly`).  May be inf or
-    nan, which decides nothing.
+    Per atom and sign of m the bound is base^theta times
+    :func:`_sum_exp_poly` of |m|^(theta*c).  With k > 1 atoms,
+    (x_1 + ... + x_k)^theta is at most the sum of the x_i^theta for
+    theta <= 1 and at most k^theta times it above, as in
+    :func:`_pair_tail_bound`.  The sup is at most k times the largest
+    per-atom sup (:func:`_sup_exp_poly`).  May be inf or nan, which
+    decides nothing.
     """
-    sides = [
-        (base, a, c)
-        for base, (a_pos, a_neg, c_pos, c_neg), _ in row
-        for a, c in ((a_pos, c_pos), (-a_neg, c_neg))
-    ]
     if theta_f is None:
-        peaks = [base * _sup_exp_poly(a, c, lo, math.inf) for base, a, c in sides]
+        peaks = [base * _sup_exp_poly(0.0, c, lo, math.inf) for base, c, _ in row]
         return math.nan if any(map(math.isnan, peaks)) else len(row) * max(peaks)
     try:
         total = sum(
-            base**theta_f * _sum_exp_poly(theta_f * a, theta_f * c, lo, math.inf)
-            for base, a, c in sides
+            term
+            for base, c, _ in row
+            for term in [base**theta_f * _sum_exp_poly(0.0, theta_f * c, lo, math.inf)] * 2
         )
     except OverflowError:  # base^theta past the float range
         return math.inf
@@ -284,8 +281,8 @@ def _pair_row(
     """Sum of the theta-powers over one row of a pair sector, or the sup
     of the row when theta_f is None (theta = inf).
 
-    Outside rows are summed in chunks of 4096 values of |m|, each with one
-    log2|m| for every atom and both signs of m.  After each chunk,
+    Outside rows are summed in chunks of 4096 values of |m|; |m|^c is even
+    in m, so a chunk is evaluated on +m once for both signs.  After each chunk,
     :func:`_row_remainder_bound` bounds the rest of the row in closed form.
     The row reports its partial sum, unflagged, at the first negligible
     chunk, once the rest is negligible against the row and global sums
@@ -312,10 +309,8 @@ def _pair_row(
         cap = _ROW_STEP_CAP // 2
         half = min(bound, cap)
         truncated = bound > cap
-        axis = _axis_logs(np.arange(-half, half + 1, dtype=np.float64))
-        powered = _powered(
-            _row_values(row, (_factor_log2_on_axis(f1, axis) for _, f1, _ in row)), theta_f
-        )
+        lg = _axis_logs(np.arange(-half, half + 1, dtype=np.float64))[2]
+        powered = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
         if theta_f is None:
             return _RowSum(float(powered.max()), truncated)
         with np.errstate(over="ignore", under="ignore"):
@@ -325,32 +320,18 @@ def _pair_row(
     total = 0.0
     sup = 0.0
     if bound <= 0:
-        zero = _axis_logs(np.zeros(1))
-        z = _powered(_row_values(row, (_factor_log2_on_axis(f1, zero) for _, f1, _ in row)), theta_f)
+        z = _powered(_row_values(row, [np.zeros(1)] * len(row)), theta_f)
         with np.errstate(over="ignore", under="ignore"):
             total += float(z.sum())
         sup = max(sup, float(z.max()))
-    # with 2^(0*m) and one power |m|^c on both sides, the two halves differ
-    # at most in the sign of a zero exponent, which exp2 erases: the -m
-    # half is then the +m half, bit for bit
-    mirrored = all(a_pos == a_neg == 0.0 and c_pos == c_neg
-                   for _, (a_pos, a_neg, c_pos, c_neg), _ in row)
     chunk = 4096
     steps = 0
     last_chunk = 0.0
     while steps < _ROW_STEP_CAP:
-        ms = np.arange(start + steps, start + steps + chunk, dtype=np.float64)
-        lg = np.log2(ms)  # |m| >= 1 here
-        pos = _powered(_row_values(row, (a * ms + c * lg for _, (a, _, c, _), _ in row)), theta_f)
-        if mirrored:
-            neg = pos
-        else:
-            neg_ms = -ms
-            neg = _powered(
-                _row_values(row, (a * neg_ms + c * lg for _, (_, a, _, c), _ in row)), theta_f
-            )
+        lg = np.log2(np.arange(start + steps, start + steps + chunk, dtype=np.float64))
+        pos = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
         with np.errstate(over="ignore", under="ignore"):
-            vals = np.maximum(pos, neg) if theta_f is None else pos + neg
+            vals = pos if theta_f is None else pos + pos
             last_chunk = float(vals.sum())
         total += last_chunk
         top = float(vals.max())
@@ -442,11 +423,7 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     lo = float(last_radius + 1)
     th = 1.0 if theta_f is None else theta_f
     sup_mode = theta_f is None
-
-    def mside(a_m: float, c_m: float, mlo: float, mhi: float) -> float:
-        if sup_mode:
-            return _sup_exp_poly(a_m, c_m, mlo, mhi)
-        return _sum_exp_poly(a_m, c_m, mlo, mhi)
+    mside = _sup_exp_poly if sup_mode else _sum_exp_poly
 
     total = 0.0
     for atom in piece.atoms:
@@ -455,91 +432,59 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
             en, fn = th * float(f0.exp2_pos), th * float(f0.pow_pos)
         else:
             en, fn = -th * float(f0.exp2_neg), th * float(f0.pow_neg)
-        sides = (
-            (th * float(f1.exp2_pos), th * float(f1.pow_pos)),
-            (-th * float(f1.exp2_neg), th * float(f1.pow_neg)),
-        )
+        c_m = th * float(f1.pow_pos)
         # each part bounds a slice of the row mass by
-        # kpart * 2^(de*j) * j^df over rows j in (last_radius, hi_n]
+        # kpart * 2^(de*j) * j^df over rows j in (last_radius, hi_n]: first
+        # the m = 0 column, then the parts of one sign of m, which enter
+        # once for each sign
         parts: list[tuple[float, float, float, float]] = []
+        side: list[tuple[float, float, float, float]] = []
         if sector.side == "inside" and lam > 0:
             kb = math.log2(2.0 + max(shift, 0))  # width <= 2^(lam*j + kb)
-            parts.append((1.0, 0.0, 0.0, math.inf))  # m = 0 column
-            for a_m, c_m in sides:
-                if a_m > 0:
-                    return math.inf
-                if sup_mode:
-                    if a_m == 0 and c_m > 0:
-                        parts.append((pow2f(kb * c_m), lam * c_m, 0.0, math.inf))
-                    else:
-                        parts.append(
-                            (_sup_exp_poly(a_m, c_m, 1.0, math.inf), 0.0, 0.0, math.inf)
-                        )
-                elif a_m < 0:
-                    parts.append(
-                        (_sum_exp_poly(a_m, c_m, 1.0, math.inf), 0.0, 0.0, math.inf)
-                    )
-                elif c_m > -1.0:
-                    parts.append(
-                        (
-                            (1.0 / (c_m + 1.0) + 1.0) * pow2f(kb * (c_m + 1.0)),
-                            lam * (c_m + 1.0),
-                            0.0,
-                            math.inf,
-                        )
-                    )
-                elif c_m == -1.0:
-                    parts.append((1.0 + _LN2 * (kb + lam), 0.0, 1.0, math.inf))
-                else:
-                    parts.append(
-                        (_sum_exp_poly(0.0, c_m, 1.0, math.inf), 0.0, 0.0, math.inf)
-                    )
+            parts.append((1.0, 0.0, 0.0, math.inf))
+            if sup_mode and c_m > 0:
+                side.append((pow2f(kb * c_m), lam * c_m, 0.0, math.inf))
+            elif not sup_mode and c_m > -1.0:
+                kpart = (1.0 / (c_m + 1.0) + 1.0) * pow2f(kb * (c_m + 1.0))
+                side.append((kpart, lam * (c_m + 1.0), 0.0, math.inf))
+            elif not sup_mode and c_m == -1.0:
+                side.append((1.0 + _LN2 * (kb + lam), 0.0, 1.0, math.inf))
+            else:
+                side.append((mside(0.0, c_m, 1.0, math.inf), 0.0, 0.0, math.inf))
         elif sector.side == "inside":
             # width no longer grows along the tail: ceil(2^(lam*n)) = 1 there
             bc = 1 + shift
             if bc >= 0:
                 parts.append((1.0, 0.0, 0.0, math.inf))
             if bc >= 1:
-                for a_m, c_m in sides:
-                    parts.append((mside(a_m, c_m, 1.0, float(bc)), 0.0, 0.0, math.inf))
+                side.append((mside(0.0, c_m, 1.0, float(bc)), 0.0, 0.0, math.inf))
         elif lam > 0:
+            if c_m > 0 or (not sup_mode and c_m >= -1.0):
+                return math.inf
             # outside rows keep |m| >= B(j) with B(j) >= 2^(lam*j - 1) once
             # 2^(lam*j) clears twice the negative shift
             n1 = lo
             if shift < 0:
                 n1 = max(lo, (1.0 + math.log2(-shift)) / lam)
-                parts.append((1.0, 0.0, 0.0, math.log2(-shift) / lam))  # m = 0
-            for a_m, c_m in sides:
-                if a_m > 0 or (a_m == 0 and c_m > 0):
-                    return math.inf
-                if a_m == 0 and not sup_mode and c_m >= -1.0:
-                    return math.inf
-                if a_m < 0:
-                    # no credit for the widening hole; sound but coarse
-                    parts.append((mside(a_m, c_m, 1.0, math.inf), 0.0, 0.0, math.inf))
-                    continue
-                # a_m == 0 with polynomial decay: the hole does the work
-                if n1 > lo:
-                    parts.append((mside(0.0, c_m, 1.0, math.inf), 0.0, 0.0, n1))
-                if sup_mode:
-                    parts.append((pow2f(-c_m), lam * c_m, 0.0, math.inf))
-                else:
-                    kpart = (1.0 + 1.0 / (-c_m - 1.0)) * pow2f(-(c_m + 1.0))
-                    parts.append((kpart, lam * (c_m + 1.0), 0.0, math.inf))
+                parts.append((1.0, 0.0, 0.0, math.log2(-shift) / lam))
+            if n1 > lo:
+                side.append((mside(0.0, c_m, 1.0, math.inf), 0.0, 0.0, n1))
+            if sup_mode:
+                side.append((pow2f(-c_m), lam * c_m, 0.0, math.inf))
+            else:
+                kpart = (1.0 + 1.0 / (-c_m - 1.0)) * pow2f(-(c_m + 1.0))
+                side.append((kpart, lam * (c_m + 1.0), 0.0, math.inf))
         else:
             bc = max(1, 1 + shift)
             if shift <= -1:
                 parts.append((1.0, 0.0, 0.0, math.inf))
-            for a_m, c_m in sides:
-                parts.append((mside(a_m, c_m, float(bc), math.inf), 0.0, 0.0, math.inf))
+            side.append((mside(0.0, c_m, float(bc), math.inf), 0.0, 0.0, math.inf))
+        parts += side * 2
         atom_total = 0.0
         for kpart, de, df, hi_n in parts:
             if kpart == 0.0 or hi_n < lo:
                 continue
-            if sup_mode:
-                grow = _sup_exp_poly(en + de, fn + df, lo, hi_n)
-            else:
-                grow = _sum_exp_poly(en + de, fn + df, lo, hi_n)
+            grow = mside(en + de, fn + df, lo, hi_n)
             if math.isinf(kpart) or math.isinf(grow):
                 return math.inf
             atom_total += kpart * grow
@@ -577,11 +522,20 @@ def _float_pieces(weight: ExpPolyWeight) -> list[Piece]:
     float, once; the oracle's helpers read these as they would Fractions.
     A number past the float range (float() raises rather than give inf),
     a pair sector's lam among them, or a coefficient that underflows to 0
-    raises :class:`UnsupportedWeight`."""
+    raises :class:`UnsupportedWeight`, and so does a pair-sector atom whose
+    m-factor is not |m|^c with one power c on both signs of m, or that
+    carries a radial power."""
     try:
         for piece in weight.pieces:
-            if isinstance(piece.sector, PairSector):
-                float(piece.sector.lam)  # as the tail bound reads it
+            if not isinstance(piece.sector, PairSector):
+                continue
+            float(piece.sector.lam)  # as the tail bound reads it
+            if any(m.exp2_pos or m.exp2_neg or m.pow_pos != m.pow_neg or atom.radial_pow
+                   for atom in piece.atoms for m in atom.factors[1:]):
+                raise UnsupportedWeight(
+                    "on pair sectors the numeric oracle takes only m-factors |m|^c, "
+                    "with one power c on both signs of m, and no radial power"
+                )
         pieces = [Piece(piece.sector, tuple(Atom._make((
             float(atom.coeff),
             tuple(CoordFactor._make(map(float, f)) for f in atom.factors),
@@ -601,13 +555,14 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
     Every coefficient and exponent is read as a float once, on entry
-    (:func:`_float_pieces`).  Grid sectors are evaluated once on the largest window.  Pair sectors
-    are summed row by row; an outside row is summed in chunks of |m|, each
-    with one log2|m| shared by every atom and both signs of m, and the -m
-    half is taken from the +m half when every m-factor is even in m.  After
-    each chunk a closed-form bound on the rest of the row stops it once
-    the rest cannot move the sum or raise the sup; a row that ends on a
-    larger finite rest reports an upper bound on itself (:func:`_pair_row`).
+    (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for a
+    pair-sector m-factor other than |m|^c.  Grid sectors are evaluated once
+    on the largest window.  Pair sectors are summed row by row; an outside
+    row is summed in chunks of |m|, each evaluated on +m once and counted
+    for both signs of m.  After each chunk a closed-form bound on the rest
+    of the row stops it once the rest cannot move the sum or raise the
+    sup; a row that ends on a larger finite rest reports an upper bound on
+    itself (:func:`_pair_row`).
     At theta = inf every shell, every row and the running partial "sum"
     are maxima: a row reports its sup and a shell the largest of its rows.
 

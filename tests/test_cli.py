@@ -265,6 +265,19 @@ def test_oracle_bounds_a_row_rate_whose_float_gap_cancels(side):
     assert doc["embeds"] is True and doc["oracle"]["verdict"] in ("Convergent", "Inconclusive")
 
 
+def test_oracle_refuses_an_asymmetric_m_power_as_the_decider_does():
+    # |m|^-2 on +m and |m|^-3 on -m: exit 70 with one error line, with or
+    # without the oracle
+    pairs = {"kind": "pairs", "lam": "1/2", "side": "outside", "shift": -1}
+    u = json.dumps({"lattice": pairs, "atoms": [{"pow": [0, {"pos": "-2", "neg": "-3"}]}]})
+    argv = ["-m", "decomp_embed.cli", "check-sequence", "--u", u,
+            "--v", json.dumps({"lattice": pairs}), "-r", "2", "-s", "1"]
+    for extra in ([], ["--oracle"]):
+        proc = _run_python([*argv, *extra])
+        assert (proc.returncode, proc.stdout) == (70, "")
+        assert proc.stderr == "error: pair sectors need a symmetric m power\n"
+
+
 @pytest.mark.parametrize("r, s, exponent", [("2", "1", 2), ("1", "1", "inf")])
 def test_oracle_sums_a_weight_without_pieces_to_zero(r, s, exponent):
     # an empty quotient is the zero sequence: it embeds, and the oracle agrees

@@ -578,6 +578,22 @@ def test_oracle_never_contradicts_decider_on_multi_atom_pairs(w, theta):
         assert memb is NOT_MEMBER
 
 
+# m-factors the exact decider refuses on a pair sector: an exp2 rate on m,
+# a different power on +m and -m, and a radial power
+@pytest.mark.parametrize("atom", [
+    Atom(F(1), (CoordFactor(), CoordFactor.symmetric(F(-1, 2), -3))),
+    Atom(F(1), (CoordFactor(), CoordFactor(0, 0, -2, -3))),
+    Atom(F(1), (CoordFactor(), CoordFactor.symmetric(0, -3)), -1),
+], ids=["exp2-rate-on-m", "asymmetric-m-power", "radial-power"])
+@pytest.mark.parametrize("theta", [E(2), INF], ids=["theta-2", "theta-inf"])
+def test_oracle_refuses_the_pair_weights_the_decider_refuses(atom, theta):
+    w = ExpPolyWeight.single(PairSector("N0", F(1, 2), "outside", -1), atom)
+    with pytest.raises(UnsupportedWeight, match="on pair sectors the numeric oracle"):
+        truncated_oracle(w, theta)
+    with pytest.raises(UnsupportedWeight):
+        decide_lp_membership(w, theta)
+
+
 _FLAT = CoordFactor()
 
 
@@ -768,15 +784,9 @@ def _reference_pair_row(piece, n, theta_f, scale):
     return sup if theta_f is None else total, significant
 
 
-_m_rate = st.fractions(min_value=F(-2), max_value=F(1, 2), max_denominator=8)
-# an m-factor flat in 2^(a*m) and even in |m|^c, as Atom.pair builds it,
-# one with a single m-rate on both sides, or one with its own exponents on
-# +m and -m
-_m_factors = st.one_of(
-    small_pow.map(lambda c: CoordFactor.symmetric(0, c)),
-    st.builds(CoordFactor.symmetric, _m_rate, small_pow),
-    st.builds(CoordFactor, _m_rate, _m_rate, small_pow, small_pow),
-)
+# an m-factor |m|^c, flat in 2^(a*m) and even in m, as Atom.pair builds it:
+# the only m-factor the oracle takes on pair sectors
+_m_factors = small_pow.map(lambda c: CoordFactor.symmetric(0, c))
 
 
 @st.composite
@@ -905,7 +915,8 @@ def _count_row_values(monkeypatch):
 @pytest.mark.parametrize("m_power", [F(0), F(-1, 2), F(-3)])
 def test_sup_row_stops_once_the_rest_cannot_raise_it(monkeypatch, m_power):
     # row 3 of an outside sector starts at |m| = 8 and falls from there;
-    # the m-factor is even, so one _row_values call makes one chunk
+    # one _row_values call makes the +m half of a chunk, which the -m half
+    # repeats, so one call is one chunk
     piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=m_power),))
     calls = _count_row_values(monkeypatch)
     row = oracle._pair_row(piece, 3, None)
