@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -137,11 +137,10 @@ def _axis_logs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _factor_log2_on_axis(
-    f: Sequence[float], axis: tuple[np.ndarray, np.ndarray, np.ndarray]
+    f: CoordFactor, axis: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> np.ndarray:
-    """log2 of the factor f along an axis given by :func:`_axis_logs`; f is a
-    CoordFactor or its four exponents (exp2_pos, exp2_neg, pow_pos, pow_neg)
-    already as floats."""
+    """log2 of the coordinate factor f along an axis given by
+    :func:`_axis_logs`."""
     n, nonneg, lg = axis
     a_pos, a_neg, c_pos, c_neg = map(float, f)
     a = np.where(nonneg, a_pos, a_neg)
