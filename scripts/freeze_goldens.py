@@ -247,10 +247,11 @@ def constants_line(doc: dict, radius: int) -> str:
 # oracle half of check-sequence --oracle,
 # truncated_oracle(u.quotient(v), compound(s, r)),
 # on a line, a plane, a Z_nonzero power and a two-atom weight on an outside
-# pair sector (theta = 2 and theta = inf).  That last weight has an exp2
-# rate on n and one power |m|^c per atom, so it also goes through
-# check-sequence --oracle, exact decider and oracle alike.  The replay takes
-# about 1.5 s.
+# pair sector (theta = 2, inf and 3/2).  That weight has an exp2 rate on n
+# and one power |m|^c per atom, so it also goes through check-sequence
+# --oracle, exact decider and oracle alike.  Last, two atoms |m|^-1/2 and
+# |m|^-1 at theta = 3/2, whose outside rows diverge: the exact decider says
+# it does not embed.  The replay takes about 1.5 s.
 ORACLE_DECIDE = [
     ("hom_besov", {"d": 1, "s": "1/2"}, "sobolev", "1", "2", "2", 0),
     ("inhom_besov", {"d": 2, "s": "5/3"}, "bv", "1", None, "2", 1),
@@ -271,6 +272,7 @@ _OUTSIDE_ATOMS = [
     {"exp2": ["-1", "0"], "pow": ["0", "-2"]},
     {"coeff": "1/3", "exp2": ["-1/2", "0"], "pow": ["0", "-3/2"]},
 ]
+_SLOW = {"kind": "pairs", "lam": "1", "side": "outside"}
 ORACLE_SEQUENCE = [
     ({"lattice": {"kind": "Z"}, "atoms": [{"exp2": ["-3/2"]}]},
      {"lattice": {"kind": "Z"}, "atoms": [{"exp2": ["1/2"]}]}, "2", "1"),
@@ -281,6 +283,9 @@ ORACLE_SEQUENCE = [
      {"lattice": {"kind": "Z_nonzero"}}, "2", "1"),
     ({"lattice": _OUTSIDE, "atoms": _OUTSIDE_ATOMS}, {"lattice": _OUTSIDE}, "2", "1"),
     ({"lattice": _OUTSIDE, "atoms": _OUTSIDE_ATOMS}, {"lattice": _OUTSIDE}, "1", "2"),
+    ({"lattice": _OUTSIDE, "atoms": _OUTSIDE_ATOMS}, {"lattice": _OUTSIDE}, "3", "1"),
+    ({"lattice": _SLOW, "atoms": [{"pow": ["0", "-1/2"]}, {"pow": ["0", "-1"]}]},
+     {"lattice": _SLOW}, "3", "1"),
 ]
 
 
