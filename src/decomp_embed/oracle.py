@@ -5,10 +5,10 @@
 windows alone.  It shares no logic with the exact decider: it takes only
 the weight types from :mod:`decomp_embed.seqspace`, reads every
 coefficient and exponent as a float once, evaluates the weight numerically
-with its own helpers (:func:`pow2f` and a coordinate factor's log2), and
-reads exponents only for structural facts about what lies past its window
-(the pair-sector tail bound and, on the exact exponents, the
-exponential-growth gate).  On pair sectors it takes the weights the exact
+with its own helpers (:func:`pow2f`, a coordinate factor's log2 and the
+power sums of :func:`_power_sum`), and reads exponents only for structural
+facts about what lies past its window (the pair-sector tail bound and, on
+the exact exponents, the exponential-growth gate).  On pair sectors it takes the weights the exact
 decider takes, m-factors |m|^c with one power on both signs of m, and
 refuses the rest.  Test suites drive both against each other.
 
@@ -18,6 +18,7 @@ top level, so an exact decision loads neither.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -44,17 +45,19 @@ GROWTH_FACTOR = 1.5
 SHELL_RATIO = 0.9
 RATIO_WINDOW = 3
 
-_ROW_STEP_CAP = 200_000
-_ROW_NEGLIGIBLE = 1e-12
 # a row whose bound 2^(lam*n) reaches 2^1024 has no float |m| to start from
 _ROW_LOG2_CAP = 1024
-# a truncated row only blocks a Convergent verdict when the missing mass
-# could move a shell ratio; 1e-6 relative mass cannot cross the 0.9 gate.
-# both thresholds are read relative to the global partial sum, so tiny
-# rows with fat relative tails do not block certification
-_ROW_SIGNIFICANT = 1e-6
-# an outside sum row ends once its closed-form rest is at most this share
-_ROW_REST_SHARE = 1e-3
+# the window keeps only radii whose inside rows hold at most this many m.
+# Rows need no cap, but the shell-ratio gate reads the last three radii, and
+# wider windows make it fail on a golden coorbit query (beta = 17/16) that
+# the exact decider calls a member: Inconclusive instead of Convergent
+_INSIDE_ROW_CAP = 200_000
+# a row of several atoms at a non-integer theta sums this many |m|
+# directly, which covers each half of every inside row the window keeps
+_ROW_HEAD = _INSIDE_ROW_CAP // 2
+# an integer theta past this many monomials takes the head instead: k
+# atoms at theta expand into comb(theta + k - 1, k - 1) power sums
+_EXPANSION_CAP = 100
 
 
 @dataclass
@@ -84,6 +87,14 @@ def pow2f(x: float) -> float:
     if x < -1100.0:
         return 0.0
     return 2.0 ** x
+
+
+def _powf(x: float, y: float) -> float:
+    """x**y in float for x > 0, saturating instead of raising OverflowError."""
+    try:
+        return float(x) ** y
+    except OverflowError:
+        return math.inf
 
 
 def _log2_factor(f: CoordFactor, n: int) -> float:
@@ -196,27 +207,22 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
 @dataclass
 class _RowSum:
     value: float  # the powered sum, or the sup when theta = inf
-    truncated_significant: bool
+    unevaluated: bool = False  # the row is past the float range
 
 
-RowAtom = tuple[float, float, float | None]
+RowAtom = tuple[float, float, float]
 
 
 def _row_atoms(piece: Piece, n: int) -> list[RowAtom]:
-    """The constants of row n of a pair sector, as floats once per row:
-    per atom, the base coeff * f0(n), the power c of its m-factor |m|^c,
-    and log2 of the base when the base saturated to inf or 0 (else None)."""
+    """The constants of row n of a pair sector, as floats once per row: per
+    atom, the base b = coeff * f0(n), the power c of its m-factor |m|^c,
+    and log2 b, which stays finite where b saturates to inf or 0."""
     row = []
     for atom in piece.atoms:
         f0, f1 = atom.factors
         log2_f0 = _log2_factor(f0, n)
-        base = float(atom.coeff) * pow2f(log2_f0)
-        saturated = base == 0.0 or base == math.inf
-        row.append((
-            base,
-            float(f1.pow_pos),
-            math.log2(atom.coeff) + log2_f0 if saturated else None,
-        ))
+        coeff = float(atom.coeff)
+        row.append((coeff * pow2f(log2_f0), float(f1.pow_pos), math.log2(coeff) + log2_f0))
     return row
 
 
@@ -230,7 +236,7 @@ def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
     total = None
     with np.errstate(over="ignore", under="ignore"):
         for (base, _, log2_base), log2mag in zip(row, log2s):
-            if log2_base is None:
+            if 0.0 < base < math.inf:
                 vals = base * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
             else:
                 vals = np.exp2(np.clip(log2mag + log2_base, -1100.0, 1100.0))
@@ -245,119 +251,97 @@ def _powered(vals: np.ndarray, theta_f: float | None) -> np.ndarray:
         return np.where(vals > 0, vals**theta_f, 0.0)
 
 
-def _row_remainder_bound(row: list[RowAtom], lo: float, theta_f: float | None) -> float:
-    """Upper bound, in closed form, for what the terms |m| >= lo of an
-    outside row (both signs of m) still add: the sum of their theta-powers,
-    or their sup when theta_f is None.  ``row`` is :func:`_row_atoms`'.
+_LN2 = math.log(2.0)
+# B_2k / (2k)! for k = 1..6, the Euler-Maclaurin corrections
+_EM_COEFFS = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160, -691 / 1307674368000)
 
-    Per atom and sign of m the bound is base^theta times
-    :func:`_sum_exp_poly` of |m|^(theta*c).  With k > 1 atoms,
-    (x_1 + ... + x_k)^theta is at most the sum of the x_i^theta for
-    theta <= 1 and at most k^theta times it above, as in
-    :func:`_pair_tail_bound`.  The sup is at most k times the largest
-    per-atom sup (:func:`_sup_exp_poly`).  May be inf or nan, which
-    decides nothing.
-    """
-    if theta_f is None:
-        peaks = [base * _sup_exp_poly(0.0, c, lo, math.inf) for base, c, _ in row]
-        return math.nan if any(map(math.isnan, peaks)) else len(row) * max(peaks)
-    try:
-        total = sum(
-            term
-            for base, c, _ in row
-            for term in [base**theta_f * _sum_exp_poly(0.0, theta_f * c, lo, math.inf)] * 2
-        )
-    except OverflowError:  # base^theta past the float range
+
+def _power_sum(s: float, lo: float, hi: float, log2_coeff: float = 0.0) -> float:
+    """2^log2_coeff times the sum of m^s over the integers m in [lo, hi]
+    (lo >= 1; hi may be inf, and the sum is then inf for s >= -1).
+
+    16 terms directly, the rest by Euler-Maclaurin with six Bernoulli
+    corrections; its integral goes through expm1 from the larger end, exact
+    near s = -1.  Each term is one exponentiation of a log2, so that a
+    saturated coefficient cannot meet an underflowed power as inf * 0."""
+    if lo > hi:
+        return 0.0
+    if math.isinf(hi) and s >= -1.0:
         return math.inf
-    if theta_f > 1.0 and len(row) > 1:
-        total *= float(len(row)) ** theta_f
+    total = sum(pow2f(log2_coeff + s * math.log2(lo + i)) for i in range(16) if lo + i <= hi)
+    a = lo + 16.0
+    if a > hi:
+        return total
+    la, lb = math.log2(a), math.log2(hi)
+    fa, fb = pow2f(log2_coeff + s * la), pow2f(log2_coeff + s * lb)
+    if math.isinf(fa) or math.isinf(fb):
+        return math.inf
+    e, span = s + 1.0, _LN2 * (lb - la)  # span = ln(hi / a)
+    total += (fa + fb) / 2.0 + pow2f(log2_coeff + e * (lb if e > 0 else la)) * (
+        span if e == 0 else -math.expm1(-abs(e) * span) / abs(e))
+    falling = s  # s (s - 1) ... (s - j + 1), the factor of the j-th derivative
+    for j, coeff in zip(range(1, 12, 2), _EM_COEFFS):
+        total += coeff * falling * (fb * pow2f(-j * lb) - fa * pow2f(-j * la))
+        falling *= (s - j) * (s - j - 1)
     return total
 
 
-def _pair_row(
-    piece: Piece, n: int, theta_f: float | None, scale: float = 0.0
-) -> _RowSum:
+def _half_row(row: list[RowAtom], lo: float, hi: float, theta_f: float) -> float:
+    """The sum of t(m)^theta over the integers m in [lo, hi], where t(m) is
+    the sum of the row's atoms b_i m^c_i.
+
+    A lone atom is one power sum (:func:`_power_sum`); k atoms at an integer
+    theta are the multinomial terms over atom positions.  Other rows sum
+    ``_ROW_HEAD`` terms directly and bound the rest by the power mean
+    inequality, k^max(theta - 1, 0) sum_i b_i^theta m^(theta c_i), which
+    is loose by at most a factor k^|theta - 1|."""
+    k = len(row)
+    if k == 1:
+        return _power_sum(theta_f * row[0][1], lo, hi, theta_f * row[0][2])
+    th = int(theta_f)
+    if th == theta_f and math.comb(th + k - 1, k - 1) <= _EXPANSION_CAP:
+        total = 0.0
+        for pick in itertools.combinations_with_replacement(range(k), th):
+            ways = math.factorial(th) // math.prod(math.factorial(pick.count(i)) for i in range(k))
+            total += _power_sum(sum(row[i][1] for i in pick), lo, hi,
+                                math.log2(ways) + sum(row[i][2] for i in pick))
+        return total
+    top = min(hi, lo + _ROW_HEAD - 1.0)
+    lg = np.log2(np.arange(lo, top + 1.0))
+    with np.errstate(over="ignore"):
+        head = float(_powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f).sum())
+    log2_k = max(theta_f - 1.0, 0.0) * math.log2(k)
+    return head + sum(_power_sum(theta_f * c, top + 1.0, hi, log2_k + theta_f * log2_b)
+                      for _, c, log2_b in row)
+
+
+def _pair_row(piece: Piece, n: int, theta_f: float | None) -> _RowSum:
     """Sum of the theta-powers over one row of a pair sector, or the sup
     of the row when theta_f is None (theta = inf).
 
-    Outside rows are summed in chunks of 4096 values of |m|; |m|^c is even
-    in m, so a chunk is evaluated on +m once for both signs.  After each chunk,
-    :func:`_row_remainder_bound` bounds the rest of the row in closed form.
-    The row reports its partial sum, unflagged, at the first negligible
-    chunk, once the rest is negligible against the row and global sums
-    (``scale``), or, for the sup, once the rest cannot raise it.  It
-    reports the sum plus the rest (the sup: the larger of the two), an
-    upper bound on the row, unflagged, once a finite rest is at most
-    ``_ROW_REST_SHARE`` of the sum, or at the step cap if the rest is
-    finite.  A row capped with an inf or nan rest while its last chunk
-    still matters is flagged, so that the caller can refuse to certify
-    convergence.  A row whose bound is past the float range
-    (lam*n >= 1024) is not evaluated: it adds nothing and is flagged.
-    """
+    The row holds m = 0 where its bound allows it, and lo <= |m| <= hi on
+    both signs of m, where t(m) = sum_i b_i |m|^c_i.  Its sum is t(0)^theta
+    plus twice :func:`_half_row`, inf on an outside row that diverges.  Its
+    sup is the largest of t(0), t(lo) and t(hi), as t is convex in log|m|,
+    and inf on an outside row with some c_i > 0.  A row whose bound is past
+    the float range (lam*n >= 1024) is not evaluated: it adds nothing and
+    is flagged."""
     sector: PairSector = piece.sector  # type: ignore[assignment]
-    lam = sector.lam
-    if abs(lam.numerator * n) >= _ROW_LOG2_CAP * lam.denominator:
+    if abs(sector.lam.numerator * n) >= _ROW_LOG2_CAP * sector.lam.denominator:
         return _RowSum(0.0, True)
     bound = sector.m_bound(n)
-
-    if sector.side == "inside" and bound < 0:
-        return _RowSum(0.0, False)
-    row = _row_atoms(piece, n)
-
     if sector.side == "inside":
-        cap = _ROW_STEP_CAP // 2
-        half = min(bound, cap)
-        truncated = bound > cap
-        lg = _axis_logs(np.arange(-half, half + 1, dtype=np.float64))[2]
-        powered = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
-        if theta_f is None:
-            return _RowSum(float(powered.max()), truncated)
-        with np.errstate(over="ignore", under="ignore"):
-            return _RowSum(float(powered.sum()), truncated)
-
-    start = max(bound, 1)
-    total = 0.0
-    sup = 0.0
-    if bound <= 0:
-        z = _powered(_row_values(row, [np.zeros(1)] * len(row)), theta_f)
-        with np.errstate(over="ignore", under="ignore"):
-            total += float(z.sum())
-        sup = max(sup, float(z.max()))
-    chunk = 4096
-    steps = 0
-    last_chunk = 0.0
-    while steps < _ROW_STEP_CAP:
-        lg = np.log2(np.arange(start + steps, start + steps + chunk, dtype=np.float64))
-        pos = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
-        with np.errstate(over="ignore", under="ignore"):
-            vals = pos if theta_f is None else pos + pos
-            last_chunk = float(vals.sum())
-        total += last_chunk
-        top = float(vals.max())
-        sup = max(sup, top)  # max keeps sup over a nan top
-        steps += chunk
-        value = sup if theta_f is None else total
-        if not math.isfinite(value) or math.isnan(top):
-            # an inf or nan term, or a sum past the float range
-            return _RowSum(top if math.isnan(top) else value, False)
-        negligible = _ROW_NEGLIGIBLE * max(total, scale, 1e-300)
-        # a sup row's sum of chunk maxima past the float range leaves every
-        # chunk negligible against it, and says nothing of the sup
-        if last_chunk <= negligible and math.isfinite(total):
-            return _RowSum(value, False)
-        # the rest cannot raise the sup, or cannot move the sum
-        rest = _row_remainder_bound(row, float(start + steps), theta_f)
-        if math.isfinite(rest) and rest <= (value if theta_f is None else negligible):
-            return _RowSum(value, False)
-        if theta_f is not None and rest <= _ROW_REST_SHARE * total:
-            return _RowSum(total + rest, False)
-    if math.isfinite(rest):
-        return _RowSum(max(sup, rest) if theta_f is None else total + rest, False)
-    significant = last_chunk >= _ROW_SIGNIFICANT * max(total, scale, 1e-300)
-    return _RowSum(value, significant)
-
-
-_LN2 = math.log(2.0)
+        zero, lo, hi = bound >= 0, 1.0, float(bound)
+    else:
+        zero, lo, hi = bound <= 0, float(max(bound, 1)), math.inf
+    row = _row_atoms(piece, n)
+    lg = _axis_logs(np.array([0.0] * zero + [lo] * (lo <= hi) + [hi] * (lo < hi < math.inf)))[2]
+    ends = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
+    if theta_f is None:
+        grows = math.isinf(hi) and any(c > 0 for _, c, _ in row)
+        return _RowSum(math.inf if grows else float(ends.max(initial=0.0)))
+    total = float(ends[0]) if zero else 0.0
+    return _RowSum(total + 2.0 * _half_row(row, lo, hi, theta_f) if lo <= hi else total)
 
 
 def _sup_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
@@ -487,9 +471,10 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
             if math.isinf(kpart) or math.isinf(grow):
                 return math.inf
             atom_total += kpart * grow
-        total += (float(atom.coeff) ** th) * atom_total
-    if not sup_mode and th > 1.0 and len(piece.atoms) > 1:
-        total *= float(len(piece.atoms)) ** th
+        if atom_total:  # a saturated coefficient meets no empty tail as inf * 0
+            total += _powf(atom.coeff, th) * atom_total
+    if not sup_mode and th > 1.0 and len(piece.atoms) > 1 and total:
+        total *= _powf(len(piece.atoms), th)
     return total
 
 
@@ -556,14 +541,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     Every coefficient and exponent is read as a float once, on entry
     (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for a
     pair-sector m-factor other than |m|^c.  Grid sectors are evaluated once
-    on the largest window.  Pair sectors are summed row by row; an outside
-    row is summed in chunks of |m|, each evaluated on +m once and counted
-    for both signs of m.  After each chunk a closed-form bound on the rest
-    of the row stops it once the rest cannot move the sum or raise the
-    sup; a row that ends on a larger finite rest reports an upper bound on
-    itself (:func:`_pair_row`).
-    At theta = inf every shell, every row and the running partial "sum"
-    are maxima: a row reports its sup and a shell the largest of its rows.
+    on the largest window.  Pair sectors are summed row by row, each row in
+    closed form or, for several atoms at a non-integer theta, as a direct
+    head plus a bound on the rest (:func:`_pair_row`).  At theta = inf every
+    shell, every row and the running partial "sum" are maxima: a row
+    reports its sup and a shell the largest of its rows.
 
     Declares Divergent when partial sums exceed ``BLOWUP_THRESHOLD`` or
     grow by at least ``GROWTH_FACTOR`` between the last two radii, unless
@@ -571,10 +553,10 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     finite.  Declares Convergent, with a tail bound, when the per-shell
     contributions over the last three radii decay with ratio at most
     ``SHELL_RATIO`` (theta = inf: stop raising the running max), no row
-    capped with an inf or nan rest carries significant mass, the
-    structural bound is finite and no grid piece grows exponentially along an
-    unbounded axis (:func:`_grows_exponentially`; such a term can fall
-    across the whole window and still blow up past it).  Everything else
+    past the float range was left out, the structural bound is finite and
+    no grid piece grows exponentially along an unbounded axis
+    (:func:`_grows_exponentially`; such a term can fall across the whole
+    window and still blow up past it).  Everything else
     is Inconclusive.  The radii are :func:`default_radii` of the weight's
     dimension and sectors, so the result is a function of (weight, theta)
     alone.
@@ -585,23 +567,16 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     dims = max((p.sector.dims for p in pieces), default=1)
     radii = default_radii(dims, has_pair)
     if has_pair:
-        # keep only radii whose inside rows fit the per-row step cap, so
-        # that complete shells stay certifiable
-        kept = []
-        for r in radii:
-            fits = True
-            for piece in pieces:
-                sec = piece.sector
-                if isinstance(sec, PairSector) and sec.side == "inside":
-                    n_edge = -r if sec.n_domain == "Nneg" else r
-                    # from lam*n >= 17 on a row holds 2^18 > cap values of m
-                    if sec.lam * n_edge >= 17 or 2 * sec.m_bound(n_edge) + 1 > _ROW_STEP_CAP:
-                        fits = False
-                        break
-            if not fits:
-                break
-            kept.append(r)
-        radii = kept or radii[:1]
+        inside = [p.sector for p in pieces
+                  if isinstance(p.sector, PairSector) and p.sector.side == "inside"]
+
+        def fits(r: int) -> bool:
+            edges = [(sec, -r if sec.n_domain == "Nneg" else r) for sec in inside]
+            # from lam*n >= 17 on a row holds 2^18 > cap values of m
+            return all(sec.lam * n < 17 and 2 * sec.m_bound(n) + 1 <= _INSIDE_ROW_CAP
+                       for sec, n in edges)
+
+        radii = tuple(itertools.takewhile(fits, radii)) or radii[:1]
     theta_f = None if theta.is_inf else float(theta)
 
     # per-piece cached flat arrays for grid sectors (largest window once)
@@ -611,7 +586,7 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
             continue
         grid_cache[idx] = _grid_values(piece, max(radii))
 
-    def shell_contrib(idx: int, r_prev: int, r: int, scale: float) -> _RowSum:
+    def shell_contrib(idx: int, r_prev: int, r: int) -> _RowSum:
         piece = pieces[idx]
         if isinstance(piece.sector, PairSector):
             total = 0.0
@@ -619,17 +594,17 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
             for n in piece.sector.n_values(r):
                 if abs(n) <= r_prev:
                     continue
-                row = _pair_row(piece, n, theta_f, scale=max(scale, total))
+                row = _pair_row(piece, n, theta_f)
                 total = max(total, row.value) if theta_f is None else total + row.value
-                flagged = flagged or row.truncated_significant
+                flagged = flagged or row.unevaluated
             return _RowSum(total, flagged)
         values, pt_radii = grid_cache[idx]
         mask = (pt_radii > r_prev) & (pt_radii <= r)
         vals = values[mask]
         if theta_f is None:
-            return _RowSum(float(vals.max()) if vals.size else 0.0, False)
+            return _RowSum(float(vals.max()) if vals.size else 0.0)
         with np.errstate(over="ignore", under="ignore"):
-            return _RowSum(float(_powered(vals, theta_f).sum()), False)
+            return _RowSum(float(_powered(vals, theta_f).sum()))
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""
@@ -649,8 +624,8 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     for r in radii:
         shell_total = 0.0
         for idx in range(len(pieces)):
-            contrib = shell_contrib(idx, r_prev, r, running)
-            flagged_any = flagged_any or contrib.truncated_significant
+            contrib = shell_contrib(idx, r_prev, r)
+            flagged_any = flagged_any or contrib.unevaluated
             if theta_f is None:
                 shell_total = max(shell_total, contrib.value)
             else:

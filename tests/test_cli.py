@@ -642,6 +642,18 @@ def test_oracle_overflow_leaves_stderr_empty():
     )
 
 
+@pytest.mark.parametrize("coeff", ["1e200", "1e300"])
+def test_oracle_pair_coefficient_past_the_float_range_makes_no_traceback(coeff):
+    # the theta-th power of the coefficient, 1e400 or 1e600 at theta = 2,
+    # is past the float range in the bound on the rows past the window
+    pairs = {"kind": "pairs", "lam": "1", "side": "outside"}
+    u = {"lattice": pairs, "atoms": [{"coeff": coeff, "exp2": ["-1", "0"], "pow": ["0", "-3"]}]}
+    proc = _run_python(["-m", "decomp_embed.cli", "check-sequence", "--u", json.dumps(u),
+                        "--v", json.dumps({"lattice": pairs}), "-r", "2", "-s", "1", "--oracle"])
+    assert (proc.returncode, proc.stderr, proc.stdout.count("\n")) == (0, "", 1)
+    assert json.loads(proc.stdout)["embeds"] is True
+
+
 @WARNINGS_AS_ERRORS
 def test_oracle_sup_row_of_large_terms_is_their_sup():
     # every term of the row is 1e305: the sup is finite although the sum of

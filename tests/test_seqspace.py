@@ -705,85 +705,6 @@ def test_sup_whose_stationary_point_overflows_is_inf():
     assert decide_lp_membership(w, INF) is MEMBER
 
 
-def _reference_rest(piece, n, lo, theta_f):
-    """The closed-form bound on the terms |m| >= lo of row n, atom by atom
-    and side by side: base^theta times the powered m-factor's sum, times
-    k^theta for k > 1 atoms above theta = 1; k times the largest sup for
-    theta = inf."""
-    terms = []
-    for atom in piece.atoms:
-        base = float(atom.coeff) * witnesses.pow2f(witnesses.log2_value(atom.factors[0], n))
-        f = atom.factors[1]
-        for a, c in ((float(f.exp2_pos), float(f.pow_pos)),
-                     (-float(f.exp2_neg), float(f.pow_neg))):
-            if theta_f is None:
-                terms.append(base * oracle._sup_exp_poly(a, c, lo, math.inf))
-            else:
-                terms.append(base**theta_f * oracle._sum_exp_poly(
-                    theta_f * a, theta_f * c, lo, math.inf))
-    k = len(piece.atoms)
-    if theta_f is None:
-        return k * max(terms)
-    total = sum(terms)
-    return total * float(k) ** theta_f if theta_f > 1.0 and k > 1 else total
-
-
-def _reference_pair_row(piece, n, theta_f, scale):
-    """The row sum (the sup for theta = inf) with every atom evaluated on its
-    own, on both halves of every chunk: (value, truncated_significant).  An
-    outside row that ends on its rest (a share of at most _ROW_REST_SHARE of
-    the sum, or any finite rest at the cap) reports the sum plus the rest,
-    or the larger of the sup and the rest."""
-    sector = piece.sector
-    bound = sector.m_bound(n)
-    if sector.side == "inside":
-        if bound < 0:
-            return 0.0, False
-        cap = oracle._ROW_STEP_CAP // 2
-        half = min(bound, cap)
-        ms = np.arange(-half, half + 1, dtype=np.float64)
-        powered = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
-        with np.errstate(over="ignore"):
-            value = float(powered.max() if theta_f is None else powered.sum())
-        return value, bound > cap
-    start = max(bound, 1)
-    total = sup = last_chunk = 0.0
-    if bound <= 0:
-        z = _reference_powered(_reference_row_values(piece, n, np.zeros(1)), theta_f)
-        with np.errstate(over="ignore"):
-            total += float(z.sum())
-        sup = max(sup, float(z.max()))
-    steps = 0
-    while steps < oracle._ROW_STEP_CAP:
-        ms = np.arange(start + steps, start + steps + 4096, dtype=np.float64)
-        pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
-        neg = _reference_powered(_reference_row_values(piece, n, -ms), theta_f)
-        with np.errstate(over="ignore"):
-            vals = np.maximum(pos, neg) if theta_f is None else pos + neg
-            last_chunk = float(vals.sum())
-        total += last_chunk
-        top = float(vals.max())
-        sup = max(sup, top)
-        steps += 4096
-        if theta_f is None and (math.isnan(top) or math.isinf(sup)):
-            return top if math.isnan(top) else sup, False
-        if theta_f is not None and not math.isfinite(total):
-            return total, False
-        value = sup if theta_f is None else total
-        negligible = oracle._ROW_NEGLIGIBLE * max(total, scale, 1e-300)
-        rest = _reference_rest(piece, n, float(start + steps), theta_f)
-        if (last_chunk <= negligible and math.isfinite(total)) or (
-            math.isfinite(rest) and rest <= (sup if theta_f is None else negligible)
-        ):
-            return value, False
-        if theta_f is not None and math.isfinite(rest) and rest <= oracle._ROW_REST_SHARE * total:
-            return total + rest, False
-    if math.isfinite(rest):
-        return (max(sup, rest) if theta_f is None else total + rest), False
-    significant = last_chunk >= oracle._ROW_SIGNIFICANT * max(total, scale, 1e-300)
-    return sup if theta_f is None else total, significant
-
-
 # an m-factor |m|^c, flat in 2^(a*m) and even in m, as Atom.pair builds it:
 # the only m-factor the oracle takes on pair sectors
 _m_factors = small_pow.map(lambda c: CoordFactor.symmetric(0, c))
@@ -811,71 +732,114 @@ def pair_rows(draw):
     return Piece(sector, atoms), -n if domain == "Nneg" else n
 
 
+def _brute_row(piece, n, theta_f, count):
+    """The powered terms of row n, every atom evaluated on its own: m = 0
+    where the row holds it, then every |m| of an inside row or the first
+    ``count`` of an outside row, on both signs of m; and the first |m| left
+    out (inf when none is)."""
+    bound = piece.sector.m_bound(n)
+    if piece.sector.side == "inside":
+        zero, ms, past = bound >= 0, np.arange(1.0, bound + 1.0), math.inf
+    else:
+        lo = max(bound, 1)
+        zero, ms, past = bound <= 0, np.arange(lo, lo + count, dtype=np.float64), lo + count
+    ms = np.concatenate([[0.0]] * zero + [ms, -ms])
+    with np.errstate(over="ignore"):
+        return _reference_powered(_reference_row_values(piece, n, ms), theta_f), float(past)
+
+
+def _reference_monomials(piece, n, theta_f):
+    """(coefficient, power of m) pairs whose terms sum to t(m)^theta for an
+    integer theta or a lone atom: the product of theta copies of the atom
+    list, term by term."""
+    atoms = [(float(a.coeff) * witnesses.pow2f(witnesses.log2_value(a.factors[0], n)),
+              float(a.factors[1].pow_pos)) for a in piece.atoms]
+    if len(atoms) == 1:
+        return [(atoms[0][0] ** theta_f, theta_f * atoms[0][1])]
+    poly = [(1.0, 0.0)]
+    for _ in range(int(theta_f)):
+        poly = [(b * bi, c + ci) for b, c in poly for bi, ci in atoms]
+    return poly
+
+
 @settings(max_examples=80, deadline=None)
-@given(pair_rows(), st.sampled_from([0.5, 1.0, 2.0, None]), st.sampled_from([0.0, 1.0, 1e8]))
-# a sup row of terms 1e305, whose chunk sums are past the float range
-@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(coeff=F(10**305)),)), 0),
-         None, 0.0)
-# |m|^-1 at theta = 2: the row ends on its rest after two chunks
-@example((Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),)), 3), 2.0, 0.0)
-# rows that reach the cap with a finite rest: |m|^-3/2 leaves about
-# 4/sqrt(|m|), above 1e-3 of the sum up to 200 000; a flat atom's rest 2
-# stays above the sup 1 + 1/2 of a flat and a falling atom
-@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(m_power=F(-1, 2)),)), 0),
-         3.0, 0.0)
-@example((Piece(PairSector("N0", F(0), "outside", 0),
-                (Atom.pair(), Atom.pair(m_power=-3, coeff=F(1, 2)))), 0), None, 0.0)
+@given(pair_rows(), st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, None]))
+# two equal atoms count twice in the expansion: (x + x)^theta = 2^theta x^theta
+@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(m_power=-2),) * 2), 0), 2.0)
+@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(m_power=-2),) * 2), 0), 3.0)
+# a sup row of terms 1e305, whose sum is past the float range
+@example((Piece(PairSector("N0", F(0), "outside", 0), (Atom.pair(coeff=F(10**305)),)), 0), None)
+# an outside sup row that grows, and an outside sum row that diverges: inf
+@example((Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=F(1, 100)),)), 3),
+         None)
+@example((Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),)), 3), 1.0)
+# mixed-sign powers on an inside row, whose sup sits at its last |m|
+@example((Piece(PairSector("N0", F(1), "inside", 0),
+                (Atom.pair(m_power=-2), Atom.pair(m_power=1, coeff=F(1, 3)))), 4), None)
+# an inside row wider than the head, 2^18 values of |m| on each sign
+@example((Piece(PairSector("N0", F(2), "inside", 0),
+                (Atom.pair(m_power=-1), Atom.pair(m_power=F(-1, 2)))), 9), 1.5)
 @WARNINGS_AS_ERRORS
-def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f, scale):
+def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f):
+    """A row's sup is the largest of its brute-force terms, bit for bit,
+    from mixed-sign powers on; an outside row that grows reads inf.  A row
+    sum in closed form (one atom, or an integer theta) is the fsum of its
+    brute-force terms plus, on an outside row, the rest of each monomial
+    by :func:`oracle._power_sum`, to a relative 1e-12; a divergent outside
+    row reads inf.  So is an inside row of several atoms at a non-integer
+    theta that the head covers; past the head, such a row is at least its
+    brute-force sum, and at most k^|theta - 1| times it plus, on an outside
+    row, the power-mean bound on the rest."""
     piece, n = row
-    got = oracle._pair_row(piece, n, theta_f, scale=scale)
-    value, flagged = _reference_pair_row(piece, n, theta_f, scale)
-    # A row whose sum overflows reads inf on both sides, and inf.hex() is the
-    # same however far past the float range each sum went.  Equality still
-    # means both overflowed the same way: each side returns at the first
-    # chunk whose running total (the sup, for theta = inf) is not finite, and
-    # the flag is compared too.
-    assert (got.value.hex(), got.truncated_significant) == (value.hex(), flagged)
+    value = oracle._pair_row(piece, n, theta_f).value
+    terms, past = _brute_row(piece, n, theta_f, 2 * oracle._ROW_HEAD)
+    top = max(float(a.factors[1].pow_pos) for a in piece.atoms)
+    if math.isfinite(past) and (top > 0 if theta_f is None else theta_f * top >= -1.0):
+        assert value == math.inf
+    elif theta_f is None:
+        assert value == float(terms.max(initial=0.0))
+    elif (len(piece.atoms) == 1 or theta_f.is_integer()
+          or math.isinf(past) and piece.sector.m_bound(n) <= oracle._ROW_HEAD):
+        # a closed form, or an inside row that the head sums whole
+        rest = math.fsum(b * oracle._power_sum(s, past, math.inf)
+                         for b, s in _reference_monomials(piece, n, theta_f) if past < math.inf)
+        assert value == pytest.approx(math.fsum(terms) + 2.0 * rest, rel=1e-12)
+    else:
+        k = len(piece.atoms)
+        rest = float(k) ** max(theta_f - 1.0, 0.0) * math.fsum(
+            b * oracle._power_sum(s, past, math.inf)
+            for a in piece.atoms if past < math.inf
+            for b, s in _reference_monomials(Piece(piece.sector, (a,)), n, theta_f))
+        # the bound is loose by at most k^|theta - 1|, on a row's terms past
+        # the head that the oracle sums directly
+        brute = math.fsum(terms)
+        top = float(k) ** abs(theta_f - 1.0) * brute + 2.0 * rest
+        assert brute * (1.0 - 1e-12) <= value <= top * (1.0 + 1e-12)
 
 
-@st.composite
-def outside_rows(draw):
-    """An outside row of 1-3 atoms with coefficients in {1/3, 1, 5}, and a
-    first unsummed |m|."""
-    atoms = tuple(
-        Atom(draw(_coeffs),
-             (CoordFactor(draw(small_exp), draw(small_exp), draw(small_pow), draw(small_pow)),
-              draw(_m_factors)))
-        for _ in range(draw(st.integers(1, 3)))
-    )
-    piece = Piece(PairSector("N0", F(1, 2), "outside", 0), atoms)
-    return piece, draw(st.integers(0, 10)), draw(st.integers(1, 100_000))
+@pytest.mark.parametrize("s", [-12, -3, -2.125, -1.5, -1.001, -1, -0.999, -0.5, 0, 1, 2.5])
+def test_power_sum_matches_the_fsum_of_its_terms(s):
+    """Over spans of 0, 15, 16 and 17 (the direct terms and where
+    Euler-Maclaurin takes over) and 10^5, the closed form is the fsum of
+    m^s to a relative 1e-12; up to inf it is inf for s >= -1, and else the
+    fsum of 300 000 terms plus its own rest past them."""
+    for lo in (1, 7, 1000):
+        for span in (0, 15, 16, 17, 10**5):
+            terms = np.arange(lo, lo + span + 1, dtype=np.float64) ** s
+            got = oracle._power_sum(s, float(lo), float(lo + span))
+            assert got == pytest.approx(math.fsum(terms), rel=1e-12), (lo, span)
+        got = oracle._power_sum(s, float(lo), math.inf)
+        if s >= -1:
+            assert got == math.inf
+        else:
+            terms = np.arange(lo, lo + 300_000, dtype=np.float64) ** s
+            rest = oracle._power_sum(s, lo + 300_000.0, math.inf)
+            assert got == pytest.approx(math.fsum(terms) + rest, rel=1e-12), lo
 
 
 def _outside_row(*atoms):
     """Row 0 (every base is its coefficient) of an outside sector, from |m| = 1."""
     return Piece(PairSector("N0", F(0), "outside", 0), atoms), 0, 1
-
-
-@settings(max_examples=150, deadline=None)
-@given(outside_rows(), st.sampled_from([0.5, 1.0, 2.0, 3.0, None]))
-# near-tight cases, one per part of the bound: two equal atoms, whose
-# (x + x)^3 = 8 x^3 needs the k^theta factor; a coefficient 5 that enters
-# as 5^2; two flat atoms, whose sup 2 is twice the largest atom's
-@example(_outside_row(*[Atom.pair(m_power=-3)] * 2), 3.0)
-@example(_outside_row(Atom.pair(m_power=-3, coeff=5)), 2.0)
-@example(_outside_row(*[Atom.pair()] * 2), None)
-def test_row_remainder_bound_covers_the_rest_of_the_row(row, theta_f):
-    piece, n, lo = row
-    rest = oracle._row_remainder_bound(oracle._row_atoms(piece, n), float(lo), theta_f)
-    ms = np.arange(lo, lo + 50_001, dtype=np.float64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
-        neg = _reference_powered(_reference_row_values(piece, n, -ms), theta_f)
-        brute = float(max(pos.max(), neg.max()) if theta_f is None else pos.sum() + neg.sum())
-    # the closed form and numpy may round one power apart in its last bits;
-    # with a single decreasing atom the sup bound is the first term itself
-    assert brute <= rest * (1.0 + 1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -898,77 +862,6 @@ def test_outside_row_value_dominates_its_first_terms(row, theta_f):
         brute = float(max(pos.max(), neg.max()) if theta_f is None else pos.sum() + neg.sum())
     value = oracle._pair_row(piece, n, theta_f).value
     assert value >= brute * (1.0 - 1e-12)
-
-
-def _count_row_values(monkeypatch):
-    calls = []
-    real = oracle._row_values
-
-    def counted(row, log2s):
-        calls.append(1)
-        return real(row, log2s)
-
-    monkeypatch.setattr(oracle, "_row_values", counted)
-    return calls
-
-
-@pytest.mark.parametrize("m_power", [F(0), F(-1, 2), F(-3)])
-def test_sup_row_stops_once_the_rest_cannot_raise_it(monkeypatch, m_power):
-    # row 3 of an outside sector starts at |m| = 8 and falls from there;
-    # one _row_values call makes the +m half of a chunk, which the -m half
-    # repeats, so one call is one chunk
-    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=m_power),))
-    calls = _count_row_values(monkeypatch)
-    row = oracle._pair_row(piece, 3, None)
-    assert (len(calls), row.value, row.truncated_significant) == (1, 8.0 ** float(m_power), False)
-
-
-@pytest.mark.parametrize("m_power, flagged", [(F(0), False), (F(1, 100), True)])
-def test_sup_row_reads_its_terms_not_their_overflowed_sum(m_power, flagged):
-    # terms near 1e305 sum past the float range in one chunk: a flat row
-    # ends on its rest bound, a growing one runs to the cap, flagged
-    piece = Piece(PairSector("N0", F(0), "outside", 0),
-                  (Atom.pair(coeff=F(10**305), m_power=m_power),))
-    row = oracle._pair_row(piece, 0, None)
-    top = 1e305 * float(oracle._ROW_STEP_CAP) ** float(m_power)
-    assert row.value == pytest.approx(top, rel=1e-4)
-    assert row.truncated_significant is flagged
-
-
-def test_a_nan_term_ends_a_sup_row(monkeypatch):
-    # max(sup, nan) keeps sup, so the row must read the chunk's own maximum
-    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(),))
-    real = oracle._row_values
-
-    def with_nan(row, log2s):
-        vals = real(row, log2s)
-        vals[vals.size // 2] = np.nan
-        return vals
-
-    monkeypatch.setattr(oracle, "_row_values", with_nan)
-    row = oracle._pair_row(piece, 3, None)
-    assert math.isnan(row.value) and not row.truncated_significant
-
-
-def test_sum_row_stops_once_the_rest_is_negligible(monkeypatch):
-    piece = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-3),))
-    calls = _count_row_values(monkeypatch)
-    row = oracle._pair_row(piece, 3, 2.0)
-    # 2 * sum_{m > 4103} m^-6 < 1e-18 is past 1e-12 of the row's mass
-    assert (len(calls), row.truncated_significant) == (1, False)
-    assert row.value == pytest.approx(2.0 * sum(m**-6.0 for m in range(8, 4104)), rel=1e-14)
-    # |m|^-1 at theta = 2 leaves 2/|m| + 2/|m|^2 behind, which no chunk
-    # before the cap makes negligible; after two chunks that rest is below
-    # 1e-3 of the row's sum, and the row reports the sum plus the rest
-    slow = Piece(PairSector("N0", F(1), "outside", 0), (Atom.pair(m_power=-1),))
-    calls.clear()
-    row = oracle._pair_row(slow, 3, 2.0)
-    lo = 8 + 2 * 4096
-    assert (len(calls), row.truncated_significant) == (2, False)
-    summed = 2.0 * math.fsum(m**-2.0 for m in range(8, lo))
-    assert row.value == pytest.approx(summed + 2.0 * (1.0 / lo + lo**-2.0), rel=1e-14)
-    # an upper bound on the whole row, 2 * (pi^2/6 - sum_{m < 8} m^-2)
-    assert row.value >= 2.0 * (math.pi**2 / 6 - math.fsum(m**-2.0 for m in range(1, 8)))
 
 
 def test_coorbit_sup_shell_is_a_max_and_certified(monkeypatch, capsys):
