@@ -261,9 +261,9 @@ def _power_sum(s: float, lo: float, hi: float, log2_coeff: float = 0.0) -> float
     (lo >= 1; hi may be inf, and the sum is then inf for s >= -1).
 
     16 terms directly, the rest by Euler-Maclaurin with six Bernoulli
-    corrections; its integral goes through expm1 from the larger end, exact
-    near s = -1.  Each term is one exponentiation of a log2, so that a
-    saturated coefficient cannot meet an underflowed power as inf * 0."""
+    corrections, its integral through expm1 from the larger end (accurate
+    near s = -1).  Each term is one exponentiation of a log2, so that a
+    saturated coefficient meets no underflowed power as inf * 0."""
     if lo > hi:
         return 0.0
     if math.isinf(hi) and s >= -1.0:

@@ -628,7 +628,7 @@ def test_the_oracle_shares_no_code_with_the_decider():
 
 
 def test_oracle_overflow_leaves_stderr_empty():
-    # the outside pair row of |m|^100 overflows float64 in its chunk sums
+    # the outside pair row of |m|^100 grows without bound, and its sup reads inf
     proc = _run_python([
         "-m", "decomp_embed.cli", "check-sequence",
         "--u", '{"lattice":{"kind":"pairs","side":"outside"},"atoms":[{"pow":[0,100]}]}',
