@@ -260,23 +260,24 @@ def _power_sum(s: float, lo: float, hi: float, log2_coeff: float = 0.0) -> float
     """2^log2_coeff times the sum of m^s over the integers m in [lo, hi]
     (lo >= 1; hi may be inf, and the sum is then inf for s >= -1).
 
-    16 terms directly, the rest by Euler-Maclaurin with six Bernoulli
-    corrections, its integral through expm1 from the larger end (accurate
-    near s = -1).  Each term is one exponentiation of a log2, so that a
-    saturated coefficient meets no underflowed power as inf * 0."""
+    The first 16 terms, and for s > 0 the last 16 too, are summed directly,
+    so that the largest terms of any power are exact; the rest [a, b] by
+    Euler-Maclaurin with six Bernoulli corrections, its integral through
+    expm1 from the larger end (accurate near s = -1).  Each term is one
+    pow2f of a log2: a saturated coefficient meets no underflow as inf * 0."""
     if lo > hi:
         return 0.0
     if math.isinf(hi) and s >= -1.0:
         return math.inf
-    total = sum(pow2f(log2_coeff + s * math.log2(lo + i)) for i in range(16) if lo + i <= hi)
-    a = lo + 16.0
-    if a > hi:
+    a, b = lo + 16.0, hi - 16.0 if s > 0 else hi
+    ms = [lo + i for i in range(int(hi - lo) + 1)] if a > b else (
+        [lo + i for i in range(16)] + [hi - i for i in range(16) if s > 0])
+    total = sum(pow2f(log2_coeff + s * math.log2(m)) for m in ms)
+    if a > b or math.isinf(total):  # the sum is at least each of its terms
         return total
-    la, lb = math.log2(a), math.log2(hi)
+    la, lb = math.log2(a), math.log2(b)
     fa, fb = pow2f(log2_coeff + s * la), pow2f(log2_coeff + s * lb)
-    if math.isinf(fa) or math.isinf(fb):
-        return math.inf
-    e, span = s + 1.0, _LN2 * (lb - la)  # span = ln(hi / a)
+    e, span = s + 1.0, _LN2 * (lb - la)  # span = ln(b / a)
     total += (fa + fb) / 2.0 + pow2f(log2_coeff + e * (lb if e > 0 else la)) * (
         span if e == 0 else -math.expm1(-abs(e) * span) / abs(e))
     falling = s  # s (s - 1) ... (s - j + 1), the factor of the j-th derivative
@@ -465,7 +466,7 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
         parts += side * 2
         atom_total = 0.0
         for kpart, de, df, hi_n in parts:
-            if kpart == 0.0 or hi_n < lo:
+            if hi_n < lo:
                 continue
             grow = mside(en + de, fn + df, lo, hi_n)
             if math.isinf(kpart) or math.isinf(grow):
@@ -571,10 +572,9 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
                   if isinstance(p.sector, PairSector) and p.sector.side == "inside"]
 
         def fits(r: int) -> bool:
-            edges = [(sec, -r if sec.n_domain == "Nneg" else r) for sec in inside]
             # from lam*n >= 17 on a row holds 2^18 > cap values of m
             return all(sec.lam * n < 17 and 2 * sec.m_bound(n) + 1 <= _INSIDE_ROW_CAP
-                       for sec, n in edges)
+                       for sec in inside for n in [-r if sec.n_domain == "Nneg" else r])
 
         radii = tuple(itertools.takewhile(fits, radii)) or radii[:1]
     theta_f = None if theta.is_inf else float(theta)

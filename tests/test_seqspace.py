@@ -705,6 +705,18 @@ def test_sup_whose_stationary_point_overflows_is_inf():
     assert decide_lp_membership(w, INF) is MEMBER
 
 
+def test_tail_bound_keeps_a_growing_tail_behind_an_underflowed_factor():
+    # 2^n n^-24 |m|^-40 on |m| >= 2 falls across the window and grows past
+    # n = 35; at theta = 1000 every term in the window underflows to 0, and
+    # so does the m-sum 2^-40000 that the tail bound multiplies by the
+    # divergent n-sum: the bound is inf, not 0, and nothing is certified
+    w = ExpPolyWeight.single(PairSector("N0", F(0), "outside", 1),
+                             Atom.pair(n_exp2=1, n_power=-24, m_power=-40))
+    assert oracle._pair_tail_bound(oracle._float_pieces(w)[0], 20, 1000.0) == math.inf
+    assert truncated_oracle(w, E(1000)).verdict == "Inconclusive"
+    assert decide_lp_membership(w, E(1000)) is NOT_MEMBER
+
+
 # an m-factor |m|^c, flat in 2^(a*m) and even in m, as Atom.pair builds it:
 # the only m-factor the oracle takes on pair sectors
 _m_factors = small_pow.map(lambda c: CoordFactor.symmetric(0, c))
@@ -835,6 +847,23 @@ def test_power_sum_matches_the_fsum_of_its_terms(s):
             terms = np.arange(lo, lo + 300_000, dtype=np.float64) ** s
             rest = oracle._power_sum(s, lo + 300_000.0, math.inf)
             assert got == pytest.approx(math.fsum(terms) + rest, rel=1e-12), lo
+
+
+@pytest.mark.parametrize("s", [-300, -60, 12, 60, 200])
+def test_power_sum_of_a_steep_power_matches_the_fsum_of_its_terms(s):
+    """A steep power's largest terms are summed directly, at the top of the
+    range when it grows, so that the Euler-Maclaurin corrections, which
+    grow like (|s| / m)^j, only meet terms too small to matter: the sum is
+    the fsum of m^s to a relative 1e-12, or inf once a term is."""
+    for lo in (1, 17, 100):
+        for span in (16, 17, 32, 33, 40, 1000):
+            with np.errstate(over="ignore", under="ignore"):
+                terms = np.arange(lo, lo + span + 1, dtype=np.float64) ** s
+            got = oracle._power_sum(s, float(lo), float(lo + span))
+            if np.isinf(terms).any():
+                assert got == math.inf, (lo, span)
+            else:
+                assert got == pytest.approx(math.fsum(terms), rel=1e-12), (lo, span)
 
 
 def _outside_row(*atoms):
