@@ -5,8 +5,9 @@
 windows alone.  It shares no logic with the exact decider: it takes only
 the weight types from :mod:`decomp_embed.seqspace`, reads every
 coefficient and exponent as a float once, evaluates the weight numerically
-with its own helpers (:func:`pow2f`, a coordinate factor's log2 and the
-power sums of :func:`_power_sum`), and reads exponents only for structural
+with its own helpers (:func:`pow2f`, a coordinate factor's log2, the
+power sums of :func:`_power_sum` and the shells of a piece read by its
+structure), and reads exponents only for structural
 facts about what lies past its window (the pair-sector tail bound and, on
 the exact exponents, the exponential-growth gate).  On pair sectors it takes the weights the exact
 decider takes, m-factors |m|^c with one power on both signs of m, and
@@ -18,8 +19,10 @@ top level, so an exact decision loads neither.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -204,6 +207,100 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     return values, radii
 
 
+def _radial_values(atoms: Iterable[Atom], n: np.ndarray) -> np.ndarray:
+    """A radial piece with trivial coordinate factors at the squared norms
+    n, by the operations of :func:`_grid_values` in its order: bit for bit
+    the grid's values."""
+    lg, total = np.log2(n), np.zeros(n.shape)
+    with np.errstate(over="ignore", under="ignore"):
+        for atom in atoms:
+            total += np.exp2(np.clip(lg * (0.5 * atom.radial_pow), -1100.0, 1100.0)) * atom.coeff
+    return total
+
+
+def _radial_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> list[float]:
+    """Shells of a radial piece with trivial coordinate factors: v is a sum
+    of powers of n = |k|^2 with positive coefficients, so convex in log n.
+    At theta = inf a shell (r', r] reads v at its least and largest n,
+    (r' + 1)^2 (1 without the origin) and d r^2.  Otherwise it sums
+    v(n)^theta times the exact count of its points at n, the ball counts at
+    r less those at r', each an axis's squares convolved d times over the
+    reachable n only (exact while (2r + 1)^d <= 2^53)."""
+    d = piece.sector.d
+    if theta_f is None:
+        ends = [[(lo + 1) ** 2 or 1, d * r * r] for lo, r in zip((-1, *radii), radii)]
+        return _radial_values(piece.atoms, np.array(ends, dtype=np.float64)).max(axis=1).tolist()
+    out, prev_keys, prev = [], np.zeros(0), np.zeros(0)
+    for r in radii:
+        sq, ways = np.arange(r + 1.0) ** 2, np.where(np.arange(r + 1) > 0, 2.0, 1.0)
+        keys, counts = np.zeros(1), np.ones(1)
+        for _ in range(d):
+            check_window_cap(keys.size * sq.size)  # before the outer sum
+            keys, inv = np.unique(np.add.outer(keys, sq), return_inverse=True)
+            counts = np.bincount(inv.ravel(), np.multiply.outer(counts, ways).ravel())
+        delta = counts.copy()
+        delta[np.searchsorted(keys, prev_keys)] -= prev
+        keep = (delta > 0) & (keys > 0)
+        vals = _powered(_radial_values(piece.atoms, keys[keep]), theta_f)
+        out.append(float((delta[keep] * vals).sum()))
+        prev_keys, prev = keys, counts
+    return out
+
+
+def _product_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> list[float]:
+    """Shells of a single-atom product piece without a radial power, axis
+    by axis: a point of the shell (r', r] has a first axis j in the ring
+    r' < |x| <= r, the axes before it in the ball r' and those after it in
+    the ball r.  Each axis set keeps the max of theta log2 f and the sum of
+    2^(theta log2 f - max), so that no inf meets a 0.  At theta = inf the
+    maxima add in axis order, as the grid adds a point's exponents; rounded
+    addition is monotone, so the largest sum is the grid's max bit for bit."""
+    (atom,) = piece.atoms
+    n, th = len(radii), 1.0 if theta_f is None else theta_f
+    check_window_cap((2 * n + 1) * (2 * radii[-1] + 1))  # before the masked axes
+    bounds = np.array((-1, *radii), dtype=np.float64)[:, None]
+    sets = []  # per axis: (max, scaled sum) over the balls r', the balls r, the rings
+    with np.errstate(over="ignore", under="ignore"):
+        for f, line in zip(atom.factors, piece.sector.lines):
+            ax = _line_axis(line.domain, radii[-1])
+            inside = np.abs(ax) <= bounds
+            vals = np.where(np.concatenate([inside, inside[1:] & ~inside[:-1]]),
+                            th * _factor_log2_on_axis(f, _axis_logs(ax)), -np.inf)
+            top = vals.max(axis=1)
+            mass = np.exp2(vals - np.where(np.isinf(top), 0.0, top)[:, None]).sum(axis=1)
+            sets.append([(top[a:a + n], mass[a:a + n]) for a in (0, 1, n + 1)])
+        total = np.zeros(n)
+        for j in range(len(sets)):
+            parts = [s[0] for s in sets[:j]] + [sets[j][2]] + [s[1] for s in sets[j + 1:]]
+            # in axis order, as the grid adds a point's exponents
+            exps = functools.reduce(operator.add, (top for top, _ in parts), np.zeros(n))
+            if theta_f is None:
+                total = np.maximum(total, atom.coeff * np.exp2(np.clip(exps, -1100.0, 1100.0)))
+            else:
+                total += np.exp2(exps + th * math.log2(atom.coeff)) * np.prod(
+                    [mass for _, mass in parts], axis=0)
+    return total.tolist()
+
+
+def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> list[float]:
+    """A piece off the pair sectors on each shell (r', r] of the radii: its
+    sum of theta-powers, or its max at theta = inf, by its structure where
+    the two routes above take it, else on its grid, the largest window once."""
+    sector, atoms = piece.sector, piece.atoms
+    if isinstance(sector, RadialSector) and not any(x for a in atoms for f in a.factors for x in f) \
+            and (theta_f is None or 1 < sector.d and (2 * radii[-1] + 1) ** sector.d <= 2**53):
+        return _radial_shells(piece, radii, theta_f)
+    if isinstance(sector, ProductSector) and sector.dims > 1 and len(atoms) == 1 \
+            and not atoms[0].radial_pow:
+        return _product_shells(piece, radii, theta_f)
+    values, pt_radii = _grid_values(piece, radii[-1])
+    shells = [values[(pt_radii > r_prev) & (pt_radii <= r)]
+              for r_prev, r in zip((-1, *radii), radii)]
+    with np.errstate(over="ignore", under="ignore"):
+        return [float(vals.max(initial=0.0) if theta_f is None else _powered(vals, theta_f).sum())
+                for vals in shells]
+
+
 @dataclass
 class _RowSum:
     value: float  # the powered sum, or the sup when theta = inf
@@ -345,8 +442,9 @@ def _pair_row(piece: Piece, n: int, theta_f: float | None) -> _RowSum:
     return _RowSum(total + 2.0 * _half_row(row, lo, hi, theta_f) if lo <= hi else total)
 
 
-def _sup_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
-    """sup of 2^(a*j) * j^c over real j in [lo, hi], lo >= 1, hi may be inf."""
+def _sup_exp_poly(a: float, c: float, lo: float, hi: float, log2_scale: float = 0.0) -> float:
+    """2^log2_scale times the sup of 2^(a*j) * j^c over real j in [lo, hi],
+    lo >= 1, hi may be inf."""
     if lo > hi:
         return 0.0
     if math.isinf(hi) and (a > 0 or (a == 0 and c > 0)):
@@ -356,11 +454,12 @@ def _sup_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
     if a != 0.0 and lo <= -c / (a * _LN2) <= hi:
         # j* in log space, as it may overflow: log2 j* = log2|c| - log2(|a| ln 2)
         logs.append(-c / _LN2 + c * (math.log2(abs(c)) - math.log2(abs(a)) - math.log2(_LN2)))
-    return pow2f(max(logs))
+    return pow2f(log2_scale + max(logs))
 
 
-def _sum_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
-    """Upper bound for the sum of 2^(a*j) * j^c over integers j in [lo, hi].
+def _sum_exp_poly(a: float, c: float, lo: float, hi: float, log2_scale: float = 0.0) -> float:
+    """Upper bound for 2^log2_scale times the sum of 2^(a*j) * j^c over
+    integers j in [lo, hi].
 
     lo >= 1; hi may be inf.  Splitting off half the exponential rate turns
     the summand into a geometric envelope, so the bound is finite exactly
@@ -371,7 +470,9 @@ def _sum_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
     if a != 0:
         if a > 0 and math.isinf(hi):
             return math.inf
-        peak = _sup_exp_poly(a / 2.0, c, lo, hi) * pow2f(a * (lo if a < 0 else hi) / 2.0)
+        edge = a * (lo if a < 0 else hi) / 2.0
+        peak = (_sup_exp_poly(a / 2.0, c, lo, hi, log2_scale + edge) if log2_scale
+                else _sup_exp_poly(a / 2.0, c, lo, hi) * pow2f(edge))
         # 1 - 2^(-|a|/2) by expm1 where the subtraction cancels to 0; a gap
         # still 0 leaves the bound past the float range
         gap = 1.0 - pow2f(-abs(a) / 2.0) or -math.expm1(-abs(a) * _LN2 / 2.0)
@@ -379,17 +480,17 @@ def _sum_exp_poly(a: float, c: float, lo: float, hi: float) -> float:
     if c >= 0:
         if math.isinf(hi):
             return math.inf
-        return (hi - lo + 1.0) * pow2f(c * math.log2(hi))
-    head = pow2f(c * math.log2(lo))
+        return (hi - lo + 1.0) * pow2f(log2_scale + c * math.log2(hi))
+    head = pow2f(log2_scale + c * math.log2(lo))
     if c > -1.0:
         if math.isinf(hi):
             return math.inf
-        return head + pow2f((c + 1.0) * math.log2(hi)) / (c + 1.0)
+        return head + pow2f(log2_scale + (c + 1.0) * math.log2(hi)) / (c + 1.0)
     if c == -1.0:
         if math.isinf(hi):
             return math.inf
-        return head + math.log(hi / lo)
-    return head + pow2f((c + 1.0) * math.log2(lo)) / (-c - 1.0)
+        return head + (hi > lo and pow2f(log2_scale) * math.log(hi / lo))
+    return head + pow2f(log2_scale + (c + 1.0) * math.log2(lo)) / (-c - 1.0)
 
 
 def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> float:
@@ -398,7 +499,12 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
 
     Exponentially widening rows can hide a divergence past any finite
     window; a shell record that looks geometric is only certified when
-    this structural bound on the unexplored remainder is finite.
+    this structural bound on the unexplored remainder is finite.  Each part
+    of an atom's bound is a product of factors taken apart: a constant, an
+    n-sum, the coefficient's theta-th power and, for k atoms, k^theta.
+    Where one of them is 0 or inf, the atom's parts add the rest as one
+    exponent into the n-sum instead, so that a factor past the float range
+    cannot turn a small product into inf, or a large one into 0.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
     wsign = 1 if sector.n_domain == "N0" else -1
@@ -409,7 +515,11 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     sup_mode = theta_f is None
     mside = _sup_exp_poly if sup_mode else _sum_exp_poly
 
-    total = 0.0
+    inf, k = math.inf, len(piece.atoms)
+    # k^theta for several atoms, as a factor and as its log2
+    k_th, log2_k = (_powf(k, th), th * math.log2(k)) if not sup_mode and th > 1.0 and k > 1 \
+        else (1.0, 0.0)
+    total = folded = 0.0
     for atom in piece.atoms:
         f0, f1 = atom.factors
         if wsign > 0:
@@ -418,65 +528,73 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
             en, fn = -th * float(f0.exp2_neg), th * float(f0.pow_neg)
         c_m = th * float(f1.pow_pos)
         # each part bounds a slice of the row mass by
-        # kpart * 2^(de*j) * j^df over rows j in (last_radius, hi_n]: first
-        # the m = 0 column, then the parts of one sign of m, which enter
-        # once for each sign
-        parts: list[tuple[float, float, float, float]] = []
-        side: list[tuple[float, float, float, float]] = []
+        # mult * 2^e * 2^(de*j) * j^df over rows j in (last_radius, hi_n]:
+        # first the m = 0 column, then the parts of one sign of m, which
+        # enter once for each sign
+        parts: list[tuple[float, ...]] = []
+        side: list[tuple[float, ...]] = []
         if sector.side == "inside" and lam > 0:
             kb = math.log2(2.0 + max(shift, 0))  # width <= 2^(lam*j + kb)
-            parts.append((1.0, 0.0, 0.0, math.inf))
+            parts.append((1.0, 0.0, 0.0, 0.0, inf))
             if sup_mode and c_m > 0:
-                side.append((pow2f(kb * c_m), lam * c_m, 0.0, math.inf))
+                side.append((1.0, kb * c_m, lam * c_m, 0.0, inf))
             elif not sup_mode and c_m > -1.0:
-                kpart = (1.0 / (c_m + 1.0) + 1.0) * pow2f(kb * (c_m + 1.0))
-                side.append((kpart, lam * (c_m + 1.0), 0.0, math.inf))
+                side.append((1.0 / (c_m + 1.0) + 1.0, kb * (c_m + 1.0), lam * (c_m + 1.0), 0.0, inf))
             elif not sup_mode and c_m == -1.0:
-                side.append((1.0 + _LN2 * (kb + lam), 0.0, 1.0, math.inf))
+                side.append((1.0 + _LN2 * (kb + lam), 0.0, 0.0, 1.0, inf))
             else:
-                side.append((mside(0.0, c_m, 1.0, math.inf), 0.0, 0.0, math.inf))
+                side.append((mside(0.0, c_m, 1.0, inf), 0.0, 0.0, 0.0, inf))
         elif sector.side == "inside":
             # width no longer grows along the tail: ceil(2^(lam*n)) = 1 there
             bc = 1 + shift
             if bc >= 0:
-                parts.append((1.0, 0.0, 0.0, math.inf))
+                parts.append((1.0, 0.0, 0.0, 0.0, inf))
             if bc >= 1:
-                side.append((mside(0.0, c_m, 1.0, float(bc)), 0.0, 0.0, math.inf))
+                side.append((mside(0.0, c_m, 1.0, float(bc)), 0.0, 0.0, 0.0, inf))
         elif lam > 0:
             if c_m > 0 or (not sup_mode and c_m >= -1.0):
-                return math.inf
+                return inf
             # outside rows keep |m| >= B(j) with B(j) >= 2^(lam*j - 1) once
             # 2^(lam*j) clears twice the negative shift
             n1 = lo
             if shift < 0:
                 n1 = max(lo, (1.0 + math.log2(-shift)) / lam)
-                parts.append((1.0, 0.0, 0.0, math.log2(-shift) / lam))
+                parts.append((1.0, 0.0, 0.0, 0.0, math.log2(-shift) / lam))
             if n1 > lo:
-                side.append((mside(0.0, c_m, 1.0, math.inf), 0.0, 0.0, n1))
+                side.append((mside(0.0, c_m, 1.0, inf), 0.0, 0.0, 0.0, n1))
             if sup_mode:
-                side.append((pow2f(-c_m), lam * c_m, 0.0, math.inf))
+                side.append((1.0, -c_m, lam * c_m, 0.0, inf))
             else:
-                kpart = (1.0 + 1.0 / (-c_m - 1.0)) * pow2f(-(c_m + 1.0))
-                side.append((kpart, lam * (c_m + 1.0), 0.0, math.inf))
+                side.append((1.0 + 1.0 / (-c_m - 1.0), -(c_m + 1.0), lam * (c_m + 1.0), 0.0, inf))
         else:
             bc = max(1, 1 + shift)
             if shift <= -1:
-                parts.append((1.0, 0.0, 0.0, math.inf))
-            side.append((mside(0.0, c_m, float(bc), math.inf), 0.0, 0.0, math.inf))
-        parts += side * 2
-        atom_total = 0.0
-        for kpart, de, df, hi_n in parts:
-            if hi_n < lo:
-                continue
-            grow = mside(en + de, fn + df, lo, hi_n)
-            if math.isinf(kpart) or math.isinf(grow):
-                return math.inf
-            atom_total += kpart * grow
-        if atom_total:  # a saturated coefficient meets no empty tail as inf * 0
-            total += _powf(atom.coeff, th) * atom_total
-    if not sup_mode and th > 1.0 and len(piece.atoms) > 1 and total:
-        total *= _powf(len(piece.atoms), th)
-    return total
+                parts.append((1.0, 0.0, 0.0, 0.0, inf))
+            # the m-sum from bc on as its first term 2^e times the rest, so
+            # that it does not underflow at a large theta
+            e = c_m * math.log2(bc)
+            side.append((mside(0.0, c_m, float(bc), inf, -e), e, 0.0, 0.0, inf))
+        parts = [(mult, e, en + de, fn + df, hi_n)
+                 for mult, e, de, df, hi_n in parts + side * 2 if hi_n >= lo]
+        if any(math.isinf(mult) for mult, *_ in parts):
+            return inf
+        kparts = [mult * pow2f(e) for mult, e, *_ in parts]
+        grows = [mside(a, c, lo, hi_n) for *_, a, c, hi_n in parts]
+        coeff_th = _powf(atom.coeff, th)
+        if all(0.0 < x < inf for x in (*kparts, *grows, coeff_th, k_th)):
+            atom_total = 0.0
+            for kpart, grow in zip(kparts, grows):
+                atom_total += kpart * grow
+            total += coeff_th * atom_total
+            continue
+        # a factor saturates, so the product may not: each part adds the
+        # coefficient's, k's and 2^e's exponents into its one n-sum
+        for mult, e, a, c, hi_n in parts:
+            grow = mside(a, c, lo, hi_n, e + th * math.log2(atom.coeff) + log2_k)
+            if math.isinf(grow):  # a divergent n-sum, whatever its factor
+                return inf
+            folded += mult * grow
+    return (total and total * k_th) + folded
 
 
 def _grows_exponentially(piece: Piece) -> bool:
@@ -541,8 +659,12 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
 
     Every coefficient and exponent is read as a float once, on entry
     (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for a
-    pair-sector m-factor other than |m|^c.  Grid sectors are evaluated once
-    on the largest window.  Pair sectors are summed row by row, each row in
+    pair-sector m-factor other than |m|^c.  Other pieces take every shell at
+    once (:func:`_piece_shells`): radial pieces with trivial coordinate
+    factors by their squared norms (at a finite theta from d = 2 on), and
+    single-atom products of two or more axes without a radial power axis by
+    axis; the rest on (2R + 1)^d grid points under the window cap.  Pair
+    sectors are summed row by row, each row in
     closed form or, for several atoms at a non-integer theta, as a direct
     head plus a bound on the rest (:func:`_pair_row`).  At theta = inf every
     shell, every row and the running partial "sum" are maxima: a row
@@ -555,7 +677,7 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     contributions over the last three radii decay with ratio at most
     ``SHELL_RATIO`` (theta = inf: stop raising the running max), no row
     past the float range was left out, the structural bound is finite and
-    no grid piece grows exponentially along an unbounded axis
+    no piece off the pair sectors grows exponentially along an unbounded axis
     (:func:`_grows_exponentially`; such a term can fall across the whole
     window and still blow up past it).  Everything else
     is Inconclusive.  The radii are :func:`default_radii` of the weight's
@@ -579,80 +701,46 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
         radii = tuple(itertools.takewhile(fits, radii)) or radii[:1]
     theta_f = None if theta.is_inf else float(theta)
 
-    # per-piece cached flat arrays for grid sectors (largest window once)
-    grid_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for idx, piece in enumerate(pieces):
-        if isinstance(piece.sector, PairSector):
-            continue
-        grid_cache[idx] = _grid_values(piece, max(radii))
-
-    def shell_contrib(idx: int, r_prev: int, r: int) -> _RowSum:
-        piece = pieces[idx]
-        if isinstance(piece.sector, PairSector):
-            total = 0.0
-            flagged = False
-            for n in piece.sector.n_values(r):
-                if abs(n) <= r_prev:
-                    continue
-                row = _pair_row(piece, n, theta_f)
-                total = max(total, row.value) if theta_f is None else total + row.value
-                flagged = flagged or row.unevaluated
-            return _RowSum(total, flagged)
-        values, pt_radii = grid_cache[idx]
-        mask = (pt_radii > r_prev) & (pt_radii <= r)
-        vals = values[mask]
-        if theta_f is None:
-            return _RowSum(float(vals.max()) if vals.size else 0.0)
-        with np.errstate(over="ignore", under="ignore"):
-            return _RowSum(float(_powered(vals, theta_f).sum()))
+    # a shell, a row and the running partial "sum" add, or take maxima at inf
+    combine = max if theta_f is None else operator.add
+    # every shell of each piece that is not a pair sector, at once
+    shell_cache = {idx: _piece_shells(piece, radii, theta_f) for idx, piece in enumerate(pieces)
+                   if not isinstance(piece.sector, PairSector)}
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""
-        out = 0.0
-        for piece in pieces:
-            if isinstance(piece.sector, PairSector):
-                b = _pair_tail_bound(piece, radius, theta_f)
-                out = max(out, b) if theta_f is None else out + b
-        return out
+        return functools.reduce(combine, (_pair_tail_bound(p, radius, theta_f) for p in pieces
+                                          if isinstance(p.sector, PairSector)), 0.0)
 
     partials: list[float] = []
     shells: list[float] = []
     flagged_any = False
     running = 0.0
-    r_prev = -1
-    last_radius = radii[0]
-    for r in radii:
+    for i, r in enumerate(radii):
         shell_total = 0.0
-        for idx in range(len(pieces)):
-            contrib = shell_contrib(idx, r_prev, r)
-            flagged_any = flagged_any or contrib.unevaluated
-            if theta_f is None:
-                shell_total = max(shell_total, contrib.value)
-            else:
-                shell_total += contrib.value
-        if theta_f is None:
-            running = max(running, shell_total)
-        else:
-            running += shell_total
+        for idx, piece in enumerate(pieces):
+            if idx in shell_cache:
+                shell_total = combine(shell_total, shell_cache[idx][i])
+                continue
+            rows = [_pair_row(piece, n, theta_f) for n in piece.sector.n_values(r)
+                    if abs(n) > (radii[i - 1] if i else -1)]
+            flagged_any = flagged_any or any(row.unevaluated for row in rows)
+            shell_total = combine(shell_total, functools.reduce(
+                combine, (row.value for row in rows), 0.0))
+        running = combine(running, shell_total)
         shells.append(shell_total)
         partials.append(running)
-        last_radius = r
-        r_prev = r
         if not math.isfinite(running) or running > BLOWUP_THRESHOLD:
             # row masses on pair sectors can hump upward well inside a
             # convergent sum; a finite structural tail overrules the gate
             if not (has_pair and math.isfinite(pair_tail(r))):
-                return TailClassification(
-                    "Divergent", last_radius, partial_sum=running, growth=math.inf
-                )
+                return TailClassification("Divergent", r, partial_sum=running, growth=math.inf)
+    last_radius = radii[-1]
 
     if len(partials) >= 2 and partials[-2] > 0:
         g = partials[-1] / partials[-2]
-        if g >= GROWTH_FACTOR:
-            if not (has_pair and math.isfinite(pair_tail(last_radius))):
-                return TailClassification(
-                    "Divergent", last_radius, partial_sum=partials[-1], growth=g
-                )
+        if g >= GROWTH_FACTOR and not (has_pair and math.isfinite(pair_tail(last_radius))):
+            return TailClassification("Divergent", last_radius, partial_sum=partials[-1], growth=g)
 
     # decaying shells certify nothing about the rows an exponentially
     # widening pair sector keeps past the window; bound those structurally
@@ -661,48 +749,20 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     grows = any(
         _grows_exponentially(p) for p in weight.pieces if not isinstance(p.sector, PairSector)
     )
-    if (
-        len(shells) >= RATIO_WINDOW
-        and not flagged_any
-        and not grows
-        and math.isfinite(beyond)
-    ):
+    if len(shells) >= RATIO_WINDOW and not flagged_any and not grows and math.isfinite(beyond):
         window = shells[-RATIO_WINDOW:]
+        steps = list(zip(window, window[1:]))
         if theta_f is None:
             # sup semantics: certify boundedness when newer shells stop
             # raising the running max (monotone tail within fp slack)
-            flat = all(
-                cur <= prev * (1.0 + 1e-12) for prev, cur in zip(window, window[1:])
-            )
-            if flat:
-                return TailClassification(
-                    "Convergent",
-                    last_radius,
-                    partial_sum=partials[-1],
-                    tail_bound=max(window[-1], beyond),
-                )
-        else:
-            ratios = []
-            ok = True
-            for prev, cur in zip(window, window[1:]):
-                if prev <= 0.0:
-                    if cur > 0.0:
-                        ok = False
-                    continue
-                ratios.append(cur / prev)
-            ratio_max = max(ratios) if ratios else 0.0
-            if ok and ratio_max <= SHELL_RATIO:
-                last_shell = window[-1]
-                tail = (
-                    last_shell * ratio_max / (1.0 - ratio_max)
-                    if ratio_max > 0
-                    else 0.0
-                )
-                return TailClassification(
-                    "Convergent",
-                    last_radius,
-                    partial_sum=partials[-1],
-                    tail_bound=tail + beyond,
-                )
+            if all(cur <= prev * (1.0 + 1e-12) for prev, cur in steps):
+                return TailClassification("Convergent", last_radius, partial_sum=partials[-1],
+                                          tail_bound=max(window[-1], beyond))
+        elif not any(prev <= 0.0 < cur for prev, cur in steps):
+            ratio_max = max((cur / prev for prev, cur in steps if prev > 0.0), default=0.0)
+            if ratio_max <= SHELL_RATIO:
+                tail = window[-1] * ratio_max / (1.0 - ratio_max) if ratio_max > 0 else 0.0
+                return TailClassification("Convergent", last_radius, partial_sum=partials[-1],
+                                          tail_bound=tail + beyond)
 
     return TailClassification("Inconclusive", last_radius, partial_sum=partials[-1])

@@ -483,13 +483,27 @@ def test_float_power_overflow_in_a_transform_prints_its_message():
 
 
 def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):
-    # the 2-D grid at radius 256 holds 513^2 points; the cap is checked first
+    # a product piece of several atoms keeps the grid, which holds 513^2
+    # points at radius 256 in 2-D; the cap is checked first
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
-    code, out, err = run_cli(["decide", "--family", "alpha_modulation",
-                              "--params", '{"d":2,"alpha":"1/2","s":3}',
+    code, out, err = run_cli(["decide", "--family", "diagonal",
+                              "--params", '{"d":2,"alpha":["-1/2","0"],"beta":["-3/2","-2"]}',
                               "-p", "1", "-q", "2", "-r", "2", "-k", "1", "--oracle-check"])
     assert (code, out) == (70, b"")
     assert err.startswith("error: window of 263169 indices exceeds the cap of 1000 ")
+    assert err.count("\n") == 1
+
+
+def test_exceeded_window_cap_bounds_the_oracle_square_counts(monkeypatch):
+    # a radial piece at theta = 6 counts its points per squared norm, and
+    # the cap is checked before each outer sum of the reachable norms and an
+    # axis's squares: at radius 8, 116 norms of three axes times 9 squares
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
+    code, out, err = run_cli(["decide", "--family", "alpha_modulation",
+                              "--params", '{"d":4,"s":3}',
+                              "-p", "2", "-q", "3", "-r", "2", "-k", "0", "--oracle-check"])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: window of 1044 indices exceeds the cap of 1000 ")
     assert err.count("\n") == 1
 
 

@@ -479,7 +479,7 @@ def line_weights(draw):
 
 @st.composite
 def product_weights(draw):
-    d = draw(st.integers(2, 3))
+    d = draw(st.integers(2, 5))
     lines = tuple(LineSector(draw(st.sampled_from(["Z", "N0", "Nneg"]))) for _ in range(d))
     factors = tuple(
         CoordFactor.symmetric(draw(small_exp), draw(small_pow)) for _ in range(d)
@@ -715,6 +715,18 @@ def test_tail_bound_keeps_a_growing_tail_behind_an_underflowed_factor():
     assert oracle._pair_tail_bound(oracle._float_pieces(w)[0], 20, 1000.0) == math.inf
     assert truncated_oracle(w, E(1000)).verdict == "Inconclusive"
     assert decide_lp_membership(w, E(1000)) is NOT_MEMBER
+
+
+@pytest.mark.parametrize("theta", ["1000", "2000"])
+def test_tail_bound_folds_factors_that_saturate_apart(theta):
+    # |m|^-2 on the rows |m| >= 2^(n/2) - 1 past radius 20: the row factor
+    # 2^(2 theta - 1) is past the float range and the n-sum it multiplies
+    # underflows, while their product is about 2^(-9.5 theta); summed in one
+    # exponent the bound is finite (0.0), and the shells certify the rest
+    w = ExpPolyWeight.single(PairSector("N0", F(1, 2), "outside", -1), Atom.pair(m_power=-2))
+    assert oracle._pair_tail_bound(oracle._float_pieces(w)[0], 20, float(theta)) == 0.0
+    assert truncated_oracle(w, E(theta)).verdict == "Convergent"
+    assert decide_lp_membership(w, E(theta)) is MEMBER
 
 
 # an m-factor |m|^c, flat in 2^(a*m) and even in m, as Atom.pair builds it:
@@ -1005,6 +1017,116 @@ def test_grid_axes_are_the_coordinate_values(domain, radius):
     assert axis.dtype == np.float64 and axis.tobytes() == want
     axes = oracle._grid_axes(ProductSector((sector, LineSector("Z"))), radius)
     assert axes[0].tobytes() == want
+
+
+def _grid_shells(piece, radii, theta_f):
+    """Each shell (r', r] of the radii summed (theta = inf: maxed) over the
+    grid values of the piece, the reference the structure routes meet."""
+    values, pt_radii = oracle._grid_values(piece, radii[-1])
+    shells = []
+    for r_prev, r in zip((-1, *radii), radii):
+        vals = values[(pt_radii > r_prev) & (pt_radii <= r)]
+        if theta_f is None:
+            shells.append(float(vals.max()) if vals.size else 0.0)
+        else:
+            with np.errstate(under="ignore"):
+                shells.append(math.fsum((vals[vals > 0] ** theta_f).tolist()))
+    return shells
+
+
+def _assert_shells_match(got, want, theta_f):
+    if theta_f is None:
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+    else:
+        assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(got, want)), (got, want)
+        assert len(got) == len(want)
+
+
+_shell_radii = st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(
+    lambda rs: tuple(sorted(rs)))
+_shell_thetas = st.sampled_from([None, 0.5, 1.0, 1.5, 2.0, 3.0])
+# |k|^2 / 5 + 5 |k|^-3: the first shell's max lies at n = 1, the later ones at d r^2
+_MIXED_RADIAL = (Atom.radial(2, 2, F(1, 5)), Atom.radial(2, -3, 5))
+
+
+@st.composite
+def trivial_radial_pieces(draw, dims=st.integers(1, 3)):
+    d = draw(dims)
+    return Piece(RadialSector(d), tuple(
+        Atom.radial(d, draw(small_pow), draw(_coeffs)) for _ in range(draw(st.integers(1, 3)))))
+
+
+@st.composite
+def single_atom_products(draw, dims=st.integers(2, 3)):
+    lines = tuple(LineSector(draw(st.sampled_from(["Z", "N0", "Nneg", "Z_nonzero"])))
+                  for _ in range(draw(dims)))
+    factors = tuple(CoordFactor(draw(small_exp), draw(small_exp), draw(small_pow), draw(small_pow))
+                    for _ in lines)
+    return Piece(ProductSector(lines), (Atom(draw(_coeffs), factors),))
+
+
+@settings(max_examples=120, deadline=None)
+@given(trivial_radial_pieces(), _shell_radii, _shell_thetas)
+@example(Piece(RadialSector(2), _MIXED_RADIAL), (1, 2, 4, 8), None)
+@example(Piece(RadialSector(2), _MIXED_RADIAL), (1, 2, 4, 8), 1.5)
+@example(Piece(RadialSector(3), (Atom.radial(3, 0, 3),)), (1, 5), None)
+@WARNINGS_AS_ERRORS
+def test_radial_shells_match_the_grid(piece, radii, theta_f):
+    # theta = inf reads two squared norms per shell, bit for bit the grid's
+    # max; a finite theta counts the shell's points at each norm exactly
+    piece = oracle._float_pieces(ExpPolyWeight((piece,)))[0]
+    _assert_shells_match(oracle._radial_shells(piece, radii, theta_f),
+                         _grid_shells(piece, radii, theta_f), theta_f)
+
+
+def test_radial_sup_shells_read_both_ends():
+    piece = oracle._float_pieces(ExpPolyWeight.single(RadialSector(2), *_MIXED_RADIAL))[0]
+    shells = oracle._radial_shells(piece, (1, 2, 4, 8), None)
+    assert shells[0] == 1 / 5 + 5  # n = 1, where n = 2 reads 2/5 + 5 / 2^(3/2)
+    assert shells[1:] == pytest.approx([n / 5 + 5 * n**-1.5 for n in (8, 32, 128)], rel=1e-15)
+    assert shells == _grid_shells(piece, (1, 2, 4, 8), None)
+
+
+@settings(max_examples=40, deadline=None)
+@given(trivial_radial_pieces(st.integers(2, 5)).map(lambda p: ExpPolyWeight((p,))), thetas)
+def test_oracle_never_contradicts_decider_on_radial_weights(w, theta):
+    res = truncated_oracle(w, theta)
+    memb = decide_lp_membership(w, theta)
+    if res.verdict == "Convergent":
+        assert memb is MEMBER
+    elif res.verdict == "Divergent":
+        assert memb is NOT_MEMBER
+
+
+@settings(max_examples=120, deadline=None)
+@given(single_atom_products(), _shell_radii, _shell_thetas)
+@WARNINGS_AS_ERRORS
+def test_product_shells_match_the_grid(piece, radii, theta_f):
+    # per axis: theta = inf adds the axis maxima as the grid adds a point's
+    # exponents, a finite theta multiplies the axis sums
+    piece = oracle._float_pieces(ExpPolyWeight((piece,)))[0]
+    _assert_shells_match(oracle._product_shells(piece, radii, theta_f),
+                         _grid_shells(piece, radii, theta_f), theta_f)
+
+
+@pytest.mark.parametrize("piece, route", [
+    (Piece(RadialSector(4), (Atom.radial(4, -5),)), "_radial_shells"),
+    (Piece(ProductSector((LineSector("Z"),) * 4), (Atom(1, (CoordFactor(-1, 1),) * 4),)),
+     "_product_shells"),
+], ids=["radial", "product"])
+@pytest.mark.parametrize("theta", [E(2), INF], ids=["theta-2", "theta-inf"])
+def test_structure_routes_build_no_grid(monkeypatch, piece, route, theta):
+    # at d = 4 the grid would hold 65^4 points, past the default window cap
+    def no_grid(*args):
+        raise AssertionError("grid built")
+
+    monkeypatch.setattr(oracle, "_grid_values", no_grid)
+    calls = []
+    real = getattr(oracle, route)
+    monkeypatch.setattr(oracle, route, lambda *a: calls.append(a) or real(*a))
+    res = truncated_oracle(ExpPolyWeight((piece,)), theta)
+    assert calls and res.verdict == "Convergent"
+    assert decide_lp_membership(ExpPolyWeight((piece,)), theta) is MEMBER
 
 
 # ---------------------------------------------------------------------------
