@@ -266,6 +266,12 @@ ORACLE_DECIDE = [
     ("diagonal", {"d": 1, "alpha": -2, "beta": -3}, "cb", "1", None, "2", 1),
     ("diagonal", {"d": 2, "alpha": ["-1/2", "0"], "beta": ["-3/2", "-2"]},
      "sobolev", "1", "2", "2", 1),
+    # four dimensions, past the window cap of a grid: radial and product
+    # pieces read by their structure
+    ("alpha_modulation", {"d": 4, "s": "3"}, "sobolev", "1", "2", "2", 1),
+    ("alpha_modulation", {"d": 4, "s": "3"}, "sobolev", "2", "3", "2", 0),
+    ("diagonal", {"d": 4, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "2", "2", 0),
+    ("diagonal", {"d": 4, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "1", "3/2", 0),
 ]
 _OUTSIDE = {"kind": "pairs", "lam": "1/2", "side": "outside", "shift": -1}
 _OUTSIDE_ATOMS = [
