@@ -209,8 +209,7 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _radial_values(atoms: Iterable[Atom], n: np.ndarray) -> np.ndarray:
     """A radial piece with trivial coordinate factors at the squared norms
-    n, by the operations of :func:`_grid_values` in its order: bit for bit
-    the grid's values."""
+    n, by :func:`_grid_values`'s operations in its order: its values bit for bit."""
     lg, total = np.log2(n), np.zeros(n.shape)
     with np.errstate(over="ignore", under="ignore"):
         for atom in atoms:
@@ -282,7 +281,7 @@ def _product_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None)
     return total.tolist()
 
 
-def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> list[float]:
+def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> Iterable[float]:
     """A piece off the pair sectors on each shell (r', r] of the radii: its
     sum of theta-powers, or its max at theta = inf, by its structure where
     the two routes above take it, else on its grid, the largest window once."""
@@ -294,11 +293,14 @@ def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -
             and not atoms[0].radial_pow:
         return _product_shells(piece, radii, theta_f)
     values, pt_radii = _grid_values(piece, radii[-1])
-    shells = [values[(pt_radii > r_prev) & (pt_radii <= r)]
-              for r_prev, r in zip((-1, *radii), radii)]
-    with np.errstate(over="ignore", under="ignore"):
-        return [float(vals.max(initial=0.0) if theta_f is None else _powered(vals, theta_f).sum())
-                for vals in shells]
+    # shell by shell, as the caller reads them, which may stop on a divergence
+    return (_grid_shell(values[(pt_radii > r_prev) & (pt_radii <= r)], theta_f)
+            for r_prev, r in zip((-1, *radii), radii))
+
+
+@np.errstate(over="ignore", under="ignore")
+def _grid_shell(vals: np.ndarray, theta_f: float | None) -> float:
+    return float(vals.max(initial=0.0) if theta_f is None else _powered(vals, theta_f).sum())
 
 
 @dataclass
@@ -499,12 +501,10 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
 
     Exponentially widening rows can hide a divergence past any finite
     window; a shell record that looks geometric is only certified when
-    this structural bound on the unexplored remainder is finite.  Each part
-    of an atom's bound is a product of factors taken apart: a constant, an
-    n-sum, the coefficient's theta-th power and, for k atoms, k^theta.
-    Where one of them is 0 or inf, the atom's parts add the rest as one
-    exponent into the n-sum instead, so that a factor past the float range
-    cannot turn a small product into inf, or a large one into 0.
+    this structural bound on the unexplored remainder is finite.  Where a
+    factor of a part (its constant, its n-sum, coeff^theta, k^theta) is 0 or
+    inf, the atom's parts add the exponents of the others into the n-sum, so
+    that no factor past the float range turns a small product into inf.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
     wsign = 1 if sector.n_domain == "N0" else -1
@@ -703,9 +703,9 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
 
     # a shell, a row and the running partial "sum" add, or take maxima at inf
     combine = max if theta_f is None else operator.add
-    # every shell of each piece that is not a pair sector, at once
-    shell_cache = {idx: _piece_shells(piece, radii, theta_f) for idx, piece in enumerate(pieces)
-                   if not isinstance(piece.sector, PairSector)}
+    # the shells of each piece that is not a pair sector, in radius order
+    shell_iters = {idx: iter(_piece_shells(piece, radii, theta_f))
+                   for idx, piece in enumerate(pieces) if not isinstance(piece.sector, PairSector)}
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""
@@ -719,8 +719,8 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     for i, r in enumerate(radii):
         shell_total = 0.0
         for idx, piece in enumerate(pieces):
-            if idx in shell_cache:
-                shell_total = combine(shell_total, shell_cache[idx][i])
+            if idx in shell_iters:
+                shell_total = combine(shell_total, next(shell_iters[idx]))
                 continue
             rows = [_pair_row(piece, n, theta_f) for n in piece.sector.n_values(r)
                     if abs(n) > (radii[i - 1] if i else -1)]
