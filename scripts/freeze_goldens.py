@@ -9,8 +9,9 @@ Four kinds of golden are frozen:
   every family's threshold, one compact JSON line per call holding the
   query and its ``Verdict.to_json()``;
 * ``covering_constants.jsonl``: ``certify_constants`` and a sha256 of the
-  sorted neighbour map for every family covering at radii 0-3, one
-  compact JSON line per (covering, radius);
+  sorted neighbour map for every family covering at radii 0-3, and for
+  three- and four-dimensional coverings at the radii their windows
+  afford, one compact JSON line per (covering, radius);
 * ``oracle_tails.jsonl``: ``truncated_oracle(...).to_json()`` for every
   distinct (weight, theta) that a fixed list of ``decide --oracle-check``
   queries and ``check-sequence --oracle`` weight pairs puts to the oracle,
@@ -223,6 +224,27 @@ CONSTANTS_COVERINGS = [
     {"family": "diagonal", "params": {"d": 2, "alpha": "1/2", "beta": [0, [-1, 2]]}},
 ]
 CONSTANTS_RADII = (0, 1, 2, 3)
+# Three and four dimensions, each at the radii its window affords: diagonal
+# d = 3 has 1 000 indices at radius 2, alpha_modulation d = 3 at alpha 1/2
+# takes float transforms, and the custom covering maps a ball by four exact
+# non-diagonal 4 x 4 similarities (quaternion matrices, the last of them
+# orthogonal over 1/2), so its constants read 4 x 4 determinants and adjugates.
+QUATERNIONS = [
+    [[a, -b, -c, -e], [b, a, -e, c], [c, e, a, -b], [e, -c, b, a]]
+    for a, b, c, e in ((1, 0, 0, 0), (1, 1, 1, 1), (1, 2, 2, 4), (2, 0, 0, 0))
+]
+DEEP_CONSTANTS_COVERINGS = [
+    ({"family": "hom_besov", "params": {"d": 3}}, CONSTANTS_RADII),
+    ({"family": "diagonal", "params": {"d": 3}}, (0, 1)),
+    ({"family": "alpha_modulation", "params": {"d": 3, "alpha": "1/2"}}, CONSTANTS_RADII),
+    ({"custom": {
+        "dimension": 4,
+        "indices": [[0], [1], [2], [3], [4]],
+        "T": [*QUATERNIONS, [[f"{x}/2" for x in row] for row in QUATERNIONS[1]]],
+        "b": [[0, 0, 0, 0], [2, 0, 0, 0], [0, 5, 0, 0], [0, 0, -9, 0], [0, 0, 0, "1/2"]],
+        "base_set": {"ball": {"center": [0, 0, 0, 0], "radius": 1}},
+    }}, (0,)),
+]
 
 
 def constants_line(doc: dict, radius: int) -> str:
@@ -353,7 +375,9 @@ def goldens() -> dict[str, bytes]:
     _check_coverage(queries, lines)
     files[GRID_FILE] = "".join(lines).encode()
     files[CONSTANTS_FILE] = "".join(
-        constants_line(doc, r) for doc in CONSTANTS_COVERINGS for r in CONSTANTS_RADII
+        constants_line(doc, r) for doc, radii in [
+            *((doc, CONSTANTS_RADII) for doc in CONSTANTS_COVERINGS), *DEEP_CONSTANTS_COVERINGS]
+        for r in radii
     ).encode()
     files[ORACLE_FILE] = "".join(oracle_lines(q) for q in oracle_queries()).encode()
     return files
