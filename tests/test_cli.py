@@ -671,7 +671,7 @@ def test_oracle_pair_coefficient_past_the_float_range_makes_no_traceback(coeff):
 @WARNINGS_AS_ERRORS
 def test_oracle_sup_row_of_large_terms_is_their_sup():
     # every term of the row is 1e305: the sup is finite although the sum of
-    # one chunk's maxima is past the float range
+    # its terms is past the float range
     pairs = {"kind": "pairs", "lam": 0, "side": "outside"}
     code, out, err = run_cli([
         "check-sequence",

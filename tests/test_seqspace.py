@@ -568,8 +568,9 @@ def multi_atom_pair_weights(draw):
 @settings(max_examples=40, deadline=None)
 @given(multi_atom_pair_weights(), thetas)
 def test_oracle_never_contradicts_decider_on_multi_atom_pairs(w, theta):
-    # with k > 1 atoms an outside row stops on the k^theta (sum) or k-times
-    # (sup) combination of the per-atom remainder bounds
+    # with k > 1 atoms a sup row reads its end terms; a sum row expands the
+    # multinomial at an integer theta, or else sums a head and bounds the
+    # rest by the power mean inequality
     res = truncated_oracle(w, theta)
     memb = decide_lp_membership(w, theta)
     if res.verdict == "Convergent":
@@ -889,7 +890,7 @@ def _outside_row(*atoms):
 @example(_outside_row(Atom.pair(m_power=-1))[:2], 2.0)
 @example(_outside_row(*[Atom.pair()] * 2)[:2], None)
 def test_outside_row_value_dominates_its_first_terms(row, theta_f):
-    """An outside row's value, read on its own (scale 0), is at least the
+    """An outside row's value, read by ``_pair_row`` alone, is at least the
     brute-force sum (the sup, for theta = inf) of its first 50 000 |m| on
     both sides, and of m = 0 when the row holds it, to a relative 1e-12."""
     piece, n = row
