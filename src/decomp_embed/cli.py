@@ -156,11 +156,16 @@ def _cmd_check_sequence(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify_family(args: argparse.Namespace) -> int:
-    from .covering import certify_constants, check_moderate, norm_surrogate_check, probe_weight
+    from .covering import (adjacency, certify_constants, check_moderate,
+                           norm_surrogate_check, placements, probe_weight)
 
     fam = get_family(args.family)
     params = fam.parse_params(_json_arg(args.params, "--params"))
     cov = fam.covering(params)
+    # one neighbour map, at radius r + 2, which radius r reads restricted; the
+    # window of radius r is placed first, so its own errors still come first
+    if placements(cov, args.radius):
+        adjacency(cov, args.radius + 2)
     constants = certify_constants(cov, args.radius)
     moderate = check_moderate(cov, probe_weight(cov), (args.radius, args.radius + 2))
     try:

@@ -16,6 +16,7 @@ have.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -25,7 +26,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import ge, le, mul
 from types import MappingProxyType
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
 from .errors import (
     InvalidParams,
@@ -39,11 +40,13 @@ from .exponents import int_from_json, rational_from_json
 __all__ = [
     "BallSet",
     "BoxSet",
+    "ScaledMatrix",
     "AnnulusSet",
     "PolygonSet",
     "Covering",
     "cone_trapezoid",
     "adjacency",
+    "placements",
     "neighbors",
     "certify_constants",
     "check_moderate",
@@ -93,10 +96,24 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
+class ScaledMatrix(tuple):
+    """The exact matrix A / s of an integer matrix A and an int s > 0: a tuple
+    of its rows, which keeps A / s in lowest terms for ``_integer_scaled``."""
+
+    def __new__(cls, ints: Sequence[Sequence[int]], s: int = 1) -> ScaledMatrix:
+        g = math.gcd(s, *itertools.chain(*ints))
+        ints, s = tuple(tuple(x // g for x in row) for row in ints), s // g
+        self = super().__new__(cls, (tuple(Fraction(x, s) for x in row) for row in ints))
+        self.scaled = ints, s
+        return self
+
+
 def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(A, s) with a == A / s exactly, A an integer matrix and s the lcm of the
     entry denominators; ``as_integer_ratio`` reads int, Fraction and finite
     float entries exactly."""
+    if type(a) is ScaledMatrix:
+        return a.scaled
     ratios = [[x.as_integer_ratio() for x in row] for row in a]
     s = math.lcm(*(d for row in ratios for _, d in row))
     return tuple(tuple(n * (s // d) for n, d in row) for row in ratios), s
@@ -106,36 +123,52 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
     return tuple(sum(row[j] * x[j] for j in range(len(x))) for row in a)
 
 
+def _det_adj(a: tuple[tuple[int, ...], ...]) -> tuple[int, Mat]:
+    """(det a, adj a) of an integer matrix, a times adj a being det a times the
+    identity: the closed forms up to 2 x 2, then fraction-free Gauss-Jordan
+    (Bareiss) elimination of (a | id), whose every division is exact, in
+    O(n^3) integer operations.  A singular matrix has adjugate None."""
+    n = len(a)
+    if n == 1:
+        return a[0][0], ((1,),)
+    if n == 2:
+        (p, q), (r, s) = a
+        return p * s - q * r, ((s, -q), (-r, p))
+    m = [[*row, *(int(c == k) for c in range(n))] for k, row in enumerate(a)]
+    sign = prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return 0, None
+        if pivot != k:
+            m[k], m[pivot], sign = m[pivot], m[k], -sign
+        top = m[k]
+        for r in range(n):
+            if r != k:
+                f = m[r][k]
+                m[r] = [(top[k] * x - f * y) // prev for x, y in zip(m[r], top)]
+        prev = top[k]
+    # (a | id) is now (prev id | prev a^-1) with prev = sign * det a
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in m)
+
+
 def mat_det(a: Mat) -> Scalar:
-    """Determinant by cofactor expansion; exact when the entries are exact."""
+    """The determinant, exact when the entries are: the closed forms up to
+    2 x 2, from 3 x 3 on ``_det_adj`` on the integer-scaled matrix.  A float
+    matrix keeps the rounding cofactor expansion gave it where that is one
+    order of products, the right-nested product of a diagonal; any other is
+    its exact determinant, rounded once."""
     n = len(a)
     if n == 1:
         return a[0][0]
     if n == 2:
         return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    total = 0
-    for col in range(n):
-        minor = tuple(
-            tuple(row[c] for c in range(n) if c != col) for row in a[1:]
-        )
-        sign = 1 if col % 2 == 0 else -1
-        total = total + sign * a[0][col] * mat_det(minor)
-    return total
-
-
-def _adjugate(a: Mat) -> Mat:
-    """The adjugate: a times it is det(a) times the identity."""
-    n = len(a)
-    if n == 1:
-        return ((1,),)
-    return tuple(
-        tuple(
-            (-1) ** (r + c)
-            * mat_det(tuple(row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c))
-            for c in range(n)
-        )
-        for r in range(n)
-    )
+    exact = _is_exact(*itertools.chain(*a))
+    if not exact and _is_diagonal(a):
+        return functools.reduce(lambda acc, x: x * acc, [a[k][k] for k in reversed(range(n))])
+    ints, s = _integer_scaled(a)
+    det = Fraction(_det_adj(ints)[0], s**n)
+    return det if exact else float(det)
 
 
 # m^T m needs the 4th power of the largest entry to stay a normal float, so a
@@ -222,13 +255,21 @@ class BoxSet:
         return len(self.lo)
 
     def sup_norm(self) -> float:
-        best = 0.0
-        for corner in itertools.product(*zip(self.lo, self.hi)):
-            best = max(best, math.sqrt(float(sum(x * x for x in corner))))
-        return best
+        # the farthest corner takes the larger square on every axis: squares,
+        # sums, float() and sqrt are monotone, so this is its rounded norm
+        return math.sqrt(float(sum(max(lo * lo, hi * hi) for lo, hi in zip(self.lo, self.hi))))
 
     def bounding_box(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
         return tuple(float(x) for x in self.lo), tuple(float(x) for x in self.hi)
+
+    @cached_property
+    def _lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
+        """(s * lo, s * hi, s) as ints, s the lcm of the coordinate
+        denominators; None when a coordinate is a float."""
+        if not _is_exact(*self.lo, *self.hi):
+            return None
+        (ints,), s = _integer_scaled(((*self.lo, *self.hi),))
+        return ints[:self.dim], ints[self.dim:], s
 
 
 @dataclass(frozen=True)
@@ -412,9 +453,13 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
     diagonal ones, polygons under any plane transform.  Everything else
     degrades to a conservative bounding ball with the bit cleared.
     """
+    exact = _is_exact(*itertools.chain(*t, b))
     if isinstance(base, PolygonSet) and len(t) == 2:
-        if base._lattice is not None and _is_exact(*t[0], *t[1], *b):
-            return _lattice_image(base._lattice, t, b), True
+        if base._lattice is not None and exact:
+            pts, den = _lattice_map(*base._lattice, t, b)
+            image = PolygonSet(tuple((Fraction(x, den), Fraction(y, den)) for x, y in pts))
+            image.__dict__["_lattice"] = pts, den  # the cached_property's slot
+            return image, True
         verts = base.vertices
         if all(type(x) is float for row in t for x in row):
             # float op Fraction is float op float(Fraction): convert once
@@ -431,6 +476,12 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
         if s is not None and all(x == 0 for x in b):
             return AnnulusSet(base.dim, abs(s) * base.inner, abs(s) * base.outer), True
     if isinstance(base, BoxSet) and _is_diagonal(t):
+        if base._lattice is not None and exact:
+            lo_hi, den = _lattice_map(base._lattice[:2], base._lattice[2], t, b)
+            lo, hi = (tuple(map(f, *lo_hi)) for f in (min, max))
+            image = BoxSet(*(tuple(Fraction(x, den) for x in v) for v in (lo, hi)))
+            image.__dict__["_lattice"] = lo, hi, den
+            return image, True
         lo, hi = [], []
         for j in range(len(b)):
             a1 = t[j][j] * base.lo[j] + b[j]
@@ -447,18 +498,15 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
     return BallSet(center, radius), False
 
 
-def _lattice_image(lattice: tuple, t: Mat, b: Vec) -> PolygonSet:
-    """T P + b on ints for exact T and b, P given as (s * vertices, s); the
-    image is seeded with the lattice ``_integer_scaled`` would give it."""
-    pts, s = lattice
+def _lattice_map(pts: Sequence[tuple[int, ...]], s: int, t: Mat, b: Vec) -> tuple:
+    """T x + b on ints for exact T and b, the points x given as s * x:
+    (the image points times den, den), den the lcm of their denominators,
+    as ``_integer_scaled`` would give it."""
     m, s_m = _integer_scaled(tuple((*row, c) for row, c in zip(t, b)))  # (T | b) = m / s_m
-    rows = [[r0 * x + r1 * y + r2 * s for x, y in pts] for r0, r1, r2 in m]
+    rows = [[sum(map(mul, row, p)) + row[-1] * s for p in pts] for row in m]
     # dividing out this gcd leaves the lcm of the image's own denominators
-    g = math.gcd(s_m * s, *rows[0], *rows[1])
-    image_pts, den = tuple((x // g, y // g) for x, y in zip(*rows)), s_m * s // g
-    image = PolygonSet(tuple((Fraction(x, den), Fraction(y, den)) for x, y in image_pts))
-    image.__dict__["_lattice"] = image_pts, den  # the cached_property's slot
-    return image
+    g = math.gcd(s_m * s, *itertools.chain(*rows))
+    return tuple(zip(*([x // g for x in row] for row in rows))), s_m * s // g
 
 
 def _bounding_ball(base: BaseSet) -> tuple[Vec, Scalar]:
@@ -519,27 +567,33 @@ def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
     a at s_a^2 times the rational values, so hi_a <= lo_b reads
     hi_a s_b <= lo_b s_a on ints, and is certain.  Any float vertex sends
     the pair to the raw vertices, where a near-tie counts as meeting,
-    uncertain.
+    uncertain.  The other polygon's projection [lo_o, hi_o] on an axis is
+    taken in one pass over its vertices.
     """
     la, lb = a._lattice, b._lattice
-    if la is not None and lb is not None:
-        for axes, (_, s_own), (pts, s_other) in (
-                (a._lattice_axes, la, lb), (b._lattice_axes, lb, la)):
-            for nx, ny, lo, hi in axes:
-                vals = [x * nx + y * ny for x, y in pts]
-                if hi * s_other <= min(vals) * s_own or max(vals) * s_own <= lo * s_other:
-                    return False, True
-        return True, True
-    (axes_a, big_a), (axes_b, big_b) = a._float_axes, b._float_axes
-    tol = _FLOAT_GAP_TOL * max(1.0, big_a, big_b)
+    exact = la is not None and lb is not None
+    if exact:
+        pairs = ((a._lattice_axes, lb[0], la[1], lb[1]), (b._lattice_axes, la[0], lb[1], la[1]))
+    else:
+        (axes_a, big_a), (axes_b, big_b) = a._float_axes, b._float_axes
+        tol = _FLOAT_GAP_TOL * max(1.0, big_a, big_b)
+        pairs = ((axes_a, b.vertices, 1, 1), (axes_b, a.vertices, 1, 1))
     certain = True
-    for axes, verts in ((axes_a, b.vertices), (axes_b, a.vertices)):
+    for axes, pts, s_own, s_other in pairs:
         for nx, ny, lo, hi in axes:
-            vals = [v[0] * nx + v[1] * ny for v in verts]
-            lo_o, hi_o = min(vals), max(vals)
-            if hi <= lo_o - tol or hi_o <= lo - tol:
+            lo_o, hi_o = math.inf, -math.inf
+            for x, y in pts:
+                v = x * nx + y * ny
+                if v < lo_o:
+                    lo_o = v
+                if v > hi_o:
+                    hi_o = v
+            if exact:
+                if hi * s_other <= lo_o * s_own or hi_o * s_own <= lo * s_other:
+                    return False, True
+            elif hi <= lo_o - tol or hi_o <= lo - tol:
                 return False, True
-            if hi <= lo_o + tol or hi_o <= lo + tol:
+            elif hi <= lo_o + tol or hi_o <= lo + tol:
                 certain = False
     return True, certain
 
@@ -570,16 +624,19 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
             return True, False
         return gap2 < lim2, True
     if isinstance(a, BoxSet) and isinstance(b, BoxSet):
-        exact = _is_exact(*a.lo, *a.hi, *b.lo, *b.hi)
+        la, lb = a._lattice, b._lattice
+        if la is not None and lb is not None:
+            # both boxes on the scale s_a s_b: lo_a / s_a reads lo_a s_b
+            (lo_a, hi_a, s_a), (lo_b, hi_b, s_b) = la, lb
+            return all(max(x * s_b, y * s_a) < min(u * s_b, v * s_a)
+                       for x, y, u, v in zip(lo_a, lo_b, hi_a, hi_b)), True
         certain = True
         for lo1, hi1, lo2, hi2 in zip(a.lo, a.hi, b.lo, b.hi):
             lo = max(lo1, lo2)
             hi = min(hi1, hi2)
             if not lo < hi:
                 return False, True
-            if not exact and float(hi - lo) <= _FLOAT_GAP_TOL * max(
-                1.0, abs(float(hi)), abs(float(lo))
-            ):
+            if float(hi - lo) <= _FLOAT_GAP_TOL * max(1.0, abs(float(hi)), abs(float(lo))):
                 certain = False
         return True, certain
     ia, ib = _norm_interval(a), _norm_interval(b)
@@ -608,7 +665,8 @@ class Covering:
     ``window(radius)`` lists the indices of one window, in a fixed order,
     after ``check_window_cap`` on their count.  Exactness is read from the
     data: only T_i and b_i of int and Fraction entries, over certain
-    geometry, claim tightness.
+    geometry, claim tightness.  Each index is placed once (``_place``), and
+    every reader of its geometry reads that placement.
     """
 
     label: str
@@ -616,8 +674,41 @@ class Covering:
     window: Callable[[int], list[Index]]
     transform: Callable[[Index], tuple[Mat, Vec]]
     base_set: Callable[[Index], BaseSet]
-    # adjacency results by radius, filled by ``adjacency``
+    # Placement by index, filled by ``_place``
+    _placements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (adjacency result, pairs decided uncertain) by radius, filled by ``adjacency``
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+
+class Placement(NamedTuple):
+    """One index placed: T_i and b_i, the image T_i Q'_i + b_i in normal form
+    with ``transform_base``'s exactness bit, whether T_i and b_i are exact,
+    and T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix."""
+
+    t: Mat
+    b: Vec
+    image: BaseSet
+    ok: bool
+    exact: bool
+    scaled: tuple[tuple[tuple[int, ...], ...], int]
+
+
+def _place(covering: Covering, i: Index) -> Placement:
+    """The placement of index i, built on first use and kept on the covering."""
+    placed = covering._placements.get(i)
+    if placed is None:
+        t, b = covering.transform(i)
+        image, ok = transform_base(covering.base_set(i), t, b)
+        placed = covering._placements[i] = Placement(
+            t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t))
+    return placed
+
+
+def placements(covering: Covering, radius: int) -> dict[Index, Placement]:
+    """The placement of every index of one window, in window order."""
+    indices = covering.window(radius)
+    with _in_float_range(covering, radius):
+        return {i: _place(covering, i) for i in indices}
 
 
 def adjacency(
@@ -631,32 +722,37 @@ def adjacency(
     each padded by ``_FLOAT_GAP_TOL``, goes to ``sets_intersect``.  The pad
     only adds candidates, which exact sets still decide exactly.  The map is
     computed once per radius and kept on the covering; it is read-only
-    because every caller shares it.
+    because every caller shares it.  A window that lies in one already
+    mapped, in the same order, is that map restricted to it: the sweep
+    decides a pair by the pair alone, so its candidates, answers and
+    uncertain pairs there are those of its own sweep.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
-        return cached
-    indices = covering.window(radius)
-    sets = []
-    certain = True
+        return cached[0]
+    places = placements(covering, radius)
+    indices, sets = list(places), [p.image for p in places.values()]
+    ok = all(p.ok for p in places.values())
+    larger = [r for r in covering._adjacency if r > radius]
+    built = larger and _restricted(covering._adjacency[min(larger)], indices, ok)
+    if built:
+        covering._adjacency[radius] = built
+        return built[0]
     with _in_float_range(covering, radius):
-        for i in indices:
-            t, b = covering.transform(i)
-            s, ok = transform_base(covering.base_set(i), t, b)
-            sets.append(s)
-            certain = certain and ok
         boxes = [s.bounding_box() for s in sets]
     pad = _FLOAT_GAP_TOL
     los, his = [lo for lo, _ in boxes], [hi for _, hi in boxes]
     los_pad = [tuple(x - pad for x in lo) for lo in los]
     his_pad = [tuple(x + pad for x in hi) for hi in his]
     nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
+    unsure = set()
     order = sorted(range(len(sets)), key=lambda k: los[k][0])
     for pos, a in enumerate(order):
-        for b in order[pos + 1:]:
+        hi_a, hi_pad_a = his[a][0], his_pad[a][0]
+        for b in itertools.islice(order, pos + 1, None):
             # b and every later box start too far right for the test below
             # on x, whichever of a and b is the row
-            if los_pad[b][0] > his[a][0] and los[b][0] > his_pad[a][0]:
+            if los_pad[b][0] > hi_a and los[b][0] > hi_pad_a:
                 break
             # the box test with the lower window position as row, as
             # his[row] >= los[col] - pad and los[row] <= his[col] + pad, so
@@ -664,13 +760,28 @@ def adjacency(
             row, col = (a, b) if a < b else (b, a)
             if all(map(ge, his[row], los_pad[col])) and all(map(le, los[row], his_pad[col])):
                 meet, sure = sets_intersect(sets[row], sets[col])
-                certain = certain and sure
+                if not sure:
+                    unsure.add((indices[row], indices[col]))
                 if meet:
                     nbrs[indices[row]].append(indices[col])
                     nbrs[indices[col]].append(indices[row])
-    result = (MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), certain)
-    covering._adjacency[radius] = result
+    result = MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), ok and not unsure
+    covering._adjacency[radius] = result, unsure
     return result
+
+
+def _restricted(mapped: tuple, indices: list[Index], ok: bool) -> tuple | None:
+    """The adjacency entry of a larger window ``mapped`` cut to ``indices``,
+    or None when they are not all in it in the same order."""
+    (big, _), unsure = mapped
+    where = dict(zip(big, itertools.count()))
+    pos = [where.get(i, -1) for i in indices]
+    if -1 in pos or pos != sorted(pos):
+        return None
+    inside = set(indices)
+    nbrs = {i: tuple(j for j in big[i] if j in inside) for i in indices}
+    unsure = {(i, j) for i, j in unsure if i in inside and j in inside}
+    return (MappingProxyType(nbrs), ok and not unsure), unsure
 
 
 def neighbors(covering: Covering, i: Index, radius: int) -> tuple[Index, ...]:
@@ -689,45 +800,48 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     base-set radius sup_{x in Q'_i} |x|.  tightness_ok reports whether
     every T_i and b_i in the window is exact and the adjacency is certain.
 
-    Every transform, float or exact, is read exactly as an integer matrix
-    over a common denominator, so each entry of T_i^-1 T_j is an integer
-    dot product divided once: the float of the exact entry.  The spectral
-    norm is computed once per distinct float matrix T_i^-1 T_j.
+    Every transform, float or exact, is read exactly from its placement as
+    an integer matrix over a common denominator, so each entry of
+    T_i^-1 T_j is an integer dot product divided once: the float of the
+    exact entry.  Indices with equal (A_i, d_i) share a class, the product
+    depends on the two classes alone, and it is built once per pair of
+    classes; the spectral norm is computed once per distinct float matrix.
     """
     nbrs, certain = adjacency(covering, radius)
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
-    placed = {i: covering.transform(i) for i in nbrs}
-    norms: dict[Mat, float] = {}  # spectral norm by the float entries of T_i^-1 T_j
+    places = placements(covering, radius)
+    classes: dict = {}  # class number by (A_i, d_i)
+    kind = {i: classes.setdefault(p.scaled, len(classes)) for i, p in places.items()}
+    # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i), e_i = det(A_i); T_j = (columns of A_j) / d_j
+    inverses, columns = [], []
+    for a, d in classes:
+        e, adj = _det_adj(a)
+        if adj is None:
+            raise ZeroDivisionError(f"covering {covering.label!r} has a singular transform")
+        inverses.append((tuple(tuple(d * x for x in row) for row in adj), e))
+        columns.append((tuple(zip(*a)), d))
+    norms: dict[tuple, float] = {}  # spectral norm by the float entries of T_i^-1 T_j
     c_hat = 0.0
     with _in_float_range(covering, radius):
-        # T_j = A_j / d_j with A_j an integer matrix: (columns of A_j, d_j)
-        scaled = {i: _integer_scaled(t) for i, (t, _) in placed.items()}
-        columns = {i: (tuple(zip(*a)), d) for i, (a, d) in scaled.items()}
-        for i, js in nbrs.items():
-            a, d = scaled[i]
-            # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i) and e_i = det(A_i)
-            inv = tuple(tuple(d * x for x in row) for row in _adjugate(a))
-            e = mat_det(a)
-            for j in js:
-                # one correctly rounded int/int division per entry of
-                # B_i A_j / (e_i d_j) gives the float of the exact entry
-                cols, d_j = columns[j]
-                den = e * d_j
-                key = tuple(tuple(sum(map(mul, row, col)) / den for col in cols) for row in inv)
-                val = norms.get(key)
-                if val is None:
-                    val = norms[key] = spectral_norm(key)
-                c_hat = max(c_hat, val)
+        for ki, kj in dict.fromkeys((kind[i], kind[j]) for i, js in nbrs.items() for j in js):
+            # one correctly rounded int/int division per entry of
+            # B_i A_j / (e_i d_j) gives the float of the exact entry
+            (inv, e), (cols, d_j) = inverses[ki], columns[kj]
+            den = e * d_j
+            key = tuple([sum(map(mul, row, col)) / den for row in inv for col in cols])
+            val = norms.get(key)
+            if val is None:
+                val = norms[key] = spectral_norm(tuple(zip(*[iter(key)] * len(cols))))
+            c_hat = max(c_hat, val)
         bases = {id(base): base for base in map(covering.base_set, nbrs)}
         r_hat = max(base.sup_norm() for base in bases.values())
     return {
         "N_hat": n_hat,
         "C_hat": c_hat,
         "R_hat": r_hat,
-        "tightness_ok": certain and all(
-            _is_exact(*itertools.chain(*t, b)) for t, b in placed.values()),
+        "tightness_ok": certain and all(p.exact for p in places.values()),
     }
 
 
@@ -797,7 +911,7 @@ def probe_weight(covering: Covering) -> Callable[[Index], float]:
     OverflowError.
     """
     def weight(index: Index) -> float:
-        value = _log_pow(abs(mat_det(covering.transform(index)[0])), Fraction(1, 2)) * 3.0
+        value = _log_pow(abs(mat_det(_place(covering, index).t)), Fraction(1, 2)) * 3.0
         if not math.isfinite(value):
             raise OverflowError(f"the probe weight at index {index} is {value}")
         return value
@@ -817,14 +931,13 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     ratios = []
     with _in_float_range(covering, radius):
         for i in indices:
-            t, b = covering.transform(i)
-            s, ok = transform_base(covering.base_set(i), t, b)
-            if not (ok and _is_exact(*itertools.chain(*t, b))):
+            t, b, image, ok, exact, _ = _place(covering, i)
+            if not (ok and exact):
                 raise MissingTightnessWitness(
                     f"covering {covering.label!r} has no tight bound for index {i}"
                 )
             surrogate = math.sqrt(float(sum(x * x for x in b))) + spectral_norm(t)
-            ratios.append(surrogate / s.sup_norm())
+            ratios.append(surrogate / image.sup_norm())
     return {"min_ratio": min(ratios), "max_ratio": max(ratios)}
 
 

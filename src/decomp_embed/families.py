@@ -64,17 +64,12 @@ ANCHOR_ALPHA_REFINED = "Ex 7.3 (refined)"
 ANCHOR_SHEARLET_REFINED = "Ex 7.4 (refined)"
 
 
-def _zeros(d: int) -> tuple:
-    return tuple([Fraction(0)] * d)
-
-
-def _diag(values) -> tuple:
+def _diag(values: list) -> tuple:
     """The diagonal matrix of ``values``; off the diagonal a zero of the same
     kind (0.0 beside floats), so products stay on one number type."""
-    vals = list(values)
-    d = len(vals)
-    zero = 0.0 if any(isinstance(v, float) for v in vals) else Fraction(0)
-    return tuple(tuple(vals[i] if i == j else zero for j in range(d)) for i in range(d))
+    zero = 0.0 if any(isinstance(v, float) for v in values) else 0
+    return tuple(tuple(v if i == j else zero for j in range(len(values)))
+                 for i, v in enumerate(values))
 
 
 def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
@@ -240,7 +235,11 @@ class _DyadicFamily(Family):
 
     @staticmethod
     def _transform(d: int):
-        return lambda i: (_diag([Fraction(2) ** i[0]] * d), _zeros(d))
+        from .covering import ScaledMatrix
+
+        # T_n = 2^n id, as ints over 2^-n for n < 0
+        return lambda i: (ScaledMatrix(_diag([2 ** max(i[0], 0)] * d), 2 ** max(-i[0], 0)),
+                          (0,) * d)
 
 
 class HomBesovFamily(_DyadicFamily):
@@ -282,7 +281,7 @@ class InhomBesovFamily(_DyadicFamily):
 
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
-        ball = BallSet(_zeros(d), Fraction(2))
+        ball = BallSet((0,) * d, Fraction(2))
 
         def window(radius: int) -> list[Index]:
             check_window_cap(radius + 1)
@@ -353,25 +352,22 @@ class AlphaModulationFamily(Family):
         return params.alpha / (1 - params.alpha)
 
     def covering(self, params: AlphaModParams) -> Covering:
-        from .covering import BallSet, Covering
+        from .covering import BallSet, Covering, ScaledMatrix
 
         d = params.d
         a0 = self._a0(params)
         exact = params.alpha == 0 or (d == 1 and a0.denominator == 1)
-        base = BallSet(_zeros(d), params.base_radius)
+        base = BallSet((0,) * d, params.base_radius)
 
         def window(radius: int) -> list[Index]:
             check_window_cap((2 * radius + 1) ** d - 1)
             return [k for k in itertools.product(range(-radius, radius + 1), repeat=d) if any(k)]
 
         def transform(i: Index):
-            if params.alpha == 0:
-                scale = Fraction(1)
-            elif exact:
-                scale = Fraction(abs(i[0])) ** a0.numerator
-            else:
-                norm2 = sum(x * x for x in i)
-                scale = float(norm2) ** (float(a0) / 2.0)
+            if exact:  # a0 = 0, or d = 1 and a0 an int
+                scale = abs(i[0]) ** a0.numerator
+                return ScaledMatrix(_diag([scale] * d)), tuple(Fraction(scale * x) for x in i)
+            scale = float(sum(x * x for x in i)) ** (float(a0) / 2.0)
             return _diag([scale] * d), tuple(scale * x for x in i)
 
         return Covering(
@@ -434,7 +430,7 @@ class ShearletSmoothnessFamily(Family):
         return ShearletSmoothnessParams(_rat_param(doc, "s", self.name, default=0))
 
     def covering(self, params: ShearletSmoothnessParams) -> Covering:
-        from .covering import Covering, cone_trapezoid
+        from .covering import Covering, ScaledMatrix, cone_trapezoid
 
         base = cone_trapezoid(Fraction(1, 3), Fraction(3), Fraction(-1), Fraction(1))
 
@@ -450,17 +446,12 @@ class ShearletSmoothnessFamily(Family):
 
         def transform(i: Index):
             if i == (0,):
-                return _diag([Fraction(4)] * 2), (Fraction(-4), Fraction(0))
+                return ScaledMatrix(_diag([4, 4])), (-4, 0)
             n, m, eps, delta = i
-            rows = [
-                (Fraction(4) ** n, Fraction(0)),
-                (Fraction(2) ** n * m, Fraction(2) ** n),
-            ]
-            if delta:
-                rows.reverse()
-            if eps < 0:
-                rows = [tuple(-x for x in row) for row in rows]
-            return tuple(rows), _zeros(2)
+            # rows (4^n, 0) and (2^n m, 2^n), as ints over 4^-n for n < 0
+            k = max(-2 * n, 0)
+            rows = [(eps << (2 * n + k), 0), (eps * m << (n + k), eps << (n + k))]
+            return ScaledMatrix(rows[::-1] if delta else rows, 1 << k), (0, 0)
 
         return Covering(
             label="shearlet_smoothness",
@@ -521,7 +512,7 @@ class ShearletCoorbitFamily(Family):
         )
 
     def covering(self, params: CoorbitParams) -> Covering:
-        from .covering import Covering, cone_trapezoid
+        from .covering import Covering, ScaledMatrix, cone_trapezoid
 
         c = params.c
         exact = c.denominator == 1
@@ -536,15 +527,13 @@ class ShearletCoorbitFamily(Family):
         def transform(i: Index):
             n, m, eps = i
             if exact:
-                p2n = Fraction(2) ** n
-                p2nc = Fraction(2) ** (n * c.numerator)
-            else:
-                p2n = 2.0 ** n
-                p2nc = 2.0 ** (n * float(c))
-            rows = [(p2n, p2n * 0), (p2nc * m, p2nc)]
-            if eps < 0:
-                rows = [tuple(-x for x in row) for row in rows]
-            return tuple(rows), _zeros(2)
+                # rows (2^n, 0) and (2^(n c) m, 2^(n c)), as ints over 2^k
+                nc = n * c.numerator
+                k = max(-n, -nc, 0)
+                rows = ((eps << (n + k), 0), (eps * m << (nc + k), eps << (nc + k)))
+                return ScaledMatrix(rows, 1 << k), (0, 0)
+            p2n, p2nc = eps * 2.0 ** n, eps * 2.0 ** (n * float(c))
+            return ((p2n, p2n * 0), (p2nc * m, p2nc)), (0, 0)
 
         return Covering(
             label=f"shearlet_coorbit(c={c})",
@@ -639,7 +628,7 @@ class DiagonalFamily(Family):
         return DiagonalParams(d, vector("alpha"), vector("beta"))
 
     def covering(self, params: DiagonalParams) -> Covering:
-        from .covering import BoxSet, Covering
+        from .covering import BoxSet, Covering, ScaledMatrix
 
         d = params.d
         base = BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d)
@@ -652,10 +641,10 @@ class DiagonalFamily(Family):
                     for eps in signs]
 
         def transform(i: Index):
+            # diag(eps_l 2^-k_l), as ints over 2^k, k the largest k_l (at least 0)
             ks, eps = i[:d], i[d:]
-            return _diag(
-                [eps[j] * Fraction(2) ** (-ks[j]) for j in range(d)]
-            ), _zeros(d)
+            k = max(0, *ks)
+            return ScaledMatrix(_diag([e << (k - x) for e, x in zip(eps, ks)]), 1 << k), (0,) * d
 
         return Covering(
             label=f"diagonal(d={d})",

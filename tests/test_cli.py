@@ -2,6 +2,7 @@ import ast
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -580,14 +581,32 @@ else:
 print(json.dumps({"exit": code, "loaded": [m for m in %r if m in sys.modules]}))
 """ % (_PROBED,)
 
-def _run_python(args):
+def _run_python(args, timeout=120):
     """A fresh interpreter with this checkout's package first on the path."""
     src = Path(decomp_embed.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))}
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout,
     )
+
+
+def test_ten_dimensional_custom_covering_answers_in_a_fresh_process():
+    """Determinants and adjugates by elimination, not by cofactors, whose
+    10! terms per determinant took minutes; the box base set's radius is
+    read axis by axis, not over its 1 024 corners."""
+    d = 10
+    eye = [[int(i == j) for j in range(d)] for i in range(d)]
+    shear = [[2 * int(i == j) + int(j == i + 1) for j in range(d)] for i in range(d)]
+    doc = custom_covering(dimension=d, indices=[[0], [1], [2]],
+                          T=[eye, shear, [[3 * x for x in row] for row in eye]],
+                          b=[[0] * d, [1] + [0] * (d - 1), [0] * d],
+                          base_set={"box": {"lo": [-1] * d, "hi": [1] * d}})
+    proc = _run_python(["-m", "decomp_embed.cli", "inspect-covering", "--covering", doc,
+                        "--radius", "0"], timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["constants"] == {
+        "N_hat": 3, "C_hat": 3.0, "R_hat": math.sqrt(10), "tightness_ok": False}
 
 
 @pytest.mark.parametrize("case", [None, *MANIFEST],

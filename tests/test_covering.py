@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import math
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -14,6 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from decomp_embed import cli
 from decomp_embed import covering as covering_module
 from decomp_embed.covering import (
     _FLOAT_GAP_TOL,
@@ -22,12 +28,14 @@ from decomp_embed.covering import (
     BoxSet,
     Covering,
     PolygonSet,
+    ScaledMatrix,
     adjacency,
     base_set_from_json,
     certify_constants,
     check_moderate,
     cone_trapezoid,
     custom_covering_from_json,
+    mat_det,
     mat_mul,
     neighbors,
     norm_surrogate_check,
@@ -44,8 +52,14 @@ from decomp_embed.errors import (
     WindowCapExceeded,
     window_cap,
 )
-from decomp_embed.families import covering_from_json
-from witnesses import WARNINGS_AS_ERRORS, mat_inverse, polygons_intersect
+from decomp_embed.families import covering_from_json, get_family
+from witnesses import (
+    WARNINGS_AS_ERRORS,
+    cofactor_adjugate,
+    cofactor_det,
+    mat_inverse,
+    polygons_intersect,
+)
 
 F = Fraction
 HOM_BESOV_WINDOW = covering_from_json({"family": "hom_besov"}).window
@@ -172,6 +186,104 @@ def test_open_boxes_touching_do_not_intersect():
     b = BoxSet((F(1),), (F(2),))
     assert sets_intersect(a, b) == (False, True)
     assert sets_intersect(a, BoxSet((F(1, 2),), (F(3, 2),)))[0]
+
+
+def _box_reference(a: BoxSet, b: BoxSet) -> tuple[bool, bool]:
+    """The per-axis box test on the coordinates themselves: Fraction
+    comparisons for exact boxes, and a near-tie within the float tolerance
+    counted as meeting, uncertain, once a coordinate is a float."""
+    exact = all(isinstance(x, (int, F)) for x in (*a.lo, *a.hi, *b.lo, *b.hi))
+    certain = True
+    for lo1, hi1, lo2, hi2 in zip(a.lo, a.hi, b.lo, b.hi):
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if not lo < hi:
+            return False, True
+        if not exact and float(hi - lo) <= _FLOAT_GAP_TOL * max(1.0, abs(float(hi)), abs(float(lo))):
+            certain = False
+    return True, certain
+
+
+_BOX_COORD = st.one_of(st.integers(-12, 12), st.builds(F, st.integers(-24, 24),
+                                                       st.sampled_from([2, 3, 4, 6])))
+_BOX_STEP = st.builds(F, st.integers(1, 8), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _box_pairs(draw):
+    """Two boxes whose faces often touch or coincide, one of them in floats,
+    nudged by about 1e-12, a third of the time."""
+    a, b = [[], []], [[], []]
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(_BOX_COORD)
+        hi = lo + draw(_BOX_STEP)
+        shape = draw(st.sampled_from(["above", "below", "same", "inside", "free"]))
+        other = {
+            "above": (hi, hi + draw(_BOX_STEP)),
+            "below": (lo - draw(_BOX_STEP), lo),
+            "same": (lo, hi),
+            "inside": (lo + (hi - lo) / 3, hi - (hi - lo) / 3),
+        }.get(shape)
+        if other is None:
+            start = draw(_BOX_COORD)
+            other = (start, start + draw(_BOX_STEP))
+        for box, (x, y) in ((a, (lo, hi)), (b, other)):
+            box[0].append(x)
+            box[1].append(y)
+    floats = draw(st.sampled_from([None, 0, 1]))
+    if floats is not None:
+        nudge = draw(st.sampled_from([0.0, 1e-12, -1e-12]))
+        (a, b)[floats][:] = [[float(x) * (1.0 + nudge) for x in v] for v in (a, b)[floats]]
+    return BoxSet(*map(tuple, a)), BoxSet(*map(tuple, b))
+
+
+@given(_box_pairs())
+@example((BoxSet((F(0), F(0)), (F(1), F(1))), BoxSet((F(1), F(0)), (F(2), F(1)))))
+@example((BoxSet((0.0,), (1.0,)), BoxSet((F(1) - F(1, 10**12),), (F(2),))))
+@settings(max_examples=400, deadline=None)
+def test_integer_box_test_keeps_the_fraction_semantics(pair):
+    a, b = pair
+    want = _box_reference(a, b)
+    assert sets_intersect(a, b) == sets_intersect(b, a) == want
+    if a._lattice is not None and b._lattice is not None:
+        assert want[1]
+        lo, hi, s = a._lattice
+        assert tuple(F(x, s) for x in (*lo, *hi)) == (*a.lo, *a.hi)
+
+
+@given(st.integers(1, 6).flatmap(lambda d: st.sampled_from([
+    st.integers(-10**6, 10**6),
+    st.builds(F, st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+    st.floats(-1e200, 1e200, allow_nan=False),
+]).flatmap(lambda coord: st.tuples(*[st.tuples(coord, coord)] * d))))
+@example(((-3, 2), (1, 1)))
+@example(((-2.0, 2.0), (-1e200, 1e200)))
+@settings(max_examples=300, deadline=None)
+def test_box_sup_norm_is_its_farthest_corner(axes):
+    """One number kind per box: ints, Fractions or floats."""
+    box = BoxSet(*zip(*axes))
+    corners = itertools.product(*axes)
+    want = max([0.0, *(math.sqrt(float(sum(x * x for x in c))) for c in corners)])
+    assert box.sup_norm().hex() == want.hex()
+
+
+_DIAG_ENTRY = st.builds(lambda n, m: F(n, 2**m), st.integers(-8, 8).filter(bool),
+                        st.integers(0, 4))
+
+
+@given(st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.tuples(*[st.tuples(_BOX_COORD, _BOX_STEP)] * d),
+    st.tuples(*[_DIAG_ENTRY] * d), st.tuples(*[_BOX_COORD] * d))))
+@settings(max_examples=200, deadline=None)
+def test_box_lattice_image_matches_fraction_arithmetic(case):
+    axes, diag, b = case
+    base = BoxSet(tuple(lo for lo, _ in axes), tuple(lo + w for lo, w in axes))
+    t = tuple(tuple(x if i == j else F(0) for j in range(len(diag))) for i, x in enumerate(diag))
+    img, ok = transform_base(base, t, b)
+    ends = [(t[j][j] * base.lo[j] + b[j], t[j][j] * base.hi[j] + b[j]) for j in range(len(b))]
+    assert ok and img == BoxSet(tuple(map(min, ends)), tuple(map(max, ends)))
+    assert all(type(x) is F for x in (*img.lo, *img.hi))
+    assert "_lattice" in vars(img)
+    assert img._lattice == BoxSet(img.lo, img.hi)._lattice
 
 
 def test_annulus_intersections_are_radial():
@@ -698,6 +810,51 @@ def test_mat_inverse_rejects_singular():
         mat_inverse(((F(1), F(2)), (F(2), F(4))))
 
 
+_EXACT_ENTRY = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def _square_of(entry, max_d: int = 5):
+    return st.integers(1, max_d).flatmap(lambda d: st.tuples(*[st.tuples(*[entry] * d)] * d))
+
+
+@given(_square_of(_EXACT_ENTRY))
+@example(((1, 2, 3), (2, 4, 6), (0, 1, 1)))  # singular
+@example(((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0)))  # two row swaps
+@settings(max_examples=300, deadline=None)
+def test_exact_determinant_and_adjugate_match_cofactor_expansion(mat):
+    assert mat_det(mat) == cofactor_det(mat)
+    ints, s = covering_module._integer_scaled(mat)
+    det, adj = covering_module._det_adj(ints)
+    assert det == cofactor_det(ints)
+    if det or len(ints) <= 2:
+        assert adj == cofactor_adjugate(ints)
+
+
+@given(st.integers(1, 5).flatmap(lambda d: st.lists(
+    st.floats(1e-30, 1e30).flatmap(lambda x: st.sampled_from([x, -x])), min_size=d, max_size=d)))
+@settings(max_examples=200, deadline=None)
+def test_float_diagonal_determinant_keeps_the_cofactor_rounding(diag):
+    """The right-nested product of the diagonal, bit for bit: the probe
+    weight of alpha_modulation reads it at every non-integer alpha."""
+    mat = tuple(tuple(x if i == j else 0.0 for j in range(len(diag))) for i, x in enumerate(diag))
+    assert mat_det(mat).hex() == cofactor_det(mat).hex()
+
+
+@given(_square_of(st.floats(-8, 8, allow_nan=False)).filter(
+    lambda m: len(m) >= 3 and not covering_module._is_diagonal(m)))
+@settings(max_examples=100, deadline=None)
+def test_float_matrix_determinant_is_the_exact_one_rounded_once(mat):
+    assert mat_det(mat) == float(cofactor_det(tuple(tuple(map(F, row)) for row in mat)))
+
+
+@given(_square_of(st.integers(-40, 40), 3), st.integers(1, 60))
+@settings(max_examples=150, deadline=None)
+def test_scaled_matrix_hands_over_its_lowest_terms(ints, s):
+    mat = ScaledMatrix(ints, s)
+    assert mat == tuple(tuple(F(x, s) for x in row) for row in ints)
+    assert covering_module._integer_scaled(mat) == covering_module._integer_scaled(tuple(mat))
+
+
 # ---------------------------------------------------------------------------
 # adjacency and constants on the dyadic covering
 # ---------------------------------------------------------------------------
@@ -763,6 +920,84 @@ def test_adjacency_matches_all_pairs_reference(doc, radius):
     for i in indices:
         assert neighbors(cov, i, radius) == nbrs[i]
     assert adjacency(cov, radius) is adjacency(cov, radius)
+
+
+@pytest.mark.parametrize("doc", COVERING_DOCS, ids=_doc_id)
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_restricted_map_equals_the_map_built_directly(doc, radius):
+    """The map at radius r read off the map at r + 2, with its certain bit,
+    equals the map a fresh covering builds at r; alpha_modulation at
+    alpha 1/2 is certain at radii 0 and 1 but not at 2 and 3."""
+    direct = adjacency(covering_from_json(doc), radius)
+    cov = covering_from_json(doc)
+    larger = adjacency(cov, radius + 2)
+    with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError):
+        restricted = adjacency(cov, radius)
+    assert dict(restricted[0]) == dict(direct[0])
+    assert restricted[1] == direct[1]
+    if doc.get("family") == "alpha_modulation" and radius < 2:
+        assert restricted[1] and not larger[1]
+
+
+def test_a_window_out_of_order_is_not_restricted():
+    """A window of radius 0 that lists the indices of radius 1 backwards is
+    swept on its own: the sweep puts the lower window position first."""
+    cov = dataclasses.replace(dyadic_annulus_covering(), window=lambda r: [
+        (n,) for n in (range(-r - 3, r + 4) if r else range(3, -4, -1))])
+    adjacency(cov, 1)
+    with mock.patch.object(covering_module, "sets_intersect", wraps=sets_intersect) as tests:
+        nbrs, certain = adjacency(cov, 0)
+    assert tests.called and certain
+    assert nbrs[(0,)] == tuple((k,) for k in range(-3, 4))
+
+
+@pytest.mark.parametrize("family, params, index", [
+    ("hom_besov", {"d": 2}, "1"),
+    ("inhom_besov", {"d": 2}, "0"),
+    ("alpha_modulation", {"d": 2, "alpha": "1/2"}, "1,-1"),
+    ("alpha_modulation", {"d": 1, "alpha": "1/2"}, "1"),
+    ("shearlet_smoothness", {}, "1,0,1,0"),
+    ("shearlet_coorbit", {"c": 2}, "0,1,1"),
+    ("shearlet_coorbit", {"c": "1/2"}, "0,1,1"),
+    ("diagonal", {"d": 2}, "0,1,1,-1"),
+])
+def test_each_transform_runs_once_per_index_and_command(family, params, index):
+    """Each index is placed once per command, and verify-family sweeps one
+    map, at radius 3, for radii 1 and 3."""
+    calls = Counter()
+    fam = get_family(family)
+    build = type(fam).covering
+
+    def counted(self, parsed):
+        cov = build(self, parsed)
+
+        def transform(i):
+            calls[i] += 1
+            return cov.transform(i)
+        return dataclasses.replace(cov, transform=transform)
+
+    doc = json.dumps({"family": family, "params": params})
+    commands = [
+        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
+        ["inspect-covering", "--covering", doc, "--radius", "2"],
+        ["inspect-covering", "--covering", doc, "--radius", "2", "--index", index],
+    ]
+    tested = Counter()
+
+    def counted_test(a, b):
+        tested[id(a), id(b)] += 1
+        return sets_intersect(a, b)
+
+    with mock.patch.object(type(fam), "covering", counted), \
+            mock.patch.object(covering_module, "sets_intersect", counted_test):
+        for argv in commands:
+            calls.clear()
+            tested.clear()
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) in (0, 1)
+            assert calls and max(calls.values()) == 1, argv
+            # one map per command: no pair of placed sets is tested twice
+            assert max(tested.values(), default=1) == 1, argv
 
 
 def test_adjacency_map_is_read_only():

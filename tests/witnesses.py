@@ -298,6 +298,33 @@ class CoveringWeight:
         return value * (1.0 + norm_b**self.k + norm_t**self.k)
 
 
+def cofactor_det(a: Sequence[Sequence]):
+    """Determinant by cofactor expansion along the first row, in the
+    arithmetic of the entries: the reference for ``covering.mat_det``."""
+    n = len(a)
+    if n == 1:
+        return a[0][0]
+    if n == 2:
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
+    total = 0
+    for col in range(n):
+        minor = tuple(tuple(row[c] for c in range(n) if c != col) for row in a[1:])
+        total = total + (1 if col % 2 == 0 else -1) * a[0][col] * cofactor_det(minor)
+    return total
+
+
+def cofactor_adjugate(a: Sequence[Sequence]) -> tuple:
+    """The adjugate by cofactors: a times it is det(a) times the identity."""
+    n = len(a)
+    if n == 1:
+        return ((1,),)
+    return tuple(
+        tuple((-1) ** (r + c) * cofactor_det(
+            tuple(row[:r] + row[r + 1:] for k, row in enumerate(a) if k != c))
+            for c in range(n))
+        for r in range(n))
+
+
 def mat_inverse(a: Sequence[Sequence]) -> tuple:
     """Inverse by Gaussian elimination; exact when the entries are exact."""
     n = len(a)
