@@ -620,6 +620,20 @@ def _grows_exponentially(piece: Piece) -> bool:
     )
 
 
+def _radial_tail_diverges(piece: Piece, theta) -> bool:
+    """Whether a radial piece of trivial coordinate factors sums to inf past
+    every window: its terms are sums of c_i |k|^p_i with c_i > 0, so its
+    tail over Z^d behaves like |k|^(theta p) for the largest p, and diverges
+    when theta p >= -d (at theta = inf, when p > 0), however fast its shells
+    fall inside the window while a smaller power leads them."""
+    sector = piece.sector
+    if not isinstance(sector, RadialSector) or not piece.atoms \
+            or any(x for a in piece.atoms for f in a.factors for x in f):
+        return False
+    top = max(a.radial_pow for a in piece.atoms)
+    return top > 0 if theta.is_inf else top >= -sector.d * theta.reciprocal()
+
+
 def _float_pieces(weight: ExpPolyWeight) -> list[Piece]:
     """The pieces of a weight with every coefficient and exponent read as a
     float, once; the oracle's helpers read these as they would Fractions.
@@ -679,7 +693,9 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     past the float range was left out, the structural bound is finite and
     no piece off the pair sectors grows exponentially along an unbounded axis
     (:func:`_grows_exponentially`; such a term can fall across the whole
-    window and still blow up past it).  Everything else
+    window and still blow up past it) or is a radial power sum whose
+    largest power diverges past the window (:func:`_radial_tail_diverges`).
+    Everything else
     is Inconclusive.  The radii are :func:`default_radii` of the weight's
     dimension and sectors, so the result is a function of (weight, theta)
     alone.
@@ -746,9 +762,8 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     # widening pair sector keeps past the window; bound those structurally
     beyond = pair_tail(last_radius)
 
-    grows = any(
-        _grows_exponentially(p) for p in weight.pieces if not isinstance(p.sector, PairSector)
-    )
+    grows = any(_grows_exponentially(p) or _radial_tail_diverges(p, theta)
+                for p in weight.pieces if not isinstance(p.sector, PairSector))
     if len(shells) >= RATIO_WINDOW and not flagged_any and not grows and math.isfinite(beyond):
         window = shells[-RATIO_WINDOW:]
         steps = list(zip(window, window[1:]))

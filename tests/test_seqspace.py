@@ -1080,6 +1080,24 @@ def test_radial_shells_match_the_grid(piece, radii, theta_f):
                          _grid_shells(piece, radii, theta_f), theta_f)
 
 
+@pytest.mark.parametrize("d, powers, coeff, theta", [
+    (2, ("-3/2", -1), "1/3", "2"),        # theta p = -d: a log divergence
+    (2, ("-3/2", "-1/2"), "1/10", "4"),
+    (3, ("-3/2", "-1/2"), "1/10", "4"),   # theta p = -2 > -d: a power divergence
+    (3, (-2, -1), "1/3", "3"),
+    (4, (-3, -1), "1/10", "4"),
+    (5, (-2, -1), "1/10", "4"),
+])
+def test_radial_tail_that_diverges_is_never_convergent(d, powers, coeff, theta):
+    """A steep leading power makes the shells of the window fall, while the
+    flatter one sums to inf past it."""
+    steep, flat = map(Fraction, powers)
+    w = ExpPolyWeight.single(RadialSector(d), Atom.radial(d, steep),
+                             Atom.radial(d, flat, coeff=Fraction(coeff)))
+    assert decide_lp_membership(w, ExtExponent(theta)) is NOT_MEMBER
+    assert truncated_oracle(w, ExtExponent(theta)).verdict == "Inconclusive"
+
+
 def test_radial_sup_shells_read_both_ends():
     piece = oracle._float_pieces(ExpPolyWeight.single(RadialSector(2), *_MIXED_RADIAL))[0]
     shells = oracle._radial_shells(piece, (1, 2, 4, 8), None)
@@ -1090,6 +1108,9 @@ def test_radial_sup_shells_read_both_ends():
 
 @settings(max_examples=40, deadline=None)
 @given(trivial_radial_pieces(st.integers(2, 5)).map(lambda p: ExpPolyWeight((p,))), thetas)
+# |k|^-2 over Z^2 diverges like log R, under a |k|^-3 that leads the window
+@example(ExpPolyWeight.single(RadialSector(2), Atom.radial(2, Fraction(-3, 2)),
+                              Atom.radial(2, -1, coeff=Fraction(1, 3))), ExtExponent(2))
 def test_oracle_never_contradicts_decider_on_radial_weights(w, theta):
     res = truncated_oracle(w, theta)
     memb = decide_lp_membership(w, theta)
