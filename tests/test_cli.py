@@ -592,9 +592,9 @@ def _run_python(args, timeout=120):
 
 
 def test_ten_dimensional_custom_covering_answers_in_a_fresh_process():
-    """Determinants and adjugates by elimination, not by cofactors, whose
-    10! terms per determinant took minutes; the box base set's radius is
-    read axis by axis, not over its 1 024 corners."""
+    """Determinants and adjugates by elimination, in O(d^3): a cofactor
+    expansion has 10! terms here.  The box base set's radius is read axis
+    by axis, not over its 1 024 corners."""
     d = 10
     eye = [[int(i == j) for j in range(d)] for i in range(d)]
     shear = [[2 * int(i == j) + int(j == i + 1) for j in range(d)] for i in range(d)]
