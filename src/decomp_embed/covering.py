@@ -107,6 +107,10 @@ class ScaledMatrix(tuple):
         self.scaled = ints, s
         return self
 
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild the matrix from (A, s), not from its rows
+        return self.scaled
+
 
 def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(A, s) with a == A / s exactly, A an integer matrix and s the lcm of the

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
+import pickle
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -853,6 +855,9 @@ def test_scaled_matrix_hands_over_its_lowest_terms(ints, s):
     mat = ScaledMatrix(ints, s)
     assert mat == tuple(tuple(F(x, s) for x in row) for row in ints)
     assert covering_module._integer_scaled(mat) == covering_module._integer_scaled(tuple(mat))
+    for copied in (copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
+        assert type(copied) is ScaledMatrix
+        assert copied == mat and copied.scaled == mat.scaled
 
 
 # ---------------------------------------------------------------------------
