@@ -129,12 +129,10 @@ def mat_vec(a: Mat, x: Vec) -> Vec:
 
 def _det_adj(a: tuple[tuple[int, ...], ...]) -> tuple[int, Mat]:
     """(det a, adj a) of an integer matrix, a times adj a being det a times the
-    identity: the closed forms up to 2 x 2, then fraction-free Gauss-Jordan
+    identity: the closed form at 2 x 2, else fraction-free Gauss-Jordan
     (Bareiss) elimination of (a | id), whose every division is exact, in
     O(n^3) integer operations.  A singular matrix has adjugate None."""
     n = len(a)
-    if n == 1:
-        return a[0][0], ((1,),)
     if n == 2:
         (p, q), (r, s) = a
         return p * s - q * r, ((s, -q), (-r, p))
@@ -267,13 +265,11 @@ class BoxSet:
         return tuple(float(x) for x in self.lo), tuple(float(x) for x in self.hi)
 
     @cached_property
-    def _lattice(self) -> tuple[tuple[int, ...], tuple[int, ...], int] | None:
-        """(s * lo, s * hi, s) as ints, s the lcm of the coordinate
-        denominators; None when a coordinate is a float."""
-        if not _is_exact(*self.lo, *self.hi):
-            return None
-        (ints,), s = _integer_scaled(((*self.lo, *self.hi),))
-        return ints[:self.dim], ints[self.dim:], s
+    def _lattice(self) -> tuple[tuple[tuple[int, ...], ...], int] | None:
+        """((s * lo, s * hi), s) as ints, s the lcm of the coordinate
+        denominators, as polygons keep theirs; None when one is a float."""
+        exact = _is_exact(*self.lo, *self.hi)
+        return _integer_scaled((self.lo, self.hi)) if exact else None
 
 
 @dataclass(frozen=True)
@@ -481,10 +477,10 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
             return AnnulusSet(base.dim, abs(s) * base.inner, abs(s) * base.outer), True
     if isinstance(base, BoxSet) and _is_diagonal(t):
         if base._lattice is not None and exact:
-            lo_hi, den = _lattice_map(base._lattice[:2], base._lattice[2], t, b)
-            lo, hi = (tuple(map(f, *lo_hi)) for f in (min, max))
+            ends, den = _lattice_map(*base._lattice, t, b)
+            lo, hi = (tuple(map(f, *ends)) for f in (min, max))
             image = BoxSet(*(tuple(Fraction(x, den) for x in v) for v in (lo, hi)))
-            image.__dict__["_lattice"] = lo, hi, den
+            image.__dict__["_lattice"] = (lo, hi), den
             return image, True
         lo, hi = [], []
         for j in range(len(b)):
@@ -631,7 +627,7 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
         la, lb = a._lattice, b._lattice
         if la is not None and lb is not None:
             # both boxes on the scale s_a s_b: lo_a / s_a reads lo_a s_b
-            (lo_a, hi_a, s_a), (lo_b, hi_b, s_b) = la, lb
+            ((lo_a, hi_a), s_a), ((lo_b, hi_b), s_b) = la, lb
             return all(max(x * s_b, y * s_a) < min(u * s_b, v * s_a)
                        for x, y, u, v in zip(lo_a, lo_b, hi_a, hi_b)), True
         certain = True

@@ -248,7 +248,7 @@ def test_integer_box_test_keeps_the_fraction_semantics(pair):
     assert sets_intersect(a, b) == sets_intersect(b, a) == want
     if a._lattice is not None and b._lattice is not None:
         assert want[1]
-        lo, hi, s = a._lattice
+        (lo, hi), s = a._lattice
         assert tuple(F(x, s) for x in (*lo, *hi)) == (*a.lo, *a.hi)
 
 
@@ -828,7 +828,7 @@ def test_exact_determinant_and_adjugate_match_cofactor_expansion(mat):
     ints, s = covering_module._integer_scaled(mat)
     det, adj = covering_module._det_adj(ints)
     assert det == cofactor_det(ints)
-    if det or len(ints) <= 2:
+    if det or len(ints) == 2:
         assert adj == cofactor_adjugate(ints)
 
 
