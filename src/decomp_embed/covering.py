@@ -40,7 +40,6 @@ from .exponents import int_from_json, rational_from_json
 __all__ = [
     "BallSet",
     "BoxSet",
-    "ScaledMatrix",
     "AnnulusSet",
     "PolygonSet",
     "Covering",
@@ -96,28 +95,10 @@ def mat_mul(a: Mat, b: Mat) -> Mat:
     )
 
 
-class ScaledMatrix(tuple):
-    """The exact matrix A / s of an integer matrix A and an int s > 0: a tuple
-    of its rows, which keeps A / s in lowest terms for ``_integer_scaled``."""
-
-    def __new__(cls, ints: Sequence[Sequence[int]], s: int = 1) -> ScaledMatrix:
-        g = math.gcd(s, *itertools.chain(*ints))
-        ints, s = tuple(tuple(x // g for x in row) for row in ints), s // g
-        self = super().__new__(cls, (tuple(Fraction(x, s) for x in row) for row in ints))
-        self.scaled = ints, s
-        return self
-
-    def __getnewargs__(self) -> tuple:
-        # copy and pickle rebuild the matrix from (A, s), not from its rows
-        return self.scaled
-
-
 def _integer_scaled(a: Mat) -> tuple[tuple[tuple[int, ...], ...], int]:
     """(A, s) with a == A / s exactly, A an integer matrix and s the lcm of the
     entry denominators; ``as_integer_ratio`` reads int, Fraction and finite
     float entries exactly."""
-    if type(a) is ScaledMatrix:
-        return a.scaled
     ratios = [[x.as_integer_ratio() for x in row] for row in a]
     s = math.lcm(*(d for row in ratios for _, d in row))
     return tuple(tuple(n * (s // d) for n, d in row) for row in ratios), s
@@ -247,7 +228,7 @@ class BallSet:
 
 @dataclass(frozen=True)
 class BoxSet:
-    """Open axis-parallel box."""
+    """Open axis-parallel box, supported on rational coordinates only."""
 
     lo: Vec
     hi: Vec
@@ -449,8 +430,8 @@ def _is_diagonal(t: Mat) -> bool:
 def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
     """The image T(base) + b as a normal-form set, with an exactness bit.
 
-    Balls and annuli stay exact under similarity transforms, boxes under
-    diagonal ones, polygons under any plane transform.  Everything else
+    Balls and annuli stay exact under similarity transforms, rational boxes
+    under exact diagonal ones, polygons under any plane transform.  The rest
     degrades to a conservative bounding ball with the bit cleared.
     """
     exact = _is_exact(*itertools.chain(*t, b))
@@ -475,20 +456,12 @@ def transform_base(base: BaseSet, t: Mat, b: Vec) -> tuple[BaseSet, bool]:
         s = _is_similarity(t)
         if s is not None and all(x == 0 for x in b):
             return AnnulusSet(base.dim, abs(s) * base.inner, abs(s) * base.outer), True
-    if isinstance(base, BoxSet) and _is_diagonal(t):
-        if base._lattice is not None and exact:
-            ends, den = _lattice_map(*base._lattice, t, b)
-            lo, hi = (tuple(map(f, *ends)) for f in (min, max))
-            image = BoxSet(*(tuple(Fraction(x, den) for x in v) for v in (lo, hi)))
-            image.__dict__["_lattice"] = (lo, hi), den
-            return image, True
-        lo, hi = [], []
-        for j in range(len(b)):
-            a1 = t[j][j] * base.lo[j] + b[j]
-            a2 = t[j][j] * base.hi[j] + b[j]
-            lo.append(min(a1, a2))
-            hi.append(max(a1, a2))
-        return BoxSet(tuple(lo), tuple(hi)), True
+    if isinstance(base, BoxSet) and base._lattice is not None and exact and _is_diagonal(t):
+        ends, den = _lattice_map(*base._lattice, t, b)
+        lo, hi = (tuple(map(f, *ends)) for f in (min, max))
+        image = BoxSet(*(tuple(Fraction(x, den) for x in v) for v in (lo, hi)))
+        image.__dict__["_lattice"] = (lo, hi), den
+        return image, True
     # conservative fallback: bounding ball of the image
     c0, r0 = _bounding_ball(base)
     center = tuple(
@@ -601,9 +574,9 @@ def _polygons_intersect(a: PolygonSet, b: PolygonSet) -> tuple[bool, bool]:
 def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
     """Whether two open sets meet; second bit reports certainty.
 
-    Unsupported shape pairs answer (True, False): conservative for
-    neighbor counting, and flagged so constants built on them never
-    claim tightness.
+    Unsupported shape pairs, a box with a float coordinate among them,
+    answer (True, False): conservative for neighbor counting, and flagged
+    so constants built on them never claim tightness.
     """
     if isinstance(a, PolygonSet) and isinstance(b, PolygonSet):
         return _polygons_intersect(a, b)
@@ -623,22 +596,11 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
         if abs(gap2 - lim2) <= _FLOAT_GAP_TOL * max(gap2, lim2, 1.0):
             return True, False
         return gap2 < lim2, True
-    if isinstance(a, BoxSet) and isinstance(b, BoxSet):
-        la, lb = a._lattice, b._lattice
-        if la is not None and lb is not None:
-            # both boxes on the scale s_a s_b: lo_a / s_a reads lo_a s_b
-            ((lo_a, hi_a), s_a), ((lo_b, hi_b), s_b) = la, lb
-            return all(max(x * s_b, y * s_a) < min(u * s_b, v * s_a)
-                       for x, y, u, v in zip(lo_a, lo_b, hi_a, hi_b)), True
-        certain = True
-        for lo1, hi1, lo2, hi2 in zip(a.lo, a.hi, b.lo, b.hi):
-            lo = max(lo1, lo2)
-            hi = min(hi1, hi2)
-            if not lo < hi:
-                return False, True
-            if float(hi - lo) <= _FLOAT_GAP_TOL * max(1.0, abs(float(hi)), abs(float(lo))):
-                certain = False
-        return True, certain
+    if isinstance(a, BoxSet) and isinstance(b, BoxSet) and a._lattice and b._lattice:
+        # both boxes on the scale s_a s_b: lo_a / s_a reads lo_a s_b
+        ((lo_a, hi_a), s_a), ((lo_b, hi_b), s_b) = a._lattice, b._lattice
+        return all(max(x * s_b, y * s_a) < min(u * s_b, v * s_a)
+                   for x, y, u, v in zip(lo_a, lo_b, hi_a, hi_b)), True
     ia, ib = _norm_interval(a), _norm_interval(b)
     if ia is not None and ib is not None:
         exact = _is_exact(*ia, *ib)

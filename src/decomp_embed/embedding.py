@@ -60,7 +60,7 @@ from .exponents import (
     pair_sub,
     reciprocal_pair,
 )
-from .families import PARAMS_TYPES, Family, get_family
+from .families import Family, get_family
 from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal, record
 
 __all__ = [
@@ -247,7 +247,7 @@ def _compiled_memo(fam: Family, key, k: int) -> tuple:
 def _compiled(family, params, k) -> tuple:
     """(family, parsed params, quotient form, Khintchine-restricted form or
     None), from the bounded cache when the params have a key: parsed params
-    (one of ``PARAMS_TYPES``) themselves, or :func:`_params_key` of a
+    (of the family's ``params_type``) themselves, or :func:`_params_key` of a
     document.
 
     An invalid k leaves both forms None; the caller reports it after the
@@ -256,7 +256,7 @@ def _compiled(family, params, k) -> tuple:
     fam = get_family(family) if isinstance(family, str) else family
     if not isinstance(fam, Family):
         raise InvalidParams(f"not a family: {family!r}")
-    parsed = isinstance(params, PARAMS_TYPES)
+    parsed = isinstance(params, fam.params_type)
     key = params if parsed else _params_key(params)
     if key is not None and _is_order(k):
         return _compiled_memo(fam, key, k)

@@ -72,6 +72,11 @@ def _diag(values: list) -> tuple:
                  for i, v in enumerate(values))
 
 
+def _scaled(rows, s: int) -> tuple:
+    """The matrix rows / s of int rows: an int where s divides the entry, else a Fraction."""
+    return tuple(tuple(x // s if x % s == 0 else Fraction(x, s) for x in row) for row in rows)
+
+
 def _weight_atoms(det_atom: Atom, norm_atoms: list[Atom]) -> tuple[Atom, ...]:
     """The atoms of |det T|^(1/p - 1/t) * (1 + |b|^k + ||T||^k) / u.
 
@@ -159,6 +164,7 @@ class Family:
     """Common surface of a registered family; subclasses fill in the math."""
 
     name = ""
+    params_type: type  # the type parse_params returns
     khintchine: Optional[str] = None  # "N0", "full", or None when unavailable
 
     def parse_params(self, doc: dict):
@@ -226,6 +232,8 @@ def _dyadic_atoms(params: DyadicParams, k: int) -> tuple[Atom, ...]:
 class _DyadicFamily(Family):
     """The dyadic families: T_n = 2^n id, b_n = 0 and weight 2^(s n)."""
 
+    params_type = DyadicParams
+
     def parse_params(self, doc: dict) -> DyadicParams:
         _check_keys(doc, {"d", "s"}, self.name)
         return DyadicParams(
@@ -235,11 +243,8 @@ class _DyadicFamily(Family):
 
     @staticmethod
     def _transform(d: int):
-        from .covering import ScaledMatrix
-
         # T_n = 2^n id, as ints over 2^-n for n < 0
-        return lambda i: (ScaledMatrix(_diag([2 ** max(i[0], 0)] * d), 2 ** max(-i[0], 0)),
-                          (0,) * d)
+        return lambda i: (_scaled(_diag([2 ** max(i[0], 0)] * d), 2 ** max(-i[0], 0)), (0,) * d)
 
 
 class HomBesovFamily(_DyadicFamily):
@@ -330,6 +335,7 @@ class AlphaModulationFamily(Family):
     """
 
     name = "alpha_modulation"
+    params_type = AlphaModParams
     khintchine = "full"
 
     def parse_params(self, doc: dict) -> AlphaModParams:
@@ -352,7 +358,7 @@ class AlphaModulationFamily(Family):
         return params.alpha / (1 - params.alpha)
 
     def covering(self, params: AlphaModParams) -> Covering:
-        from .covering import BallSet, Covering, ScaledMatrix
+        from .covering import BallSet, Covering
 
         d = params.d
         a0 = self._a0(params)
@@ -366,7 +372,7 @@ class AlphaModulationFamily(Family):
         def transform(i: Index):
             if exact:  # a0 = 0, or d = 1 and a0 an int
                 scale = abs(i[0]) ** a0.numerator
-                return ScaledMatrix(_diag([scale] * d)), tuple(Fraction(scale * x) for x in i)
+                return _diag([scale] * d), tuple(Fraction(scale * x) for x in i)
             scale = float(sum(x * x for x in i)) ** (float(a0) / 2.0)
             return _diag([scale] * d), tuple(scale * x for x in i)
 
@@ -423,6 +429,7 @@ class ShearletSmoothnessFamily(Family):
     """
 
     name = "shearlet_smoothness"
+    params_type = ShearletSmoothnessParams
     khintchine = "full"
 
     def parse_params(self, doc: dict) -> ShearletSmoothnessParams:
@@ -430,7 +437,7 @@ class ShearletSmoothnessFamily(Family):
         return ShearletSmoothnessParams(_rat_param(doc, "s", self.name, default=0))
 
     def covering(self, params: ShearletSmoothnessParams) -> Covering:
-        from .covering import Covering, ScaledMatrix, cone_trapezoid
+        from .covering import Covering, cone_trapezoid
 
         base = cone_trapezoid(Fraction(1, 3), Fraction(3), Fraction(-1), Fraction(1))
 
@@ -446,12 +453,12 @@ class ShearletSmoothnessFamily(Family):
 
         def transform(i: Index):
             if i == (0,):
-                return ScaledMatrix(_diag([4, 4])), (-4, 0)
+                return _diag([4, 4]), (-4, 0)
             n, m, eps, delta = i
             # rows (4^n, 0) and (2^n m, 2^n), as ints over 4^-n for n < 0
             k = max(-2 * n, 0)
             rows = [(eps << (2 * n + k), 0), (eps * m << (n + k), eps << (n + k))]
-            return ScaledMatrix(rows[::-1] if delta else rows, 1 << k), (0, 0)
+            return _scaled(rows[::-1] if delta else rows, 1 << k), (0, 0)
 
         return Covering(
             label="shearlet_smoothness",
@@ -501,6 +508,7 @@ class ShearletCoorbitFamily(Family):
     """
 
     name = "shearlet_coorbit"
+    params_type = CoorbitParams
     khintchine = None
 
     def parse_params(self, doc: dict) -> CoorbitParams:
@@ -512,7 +520,7 @@ class ShearletCoorbitFamily(Family):
         )
 
     def covering(self, params: CoorbitParams) -> Covering:
-        from .covering import Covering, ScaledMatrix, cone_trapezoid
+        from .covering import Covering, cone_trapezoid
 
         c = params.c
         exact = c.denominator == 1
@@ -531,7 +539,7 @@ class ShearletCoorbitFamily(Family):
                 nc = n * c.numerator
                 k = max(-n, -nc, 0)
                 rows = ((eps << (n + k), 0), (eps * m << (nc + k), eps << (nc + k)))
-                return ScaledMatrix(rows, 1 << k), (0, 0)
+                return _scaled(rows, 1 << k), (0, 0)
             p2n, p2nc = eps * 2.0 ** n, eps * 2.0 ** (n * float(c))
             return ((p2n, p2n * 0), (p2nc * m, p2nc)), (0, 0)
 
@@ -603,6 +611,7 @@ class DiagonalFamily(Family):
     """
 
     name = "diagonal"
+    params_type = DiagonalParams
     khintchine = None
 
     def parse_params(self, doc: dict) -> DiagonalParams:
@@ -628,7 +637,7 @@ class DiagonalFamily(Family):
         return DiagonalParams(d, vector("alpha"), vector("beta"))
 
     def covering(self, params: DiagonalParams) -> Covering:
-        from .covering import BoxSet, Covering, ScaledMatrix
+        from .covering import BoxSet, Covering
 
         d = params.d
         base = BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d)
@@ -644,7 +653,7 @@ class DiagonalFamily(Family):
             # diag(eps_l 2^-k_l), as ints over 2^k, k the largest k_l (at least 0)
             ks, eps = i[:d], i[d:]
             k = max(0, *ks)
-            return ScaledMatrix(_diag([e << (k - x) for e, x in zip(eps, ks)]), 1 << k), (0,) * d
+            return _scaled(_diag([e << (k - x) for e, x in zip(eps, ks)]), 1 << k), (0,) * d
 
         return Covering(
             label=f"diagonal(d={d})",
@@ -684,10 +693,6 @@ FAMILIES = {
 }
 
 FAMILY_NAMES = tuple(FAMILIES)
-# the parsed params of every family, as parse_params returns them
-PARAMS_TYPES = (
-    DyadicParams, AlphaModParams, ShearletSmoothnessParams, CoorbitParams, DiagonalParams
-)
 
 
 def get_family(name: str) -> Family:

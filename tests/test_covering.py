@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import copy
 import dataclasses
 import hashlib
 import io
 import itertools
 import json
 import math
-import pickle
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -30,7 +28,6 @@ from decomp_embed.covering import (
     BoxSet,
     Covering,
     PolygonSet,
-    ScaledMatrix,
     adjacency,
     base_set_from_json,
     certify_constants,
@@ -190,19 +187,10 @@ def test_open_boxes_touching_do_not_intersect():
     assert sets_intersect(a, BoxSet((F(1, 2),), (F(3, 2),)))[0]
 
 
-def _box_reference(a: BoxSet, b: BoxSet) -> tuple[bool, bool]:
-    """The per-axis box test on the coordinates themselves: Fraction
-    comparisons for exact boxes, and a near-tie within the float tolerance
-    counted as meeting, uncertain, once a coordinate is a float."""
-    exact = all(isinstance(x, (int, F)) for x in (*a.lo, *a.hi, *b.lo, *b.hi))
-    certain = True
-    for lo1, hi1, lo2, hi2 in zip(a.lo, a.hi, b.lo, b.hi):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if not lo < hi:
-            return False, True
-        if not exact and float(hi - lo) <= _FLOAT_GAP_TOL * max(1.0, abs(float(hi)), abs(float(lo))):
-            certain = False
-    return True, certain
+def _box_reference(a: BoxSet, b: BoxSet) -> bool:
+    """The per-axis test of two open boxes by Fraction comparisons."""
+    return all(max(lo1, lo2) < min(hi1, hi2)
+               for lo1, hi1, lo2, hi2 in zip(a.lo, a.hi, b.lo, b.hi))
 
 
 _BOX_COORD = st.one_of(st.integers(-12, 12), st.builds(F, st.integers(-24, 24),
@@ -243,13 +231,17 @@ def _box_pairs(draw):
 @example((BoxSet((0.0,), (1.0,)), BoxSet((F(1) - F(1, 10**12),), (F(2),))))
 @settings(max_examples=400, deadline=None)
 def test_integer_box_test_keeps_the_fraction_semantics(pair):
+    """Exact boxes meet as their Fractions do, certainly; a float box is an
+    unsupported shape, counted as meeting, uncertain."""
     a, b = pair
-    want = _box_reference(a, b)
-    assert sets_intersect(a, b) == sets_intersect(b, a) == want
-    if a._lattice is not None and b._lattice is not None:
-        assert want[1]
-        (lo, hi), s = a._lattice
-        assert tuple(F(x, s) for x in (*lo, *hi)) == (*a.lo, *a.hi)
+    got = sets_intersect(a, b)
+    assert sets_intersect(b, a) == got
+    if a._lattice is None or b._lattice is None:
+        assert got == (True, False)
+        return
+    assert got == (_box_reference(a, b), True)
+    (lo, hi), s = a._lattice
+    assert tuple(F(x, s) for x in (*lo, *hi)) == (*a.lo, *a.hi)
 
 
 @given(st.integers(1, 6).flatmap(lambda d: st.sampled_from([
@@ -286,6 +278,24 @@ def test_box_lattice_image_matches_fraction_arithmetic(case):
     assert all(type(x) is F for x in (*img.lo, *img.hi))
     assert "_lattice" in vars(img)
     assert img._lattice == BoxSet(img.lo, img.hi)._lattice
+
+
+@pytest.mark.parametrize("base, t", [
+    (BoxSet((0.5, F(1)), (F(2), F(3))), ((F(2), F(0)), (F(0), F(1, 2)))),
+    (BoxSet((F(1, 2), F(1)), (F(2), F(3))), ((2.0, 0.0), (0.0, 0.5))),
+], ids=["float-box", "float-diagonal"])
+def test_float_box_is_an_unsupported_shape(base, t):
+    """A float box, or one under a float T, maps to the bounding ball of its
+    image, uncertain, and a covering of such boxes claims no tightness."""
+    b = (F(1), F(0))
+    img, ok = transform_base(base, t, b)
+    center, radius = covering_module._bounding_ball(base)
+    moved = zip(covering_module.mat_vec(t, center), b)
+    want = BallSet(tuple(float(x) + float(y) for x, y in moved), spectral_norm(t) * float(radius))
+    assert not ok and img == want
+    cov = Covering("float boxes", 2, lambda r: [(n,) for n in range(-r, r + 1)],
+                   lambda i: (t, (F(i[0]), F(0))), lambda i: base)
+    assert certify_constants(cov, 2)["tightness_ok"] is False
 
 
 def test_annulus_intersections_are_radial():
@@ -849,17 +859,6 @@ def test_float_matrix_determinant_is_the_exact_one_rounded_once(mat):
     assert mat_det(mat) == float(cofactor_det(tuple(tuple(map(F, row)) for row in mat)))
 
 
-@given(_square_of(st.integers(-40, 40), 3), st.integers(1, 60))
-@settings(max_examples=150, deadline=None)
-def test_scaled_matrix_hands_over_its_lowest_terms(ints, s):
-    mat = ScaledMatrix(ints, s)
-    assert mat == tuple(tuple(F(x, s) for x in row) for row in ints)
-    assert covering_module._integer_scaled(mat) == covering_module._integer_scaled(tuple(mat))
-    for copied in (copy.deepcopy(mat), pickle.loads(pickle.dumps(mat))):
-        assert type(copied) is ScaledMatrix
-        assert copied == mat and copied.scaled == mat.scaled
-
-
 # ---------------------------------------------------------------------------
 # adjacency and constants on the dyadic covering
 # ---------------------------------------------------------------------------
@@ -956,7 +955,7 @@ def test_a_window_out_of_order_is_not_restricted():
     assert nbrs[(0,)] == tuple((k,) for k in range(-3, 4))
 
 
-@pytest.mark.parametrize("family, params, index", [
+_FAMILY_CASES = [
     ("hom_besov", {"d": 2}, "1"),
     ("inhom_besov", {"d": 2}, "0"),
     ("alpha_modulation", {"d": 2, "alpha": "1/2"}, "1,-1"),
@@ -965,7 +964,10 @@ def test_a_window_out_of_order_is_not_restricted():
     ("shearlet_coorbit", {"c": 2}, "0,1,1"),
     ("shearlet_coorbit", {"c": "1/2"}, "0,1,1"),
     ("diagonal", {"d": 2}, "0,1,1,-1"),
-])
+]
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
 def test_each_transform_runs_once_per_index_and_command(family, params, index):
     """Each index is placed once per command, and verify-family sweeps one
     map, at radius 3, for radii 1 and 3."""
@@ -1003,6 +1005,25 @@ def test_each_transform_runs_once_per_index_and_command(family, params, index):
             assert calls and max(calls.values()) == 1, argv
             # one map per command: no pair of placed sets is tested twice
             assert max(tested.values(), default=1) == 1, argv
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_families_hand_plain_rows_and_the_placement_scales_them(family, params, index):
+    """T_i is a tuple of tuple rows of int, Fraction or float, an exact
+    integral entry an int; the placement keeps it as (A_i, d_i) in lowest
+    terms, as ``_integer_scaled`` reads the rows."""
+    fam = get_family(family)
+    cov = fam.covering(fam.parse_params(params))
+    for i, placed in covering_module.placements(cov, 2).items():
+        t, _ = cov.transform(i)
+        assert type(t) is tuple and all(type(row) is tuple for row in t)
+        entries = list(itertools.chain(*t))
+        assert all(type(x) in (int, F, float) for x in entries)
+        assert not any(type(x) is F and x.denominator == 1 for x in entries)
+        a, d = placed.scaled
+        assert placed.scaled == covering_module._integer_scaled(t)
+        assert d > 0 and math.gcd(d, *itertools.chain(*a)) == 1
+        assert all(F(x, d) == y for row_a, row in zip(a, t) for x, y in zip(row_a, row))
 
 
 def test_adjacency_map_is_read_only():

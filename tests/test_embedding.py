@@ -621,6 +621,20 @@ def test_parsed_params_key_the_form_cache(family):
     assert memo.cache_info().currsize == 1
 
 
+@pytest.mark.parametrize("owner, family", list(itertools.product(FAMILY_NAMES, repeat=2)))
+def test_a_family_takes_parsed_params_of_its_own_type_only(owner, family):
+    """Another family's parsed params are a document to the parser, which
+    refuses it; the two dyadic families share their params type."""
+    params = get_family(owner).parse_params({})
+    if type(params) is get_family(family).params_type:
+        decide(family, params, p=1, q=2, r=2, k=0, target="sobolev")
+    else:
+        with pytest.raises(InvalidParams, match="parameters must be a JSON object$"):
+            decide(family, params, p=1, q=2, r=2, k=0, target="sobolev")
+    assert (type(params) is get_family(family).params_type) == (
+        owner == family or {owner, family} == {"hom_besov", "inhom_besov"})
+
+
 def test_records_equal_instances_of_their_own_class_only():
     sector, params = RadialSector(2), ShearletSmoothnessParams(Fraction(2))
     assert tuple(sector) == tuple(params) and hash(sector) == hash(params)
