@@ -9,9 +9,10 @@ with its own helpers (:func:`pow2f`, a coordinate factor's log2, the
 power sums of :func:`_power_sum` and the shells of a piece read by its
 structure), and reads exponents only for structural
 facts about what lies past its window (the pair-sector tail bound and, on
-the exact exponents, the exponential-growth gate).  On pair sectors it takes the weights the exact
-decider takes, m-factors |m|^c with one power on both signs of m, and
-refuses the rest.  Test suites drive both against each other.
+the exact exponents, the exponential-growth gate).  It takes the atoms the
+exact decider takes: on pair sectors m-factors |m|^c with one power on
+both signs of m, on radial sectors a radial power alone, and a radial power
+nowhere else; it refuses the rest.  Test suites drive both against each other.
 
 numpy is loaded only by this module, and no module imports this one at
 top level, so an exact decision loads neither.
@@ -286,11 +287,10 @@ def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -
     sum of theta-powers, or its max at theta = inf, by its structure where
     the two routes above take it, else on its grid, the largest window once."""
     sector, atoms = piece.sector, piece.atoms
-    if isinstance(sector, RadialSector) and not any(x for a in atoms for f in a.factors for x in f) \
+    if isinstance(sector, RadialSector) \
             and (theta_f is None or 1 < sector.d and (2 * radii[-1] + 1) ** sector.d <= 2**53):
         return _radial_shells(piece, radii, theta_f)
-    if isinstance(sector, ProductSector) and sector.dims > 1 and len(atoms) == 1 \
-            and not atoms[0].radial_pow:
+    if isinstance(sector, ProductSector) and sector.dims > 1 and len(atoms) == 1:
         return _product_shells(piece, radii, theta_f)
     values, pt_radii = _grid_values(piece, radii[-1])
     # shell by shell, as the caller reads them, which may stop on a divergence
@@ -621,14 +621,13 @@ def _grows_exponentially(piece: Piece) -> bool:
 
 
 def _radial_tail_diverges(piece: Piece, theta) -> bool:
-    """Whether a radial piece of trivial coordinate factors sums to inf past
-    every window: its terms are sums of c_i |k|^p_i with c_i > 0, so its
-    tail over Z^d behaves like |k|^(theta p) for the largest p, and diverges
-    when theta p >= -d (at theta = inf, when p > 0), however fast its shells
-    fall inside the window while a smaller power leads them."""
+    """Whether a radial piece sums to inf past every window: its terms are
+    sums of c_i |k|^p_i with c_i > 0, so its tail over Z^d behaves like
+    |k|^(theta p) for the largest p, and diverges when theta p >= -d (at
+    theta = inf, when p > 0), however fast its shells fall inside the window
+    while a smaller power leads them."""
     sector = piece.sector
-    if not isinstance(sector, RadialSector) or not piece.atoms \
-            or any(x for a in piece.atoms for f in a.factors for x in f):
+    if not isinstance(sector, RadialSector):
         return False
     top = max(a.radial_pow for a in piece.atoms)
     return top > 0 if theta.is_inf else top >= -sector.d * theta.reciprocal()
@@ -639,19 +638,27 @@ def _float_pieces(weight: ExpPolyWeight) -> list[Piece]:
     float, once; the oracle's helpers read these as they would Fractions.
     A number past the float range (float() raises rather than give inf),
     a pair sector's lam among them, or a coefficient that underflows to 0
-    raises :class:`UnsupportedWeight`, and so does a pair-sector atom whose
-    m-factor is not |m|^c with one power c on both signs of m, or that
-    carries a radial power."""
+    raises :class:`UnsupportedWeight`.  So do the atoms the exact decider
+    refuses: on a pair sector one whose m-factor is not |m|^c with one power
+    c on both signs of m, or that carries a radial power; on a radial sector
+    one with a nonzero coordinate-factor exponent; elsewhere one that carries
+    a radial power."""
     try:
         for piece in weight.pieces:
-            if not isinstance(piece.sector, PairSector):
-                continue
-            float(piece.sector.lam)  # as the tail bound reads it
-            if any(m.exp2_pos or m.exp2_neg or m.pow_pos != m.pow_neg or atom.radial_pow
-                   for atom in piece.atoms for m in atom.factors[1:]):
+            sector = piece.sector
+            if isinstance(sector, PairSector):
+                float(sector.lam)  # as the tail bound reads it
+                if any(m.exp2_pos or m.exp2_neg or m.pow_pos != m.pow_neg or atom.radial_pow
+                       for atom in piece.atoms for m in atom.factors[1:]):
+                    raise UnsupportedWeight(
+                        "on pair sectors the numeric oracle takes only m-factors |m|^c, "
+                        "with one power c on both signs of m, and no radial power"
+                    )
+            elif any(any(map(any, atom.factors)) if isinstance(sector, RadialSector)
+                     else atom.radial_pow for atom in piece.atoms):
                 raise UnsupportedWeight(
-                    "on pair sectors the numeric oracle takes only m-factors |m|^c, "
-                    "with one power c on both signs of m, and no radial power"
+                    "the numeric oracle takes radial powers only on radial sectors, "
+                    "and there no coordinate factor"
                 )
         pieces = [Piece(piece.sector, tuple(Atom._make((
             float(atom.coeff),
@@ -672,12 +679,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     """Classify l^theta membership from partial sums over nested windows.
 
     Every coefficient and exponent is read as a float once, on entry
-    (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for a
-    pair-sector m-factor other than |m|^c.  Other pieces take every shell at
-    once (:func:`_piece_shells`): radial pieces with trivial coordinate
-    factors by their squared norms (at a finite theta from d = 2 on), and
-    single-atom products of two or more axes without a radial power axis by
-    axis; the rest on (2R + 1)^d grid points under the window cap.  Pair
+    (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for the
+    atoms the exact decider refuses.  Other pieces take every shell at
+    once (:func:`_piece_shells`): radial pieces by their squared norms (at
+    a finite theta from d = 2 on), and single-atom products of two or more
+    axes axis by axis; the rest on (2R + 1)^d grid points under the window cap.  Pair
     sectors are summed row by row, each row in
     closed form or, for several atoms at a non-integer theta, as a direct
     head plus a bound on the rest (:func:`_pair_row`).  At theta = inf every

@@ -598,17 +598,31 @@ def test_oracle_refuses_the_pair_weights_the_decider_refuses(atom, theta):
 _FLAT = CoordFactor()
 
 
+# radial atoms the exact decider refuses: a coordinate factor on a radial
+# sector, and a radial power on a line or product sector
+@pytest.mark.parametrize("w", [
+    ExpPolyWeight.single(
+        RadialSector(2), Atom(F(1), (CoordFactor.symmetric(F(1, 100)), _FLAT), -20)),
+    ExpPolyWeight.single(
+        RadialSector(2), Atom(F(1), (_FLAT, CoordFactor(0, F(-1, 100))), -20)),
+    ExpPolyWeight.single(LineSector("Z"), Atom(F(1), (_FLAT,), -2)),
+    ExpPolyWeight.single(
+        ProductSector((LineSector("N0"), LineSector("Z"))), Atom(F(1), (_FLAT, _FLAT), -3)),
+], ids=["radial", "radial-negative-side", "line-radial-power", "product-radial-power"])
+@pytest.mark.parametrize("theta", [E(1), INF], ids=["theta-1", "theta-inf"])
+def test_oracle_refuses_the_radial_weights_the_decider_refuses(w, theta):
+    with pytest.raises(UnsupportedWeight, match="radial powers only on radial sectors"):
+        truncated_oracle(w, theta)
+    with pytest.raises(UnsupportedWeight):
+        decide_lp_membership(w, theta)
+
+
 @pytest.mark.parametrize("w, theta", [
     (_PRODUCT_GROWING_PAST_THE_WINDOW, E(2)),
     (line("N0", F(1, 1000), -30), E(1)),
     (line("Nneg", F(-1, 1000), -30), INF),
     (line("Z_nonzero", F(1, 1000), -30), INF),
-    (ExpPolyWeight.single(
-        RadialSector(2), Atom(F(1), (CoordFactor.symmetric(F(1, 100)), _FLAT), -20)), E(1)),
-    (ExpPolyWeight.single(
-        RadialSector(2), Atom(F(1), (_FLAT, CoordFactor(0, F(-1, 100))), -20)), INF),
-], ids=["product", "line-N0", "line-Nneg-sup", "line-Z_nonzero-sup", "radial",
-        "radial-negative-side-sup"])
+], ids=["product", "line-N0", "line-Nneg-sup", "line-Z_nonzero-sup"])
 def test_oracle_never_certifies_a_term_growing_past_the_window(w, theta):
     # each term falls across the whole default window, so the shell test
     # alone would call it Convergent; 2^(a*n) on an unbounded side says no
