@@ -43,7 +43,6 @@ __all__ = [
     "compound",
     "DEFAULT_DENOMINATOR_CAP",
     "rational_from_json",
-    "rational_to_json",
     "int_from_json",
     "json_float",
 ]
@@ -134,12 +133,6 @@ def json_float(text: str) -> float:
         raise InexactExponent(f"JSON number {text} is not the float {value!r} it would be read as")
     return value
 
-
-def rational_to_json(value: Fraction) -> object:
-    """The JSON form of a rational: an int, or a [num, den] pair."""
-    if value.denominator == 1:
-        return value.numerator
-    return [value.numerator, value.denominator]
 
 _ExponentLike = Union["ExtExponent", int, Fraction, str]
 
