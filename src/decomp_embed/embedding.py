@@ -61,7 +61,8 @@ from .exponents import (
     reciprocal_pair,
 )
 from .families import Family, get_family
-from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal, record
+from .seqspace import (ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal,
+                       record, refuse_unsupported)
 
 __all__ = [
     "Outcome",
@@ -234,8 +235,9 @@ def _params_key(doc) -> Optional[str]:
 
 
 def _compile(fam: Family, params, k: int) -> tuple:
-    form = fam.quotient_form(params, k)
-    return fam, params, form, fam.khintchine_quotient(form)
+    form = refuse_unsupported(fam.quotient_form(params, k))
+    kform = fam.khintchine_quotient(form)
+    return fam, params, form, None if kform is None else refuse_unsupported(kform)
 
 
 @functools.lru_cache(maxsize=FORM_MEMO_SIZE)

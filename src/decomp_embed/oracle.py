@@ -10,9 +10,10 @@ power sums of :func:`_power_sum` and the shells of a piece read by its
 structure), and reads exponents only for structural
 facts about what lies past its window (the pair-sector tail bound and, on
 the exact exponents, the exponential-growth gate).  It takes the atoms the
-exact decider takes: on pair sectors m-factors |m|^c with one power on
-both signs of m, on radial sectors a radial power alone, and a radial power
-nowhere else; it refuses the rest.  Test suites drive both against each other.
+exact decider takes: on pair sectors a lam with lam*n >= 0 on the
+n-domain and m-factors |m|^c with one power on both signs of m, on radial
+sectors a radial power alone, and a radial power nowhere else; it refuses
+the rest.  Test suites drive both against each other.
 
 numpy is loaded only by this module, and no module imports this one at
 top level, so an exact decision loads neither.
@@ -639,15 +640,17 @@ def _float_pieces(weight: ExpPolyWeight) -> list[Piece]:
     A number past the float range (float() raises rather than give inf),
     a pair sector's lam among them, or a coefficient that underflows to 0
     raises :class:`UnsupportedWeight`.  So do the atoms the exact decider
-    refuses: on a pair sector one whose m-factor is not |m|^c with one power
-    c on both signs of m, or that carries a radial power; on a radial sector
-    one with a nonzero coordinate-factor exponent; elsewhere one that carries
-    a radial power."""
+    refuses: every atom of a pair sector with lam*n < 0; on a pair sector
+    one whose m-factor is not |m|^c with one power c on both signs of m, or
+    that carries a radial power; on a radial sector one with a nonzero
+    coordinate-factor exponent; elsewhere one that carries a radial power."""
     try:
         for piece in weight.pieces:
             sector = piece.sector
             if isinstance(sector, PairSector):
                 float(sector.lam)  # as the tail bound reads it
+                if sector.lam and (sector.lam > 0) != (sector.n_domain == "N0"):
+                    raise UnsupportedWeight("the numeric oracle takes no pair sector with lam*n < 0")
                 if any(m.exp2_pos or m.exp2_neg or m.pow_pos != m.pow_neg or atom.radial_pow
                        for atom in piece.atoms for m in atom.factors[1:]):
                     raise UnsupportedWeight(

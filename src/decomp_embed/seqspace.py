@@ -169,9 +169,10 @@ class PairSector(_PairFields):
     """Pairs (n, m) with n in a half-line and |m| constrained by 2^(lam*n).
 
     side "inside" means |m| <= ceil(2^(lam*n)) + shift, side "outside"
-    means |m| >= ceil(2^(lam*n)) + shift.  The sign of lam must make
-    lam*n >= 0 on the n-domain; the closed-form reduction rules assume
-    the bound never collapses below 1 by more than the shift.
+    means |m| >= ceil(2^(lam*n)) + shift.  The closed-form reduction rules
+    assume lam*n >= 0 on the n-domain, and that the bound never collapses
+    below 1 by more than the shift; a lam of the wrong sign is taken here
+    and refused per weight, by :func:`refuse_unsupported` and the oracle.
     """
 
     __slots__ = ()
@@ -573,6 +574,33 @@ class Membership(str, Enum):
     NOT_MEMBER = "NotMember"
 
 
+def refuse_unsupported(w: ExpPolyWeight) -> ExpPolyWeight:
+    """Raise :class:`UnsupportedWeight` at the first atom, piece by piece,
+    that no membership rule covers, else return w.  It reads the compiled int
+    triples: an exponent counts when it is not identically 0 in (dp, g), and
+    two m powers are one when their triples are equal, so a form that passes
+    builds only weights that pass."""
+    for piece, rows in zip(w.pieces, w._rows):
+        sector = piece.sector
+        radial, pair = isinstance(sector, RadialSector), isinstance(sector, PairSector)
+        n0 = pair and sector.n_domain == "N0"
+        for row in rows:
+            if radial and any(map(any, row[:-1])):
+                raise UnsupportedWeight("radial sectors support only radial powers")
+            if not radial and any(row[-1]):
+                raise UnsupportedWeight("radial powers are only supported on radial sectors")
+            if not (pair or radial or isinstance(sector, (LineSector, ProductSector))):
+                raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
+            if pair and (any(row[4]) or any(row[5])):
+                raise UnsupportedWeight("pair sectors support only power factors in m")
+            if pair and row[6] != row[7]:
+                raise UnsupportedWeight("pair sectors need a symmetric m power")
+            if pair and (sector.lam < 0 if n0 else sector.lam > 0):
+                raise UnsupportedWeight("pair sector with lam < 0 on n >= 0" if n0
+                                        else "pair sector with lam > 0 on n < 0")
+    return w
+
+
 def _below(v: int, xn: int) -> bool:
     """Whether a rule whose integer cross product is ``v`` admits the atom:
     v < 0, or v == 0 at theta = inf (xn == 0), where a bounded term is
@@ -603,24 +631,11 @@ def _line_member(domain: str, f: Sequence[Pair], xn: int, xd: int) -> bool:
 
 
 def _pair_atom_member(sector: PairSector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
-    a_pos, a_neg, c_pos, c_neg, m_exp2_pos, m_exp2_neg, rho, rho_neg = ex[:8]
-    if m_exp2_pos[0] or m_exp2_neg[0]:
-        raise UnsupportedWeight("pair sectors support only power factors in m")
-    rn, rd = rho
-    if rn * rho_neg[1] != rho_neg[0] * rd:
-        raise UnsupportedWeight("pair sectors need a symmetric m power")
+    rn, rd = ex[6]
     ln, ld = sector.lam.numerator, sector.lam.denominator
-    if sector.n_domain == "N0":
-        if ln < 0:
-            raise UnsupportedWeight("pair sector with lam < 0 on n >= 0")
-        (an, ad), c = a_pos, c_pos
-        orient = 1
-    else:
-        if ln > 0:
-            raise UnsupportedWeight("pair sector with lam > 0 on n < 0")
-        # n runs to -inf, where 2^(a*n) decays at rate -a
-        (an, ad), c = a_neg, c_neg
-        orient = -1
+    # on n < 0, n runs to -inf, where 2^(a*n) decays at rate -a
+    orient = 1 if sector.n_domain == "N0" else -1
+    (an, ad), c = (ex[0], ex[2]) if orient > 0 else (ex[1], ex[3])
     outside = sector.side == "outside"
 
     # the l^theta sum (a sup at theta = inf) read per unit theta: every
@@ -648,13 +663,9 @@ def _atom_member(sector: Sector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
     """The rule of one atom, given its exponents as int pairs in the
     reading order of :func:`_exponents_of`."""
     if isinstance(sector, RadialSector):
-        if any(num for num, _ in ex[:-1]):
-            raise UnsupportedWeight("radial sectors support only radial powers")
         # power + d/theta < 0, as an integer cross product
         pn, pd = ex[-1]
         return _below(pn * xd + sector.d * pd * xn, xn)
-    if ex[-1][0]:
-        raise UnsupportedWeight("radial powers are only supported on radial sectors")
     if isinstance(sector, LineSector):
         return _line_member(sector.domain, ex[:4], xn, xd)
     if isinstance(sector, ProductSector):
@@ -662,9 +673,7 @@ def _atom_member(sector: Sector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
             _line_member(line.domain, ex[4 * j:4 * j + 4], xn, xd)
             for j, line in enumerate(sector.lines)
         )
-    if isinstance(sector, PairSector):
-        return _pair_atom_member(sector, ex, xn, xd)
-    raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
+    return _pair_atom_member(sector, ex, xn, xd)
 
 
 def decide_reciprocal(
@@ -677,7 +686,8 @@ def decide_reciprocal(
     A pair is (numerator, positive denominator) and need not be reduced:
     every rule is the sign of an integer cross product affine in
     x = 1/theta, read as two ints xn/xd with xn = 0 for theta = inf.  No
-    Fraction or exponent object is built.
+    Fraction or exponent object is built.  The pairs must come from a
+    weight that :func:`refuse_unsupported` passed; the rules raise nothing.
     """
     xn, xd = x
     for sector, atoms in pieces:
@@ -695,9 +705,10 @@ def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
     is (the theta-power of a finite sum of positive terms is comparable
     to the sum of theta-powers), and at theta = inf it is bounded exactly
     when every atom is, so the decision distributes over atoms and
-    pieces (:func:`decide_reciprocal`).
+    pieces (:func:`decide_reciprocal`), once :func:`refuse_unsupported`
+    has passed the weight.
     """
-    return decide_reciprocal(w.pairs_at(), reciprocal_pair(theta))
+    return decide_reciprocal(refuse_unsupported(w).pairs_at(), reciprocal_pair(theta))
 
 
 def decide_sequence_embedding(u: ExpPolyWeight, v: ExpPolyWeight, r, s) -> str:

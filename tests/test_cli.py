@@ -279,6 +279,27 @@ def test_oracle_refuses_an_asymmetric_m_power_as_the_decider_does():
         assert proc.stderr == "error: pair sectors need a symmetric m power\n"
 
 
+_Z = {"kind": "Z"}
+_LAM_NEGATIVE = {"kind": "pairs", "lam": -1}
+
+
+# a weight is refused before any atom is decided: a non-member atom or
+# piece ahead of a refused one does not turn the refusal into exit 1
+@pytest.mark.parametrize("u, v, message", [
+    ({"lattice": _Z, "atoms": [{"pow": ["1"]}, {"radial_pow": "-2"}]}, {"lattice": _Z},
+     "radial powers are only supported on radial sectors"),
+    ({"lattice": _Z, "atoms": [{"radial_pow": "-2"}, {"pow": ["1"]}]}, {"lattice": _Z},
+     "radial powers are only supported on radial sectors"),
+    ({"pieces": [{"lattice": _Z, "atoms": [{"exp2": ["1"]}]}, {"lattice": _LAM_NEGATIVE}]},
+     {"pieces": [{"lattice": _Z}, {"lattice": _LAM_NEGATIVE}]},
+     "pair sector with lam < 0 on n >= 0"),
+], ids=["non-member-atom-first", "refused-atom-first", "non-member-piece-first"])
+@pytest.mark.parametrize("extra", [[], ["--oracle"]], ids=["exact", "oracle"])
+def test_a_refused_weight_exits_70_in_any_order(u, v, message, extra):
+    argv = ["check-sequence", "--u", json.dumps(u), "--v", json.dumps(v), "-r", "1", "-s", "1"]
+    assert run_cli([*argv, *extra]) == (70, b"", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("r, s, exponent", [("2", "1", 2), ("1", "1", "inf")])
 def test_oracle_sums_a_weight_without_pieces_to_zero(r, s, exponent):
     # an empty quotient is the zero sequence: it embeds, and the oracle agrees

@@ -10,7 +10,7 @@ from decomp_embed.embedding import decide_sobolev
 from decomp_embed.errors import InvalidParams, SchemaError
 from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
 from decomp_embed.families import FAMILY_NAMES, covering_from_json, get_family
-from decomp_embed.seqspace import LineSector
+from decomp_embed.seqspace import LineSector, refuse_unsupported
 
 from golden_refs import golden_verdict
 from reference_weights import REFERENCE
@@ -304,3 +304,18 @@ def test_quotient_weight_equals_the_reference_quotient(family, data, k, p, t, r)
     want = ref.weight_symbolic(params, k, p, t).quotient(ref.space_weight(params, r))
     got = fam.quotient_form(params, k).at(reciprocal_gap(p, t), reciprocal_gap(ExtExponent(2), r))
     assert got == want
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("k", (0, 1, 2))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_family_forms_pass_the_refusal(family, k, data):
+    """The refusal reads a form's exponents as affine in the gaps: one counts
+    when it is not identically 0.  Every family's quotient form and its
+    Khintchine form pass it, so no cell of theirs is refused."""
+    fam = get_family(family)
+    form = fam.quotient_form(fam.parse_params(data.draw(PARAM_DOCS[family])), k)
+    kform = fam.khintchine_quotient(form)
+    assert refuse_unsupported(form) is form
+    assert kform is None or refuse_unsupported(kform) is kform

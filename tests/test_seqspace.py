@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -30,6 +31,7 @@ from decomp_embed.seqspace import (
     decide_reciprocal,
     decide_sequence_embedding,
     expweight_from_json,
+    refuse_unsupported,
     sector_from_json,
 )
 from decomp_embed.oracle import truncated_oracle
@@ -216,6 +218,7 @@ ref_thetas = st.one_of(
 )
 
 
+@functools.lru_cache(maxsize=None)
 def ref_exps(x):
     """Exponents that often sit on a boundary of the rules at 1/theta = x."""
     return st.one_of(
@@ -315,13 +318,18 @@ _slope = st.sampled_from([F(0), F(0), F(1), F(-1), F(3, 2), F(-2, 3)])
 @st.composite
 def affine_forms(draw, kind, x):
     """A one-atom form and a (dp, g) at which it is a reference atom: every
-    exponent e becomes e - a*dp - b*g + a*_DP + b*_G for drawn slopes a, b,
-    so the rules meet unreduced pairs over the form's common denominator."""
+    nonzero exponent e becomes e - a*dp - b*g + a*_DP + b*_G for slopes a, b
+    drawn once per value, so the rules meet unreduced pairs over the form's
+    common denominator.  As in a family form, a zero stays identically zero
+    and equal exponents stay equal, which is what the refusal reads."""
     sector, atom = draw(ref_atoms(kind, x))
     dp, g = draw(_gap), draw(_gap)
+    slopes = {}
 
     def lift(e):
-        a, b = draw(_slope), draw(_slope)
+        if e not in slopes:
+            slopes[e] = (draw(_slope), draw(_slope)) if e else (0, 0)
+        a, b = slopes[e]
         return Affine(e - a * dp - b * g, a, b) if a or b else e
 
     form = ExpPolyWeight.single(sector, Atom._make((
@@ -341,12 +349,60 @@ def test_form_exponents_decide_as_the_built_weight(kind, data, theta):
     assert hash(form.at(dp, g)) == hash(weight)
     x = reciprocal_pair(theta)
     want = _outcome(decide_lp_membership, weight, theta)
+    # the form is refused exactly when its built weight is, with the same
+    # message; the rules read only the pairs of a form that passed
+    refused = not isinstance(want, Membership)
+    assert _outcome(refuse_unsupported, form) == (want if refused else form)
+    if refused:
+        return
     pairs = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
     assert _outcome(decide_reciprocal, form.pairs_at(*pairs), x) == want
     # without Affine exponents a weight reads the same at every (dp, g)
     other = [(e.numerator, e.denominator) for e in (data.draw(_gap), data.draw(_gap))]
     assert _outcome(decide_reciprocal, weight.pairs_at(*other), x) == want
     assert _outcome(decide_reciprocal, weight.pairs_at(), x) == want
+
+
+@st.composite
+def ref_pieces(draw, x):
+    """A piece of one to three atoms of one kind drawn by :func:`ref_atoms`,
+    defects included: the sector of the first, and the others fitted to its
+    arity with trivial factors."""
+    kind = draw(st.sampled_from(["line", "product", "radial", "pair"]))
+    sector, atom = draw(ref_atoms(kind, x))
+    atoms = [atom] + [draw(ref_atoms(kind, x))[1] for _ in range(draw(st.integers(0, 2)))]
+    pad = (CoordFactor(),) * sector.dims
+    return Piece(sector, tuple(
+        Atom._make((a.coeff, (a.factors + pad)[:sector.dims], a.radial_pow)) for a in atoms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), theta=ref_thetas)
+def test_membership_does_not_depend_on_the_order_of_atoms_and_pieces(data, theta):
+    x = theta.reciprocal()
+    pieces = data.draw(st.lists(ref_pieces(x), min_size=1, max_size=3))
+    shuffled = [Piece(pc.sector, tuple(data.draw(st.permutations(pc.atoms))))
+                for pc in data.draw(st.permutations(pieces))]
+
+    def outcome(pcs):
+        try:
+            return decide_lp_membership(ExpPolyWeight(tuple(pcs)), theta)
+        except UnsupportedWeight as exc:
+            return exc
+
+    got, again = outcome(pieces), outcome(shuffled)
+    assert type(got) is type(again)
+    frac = None if theta.is_inf else 1 / x
+    rules = [_outcome(reference_membership._atom_member, pc.sector, atom, frac)
+             for pc in pieces for atom in pc.atoms]
+    messages = {rule for rule in rules if isinstance(rule, str)}
+    # refused exactly when some atom is, and otherwise the conjunction
+    if not messages:
+        assert got is again is (MEMBER if all(rules) else NOT_MEMBER)
+    else:
+        assert f"UnsupportedWeight: {got}" in messages
+        if len(messages) == 1:
+            assert str(got) == str(again)
 
 
 def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
@@ -579,17 +635,30 @@ def test_oracle_never_contradicts_decider_on_multi_atom_pairs(w, theta):
         assert memb is NOT_MEMBER
 
 
-# m-factors the exact decider refuses on a pair sector: an exp2 rate on m,
-# a different power on +m and -m, and a radial power
-@pytest.mark.parametrize("atom", [
-    Atom(F(1), (CoordFactor(), CoordFactor.symmetric(F(-1, 2), -3))),
-    Atom(F(1), (CoordFactor(), CoordFactor(0, 0, -2, -3))),
-    Atom(F(1), (CoordFactor(), CoordFactor.symmetric(0, -3)), -1),
-], ids=["exp2-rate-on-m", "asymmetric-m-power", "radial-power"])
+_OUTSIDE = PairSector("N0", F(1, 2), "outside", -1)
+_M_FACTORS = "on pair sectors the numeric oracle"
+_LAM_SIGN = "the numeric oracle takes no pair sector with lam"
+
+
+# pair weights the exact decider refuses: m-factors with an exp2 rate on m,
+# a different power on +m and -m, or a radial power; and on either side, a
+# sector whose lam has the wrong sign for its n-domain, here with an atom
+# that decays along n
+@pytest.mark.parametrize("w, message", [
+    (ExpPolyWeight.single(
+        _OUTSIDE, Atom(F(1), (CoordFactor(), CoordFactor.symmetric(F(-1, 2), -3)))), _M_FACTORS),
+    (ExpPolyWeight.single(
+        _OUTSIDE, Atom(F(1), (CoordFactor(), CoordFactor(0, 0, -2, -3)))), _M_FACTORS),
+    (ExpPolyWeight.single(
+        _OUTSIDE, Atom(F(1), (CoordFactor(), CoordFactor.symmetric(0, -3)), -1)), _M_FACTORS),
+    *((ExpPolyWeight.single(PairSector(domain, lam, side, 0), Atom.pair(n_exp2=lam)), _LAM_SIGN)
+      for domain, lam in (("N0", F(-1)), ("Nneg", F(1))) for side in ("inside", "outside")),
+], ids=["exp2-rate-on-m", "asymmetric-m-power", "radial-power", "lam-negative-on-N0-inside",
+        "lam-negative-on-N0-outside", "lam-positive-on-Nneg-inside",
+        "lam-positive-on-Nneg-outside"])
 @pytest.mark.parametrize("theta", [E(2), INF], ids=["theta-2", "theta-inf"])
-def test_oracle_refuses_the_pair_weights_the_decider_refuses(atom, theta):
-    w = ExpPolyWeight.single(PairSector("N0", F(1, 2), "outside", -1), atom)
-    with pytest.raises(UnsupportedWeight, match="on pair sectors the numeric oracle"):
+def test_oracle_refuses_the_pair_weights_the_decider_refuses(w, message, theta):
+    with pytest.raises(UnsupportedWeight, match=message):
         truncated_oracle(w, theta)
     with pytest.raises(UnsupportedWeight):
         decide_lp_membership(w, theta)
