@@ -887,13 +887,12 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     Needs exact geometry end to end; a covering without a tightness
     witness cannot anchor the surrogate and raises instead of guessing.
     """
-    indices = covering.window(radius)
-    if not indices:
+    places = placements(covering, radius)
+    if not places:
         raise InvalidParams(f"the window of radius {radius} is empty")
     ratios = []
     with _in_float_range(covering, radius):
-        for i in indices:
-            t, b, image, ok, exact, _ = _place(covering, i)
+        for i, (t, b, image, ok, exact, _) in places.items():
             if not (ok and exact):
                 raise MissingTightnessWitness(
                     f"covering {covering.label!r} has no tight bound for index {i}"
