@@ -365,10 +365,11 @@ def _power_sum(s: float, lo: float, hi: float, log2_coeff: float = 0.0) -> float
     Euler-Maclaurin with six Bernoulli corrections, its integral through
     expm1 from the larger end (accurate near s = -1).  Each term is one
     pow2f of a log2: a saturated coefficient meets no underflow as inf * 0."""
-    if lo > hi:
-        return 0.0
     if math.isinf(hi) and s >= -1.0:
         return math.inf
+    hi = hi if math.isinf(hi) else float(math.floor(hi))  # the last integer in range
+    if lo > hi:
+        return 0.0
     a, b = lo + 16.0, hi - 16.0 if s > 0 else hi
     ms = [lo + i for i in range(int(hi - lo) + 1)] if a > b else (
         [lo + i for i in range(16)] + [hi - i for i in range(16) if s > 0])

@@ -962,6 +962,18 @@ def test_power_sum_of_a_steep_power_matches_the_fsum_of_its_terms(s):
                 assert got == pytest.approx(math.fsum(terms), rel=1e-12), (lo, span)
 
 
+# a non-integer upper end: the tail bound's n-sum of an outside sector with
+# shift -1 stops at n1 = 1/lam, 30.5 at lam = 2/61
+@pytest.mark.parametrize("s, lo, hi", [(2.0, 1, 40.5), (0.0, 4, 30.5), (-1.0, 1, 30.5),
+                                       (-2.0, 4, 30.5), (-300.0, 1, 500.5), (-60.0, 17, 500.5)])
+def test_power_sum_stops_at_the_last_integer_of_its_range(s, lo, hi):
+    """Over [lo, hi] with a non-integer hi the sum runs over the integers
+    lo..floor(hi), the fsum of their m^s to a relative 1e-12."""
+    with np.errstate(under="ignore"):
+        terms = np.arange(lo, math.floor(hi) + 1, dtype=np.float64) ** s
+    assert oracle._power_sum(s, float(lo), hi) == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
 def _outside_row(*atoms):
     """Row 0 (every base is its coefficient) of an outside sector, from |m| = 1."""
     return Piece(PairSector("N0", F(0), "outside", 0), atoms), 0, 1
