@@ -771,3 +771,20 @@ def test_oracle_tails_replay_byte_for_byte(monkeypatch):
         if _oracle_tail_lines(query, monkeypatch) != list(group):
             drifted.append(query)
     assert not drifted, f"{len(drifted)} queries drifted, first {drifted[0]}"
+
+
+def test_pair_tail_bound_value_reaches_no_verdict(monkeypatch):
+    """The gates read only whether a pair tail bound is finite: with every
+    bound halved, the frozen oracle queries keep their verdict, window,
+    partial sum and growth, and only reported tail bounds move."""
+    bound = oracle_module._pair_tail_bound
+    monkeypatch.setattr(oracle_module, "_pair_tail_bound", lambda *args: bound(*args) / 2.0)
+    lines = ORACLE_TAILS.read_text().splitlines()
+    moved = 0
+    for query, group in itertools.groupby(lines, key=lambda line: json.loads(line)["query"]):
+        want = [json.loads(line)["tail"] for line in group]
+        got = [json.loads(line)["tail"] for line in _oracle_tail_lines(query, monkeypatch)]
+        assert [{**tail, "tail_bound": None} for tail in got] == \
+            [{**tail, "tail_bound": None} for tail in want], query
+        moved += sum(g["tail_bound"] != w["tail_bound"] for g, w in zip(got, want))
+    assert moved  # the halved bounds reach the reported ones

@@ -974,6 +974,50 @@ def test_power_sum_stops_at_the_last_integer_of_its_range(s, lo, hi):
     assert oracle._power_sum(s, float(lo), hi) == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
+def _float_pair_piece(sector, *atoms):
+    """A pair piece as the oracle reads it: every number a float, once."""
+    return oracle._float_pieces(ExpPolyWeight((Piece(sector, atoms),)))[0]
+
+
+@st.composite
+def pair_tail_pieces(draw):
+    """An accepted pair piece of one or two atoms: both n-domains and sides,
+    shift -1, 0 or 1, lam*n >= 0, and n-rates that include 0."""
+    domain = draw(st.sampled_from(["N0", "Nneg"]))
+    lam = draw(st.sampled_from([F(0), F(2, 61), F(1, 2), F(1), F(2)]))
+    sector = PairSector(domain, -lam if domain == "Nneg" else lam,
+                        draw(st.sampled_from(["inside", "outside"])),
+                        draw(st.sampled_from([-1, 0, 1])))
+    rate = st.one_of(st.just(F(0)), small_exp)
+    return _float_pair_piece(sector, *(
+        Atom(draw(st.sampled_from([F(1), F(1, 3), F(5, 2)])),
+             (CoordFactor(draw(rate), draw(rate), draw(small_pow), draw(small_pow)),
+              draw(_m_factors)))
+        for _ in range(draw(st.integers(1, 2)))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_tail_pieces(), st.sampled_from([3, 5, 7, 10, 20]),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0, None]))
+# the n-sum up to n1 = 1/lam = 30.5, past the rows read here
+@example(_float_pair_piece(PairSector("N0", F(2, 61), "outside", -1), Atom.pair(m_power=-2)),
+         3, 1.0)
+@example(_float_pair_piece(PairSector("N0", F(2, 61), "outside", -1),
+                           Atom.pair(n_power=-2, m_power=-2),
+                           Atom.pair(coeff=F(1, 3), n_exp2=-1, m_power=-3)), 5, 1.5)
+def test_tail_bound_dominates_the_next_rows(piece, radius, theta_f):
+    """A finite tail bound past ``radius`` is at least the rows radius + 1 to
+    radius + 8 that ``_pair_row`` reads, summed (their max at theta = inf),
+    to a relative 1e-9."""
+    bound = oracle._pair_tail_bound(piece, radius, theta_f)
+    sign = -1 if piece.sector.n_domain == "Nneg" else 1
+    rows = [oracle._pair_row(piece, sign * n, theta_f).value
+            for n in range(radius + 1, radius + 9)]
+    combined = max(rows) if theta_f is None else math.fsum(rows)
+    if math.isfinite(bound):
+        assert combined <= bound * (1.0 + 1e-9)
+
+
 def _outside_row(*atoms):
     """Row 0 (every base is its coefficient) of an outside sector, from |m| = 1."""
     return Piece(PairSector("N0", F(0), "outside", 0), atoms), 0, 1
