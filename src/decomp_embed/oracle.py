@@ -94,14 +94,6 @@ def pow2f(x: float) -> float:
     return 2.0 ** x
 
 
-def _powf(x: float, y: float) -> float:
-    """x**y in float for x > 0, saturating instead of raising OverflowError."""
-    try:
-        return float(x) ** y
-    except OverflowError:
-        return math.inf
-
-
 def _log2_factor(f: CoordFactor, n: int) -> float:
     """log2 of the coordinate factor f at n; |0|^c reads as 1."""
     if n >= 0:
@@ -465,36 +457,23 @@ def _sum_exp_poly(a: float, c: float, lo: float, hi: float, log2_scale: float = 
     """Upper bound for 2^log2_scale times the sum of 2^(a*j) * j^c over
     integers j in [lo, hi].
 
-    lo >= 1; hi may be inf.  Splitting off half the exponential rate turns
-    the summand into a geometric envelope, so the bound is finite exactly
-    when the true series converges and the envelope's sum is a float.
+    lo >= 1; hi may be inf.  A power (a = 0) is :func:`_power_sum`'s sum.
+    Else splitting off half the exponential rate turns the summand into a
+    geometric envelope, so the bound is finite exactly when the true series
+    converges and the envelope's sum is a float.
     """
+    if a == 0:
+        return _power_sum(c, lo, hi, log2_scale)
     if lo > hi:
         return 0.0
-    if a != 0:
-        if a > 0 and math.isinf(hi):
-            return math.inf
-        edge = a * (lo if a < 0 else hi) / 2.0
-        peak = (_sup_exp_poly(a / 2.0, c, lo, hi, log2_scale + edge) if log2_scale
-                else _sup_exp_poly(a / 2.0, c, lo, hi) * pow2f(edge))
-        # 1 - 2^(-|a|/2) by expm1 where the subtraction cancels to 0; a gap
-        # still 0 leaves the bound past the float range
-        gap = 1.0 - pow2f(-abs(a) / 2.0) or -math.expm1(-abs(a) * _LN2 / 2.0)
-        return peak / gap if gap else math.inf
-    if c >= 0:
-        if math.isinf(hi):
-            return math.inf
-        return (hi - lo + 1.0) * pow2f(log2_scale + c * math.log2(hi))
-    head = pow2f(log2_scale + c * math.log2(lo))
-    if c > -1.0:
-        if math.isinf(hi):
-            return math.inf
-        return head + pow2f(log2_scale + (c + 1.0) * math.log2(hi)) / (c + 1.0)
-    if c == -1.0:
-        if math.isinf(hi):
-            return math.inf
-        return head + (hi > lo and pow2f(log2_scale) * math.log(hi / lo))
-    return head + pow2f(log2_scale + (c + 1.0) * math.log2(lo)) / (-c - 1.0)
+    if a > 0 and math.isinf(hi):
+        return math.inf
+    edge = a * (lo if a < 0 else hi) / 2.0
+    peak = _sup_exp_poly(a / 2.0, c, lo, hi, log2_scale + edge)
+    # 1 - 2^(-|a|/2) by expm1 where the subtraction cancels to 0; a gap
+    # still 0 leaves the bound past the float range
+    gap = 1.0 - pow2f(-abs(a) / 2.0) or -math.expm1(-abs(a) * _LN2 / 2.0)
+    return peak / gap if gap else math.inf
 
 
 def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> float:
@@ -503,10 +482,10 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
 
     Exponentially widening rows can hide a divergence past any finite
     window; a shell record that looks geometric is only certified when
-    this structural bound on the unexplored remainder is finite.  Where a
-    factor of a part (its constant, its n-sum, coeff^theta, k^theta) is 0 or
-    inf, the atom's parts add the exponents of the others into the n-sum, so
-    that no factor past the float range turns a small product into inf.
+    this structural bound on the unexplored remainder is finite.  Each part
+    adds the exponents of its constant 2^e, coeff^theta and k^theta into its
+    one n-sum, so that no factor past the float range turns a small product
+    into inf, nor a factor that underflows hides a divergent n-sum.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
     wsign = 1 if sector.n_domain == "N0" else -1
@@ -517,11 +496,10 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     sup_mode = theta_f is None
     mside = _sup_exp_poly if sup_mode else _sum_exp_poly
 
-    inf, k = math.inf, len(piece.atoms)
-    # k^theta for several atoms, as a factor and as its log2
-    k_th, log2_k = (_powf(k, th), th * math.log2(k)) if not sup_mode and th > 1.0 and k > 1 \
-        else (1.0, 0.0)
-    total = folded = 0.0
+    inf = math.inf
+    # log2 of k^theta for k atoms
+    log2_k = th * math.log2(len(piece.atoms)) if not sup_mode and th > 1.0 else 0.0
+    total = 0.0
     for atom in piece.atoms:
         f0, f1 = atom.factors
         if wsign > 0:
@@ -580,23 +558,12 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
                  for mult, e, de, df, hi_n in parts + side * 2 if hi_n >= lo]
         if any(math.isinf(mult) for mult, *_ in parts):
             return inf
-        kparts = [mult * pow2f(e) for mult, e, *_ in parts]
-        grows = [mside(a, c, lo, hi_n) for *_, a, c, hi_n in parts]
-        coeff_th = _powf(atom.coeff, th)
-        if all(0.0 < x < inf for x in (*kparts, *grows, coeff_th, k_th)):
-            atom_total = 0.0
-            for kpart, grow in zip(kparts, grows):
-                atom_total += kpart * grow
-            total += coeff_th * atom_total
-            continue
-        # a factor saturates, so the product may not: each part adds the
-        # coefficient's, k's and 2^e's exponents into its one n-sum
         for mult, e, a, c, hi_n in parts:
             grow = mside(a, c, lo, hi_n, e + th * math.log2(atom.coeff) + log2_k)
             if math.isinf(grow):  # a divergent n-sum, whatever its factor
                 return inf
-            folded += mult * grow
-    return (total and total * k_th) + folded
+            total += mult * grow
+    return total
 
 
 def _grows_exponentially(piece: Piece) -> bool:

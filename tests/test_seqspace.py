@@ -753,7 +753,8 @@ _RATES = st.one_of(st.sampled_from([0.0, -1.0, 1.0, -2.0]),
 @example(a=-5e-324, c=0.0, lo=1, span=0)
 def test_exp_poly_bounds_dominate_the_brute_force_sum_and_max(a, c, lo, span):
     """Over [lo, hi] the sum bound is at least the fsum of 2^(a*j) * j^c and
-    the sup bound at least its largest term, to a relative 1e-12, and both
+    the sup bound at least its largest term, to a relative 1e-12 (at a = 0
+    the sum bound is the sum itself, by :func:`oracle._power_sum`), and both
     are 0 on an empty range; up to inf the sum bound is infinite exactly
     when the series diverges (a > 0, or a = 0 and c >= -1), as long as the
     bound, about |a|^-(c+1) for a < 0, is in the float range."""
