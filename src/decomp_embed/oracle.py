@@ -497,7 +497,7 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     mside = _sup_exp_poly if sup_mode else _sum_exp_poly
 
     inf = math.inf
-    # log2 of k^theta for k atoms
+    # k^theta, as its log2: the power mean inequality for the k atoms' sum
     log2_k = th * math.log2(len(piece.atoms)) if not sup_mode and th > 1.0 else 0.0
     total = 0.0
     for atom in piece.atoms:
@@ -556,11 +556,9 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
             side.append((mside(0.0, c_m, float(bc), inf, -e), e, 0.0, 0.0, inf))
         parts = [(mult, e, en + de, fn + df, hi_n)
                  for mult, e, de, df, hi_n in parts + side * 2 if hi_n >= lo]
-        if any(math.isinf(mult) for mult, *_ in parts):
-            return inf
         for mult, e, a, c, hi_n in parts:
             grow = mside(a, c, lo, hi_n, e + th * math.log2(atom.coeff) + log2_k)
-            if math.isinf(grow):  # a divergent n-sum, whatever its factor
+            if math.isinf(mult) or math.isinf(grow):  # a divergent sum, whatever its factor
                 return inf
             total += mult * grow
     return total
