@@ -126,15 +126,17 @@ def _line_axis(domain: str, radius: int) -> np.ndarray:
     return np.delete(axis, radius) if domain == "Z_nonzero" else axis
 
 
-def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
+def _domains(sector: Sector) -> tuple[str, ...]:
+    """The domain of each axis of a line, product or radial sector."""
     if isinstance(sector, LineSector):
-        return [_line_axis(sector.domain, radius)]
+        return (sector.domain,)
     if isinstance(sector, ProductSector):
-        return [_line_axis(line.domain, radius) for line in sector.lines]
-    if isinstance(sector, RadialSector):
-        rng = np.arange(-radius, radius + 1, dtype=np.float64)
-        return [rng] * sector.d
-    raise UnsupportedWeight("no grid form for this sector")
+        return tuple(line.domain for line in sector.lines)
+    return ("Z",) * sector.dims
+
+
+def _grid_axes(sector: Sector, radius: int) -> list[np.ndarray]:
+    return [_line_axis(domain, radius) for domain in _domains(sector)]
 
 
 def _axis_logs(n: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,29 +158,28 @@ def _factor_log2_on_axis(
     return a * n + c * lg
 
 
-def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and sup-norm radii of a piece on its window, as flat arrays."""
-    sector = piece.sector
-    axes = _grid_axes(sector, radius)
-    shape = tuple(len(ax) for ax in axes)
-    check_window_cap(math.prod(shape))  # before any window-sized array
+def _point_values(atoms: Iterable[Atom], axes: list[np.ndarray]) -> np.ndarray:
+    """The sum of the atoms at the points whose coordinates the per-axis
+    arrays ``axes`` give by broadcasting: a window's axes, each shaped along
+    its own dimension, or the flat coordinates of a list of points.  Each
+    point goes through the same operations in the same order either way,
+    so the same point reads the same bits."""
+    shape = np.broadcast_shapes(*(ax.shape for ax in axes))
     logs = [_axis_logs(ax) for ax in axes]
     total = np.zeros(shape, dtype=np.float64)
     # whole-window arrays are updated in place: the same operations in the
     # same order, without a fresh temporary per step
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
-        for atom in piece.atoms:
+        for atom in atoms:
             # add exponents, then exponentiate once, so that saturated
             # per-factor values cannot meet as inf * 0 = nan
             log2mag = np.zeros(shape)
-            for dim, (factor, axis) in enumerate(zip(atom.factors, logs)):
-                log2mag += _factor_log2_on_axis(factor, axis).reshape(
-                    [-1 if i == dim else 1 for i in range(len(axes))]
-                )
+            for factor, axis in zip(atom.factors, logs):
+                log2mag += _factor_log2_on_axis(factor, axis)
             if atom.radial_pow:
                 sq = np.zeros(shape)
-                for dim, ax in enumerate(axes):
-                    sq += (ax**2).reshape([-1 if i == dim else 1 for i in range(len(axes))])
+                for ax in axes:
+                    sq += ax**2
                 np.log2(sq, out=sq)
                 sq *= 0.5 * float(atom.radial_pow)
                 log2mag += sq
@@ -187,15 +188,18 @@ def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
             np.exp2(log2mag, out=log2mag)
             log2mag *= float(atom.coeff)
             total += log2mag
-    radii = np.zeros(shape)
-    for dim, ax in enumerate(axes):
-        np.maximum(
-            radii, np.abs(ax).reshape([-1 if i == dim else 1 for i in range(len(axes))]),
-            out=radii,
-        )
-    values = total.ravel()
-    radii = radii.ravel()
-    if isinstance(sector, RadialSector):
+    return total
+
+
+def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and sup-norm radii of a piece on its window, as flat arrays."""
+    axes = _grid_axes(piece.sector, radius)
+    check_window_cap(math.prod(len(ax) for ax in axes))  # before any window-sized array
+    axes = [ax.reshape([-1 if i == dim else 1 for i in range(len(axes))])
+            for dim, ax in enumerate(axes)]
+    values = _point_values(piece.atoms, axes).ravel()
+    radii = functools.reduce(np.maximum, map(np.abs, axes)).ravel()
+    if isinstance(piece.sector, RadialSector):
         keep = radii > 0
         values, radii = values[keep], radii[keep]
     return values, radii
@@ -275,16 +279,48 @@ def _product_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None)
     return total.tolist()
 
 
+def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
+    """The max of a line or product piece with no positive power on each
+    shell (r', r] of the radii, read at corners.
+
+    On each sign class of an axis, {0}, n >= 1 and n <= -1 (|0|^c reads 1),
+    a factor 2^(a n) |n|^c with c <= 0 is log-convex; so is each atom, and
+    their sum, on a box that keeps one sign class per axis.  A shell is a
+    union of such boxes (its first axis j in the ring r' < |x| <= r, the
+    axes before j in the ball r', those after it in the ball r), so its max
+    lies on a corner, whose coordinates lie in {+-r, +-(r'+1), +-r', +-1, 0}.
+    Every shell's candidates go through :func:`_point_values` in one call,
+    so each shell's max is the grid's bit for bit."""
+    domains = _domains(piece.sector)
+    check_window_cap(len(radii) * 9 ** len(domains))  # before the corner lists
+    lo = np.array((-1, *radii[:-1]), dtype=np.float64)[:, None]
+    hi = np.array(radii, dtype=np.float64)[:, None]
+    ends = np.hstack([hi, lo + 1.0, lo, np.ones_like(lo)])
+    ends = np.hstack([ends, -ends, np.zeros_like(lo)])  # per shell, 9 coordinates
+    # per axis, its coordinate at every choice of one of the 9 per axis
+    pts = [ends[:, pick] for pick in np.indices((9,) * len(domains)).reshape(len(domains), -1)]
+    norm = functools.reduce(np.maximum, map(np.abs, pts))
+    keep = (lo < norm) & (norm <= hi)
+    for domain, x in zip(domains, pts):
+        keep &= {"N0": x >= 0, "Nneg": x < 0, "Z_nonzero": x != 0}.get(domain, True)
+    vals = np.zeros(keep.shape)  # shells hold positive values: 0 is the empty max
+    vals[keep] = _point_values(piece.atoms, [x[keep] for x in pts])
+    return vals.max(axis=1).tolist()
+
+
 def _piece_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) -> Iterable[float]:
     """A piece off the pair sectors on each shell (r', r] of the radii: its
     sum of theta-powers, or its max at theta = inf, by its structure where
-    the two routes above take it, else on its grid, the largest window once."""
+    the three routes above take it, else on its grid, the largest window once."""
     sector, atoms = piece.sector, piece.atoms
-    if isinstance(sector, RadialSector) \
-            and (theta_f is None or 1 < sector.d and (2 * radii[-1] + 1) ** sector.d <= 2**53):
-        return _radial_shells(piece, radii, theta_f)
-    if isinstance(sector, ProductSector) and sector.dims > 1 and len(atoms) == 1:
+    if isinstance(sector, RadialSector):
+        if theta_f is None or 1 < sector.d and (2 * radii[-1] + 1) ** sector.d <= 2**53:
+            return _radial_shells(piece, radii, theta_f)
+    elif sector.dims > 1 and len(atoms) == 1:
         return _product_shells(piece, radii, theta_f)
+    elif theta_f is None and all(f.pow_pos <= 0 and f.pow_neg <= 0
+                                 for atom in atoms for f in atom.factors):
+        return _corner_shells(piece, radii)
     values, pt_radii = _grid_values(piece, radii[-1])
     # shell by shell, as the caller reads them, which may stop on a divergence
     return (_grid_shell(values[(pt_radii > r_prev) & (pt_radii <= r)], theta_f)
@@ -573,13 +609,7 @@ def _grows_exponentially(piece: Piece) -> bool:
     the series is neither summable nor bounded, however tame the window
     looks.
     """
-    sector = piece.sector
-    if isinstance(sector, LineSector):
-        domains = (sector.domain,)
-    elif isinstance(sector, ProductSector):
-        domains = tuple(line.domain for line in sector.lines)
-    else:
-        domains = ("Z",) * sector.dims
+    domains = _domains(piece.sector)
     return any(
         (f.exp2_pos > 0 and dom != "Nneg") or (f.exp2_neg < 0 and dom != "N0")
         for atom in piece.atoms

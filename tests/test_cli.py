@@ -505,12 +505,12 @@ def test_float_power_overflow_in_a_transform_prints_its_message():
 
 
 def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):
-    # a product piece of several atoms keeps the grid, which holds 513^2
-    # points at radius 256 in 2-D; the cap is checked first
+    # a product piece of several atoms keeps the grid at a finite theta,
+    # which holds 513^2 points at radius 256 in 2-D; the cap is checked first
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
     code, out, err = run_cli(["decide", "--family", "diagonal",
                               "--params", '{"d":2,"alpha":["-1/2","0"],"beta":["-3/2","-2"]}',
-                              "-p", "1", "-q", "2", "-r", "2", "-k", "1", "--oracle-check"])
+                              "-p", "1", "-q", "3/2", "-r", "2", "-k", "1", "--oracle-check"])
     assert (code, out) == (70, b"")
     assert err.startswith("error: window of 263169 indices exceeds the cap of 1000 ")
     assert err.count("\n") == 1

@@ -1271,14 +1271,77 @@ def test_product_shells_match_the_grid(piece, radii, theta_f):
                          _grid_shells(piece, radii, theta_f), theta_f)
 
 
-@pytest.mark.parametrize("piece, route", [
-    (Piece(RadialSector(4), (Atom.radial(4, -5),)), "_radial_shells"),
-    (Piece(ProductSector((LineSector("Z"),) * 4), (Atom(1, (CoordFactor(-1, 1),) * 4),)),
-     "_product_shells"),
-], ids=["radial", "product"])
-@pytest.mark.parametrize("theta", [E(2), INF], ids=["theta-2", "theta-inf"])
-def test_structure_routes_build_no_grid(monkeypatch, piece, route, theta):
-    # at d = 4 the grid would hold 65^4 points, past the default window cap
+@st.composite
+def corner_pieces(draw):
+    """Lines on every domain and products of one to three axes, of one to
+    four atoms whose powers are 0 or negative: what the corner route takes."""
+    domains = st.sampled_from(["Z", "N0", "Nneg", "Z_nonzero"])
+    if draw(st.booleans()):
+        sector = LineSector(draw(domains))
+    else:
+        sector = ProductSector(tuple(LineSector(draw(domains))
+                                     for _ in range(draw(st.integers(1, 3)))))
+    no_pos = st.fractions(min_value=F(-4), max_value=F(0), max_denominator=4)
+    return Piece(sector, tuple(
+        Atom(draw(_coeffs), tuple(CoordFactor(draw(small_exp), draw(small_exp),
+                                              draw(no_pos), draw(no_pos))
+                                  for _ in range(sector.dims)))
+        for _ in range(draw(st.integers(1, 4)))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(corner_pieces(), _shell_radii)
+# 2^(|n|/4) / |n| on Z reads 1 at 0, 2^(1/4) at +-1 and 1 at +-16: the
+# first shell's max lies at +-1, so 0 is a sign class of its own
+@example(Piece(LineSector("Z"), (Atom(1, (CoordFactor(F(1, 4), F(-1, 4), -1, -1),)),)), (16, 32))
+@WARNINGS_AS_ERRORS
+def test_corner_shells_match_the_grid(piece, radii):
+    # at theta = inf the max of each shell lies on a corner of the boxes
+    # that keep one sign class per axis
+    piece = oracle._float_pieces(ExpPolyWeight((piece,)))[0]
+    _assert_shells_match(oracle._corner_shells(piece, radii),
+                         _grid_shells(piece, radii, None), None)
+
+
+@pytest.mark.parametrize("piece", [
+    # |n| 2^(-n/8) peaks near n = 11.5, between the corners 1 and 16
+    Piece(LineSector("N0"), (Atom(1, (CoordFactor(F(-1, 8), 0, 1, 0),)),)),
+    Piece(ProductSector((LineSector("Z"), LineSector("N0"))),
+          (Atom(1, (CoordFactor(-1, 1), CoordFactor(F(-1, 8), 0, F(1, 2), 0))),
+           Atom(1, (CoordFactor(-2, 2), CoordFactor(-1, 0))))),
+], ids=["line", "product"])
+def test_positive_power_at_theta_inf_keeps_the_grid(monkeypatch, piece):
+    def no_corners(*args):
+        raise AssertionError("corners read")
+
+    grids = []
+    real = oracle._grid_values
+    monkeypatch.setattr(oracle, "_grid_values", lambda *a: grids.append(a) or real(*a))
+    monkeypatch.setattr(oracle, "_corner_shells", no_corners)
+    truncated_oracle(ExpPolyWeight((piece,)), INF)
+    assert grids
+
+
+# the query's theta = inf product of three atoms once held 513^2 grid points
+_DIAGONAL_Q2 = ["decide", "--family", "diagonal",
+                "--params", '{"d":2,"alpha":["-1/2","0"],"beta":["-3/2","-2"]}',
+                "-p", "1", "-q", "2", "-r", "2", "-k", "1", "--oracle-check"]
+_RADIAL_4 = Piece(RadialSector(4), (Atom.radial(4, -5),))
+_PRODUCT_4 = Piece(ProductSector((LineSector("Z"),) * 4), (Atom(1, (CoordFactor(-1, 1),) * 4),))
+
+
+@pytest.mark.parametrize("case, route, theta", [
+    (_RADIAL_4, "_radial_shells", E(2)),
+    (_PRODUCT_4, "_product_shells", E(2)),
+    (_RADIAL_4, "_radial_shells", INF),
+    (_PRODUCT_4, "_product_shells", INF),
+    (Piece(LineSector("Z"), (Atom(1, (CoordFactor(-1, 1, -2, -2),)),)), "_corner_shells", INF),
+    (_DIAGONAL_Q2, "_corner_shells", None),
+], ids=["theta-2-radial", "theta-2-product", "theta-inf-radial", "theta-inf-product",
+        "theta-inf-line", "diagonal-q-2"])
+def test_structure_routes_build_no_grid(monkeypatch, capsys, case, route, theta):
+    # at d = 4 the grid would hold 65^4 points, past the default window cap;
+    # a line's grid holds 32 769
     def no_grid(*args):
         raise AssertionError("grid built")
 
@@ -1286,9 +1349,14 @@ def test_structure_routes_build_no_grid(monkeypatch, piece, route, theta):
     calls = []
     real = getattr(oracle, route)
     monkeypatch.setattr(oracle, route, lambda *a: calls.append(a) or real(*a))
-    res = truncated_oracle(ExpPolyWeight((piece,)), theta)
+    if theta is None:
+        from decomp_embed.cli import main
+
+        assert main(case) == 0 and calls
+        return
+    res = truncated_oracle(ExpPolyWeight((case,)), theta)
     assert calls and res.verdict == "Convergent"
-    assert decide_lp_membership(ExpPolyWeight((piece,)), theta) is MEMBER
+    assert decide_lp_membership(ExpPolyWeight((case,)), theta) is MEMBER
 
 
 # ---------------------------------------------------------------------------
