@@ -521,7 +521,9 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
     this structural bound on the unexplored remainder is finite.  Each part
     adds the exponents of its constant 2^e, coeff^theta and k^theta into its
     one n-sum, so that no factor past the float range turns a small product
-    into inf, nor a factor that underflows hides a divergent n-sum.
+    into inf, nor a factor that underflows hides a divergent n-sum.  At
+    theta = inf an atom's sup is the largest of its parts', and the atoms'
+    sups add.
     """
     sector: PairSector = piece.sector  # type: ignore[assignment]
     wsign = 1 if sector.n_domain == "N0" else -1
@@ -592,11 +594,16 @@ def _pair_tail_bound(piece: Piece, last_radius: int, theta_f: float | None) -> f
             side.append((mside(0.0, c_m, float(bc), inf, -e), e, 0.0, 0.0, inf))
         parts = [(mult, e, en + de, fn + df, hi_n)
                  for mult, e, de, df, hi_n in parts + side * 2 if hi_n >= lo]
+        top = 0.0
         for mult, e, a, c, hi_n in parts:
             grow = mside(a, c, lo, hi_n, e + th * math.log2(atom.coeff) + log2_k)
             if math.isinf(mult) or math.isinf(grow):  # a divergent sum, whatever its factor
                 return inf
-            total += mult * grow
+            if sup_mode:  # the atom's sup is its largest part's, its sum all of theirs
+                top = max(top, mult * grow)
+            else:
+                total += mult * grow
+        total += top
     return total
 
 

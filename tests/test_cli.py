@@ -711,8 +711,8 @@ def test_oracle_pair_coefficient_past_the_float_range_makes_no_traceback(coeff):
 @WARNINGS_AS_ERRORS
 def test_oracle_sup_row_of_large_terms_is_their_sup():
     # every term of the row is 1e305: the sup is finite although the sum of
-    # its terms is past the float range.  The tail bound, 2e305 for the two
-    # signs of m, takes the coefficient as 2^log2(1e305): a few ulps off
+    # its terms is past the float range.  The tail bound is the sup of the
+    # rows past the window, the largest of its parts, not their sum
     pairs = {"kind": "pairs", "lam": 0, "side": "outside"}
     code, out, err = run_cli([
         "check-sequence",
@@ -723,8 +723,25 @@ def test_oracle_sup_row_of_large_terms_is_their_sup():
     assert (code, err) == (0, "")
     assert out == (
         b'{"embeds":true,"exponent":"inf","oracle":{"verdict":"Convergent",'
-        b'"window_radius":20,"partial_sum":1e+305,"tail_bound":1.999999999999988e+305,'
-        b'"growth":null}}\n'
+        b'"window_radius":20,"partial_sum":1e+305,"tail_bound":1e+305,"growth":null}}\n'
+    )
+
+
+@WARNINGS_AS_ERRORS
+def test_oracle_sup_tail_bound_is_the_largest_part():
+    # every term is 1e308; past the window the bound of the rows takes the
+    # larger of the two signs of m, where their sum is past the float range
+    pairs = {"kind": "pairs", "lam": 0, "side": "outside"}
+    code, out, err = run_cli([
+        "check-sequence",
+        "--u", json.dumps({"lattice": pairs, "atoms": [{"coeff": "1e308"}]}),
+        "--v", json.dumps({"lattice": pairs}),
+        "-r", "1", "-s", "inf", "--oracle",
+    ])
+    assert (code, err) == (0, "")
+    assert out == (
+        b'{"embeds":true,"exponent":"inf","oracle":{"verdict":"Convergent",'
+        b'"window_radius":20,"partial_sum":1e+308,"tail_bound":1e+308,"growth":null}}\n'
     )
 
 
