@@ -294,6 +294,9 @@ ORACLE_DECIDE = [
     ("alpha_modulation", {"d": 4, "s": "3"}, "sobolev", "2", "3", "2", 0),
     ("diagonal", {"d": 4, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "2", "2", 0),
     ("diagonal", {"d": 4, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "1", "3/2", 0),
+    # k = 1 products of d + 1 atoms: theta = inf read at the corners
+    ("diagonal", {"d": 4, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "2", "2", 1),
+    ("diagonal", {"d": 5, "alpha": "-1/2", "beta": "-3/2"}, "sobolev", "1", "2", "2", 1),
 ]
 _OUTSIDE = {"kind": "pairs", "lam": "1/2", "side": "outside", "shift": -1}
 _OUTSIDE_ATOMS = [
