@@ -297,7 +297,7 @@ def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
     hi = np.array(radii, dtype=np.float64)[:, None]
     ends = np.hstack([hi, lo + 1.0, lo, np.ones_like(lo)])
     ends = np.hstack([ends, -ends, np.zeros_like(lo)])  # per shell, 9 coordinates
-    # per axis, its coordinate at every choice of one of the 9 per axis
+    # one array per axis: its coordinate at each choice of one candidate per axis
     pts = [ends[:, pick] for pick in np.indices((9,) * len(domains)).reshape(len(domains), -1)]
     norm = functools.reduce(np.maximum, map(np.abs, pts))
     keep = (lo < norm) & (norm <= hi)
