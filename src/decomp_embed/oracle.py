@@ -688,8 +688,10 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     (:func:`_float_pieces`), which raises :class:`UnsupportedWeight` for the
     atoms the exact decider refuses.  Other pieces take every shell at
     once (:func:`_piece_shells`): radial pieces by their squared norms (at
-    a finite theta from d = 2 on), and single-atom products of two or more
-    axes axis by axis; the rest on (2R + 1)^d grid points under the window cap.  Pair
+    a finite theta from d = 2 on), single-atom products of two or more
+    axes axis by axis, and at theta = inf lines and products with no
+    positive power at corners; the rest on (2R + 1)^d grid points under
+    the window cap.  Pair
     sectors are summed row by row, each row in
     closed form or, for several atoms at a non-integer theta, as a direct
     head plus a bound on the rest (:func:`_pair_row`).  At theta = inf every
