@@ -26,7 +26,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -286,23 +286,25 @@ def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
     On each sign class of an axis, {0}, n >= 1 and n <= -1 (|0|^c reads 1),
     a factor 2^(a n) |n|^c with c <= 0 is log-convex; so is each atom, and
     their sum, on a box that keeps one sign class per axis.  A shell is a
-    union of such boxes (its first axis j in the ring r' < |x| <= r, the
-    axes before j in the ball r', those after it in the ball r), so its max
-    lies on a corner, whose coordinates lie in {+-r, +-(r'+1), +-r', +-1, 0}.
-    Every shell's candidates go through :func:`_point_values` in one call,
-    so each shell's max is the grid's bit for bit."""
-    domains = _domains(piece.sector)
-    check_window_cap(len(radii) * 9 ** len(domains))  # before the corner lists
-    lo = np.array((-1, *radii[:-1]), dtype=np.float64)[:, None]
-    hi = np.array(radii, dtype=np.float64)[:, None]
-    ends = np.hstack([hi, lo + 1.0, lo, np.ones_like(lo)])
-    ends = np.hstack([ends, -ends, np.zeros_like(lo)])  # per shell, 9 coordinates
-    # one array per axis: its coordinate at each choice of one candidate per axis
-    pts = [ends[:, pick] for pick in np.indices((9,) * len(domains)).reshape(len(domains), -1)]
-    norm = functools.reduce(np.maximum, map(np.abs, pts))
-    keep = (lo < norm) & (norm <= hi)
-    for domain, x in zip(domains, pts):
-        keep &= {"N0": x >= 0, "Nneg": x < 0, "Z_nonzero": x != 0}.get(domain, True)
+    union of boxes j: axis j in the ring, at +-(r'+1), +-r (and +-1 on the
+    first shell, whose ring holds 0), the axes before it in the ball r', at
+    0, +-1, +-r', those after it in the ball r, at 0, +-1, +-r.  The corners
+    in the axis domains, a few repeated, go through :func:`_point_values` in
+    one call, so each shell's max is the grid's bit for bit."""
+    keeps = [{"N0": lambda x: x >= 0, "Nneg": lambda x: x < 0, "Z_nonzero": lambda x: x != 0}
+             .get(domain, lambda x: x == x) for domain in _domains(piece.sector)]
+    d = len(keeps)
+    check_window_cap(len(radii) * d * 6 * 5 ** (d - 1))  # before the corner lists
+    lo, hi = (np.array(x, dtype=np.float64)[:, None] for x in ((-1, *radii[:-1]), radii))
+    z, t = np.zeros_like(lo), np.where(lo < 0, 1.0, lo + 1.0)  # the first ring holds +-1 too
+    roles = (np.hstack([z, z + 1, z - 1, lo, -lo]),  # an axis before j, in the ball r'
+             np.hstack([lo + 1, -lo - 1, hi, -hi, t, -t]),  # axis j, in the ring
+             np.hstack([z, z + 1, z - 1, hi, -hi]))  # an axis after j, in the ball r
+    picks = [np.indices((5,) * j + (6,) + (5,) * (d - j - 1)).reshape(d, -1) for j in range(d)]
+    # per axis, its coordinate at each corner of each box j, shell by shell
+    pts = [np.hstack([roles[(i >= j) + (i > j)][:, pick[i]] for j, pick in enumerate(picks)])
+           for i in range(d)]
+    keep = functools.reduce(operator.and_, (k(x) for k, x in zip(keeps, pts)))
     vals = np.zeros(keep.shape)  # shells hold positive values: 0 is the empty max
     vals[keep] = _point_values(piece.atoms, [x[keep] for x in pts])
     return vals.max(axis=1).tolist()
@@ -354,21 +356,21 @@ def _row_atoms(piece: Piece, n: int) -> list[RowAtom]:
     return row
 
 
-def _row_values(row: list[RowAtom], log2s: Iterable[np.ndarray]) -> np.ndarray:
-    """Piece values along a row: the sum over atoms, in atom order, of
-    coeff * f0(n) * 2^log2, given the m-factor's log2 array per atom.
+def _row_values(rows: list[list[RowAtom]], lg: np.ndarray) -> np.ndarray:
+    """Piece values on rows of a pair sector: row i sums over its atoms, in
+    atom order, coeff * f0(n) * |m|^c at the log2|m| that lg[i] holds.
 
-    A base that saturated to inf or 0 adds its log to log2 before the one
-    exponentiation, as the grid path sums an atom's exponents first, so
-    that it cannot meet a saturated m-term as inf * 0."""
-    total = None
+    A base that saturated to inf or 0 adds its log to c log2|m| before the
+    one exponentiation, as the grid path sums an atom's exponents first, so
+    that it cannot meet a saturated m-term as inf * 0.  Each row's formula
+    is a masked assignment, evaluated on no row that does not take it."""
+    total = np.zeros(lg.shape)
     with np.errstate(over="ignore", under="ignore"):
-        for (base, _, log2_base), log2mag in zip(row, log2s):
-            if 0.0 < base < math.inf:
-                vals = base * np.exp2(np.clip(log2mag, -1100.0, 1100.0))
-            else:
-                vals = np.exp2(np.clip(log2mag + log2_base, -1100.0, 1100.0))
-            total = vals if total is None else total + vals
+        for col in zip(*rows):  # one atom on every row
+            base, log2_base = (np.array(x)[:, None] for x in list(zip(*col))[::2])
+            log2mag, ok = col[0][1] * lg, (0.0 < base[:, 0]) & (base[:, 0] < math.inf)
+            total[ok] += base[ok] * np.exp2(np.clip(log2mag[ok], -1100.0, 1100.0))
+            total[~ok] += np.exp2(np.clip(log2mag[~ok] + log2_base[~ok], -1100.0, 1100.0))
     return total
 
 
@@ -439,39 +441,72 @@ def _half_row(row: list[RowAtom], lo: float, hi: float, theta_f: float) -> float
     top = min(hi, lo + _ROW_HEAD - 1.0)
     lg = np.log2(np.arange(lo, top + 1.0))
     with np.errstate(over="ignore"):
-        head = float(_powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f).sum())
+        head = float(_powered(_row_values([row], lg[None])[0], theta_f).sum())
     log2_k = max(theta_f - 1.0, 0.0) * math.log2(k)
     return head + sum(_power_sum(theta_f * c, top + 1.0, hi, log2_k + theta_f * log2_b)
                       for _, c, log2_b in row)
 
 
-def _pair_row(piece: Piece, n: int, theta_f: float | None) -> _RowSum:
-    """Sum of the theta-powers over one row of a pair sector, or the sup
-    of the row when theta_f is None (theta = inf).
+def _pair_rows(piece: Piece, ns: list[int], theta_f: float | None) -> Iterator[_RowSum]:
+    """The rows ns of a pair sector in turn: each row's sum of theta-powers,
+    or its sup when theta_f is None (theta = inf).
 
-    The row holds m = 0 where its bound allows it, and lo <= |m| <= hi on
+    Row n holds m = 0 where its bound allows it, and lo <= |m| <= hi on
     both signs of m, where t(m) = sum_i b_i |m|^c_i.  Its sum is t(0)^theta
     plus twice :func:`_half_row`, inf on an outside row that diverges.  Its
     sup is the largest of t(0), t(lo) and t(hi), as t is convex in log|m|,
     and inf on an outside row with some c_i > 0.  A row whose bound is past
     the float range (lam*n >= 1024) is not evaluated: it adds nothing and
-    is flagged."""
+    is flagged.  The ends m = 0, lo and hi of all rows take one pass of
+    :func:`_row_values`; a row's half sums wait until the row is read."""
     sector: PairSector = piece.sector  # type: ignore[assignment]
-    if abs(sector.lam.numerator * n) >= _ROW_LOG2_CAP * sector.lam.denominator:
-        return _RowSum(0.0, True)
-    bound = sector.m_bound(n)
-    if sector.side == "inside":
-        zero, lo, hi = bound >= 0, 1.0, float(bound)
-    else:
-        zero, lo, hi = bound <= 0, float(max(bound, 1)), math.inf
-    row = _row_atoms(piece, n)
-    lg = _axis_logs(np.array([0.0] * zero + [lo] * (lo <= hi) + [hi] * (lo < hi < math.inf)))[2]
-    ends = _powered(_row_values(row, (c * lg for _, c, _ in row)), theta_f)
-    if theta_f is None:
-        grows = math.isinf(hi) and any(c > 0 for _, c, _ in row)
-        return _RowSum(math.inf if grows else float(ends.max(initial=0.0)))
-    total = float(ends[0]) if zero else 0.0
-    return _RowSum(total + 2.0 * _half_row(row, lo, hi, theta_f) if lo <= hi else total)
+    lam, rows = sector.lam, []  # per row: None past the float range, else (atoms, zero, lo, hi)
+    for n in ns:
+        if abs(lam.numerator * n) >= _ROW_LOG2_CAP * lam.denominator:
+            rows.append(None)
+            continue
+        bound = sector.m_bound(n)
+        ends = (bound >= 0, 1.0, float(bound)) if sector.side == "inside" else (
+            bound <= 0, float(max(bound, 1)), math.inf)
+        rows.append((_row_atoms(piece, n), *ends))
+    live = [row for row in rows if row]
+    held = np.array([(zero, lo <= hi, lo < hi < math.inf) for _, zero, lo, hi in live], dtype=bool)
+    # an end that is not in its row reads |m| = 1 and is then cleared
+    lg = np.log2(np.array([(1.0, lo, hi if lo < hi < math.inf else 1.0) for *_, lo, hi in live]))
+    ends = _powered(_row_values([atoms for atoms, *_ in live], lg.reshape(-1, 3)), theta_f)
+    ends[~held.reshape(-1, 3)] = 0.0
+    grows = sector.side == "outside" and any(a.factors[1].pow_pos > 0 for a in piece.atoms)
+    live_ends = iter(ends)
+    for row in rows:
+        if row is None:
+            yield _RowSum(0.0, True)
+            continue
+        (atoms, _, lo, hi), row_ends = row, next(live_ends)
+        if theta_f is None:
+            yield _RowSum(math.inf if grows else float(row_ends.max()))
+        else:
+            total = float(row_ends[0])  # 0 where the row holds no m = 0
+            yield _RowSum(total + 2.0 * _half_row(atoms, lo, hi, theta_f) if lo <= hi else total)
+
+
+def _pair_row(piece: Piece, n: int, theta_f: float | None) -> _RowSum:
+    """Row n of a pair sector alone: :func:`_pair_rows` on one row."""
+    return next(_pair_rows(piece, [n], theta_f))
+
+
+def _pair_shells(piece: Piece, radii: tuple[int, ...],
+                 theta_f: float | None) -> Iterator[tuple[float, bool]]:
+    """A pair piece on each shell (r', r] of the radii, in turn: the sum of
+    its rows r' < |n| <= r in the order n_values gives them (their max at
+    theta = inf), and whether one of those rows was left out."""
+    shells = [[n for n in piece.sector.n_values(r) if abs(n) > r_prev]
+              for r_prev, r in zip((-1, *radii), radii)]
+    rows = _pair_rows(piece, [n for ns in shells for n in ns], theta_f)
+    for ns in shells:
+        sums = list(itertools.islice(rows, len(ns)))
+        yield (functools.reduce(max if theta_f is None else operator.add,
+                                (row.value for row in sums), 0.0),
+               any(row.unevaluated for row in sums))
 
 
 def _sup_exp_poly(a: float, c: float, lo: float, hi: float, log2_scale: float = 0.0) -> float:
@@ -691,12 +726,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     a finite theta from d = 2 on), single-atom products of two or more
     axes axis by axis, and at theta = inf lines and products with no
     positive power at corners; the rest on (2R + 1)^d grid points under
-    the window cap.  Pair
-    sectors are summed row by row, each row in
-    closed form or, for several atoms at a non-integer theta, as a direct
-    head plus a bound on the rest (:func:`_pair_row`).  At theta = inf every
-    shell, every row and the running partial "sum" are maxima: a row
-    reports its sup and a shell the largest of its rows.
+    the window cap.  Pair sectors are summed row by row
+    (:func:`_pair_shells`), each row in closed form or, for several atoms at
+    a non-integer theta, as a direct head plus a bound on the rest.  At
+    theta = inf every shell, every row and the running partial "sum" are
+    maxima: a row reports its sup and a shell the largest of its rows.
 
     Declares Divergent when partial sums exceed ``BLOWUP_THRESHOLD`` or
     grow by at least ``GROWTH_FACTOR`` between the last two radii, unless
@@ -709,10 +743,9 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     (:func:`_grows_exponentially`; such a term can fall across the whole
     window and still blow up past it) or is a radial power sum whose
     largest power diverges past the window (:func:`_radial_tail_diverges`).
-    Everything else
-    is Inconclusive.  The radii are :func:`default_radii` of the weight's
-    dimension and sectors, so the result is a function of (weight, theta)
-    alone.
+    Everything else is Inconclusive.  The radii are :func:`default_radii` of
+    the weight's dimension and sectors, so the result is a function of
+    (weight, theta) alone.
     """
     pieces = _float_pieces(weight)
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
@@ -725,7 +758,8 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
 
         def fits(r: int) -> bool:
             # from lam*n >= 17 on a row holds 2^18 > cap values of m
-            return all(sec.lam * n < 17 and 2 * sec.m_bound(n) + 1 <= _INSIDE_ROW_CAP
+            return all(sec.lam.numerator * n < 17 * sec.lam.denominator
+                       and 2 * sec.m_bound(n) + 1 <= _INSIDE_ROW_CAP
                        for sec in inside for n in [-r if sec.n_domain == "Nneg" else r])
 
         radii = tuple(itertools.takewhile(fits, radii)) or radii[:1]
@@ -733,9 +767,10 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
 
     # a shell, a row and the running partial "sum" add, or take maxima at inf
     combine = max if theta_f is None else operator.add
-    # the shells of each piece that is not a pair sector, in radius order
-    shell_iters = {idx: iter(_piece_shells(piece, radii, theta_f))
-                   for idx, piece in enumerate(pieces) if not isinstance(piece.sector, PairSector)}
+    # per piece, its shells in radius order, each with whether a row was left out
+    shell_iters = [_pair_shells(piece, radii, theta_f) if isinstance(piece.sector, PairSector)
+                   else zip(_piece_shells(piece, radii, theta_f), itertools.repeat(False))
+                   for piece in pieces]
 
     def pair_tail(radius: int) -> float:
         """Structural bound for the mass past ``radius``; see _pair_tail_bound."""
@@ -746,17 +781,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     shells: list[float] = []
     flagged_any = False
     running = 0.0
-    for i, r in enumerate(radii):
+    for r in radii:
         shell_total = 0.0
-        for idx, piece in enumerate(pieces):
-            if idx in shell_iters:
-                shell_total = combine(shell_total, next(shell_iters[idx]))
-                continue
-            rows = [_pair_row(piece, n, theta_f) for n in piece.sector.n_values(r)
-                    if abs(n) > (radii[i - 1] if i else -1)]
-            flagged_any = flagged_any or any(row.unevaluated for row in rows)
-            shell_total = combine(shell_total, functools.reduce(
-                combine, (row.value for row in rows), 0.0))
+        for value, left_out in map(next, shell_iters):
+            shell_total = combine(shell_total, value)
+            flagged_any = flagged_any or left_out
         running = combine(running, shell_total)
         shells.append(shell_total)
         partials.append(running)

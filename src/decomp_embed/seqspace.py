@@ -68,10 +68,14 @@ RatLike = Union[int, Fraction]
 
 def ceil_pow2(fr: Fraction) -> int:
     """ceil(2**fr) for rational fr, computed in integer arithmetic."""
-    if fr <= 0:
-        # 2**fr lies in (0, 1]
+    return _ceil_pow2_int(fr.numerator, fr.denominator)
+
+
+def _ceil_pow2_int(p: int, q: int) -> int:
+    """ceil(2**(p/q)) for integers p and q > 0 in lowest terms."""
+    if p <= 0:
+        # 2**(p/q) lies in (0, 1]
         return 1
-    p, q = fr.numerator, fr.denominator
     lo = 1 << (p // q)
     target = 1 << p
     if lo**q >= target:
@@ -199,8 +203,10 @@ class PairSector(_PairFields):
         return list(range(-radius, 0))
 
     def m_bound(self, n: int) -> int:
-        """The row bound ceil(2^(lam*n)) + shift for row n."""
-        return ceil_pow2(self.lam * n) + self.shift
+        """The row bound ceil(2^(lam*n)) + shift for row n, in ints alone."""
+        p, q = self.lam.numerator * n, self.lam.denominator
+        g = math.gcd(p, q)
+        return _ceil_pow2_int(p // g, q // g) + self.shift
 
 
 Sector = Union[LineSector, ProductSector, RadialSector, PairSector]

@@ -516,6 +516,18 @@ def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_corner_route_answers_diagonal_d6_at_theta_inf(monkeypatch):
+    # at theta = inf the seven atoms on Z^6 are read at the corners of each
+    # shell's boxes, 450 000 candidates under the default cap; every choice
+    # of one of nine candidates per axis made 2 125 764
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    code, out, err = run_cli(["decide", "--family", "diagonal",
+                              "--params", '{"d":6,"alpha":"-1/2","beta":"-3/2"}',
+                              "-p", "1", "-q", "2", "-r", "2", "-k", "1", "--oracle-check"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == "Embeds"
+
+
 def test_exceeded_window_cap_bounds_the_oracle_square_counts(monkeypatch):
     # a radial piece at theta = 6 counts its points per squared norm, and
     # the cap is checked before each outer sum of the reachable norms and an

@@ -413,6 +413,21 @@ def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
             assert ceil_pow2(fr) == expect, fr
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-1000, 1000), st.integers(1, 1000), st.integers(-64, 64),
+       st.sampled_from([-1, 0, 1]))
+@example(0, 1, 64, 0)
+@example(1000, 1, 64, 1)
+@example(-1000, 1, -64, -1)
+@example(999, 1000, 64, 0)
+@example(1, 1000, 1, -1)
+def test_row_bound_in_ints_matches_ceil_pow2(a, b, n, shift):
+    """The int row bound, which builds no Fraction, is ceil_pow2(lam * n) + shift."""
+    for domain in ("N0", "Nneg"):
+        sector = PairSector(domain, F(a, b), "inside", shift)
+        assert sector.m_bound(n) == ceil_pow2(F(a, b) * n) + shift
+
+
 @pytest.mark.parametrize("x, expect", [
     (1023.5, 2.0**1023.5), (1024.0, math.inf), (1050.0, math.inf), (1100.0, math.inf),
     (1101.0, math.inf), (-1074.0, 2.0**-1074), (-1100.0, 0.0), (-1101.0, 0.0),
@@ -924,6 +939,59 @@ def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f):
         brute = math.fsum(terms)
         top = float(k) ** abs(theta_f - 1.0) * brute + 2.0 * rest
         assert brute * (1.0 - 1e-12) <= value <= top * (1.0 + 1e-12)
+
+
+# an n-factor rate of +-80 saturates a row's base to inf from |n| = 13 on
+# and to 0 from |n| = 14 on; a lam of 100 leaves the rows from |n| = 11 on
+# past lam*n = 1024
+_saturating_exp = st.one_of(small_exp, st.sampled_from([F(-80), F(80)]))
+
+
+@st.composite
+def pair_windows(draw):
+    """A pair piece of one to three atoms and the rows of a window, in the
+    order n_values gives them."""
+    domain = draw(st.sampled_from(["N0", "Nneg"]))
+    lam = draw(st.sampled_from([F(0), F(1, 2), F(1), F(2), F(100)]))
+    sector = PairSector(domain, -lam if domain == "Nneg" else lam,
+                        draw(st.sampled_from(["inside", "outside"])), draw(st.sampled_from([-1, 0, 1])))
+    atoms = tuple(
+        Atom(draw(_coeffs), (CoordFactor(draw(_saturating_exp), draw(_saturating_exp),
+                                         draw(small_pow), draw(small_pow)), draw(_m_factors)))
+        for _ in range(draw(st.integers(1, 3))))
+    piece = oracle._float_pieces(ExpPolyWeight((Piece(sector, atoms),)))[0]
+    return piece, sector.n_values(draw(st.integers(0, 20)))
+
+
+def _saturating_window(domain, side, rate, theta_f):
+    """Rows |n| <= 20 of 2^(rate |n|) |m|^-4 / 3 + |m|^-1 / 5 on |lam| = 2:
+    the first atom's base saturates from |n| = 13 or 14 on."""
+    sign = -1 if domain == "Nneg" else 1
+    sector = PairSector(domain, 2 * sign, side, 0)
+    atoms = (Atom.pair(coeff=F(1, 3), n_exp2=rate * sign, m_power=-4),
+             Atom.pair(coeff=F(1, 5), m_power=-1))
+    piece = oracle._float_pieces(ExpPolyWeight((Piece(sector, atoms),)))[0]
+    return (piece, sector.n_values(20)), theta_f
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair_windows(), st.sampled_from([1.0, 1.5, 2.0, 1000.0, None]))
+# a saturated base takes the other formula from an unsaturated one in the
+# same pass: 2^(80 n) / 3 is inf from n = 13 on, where its log2 + log2 |m|^-4
+# is not; 2^(-80 n) is 0 from n = 14 on
+@example(*_saturating_window("N0", "inside", 80, None))
+@example(*_saturating_window("Nneg", "outside", 80, None))
+@example(*_saturating_window("N0", "outside", -80, None))
+@example(*_saturating_window("N0", "inside", 80, 1.5))
+@WARNINGS_AS_ERRORS
+def test_pair_rows_of_a_window_match_single_rows_bit_for_bit(window, theta_f):
+    """A window's rows, their ends evaluated in one pass, read the bits and
+    flags of each row read alone."""
+    piece, ns = window
+    rows = list(oracle._pair_rows(piece, ns, theta_f))
+    alone = [oracle._pair_row(piece, n, theta_f) for n in ns]
+    assert [(row.value.hex(), row.unevaluated) for row in rows] == [
+        (row.value.hex(), row.unevaluated) for row in alone]
 
 
 @pytest.mark.parametrize("s", [-12, -3, -2.125, -1.5, -1.001, -1, -0.999, -0.5, 0, 1, 2.5])
