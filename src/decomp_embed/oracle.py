@@ -291,9 +291,9 @@ def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
     0, +-1, +-r', those after it in the ball r, at 0, +-1, +-r.  The corners
     in the axis domains, a few repeated, go through :func:`_point_values` in
     one call, so each shell's max is the grid's bit for bit."""
-    keeps = [{"N0": lambda x: x >= 0, "Nneg": lambda x: x < 0, "Z_nonzero": lambda x: x != 0}
-             .get(domain, lambda x: x == x) for domain in _domains(piece.sector)]
-    d = len(keeps)
+    in_domain = [{"N0": lambda x: x >= 0, "Nneg": lambda x: x < 0, "Z_nonzero": lambda x: x != 0}
+                 .get(domain, np.isfinite) for domain in _domains(piece.sector)]
+    d = len(in_domain)
     check_window_cap(len(radii) * d * 6 * 5 ** (d - 1))  # before the corner lists
     lo, hi = (np.array(x, dtype=np.float64)[:, None] for x in ((-1, *radii[:-1]), radii))
     z, t = np.zeros_like(lo), np.where(lo < 0, 1.0, lo + 1.0)  # the first ring holds +-1 too
@@ -304,7 +304,7 @@ def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
     # per axis, its coordinate at each corner of each box j, shell by shell
     pts = [np.hstack([roles[(i >= j) + (i > j)][:, pick[i]] for j, pick in enumerate(picks)])
            for i in range(d)]
-    keep = functools.reduce(operator.and_, (k(x) for k, x in zip(keeps, pts)))
+    keep = functools.reduce(operator.and_, (holds(x) for holds, x in zip(in_domain, pts)))
     vals = np.zeros(keep.shape)  # shells hold positive values: 0 is the empty max
     vals[keep] = _point_values(piece.atoms, [x[keep] for x in pts])
     return vals.max(axis=1).tolist()
