@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import ExtExponent, compound, json_float
-from .families import FAMILY_NAMES, covering_from_json, get_family
+from .families import FAMILY_NAMES, covering_from_json, family_covering, get_family
 from .seqspace import Membership, decide_lp_membership, expweight_from_json
 
 EX_OK = 0
@@ -122,7 +122,13 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 def _cmd_inspect_covering(args: argparse.Namespace) -> int:
     from .covering import certify_constants, neighbors
 
+    if args.index is not None:
+        try:
+            idx = tuple(int(tok) for tok in args.index.split(","))
+        except ValueError as exc:
+            raise InvalidParams(f"--index must be a comma-separated integer tuple: {exc}")
     cov = covering_from_json(_document_arg(args.covering, "--covering"))
+    # the window passes the cap before any map or constants kept on cov are read
     window = cov.window(args.radius)
     doc = {
         "label": cov.label,
@@ -132,10 +138,6 @@ def _cmd_inspect_covering(args: argparse.Namespace) -> int:
         "constants": certify_constants(cov, args.radius),
     }
     if args.index is not None:
-        try:
-            idx = tuple(int(tok) for tok in args.index.split(","))
-        except ValueError as exc:
-            raise InvalidParams(f"--index must be a comma-separated integer tuple: {exc}")
         doc["neighbors"] = sorted(list(j) for j in neighbors(cov, idx, args.radius))
     _emit(doc, args.pretty)
     return EX_OK
@@ -161,10 +163,11 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
 
     fam = get_family(args.family)
     params = fam.parse_params(_json_arg(args.params, "--params"))
-    cov = fam.covering(params)
+    cov = family_covering(fam, params)
     # one neighbour map, at radius r + 2, which radius r reads restricted; the
-    # window of radius r is placed first, so its own errors still come first
-    if placements(cov, args.radius):
+    # window of radius r is placed first, so its own errors still come first,
+    # and the window of r + 2 passes the cap even when its map is kept
+    if placements(cov, args.radius) and cov.window(args.radius + 2):
         adjacency(cov, args.radius + 2)
     constants = certify_constants(cov, args.radius)
     moderate = check_moderate(cov, probe_weight(cov), (args.radius, args.radius + 2))

@@ -640,6 +640,8 @@ class Covering:
     _placements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # (adjacency result, pairs decided uncertain) by radius, filled by ``adjacency``
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # structure constants by radius, filled by ``certify_constants``
+    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class Placement(NamedTuple):
@@ -768,7 +770,10 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     exact entry.  Indices with equal (A_i, d_i) share a class, the product
     depends on the two classes alone, and it is built once per pair of
     classes; the spectral norm is computed once per distinct float matrix.
+    They are kept on the covering by radius; every call returns a copy.
     """
+    if radius in covering._constants:
+        return dict(covering._constants[radius])
     nbrs, certain = adjacency(covering, radius)
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
@@ -799,12 +804,13 @@ def certify_constants(covering: Covering, radius: int) -> dict:
             c_hat = max(c_hat, val)
         bases = {id(base): base for base in map(covering.base_set, nbrs)}
         r_hat = max(base.sup_norm() for base in bases.values())
-    return {
+    kept = covering._constants[radius] = {
         "N_hat": n_hat,
         "C_hat": c_hat,
         "R_hat": r_hat,
         "tightness_ok": certain and all(p.exact for p in places.values()),
     }
+    return dict(kept)
 
 
 def check_moderate(

@@ -23,6 +23,7 @@ windows.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -52,6 +53,8 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
+# bound of the memo of family coverings (see family_covering)
+COVERING_MEMO_SIZE = 8
 # the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, as the exponents of a form read them
 _DP = Affine(0, 1, 0)
 _G = Affine(0, 0, 1)
@@ -704,8 +707,17 @@ def get_family(name: str) -> Family:
         ) from None
 
 
+@functools.lru_cache(maxsize=COVERING_MEMO_SIZE)
+def family_covering(fam: Family, params) -> Covering:
+    """The covering of a family at parsed params, one per (family, params) in
+    a process, so that the placements, neighbour maps and constants it keeps
+    serve every command that reads it."""
+    return fam.covering(params)
+
+
 def covering_from_json(doc: object) -> Covering:
-    """Build a covering from {"family": ..., "params": ...} or {"custom": ...}."""
+    """Build a covering from {"family": ..., "params": ...} or {"custom": ...};
+    a family covering comes from :func:`family_covering`, a custom one is new."""
     if not isinstance(doc, dict):
         raise SchemaError(f"covering document must be an object, got {type(doc).__name__}")
     if "custom" in doc:
@@ -717,6 +729,5 @@ def covering_from_json(doc: object) -> Covering:
         if name not in FAMILIES:
             raise SchemaError(f"unknown family {name!r} in covering document")
         fam = FAMILIES[name]
-        params = fam.parse_params(doc.get("params", {}))
-        return fam.covering(params)
+        return family_covering(fam, fam.parse_params(doc.get("params", {})))
     raise SchemaError("covering document needs a 'family' or 'custom' key")

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import decomp_embed
 from decomp_embed import cli
 from decomp_embed.cli import main
-from decomp_embed.families import FAMILY_NAMES
+from decomp_embed.families import FAMILY_NAMES, covering_from_json
 from decomp_embed.oracle import TailClassification
 from witnesses import WARNINGS_AS_ERRORS
 
@@ -100,6 +100,9 @@ def custom_covering(**fields) -> str:
       "--radius", "0"], 64),                                  # empty window
     (["inspect-covering", "--covering", '{"family":"hom_besov"}',
       "--radius", "2", "--index", "99"], 64),
+    # a malformed --index is a usage error before the window meets the cap
+    (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
+      "--radius", "40", "--index", "a,b"], 64),
     (["inspect-covering", "--covering", json.dumps({"custom": {
         "dimension": 1, "indices": [[0]], "T": [[[0]]], "b": [[0]],
         "base_set": {"ball": {"center": [0], "radius": 1}}}})], 65),
@@ -502,6 +505,45 @@ def test_float_power_overflow_in_a_transform_prints_its_message():
     assert err == ("error: covering 'alpha_modulation(d=2, alpha=999/1000)' at radius 3 "
                    "leaves the float range: Numerical result out of range\n")
     assert "(34," not in err
+
+
+def test_errors_repeat_on_a_shared_covering(monkeypatch):
+    """A covering kept from an earlier command still checks the window cap
+    and the float range, and the constants it keeps are copied out."""
+    inspect = ["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
+               "--radius", "4"]
+    assert run_cli(inspect)[0] == 0
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "3")
+    code, out, err = run_cli(inspect)
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: window of 269 indices exceeds the cap of 3 ")
+    code, _, err = run_cli([*inspect, "--index", "a,b"])
+    assert code == 64 and err.startswith("error: --index must be")
+    # verify-family at radius 1 reads its map at radius 3, whose 137
+    # indices must pass the cap even when that map is kept
+    verify = ["verify-family", "--family", "shearlet_smoothness", "--radius", "1"]
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
+    assert run_cli(verify)[0] in (0, 1)
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "100")
+    code, out, err = run_cli(verify)
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: window of 137 indices exceeds the cap of 100 ")
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
+    overflow = ["verify-family", "--family", "alpha_modulation",
+                "--params", '{"d":2,"alpha":"999/1000"}', "--radius", "1"]
+    first, second = run_cli(overflow), run_cli(overflow)
+    assert first == second and first[0] == 70 and "leaves the float range" in first[2]
+
+
+def test_certified_constants_are_a_copy():
+    from decomp_embed.covering import certify_constants
+
+    cov = covering_from_json({"family": "hom_besov", "params": {"d": 2}})
+    got = certify_constants(cov, 3)
+    want = dict(got)
+    got["N_hat"] = -1
+    got.clear()
+    assert certify_constants(cov, 3) == want
 
 
 def test_exceeded_window_cap_bounds_the_oracle_grid(monkeypatch):

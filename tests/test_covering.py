@@ -51,7 +51,7 @@ from decomp_embed.errors import (
     WindowCapExceeded,
     window_cap,
 )
-from decomp_embed.families import covering_from_json, get_family
+from decomp_embed.families import covering_from_json, family_covering, get_family
 from witnesses import (
     WARNINGS_AS_ERRORS,
     cofactor_adjugate,
@@ -932,7 +932,9 @@ def test_restricted_map_equals_the_map_built_directly(doc, radius):
     """The map at radius r read off the map at r + 2, with its certain bit,
     equals the map a fresh covering builds at r; alpha_modulation at
     alpha 1/2 is certain at radii 0 and 1 but not at 2 and 3."""
+    family_covering.cache_clear()
     direct = adjacency(covering_from_json(doc), radius)
+    family_covering.cache_clear()
     cov = covering_from_json(doc)
     larger = adjacency(cov, radius + 2)
     with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError):
@@ -969,8 +971,11 @@ _FAMILY_CASES = [
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
 def test_each_transform_runs_once_per_index_and_command(family, params, index):
-    """Each index is placed once per command, and verify-family sweeps one
-    map, at radius 3, for radii 1 and 3."""
+    """The three commands read one shared covering: verify-family places
+    indices and sweeps one map, at radius 3, for radii 1 and 3; across all
+    three, each index is placed at most once and no pair of placed sets is
+    tested twice."""
+    family_covering.cache_clear()
     calls = Counter()
     fam = get_family(family)
     build = type(fam).covering
@@ -998,13 +1003,44 @@ def test_each_transform_runs_once_per_index_and_command(family, params, index):
     with mock.patch.object(type(fam), "covering", counted), \
             mock.patch.object(covering_module, "sets_intersect", counted_test):
         for argv in commands:
-            calls.clear()
-            tested.clear()
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(argv) in (0, 1)
-            assert calls and max(calls.values()) == 1, argv
-            # one map per command: no pair of placed sets is tested twice
+            assert calls, argv
+            assert max(calls.values()) == 1, argv
             assert max(tested.values(), default=1) == 1, argv
+
+
+def _run_commands(commands, fresh: bool) -> list:
+    """(exit code, stdout) of each command, on a cleared covering memo before
+    each one when ``fresh``, else through the one memo they share."""
+    family_covering.cache_clear()
+    got = []
+    for argv in commands:
+        if fresh:
+            family_covering.cache_clear()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            got.append((cli.main(argv), out.getvalue()))
+    return got
+
+
+@pytest.mark.parametrize("order", ["verify_first", "inspect_first"])
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_a_shared_covering_answers_like_a_fresh_one(family, params, index, order):
+    """verify-family at radius 1 and inspect-covering at radius 2, with and
+    without --index, print the same bytes and exit codes in either order
+    whether they share one covering or each builds its own."""
+    doc = json.dumps({"family": family, "params": params})
+    commands = [
+        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
+        ["inspect-covering", "--covering", doc, "--radius", "2"],
+        ["inspect-covering", "--covering", doc, "--radius", "2", "--index", index],
+    ]
+    if order == "inspect_first":
+        commands.reverse()
+    shared = _run_commands(commands, fresh=False)
+    assert shared == _run_commands(commands, fresh=True)
+    assert all(code in (0, 1) and out for code, out in shared)
 
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
