@@ -969,6 +969,17 @@ _FAMILY_CASES = [
 ]
 
 
+def _three_commands(family, params, index) -> list:
+    """verify-family at radius 1, then inspect-covering at radius 2 without
+    and with --index, on one family covering."""
+    doc = json.dumps({"family": family, "params": params})
+    return [
+        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
+        ["inspect-covering", "--covering", doc, "--radius", "2"],
+        ["inspect-covering", "--covering", doc, "--radius", "2", "--index", index],
+    ]
+
+
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
 def test_each_transform_runs_once_per_index_and_command(family, params, index):
     """The three commands read one shared covering: verify-family places
@@ -988,12 +999,7 @@ def test_each_transform_runs_once_per_index_and_command(family, params, index):
             return cov.transform(i)
         return dataclasses.replace(cov, transform=transform)
 
-    doc = json.dumps({"family": family, "params": params})
-    commands = [
-        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
-        ["inspect-covering", "--covering", doc, "--radius", "2"],
-        ["inspect-covering", "--covering", doc, "--radius", "2", "--index", index],
-    ]
+    commands = _three_commands(family, params, index)
     tested = Counter()
 
     def counted_test(a, b):
@@ -1030,12 +1036,7 @@ def test_a_shared_covering_answers_like_a_fresh_one(family, params, index, order
     """verify-family at radius 1 and inspect-covering at radius 2, with and
     without --index, print the same bytes and exit codes in either order
     whether they share one covering or each builds its own."""
-    doc = json.dumps({"family": family, "params": params})
-    commands = [
-        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
-        ["inspect-covering", "--covering", doc, "--radius", "2"],
-        ["inspect-covering", "--covering", doc, "--radius", "2", "--index", index],
-    ]
+    commands = _three_commands(family, params, index)
     if order == "inspect_first":
         commands.reverse()
     shared = _run_commands(commands, fresh=False)
