@@ -24,7 +24,6 @@ from .seqspace import (
     ProductSector,
     RadialSector,
     decide_lp_membership,
-    decide_sequence_embedding,
 )
 
 _LAZY = {
@@ -49,7 +48,6 @@ __all__ = [
     "RadialSector",
     "TailClassification",
     "decide_lp_membership",
-    "decide_sequence_embedding",
     "truncated_oracle",
     "Covering",
     "adjacency",

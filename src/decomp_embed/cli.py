@@ -128,7 +128,6 @@ def _cmd_inspect_covering(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InvalidParams(f"--index must be a comma-separated integer tuple: {exc}")
     cov = covering_from_json(_document_arg(args.covering, "--covering"))
-    # the window passes the cap before any map or constants kept on cov are read
     window = cov.window(args.radius)
     doc = {
         "label": cov.label,
@@ -165,9 +164,8 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     params = fam.parse_params(_json_arg(args.params, "--params"))
     cov = family_covering(fam, params)
     # one neighbour map, at radius r + 2, which radius r reads restricted; the
-    # window of radius r is placed first, so its own errors still come first,
-    # and the window of r + 2 passes the cap even when its map is kept
-    if placements(cov, args.radius) and cov.window(args.radius + 2):
+    # window of radius r is placed first, so its own errors still come first
+    if placements(cov, args.radius):
         adjacency(cov, args.radius + 2)
     constants = certify_constants(cov, args.radius)
     moderate = check_moderate(cov, probe_weight(cov), (args.radius, args.radius + 2))

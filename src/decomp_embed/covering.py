@@ -685,14 +685,15 @@ def adjacency(
     bounding boxes sorted by their lower x bound; a pair whose boxes meet,
     each padded by ``_FLOAT_GAP_TOL``, goes to ``sets_intersect``.  The pad
     only adds candidates, which exact sets still decide exactly.  The map is
-    computed once per radius and kept on the covering; it is read-only
-    because every caller shares it.  A window that lies in one already
-    mapped, in the same order, is that map restricted to it: the sweep
-    decides a pair by the pair alone, so its candidates, answers and
-    uncertain pairs there are those of its own sweep.
+    computed once per radius and kept on the covering, read-only because
+    every caller shares it, and passes the window cap on every read.  A
+    window that lies in one already mapped, in the same order, is that map
+    restricted to it: the sweep decides a pair by the pair alone, so its
+    candidates, answers and uncertain pairs there are those of its own sweep.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
+        check_window_cap(len(cached[0][0]))
         return cached[0]
     places = placements(covering, radius)
     indices, sets = list(places), [p.image for p in places.values()]
@@ -770,11 +771,12 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     exact entry.  Indices with equal (A_i, d_i) share a class, the product
     depends on the two classes alone, and it is built once per pair of
     classes; the spectral norm is computed once per distinct float matrix.
-    They are kept on the covering by radius; every call returns a copy.
+    They are kept on the covering by radius, read after :func:`adjacency`
+    has passed the window cap; every call returns a copy.
     """
+    nbrs, certain = adjacency(covering, radius)
     if radius in covering._constants:
         return dict(covering._constants[radius])
-    nbrs, certain = adjacency(covering, radius)
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())

@@ -68,8 +68,10 @@ def check_window_cap(count: int) -> None:
     """Raise WindowCapExceeded before a window of ``count`` indices is built."""
     cap = window_cap()
     if count > cap:
+        # str() of a huge int is slow, and refused past 4300 digits
+        size = count if count.bit_length() <= 64 else f"about 2^{count.bit_length() - 1}"
         raise WindowCapExceeded(
-            f"window of {count} indices exceeds the cap of {cap} "
+            f"window of {size} indices exceeds the cap of {cap} "
             f"(override via {WINDOW_CAP_ENV})"
         )
 

@@ -445,7 +445,7 @@ class ShearletSmoothnessFamily(Family):
         base = cone_trapezoid(Fraction(1, 3), Fraction(3), Fraction(-1), Fraction(1))
 
         def window(radius: int) -> list[Index]:
-            check_window_cap(1 + sum(4 * (2 * 2**n + 1) for n in range(radius + 1)))
+            check_window_cap(1 + 8 * (2 ** (radius + 1) - 1) + 4 * (radius + 1))
             return [(0,), *(
                 (n, m, eps, delta)
                 for n in range(radius + 1)

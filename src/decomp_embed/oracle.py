@@ -489,11 +489,6 @@ def _pair_rows(piece: Piece, ns: list[int], theta_f: float | None) -> Iterator[_
             yield _RowSum(total + 2.0 * _half_row(atoms, lo, hi, theta_f) if lo <= hi else total)
 
 
-def _pair_row(piece: Piece, n: int, theta_f: float | None) -> _RowSum:
-    """Row n of a pair sector alone: :func:`_pair_rows` on one row."""
-    return next(_pair_rows(piece, [n], theta_f))
-
-
 def _pair_shells(piece: Piece, radii: tuple[int, ...],
                  theta_f: float | None) -> Iterator[tuple[float, bool]]:
     """A pair piece on each shell (r', r] of the radii, in turn: the sum of

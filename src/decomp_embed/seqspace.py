@@ -7,11 +7,9 @@ This module carries the sequence-space side of the decision engine:
   + shift),
 * exp-poly weights, finite sums of atoms 2^(a*n) * |n|^c per coordinate
   with per-orthant exponents, each exponent a rational or affine in the
-  gaps 1/p - 1/t and 1/2 - 1/r,
+  gaps 1/p - 1/t and 1/2 - 1/r, and
 * an exact decider for membership of such a weight in l^theta, whose
-  rules read x = 1/theta, with x = 0 for theta = inf (boundedness), and
-* the weighted sequence embedding test, decided through membership of
-  the quotient u/v.
+  rules read x = 1/theta, with x = 0 for theta = inf (boundedness).
 
 Atoms are flat tuples of exact Fractions.  Values are coerced to Fraction
 once, at the boundary: in the public constructors of :class:`CoordFactor`
@@ -40,7 +38,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import UnsupportedWeight
-from .exponents import Pair, compound, int_from_json, rational_from_json, reciprocal_pair
+from .exponents import Pair, int_from_json, rational_from_json, reciprocal_pair
 
 __all__ = [
     "LineSector",
@@ -54,7 +52,6 @@ __all__ = [
     "Membership",
     "decide_reciprocal",
     "decide_lp_membership",
-    "decide_sequence_embedding",
     "sector_from_json",
     "expweight_from_json",
 ]
@@ -65,11 +62,6 @@ RatLike = Union[int, Fraction]
 # ---------------------------------------------------------------------------
 # small rational helpers
 # ---------------------------------------------------------------------------
-
-def ceil_pow2(fr: Fraction) -> int:
-    """ceil(2**fr) for rational fr, computed in integer arithmetic."""
-    return _ceil_pow2_int(fr.numerator, fr.denominator)
-
 
 def _ceil_pow2_int(p: int, q: int) -> int:
     """ceil(2**(p/q)) for integers p and q > 0 in lowest terms."""
@@ -464,10 +456,6 @@ class ExpPolyWeight:
     def __repr__(self) -> str:
         return f"ExpPolyWeight({self.pieces!r})"
 
-    @property
-    def dims(self) -> int:
-        return self.pieces[0].sector.dims
-
     def pairs_at(self, dp: Pair = (0, 1), g: Pair = (0, 1)) -> list:
         """Per piece its sector and, per atom, the exponent pairs at the
         gaps dp and g, given as int pairs, as :func:`decide_reciprocal`
@@ -716,16 +704,3 @@ def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
     """
     return decide_reciprocal(refuse_unsupported(w).pairs_at(), reciprocal_pair(theta))
 
-
-def decide_sequence_embedding(u: ExpPolyWeight, v: ExpPolyWeight, r, s) -> str:
-    """Whether the r-summable sequences against v embed into the s-summable
-    sequences against u; decided through membership of u/v at the compound
-    exponent of (s, r).
-
-    Returns "Embeds" or "DoesNotEmbed".
-    """
-    theta = compound(s, r)
-    quot = u.quotient(v)
-    if decide_lp_membership(quot, theta) is Membership.MEMBER:
-        return "Embeds"
-    return "DoesNotEmbed"

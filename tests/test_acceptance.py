@@ -36,7 +36,6 @@ from decomp_embed.seqspace import (
     Membership,
     ProductSector,
     decide_lp_membership,
-    decide_sequence_embedding,
 )
 from decomp_embed.oracle import pow2f, truncated_oracle
 
@@ -113,8 +112,7 @@ def test_acceptance_2_sequence_embedding_characterization():
             r_exp = s_exp
         u = _line_weight(domain, b + delta)
         v = _line_weight(domain, b)
-        verdict = decide_sequence_embedding(u, v, r_exp, s_exp)
-        if verdict == "Embeds":
+        if decide_lp_membership(u.quotient(v), compound(s_exp, r_exp)) is Membership.MEMBER:
             embed_count += 1
             const = holder_constant(u, v, r_exp, s_exp, 8)
             points = list(iter_points(u, 8))

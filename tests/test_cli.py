@@ -103,6 +103,13 @@ def custom_covering(**fields) -> str:
     # a malformed --index is a usage error before the window meets the cap
     (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
       "--radius", "40", "--index", "a,b"], 64),
+    # a window whose count has thousands of digits meets the cap at once
+    (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
+      "--radius", "15000"], 70),
+    (["verify-family", "--family", "shearlet_coorbit", "--radius", "15000"], 70),
+    (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
+      "--radius", "200000"], 70),
+    (["verify-family", "--family", "shearlet_smoothness", "--radius", "200000"], 70),
     (["inspect-covering", "--covering", json.dumps({"custom": {
         "dimension": 1, "indices": [[0]], "T": [[[0]]], "b": [[0]],
         "base_set": {"ball": {"center": [0], "radius": 1}}}})], 65),

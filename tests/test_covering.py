@@ -49,6 +49,7 @@ from decomp_embed.errors import (
     SchemaError,
     UnsupportedGeometry,
     WindowCapExceeded,
+    check_window_cap,
     window_cap,
 )
 from decomp_embed.families import covering_from_json, family_covering, get_family
@@ -125,6 +126,15 @@ def test_window_cap_is_enforced(monkeypatch):
     assert window_cap() == 10**6
 
 
+def test_a_count_past_2_to_the_64_is_named_by_its_power_of_two():
+    with pytest.raises(WindowCapExceeded, match=f"^window of {2**64 - 1} indices "):
+        check_window_cap(2**64 - 1)
+    with pytest.raises(WindowCapExceeded, match=r"^window of about 2\^64 indices "):
+        check_window_cap(2**64)
+    with pytest.raises(WindowCapExceeded, match=r"^window of about 2\^50000 indices "):
+        check_window_cap(2**50001 - 1)
+
+
 # sha256 of the JSON list of each window at radius 2, in window order: the
 # goldens hash sorted neighbour maps, so only this pins the order
 _WINDOW_DIGESTS = [
@@ -155,6 +165,22 @@ _WINDOW_DIGESTS = [
 def test_window_lists_are_pinned(doc, digest):
     window = covering_from_json(doc).window(2)
     assert hashlib.sha256(json.dumps(window).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("doc", [doc for doc, _ in _WINDOW_DIGESTS],
+                         ids=[doc.get("family", "custom") for doc, _ in _WINDOW_DIGESTS])
+def test_window_cap_counts_the_window(monkeypatch, doc):
+    """The count a window checks against the cap is its length, so a kept
+    map of one entry per index checks the same count."""
+    window = covering_from_json(doc).window
+    for radius in range(1, 6):
+        monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+        size = len(window(radius))
+        monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(size))
+        assert len(window(radius)) == size
+        monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(size - 1))
+        with pytest.raises(WindowCapExceeded, match=f"^window of {size} indices "):
+            window(radius)
 
 
 def test_shearlet_window_contents():
@@ -1042,6 +1068,31 @@ def test_a_shared_covering_answers_like_a_fresh_one(family, params, index, order
     shared = _run_commands(commands, fresh=False)
     assert shared == _run_commands(commands, fresh=True)
     assert all(code in (0, 1) and out for code, out in shared)
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "shearlet_smoothness"},
+    {"family": "hom_besov", "params": {"d": 2}},
+    {"family": "diagonal", "params": {"d": 2}},
+], ids=lambda doc: doc["family"])
+def test_library_calls_on_a_kept_covering_obey_the_window_cap(monkeypatch, doc):
+    """A map and constants kept at radius r are read only while the window of
+    r passes the cap, as a fresh covering's would be."""
+    family_covering.cache_clear()
+    radius = 4
+    cov = covering_from_json(doc)
+    kept = certify_constants(cov, radius)
+    window = cov.window(radius)
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(len(window) - 1))
+    assert covering_from_json(doc) is cov
+    for call in (lambda: certify_constants(cov, radius),
+                 lambda: adjacency(cov, radius),
+                 lambda: neighbors(cov, window[0], radius),
+                 lambda: check_moderate(cov, probe_weight(cov), (radius, radius))):
+        with pytest.raises(WindowCapExceeded, match=f"^window of {len(window)} indices "):
+            call()
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
+    assert certify_constants(cov, radius) == kept
 
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)

@@ -227,7 +227,7 @@ def test_coorbit_scheme_and_weight_agree_on_dimension():
     params = fam.parse_params({"c": "1/2", "alpha": 0, "beta": 1})
     cov = fam.covering(params)
     assert {len(i) for i in cov.window(1)} == {3}  # (n, m, eps)
-    assert fam.quotient_form(params, 1).at(Fraction(1, 2), Fraction(0)).dims == 2
+    assert fam.quotient_form(params, 1).at(Fraction(1, 2), Fraction(0)).pieces[0].sector.dims == 2
 
 
 def test_khintchine_restriction():

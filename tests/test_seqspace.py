@@ -26,10 +26,9 @@ from decomp_embed.seqspace import (
     Piece,
     ProductSector,
     RadialSector,
-    ceil_pow2,
+    _ceil_pow2_int,
     decide_lp_membership,
     decide_reciprocal,
-    decide_sequence_embedding,
     expweight_from_json,
     refuse_unsupported,
     sector_from_json,
@@ -410,7 +409,8 @@ def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
         for den in (1, 2, 3, 5):
             fr = F(num, den)
             expect = max(1, math.ceil(2.0 ** float(fr)))
-            assert ceil_pow2(fr) == expect, fr
+            assert _ceil_pow2_int(fr.numerator, fr.denominator) == expect, fr
+            assert PairSector("N0", fr, "inside", 0).m_bound(1) == expect, fr
 
 
 @settings(max_examples=300, deadline=None)
@@ -422,8 +422,10 @@ def test_ceil_pow2_matches_float_ceil_on_safe_inputs():
 @example(999, 1000, 64, 0)
 @example(1, 1000, 1, -1)
 def test_row_bound_in_ints_matches_ceil_pow2(a, b, n, shift):
-    """The int row bound, which builds no Fraction, is ceil_pow2(lam * n) + shift."""
-    assert PairSector("N0", F(a, b), "inside", shift).m_bound(n) == ceil_pow2(F(a, b) * n) + shift
+    """The int row bound, which builds no Fraction, is ceil(2^(lam * n)) + shift."""
+    lam_n = F(a, b) * n
+    assert PairSector("N0", F(a, b), "inside", shift).m_bound(n) == _ceil_pow2_int(
+        lam_n.numerator, lam_n.denominator) + shift
 
 
 @pytest.mark.parametrize("x, expect", [
@@ -729,6 +731,11 @@ def test_growth_gate_ignores_sides_outside_the_domain(w, theta):
 # pair rows against the per-atom row formula
 # ---------------------------------------------------------------------------
 
+def _row_alone(piece, n, theta_f):
+    """Row n of a pair sector alone: :func:`oracle._pair_rows` on one row."""
+    return next(oracle._pair_rows(piece, [n], theta_f))
+
+
 def _reference_factor_on_axis(f, n):
     a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
     c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
@@ -913,7 +920,7 @@ def test_pair_row_matches_per_atom_formula_bit_for_bit(row, theta_f):
     brute-force sum, and at most k^|theta - 1| times it plus, on an outside
     row, the power-mean bound on the rest."""
     piece, n = row
-    value = oracle._pair_row(piece, n, theta_f).value
+    value = _row_alone(piece, n, theta_f).value
     terms, past = _brute_row(piece, n, theta_f, 2 * oracle._ROW_HEAD)
     top = max(float(a.factors[1].pow_pos) for a in piece.atoms)
     if math.isfinite(past) and (top > 0 if theta_f is None else theta_f * top >= -1.0):
@@ -987,7 +994,7 @@ def test_pair_rows_of_a_window_match_single_rows_bit_for_bit(window, theta_f):
     flags of each row read alone."""
     piece, ns = window
     rows = list(oracle._pair_rows(piece, ns, theta_f))
-    alone = [oracle._pair_row(piece, n, theta_f) for n in ns]
+    alone = [_row_alone(piece, n, theta_f) for n in ns]
     assert [(row.value.hex(), row.unevaluated) for row in rows] == [
         (row.value.hex(), row.unevaluated) for row in alone]
 
@@ -1074,11 +1081,11 @@ def pair_tail_pieces(draw):
                            Atom.pair(coeff=F(1, 3), n_exp2=-1, m_power=-3)), 5, 1.5)
 def test_tail_bound_dominates_the_next_rows(piece, radius, theta_f):
     """A finite tail bound past ``radius`` is at least the rows radius + 1 to
-    radius + 8 that ``_pair_row`` reads, summed (their max at theta = inf),
+    radius + 8 that :func:`_row_alone` reads, summed (their max at theta = inf),
     to a relative 1e-9."""
     bound = oracle._pair_tail_bound(piece, radius, theta_f)
     sign = -1 if piece.sector.n_domain == "Nneg" else 1
-    rows = [oracle._pair_row(piece, sign * n, theta_f).value
+    rows = [_row_alone(piece, sign * n, theta_f).value
             for n in range(radius + 1, radius + 9)]
     combined = max(rows) if theta_f is None else math.fsum(rows)
     if math.isfinite(bound):
@@ -1096,7 +1103,7 @@ def _outside_row(*atoms):
 @example(_outside_row(Atom.pair(m_power=-1))[:2], 2.0)
 @example(_outside_row(*[Atom.pair()] * 2)[:2], None)
 def test_outside_row_value_dominates_its_first_terms(row, theta_f):
-    """An outside row's value, read by ``_pair_row`` alone, is at least the
+    """An outside row's value, read by :func:`_row_alone`, is at least the
     brute-force sum (the sup, for theta = inf) of its first 50 000 |m| on
     both sides, and of m = 0 when the row holds it, to a relative 1e-12."""
     piece, n = row
@@ -1108,7 +1115,7 @@ def test_outside_row_value_dominates_its_first_terms(row, theta_f):
         pos = _reference_powered(_reference_row_values(piece, n, ms), theta_f)
         neg = _reference_powered(_reference_row_values(piece, n, -ms[ms > 0]), theta_f)
         brute = float(max(pos.max(), neg.max()) if theta_f is None else pos.sum() + neg.sum())
-    value = oracle._pair_row(piece, n, theta_f).value
+    value = _row_alone(piece, n, theta_f).value
     assert value >= brute * (1.0 - 1e-12)
 
 
@@ -1432,21 +1439,21 @@ def test_structure_routes_build_no_grid(monkeypatch, capsys, case, route, theta)
 def test_unweighted_nesting_of_lp_spaces():
     u = line("N0")
     for r, s, expect in [
-        (E(1), E(2), "Embeds"),
-        (E(2), E(1), "DoesNotEmbed"),
-        (E(1), INF, "Embeds"),
-        (INF, E(1), "DoesNotEmbed"),
-        (E(2), E(2), "Embeds"),
+        (E(1), E(2), True),
+        (E(2), E(1), False),
+        (E(1), INF, True),
+        (INF, E(1), False),
+        (E(2), E(2), True),
     ]:
-        assert decide_sequence_embedding(u, u, r, s) == expect
+        assert (decide_lp_membership(u.quotient(u), compound(s, r)) is MEMBER) == expect
 
 
 def test_weighted_embedding_with_gap():
     # v = 2^(n/2), u = 1: u/v = 2^(-n/2) lies in every l^theta on N0
     v = line("N0", exp2=F(1, 2))
     u = line("N0")
-    assert decide_sequence_embedding(u, v, E(2), E(1)) == "Embeds"
-    assert decide_sequence_embedding(v, u, E(1), E(2)) == "DoesNotEmbed"
+    assert decide_lp_membership(u.quotient(v), compound(E(1), E(2))) is MEMBER
+    assert decide_lp_membership(v.quotient(u), compound(E(2), E(1))) is NOT_MEMBER
 
 
 def test_holder_direction_bounds_random_sequences():
@@ -1471,7 +1478,7 @@ def test_witness_ratios_grow_when_membership_fails():
     u = line("N0", exp2=F(1, 4))
     v = line("N0")
     for r, s in [(E(1), E(2)), (E(2), E(1)), (E(2), INF)]:
-        assert decide_sequence_embedding(u, v, r, s) == "DoesNotEmbed"
+        assert decide_lp_membership(u.quotient(v), compound(s, r)) is NOT_MEMBER
         ratios = witness_norm_ratios(u, v, r, s, radii=(4, 8, 16))
         for (_, a), (_, b) in zip(ratios, ratios[1:]):
             assert b >= 1.2 * a
