@@ -46,16 +46,7 @@ __all__ = [
     "PairSector",
     "ProductSector",
     "RadialSector",
-    "TailClassification",
     "decide_lp_membership",
-    "truncated_oracle",
-    "Covering",
-    "adjacency",
-    "certify_constants",
-    "check_moderate",
-    "neighbors",
-    "norm_surrogate_check",
-    "spectral_norm",
     "Evidence",
     "Outcome",
     "Verdict",
@@ -64,6 +55,7 @@ __all__ = [
     "FAMILY_NAMES",
     "covering_from_json",
     "get_family",
+    *_LAZY,
 ]
 
 __version__ = "0.1.0"

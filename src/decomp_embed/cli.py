@@ -120,7 +120,7 @@ def _cmd_decide(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect_covering(args: argparse.Namespace) -> int:
-    from .covering import certify_constants, neighbors
+    from .covering import adjacency, certify_constants, neighbors
 
     if args.index is not None:
         try:
@@ -128,13 +128,14 @@ def _cmd_inspect_covering(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise InvalidParams(f"--index must be a comma-separated integer tuple: {exc}")
     cov = covering_from_json(_document_arg(args.covering, "--covering"))
-    window = cov.window(args.radius)
+    constants = certify_constants(cov, args.radius)
     doc = {
         "label": cov.label,
         "dimension": cov.dimension,
         "radius": args.radius,
-        "window_size": len(window),
-        "constants": certify_constants(cov, args.radius),
+        # the neighbour map certify_constants read holds one entry per index
+        "window_size": len(adjacency(cov, args.radius)[0]),
+        "constants": constants,
     }
     if args.index is not None:
         doc["neighbors"] = sorted(list(j) for j in neighbors(cov, idx, args.radius))

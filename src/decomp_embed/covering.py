@@ -511,13 +511,6 @@ def _norm_interval(s: BaseSet) -> tuple[Scalar, Scalar] | None:
     return None
 
 
-def _intervals_overlap(a: tuple, b: tuple) -> bool:
-    # norm ranges of open radial sets: open intervals, so a touch is empty
-    lo = max(a[0], b[0])
-    hi = min(a[1], b[1])
-    return lo < hi
-
-
 def _edge_axes(verts: Sequence[Vec]) -> tuple[tuple[Scalar, ...], ...]:
     """(nx, ny, lo, hi) per nonzero edge normal, [lo, hi] the own projection."""
     axes = []
@@ -604,7 +597,8 @@ def sets_intersect(a: BaseSet, b: BaseSet) -> tuple[bool, bool]:
     ia, ib = _norm_interval(a), _norm_interval(b)
     if ia is not None and ib is not None:
         exact = _is_exact(*ia, *ib)
-        hit = _intervals_overlap(ia, ib)
+        # norm ranges of open radial sets: open intervals, so a touch is empty
+        hit = max(ia[0], ib[0]) < min(ia[1], ib[1])
         if exact:
             return hit, True
         lo = max(float(ia[0]), float(ib[0]))
@@ -647,7 +641,8 @@ class Covering:
 class Placement(NamedTuple):
     """One index placed: T_i and b_i, the image T_i Q'_i + b_i in normal form
     with ``transform_base``'s exactness bit, whether T_i and b_i are exact,
-    and T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix."""
+    T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix, and the image's
+    float bounding box, which the neighbour sweep reads."""
 
     t: Mat
     b: Vec
@@ -655,21 +650,25 @@ class Placement(NamedTuple):
     ok: bool
     exact: bool
     scaled: tuple[tuple[tuple[int, ...], ...], int]
+    box: tuple[tuple[float, ...], tuple[float, ...]]
 
 
 def _place(covering: Covering, i: Index) -> Placement:
-    """The placement of index i, built on first use and kept on the covering."""
+    """The placement of index i, built on first use and kept on the covering;
+    an image whose bounding box leaves the float range raises OverflowError."""
     placed = covering._placements.get(i)
     if placed is None:
         t, b = covering.transform(i)
         image, ok = transform_base(covering.base_set(i), t, b)
         placed = covering._placements[i] = Placement(
-            t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t))
+            t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t),
+            image.bounding_box())
     return placed
 
 
 def placements(covering: Covering, radius: int) -> dict[Index, Placement]:
-    """The placement of every index of one window, in window order."""
+    """The placement of every index of one window, in window order; the first
+    index placed past the float range raises UnsupportedGeometry."""
     indices = covering.window(radius)
     with _in_float_range(covering, radius):
         return {i: _place(covering, i) for i in indices}
@@ -682,14 +681,15 @@ def adjacency(
 
     The relation is reflexive (every nonempty set meets itself) and kept
     symmetric by construction.  Candidate pairs come from a sweep over the
-    bounding boxes sorted by their lower x bound; a pair whose boxes meet,
-    each padded by ``_FLOAT_GAP_TOL``, goes to ``sets_intersect``.  The pad
-    only adds candidates, which exact sets still decide exactly.  The map is
-    computed once per radius and kept on the covering, read-only because
-    every caller shares it, and passes the window cap on every read.  A
-    window that lies in one already mapped, in the same order, is that map
-    restricted to it: the sweep decides a pair by the pair alone, so its
-    candidates, answers and uncertain pairs there are those of its own sweep.
+    bounding boxes of the placements, sorted by their lower x bound; a pair
+    whose boxes meet, each padded by ``_FLOAT_GAP_TOL``, goes to
+    ``sets_intersect``.  The pad only adds candidates, which exact sets
+    still decide exactly.  The map is computed once per radius and kept on
+    the covering, read-only because every caller shares it, and passes the
+    window cap on every read.  A window that lies in one already mapped, in
+    the same order, is that map restricted to it: the sweep decides a pair
+    by the pair alone, so its candidates, answers and uncertain pairs there
+    are those of its own sweep.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
@@ -703,10 +703,8 @@ def adjacency(
     if built:
         covering._adjacency[radius] = built
         return built[0]
-    with _in_float_range(covering, radius):
-        boxes = [s.bounding_box() for s in sets]
     pad = _FLOAT_GAP_TOL
-    los, his = [lo for lo, _ in boxes], [hi for _, hi in boxes]
+    los, his = [p.box[0] for p in places.values()], [p.box[1] for p in places.values()]
     los_pad = [tuple(x - pad for x in lo) for lo in los]
     his_pad = [tuple(x + pad for x in hi) for hi in his]
     nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
@@ -900,13 +898,13 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
         raise InvalidParams(f"the window of radius {radius} is empty")
     ratios = []
     with _in_float_range(covering, radius):
-        for i, (t, b, image, ok, exact, _) in places.items():
-            if not (ok and exact):
+        for i, p in places.items():
+            if not (p.ok and p.exact):
                 raise MissingTightnessWitness(
                     f"covering {covering.label!r} has no tight bound for index {i}"
                 )
-            surrogate = math.sqrt(float(sum(x * x for x in b))) + spectral_norm(t)
-            ratios.append(surrogate / image.sup_norm())
+            surrogate = math.sqrt(float(sum(x * x for x in p.b))) + spectral_norm(p.t)
+            ratios.append(surrogate / p.image.sup_norm())
     return {"min_ratio": min(ratios), "max_ratio": max(ratios)}
 
 

@@ -130,24 +130,20 @@ def _refined_records(
     ]
 
 
-def _int_param(doc: dict, key: str, family: str, *, default=None, minimum=1) -> int:
+def _int_param(doc: dict, key: str, family: str, *, default: int) -> int:
     if key not in doc:
-        if default is None:
-            raise InvalidParams(f"{family}: missing parameter {key!r}")
         return default
     try:
         val = int_from_json(doc[key])
     except ValueError:
         raise InvalidParams(f"{family}: parameter {key!r} must be an integer") from None
-    if val < minimum:
-        raise InvalidParams(f"{family}: parameter {key!r} must be >= {minimum}")
+    if val < 1:
+        raise InvalidParams(f"{family}: parameter {key!r} must be >= 1")
     return val
 
 
-def _rat_param(doc: dict, key: str, family: str, *, default=None) -> Fraction:
+def _rat_param(doc: dict, key: str, family: str, *, default: int) -> Fraction:
     if key not in doc:
-        if default is None:
-            raise InvalidParams(f"{family}: missing parameter {key!r}")
         return Fraction(default)
     try:
         return rational_from_json(doc[key])

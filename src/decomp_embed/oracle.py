@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -76,13 +76,7 @@ class TailClassification:
     growth: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "window_radius": self.window_radius,
-            "partial_sum": self.partial_sum,
-            "tail_bound": self.tail_bound,
-            "growth": self.growth,
-        }
+        return asdict(self)
 
 
 def pow2f(x: float) -> float:

@@ -262,9 +262,6 @@ class Affine:
     def __sub__(self, other) -> "Affine":
         return self + -other
 
-    def __rsub__(self, other) -> "Affine":
-        return -self + other
-
     def __mul__(self, scalar: RatLike) -> "Affine":
         return Affine(self.c0 * scalar, self.c_dp * scalar, self.c_g * scalar)
 

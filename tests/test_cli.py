@@ -110,6 +110,9 @@ def custom_covering(**fields) -> str:
     (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
       "--radius", "200000"], 70),
     (["verify-family", "--family", "shearlet_smoothness", "--radius", "200000"], 70),
+    # a window past the float range fails at its first such index
+    (["verify-family", "--family", "diagonal", "--radius", "200000"], 70),
+    (["inspect-covering", "--covering", '{"family":"inhom_besov"}', "--radius", "200000"], 70),
     (["inspect-covering", "--covering", json.dumps({"custom": {
         "dimension": 1, "indices": [[0]], "T": [[[0]]], "b": [[0]],
         "base_set": {"ball": {"center": [0], "radius": 1}}}})], 65),
@@ -235,6 +238,11 @@ _BALL_2D = {"ball": {"center": [0, 0], "radius": 1}}
     (["inspect-covering", "--covering", custom_covering(base_set=[_BALL_2D])], 65,
      "base-set dimension mismatch"),
     (["inspect-covering", "--covering", custom_covering(base_set=_BALL_2D)], 65,
+     "base-set dimension mismatch"),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"box": {"lo": [0, 0], "hi": [1, 1]}})], 65, "base-set dimension mismatch"),
+    (["inspect-covering", "--covering", custom_covering(
+        base_set={"polygon": {"vertices": [[0, 0], [1, 0], [0, 1]]}})], 65,
      "base-set dimension mismatch"),
     # sectors, atoms and weights
     (_check_u('{"lattice":{"kind":"product","domains":["bogus"]}}'), 65,
@@ -503,6 +511,16 @@ def test_verify_family_surrogate_past_the_float_range_is_unsupported():
     assert err.count("\n") == 1
 
 
+def test_a_window_past_the_float_range_names_its_own_radius():
+    # each index is placed with its bounding box, so radius r fails before
+    # verify-family reads its neighbour map at r + 2
+    code, out, err = run_cli(["verify-family", "--family", "diagonal", "--radius", "15000"])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: covering 'diagonal(d=1)' at radius 15000 "
+                          "leaves the float range: ")
+    assert err.count("\n") == 1
+
+
 def test_float_power_overflow_in_a_transform_prints_its_message():
     # float ** float in the transform overflows; its OverflowError carries
     # the (errno, message) tuple as args, and only the message is printed
@@ -625,6 +643,33 @@ def test_oracle_disagreement_exit(monkeypatch):
     ])
     assert code == 10
     assert "oracle" in err
+
+
+def test_oracle_convergence_on_a_non_member_is_a_disagreement(monkeypatch):
+    import decomp_embed.oracle as oracle
+
+    fake = TailClassification(verdict="Convergent", window_radius=8, partial_sum=1.0)
+    monkeypatch.setattr(oracle, "truncated_oracle", lambda *a, **kw: fake)
+    code, out, err = run_cli([
+        "decide", "--family", "hom_besov", "--params", '{"d":1,"s":"-1/2"}',
+        "-p", "1", "-q", "2", "-r", "2", "--oracle-check",
+    ])  # S1 is NotMember
+    assert (code, out) == (10, b"")
+    assert err.startswith("error: S1: oracle tail converges") and err.count("\n") == 1
+
+
+def test_a_built_weight_that_decides_otherwise_is_an_internal_error(monkeypatch):
+    from decomp_embed.seqspace import ExpPolyWeight
+
+    at = ExpPolyWeight.at
+    monkeypatch.setattr(ExpPolyWeight, "at", lambda self, dp, g: at(self, dp + 100, g))
+    code, out, err = run_cli([
+        "decide", "--family", "hom_besov", "--params", '{"d":1,"s":"1/2"}',
+        "-p", "1", "-q", "2", "-r", "2", "--oracle-check",
+    ])
+    assert (code, out) == (70, b"")
+    assert err.startswith("error: S1: the compiled form says Member at l^inf but its built "
+                          "weight is NotMember") and err.count("\n") == 1
 
 
 def test_inconsistent_verdict_is_an_internal_error(monkeypatch):

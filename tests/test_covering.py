@@ -1166,6 +1166,13 @@ def test_check_moderate_rejects_superexponential_weight():
     assert not res["ok"]
 
 
+def test_check_moderate_reads_a_zero_weight_at_a_neighbour_as_unbounded():
+    cov = dyadic_annulus_covering()
+    res = check_moderate(cov, lambda i: 0.0 if i == (2,) else 1.0, (5, 6))
+    assert res["C_uQ_hat"] == math.inf
+    assert not res["ok"]
+
+
 @pytest.mark.parametrize("log2_det", [
     2100,  # |det T_1|^(1/2) = 2^1050 overflows in math.exp
     2046,  # 2^1023 is a float, 3 * 2^1023 is not

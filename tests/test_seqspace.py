@@ -1079,6 +1079,9 @@ def pair_tail_pieces(draw):
 @example(_float_pair_piece(PairSector("N0", F(2, 61), "outside", -1),
                            Atom.pair(n_power=-2, m_power=-2),
                            Atom.pair(coeff=F(1, 3), n_exp2=-1, m_power=-3)), 5, 1.5)
+# an inside row of width 2^n at theta * c = -1: its m-sum grows like n
+@example(_float_pair_piece(PairSector("N0", F(1), "inside", 0), Atom.pair(n_exp2=-1, m_power=-1)),
+         3, 1.0)
 def test_tail_bound_dominates_the_next_rows(piece, radius, theta_f):
     """A finite tail bound past ``radius`` is at least the rows radius + 1 to
     radius + 8 that :func:`_row_alone` reads, summed (their max at theta = inf),
