@@ -164,8 +164,9 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     fam = get_family(args.family)
     params = fam.parse_params(_json_arg(args.params, "--params"))
     cov = family_covering(fam, params)
-    # one neighbour map, at radius r + 2, which radius r reads restricted; the
-    # window of radius r is placed first, so its own errors still come first
+    # one neighbour map, at radius r + 2, which radius r reads restricted; its
+    # cap is checked first, then radius r is placed, so its own errors come next
+    cov.window(args.radius + 2)
     if placements(cov, args.radius):
         adjacency(cov, args.radius + 2)
     constants = certify_constants(cov, args.radius)

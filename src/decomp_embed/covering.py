@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import ge, le, mul
+from operator import add, le, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -642,7 +642,8 @@ class Placement(NamedTuple):
     """One index placed: T_i and b_i, the image T_i Q'_i + b_i in normal form
     with ``transform_base``'s exactness bit, whether T_i and b_i are exact,
     T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix, and the image's
-    float bounding box, which the neighbour sweep reads."""
+    float bounding box, each axis padded by ``_FLOAT_GAP_TOL`` times its
+    largest magnitude, as float rounding is relative: the sweep reads it."""
 
     t: Mat
     b: Vec
@@ -660,17 +661,24 @@ def _place(covering: Covering, i: Index) -> Placement:
     if placed is None:
         t, b = covering.transform(i)
         image, ok = transform_base(covering.base_set(i), t, b)
+        lo, hi = image.bounding_box()
+        pad = [_FLOAT_GAP_TOL * max(abs(x), abs(y)) for x, y in zip(lo, hi)]
         placed = covering._placements[i] = Placement(
             t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t),
-            image.bounding_box())
+            (tuple(map(sub, lo, pad)), tuple(map(add, hi, pad))))
     return placed
 
 
 def placements(covering: Covering, radius: int) -> dict[Index, Placement]:
     """The placement of every index of one window, in window order; the first
-    index placed past the float range raises UnsupportedGeometry."""
+    index placed past the float range raises UnsupportedGeometry.  The last
+    and the first index are placed before the rest: each family's largest
+    sets sit at its window's ends, so a window past the float range fails
+    at once."""
     indices = covering.window(radius)
     with _in_float_range(covering, radius):
+        for i in indices[-1:] + indices[:1]:
+            _place(covering, i)
         return {i: _place(covering, i) for i in indices}
 
 
@@ -681,53 +689,41 @@ def adjacency(
 
     The relation is reflexive (every nonempty set meets itself) and kept
     symmetric by construction.  Candidate pairs come from a sweep over the
-    bounding boxes of the placements, sorted by their lower x bound; a pair
-    whose boxes meet, each padded by ``_FLOAT_GAP_TOL``, goes to
-    ``sets_intersect``.  The pad only adds candidates, which exact sets
-    still decide exactly.  The map is computed once per radius and kept on
-    the covering, read-only because every caller shares it, and passes the
-    window cap on every read.  A window that lies in one already mapped, in
-    the same order, is that map restricted to it: the sweep decides a pair
-    by the pair alone, so its candidates, answers and uncertain pairs there
-    are those of its own sweep.
+    padded boxes of the placements (``Placement.box``), sorted by their
+    lower x bound: a pair whose boxes meet goes to ``sets_intersect``.  The
+    pad only adds candidates, which exact sets still decide exactly.  The
+    map is computed once per radius and kept on the covering, read-only
+    because every caller shares it, and passes the window cap on every
+    read.  The box test is symmetric, so a pair is decided by the pair
+    alone: a window whose indices all lie in one already mapped, in any
+    order, reads that map restricted to it.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
         check_window_cap(len(cached[0][0]))
         return cached[0]
     places = placements(covering, radius)
-    indices, sets = list(places), [p.image for p in places.values()]
+    indices = list(places)
     ok = all(p.ok for p in places.values())
     larger = [r for r in covering._adjacency if r > radius]
     built = larger and _restricted(covering._adjacency[min(larger)], indices, ok)
     if built:
         covering._adjacency[radius] = built
         return built[0]
-    pad = _FLOAT_GAP_TOL
-    los, his = [p.box[0] for p in places.values()], [p.box[1] for p in places.values()]
-    los_pad = [tuple(x - pad for x in lo) for lo in los]
-    his_pad = [tuple(x + pad for x in hi) for hi in his]
     nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
     unsure = set()
-    order = sorted(range(len(sets)), key=lambda k: los[k][0])
-    for pos, a in enumerate(order):
-        hi_a, hi_pad_a = his[a][0], his_pad[a][0]
-        for b in itertools.islice(order, pos + 1, None):
-            # b and every later box start too far right for the test below
-            # on x, whichever of a and b is the row
-            if los_pad[b][0] > hi_a and los[b][0] > hi_pad_a:
-                break
-            # the box test with the lower window position as row, as
-            # his[row] >= los[col] - pad and los[row] <= his[col] + pad, so
-            # float rounding gives the same candidates in any sweep order
-            row, col = (a, b) if a < b else (b, a)
-            if all(map(ge, his[row], los_pad[col])) and all(map(le, los[row], his_pad[col])):
-                meet, sure = sets_intersect(sets[row], sets[col])
+    swept = sorted(((p.box, i, p.image) for i, p in places.items()), key=lambda e: e[0][0][0])
+    for pos, ((lo_a, hi_a), i, a) in enumerate(swept):
+        for (lo_b, hi_b), j, b in itertools.islice(swept, pos + 1, None):
+            if lo_b[0] > hi_a[0]:
+                break  # j and every later box start right of i's
+            if all(map(le, lo_a, hi_b)) and all(map(le, lo_b, hi_a)):
+                meet, sure = sets_intersect(a, b)
                 if not sure:
-                    unsure.add((indices[row], indices[col]))
+                    unsure.add((i, j))
                 if meet:
-                    nbrs[indices[row]].append(indices[col])
-                    nbrs[indices[col]].append(indices[row])
+                    nbrs[i].append(j)
+                    nbrs[j].append(i)
     result = MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), ok and not unsure
     covering._adjacency[radius] = result, unsure
     return result
@@ -735,11 +731,9 @@ def adjacency(
 
 def _restricted(mapped: tuple, indices: list[Index], ok: bool) -> tuple | None:
     """The adjacency entry of a larger window ``mapped`` cut to ``indices``,
-    or None when they are not all in it in the same order."""
+    or None when they are not all in it."""
     (big, _), unsure = mapped
-    where = dict(zip(big, itertools.count()))
-    pos = [where.get(i, -1) for i in indices]
-    if -1 in pos or pos != sorted(pos):
+    if not all(i in big for i in indices):
         return None
     inside = set(indices)
     nbrs = {i: tuple(j for j in big[i] if j in inside) for i in indices}

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import decomp_embed
 from decomp_embed import cli
 from decomp_embed.cli import main
-from decomp_embed.families import FAMILY_NAMES, covering_from_json
+from decomp_embed.families import FAMILY_NAMES, covering_from_json, family_covering
 from decomp_embed.oracle import TailClassification
 from witnesses import WARNINGS_AS_ERRORS
 
@@ -519,6 +520,24 @@ def test_a_window_past_the_float_range_names_its_own_radius():
     assert err.startswith("error: covering 'diagonal(d=1)' at radius 15000 "
                           "leaves the float range: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-family", "--family", "shearlet_coorbit", "--radius", "12"],
+     "window of 1900602 indices exceeds the cap of 1000000 "),
+    (["inspect-covering", "--covering", '{"family":"hom_besov"}', "--radius", "20000"],
+     "covering 'hom_besov(d=1)' at radius 20000 leaves the float range: "),
+])
+def test_a_refused_window_is_refused_before_its_indices_are_placed(monkeypatch, argv, message):
+    """verify-family checks the cap of r + 2 before it places radius r, and
+    a window's ends, where its largest sets sit, are placed first."""
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    family_covering.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 5
+    assert (code, out) == (70, b"")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_float_power_overflow_in_a_transform_prints_its_message():

@@ -915,6 +915,9 @@ COVERING_DOCS = [
     {"family": "shearlet_coorbit", "params": {"c": "1/2"}},
     {"family": "shearlet_coorbit", "params": {"c": -1}},
     {"family": "shearlet_coorbit", "params": {"c": 2}},
+    {"family": "shearlet_coorbit", "params": {"c": "3/2"}},
+    {"family": "shearlet_coorbit", "params": {"c": "1/3"}},
+    {"family": "alpha_modulation", "params": {"d": 2, "alpha": "1/3"}},
     {"family": "diagonal", "params": {"d": 2, "alpha": "1/2", "beta": [0, [-1, 2]]}},
     {"custom": {
         "dimension": 2,
@@ -971,16 +974,43 @@ def test_restricted_map_equals_the_map_built_directly(doc, radius):
         assert restricted[1] and not larger[1]
 
 
-def test_a_window_out_of_order_is_not_restricted():
-    """A window of radius 0 that lists the indices of radius 1 backwards is
-    swept on its own: the sweep puts the lower window position first."""
-    cov = dataclasses.replace(dyadic_annulus_covering(), window=lambda r: [
-        (n,) for n in (range(-r - 3, r + 4) if r else range(3, -4, -1))])
-    adjacency(cov, 1)
+@pytest.mark.parametrize("doc", [
+    {"family": "shearlet_coorbit", "params": {"c": "3/2"}},
+    {"family": "alpha_modulation", "params": {"d": 2, "alpha": "1/2"}},
+], ids=_doc_id)
+def test_a_window_in_another_order_reads_the_map_restricted(doc):
+    """A window of radius 1 that lists its indices backwards reads the map
+    of radius 3 restricted, with no pair tested again: the box test is
+    symmetric, so the order of a window moves no pair.  That map equals a
+    direct sweep of the backwards window on a fresh covering."""
+    family_covering.cache_clear()
+    forwards = covering_from_json(doc).window
+
+    def backwards() -> Covering:
+        """A copy with fresh memos whose window of radius 1 runs backwards."""
+        return dataclasses.replace(covering_from_json(doc), window=lambda r: (
+            forwards(r)[::-1] if r == 1 else forwards(r)))
+
+    direct = adjacency(backwards(), 1)
+    cov = backwards()
+    adjacency(cov, 3)
+    with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError):
+        nbrs, certain = adjacency(cov, 1)
+    assert list(nbrs) == list(direct[0]) == forwards(1)[::-1]
+    assert dict(nbrs) == dict(direct[0]) and certain == direct[1]
+
+
+def test_boxes_narrower_than_the_tolerance_are_not_candidates_of_each_other():
+    """diagonal d = 1 at radius 1 000 has 4 002 dyadic intervals, 1 940 of
+    them narrower than 1e-9; each box's pad is relative to its own
+    magnitude, so the sweep sends at most 2 pairs per index to
+    ``sets_intersect``, not all pairs of the narrow ones."""
+    family_covering.cache_clear()
+    cov = covering_from_json({"family": "diagonal", "params": {"d": 1}})
     with mock.patch.object(covering_module, "sets_intersect", wraps=sets_intersect) as tests:
-        nbrs, certain = adjacency(cov, 0)
-    assert tests.called and certain
-    assert nbrs[(0,)] == tuple((k,) for k in range(-3, 4))
+        nbrs, certain = adjacency(cov, 1000)
+    assert len(nbrs) == 4002 and certain
+    assert tests.call_count <= 2 * len(nbrs)
 
 
 _FAMILY_CASES = [
