@@ -38,7 +38,7 @@ from .errors import (
     SchemaError,
 )
 from .exponents import ExtExponent, compound, json_float
-from .families import FAMILY_NAMES, covering_from_json, family_covering, get_family
+from .families import FAMILY_NAMES, covering_from_json
 from .seqspace import Membership, decide_lp_membership, expweight_from_json
 
 EX_OK = 0
@@ -161,9 +161,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
     from .covering import (adjacency, certify_constants, check_moderate,
                            norm_surrogate_check, placements, probe_weight)
 
-    fam = get_family(args.family)
-    params = fam.parse_params(_json_arg(args.params, "--params"))
-    cov = family_covering(fam, params)
+    cov = covering_from_json({"family": args.family, "params": _json_arg(args.params, "--params")})
     # one neighbour map, at radius r + 2, which radius r reads restricted; its
     # cap is checked first, then radius r is placed, so its own errors come next
     cov.window(args.radius + 2)
@@ -182,7 +180,7 @@ def _cmd_verify_family(args: argparse.Namespace) -> int:
         or (surrogate["min_ratio"] > 0.0 and math.isfinite(surrogate["max_ratio"])),
     }
     doc = {
-        "family": fam.name,
+        "family": args.family,
         "label": cov.label,
         "radius": args.radius,
         "constants": constants,

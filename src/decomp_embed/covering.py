@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import add, le, mul, sub
+from operator import add, le, mul, neg, sub
 from types import MappingProxyType
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence, Union
 
@@ -641,9 +641,11 @@ class Covering:
 class Placement(NamedTuple):
     """One index placed: T_i and b_i, the image T_i Q'_i + b_i in normal form
     with ``transform_base``'s exactness bit, whether T_i and b_i are exact,
-    T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix, and the image's
-    float bounding box, each axis padded by ``_FLOAT_GAP_TOL`` times its
-    largest magnitude, as float rounding is relative: the sweep reads it."""
+    T_i = A_i / d_i as (A_i, d_i), A_i an integer matrix, the image's float
+    bounding box, each axis padded by ``_FLOAT_GAP_TOL`` times its largest
+    magnitude, as float rounding is relative, and an interval holding the
+    image's norms, from an annulus's inner radius, padded alike, or else 0,
+    to the farthest corner of that box: the sweep reads both."""
 
     t: Mat
     b: Vec
@@ -652,6 +654,7 @@ class Placement(NamedTuple):
     exact: bool
     scaled: tuple[tuple[tuple[int, ...], ...], int]
     box: tuple[tuple[float, ...], tuple[float, ...]]
+    norms: tuple[float, float]
 
 
 def _place(covering: Covering, i: Index) -> Placement:
@@ -663,9 +666,11 @@ def _place(covering: Covering, i: Index) -> Placement:
         image, ok = transform_base(covering.base_set(i), t, b)
         lo, hi = image.bounding_box()
         pad = [_FLOAT_GAP_TOL * max(abs(x), abs(y)) for x, y in zip(lo, hi)]
+        lo, hi = tuple(map(sub, lo, pad)), tuple(map(add, hi, pad))
+        inner = float(image.inner) * (1 - _FLOAT_GAP_TOL) if isinstance(image, AnnulusSet) else 0.0
         placed = covering._placements[i] = Placement(
             t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t),
-            (tuple(map(sub, lo, pad)), tuple(map(add, hi, pad))))
+            (lo, hi), (inner, math.hypot(*map(max, map(neg, lo), hi))))
     return placed
 
 
@@ -688,15 +693,17 @@ def adjacency(
     """Neighbor map i -> i* over the window, and whether it is certain.
 
     The relation is reflexive (every nonempty set meets itself) and kept
-    symmetric by construction.  Candidate pairs come from a sweep over the
-    padded boxes of the placements (``Placement.box``), sorted by their
-    lower x bound: a pair whose boxes meet goes to ``sets_intersect``.  The
-    pad only adds candidates, which exact sets still decide exactly.  The
+    symmetric by construction.  A pair whose padded boxes and norm intervals
+    both meet (``Placement.box`` and ``Placement.norms``) goes to
+    ``sets_intersect``; the pads only add candidates, which exact sets still
+    decide exactly.  The candidates come from a sweep sorted by the lower
+    x bound of the boxes, or by the lower norm when every image is an
+    origin-centred ball or annulus, whose boxes all hold the origin.  The
     map is computed once per radius and kept on the covering, read-only
     because every caller shares it, and passes the window cap on every
-    read.  The box test is symmetric, so a pair is decided by the pair
-    alone: a window whose indices all lie in one already mapped, in any
-    order, reads that map restricted to it.
+    read.  The candidate test is symmetric, so a pair is decided by the
+    pair alone: a window whose indices all lie in one already mapped, in
+    any order, reads that map restricted to it.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
@@ -712,12 +719,16 @@ def adjacency(
         return built[0]
     nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
     unsure = set()
-    swept = sorted(((p.box, i, p.image) for i, p in places.items()), key=lambda e: e[0][0][0])
-    for pos, ((lo_a, hi_a), i, a) in enumerate(swept):
-        for (lo_b, hi_b), j, b in itertools.islice(swept, pos + 1, None):
-            if lo_b[0] > hi_a[0]:
-                break  # j and every later box start right of i's
-            if all(map(le, lo_a, hi_b)) and all(map(le, lo_b, hi_a)):
+    radial = all(_norm_interval(p.image) for p in places.values())
+    swept = sorted(((p.norms if radial else (p.box[0][0], p.box[1][0]), p.norms, p.box, i,
+                     p.image) for i, p in places.items()), key=lambda e: e[0][0])
+    for pos, ((_, end_a), (near_a, far_a), (lo_a, hi_a), i, a) in enumerate(swept):
+        for (start_b, _), (near_b, far_b), (lo_b, hi_b), j, b in itertools.islice(
+                swept, pos + 1, None):
+            if start_b > end_a:
+                break  # j and every later span start past the end of i's
+            if (near_a <= far_b and near_b <= far_a
+                    and all(map(le, lo_a, hi_b)) and all(map(le, lo_b, hi_a))):
                 meet, sure = sets_intersect(a, b)
                 if not sure:
                     unsure.add((i, j))

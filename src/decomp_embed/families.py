@@ -53,7 +53,9 @@ __all__ = [
 ]
 
 _ONE = Fraction(1)
-# bound of the memo of family coverings (see family_covering)
+# bound of the memo of family coverings, keyed by family and geometry (see
+# family_covering): a weight field never moves a covering, so a new weight
+# reads a kept one
 COVERING_MEMO_SIZE = 8
 # the gaps dp = 1/p - 1/t and g = 1/2 - 1/r, as the exponents of a form read them
 _DP = Affine(0, 1, 0)
@@ -165,9 +167,16 @@ class Family:
     name = ""
     params_type: type  # the type parse_params returns
     khintchine: Optional[str] = None  # "N0", "full", or None when unavailable
+    # the params fields that only the weight of the sequence space reads
+    weight_fields: tuple[str, ...] = ()
 
     def parse_params(self, doc: dict):
         raise NotImplementedError
+
+    def geometry(self, params):
+        """The params with every weight field set to None: all that
+        :meth:`covering` may read, and the key of :func:`family_covering`."""
+        return params._replace(**dict.fromkeys(self.weight_fields))
 
     def covering(self, params) -> Covering:
         raise NotImplementedError
@@ -232,6 +241,7 @@ class _DyadicFamily(Family):
     """The dyadic families: T_n = 2^n id, b_n = 0 and weight 2^(s n)."""
 
     params_type = DyadicParams
+    weight_fields = ("s",)
 
     def parse_params(self, doc: dict) -> DyadicParams:
         _check_keys(doc, {"d", "s"}, self.name)
@@ -336,6 +346,7 @@ class AlphaModulationFamily(Family):
     name = "alpha_modulation"
     params_type = AlphaModParams
     khintchine = "full"
+    weight_fields = ("s",)  # base_radius is geometric, though the label omits it
 
     def parse_params(self, doc: dict) -> AlphaModParams:
         _check_keys(doc, {"d", "alpha", "s", "base_radius"}, self.name)
@@ -430,6 +441,7 @@ class ShearletSmoothnessFamily(Family):
     name = "shearlet_smoothness"
     params_type = ShearletSmoothnessParams
     khintchine = "full"
+    weight_fields = ("s",)
 
     def parse_params(self, doc: dict) -> ShearletSmoothnessParams:
         _check_keys(doc, {"s"}, self.name)
@@ -509,6 +521,7 @@ class ShearletCoorbitFamily(Family):
     name = "shearlet_coorbit"
     params_type = CoorbitParams
     khintchine = None
+    weight_fields = ("alpha", "beta")
 
     def parse_params(self, doc: dict) -> CoorbitParams:
         _check_keys(doc, {"c", "alpha", "beta"}, self.name)
@@ -612,6 +625,7 @@ class DiagonalFamily(Family):
     name = "diagonal"
     params_type = DiagonalParams
     khintchine = None
+    weight_fields = ("alpha", "beta")
 
     def parse_params(self, doc: dict) -> DiagonalParams:
         _check_keys(doc, {"d", "alpha", "beta"}, self.name)
@@ -704,16 +718,24 @@ def get_family(name: str) -> Family:
 
 
 @functools.lru_cache(maxsize=COVERING_MEMO_SIZE)
-def family_covering(fam: Family, params) -> Covering:
-    """The covering of a family at parsed params, one per (family, params) in
-    a process, so that the placements, neighbour maps and constants it keeps
-    serve every command that reads it."""
-    return fam.covering(params)
+def family_covering(fam: Family, geometry) -> Covering:
+    """The covering of a family at ``fam.geometry(params)``, one per (family,
+    geometry) in a process, so that the placements, neighbour maps and
+    constants it keeps serve every command that reads it.
+
+    The geometry keeps what a covering reads: the ``d`` of the families
+    that have one, the ``alpha`` and ``base_radius`` of alpha_modulation
+    and the ``c`` of shearlet_coorbit.
+    The weight fields, every ``s`` and the ``alpha`` and ``beta`` of
+    shearlet_coorbit and diagonal, are None there: they weigh the sequence
+    space, not the covering, so every weight reads one covering."""
+    return fam.covering(geometry)
 
 
 def covering_from_json(doc: object) -> Covering:
     """Build a covering from {"family": ..., "params": ...} or {"custom": ...};
-    a family covering comes from :func:`family_covering`, a custom one is new."""
+    a family covering comes from :func:`family_covering` at the geometry of
+    its params, a custom one is new."""
     if not isinstance(doc, dict):
         raise SchemaError(f"covering document must be an object, got {type(doc).__name__}")
     if "custom" in doc:
@@ -725,5 +747,5 @@ def covering_from_json(doc: object) -> Covering:
         if name not in FAMILIES:
             raise SchemaError(f"unknown family {name!r} in covering document")
         fam = FAMILIES[name]
-        return family_covering(fam, fam.parse_params(doc.get("params", {})))
+        return family_covering(fam, fam.geometry(fam.parse_params(doc.get("params", {}))))
     raise SchemaError("covering document needs a 'family' or 'custom' key")

@@ -1013,6 +1013,24 @@ def test_boxes_narrower_than_the_tolerance_are_not_candidates_of_each_other():
     assert tests.call_count <= 2 * len(nbrs)
 
 
+@pytest.mark.parametrize("family, params, size", [
+    ("hom_besov", {"d": 1}, 2001),
+    ("inhom_besov", {"d": 2}, 1001),
+])
+def test_nested_annuli_are_candidates_only_where_their_norms_meet(family, params, size):
+    """At radius 1 000 every annulus (and the ball at the origin) has a box
+    holding the origin, so every pair of boxes meets; the sweep runs over
+    their norm intervals instead, and at most 4 pairs per index reach
+    ``sets_intersect``, not all 2 001 000 pairs of hom_besov's."""
+    family_covering.cache_clear()
+    cov = covering_from_json({"family": family, "params": params})
+    with mock.patch.object(covering_module, "sets_intersect", wraps=sets_intersect) as tests:
+        nbrs, certain = adjacency(cov, 1000)
+    assert len(nbrs) == size and certain
+    assert max(map(len, nbrs.values())) == 7
+    assert tests.call_count <= 4 * len(nbrs)
+
+
 _FAMILY_CASES = [
     ("hom_besov", {"d": 2}, "1"),
     ("inhom_besov", {"d": 2}, "0"),
@@ -1023,6 +1041,87 @@ _FAMILY_CASES = [
     ("shearlet_coorbit", {"c": "1/2"}, "0,1,1"),
     ("diagonal", {"d": 2}, "0,1,1,-1"),
 ]
+
+# two draws per family of the fields that only the weight of the sequence
+# space reads; no covering reads them
+_WEIGHT_DRAWS = {
+    "hom_besov": ({"s": "1/2"}, {"s": -2}),
+    "inhom_besov": ({"s": 1}, {"s": "5/2"}),
+    "alpha_modulation": ({"s": 0}, {"s": "3/2"}),
+    "shearlet_smoothness": ({"s": "1/4"}, {"s": 2}),
+    "shearlet_coorbit": ({"alpha": 1, "beta": 0}, {"alpha": "-3/2", "beta": "1/2"}),
+    "diagonal": ({"alpha": "1/2", "beta": -1}, {"alpha": [0, "-1/2"], "beta": [-2, 0]}),
+}
+
+
+def _weighted(family, params) -> list[dict]:
+    """``params`` under each weight draw of its family."""
+    return [{**params, **weight} for weight in _WEIGHT_DRAWS[family]]
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_params_that_differ_in_weight_only_share_one_covering(family, params, index):
+    """The memo is keyed by the family and the geometry of its params, so
+    every weight reads the one covering of that geometry, through
+    ``covering_from_json`` and ``verify-family`` alike."""
+    family_covering.cache_clear()
+    first, second = _weighted(family, params)
+    cov = covering_from_json({"family": family, "params": first})
+    assert covering_from_json({"family": family, "params": second}) is cov
+    assert covering_from_json({"family": family, "params": params}) is cov
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["verify-family", "--family", family, "--params", json.dumps(second),
+                         "--radius", "1"]) in (0, 1)
+    info = family_covering.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
+
+
+@pytest.mark.parametrize("family, first, second", [
+    ("hom_besov", {"d": 1}, {"d": 2}),
+    ("inhom_besov", {"d": 1}, {"d": 2}),
+    ("alpha_modulation", {"d": 1}, {"d": 2}),
+    ("alpha_modulation", {"alpha": "1/3"}, {"alpha": "1/2"}),
+    ("alpha_modulation", {"base_radius": 2}, {"base_radius": 3}),
+    ("shearlet_coorbit", {"c": 1}, {"c": 2}),
+    ("diagonal", {"d": 1}, {"d": 2}),
+])
+def test_each_geometric_field_keys_its_own_covering(family, first, second):
+    """Params that differ in a field a covering reads get a covering each;
+    alpha_modulation's base_radius moves the sets but not the label."""
+    family_covering.cache_clear()
+    a, b = (covering_from_json({"family": family, "params": p}) for p in (first, second))
+    assert a is not b
+    assert covering_from_json({"family": family, "params": first}) is a
+    assert family_covering.cache_info().currsize == 2
+    if "base_radius" in first:
+        assert a.label == b.label and a.base_set((1,)) != b.base_set((1,))
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_a_covering_reads_the_geometry_of_its_params_only(family, params, index):
+    """The memo hands the builder the params with every weight field None,
+    and what it builds there agrees, index by index, with what it builds
+    from the full params: a builder that read a weight field would fail
+    here rather than share a covering across weights."""
+    fam = get_family(family)
+    build = type(fam).covering
+    for doc in _weighted(family, params):
+        full = fam.parse_params(doc)
+        geometry = fam.geometry(full)
+        assert fam.weight_fields and {getattr(geometry, f) for f in fam.weight_fields} == {None}
+        assert fam.geometry(geometry) == geometry
+        family_covering.cache_clear()
+        seen = []
+        with mock.patch.object(type(fam), "covering",
+                               lambda self, got: seen.append(got) or build(self, got)):
+            covering_from_json({"family": family, "params": doc})
+        assert seen == [geometry]
+        mine, theirs = fam.covering(geometry), fam.covering(full)
+        assert (mine.label, mine.dimension) == (theirs.label, theirs.dimension)
+        assert mine.window(2) == theirs.window(2)
+        for i in mine.window(2):
+            assert mine.transform(i) == theirs.transform(i)
+            assert mine.base_set(i) == theirs.base_set(i)
 
 
 def _three_commands(family, params, index) -> list:
@@ -1090,9 +1189,10 @@ def _run_commands(commands, fresh: bool) -> list:
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
 def test_a_shared_covering_answers_like_a_fresh_one(family, params, index, order):
     """verify-family at radius 1 and inspect-covering at radius 2, with and
-    without --index, print the same bytes and exit codes in either order
-    whether they share one covering or each builds its own."""
-    commands = _three_commands(family, params, index)
+    without --index, under two weights, print the same bytes and exit codes
+    in either order whether they share one covering or each builds its own."""
+    commands = [argv for doc in _weighted(family, params)
+                for argv in _three_commands(family, doc, index)]
     if order == "inspect_first":
         commands.reverse()
     shared = _run_commands(commands, fresh=False)
