@@ -47,6 +47,14 @@ EX_USAGE = 64
 EX_SCHEMA = 65
 EX_WEIGHT = 70
 
+# the exit code of an error, from its first matching class; any other error
+# (UnsupportedWeight and the remaining operational limits) exits EX_WEIGHT
+_ERROR_EXIT = (
+    (OracleDisagreement, EX_ORACLE),
+    ((InvalidParams, InexactExponent), EX_USAGE),
+    (SchemaError, EX_SCHEMA),
+)
+
 _OUTCOME_EXIT = {"Embeds": 0, "DoesNotEmbed": 1, "Undetermined": 2}
 
 
@@ -74,7 +82,8 @@ def _json_arg(text: str, what: str) -> object:
         return json.loads(text, parse_float=json_float)
     except InexactExponent:
         raise
-    except ValueError as exc:  # bad syntax, or an integer above the int digit limit
+    # bad syntax, an integer above the int digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"{what} is not valid JSON: {exc}") from exc
 
 
@@ -268,19 +277,9 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return EX_OK if not exc.code else EX_USAGE
         return args.func(args)
-    except OracleDisagreement as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EX_ORACLE
-    except (InvalidParams, InexactExponent) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EX_USAGE
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EX_SCHEMA
     except DecompEmbedError as exc:
-        # UnsupportedWeight and the remaining operational limits
         sys.stderr.write(f"error: {exc}\n")
-        return EX_WEIGHT
+        return next((code for kind, code in _ERROR_EXIT if isinstance(exc, kind)), EX_WEIGHT)
 
 
 if __name__ == "__main__":

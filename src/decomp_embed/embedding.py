@@ -225,13 +225,14 @@ def _params_key(doc) -> Optional[str]:
     """The cache key of a params document: its ``json.dumps`` text with
     sorted keys, which tells 1, 1.0, true and "1" apart.  None for a
     document JSON cannot encode (a Fraction, mixed key types, a cycle, an
-    int past the digit limit) or that holds other types (a tuple, which
-    encodes like a list, a non-string key), which is parsed uncached."""
+    int past the digit limit, nesting past the recursion limit) or that
+    holds other types (a tuple, which encodes like a list, a non-string
+    key), which is parsed uncached."""
     try:
         text = _KEY_ENCODER.encode(doc)
-    except (TypeError, ValueError):
+        return text if _plain_json(doc) else None
+    except (TypeError, ValueError, RecursionError):
         return None
-    return text if _plain_json(doc) else None
 
 
 def _compile(fam: Family, params, k: int) -> tuple:

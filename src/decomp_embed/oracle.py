@@ -9,7 +9,8 @@ with its own helpers (:func:`pow2f`, a coordinate factor's log2, the
 power sums of :func:`_power_sum` and the shells of a piece read by its
 structure), and reads exponents only for structural
 facts about what lies past its window (the pair-sector tail bound and, on
-the exact exponents, the exponential-growth gate).  It takes the atoms the
+the exact exponents, the exponential-growth gate and the radial
+divergence test, :func:`_radial_tail_diverges`).  It takes the atoms the
 exact decider takes: on pair sectors a lam with lam*n >= 0 on the
 n-domain and m-factors |m|^c with one power on both signs of m, on radial
 sectors a radial power alone, and a radial power nowhere else; it refuses

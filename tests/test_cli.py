@@ -201,6 +201,17 @@ def custom_covering(**fields) -> str:
     *([["check-sequence", "--u", doc, "--v", doc, "-r", "1", "-s", "1", "--oracle"], 70]
       for doc in [json.dumps({"lattice": {"kind": "pairs", "lam": 10**400, "side": side},
                               "atoms": [{}]}) for side in ("outside", "inside")]),
+    # JSON nested past the recursion limit is not valid JSON, on every command
+    *([argv, 65] for doc in ("[" * 3000 + "]" * 3000, '{"a":' * 3000 + "1" + "}" * 3000)
+      for argv in (
+          ["decide", "--family", "hom_besov", "--params", doc, "-p", "1", "-q", "2", "-r", "2"],
+          ["inspect-covering", "--covering", doc],
+          ["check-sequence", "--u", doc, "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"],
+          ["check-sequence", "--u", '{"lattice":{"kind":"Z"}}', "--v", doc, "-r", "2", "-s", "2"],
+          ["verify-family", "--family", "hom_besov", "--params", doc])),
+    # a field that parses but is too deep for the form cache's key is refused by the parse
+    (["decide", "--family", "hom_besov", "--params", '{"s":' + "[" * 500 + "1" + "]" * 500 + "}",
+      "-p", "1", "-q", "2", "-r", "2"], 64),
 ])
 def test_error_exit_codes(argv, code):
     got, _, err = run_cli(argv)
@@ -265,6 +276,10 @@ _BALL_2D = {"ball": {"center": [0, 0], "radius": 1}}
     # a u/v pair on different lattices has no quotient
     (_check_u('{"lattice":{"kind":"Z"}}', '{"lattice":{"kind":"N0"}}'), 70,
      "quotient across different sectors"),
+    # window 1 fits the float range and window 3 does not: the error names
+    # the r + 2 map of verify-family
+    (["verify-family", "--family", "alpha_modulation", "--params", '{"d":1,"alpha":"999/1000"}',
+      "--radius", "1"], 70, "at radius 3 leaves the float range"),
 ])
 def test_schema_refusals_print_one_error_line(argv, code, message):
     got, out, err = run_cli(argv)

@@ -53,6 +53,7 @@ from decomp_embed.errors import (
     window_cap,
 )
 from decomp_embed.families import covering_from_json, family_covering, get_family
+from freeze_goldens import constants_line, jsonl_changes
 from witnesses import (
     WARNINGS_AS_ERRORS,
     cofactor_adjugate,
@@ -1408,25 +1409,11 @@ CONSTANTS_GOLDEN = Path(__file__).parent / "golden" / "covering_constants.jsonl"
 
 def test_covering_constants_replay_byte_for_byte():
     """The frozen constants of scripts/freeze_goldens.py: one line per (covering, radius)."""
-    lines = CONSTANTS_GOLDEN.read_text().splitlines(keepends=True)
-    assert len(lines) >= 48
-    drifted = []
-    for line in lines:
-        frozen = json.loads(line)
-        cov, radius = covering_from_json(frozen["covering"]), frozen["radius"]
-        got = {"covering": frozen["covering"], "radius": radius}
-        try:
-            got["constants"] = certify_constants(cov, radius)
-        except InvalidParams as exc:
-            got["error"] = str(exc)
-        else:
-            nbrs = sorted([list(i), [list(j) for j in js]]
-                          for i, js in adjacency(cov, radius)[0].items())
-            got["neighbors_sha256"] = hashlib.sha256(
-                json.dumps(nbrs, separators=(",", ":")).encode()).hexdigest()
-        if json.dumps(got, separators=(",", ":")) + "\n" != line:
-            drifted.append((frozen["covering"], radius))
-    assert not drifted, f"{len(drifted)} of {len(lines)} lines drifted, first {drifted[0]}"
+    old = CONSTANTS_GOLDEN.read_bytes()
+    frozen = [json.loads(line) for line in old.decode().splitlines()]
+    assert len(frozen) >= 48
+    new = "".join(constants_line(line["covering"], line["radius"]) for line in frozen).encode()
+    assert new == old, "\n".join(jsonl_changes(old, new))
 
 
 def test_norm_surrogate_on_dyadic_covering():

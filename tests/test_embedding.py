@@ -28,8 +28,9 @@ from decomp_embed.exponents import (
 )
 from decomp_embed.families import FAMILY_NAMES, ShearletSmoothnessParams, get_family
 from decomp_embed.oracle import TailClassification, truncated_oracle
-from decomp_embed.seqspace import RadialSector, decide_lp_membership, expweight_from_json
+from decomp_embed.seqspace import RadialSector, decide_lp_membership
 
+from freeze_goldens import grid_line, jsonl_changes, oracle_lines
 from test_families import BATCH_P, BATCH_Q, BATCH_R
 from witnesses import reciprocal_gap
 
@@ -269,6 +270,15 @@ def test_target_errors_come_first_in_their_order(target, q, k, message):
     assert str(err.value).startswith(message)
 
 
+def test_a_field_nested_past_the_recursion_limit_is_invalid():
+    # too deep for the form cache's key, so the uncached parse refuses it
+    s = 1
+    for _ in range(500):
+        s = [s]
+    with pytest.raises(InvalidParams, match="parameter 's'"):
+        decide("hom_besov", {"s": s}, p=1, q=2, r=2, target="sobolev", k=0)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants on random queries
 # ---------------------------------------------------------------------------
@@ -406,39 +416,31 @@ def test_cross_check_names_the_first_contradicting_call(monkeypatch):
 DECIDE_GRID = Path(__file__).parent / "golden" / "decide_grid.jsonl"
 
 
-def _grid_drift(lines: list[str]) -> list[dict]:
-    """The queries of the decide grid lines whose replay differs, in order."""
-    drifted = []
-    for line in lines:
-        query = json.loads(line)["query"]
-        verdict = decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
-                         r=query["r"], target=query["target"], k=query["k"])
-        got = json.dumps({"query": query, "verdict": verdict.to_json()},
-                         separators=(",", ":")) + "\n"
-        if got != line:
-            drifted.append(query)
-    return drifted
+def _replay_grid(lines: list[str]) -> None:
+    """Replay decide grid lines, in the order given, through the golden's
+    writer: each must come back byte for byte."""
+    old = "".join(lines).encode()
+    new = "".join(grid_line(json.loads(line)["query"]) for line in lines).encode()
+    assert new == old, "\n".join(jsonl_changes(old, new))
 
 
 def test_decide_grid_replays_byte_for_byte():
     """The frozen grid of scripts/freeze_goldens.py: query and verdict per line."""
-    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
+    lines = DECIDE_GRID.read_bytes().decode().splitlines(keepends=True)
     assert len(lines) >= 200
-    drifted = _grid_drift(lines)
-    assert not drifted, f"{len(drifted)} of {len(lines)} verdicts drifted, first {drifted[0]}"
+    _replay_grid(lines)
 
 
 def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
     """The two caches kept across calls, the exponent literal memo and the
     form cache, are invisible: a cold pass, then a pass in reverse order
     that starts on the entries the first one left."""
-    lines = DECIDE_GRID.read_text().splitlines(keepends=True)
+    lines = DECIDE_GRID.read_bytes().decode().splitlines(keepends=True)
     memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo}
     for memo in memos.values():
         memo.cache_clear()
     for order in (lines, lines[::-1]):
-        drifted = _grid_drift(order)
-        assert not drifted, f"{len(drifted)} verdicts drifted, first {drifted[0]}"
+        _replay_grid(order)
     for name, memo in memos.items():
         assert memo.cache_info().hits > 0, name
 
@@ -739,38 +741,18 @@ def test_literal_memo_stays_within_its_bound():
 ORACLE_TAILS = Path(__file__).parent / "golden" / "oracle_tails.jsonl"
 
 
-def _oracle_tail_lines(query: dict, monkeypatch) -> list[str]:
-    """One line per distinct (weight, theta) the query puts to the oracle,
-    in first-call order, as scripts/freeze_goldens.py writes them."""
-    tails = {}
-    if "u" in query:
-        weight = expweight_from_json(query["u"]).quotient(expweight_from_json(query["v"]))
-        theta = compound(ExtExponent(query["s"]), ExtExponent(query["r"]))
-        tails[weight, theta] = truncated_oracle(weight, theta)
-    else:
-        def record(weight, theta):
-            tail = truncated_oracle(weight, theta)
-            tails.setdefault((weight, theta), tail)
-            return tail
-
-        with monkeypatch.context() as patch:
-            patch.setattr(oracle_module, "truncated_oracle", record)
-            decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
-                   r=query["r"], target=query["target"], k=query["k"], oracle_check=True)
-    return [json.dumps({"query": query, "theta": str(theta), "tail": tail.to_json()},
-                       separators=(",", ":")) + "\n"
-            for (_, theta), tail in tails.items()]
+def _oracle_groups() -> itertools.groupby:
+    """The oracle golden's lines grouped by query, in file order."""
+    lines = ORACLE_TAILS.read_bytes().decode().splitlines(keepends=True)
+    return itertools.groupby(lines, key=lambda line: json.loads(line)["query"])
 
 
-def test_oracle_tails_replay_byte_for_byte(monkeypatch):
+def test_oracle_tails_replay_byte_for_byte():
     """The frozen oracle golden: every TailClassification, float for float."""
-    lines = ORACLE_TAILS.read_text().splitlines(keepends=True)
-    assert len(lines) >= 20
-    drifted = []
-    for query, group in itertools.groupby(lines, key=lambda line: json.loads(line)["query"]):
-        if _oracle_tail_lines(query, monkeypatch) != list(group):
-            drifted.append(query)
-    assert not drifted, f"{len(drifted)} queries drifted, first {drifted[0]}"
+    old = ORACLE_TAILS.read_bytes()
+    assert old.count(b"\n") >= 20
+    new = "".join(oracle_lines(query) for query, _ in _oracle_groups()).encode()
+    assert new == old, "\n".join(jsonl_changes(old, new))
 
 
 def test_pair_tail_bound_value_reaches_no_verdict(monkeypatch):
@@ -779,11 +761,10 @@ def test_pair_tail_bound_value_reaches_no_verdict(monkeypatch):
     partial sum and growth, and only reported tail bounds move."""
     bound = oracle_module._pair_tail_bound
     monkeypatch.setattr(oracle_module, "_pair_tail_bound", lambda *args: bound(*args) / 2.0)
-    lines = ORACLE_TAILS.read_text().splitlines()
     moved = 0
-    for query, group in itertools.groupby(lines, key=lambda line: json.loads(line)["query"]):
+    for query, group in _oracle_groups():
         want = [json.loads(line)["tail"] for line in group]
-        got = [json.loads(line)["tail"] for line in _oracle_tail_lines(query, monkeypatch)]
+        got = [json.loads(line)["tail"] for line in oracle_lines(query).splitlines()]
         assert [{**tail, "tail_bound": None} for tail in got] == \
             [{**tail, "tail_bound": None} for tail in want], query
         moved += sum(g["tail_bound"] != w["tail_bound"] for g, w in zip(got, want))
