@@ -359,12 +359,11 @@ def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
 def _cross_check(calls: list[_SummabilityCall]) -> None:
     """Check each call, in order: build its weight and theta, the weight
     must get the compiled verdict from :func:`decide_lp_membership`, and put
-    both to the oracle; a weight and theta that recur (theta_suff =
-    theta_nec when q <= 2) are run once."""
+    both to the oracle, whose memo runs a weight and theta that recur
+    (theta_suff = theta_nec when q <= 2) once."""
     from . import oracle
 
     built_of: dict[int, ExpPolyWeight] = {}  # S1, N2 and N2b share one cell
-    tails: dict[tuple[ExpPolyWeight, ExtExponent], oracle.TailClassification] = {}
     for call in calls:
         cell, theta = call.cell, from_reciprocal(call.x)
         weight = built_of.get(id(cell))
@@ -376,10 +375,7 @@ def _cross_check(calls: list[_SummabilityCall]) -> None:
                 f"{call.label}: the compiled form says {call.verdict.value} at "
                 f"l^{theta} but its built weight is {built.value}"
             )
-        key = (weight, theta)
-        tail = tails.get(key)
-        if tail is None:
-            tail = tails[key] = oracle.truncated_oracle(weight, theta)
+        tail = oracle.truncated_oracle(weight, theta)
         if tail.verdict == "Convergent" and call.verdict is Membership.NOT_MEMBER:
             raise OracleDisagreement(
                 f"{call.label}: oracle tail converges at l^{theta} but the "

@@ -26,6 +26,7 @@ import functools
 import itertools
 import math
 import operator
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
@@ -64,9 +65,16 @@ _ROW_HEAD = _INSIDE_ROW_CAP // 2
 # an integer theta past this many monomials takes the head instead: k
 # atoms at theta expand into comb(theta + k - 1, k - 1) power sums
 _EXPANSION_CAP = 100
+# bound of the memo of classifications, keyed by (weight, theta) (see
+# truncated_oracle): one (q, r) sweep asks about 50-60 distinct pairs
+ORACLE_MEMO_SIZE = 128
+
+# the window counts the running classification has passed to the cap, in
+# order, for the memo to replay; None outside a run
+_CAP_COUNTS: ContextVar[list[int] | None] = ContextVar("oracle_cap_counts", default=None)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TailClassification:
     """Outcome of truncated l^theta summation over nested windows."""
 
@@ -87,6 +95,14 @@ def pow2f(x: float) -> float:
     if x < -1100.0:
         return 0.0
     return 2.0 ** x
+
+
+def _check_cap(count: int) -> None:
+    """:func:`check_window_cap`, noting the count for the memo to replay."""
+    counts = _CAP_COUNTS.get()
+    if counts is not None:
+        counts.append(count)
+    check_window_cap(count)
 
 
 def _log2_factor(f: CoordFactor, n: int) -> float:
@@ -189,7 +205,7 @@ def _point_values(atoms: Iterable[Atom], axes: list[np.ndarray]) -> np.ndarray:
 def _grid_values(piece: Piece, radius: int) -> tuple[np.ndarray, np.ndarray]:
     """Values and sup-norm radii of a piece on its window, as flat arrays."""
     axes = _grid_axes(piece.sector, radius)
-    check_window_cap(math.prod(len(ax) for ax in axes))  # before any window-sized array
+    _check_cap(math.prod(len(ax) for ax in axes))  # before any window-sized array
     axes = [ax.reshape([-1 if i == dim else 1 for i in range(len(axes))])
             for dim, ax in enumerate(axes)]
     values = _point_values(piece.atoms, axes).ravel()
@@ -227,7 +243,7 @@ def _radial_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None) 
         sq, ways = np.arange(r + 1.0) ** 2, np.where(np.arange(r + 1) > 0, 2.0, 1.0)
         keys, counts = np.zeros(1), np.ones(1)
         for _ in range(d):
-            check_window_cap(keys.size * sq.size)  # before the outer sum
+            _check_cap(keys.size * sq.size)  # before the outer sum
             keys, inv = np.unique(np.add.outer(keys, sq), return_inverse=True)
             counts = np.bincount(inv.ravel(), np.multiply.outer(counts, ways).ravel())
         delta = counts.copy()
@@ -249,7 +265,7 @@ def _product_shells(piece: Piece, radii: tuple[int, ...], theta_f: float | None)
     addition is monotone, so the largest sum is the grid's max bit for bit."""
     (atom,) = piece.atoms
     n, th = len(radii), 1.0 if theta_f is None else theta_f
-    check_window_cap((2 * n + 1) * (2 * radii[-1] + 1))  # before the masked axes
+    _check_cap((2 * n + 1) * (2 * radii[-1] + 1))  # before the masked axes
     bounds = np.array((-1, *radii), dtype=np.float64)[:, None]
     sets = []  # per axis: (max, scaled sum) over the balls r', the balls r, the rings
     with np.errstate(over="ignore", under="ignore"):
@@ -289,7 +305,7 @@ def _corner_shells(piece: Piece, radii: tuple[int, ...]) -> list[float]:
     in_domain = [{"N0": lambda x: x >= 0, "Nneg": lambda x: x < 0, "Z_nonzero": lambda x: x != 0}
                  .get(domain, np.isfinite) for domain in _domains(piece.sector)]
     d = len(in_domain)
-    check_window_cap(len(radii) * d * 6 * 5 ** (d - 1))  # before the corner lists
+    _check_cap(len(radii) * d * 6 * 5 ** (d - 1))  # before the corner lists
     lo, hi = (np.array(x, dtype=np.float64)[:, None] for x in ((-1, *radii[:-1]), radii))
     z, t = np.zeros_like(lo), np.where(lo < 0, 1.0, lo + 1.0)  # the first ring holds +-1 too
     roles = (np.hstack([z, z + 1, z - 1, lo, -lo]),  # an axis before j, in the ball r'
@@ -736,7 +752,34 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     Everything else is Inconclusive.  The radii are :func:`default_radii` of
     the weight's dimension and sectors, so the result is a function of
     (weight, theta) alone.
+
+    So the last ``ORACLE_MEMO_SIZE`` classifications are kept, keyed by
+    (weight, theta), each with the window counts its run passed to the
+    cap, in order.  A kept one passes those counts to the cap again on
+    every read, so under any ``DECOMP_EMBED_MAX_WINDOW`` it answers, or
+    raises the first error, as a fresh run would; a weight whose run read
+    no cap reads none.  A refusal is not kept and is raised again on every
+    call.  Every caller of a pair shares one result, which is frozen.
     """
+    tail, counts = _classified(weight, theta)
+    for count in counts:
+        check_window_cap(count)
+    return tail
+
+
+@functools.lru_cache(maxsize=ORACLE_MEMO_SIZE)
+def _classified(weight: ExpPolyWeight, theta) -> tuple[TailClassification, tuple[int, ...]]:
+    """:func:`_classify` with the counts its run passed to the cap."""
+    counts: list[int] = []
+    token = _CAP_COUNTS.set(counts)
+    try:
+        return _classify(weight, theta), tuple(counts)
+    finally:
+        _CAP_COUNTS.reset(token)
+
+
+def _classify(weight: ExpPolyWeight, theta) -> TailClassification:
+    """The classification of :func:`truncated_oracle`, run afresh."""
     pieces = _float_pieces(weight)
     has_pair = any(isinstance(p.sector, PairSector) for p in pieces)
     # no pieces is the zero sequence, which every window sums to 0

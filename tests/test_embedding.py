@@ -384,6 +384,7 @@ def test_oracle_agrees_with_symbolic_route(family, params, kw):
     assert with_oracle == without
 
 
+@pytest.mark.usefixtures("fresh_oracle_memo")
 def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
     asked, run = [], []
 
@@ -391,12 +392,14 @@ def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
         asked.append((weight, theta))
         return decide_lp_membership(weight, theta)
 
+    classify = oracle_module._classify
+
     def oracle(weight, theta):
         run.append((weight, theta))
-        return truncated_oracle(weight, theta)
+        return classify(weight, theta)
 
     monkeypatch.setattr(embedding, "decide_lp_membership", member)
-    monkeypatch.setattr(oracle_module, "truncated_oracle", oracle)
+    monkeypatch.setattr(oracle_module, "_classify", oracle)
     decide("hom_besov", {"d": 1, "s": "1/2"}, p=1, q=2, r=2, k=0, target="sobolev",
            oracle_check=True)
     # q <= 2 makes theta_suff = theta_nec, so S1 and N2 ask the same question
@@ -755,6 +758,20 @@ def test_oracle_tails_replay_byte_for_byte():
     assert new == old, "\n".join(jsonl_changes(old, new))
 
 
+def test_oracle_tails_replay_with_a_warm_memo_in_reverse_order():
+    """The oracle memo is invisible: a cold pass, then a pass in reverse
+    order that starts on the entries the first one left."""
+    groups = [(query, "".join(group).encode()) for query, group in _oracle_groups()]
+    memo = oracle_module._classified
+    memo.cache_clear()
+    for order in (groups, groups[::-1]):
+        for query, old in order:
+            new = oracle_lines(query).encode()
+            assert new == old, "\n".join(jsonl_changes(old, new))
+    assert memo.cache_info().hits > 0
+
+
+@pytest.mark.usefixtures("fresh_oracle_memo")
 def test_pair_tail_bound_value_reaches_no_verdict(monkeypatch):
     """The gates read only whether a pair tail bound is finite: with every
     bound halved, the frozen oracle queries keep their verdict, window,

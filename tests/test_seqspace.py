@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -13,7 +14,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from decomp_embed import oracle
-from decomp_embed.errors import UnsupportedWeight
+from decomp_embed.errors import (
+    DecompEmbedError,
+    InvalidParams,
+    UnsupportedWeight,
+    WindowCapExceeded,
+)
 from decomp_embed.exponents import INF, ExtExponent, compound, reciprocal_pair
 from decomp_embed.seqspace import (
     Affine,
@@ -497,6 +503,7 @@ class TestTruncatedOracle:
     def test_verdicts_are_deterministic(self):
         w = ExpPolyWeight.single(RadialSector(2), Atom.radial(2, F(-5, 2)))
         a = truncated_oracle(w, E(1))
+        oracle._classified.cache_clear()  # a second run, not a kept result
         b = truncated_oracle(w, E(1))
         assert a == b
 
@@ -1386,6 +1393,7 @@ def test_corner_shells_match_the_grid(piece, radii):
           (Atom(1, (CoordFactor(-1, 1), CoordFactor(F(-1, 8), 0, F(1, 2), 0))),
            Atom(1, (CoordFactor(-2, 2), CoordFactor(-1, 0))))),
 ], ids=["line", "product"])
+@pytest.mark.usefixtures("fresh_oracle_memo")
 def test_positive_power_at_theta_inf_keeps_the_grid(monkeypatch, piece):
     def no_corners(*args):
         raise AssertionError("corners read")
@@ -1415,6 +1423,7 @@ _PRODUCT_4 = Piece(ProductSector((LineSector("Z"),) * 4), (Atom(1, (CoordFactor(
     (_DIAGONAL_Q2, "_corner_shells", INF),
 ], ids=["theta-2-radial", "theta-2-product", "theta-inf-radial", "theta-inf-product",
         "theta-inf-line", "diagonal-q-2"])
+@pytest.mark.usefixtures("fresh_oracle_memo")
 def test_structure_routes_build_no_grid(monkeypatch, capsys, case, route, theta):
     # at d = 4 the grid would hold 65^4 points, past the default window cap;
     # a line's grid holds 32 769
@@ -1433,6 +1442,95 @@ def test_structure_routes_build_no_grid(monkeypatch, capsys, case, route, theta)
     res = truncated_oracle(ExpPolyWeight((case,)), theta)
     assert calls and res.verdict == "Convergent"
     assert decide_lp_membership(ExpPolyWeight((case,)), theta) is MEMBER
+
+
+# ---------------------------------------------------------------------------
+# the oracle memo
+# ---------------------------------------------------------------------------
+
+_PAIR_ONLY = ExpPolyWeight.single(PairSector("N0", F(1), "inside", 0), Atom.pair(n_exp2=-3))
+# the first reads the cap once, on its 32 769-point grid; the radial piece
+# reads it 16 times, on counts from 5 to 63 162; the pair weight never
+_MEMO_CASES = [(line("Z", power=-2), E(1)), (ExpPolyWeight((_RADIAL_4,)), E(2)),
+               (ExpPolyWeight((_PRODUCT_4,)), E(2)), (_PAIR_ONLY, E(1))]
+
+
+def _oracle_outcome(weight, theta):
+    """truncated_oracle's result, or its error's type and text."""
+    try:
+        return truncated_oracle(weight, theta)
+    except DecompEmbedError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("cap", [None, "abc", "0", "100", "1000", "5000", "32768", "32769"])
+@pytest.mark.parametrize("weight, theta", _MEMO_CASES, ids=["line", "radial", "product", "pair"])
+@pytest.mark.usefixtures("fresh_oracle_memo")
+def test_a_kept_classification_meets_the_cap_as_a_fresh_run(monkeypatch, weight, theta, cap):
+    """A result kept under the default cap answers, or raises the first
+    error, as a fresh run under the current cap does."""
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    truncated_oracle(weight, theta)
+    if cap is not None:
+        monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", cap)
+    kept = _oracle_outcome(weight, theta)
+    oracle._classified.cache_clear()
+    assert kept == _oracle_outcome(weight, theta)
+
+
+@pytest.mark.usefixtures("fresh_oracle_memo")
+def test_the_memo_replays_the_window_cap(monkeypatch):
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    grid = line("Z", power=-2)
+    assert truncated_oracle(grid, E(1)).verdict == "Convergent"
+    truncated_oracle(_PAIR_ONLY, E(1))
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
+    with pytest.raises(WindowCapExceeded,
+                       match=r"^window of 32769 indices exceeds the cap of 1000 \(override"):
+        truncated_oracle(grid, E(1))
+    # a malformed cap raises where a fresh run reads it, kept or not: a pair
+    # weight reads none
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "abc")
+    for _ in range(2):
+        assert truncated_oracle(_PAIR_ONLY, E(1)).verdict == "Convergent"
+        with pytest.raises(InvalidParams, match="DECOMP_EMBED_MAX_WINDOW must be an integer"):
+            truncated_oracle(grid, E(1))
+        oracle._classified.cache_clear()
+
+
+@pytest.mark.usefixtures("fresh_oracle_memo")
+def test_refusals_are_not_kept(monkeypatch):
+    refused = ExpPolyWeight.single(LineSector("Z"), Atom(F(1), (CoordFactor(),), F(-2)))
+    for _ in range(3):
+        with pytest.raises(UnsupportedWeight, match="radial powers only on radial sectors"):
+            truncated_oracle(refused, E(1))
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", "1000")
+    with pytest.raises(WindowCapExceeded):
+        truncated_oracle(line("Z", power=-2), E(1))
+    assert oracle._classified.cache_info().currsize == 0
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
+    assert truncated_oracle(line("Z", power=-2), E(1)).verdict == "Convergent"
+
+
+def test_a_kept_classification_is_frozen():
+    tail = truncated_oracle(line("N0", exp2=-1), E(1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tail.verdict = "Divergent"
+    assert truncated_oracle(line("N0", exp2=-1), E(1)).verdict == "Convergent"
+
+
+@pytest.mark.usefixtures("fresh_oracle_memo")
+def test_the_memo_keeps_the_last_oracle_memo_size_pairs(monkeypatch):
+    run = []
+    classify = oracle._classify
+    monkeypatch.setattr(oracle, "_classify", lambda *a: run.append(a) or classify(*a))
+    pairs = [(line("N0", exp2=-1), E(i)) for i in range(1, oracle.ORACLE_MEMO_SIZE + 2)]
+    for weight, theta in pairs:
+        truncated_oracle(weight, theta)
+    truncated_oracle(*pairs[-1])
+    assert run == pairs  # the last pair was kept
+    truncated_oracle(*pairs[0])
+    assert run == [*pairs, pairs[0]]  # the first was not
 
 
 # ---------------------------------------------------------------------------
