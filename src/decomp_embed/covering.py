@@ -622,7 +622,10 @@ class Covering:
     after ``check_window_cap`` on their count.  Exactness is read from the
     data: only T_i and b_i of int and Fraction entries, over certain
     geometry, claim tightness.  Each index is placed once (``_place``), and
-    every reader of its geometry reads that placement.
+    every reader of its geometry reads that placement.  What a covering
+    computes it keeps, for every command that reads it: placements,
+    neighbour maps and constants, and the probe weight's values and the
+    diagnostics of ``verify-family`` by radius.  A refusal keeps nothing.
     """
 
     label: str
@@ -636,6 +639,12 @@ class Covering:
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # structure constants by radius, filled by ``certify_constants``
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the probe weight's values by index, filled by ``probe_weight``'s weight
+    _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # check_moderate's estimate for the probe weight by radius, filled by it
+    _moderate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (window size, norm_surrogate_check) by radius, filled by it
+    _surrogate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 class Placement(NamedTuple):
@@ -676,11 +685,14 @@ def _place(covering: Covering, i: Index) -> Placement:
 
 def placements(covering: Covering, radius: int) -> dict[Index, Placement]:
     """The placement of every index of one window, in window order; the first
-    index placed past the float range raises UnsupportedGeometry.  The last
-    and the first index are placed before the rest: each family's largest
-    sets sit at its window's ends, so a window past the float range fails
-    at once."""
+    index placed past the float range raises UnsupportedGeometry.  The
+    window, then the dimension^2 entries of a transform, pass the cap
+    first.  The last and the first index are placed before the rest: each
+    family's largest sets sit at its window's ends, so a window past the
+    float range fails at once."""
     indices = covering.window(radius)
+    # T_i holds dimension^2 entries: a huge dimension is refused before the first is built
+    check_window_cap(covering.dimension ** 2, "a transform of {} entries")
     with _in_float_range(covering, radius):
         for i in indices[-1:] + indices[:1]:
             _place(covering, i)
@@ -698,58 +710,52 @@ def adjacency(
     ``sets_intersect``; the pads only add candidates, which exact sets still
     decide exactly.  The candidates come from a sweep sorted by the lower
     x bound of the boxes, or by the lower norm when every image is an
-    origin-centred ball or annulus, whose boxes all hold the origin.  The
-    map is computed once per radius and kept on the covering, read-only
+    origin-centred ball or annulus, whose boxes all hold the origin.
+
+    The map is computed once per radius and kept on the covering, read-only
     because every caller shares it, and passes the window cap on every
     read.  The candidate test is symmetric, so a pair is decided by the
-    pair alone: a window whose indices all lie in one already mapped, in
-    any order, reads that map restricted to it.
+    pair alone, and a covering decides each pair once: a new map starts
+    from the kept map nearest it, the smallest radius above, else the
+    largest below, and takes the meet and certain bits of every pair of
+    its indices that map holds.  Only pairs with an index that map lacks
+    go to ``sets_intersect``, so a window inside a kept map, in any order,
+    reads that map restricted to it.  A refusal (the cap, the float range)
+    keeps nothing.
     """
     cached = covering._adjacency.get(radius)
     if cached is not None:
         check_window_cap(len(cached[0][0]))
         return cached[0]
     places = placements(covering, radius)
-    indices = list(places)
+    known, unsure = {}, set()
+    if covering._adjacency:
+        above = [r for r in covering._adjacency if r > radius]
+        (known, _), unsure = covering._adjacency[min(above) if above else max(covering._adjacency)]
+    nbrs = {i: [j for j in known[i] if j in places] if i in known else [i] for i in places}
+    unsure = {(i, j) for i, j in unsure if i in places and j in places}
+    if any(i not in known for i in places):
+        radial = all(_norm_interval(p.image) for p in places.values())
+        swept = sorted(((p.norms if radial else (p.box[0][0], p.box[1][0]), p.norms, p.box, i,
+                         p.image, i not in known) for i, p in places.items()),
+                       key=lambda e: e[0][0])
+        for pos, ((_, end_a), (near_a, far_a), (lo_a, hi_a), i, a, new_a) in enumerate(swept):
+            for (start_b, _), (near_b, far_b), (lo_b, hi_b), j, b, new_b in itertools.islice(
+                    swept, pos + 1, None):
+                if start_b > end_a:
+                    break  # j and every later span start past the end of i's
+                if ((new_a or new_b) and near_a <= far_b and near_b <= far_a
+                        and all(map(le, lo_a, hi_b)) and all(map(le, lo_b, hi_a))):
+                    meet, sure = sets_intersect(a, b)
+                    if not sure:
+                        unsure.add((i, j))
+                    if meet:
+                        nbrs[i].append(j)
+                        nbrs[j].append(i)
     ok = all(p.ok for p in places.values())
-    larger = [r for r in covering._adjacency if r > radius]
-    built = larger and _restricted(covering._adjacency[min(larger)], indices, ok)
-    if built:
-        covering._adjacency[radius] = built
-        return built[0]
-    nbrs: dict[Index, list[Index]] = {i: [i] for i in indices}
-    unsure = set()
-    radial = all(_norm_interval(p.image) for p in places.values())
-    swept = sorted(((p.norms if radial else (p.box[0][0], p.box[1][0]), p.norms, p.box, i,
-                     p.image) for i, p in places.items()), key=lambda e: e[0][0])
-    for pos, ((_, end_a), (near_a, far_a), (lo_a, hi_a), i, a) in enumerate(swept):
-        for (start_b, _), (near_b, far_b), (lo_b, hi_b), j, b in itertools.islice(
-                swept, pos + 1, None):
-            if start_b > end_a:
-                break  # j and every later span start past the end of i's
-            if (near_a <= far_b and near_b <= far_a
-                    and all(map(le, lo_a, hi_b)) and all(map(le, lo_b, hi_a))):
-                meet, sure = sets_intersect(a, b)
-                if not sure:
-                    unsure.add((i, j))
-                if meet:
-                    nbrs[i].append(j)
-                    nbrs[j].append(i)
     result = MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), ok and not unsure
     covering._adjacency[radius] = result, unsure
     return result
-
-
-def _restricted(mapped: tuple, indices: list[Index], ok: bool) -> tuple | None:
-    """The adjacency entry of a larger window ``mapped`` cut to ``indices``,
-    or None when they are not all in it."""
-    (big, _), unsure = mapped
-    if not all(i in big for i in indices):
-        return None
-    inside = set(indices)
-    nbrs = {i: tuple(j for j in big[i] if j in inside) for i in indices}
-    unsure = {(i, j) for i, j in unsure if i in inside and j in inside}
-    return (MappingProxyType(nbrs), ok and not unsure), unsure
 
 
 def neighbors(covering: Covering, i: Index, radius: int) -> tuple[Index, ...]:
@@ -828,24 +834,34 @@ def check_moderate(
     C_uQ_hat is the largest ratio u_i / u_j over neighbors j of i.  The
     check passes when the estimate is finite and moves by at most one
     percent between the two window radii.
+
+    The estimate of the covering's own :func:`probe_weight` at a radius is
+    a function of the geometry and the radius alone: the covering keeps it
+    by radius, read after :func:`adjacency` has passed the window cap.
+    Any other ``u`` is read afresh on every call.  A refusal (the cap, the
+    float range) keeps nothing, and every call returns a new dict.
     """
+    kept = covering._moderate if isinstance(u, _Probe) and u.covering is covering else {}
     values: dict[Index, float] = {}
     estimates = []
     for radius in radii:
         nbrs, _ = adjacency(covering, radius)
-        with _in_float_range(covering, radius):
-            for i in nbrs:
-                if i not in values:
-                    values[i] = u(i)
-        worst = 0.0
-        for i, js in nbrs.items():
-            ui = values[i]
-            for j in js:
-                uj = values[j]
-                if uj == 0.0:
-                    worst = math.inf
-                else:
-                    worst = max(worst, ui / uj)
+        worst = kept.get(radius)
+        if worst is None:
+            with _in_float_range(covering, radius):
+                for i in nbrs:
+                    if i not in values:
+                        values[i] = u(i)
+            worst = 0.0
+            for i, js in nbrs.items():
+                ui = values[i]
+                for j in js:
+                    uj = values[j]
+                    if uj == 0.0:
+                        worst = math.inf
+                    else:
+                        worst = max(worst, ui / uj)
+            kept[radius] = worst
         estimates.append(worst)
     first, second = estimates
     ok = (
@@ -872,6 +888,23 @@ def _log_pow(base, expo: Fraction) -> float:
     return math.exp(float(expo) * lg)
 
 
+@dataclass(frozen=True)
+class _Probe:
+    """The probe weight of one covering; see :func:`probe_weight`."""
+
+    covering: Covering
+
+    def __call__(self, index: Index) -> float:
+        kept = self.covering._probe
+        value = kept.get(index)
+        if value is None:
+            value = _log_pow(abs(mat_det(_place(self.covering, index).t)), Fraction(1, 2)) * 3.0
+            if not math.isfinite(value):
+                raise OverflowError(f"the probe weight at index {index} is {value}")
+            kept[index] = value
+        return value
+
+
 def probe_weight(covering: Covering) -> Callable[[Index], float]:
     """i -> |det T_i|^(1/2) * 3, the weight ``verify-family`` probes
     moderateness with.
@@ -881,15 +914,11 @@ def probe_weight(covering: Covering) -> Callable[[Index], float]:
     purely geometric, so the estimate settles inside small windows.  The
     criteria read w^(t) only through the closed forms of
     :mod:`decomp_embed.families`.  A value past the float range raises
-    OverflowError.
+    OverflowError.  The covering keeps each value by index, and
+    :func:`check_moderate` keeps its estimates for this weight by radius;
+    a value past the float range is not kept.
     """
-    def weight(index: Index) -> float:
-        value = _log_pow(abs(mat_det(_place(covering, index).t)), Fraction(1, 2)) * 3.0
-        if not math.isfinite(value):
-            raise OverflowError(f"the probe weight at index {index} is {value}")
-        return value
-
-    return weight
+    return _Probe(covering)
 
 
 def norm_surrogate_check(covering: Covering, radius: int) -> dict:
@@ -897,7 +926,16 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
 
     Needs exact geometry end to end; a covering without a tightness
     witness cannot anchor the surrogate and raises instead of guessing.
+    The ratios are a function of the geometry and the radius alone: the
+    covering keeps them by radius, read only while the window passes the
+    cap, and every call returns a copy.  Refusals (an empty window, no
+    tightness witness, the float range, the cap) keep nothing and are
+    raised again on every call.
     """
+    kept = covering._surrogate.get(radius)
+    if kept is not None:
+        check_window_cap(kept[0])
+        return dict(kept[1])
     places = placements(covering, radius)
     if not places:
         raise InvalidParams(f"the window of radius {radius} is empty")
@@ -910,7 +948,9 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
                 )
             surrogate = math.sqrt(float(sum(x * x for x in p.b))) + spectral_norm(p.t)
             ratios.append(surrogate / p.image.sup_norm())
-    return {"min_ratio": min(ratios), "max_ratio": max(ratios)}
+    result = {"min_ratio": min(ratios), "max_ratio": max(ratios)}
+    covering._surrogate[radius] = len(places), result
+    return dict(result)
 
 
 # ---------------------------------------------------------------------------

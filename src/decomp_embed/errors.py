@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 
 __all__ = [
@@ -64,16 +65,29 @@ def window_cap() -> int:
         raise InvalidParams(f"{WINDOW_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def check_window_cap(count: int) -> None:
-    """Raise WindowCapExceeded before a window of ``count`` indices is built."""
+def check_window_cap(count: int, what: str = "window of {} indices") -> None:
+    """Raise WindowCapExceeded before ``count`` items are built, by default
+    the indices of a window; ``what`` names them around the count."""
     cap = window_cap()
     if count > cap:
         # str() of a huge int is slow, and refused past 4300 digits
         size = count if count.bit_length() <= 64 else f"about 2^{count.bit_length() - 1}"
-        raise WindowCapExceeded(
-            f"window of {size} indices exceeds the cap of {cap} "
-            f"(override via {WINDOW_CAP_ENV})"
-        )
+        raise _exceeded(what.format(size), cap)
+
+
+def window_power(base: int, exp: int) -> int:
+    """base ** exp, the size of a window that grows as a power of the
+    dimension ``exp``.  Its bit length is read from those of the operands
+    first: a power past both 2^64 and the cap is refused as
+    :func:`check_window_cap` would name it, about 2^k, before it is built."""
+    cap = window_cap()
+    if exp * (base.bit_length() - 1) > max(64, cap.bit_length()):
+        raise _exceeded(f"window of about 2^{math.floor(exp * math.log2(base))} indices", cap)
+    return base ** exp
+
+
+def _exceeded(what: str, cap: int) -> WindowCapExceeded:
+    return WindowCapExceeded(f"{what} exceeds the cap of {cap} (override via {WINDOW_CAP_ENV})")
 
 
 class MissingTightnessWitness(DecompEmbedError):

@@ -28,7 +28,7 @@ import itertools
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .errors import InvalidParams, SchemaError, check_window_cap
+from .errors import InvalidParams, SchemaError, check_window_cap, window_power
 from .exponents import int_from_json, rational_from_json
 from .seqspace import (
     Affine,
@@ -75,6 +75,12 @@ def _diag(values: list) -> tuple:
     zero = 0.0 if any(isinstance(v, float) for v in values) else 0
     return tuple(tuple(v if i == j else zero for j in range(len(values)))
                  for i, v in enumerate(values))
+
+
+def _on_first_use(build):
+    """``build()``, run on the first call and kept: a base set of d entries
+    is built only once the window and the transform size have passed the cap."""
+    return functools.cache(build)
 
 
 def _scaled(rows, s: int) -> tuple:
@@ -295,7 +301,7 @@ class InhomBesovFamily(_DyadicFamily):
 
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
-        ball = BallSet((0,) * d, Fraction(2))
+        ball = _on_first_use(lambda: BallSet((0,) * d, Fraction(2)))
 
         def window(radius: int) -> list[Index]:
             check_window_cap(radius + 1)
@@ -306,7 +312,7 @@ class InhomBesovFamily(_DyadicFamily):
             dimension=d,
             window=window,
             transform=self._transform(d),
-            base_set=lambda i: ball if i == (0,) else annulus,
+            base_set=lambda i: ball() if i == (0,) else annulus,
         )
 
     def quotient_form(self, params, k):
@@ -373,11 +379,14 @@ class AlphaModulationFamily(Family):
         d = params.d
         a0 = self._a0(params)
         exact = params.alpha == 0 or (d == 1 and a0.denominator == 1)
-        base = BallSet((0,) * d, params.base_radius)
+        base = _on_first_use(lambda: BallSet((0,) * d, params.base_radius))
 
         def window(radius: int) -> list[Index]:
-            check_window_cap((2 * radius + 1) ** d - 1)
-            return [k for k in itertools.product(range(-radius, radius + 1), repeat=d) if any(k)]
+            count = window_power(2 * radius + 1, d) - 1
+            check_window_cap(count)
+            # radius 0 holds only the origin, which the lattice leaves out
+            return [k for k in itertools.product(range(-radius, radius + 1), repeat=d)
+                    if any(k)] if count else []
 
         def transform(i: Index):
             if exact:  # a0 = 0, or d = 1 and a0 an int
@@ -391,7 +400,7 @@ class AlphaModulationFamily(Family):
             dimension=d,
             window=window,
             transform=transform,
-            base_set=lambda i: base,
+            base_set=lambda i: base(),
         )
 
     def quotient_form(self, params, k):
@@ -630,6 +639,8 @@ class DiagonalFamily(Family):
     def parse_params(self, doc: dict) -> DiagonalParams:
         _check_keys(doc, {"d", "alpha", "beta"}, self.name)
         d = _int_param(doc, "d", self.name, default=1)
+        # a scalar alpha or beta is broadcast to d entries
+        check_window_cap(d, "a parameter vector of {} entries")
 
         def vector(key: str) -> tuple[Fraction, ...]:
             # a top-level list is always per-coordinate; scalars broadcast
@@ -653,11 +664,11 @@ class DiagonalFamily(Family):
         from .covering import BoxSet, Covering
 
         d = params.d
-        base = BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d)
+        base = _on_first_use(lambda: BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d))
 
         def window(radius: int) -> list[Index]:
-            # (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d
-            check_window_cap((2 * radius + 1) ** d * 2**d)
+            # (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d: (2r + 1)^d 2^d indices
+            check_window_cap(window_power(4 * radius + 2, d))
             signs = list(itertools.product((-1, 1), repeat=d))
             return [ks + eps for ks in itertools.product(range(-radius, radius + 1), repeat=d)
                     for eps in signs]
@@ -673,7 +684,7 @@ class DiagonalFamily(Family):
             dimension=d,
             window=window,
             transform=transform,
-            base_set=lambda i: base,
+            base_set=lambda i: base(),
         )
 
     def quotient_form(self, params, k):

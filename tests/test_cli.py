@@ -66,6 +66,21 @@ def custom_covering(**fields) -> str:
     return json.dumps({"custom": {**doc, **fields}})
 
 
+# a dimension of 10^9: the d x d entries of a transform, a window of 3^d
+# or 2^d indices and the 10^9 entries of diagonal's parameter vectors each
+# meet the cap
+_HUGE_DIMENSION = [
+    ["verify-family", "--family", "hom_besov", "--params", '{"d":1000000000}', "--radius", "1"],
+    ["verify-family", "--family", "inhom_besov", "--params", '{"d":1000000000}', "--radius", "0"],
+    ["inspect-covering", "--covering", '{"family":"diagonal","params":{"d":1000000000}}',
+     "--radius", "0"],
+    ["inspect-covering", "--covering", '{"family":"alpha_modulation","params":{"d":1000000000}}',
+     "--radius", "1"],
+    ["inspect-covering", "--covering", '{"family":"alpha_modulation","params":{"d":1000000000}}',
+     "--radius", "0"],
+]
+
+
 @pytest.mark.parametrize("argv,code", [
     (["decide", "--family", "hom_besov", "-q", "2", "-r", "2"], 64),
     (["decide", "--family", "hom_besov", "-p", "0.1234567", "-q", "2", "-r", "2"], 64),
@@ -111,6 +126,8 @@ def custom_covering(**fields) -> str:
     (["inspect-covering", "--covering", '{"family":"shearlet_smoothness"}',
       "--radius", "200000"], 70),
     (["verify-family", "--family", "shearlet_smoothness", "--radius", "200000"], 70),
+    # a huge dimension is refused before anything of its size is built
+    *([argv, 70] for argv in _HUGE_DIMENSION),
     # a window past the float range fails at its first such index
     (["verify-family", "--family", "diagonal", "--radius", "200000"], 70),
     (["inspect-covering", "--covering", '{"family":"inhom_besov"}', "--radius", "200000"], 70),
@@ -515,6 +532,23 @@ def test_exceeded_window_cap_is_an_internal_limit(monkeypatch, doc, count):
     assert (code, out) == (70, b"")
     assert err.startswith(f"error: window of {count} indices exceeds the cap of 3 ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", zip(_HUGE_DIMENSION, [
+    "a transform of 1000000000000000000 entries exceeds the cap of 1000000 ",
+    "a transform of 1000000000000000000 entries exceeds the cap of 1000000 ",
+    "a parameter vector of 1000000000 entries exceeds the cap of 1000000 ",
+    "window of about 2^1584962500 indices exceeds the cap of 1000000 ",
+    "a transform of 1000000000000000000 entries exceeds the cap of 1000000 ",
+]))
+def test_a_huge_dimension_is_refused_at_once(monkeypatch, argv, message):
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    family_covering.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (70, b"")
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def test_verify_family_surrogate_past_the_float_range_is_unsupported():

@@ -9,6 +9,8 @@ import io
 import itertools
 import json
 import math
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -51,6 +53,7 @@ from decomp_embed.errors import (
     WindowCapExceeded,
     check_window_cap,
     window_cap,
+    window_power,
 )
 from decomp_embed.families import covering_from_json, family_covering, get_family
 from freeze_goldens import constants_line, jsonl_changes
@@ -134,6 +137,38 @@ def test_a_count_past_2_to_the_64_is_named_by_its_power_of_two():
         check_window_cap(2**64)
     with pytest.raises(WindowCapExceeded, match=r"^window of about 2\^50000 indices "):
         check_window_cap(2**50001 - 1)
+
+
+def _refusal(call) -> str | None:
+    """The message of the WindowCapExceeded ``call`` raises, or None."""
+    try:
+        call()
+    except WindowCapExceeded as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("cap", [None, "100", str(2**70)])
+@pytest.mark.parametrize("base", [1, 2, 3, 5, 6, 7, 10, 22])
+def test_a_dimension_power_is_refused_as_the_full_count_would_be(monkeypatch, cap, base):
+    """window_power reads a power past 2^64 and the cap off the bit lengths,
+    and names it as check_window_cap names the power built in full; so does
+    alpha_modulation's odd base less the origin."""
+    if cap is None:
+        monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+    else:
+        monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", cap)
+    for exp in range(300):
+        for less in (0, 1) if base % 2 else (0,):
+            assert (_refusal(lambda: check_window_cap(window_power(base, exp) - less))
+                    == _refusal(lambda: check_window_cap(base**exp - less))), (exp, less)
+
+
+def test_a_dimension_power_of_a_billion_is_refused_before_it_is_built():
+    start = time.perf_counter()
+    with pytest.raises(WindowCapExceeded, match=r"^window of about 2\^2807354922 indices "):
+        window_power(7, 10**9)
+    assert time.perf_counter() - start < 1
 
 
 # sha256 of the JSON list of each window at radius 2, in window order: the
@@ -578,6 +613,33 @@ _FLOAT = st.one_of(
     st.floats(-1e6, 1e6, allow_nan=False),
     st.builds(lambda n, m: 2.0 ** n * m, st.integers(-30, 30), st.integers(-8, 8)),
 )
+
+
+def test_a_repeated_polygon_vertex_adds_no_edge_normal():
+    """The edge from a vertex to its repeat has no normal, and ``_edge_axes``
+    skips it: a custom covering whose polygon repeats a vertex reads the
+    constants and neighbours of the same polygon without the repeat."""
+    kite = [[0, 0], [2, 0], [3, 1], [0, 2]]
+    repeated = [kite[0], kite[1], kite[1], *kite[2:]]
+    assert len(covering_module._edge_axes(tuple(map(tuple, repeated)))) == len(kite)
+
+    def inspect(vertices) -> tuple:
+        doc = {"custom": {
+            "dimension": 2,
+            "indices": [[0], [1], [2], [3], [4]],
+            "T": [[[1, 0], [0, 1]], [[2, 0], [0, 2]], [[1, 1], [0, 1]], [[1, 0], [0, 3]],
+                  [[1, 0], [0, 1]]],
+            "b": [[0, 0], [1, 0], [0, "1/2"], [-4, 0], [9, 9]],
+            "base_set": {"polygon": {"vertices": vertices}},
+        }}
+        return tuple(_run_cli_in_process(["inspect-covering", "--covering", json.dumps(doc),
+                                          "--radius", "0", "--index", str(i)]) for i in range(5))
+
+    plain, again = inspect(kite), inspect(repeated)
+    assert again == plain and all(code == 0 for code, _, _ in plain)
+    consts = json.loads(plain[0][1])["constants"]
+    assert consts["tightness_ok"] and 1 < consts["N_hat"] < 5
+    assert json.loads(plain[4][1])["neighbors"] == [[4]]
 
 
 def _mat_vec_image(base, t, b):
@@ -1199,6 +1261,197 @@ def test_a_shared_covering_answers_like_a_fresh_one(family, params, index, order
     shared = _run_commands(commands, fresh=False)
     assert shared == _run_commands(commands, fresh=True)
     assert all(code in (0, 1) and out for code, out in shared)
+
+
+def _fresh_covering(family, params) -> Covering:
+    """A covering of the family's geometry that no memo has seen."""
+    fam = get_family(family)
+    return fam.covering(fam.geometry(fam.parse_params(params)))
+
+
+def _map_record(cov: Covering, radius: int) -> tuple:
+    """The neighbour map at ``radius`` in window order, its certain bit and
+    its uncertain pairs, unordered."""
+    nbrs, certain = adjacency(cov, radius)
+    unsure = {frozenset(pair) for pair in cov._adjacency[radius][1]}
+    return list(nbrs.items()), certain, unsure
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_a_map_grown_or_cut_from_a_kept_one_equals_a_fresh_build(family, params, index):
+    """For every r1 < r2 <= 4, a covering that maps r1 and then r2 (r2 grown
+    from r1) or r2 and then r1 (r1 cut from r2) holds at both radii the
+    neighbour map, certain bit and uncertain pairs of a fresh build; so does
+    one that maps 0 to 4 in turn, each grown from the last."""
+    fresh = {r: _map_record(_fresh_covering(family, params), r) for r in range(5)}
+    orders = [pair[::step] for pair in itertools.combinations(range(5), 2) for step in (1, -1)]
+    for order in [*orders, range(5)]:
+        cov = _fresh_covering(family, params)
+        for r in order:
+            assert _map_record(cov, r) == fresh[r], (list(order), r)
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_each_pair_reaches_sets_intersect_once_per_covering(family, params, index):
+    """inspect-covering at radius 2, verify-family at radius 1, whose map at
+    radius 3 grows from the kept map at 2, and inspect-covering at 3 send
+    each unordered pair of placed sets to ``sets_intersect`` at most once:
+    as many pairs as one fresh map at radius 3 tests."""
+    family_covering.cache_clear()
+    doc = json.dumps({"family": family, "params": params})
+    commands = [
+        ["inspect-covering", "--covering", doc, "--radius", "2"],
+        ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"],
+        ["inspect-covering", "--covering", doc, "--radius", "3", "--index", index],
+    ]
+    tested = Counter()
+
+    def counted_test(a, b):
+        tested[frozenset((id(a), id(b)))] += 1
+        return sets_intersect(a, b)
+
+    with mock.patch.object(covering_module, "sets_intersect", counted_test):
+        for argv in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) in (0, 1)
+        assert max(tested.values()) == 1
+        direct = Counter()
+        with mock.patch.object(covering_module, "sets_intersect",
+                               lambda a, b: direct.update([0]) or sets_intersect(a, b)):
+            adjacency(_fresh_covering(family, params), 3)
+    assert len(tested) == direct[0]
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_verify_family_reads_alike_on_a_warm_and_a_cleared_memo_in_any_order(
+        family, params, index):
+    """verify-family at radii 0 and 1, each twice, among inspect-covering
+    at radii 1 to 3, prints the same bytes and exit code through one
+    shared covering as with the memo cleared before each command: in the
+    listed order, reversed and shuffled."""
+    doc = json.dumps({"family": family, "params": params})
+    verify = ["verify-family", "--family", family, "--params", json.dumps(params), "--radius"]
+    commands = [[*verify, "1"], ["inspect-covering", "--covering", doc, "--radius", "3"],
+                [*verify, "0"], ["inspect-covering", "--covering", doc, "--radius", "1"],
+                [*verify, "1"], ["inspect-covering", "--covering", doc, "--radius", "2",
+                                 "--index", index], [*verify, "0"]]
+    shuffled = list(commands)
+    random.Random(f"{family}:{params}").shuffle(shuffled)
+    for order in (commands, commands[::-1], shuffled):
+        shared = _run_commands(order, fresh=False)
+        assert shared == _run_commands(order, fresh=True)
+        # alpha_modulation's window of radius 0 is empty, a usage error
+        assert all((code in (0, 1) and out) or (code, out) == (64, "") for code, out in shared)
+
+
+def test_a_kept_covering_runs_the_verify_diagnostics_once_per_radius():
+    """A second verify-family at a radius reads the constants, the
+    moderateness estimates and the surrogate ratios its covering keeps:
+    it tests no pair, evaluates no probe weight and takes no norm."""
+    family_covering.cache_clear()
+    argv = ["verify-family", "--family", "diagonal", "--params", '{"d":2}', "--radius", "1"]
+    first = _run_commands([argv], fresh=False)
+    with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError), \
+            mock.patch.object(covering_module._Probe, "__call__", side_effect=AssertionError), \
+            mock.patch.object(covering_module, "spectral_norm", side_effect=AssertionError):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(argv)
+    assert [(code, out.getvalue())] == first
+    assert json.loads(first[0][1])["surrogate"] is not None
+
+
+def test_check_moderate_reads_a_callers_own_weight_afresh():
+    """Only the covering's own probe weight is kept: another weight is read
+    on every call, as on a fresh covering, and every result is a copy."""
+    cov = covering_from_json({"family": "hom_besov", "params": {"d": 2}})
+    probe = check_moderate(cov, probe_weight(cov), (1, 3))
+    steep = lambda i: 2.0 ** (i[0] ** 2)  # noqa: E731
+    own = check_moderate(cov, steep, (1, 3))
+    assert own == check_moderate(_fresh_covering("hom_besov", {"d": 2}), steep, (1, 3))
+    assert own != probe and not own["ok"]
+    probe["estimates"].append(0.0)
+    assert check_moderate(cov, probe_weight(cov), (1, 3))["estimates"] == probe["estimates"][:2]
+
+
+def test_refusals_of_the_verify_diagnostics_repeat_on_every_call():
+    """A missing tightness witness and a probe weight past the float range
+    are raised again on every call, and leave nothing kept."""
+    float_scales = Covering(
+        label="sqrt_scales",
+        dimension=1,
+        window=HOM_BESOV_WINDOW,
+        transform=lambda i: (((2.0 ** (i[0] / 2),),), (0.0,)),
+        base_set=lambda i: AnnulusSet(1, F(1, 4), F(4)),
+    )
+    steep = Covering(
+        label="steep",
+        dimension=1,
+        window=fixed_window((0,), (1,)),
+        transform=lambda i: (((F(2) ** (2100 * i[0]),),), (F(0),)),
+        base_set=lambda i: BallSet((F(0),), F(1, 2 ** (2100 * i[0]))),
+    )
+    for _ in range(3):
+        with pytest.raises(MissingTightnessWitness, match="'sqrt_scales' has no tight bound"):
+            norm_surrogate_check(float_scales, 4)
+        with pytest.raises(UnsupportedGeometry, match="'steep' at radius 0 leaves the float range"):
+            check_moderate(steep, probe_weight(steep), (0, 1))
+        with pytest.raises(OverflowError):
+            probe_weight(steep)((1,))
+    assert not float_scales._surrogate and not steep._moderate
+    assert list(steep._probe) == [(0,)]
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_a_lowered_cap_refuses_a_kept_verify_as_a_fresh_run(monkeypatch, family, params, index):
+    """verify-family at radius 1 runs once under the default cap; under a
+    lowered or malformed cap it then exits, and prints, what a run on a
+    cleared memo does, and once the cap is back it answers as it did."""
+    argv = ["verify-family", "--family", family, "--params", json.dumps(params), "--radius", "1"]
+    cov = _fresh_covering(family, params)
+    sizes = [len(cov.window(r)) for r in (1, 3)]
+    for cap in (sizes[1] - 1, sizes[0] - 1, cov.dimension**2 - 1, "abc"):
+        monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
+        family_covering.cache_clear()
+        answer = _run_cli_in_process(argv)
+        monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(cap))
+        kept = _run_cli_in_process(argv)
+        family_covering.cache_clear()
+        assert kept == _run_cli_in_process(argv)
+        assert kept[0] in (64, 70) and not kept[1] and kept[2].startswith("error: ")
+        monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
+        assert _run_cli_in_process(argv) == answer
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "shearlet_smoothness"},
+    {"family": "hom_besov", "params": {"d": 2}},
+    {"family": "diagonal", "params": {"d": 2}},
+], ids=lambda doc: doc["family"])
+def test_kept_verify_diagnostics_obey_the_window_cap(monkeypatch, doc):
+    """The moderateness estimates and surrogate ratios kept at radius r are
+    read only while the window of r passes the cap, with a fresh
+    covering's message."""
+    family_covering.cache_clear()
+    radius = 3
+    cov = covering_from_json(doc)
+    calls = (lambda c: check_moderate(c, probe_weight(c), (radius, radius)),
+             lambda c: norm_surrogate_check(c, radius))
+    kept = [call(cov) for call in calls]
+    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(len(cov.window(radius)) - 1))
+    for call in calls:
+        fresh = covering_from_json(doc["custom"]) if "custom" in doc else _fresh_covering(
+            doc["family"], doc.get("params", {}))
+        assert _refusal(lambda: call(cov)) == _refusal(lambda: call(fresh)) is not None
+    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
+    assert [call(cov) for call in calls] == kept
+
+
+def _run_cli_in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("doc", [
