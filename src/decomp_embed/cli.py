@@ -16,7 +16,8 @@ Exit codes:
   numbers outside the float range among them;
 * 70 -- unsupported weights or geometry (a covering whose derived
   geometry leaves the float range among it), a window that exceeds the
-  cap (a covering window or the oracle's grid), and internal errors.
+  cap (a covering window, a transform's d x d entries or the oracle's
+  grid), and internal errors.
 """
 
 from __future__ import annotations

@@ -77,12 +77,6 @@ def _diag(values: list) -> tuple:
                  for i, v in enumerate(values))
 
 
-def _on_first_use(build):
-    """``build()``, run on the first call and kept: a base set of d entries
-    is built only once the window and the transform size have passed the cap."""
-    return functools.cache(build)
-
-
 def _scaled(rows, s: int) -> tuple:
     """The matrix rows / s of int rows: an int where s divides the entry, else a Fraction."""
     return tuple(tuple(x // s if x % s == 0 else Fraction(x, s) for x in row) for row in rows)
@@ -301,7 +295,9 @@ class InhomBesovFamily(_DyadicFamily):
 
         d = params.d
         annulus = AnnulusSet(d, Fraction(1, 4), Fraction(4))
-        ball = _on_first_use(lambda: BallSet((0,) * d, Fraction(2)))
+        # a set of d coordinates is built on first use, once the window and
+        # the d x d entries of a transform have passed the cap
+        ball = functools.cache(lambda: BallSet((0,) * d, Fraction(2)))
 
         def window(radius: int) -> list[Index]:
             check_window_cap(radius + 1)
@@ -379,7 +375,8 @@ class AlphaModulationFamily(Family):
         d = params.d
         a0 = self._a0(params)
         exact = params.alpha == 0 or (d == 1 and a0.denominator == 1)
-        base = _on_first_use(lambda: BallSet((0,) * d, params.base_radius))
+        # built on first use, as inhom_besov's ball
+        base = functools.cache(lambda: BallSet((0,) * d, params.base_radius))
 
         def window(radius: int) -> list[Index]:
             count = window_power(2 * radius + 1, d) - 1
@@ -664,7 +661,8 @@ class DiagonalFamily(Family):
         from .covering import BoxSet, Covering
 
         d = params.d
-        base = _on_first_use(lambda: BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d))
+        # built on first use, as inhom_besov's ball
+        base = functools.cache(lambda: BoxSet((Fraction(1, 2),) * d, (Fraction(2),) * d))
 
         def window(radius: int) -> list[Index]:
             # (k_1..k_d, eps_1..eps_d) over Z^d x {+-1}^d: (2r + 1)^d 2^d indices

@@ -1439,9 +1439,8 @@ def test_kept_verify_diagnostics_obey_the_window_cap(monkeypatch, doc):
              lambda c: norm_surrogate_check(c, radius))
     kept = [call(cov) for call in calls]
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(len(cov.window(radius)) - 1))
+    fresh = _fresh_covering(doc["family"], doc.get("params", {}))
     for call in calls:
-        fresh = covering_from_json(doc["custom"]) if "custom" in doc else _fresh_covering(
-            doc["family"], doc.get("params", {}))
         assert _refusal(lambda: call(cov)) == _refusal(lambda: call(fresh)) is not None
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
     assert [call(cov) for call in calls] == kept
