@@ -28,7 +28,11 @@ in the refined criteria's thresholds and under the oracle check; the
 evidence text is made from the pairs.  Parsed params and forms are kept
 across calls in a bounded LRU cache, keyed by the family, the canonical JSON
 text of the params document (or the parsed params themselves) and k, so a
-(q, r) sweep parses and compiles once.
+(q, r) sweep parses and compiles once.  What (q, r) alone gives, g and every
+1/theta, is kept per (1/q, 1/r), and each kept Khintchine-restricted form
+keeps its N3 and N4 verdicts per (dp, g, 1/theta): within a sweep these two
+depend on r alone.  A call computes only what reads p, the S1, N2 and N2b
+verdicts, the refined criteria and the evidence.
 
 The optional oracle check builds each weight and theta a verdict read,
 checks the compiled verdict against :func:`decide_lp_membership` on them (a
@@ -44,7 +48,7 @@ import enum
 import functools
 import json
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InconsistentVerdict, InvalidParams, OracleDisagreement
 from .exponents import (
@@ -92,14 +96,27 @@ _MEMBERSHIP_ANCHORS = {
 
 _ONE = ExtExponent(1)
 _HALF = (1, 2)
+_NO_GAP = (0, 1)
 # bound of the cache of parsed params and quotient forms (see _compiled)
 FORM_MEMO_SIZE = 16
+# bound of the memo of what (q, r) alone gives (see _of_q_and_r): a sweep's
+# 7 x 8 (q, r) grid with its C_b and BV rows fits
+QR_MEMO_SIZE = 128
+# bound of each form-cache entry's kept N3 and N4 verdicts (see _Khintchine):
+# both criteria at 16 values of r
+KHINTCHINE_MEMO_SIZE = 32
 
 
 class Outcome(str, enum.Enum):
     EMBEDS = "Embeds"
     DOES_NOT_EMBED = "DoesNotEmbed"
     UNDETERMINED = "Undetermined"
+
+
+# members read once: each read of an enum member goes through a descriptor
+_EMBEDS, _DOES_NOT_EMBED, _UNDETERMINED = Outcome
+_MEMBER = Membership.MEMBER
+_MEMBERSHIP_TEXT = {member: member.value for member in Membership}
 
 
 @record
@@ -156,42 +173,49 @@ class _Reciprocals(NamedTuple):
     two_le_q: bool
 
 
-def _reciprocals(p, q, r) -> _Reciprocals:
-    """Parse p, q and r once, then every gap and 1/theta is an affine
-    function of their reciprocals clamped at 0: 1/q'' - 1/r for S1 (q'' the
-    lower conjugate), 1/q - 1/r for N2, 1 - 1/r for N2b (theta = r') and
-    1/2 - 1/r for N3 and N4."""
-    xp, xq, xr = reciprocal_pair(p), reciprocal_pair(q), reciprocal_pair(r)
+@functools.lru_cache(maxsize=QR_MEMO_SIZE)
+def _of_q_and_r(xq: Pair, xr: Pair) -> tuple:
+    """g and every 1/theta, each an affine function of 1/q and 1/r clamped
+    at 0: 1/q'' - 1/r for S1 (q'' the lower conjugate), 1/q - 1/r for N2,
+    1 - 1/r for N2b (theta = r') and 1/2 - 1/r for N3 and N4; then r <= q
+    and 2 <= q.  Kept per (1/q, 1/r), the int pairs of the parse."""
     g = pair_sub(_HALF, xr)
-    return _Reciprocals(
-        xp, xq, xr, pair_sub(xp, xq), g,
-        clamped(pair_sub(lower_conjugate_pair(xq), xr)), clamped(pair_sub(xq, xr)),
-        conjugate_pair(xr), clamped(g),
-        pair_le(xq, xp), pair_le(xq, xr), pair_le(xq, _HALF),
-    )
+    return (g, clamped(pair_sub(lower_conjugate_pair(xq), xr)), clamped(pair_sub(xq, xr)),
+            conjugate_pair(xr), clamped(g), pair_le(xq, xr), pair_le(xq, _HALF))
 
 
-class _Cell(NamedTuple):
-    """A quotient form at one (dp, g), both int pairs: the exponent pairs
-    the rules read, and what builds the weight when the oracle check needs
-    it."""
+def _reciprocals(p, q, r) -> _Reciprocals:
+    """Parse p, q and r once; what reads p is computed on every call, the
+    rest read from the memo of (q, r)."""
+    xp, xq, xr = reciprocal_pair(p), reciprocal_pair(q), reciprocal_pair(r)
+    g, s1, n2, n2b, n34, r_le_q, two_le_q = _of_q_and_r(xq, xr)
+    return _Reciprocals(xp, xq, xr, pair_sub(xp, xq), g, s1, n2, n2b, n34,
+                        pair_le(xq, xp), r_le_q, two_le_q)
+
+
+class _Khintchine(NamedTuple):
+    """A Khintchine-restricted form and ``verdict(dp, g, x)``, its membership
+    at the gaps (dp, g) in l^theta with 1/theta = x, all int pairs, kept in
+    a bounded LRU that lives and goes with the form-cache entry: within a
+    sweep N3 and N4 read it once per r."""
 
     form: ExpPolyWeight
-    dp: Pair
-    g: Pair
-    exponents: list
+    verdict: Callable[[Pair, Pair, Pair], Membership]
 
 
-def _cell(form: ExpPolyWeight, dp: Pair, g: Pair) -> _Cell:
-    return _Cell(form, dp, g, form.pairs_at(dp, g))
+def _khintchine(kform: ExpPolyWeight) -> _Khintchine:
+    return _Khintchine(kform, functools.lru_cache(maxsize=KHINTCHINE_MEMO_SIZE)(
+        lambda dp, g, x: decide_reciprocal(kform.pairs_at(dp, g), x)))
 
 
 class _SummabilityCall(NamedTuple):
-    """One symbolic membership decision, kept for the oracle cross-check;
-    ``x`` is 1/theta."""
+    """One symbolic membership decision, kept for the oracle cross-check:
+    the form at the gaps (dp, g) in l^theta with 1/theta = ``x``."""
 
     label: str
-    cell: _Cell
+    form: ExpPolyWeight
+    dp: Pair
+    g: Pair
     x: Pair
     verdict: Membership
 
@@ -206,7 +230,7 @@ def _validate_order(k: int) -> int:
     return k
 
 
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 # the encoder json.dumps(doc, sort_keys=True) builds on every call, built once
 _KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
@@ -230,7 +254,10 @@ def _params_key(doc) -> Optional[str]:
     key), which is parsed uncached."""
     try:
         text = _KEY_ENCODER.encode(doc)
-        return text if _plain_json(doc) else None
+        # a flat document, the common case, is checked without the recursive walk
+        flat = type(doc) is dict and all(type(key) is str and type(val) in _JSON_SCALARS
+                                         for key, val in doc.items())
+        return text if flat or _plain_json(doc) else None
     except (TypeError, ValueError, RecursionError):
         return None
 
@@ -238,7 +265,7 @@ def _params_key(doc) -> Optional[str]:
 def _compile(fam: Family, params, k: int) -> tuple:
     form = refuse_unsupported(fam.quotient_form(params, k))
     kform = fam.khintchine_quotient(form)
-    return fam, params, form, None if kform is None else refuse_unsupported(kform)
+    return fam, params, form, None if kform is None else _khintchine(refuse_unsupported(kform))
 
 
 @functools.lru_cache(maxsize=FORM_MEMO_SIZE)
@@ -248,10 +275,10 @@ def _compiled_memo(fam: Family, key, k: int) -> tuple:
 
 
 def _compiled(family, params, k) -> tuple:
-    """(family, parsed params, quotient form, Khintchine-restricted form or
-    None), from the bounded cache when the params have a key: parsed params
-    (of the family's ``params_type``) themselves, or :func:`_params_key` of a
-    document.
+    """(family, parsed params, quotient form, :class:`_Khintchine` of the
+    restricted form or None), from the bounded cache when the params have a
+    key: parsed params (of the family's ``params_type``) themselves, or
+    :func:`_params_key` of a document.
 
     An invalid k leaves both forms None; the caller reports it after the
     exponents, so errors keep their order: family, params, exponents, k.
@@ -280,7 +307,7 @@ def decide_sobolev(
     oracle_check: bool = False,
 ) -> Verdict:
     """Decide the embedding into the Sobolev space of order k over L^q."""
-    fam, params, form, kform = _compiled(family, params, k)
+    fam, params, form, khintchine = _compiled(family, params, k)
     x = _reciprocals(p, q, r)
     k = _validate_order(k)
 
@@ -296,30 +323,33 @@ def decide_sobolev(
     ]
 
     # each quotient reads r only through g = 1/2 - 1/r, and t = q, p or 2
-    # only through 1/p - 1/t; per criterion its cell, 1/theta, the text
-    # before its verdict, and what else it requires
-    quotient_q = _cell(form, x.dp, x.g)
+    # only through dp = 1/p - 1/t; per criterion its form, dp, 1/theta,
+    # verdict, the text before the verdict, and what else it requires
+    g = x.g
+    exponents = form.pairs_at(x.dp, g)
     asked = [
-        ("S1", quotient_q, x.s1, f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
-        ("N2", quotient_q, x.n2, "w(q)/u", True),
+        ("S1", form, x.dp, x.s1, decide_reciprocal(exponents, x.s1),
+         f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
+        ("N2", form, x.dp, x.n2, decide_reciprocal(exponents, x.n2), "w(q)/u", True),
     ]
     if not x.q[0]:  # q = inf
-        asked.append(("N2b", quotient_q, x.n2b, "w(inf)/u", True))
-    elif kform is not None:
-        asked.append(("N3", _cell(kform, (0, 1), x.g), x.n34, "w(p)/u on the expanding part", True))
+        asked.append(("N2b", form, x.dp, x.n2b, decide_reciprocal(exponents, x.n2b),
+                      "w(inf)/u", True))
+    elif khintchine is not None:
+        kform, verdict = khintchine
+        asked.append(("N3", kform, _NO_GAP, x.n34, verdict(_NO_GAP, g, x.n34),
+                      "w(p)/u on the expanding part", True))
         if x.two_le_q:
-            kq_2 = _cell(kform, pair_sub(x.p, _HALF), x.g)
-            asked.append(("N4", kq_2, x.n34, "w(2)/u on the expanding part", True))
-    calls: list[_SummabilityCall] = []
-    for ev_id, cell, recip, what, ok in asked:
-        member = decide_reciprocal(cell.exponents, recip)
-        calls.append(_SummabilityCall(ev_id, cell, recip, member))
+            dp_2 = pair_sub(x.p, _HALF)
+            asked.append(("N4", kform, dp_2, x.n34, verdict(dp_2, g, x.n34),
+                          "w(2)/u on the expanding part", True))
+    for ev_id, _, _, recip, member, what, ok in asked:
         evidence.append(
             Evidence(
                 ev_id,
                 _MEMBERSHIP_ANCHORS[ev_id],
-                ok and member is Membership.MEMBER,
-                f"{what} is {member.value} of l^{exponent_text(recip)}",
+                ok and member is _MEMBER,
+                f"{what} is {_MEMBERSHIP_TEXT[member]} of l^{exponent_text(recip)}",
                 "sufficient" if ev_id == "S1" else "necessary",
             )
         )
@@ -329,13 +359,18 @@ def decide_sobolev(
 
     verdict = _aggregate(evidence, x)
     if oracle_check:
-        _cross_check(calls)
+        _cross_check([_SummabilityCall(ev_id, qform, dp, g, recip, member)
+                      for ev_id, qform, dp, recip, member, _, _ in asked])
     return verdict
 
 
 def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
-    sufficient_hit = any(e.holds for e in evidence if e.role == "sufficient")
-    necessary_fail = any(not e.holds for e in evidence if e.role == "necessary")
+    sufficient_hit = necessary_fail = False
+    for e in evidence:
+        if e.holds:
+            sufficient_hit = sufficient_hit or e.role == "sufficient"
+        elif e.role == "necessary":
+            necessary_fail = True
     if sufficient_hit and necessary_fail:
         failing = [e.id for e in evidence if e.role == "necessary" and not e.holds]
         raise InconsistentVerdict(
@@ -343,9 +378,9 @@ def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
             f"necessary criteria {failing} fail"
         )
     if sufficient_hit:
-        return Verdict(Outcome.EMBEDS, tuple(evidence))
+        return Verdict(_EMBEDS, tuple(evidence))
     if necessary_fail:
-        return Verdict(Outcome.DOES_NOT_EMBED, tuple(evidence))
+        return Verdict(_DOES_NOT_EMBED, tuple(evidence))
     r_location = "in (q'', q]" if x.r_le_q else "above q"
     note = (
         f"summability holds at l^{exponent_text(x.n2)} but is unresolved at "
@@ -353,7 +388,7 @@ def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
         f"in (2, inf) and r = {exponent_text(x.r)} {r_location} is outside the "
         "decided range"
     )
-    return Verdict(Outcome.UNDETERMINED, tuple(evidence), note)
+    return Verdict(_UNDETERMINED, tuple(evidence), note)
 
 
 def _cross_check(calls: list[_SummabilityCall]) -> None:
@@ -363,12 +398,12 @@ def _cross_check(calls: list[_SummabilityCall]) -> None:
     (theta_suff = theta_nec when q <= 2) once."""
     from . import oracle
 
-    built_of: dict[int, ExpPolyWeight] = {}  # S1, N2 and N2b share one cell
+    built_of: dict[tuple, ExpPolyWeight] = {}  # S1, N2 and N2b share one form and dp
     for call in calls:
-        cell, theta = call.cell, from_reciprocal(call.x)
-        weight = built_of.get(id(cell))
+        theta, key = from_reciprocal(call.x), (id(call.form), call.dp)
+        weight = built_of.get(key)
         if weight is None:
-            weight = built_of[id(cell)] = cell.form.at(Fraction(*cell.dp), Fraction(*cell.g))
+            weight = built_of[key] = call.form.at(Fraction(*call.dp), Fraction(*call.g))
         built = decide_lp_membership(weight, theta)
         if built is not call.verdict:
             raise InconsistentVerdict(

@@ -402,6 +402,8 @@ class AlphaModulationFamily(Family):
 
     def quotient_form(self, params, k):
         d, a0 = params.d, self._a0(params)
+        sector = RadialSector(d)
+        sector.check_atoms(3 if k >= 1 else 1)
         # |det T|^dp = |k|^(d a0 dp) over the space weight |k|^(s/(1 - alpha))
         base = d * a0 * _DP - params.s / (1 - params.alpha)
         norm_atoms = []
@@ -411,9 +413,7 @@ class AlphaModulationFamily(Family):
                 Atom.radial(d, base + (a0 + 1) * k),
                 Atom.radial(d, base + a0 * k),
             ]
-        return ExpPolyWeight.single(
-            RadialSector(d), *_weight_atoms(Atom.radial(d, base), norm_atoms)
-        )
+        return ExpPolyWeight.single(sector, *_weight_atoms(Atom.radial(d, base), norm_atoms))
 
     def refined_criteria(self, params, k, x):
         if not _q_mid(x):

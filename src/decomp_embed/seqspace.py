@@ -37,7 +37,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, Union
 
-from .errors import UnsupportedWeight
+from .errors import UnsupportedWeight, check_window_cap
 from .exponents import Pair, int_from_json, rational_from_json, reciprocal_pair
 
 __all__ = [
@@ -151,6 +151,12 @@ class RadialSector(_RadialFields):
     @property
     def dims(self) -> int:
         return self.d
+
+    def check_atoms(self, count: int) -> None:
+        """Refuse ``count`` atoms on this sector before the first is built:
+        each stores 4d + 1 exponents (d trivial coordinate factors and the
+        radial power), which meet the window cap together."""
+        check_window_cap(count * (4 * self.d + 1), "a radial form of {} exponents")
 
 
 class _PairFields(NamedTuple):
@@ -551,6 +557,8 @@ def expweight_from_json(obj: object) -> ExpPolyWeight:
         atom_docs = doc.get("atoms", [{}])
         if not isinstance(atom_docs, list):
             raise ValueError(f"atoms must be a list, got {atom_docs!r}")
+        if isinstance(sector, RadialSector):
+            sector.check_atoms(len(atom_docs))
         atoms = tuple(_atom_from_json(a, sector.dims) for a in atom_docs)
         pieces.append(Piece(sector, atoms))
     return ExpPolyWeight(tuple(pieces))
@@ -563,6 +571,10 @@ def expweight_from_json(obj: object) -> ExpPolyWeight:
 class Membership(str, Enum):
     MEMBER = "Member"
     NOT_MEMBER = "NotMember"
+
+
+# read once: each read of an enum member goes through a descriptor
+_MEMBER, _NOT_MEMBER = Membership.MEMBER, Membership.NOT_MEMBER
 
 
 def refuse_unsupported(w: ExpPolyWeight) -> ExpPolyWeight:
@@ -684,8 +696,8 @@ def decide_reciprocal(
     for sector, atoms in pieces:
         for ex in atoms:
             if not _atom_member(sector, ex, xn, xd):
-                return Membership.NOT_MEMBER
-    return Membership.MEMBER
+                return _NOT_MEMBER
+    return _MEMBER
 
 
 def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:

@@ -66,9 +66,14 @@ def custom_covering(**fields) -> str:
     return json.dumps({"custom": {**doc, **fields}})
 
 
+def _radial(d: int, **doc) -> str:
+    """A weight document on the radial lattice of dimension d."""
+    return json.dumps({"lattice": {"kind": "radial", "d": d}, **doc})
+
+
 # a dimension of 10^9: the d x d entries of a transform, a window of 3^d
 # or 2^d indices and the 10^9 entries of diagonal's parameter vectors each
-# meet the cap
+# meet the cap; so do the 4d + 1 exponents of each radial atom, at 10^6 too
 _HUGE_DIMENSION = [
     ["verify-family", "--family", "hom_besov", "--params", '{"d":1000000000}', "--radius", "1"],
     ["verify-family", "--family", "inhom_besov", "--params", '{"d":1000000000}', "--radius", "0"],
@@ -78,6 +83,11 @@ _HUGE_DIMENSION = [
      "--radius", "1"],
     ["inspect-covering", "--covering", '{"family":"alpha_modulation","params":{"d":1000000000}}',
      "--radius", "0"],
+    *(["decide", "--family", "alpha_modulation", "--params",
+       json.dumps({"d": d, "alpha": "1/2", "s": "1"}), "-p", "1", "-q", "3", "-r", "2", "-k", "1"]
+      for d in (10**6, 10**9)),
+    *(["check-sequence", "--u", _radial(d, atoms=[{"radial_pow": "-1"}]), "--v", _radial(d),
+       "-r", "2", "-s", "1"] for d in (10**6, 10**9)),
 ]
 
 
@@ -540,6 +550,10 @@ def test_exceeded_window_cap_is_an_internal_limit(monkeypatch, doc, count):
     "a parameter vector of 1000000000 entries exceeds the cap of 1000000 ",
     "window of about 2^1584962500 indices exceeds the cap of 1000000 ",
     "a transform of 1000000000000000000 entries exceeds the cap of 1000000 ",
+    "a radial form of 12000003 exponents exceeds the cap of 1000000 ",
+    "a radial form of 12000000003 exponents exceeds the cap of 1000000 ",
+    "a radial form of 4000001 exponents exceeds the cap of 1000000 ",
+    "a radial form of 4000000001 exponents exceeds the cap of 1000000 ",
 ]))
 def test_a_huge_dimension_is_refused_at_once(monkeypatch, argv, message):
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from decomp_embed import embedding, exponents
 from decomp_embed import oracle as oracle_module
 from decomp_embed.embedding import (
+    TARGETS,
     Outcome,
     Verdict,
     decide,
@@ -435,15 +436,21 @@ def test_decide_grid_replays_byte_for_byte():
 
 
 def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
-    """The two caches kept across calls, the exponent literal memo and the
-    form cache, are invisible: a cold pass, then a pass in reverse order
-    that starts on the entries the first one left."""
+    """The memos kept across calls, the exponent literal memo, the form
+    cache, the (q, r) memo and the kept N3 and N4 verdicts of a form-cache
+    entry, are invisible: a cold pass, then a pass in reverse order that
+    starts on the entries the first one left."""
     lines = DECIDE_GRID.read_bytes().decode().splitlines(keepends=True)
-    memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo}
+    memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo,
+             "(q, r) memo": embedding._of_q_and_r}
     for memo in memos.values():
         memo.cache_clear()
     for order in (lines, lines[::-1]):
         _replay_grid(order)
+    # the first line was decided last, so its form-cache entry is kept
+    last = json.loads(lines[0])["query"]
+    khintchine = embedding._compiled(last["family"], last["params"], last["k"])[3]
+    memos["Khintchine verdicts"] = khintchine.verdict
     for name, memo in memos.items():
         assert memo.cache_info().hits > 0, name
 
@@ -607,6 +614,131 @@ def test_form_cache_stays_within_its_bound():
     for i in range(size + 8):
         decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p=1, q=2, r=2, k=0, target="sobolev")
     assert memo.cache_info().currsize == size
+
+
+def test_qr_memo_stays_within_its_bound():
+    memo = embedding._of_q_and_r
+    memo.cache_clear()
+    size = memo.cache_info().maxsize
+    assert size == embedding.QR_MEMO_SIZE
+    for i in range(size + 8):
+        decide("hom_besov", {"d": 1}, p=1, q=f"{i + 3}/{i + 1}", r=2, k=0, target="sobolev")
+    assert memo.cache_info().currsize == size
+
+
+def test_kept_khintchine_verdicts_stay_within_their_bound():
+    embedding._compiled_memo.cache_clear()
+    for i in range(embedding.KHINTCHINE_MEMO_SIZE + 8):
+        decide("hom_besov", {"d": 1}, p=1, q=3, r=f"{i + 5}/{i + 1}", k=0, target="sobolev")
+    memo = embedding._compiled("hom_besov", {"d": 1}, 0)[3].verdict
+    # N3 and N4 each add one key per r
+    assert memo.cache_info().maxsize == embedding.KHINTCHINE_MEMO_SIZE
+    assert memo.cache_info().currsize == embedding.KHINTCHINE_MEMO_SIZE
+    assert embedding._compiled_memo.cache_info().currsize == 1
+
+
+def _clear_memos() -> None:
+    for memo in (exponents._parse_literal, embedding._compiled_memo, embedding._of_q_and_r):
+        memo.cache_clear()
+
+
+_SWEEP_AXIS = ("1/2", "1", "3/2", "2", "5/2", "3", "4", "inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(draw=_family_draws, p=st.sampled_from(_SWEEP_AXIS), q=st.sampled_from(_SWEEP_AXIS),
+       r=st.sampled_from(_SWEEP_AXIS), k=st.integers(0, 2), target=st.sampled_from(TARGETS))
+def test_a_decide_reads_the_same_on_cold_and_warm_memos(draw, p, q, r, k, target):
+    """One call gives the same verdict, or the same error, with every memo
+    cleared and on memos that a sweep of its (q, r) neighbours warmed,
+    cold first and warm first."""
+    family, params = draw
+    cell = dict(p=p, k=k, target=target)
+
+    def run(q, r) -> object:
+        try:
+            return decide(family, params, q=None if target != "sobolev" else q, r=r,
+                          **cell).to_json()
+        except InvalidParams as exc:
+            return f"InvalidParams: {exc}"
+
+    sweep = list(itertools.product(_SWEEP_AXIS, repeat=2))
+    _clear_memos()
+    cold = run(q, r)
+    for cell_q, cell_r in sweep:
+        run(cell_q, cell_r)
+    assert run(q, r) == cold
+    for cell_q, cell_r in sweep[::-1]:
+        run(cell_q, cell_r)
+    warm = run(q, r)
+    _clear_memos()
+    assert run(q, r) == warm == cold
+
+
+def _logged_checks(monkeypatch) -> list:
+    """Every call the oracle cross-check receives, as (label, dp, g, x,
+    verdict), passed on to the cross-check itself."""
+    log = []
+    cross_check = embedding._cross_check
+
+    def spy(calls):
+        log.extend((c.label, c.dp, c.g, c.x, c.verdict.value) for c in calls)
+        cross_check(calls)
+
+    monkeypatch.setattr(embedding, "_cross_check", spy)
+    return log
+
+
+@pytest.mark.parametrize("family, params", [
+    ("hom_besov", {"d": 1, "s": "2/3"}),
+    ("alpha_modulation", {"d": 1, "alpha": "1/2", "s": "1/4"}),
+    ("shearlet_coorbit", {"c": 2, "alpha": "-3", "beta": 1}),
+])
+def test_the_oracle_check_receives_every_call_on_cold_and_warm_memos(monkeypatch, family,
+                                                                     params):
+    """Under the oracle check, each cell hands the cross-check S1 and N2 at
+    (1/p - 1/q, 1/2 - 1/r), N2b at q = inf, N3 at dp = 0 and N4 at
+    1/p - 1/2 (on a family with a Khintchine form, N4 for q >= 2), each with
+    its 1/theta and the verdict its evidence reports, whether the kept
+    verdicts answer or not."""
+    def gap(a, b) -> tuple[int, int]:
+        return _as_pair(_inverse(a) - _inverse(b))
+
+    def clamp(pair):
+        return pair if pair[0] > 0 else (0, 1)
+
+    khintchine = get_family(family).khintchine is not None
+    cells = list(itertools.product(("1", "3/2"), ("3/2", "3", "inf"), ("3/2", "4")))
+    _clear_memos()
+    log, runs = _logged_checks(monkeypatch), []
+    for _ in range(2):
+        log.clear()
+        want = []
+        for p, q, r in cells:
+            verdict = decide(family, params, p=p, q=q, r=r, k=1, target="sobolev",
+                             oracle_check=True)
+            reported = _reported(verdict)
+            g, dp = gap(2, r), gap(p, q)
+            xq = _inverse(q)
+            asked = [("S1", dp, clamp(_as_pair(max(xq, 1 - xq) - _inverse(r)))),
+                     ("N2", dp, clamp(gap(q, r)))]
+            if q == "inf":
+                asked.append(("N2b", dp, clamp(gap(1, r))))
+            elif khintchine:
+                asked.append(("N3", (0, 1), clamp(g)))
+                if xq <= Fraction(1, 2):
+                    asked.append(("N4", gap(p, 2), clamp(g)))
+            want += [(label, dp, g, x, reported[label][0]) for label, dp, x in asked]
+        assert log == want
+        assert {"N3", "N4"} <= {call[0] for call in log} or not khintchine
+        runs.append(list(log))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("family", [42, None, b"hom_besov", 1.5, ["hom_besov"]])
+def test_a_family_that_is_no_family_is_refused(family):
+    with pytest.raises(InvalidParams, match=f"^not a family: {re.escape(repr(family))}$"):
+        decide(family, {}, p=1, q=2, r=2, k=0, target="sobolev")
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
