@@ -728,7 +728,7 @@ def test_the_oracle_check_receives_every_call_on_cold_and_warm_memos(monkeypatch
                 asked.append(("N3", (0, 1), clamp(g)))
                 if xq <= Fraction(1, 2):
                     asked.append(("N4", gap(p, 2), clamp(g)))
-            want += [(label, dp, g, x, reported[label][0]) for label, dp, x in asked]
+            want += [(label, at, g, x, reported[label][0]) for label, at, x in asked]
         assert log == want
         assert {"N3", "N4"} <= {call[0] for call in log} or not khintchine
         runs.append(list(log))
