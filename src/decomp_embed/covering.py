@@ -639,6 +639,12 @@ class Covering:
     _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # structure constants by radius, filled by ``certify_constants``
     _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # certify_constants' class number by (A_i, d_i), and per class number
+    # (B_i, e_i) of T_i^-1 = B_i / e_i and (columns of A_i, d_i)
+    _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _inverses: list = field(default_factory=list, init=False, repr=False, compare=False)
+    # certify_constants' spectral norm by the float entries of T_i^-1 T_j
+    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # the probe weight's values by index, filled by ``probe_weight``'s weight
     _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     # check_moderate's estimate for the probe weight by radius, filled by it
@@ -780,8 +786,10 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     exact entry.  Indices with equal (A_i, d_i) share a class, the product
     depends on the two classes alone, and it is built once per pair of
     classes; the spectral norm is computed once per distinct float matrix.
-    They are kept on the covering by radius, read after :func:`adjacency`
-    has passed the window cap; every call returns a copy.
+    The constants are kept on the covering by radius, read after
+    :func:`adjacency` has passed the window cap, and so are the classes,
+    their inverses and the norms, for every radius; every call returns a
+    copy, and a refusal keeps no constants.
     """
     nbrs, certain = adjacency(covering, radius)
     if radius in covering._constants:
@@ -790,23 +798,23 @@ def certify_constants(covering: Covering, radius: int) -> dict:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
     places = placements(covering, radius)
-    classes: dict = {}  # class number by (A_i, d_i)
+    classes, inverses = covering._classes, covering._inverses
     kind = {i: classes.setdefault(p.scaled, len(classes)) for i, p in places.items()}
     # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i), e_i = det(A_i); T_j = (columns of A_j) / d_j
-    inverses, columns = [], []
-    for a, d in classes:
+    # the classes past the last inverse, a singular one among them on a refusal
+    for a, d in itertools.islice(classes, len(inverses), None):
         e, adj = _det_adj(a)
         if adj is None:
             raise ZeroDivisionError(f"covering {covering.label!r} has a singular transform")
-        inverses.append((tuple(tuple(d * x for x in row) for row in adj), e))
-        columns.append((tuple(zip(*a)), d))
-    norms: dict[tuple, float] = {}  # spectral norm by the float entries of T_i^-1 T_j
+        inverses.append(((tuple(tuple(d * x for x in row) for row in adj), e),
+                         (tuple(zip(*a)), d)))
+    norms = covering._norms
     c_hat = 0.0
     with _in_float_range(covering, radius):
         for ki, kj in dict.fromkeys((kind[i], kind[j]) for i, js in nbrs.items() for j in js):
             # one correctly rounded int/int division per entry of
             # B_i A_j / (e_i d_j) gives the float of the exact entry
-            (inv, e), (cols, d_j) = inverses[ki], columns[kj]
+            (inv, e), (cols, d_j) = inverses[ki][0], inverses[kj][1]
             den = e * d_j
             key = tuple([sum(map(mul, row, col)) / den for row in inv for col in cols])
             val = norms.get(key)

@@ -21,18 +21,20 @@ into 1/p, 1/q and 1/r as reduced pairs (numerator, positive denominator),
 1/inf = (0, 1).  Every gap and every 1/theta a verdict reads is affine in
 them, clamped at 0, and every comparison is an integer cross product.  Each
 quotient w^(t)/u(r) is a family's quotient form, whose exponents are affine
-in the gaps 1/p - 1/t and 1/2 - 1/r, evaluated at the cell's gaps with
-t = q, p and 2, and decided on the form's integer coefficients without
-building a weight.  An :class:`ExtExponent` or a ``Fraction`` appears only
+in the gaps 1/p - 1/t and 1/2 - 1/r, decided at the cell's gaps with
+t = q, p and 2 by the form's compiled membership test, without building a
+weight: the test evaluates only the exponents that depend on the gaps, once
+for S1, N2 and N2b.  An :class:`ExtExponent` or a ``Fraction`` appears only
 in the refined criteria's thresholds and under the oracle check; the
 evidence text is made from the pairs.  Parsed params and forms are kept
-across calls in a bounded LRU cache, keyed by the family, the canonical JSON
-text of the params document (or the parsed params themselves) and k, so a
-(q, r) sweep parses and compiles once.  What (q, r) alone gives, g and every
-1/theta, is kept per (1/q, 1/r), and each kept Khintchine-restricted form
-keeps its N3 and N4 verdicts per (dp, g, 1/theta): within a sweep these two
-depend on r alone.  A call computes only what reads p, the S1, N2 and N2b
-verdicts, the refined criteria and the evidence.
+across calls in a bounded LRU cache, keyed by the family, the typed items
+of the params document (or the parsed params themselves) and k, so a
+(q, r) sweep parses and compiles once.  What (q, r) alone gives, g, every
+1/theta and their texts, is kept per (1/q, 1/r), and each kept
+Khintchine-restricted form keeps its N3 and N4 verdicts per
+(dp, g, 1/theta): within a sweep these two depend on r alone.  A call
+computes only what reads p, the S1, N2 and N2b verdicts, the refined
+criteria and the evidence.
 
 The optional oracle check builds each weight and theta a verdict read,
 checks the compiled verdict against :func:`decide_lp_membership` on them (a
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -65,8 +66,7 @@ from .exponents import (
     reciprocal_pair,
 )
 from .families import Family, get_family
-from .seqspace import (ExpPolyWeight, Membership, decide_lp_membership, decide_reciprocal,
-                       record, refuse_unsupported)
+from .seqspace import ExpPolyWeight, Membership, decide_lp_membership, record, refuse_unsupported
 
 __all__ = [
     "Outcome",
@@ -156,7 +156,8 @@ class _Reciprocals(NamedTuple):
     """One (p, q, r) as a verdict reads it: 1/p, 1/q and 1/r, the gaps
     dp = 1/p - 1/q and g = 1/2 - 1/r, and 1/theta of each membership
     criterion (``n34`` for N3 and N4), each a reduced int pair with
-    1/inf = (0, 1); and the comparisons.  The refined criteria read it too.
+    1/inf = (0, 1); the comparisons; and the texts of q and of each
+    criterion's theta, by evidence id.  The refined criteria read it too.
     """
 
     p: Pair
@@ -171,6 +172,8 @@ class _Reciprocals(NamedTuple):
     p_le_q: bool
     r_le_q: bool
     two_le_q: bool
+    q_text: str
+    theta_text: dict
 
 
 @functools.lru_cache(maxsize=QR_MEMO_SIZE)
@@ -178,19 +181,24 @@ def _of_q_and_r(xq: Pair, xr: Pair) -> tuple:
     """g and every 1/theta, each an affine function of 1/q and 1/r clamped
     at 0: 1/q'' - 1/r for S1 (q'' the lower conjugate), 1/q - 1/r for N2,
     1 - 1/r for N2b (theta = r') and 1/2 - 1/r for N3 and N4; then r <= q
-    and 2 <= q.  Kept per (1/q, 1/r), the int pairs of the parse."""
+    and 2 <= q, and the texts of q and of each theta.  Kept per (1/q, 1/r),
+    the int pairs of the parse."""
     g = pair_sub(_HALF, xr)
-    return (g, clamped(pair_sub(lower_conjugate_pair(xq), xr)), clamped(pair_sub(xq, xr)),
-            conjugate_pair(xr), clamped(g), pair_le(xq, xr), pair_le(xq, _HALF))
+    s1, n2, n2b, n34 = (clamped(pair_sub(lower_conjugate_pair(xq), xr)),
+                        clamped(pair_sub(xq, xr)), conjugate_pair(xr), clamped(g))
+    n34_text = exponent_text(n34)
+    texts = {"S1": exponent_text(s1), "N2": exponent_text(n2), "N2b": exponent_text(n2b),
+             "N3": n34_text, "N4": n34_text}
+    return (g, s1, n2, n2b, n34, pair_le(xq, xr), pair_le(xq, _HALF), exponent_text(xq), texts)
 
 
 def _reciprocals(p, q, r) -> _Reciprocals:
     """Parse p, q and r once; what reads p is computed on every call, the
     rest read from the memo of (q, r)."""
     xp, xq, xr = reciprocal_pair(p), reciprocal_pair(q), reciprocal_pair(r)
-    g, s1, n2, n2b, n34, r_le_q, two_le_q = _of_q_and_r(xq, xr)
+    g, s1, n2, n2b, n34, r_le_q, two_le_q, q_text, theta_text = _of_q_and_r(xq, xr)
     return _Reciprocals(xp, xq, xr, pair_sub(xp, xq), g, s1, n2, n2b, n34,
-                        pair_le(xq, xp), r_le_q, two_le_q)
+                        pair_le(xq, xp), r_le_q, two_le_q, q_text, theta_text)
 
 
 class _Khintchine(NamedTuple):
@@ -204,8 +212,9 @@ class _Khintchine(NamedTuple):
 
 
 def _khintchine(kform: ExpPolyWeight) -> _Khintchine:
+    test = kform.membership_test()
     return _Khintchine(kform, functools.lru_cache(maxsize=KHINTCHINE_MEMO_SIZE)(
-        lambda dp, g, x: decide_reciprocal(kform.pairs_at(dp, g), x)))
+        lambda dp, g, x: test.at(dp, g)(x)))
 
 
 class _SummabilityCall(NamedTuple):
@@ -231,35 +240,32 @@ def _validate_order(k: int) -> int:
 
 
 _JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
-# the encoder json.dumps(doc, sort_keys=True) builds on every call, built once
-_KEY_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
-def _plain_json(obj) -> bool:
-    """Whether a document is built from JSON types alone, subclasses excluded."""
-    kind = type(obj)
-    if kind is dict:
-        return all(type(key) is str and _plain_json(val) for key, val in obj.items())
-    if kind is list:
-        return all(map(_plain_json, obj))
-    return kind in _JSON_SCALARS
-
-
-def _params_key(doc) -> Optional[str]:
-    """The cache key of a params document: its ``json.dumps`` text with
-    sorted keys, which tells 1, 1.0, true and "1" apart.  None for a
-    document JSON cannot encode (a Fraction, mixed key types, a cycle, an
-    int past the digit limit, nesting past the recursion limit) or that
-    holds other types (a tuple, which encodes like a list, a non-string
-    key), which is parsed uncached."""
-    try:
-        text = _KEY_ENCODER.encode(doc)
-        # a flat document, the common case, is checked without the recursive walk
-        flat = type(doc) is dict and all(type(key) is str and type(val) in _JSON_SCALARS
-                                         for key, val in doc.items())
-        return text if flat or _plain_json(doc) else None
-    except (TypeError, ValueError, RecursionError):
+def _params_key(doc) -> Optional[tuple]:
+    """The cache key of a params document of str keys whose values are JSON
+    scalars or lists of them: its (key, type, value) items, sorted, a
+    list's value its entries as (type, value) pairs.  The type keeps 1,
+    1.0, true and "1" apart; 0.0 and -0.0 share a key, which every parser
+    reads as the Fraction 0, and a NaN equals only itself.  None for any
+    other document (a tuple, a subclass, a dict or a nested list, a
+    non-string key), which is parsed uncached."""
+    if type(doc) is not dict:
         return None
+    items = []
+    for key, val in doc.items():
+        if type(key) is not str:
+            return None
+        kind = type(val)
+        if kind is list:
+            val = tuple([(type(entry), entry) for entry in val])
+            if not all(entry_kind in _JSON_SCALARS for entry_kind, _ in val):
+                return None
+        elif kind not in _JSON_SCALARS:
+            return None
+        items.append((key, kind, val))
+    items.sort()
+    return tuple(items)
 
 
 def _compile(fam: Family, params, k: int) -> tuple:
@@ -271,7 +277,10 @@ def _compile(fam: Family, params, k: int) -> tuple:
 @functools.lru_cache(maxsize=FORM_MEMO_SIZE)
 def _compiled_memo(fam: Family, key, k: int) -> tuple:
     # a failed parse raises, and lru_cache keeps nothing for it
-    return _compile(fam, fam.parse_params(json.loads(key)) if type(key) is str else key, k)
+    if type(key) is tuple:  # a document's key, not parsed params
+        key = fam.parse_params({name: [entry for _, entry in val] if kind is list else val
+                                for name, kind, val in key})
+    return _compile(fam, key, k)
 
 
 def _compiled(family, params, k) -> tuple:
@@ -317,24 +326,23 @@ def decide_sobolev(
             "N1",
             ANCHOR_P_LE_Q,
             x.p_le_q,
-            f"p <= q {holds} for p = {exponent_text(x.p)}, q = {exponent_text(x.q)}",
+            f"p <= q {holds} for p = {exponent_text(x.p)}, q = {x.q_text}",
             "necessary",
         )
     ]
 
     # each quotient reads r only through g = 1/2 - 1/r, and t = q, p or 2
     # only through dp = 1/p - 1/t; per criterion its form, dp, 1/theta,
-    # verdict, the text before the verdict, and what else it requires
+    # verdict, the text before the verdict, and what else it requires;
+    # S1, N2 and N2b read one evaluation of the form's test at (dp, g)
     g = x.g
-    exponents = form.pairs_at(x.dp, g)
+    member_of = form.membership_test().at(x.dp, g)
     asked = [
-        ("S1", form, x.dp, x.s1, decide_reciprocal(exponents, x.s1),
-         f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
-        ("N2", form, x.dp, x.n2, decide_reciprocal(exponents, x.n2), "w(q)/u", True),
+        ("S1", form, x.dp, x.s1, member_of(x.s1), f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
+        ("N2", form, x.dp, x.n2, member_of(x.n2), "w(q)/u", True),
     ]
     if not x.q[0]:  # q = inf
-        asked.append(("N2b", form, x.dp, x.n2b, decide_reciprocal(exponents, x.n2b),
-                      "w(inf)/u", True))
+        asked.append(("N2b", form, x.dp, x.n2b, member_of(x.n2b), "w(inf)/u", True))
     elif khintchine is not None:
         kform, verdict = khintchine
         asked.append(("N3", kform, _NO_GAP, x.n34, verdict(_NO_GAP, g, x.n34),
@@ -343,13 +351,13 @@ def decide_sobolev(
             dp_2 = pair_sub(x.p, _HALF)
             asked.append(("N4", kform, dp_2, x.n34, verdict(dp_2, g, x.n34),
                           "w(2)/u on the expanding part", True))
-    for ev_id, _, _, recip, member, what, ok in asked:
+    for ev_id, _, _, _, member, what, ok in asked:
         evidence.append(
             Evidence(
                 ev_id,
                 _MEMBERSHIP_ANCHORS[ev_id],
                 ok and member is _MEMBER,
-                f"{what} is {_MEMBERSHIP_TEXT[member]} of l^{exponent_text(recip)}",
+                f"{what} is {_MEMBERSHIP_TEXT[member]} of l^{x.theta_text[ev_id]}",
                 "sufficient" if ev_id == "S1" else "necessary",
             )
         )
@@ -383,8 +391,8 @@ def _aggregate(evidence: list[Evidence], x: _Reciprocals) -> Verdict:
         return Verdict(_DOES_NOT_EMBED, tuple(evidence))
     r_location = "in (q'', q]" if x.r_le_q else "above q"
     note = (
-        f"summability holds at l^{exponent_text(x.n2)} but is unresolved at "
-        f"l^{exponent_text(x.s1)}; the borderline regime with q = {exponent_text(x.q)} "
+        f"summability holds at l^{x.theta_text['N2']} but is unresolved at "
+        f"l^{x.theta_text['S1']}; the borderline regime with q = {x.q_text} "
         f"in (2, inf) and r = {exponent_text(x.r)} {r_location} is outside the "
         "decided range"
     )

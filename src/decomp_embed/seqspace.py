@@ -16,10 +16,11 @@ once, at the boundary: in the public constructors of :class:`CoordFactor`
 and :class:`Atom`, their classmethods and :func:`expweight_from_json`.
 Internal arithmetic passes Fractions through untouched, so a quotient is a
 field-wise subtraction.  An exponent may instead be an :class:`Affine` in
-the gaps dp = 1/p - 1/t and g = 1/2 - 1/r.  The membership rules read every
-exponent as an int pair (numerator, positive denominator) at one (dp, g),
-from the integer coefficients a weight compiles once, and compare signs
-and integer cross products affine in 1/theta; only the closed boundary at
+the gaps dp = 1/p - 1/t and g = 1/2 - 1/r.  A weight compiles its
+membership test once: each atom's rules, bound to the exponents they read.
+At one (dp, g) the test evaluates only the exponents that depend on it, as
+int pairs (numerator, positive denominator), and compares signs and
+integer cross products affine in 1/theta; only the closed boundary at
 theta = inf sets that case apart.
 
 The decider manipulates exponents as exact rationals; this module is the
@@ -35,7 +36,7 @@ import itertools
 import math
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import UnsupportedWeight, check_window_cap
 from .exponents import Pair, int_from_json, rational_from_json, reciprocal_pair
@@ -50,7 +51,7 @@ __all__ = [
     "ExpPolyWeight",
     "Affine",
     "Membership",
-    "decide_reciprocal",
+    "MembershipTest",
     "decide_lp_membership",
     "sector_from_json",
     "expweight_from_json",
@@ -425,11 +426,12 @@ class ExpPolyWeight:
     one weight for every (t, r).  The constructor compiles the exponents to
     ints (a, b, c) over one common denominator D: at (dp, g) an exponent is
     (a*s + b*u + c*v) / (D*s), with the same s, u, v for all.
-    :meth:`pairs_at` gives the int pairs :func:`decide_reciprocal` reads;
-    :meth:`at` builds the Fraction weight that the numeric oracle reads.
+    :meth:`membership_test` compiles from them, once, the rules that decide
+    the weight in l^theta; :meth:`at` builds the Fraction weight that the
+    numeric oracle reads.
     """
 
-    __slots__ = ("pieces", "_den", "_rows")
+    __slots__ = ("pieces", "_den", "_rows", "_test")
 
     def __init__(self, pieces: tuple[Piece, ...]):
         self.pieces = pieces
@@ -445,6 +447,7 @@ class ExpPolyWeight:
         rows = iter([tuple(ints[id(e)] for e in atom) for atom in exps])
         self._den = den
         self._rows = tuple(tuple(next(rows) for _ in piece.atoms) for piece in pieces)
+        self._test = None
 
     @classmethod
     def single(cls, sector: Sector, *atoms: Atom) -> "ExpPolyWeight":
@@ -459,35 +462,28 @@ class ExpPolyWeight:
     def __repr__(self) -> str:
         return f"ExpPolyWeight({self.pieces!r})"
 
-    def pairs_at(self, dp: Pair = (0, 1), g: Pair = (0, 1)) -> list:
-        """Per piece its sector and, per atom, the exponent pairs at the
-        gaps dp and g, given as int pairs, as :func:`decide_reciprocal`
-        reads them; a weight without :class:`Affine` exponents reads the
-        same at every (dp, g).
-
-        Lists, not tuples built from generators: those are sized by a
-        guess and shrunk, and the tuples they free pile up in CPython's
-        per-size free lists, which a sweep of cells fills to their cap.
-        """
-        (dn, dd), (gn, gd) = dp, g
-        s = dd * gd
-        u, v, den = dn * gd, gn * dd, self._den * s
-        return [
-            (piece.sector, [[(a * s + b * u + c * v, den) for a, b, c in row] for row in rows])
-            for piece, rows in zip(self.pieces, self._rows)
-        ]
+    def membership_test(self) -> "MembershipTest":
+        """The weight's :class:`MembershipTest`, compiled on first use and
+        kept; a weight no rule covers raises :class:`UnsupportedWeight`,
+        on every call, and keeps nothing."""
+        if self._test is None:
+            self._test = _compile_test(self)
+        return self._test
 
     def at(self, dp: Fraction, g: Fraction) -> "ExpPolyWeight":
         """The weight at one (dp, g), every exponent a Fraction."""
-        def atom_at(atom: Atom, pairs: list[Pair]) -> Atom:
-            vals = [Fraction(num, den) for num, den in pairs]
+        (dn, dd), (gn, gd) = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
+        s = dd * gd
+        u, v, den = dn * gd, gn * dd, self._den * s
+
+        def atom_at(atom: Atom, row: tuple) -> Atom:
+            vals = [Fraction(a * s + b * u + c * v, den) for a, b, c in row]
             factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
             return Atom._make((atom.coeff, factors, vals[-1]))
 
-        pairs = self.pairs_at((dp.numerator, dp.denominator), (g.numerator, g.denominator))
         return ExpPolyWeight(tuple(
-            Piece(piece.sector, tuple(map(atom_at, piece.atoms, atoms)))
-            for piece, (_, atoms) in zip(self.pieces, pairs)
+            Piece(piece.sector, tuple(map(atom_at, piece.atoms, rows)))
+            for piece, rows in zip(self.pieces, self._rows)
         ))
 
     def quotient(self, den: "ExpPolyWeight") -> "ExpPolyWeight":
@@ -577,22 +573,154 @@ class Membership(str, Enum):
 _MEMBER, _NOT_MEMBER = Membership.MEMBER, Membership.NOT_MEMBER
 
 
-def refuse_unsupported(w: ExpPolyWeight) -> ExpPolyWeight:
-    """Raise :class:`UnsupportedWeight` at the first atom, piece by piece,
-    that no membership rule covers, else return w.  It reads the compiled int
-    triples: an exponent counts when it is not identically 0 in (dp, g), and
-    two m powers are one when their triples are equal, so a form that passes
-    builds only weights that pass."""
+def _below(v: int, xn: int) -> bool:
+    """Whether a rule whose integer cross product is ``v`` admits the atom:
+    v < 0, or v == 0 at theta = inf (xn == 0), where a bounded term is
+    enough and the boundary is closed."""
+    return v < 0 or (v == 0 and xn == 0)
+
+
+# A rule is ``rule(vals, xn, xd)``: whether its terms lie in l^theta at
+# 1/theta = xn/xd, reading its exponents as the int pairs ``vals[i]`` at the
+# indices it was bound to.  The sums read per unit theta: every rate and
+# power below is divided by theta.
+
+def _never(vals: list, xn: int, xd: int) -> bool:
+    return False
+
+
+def _power_rule(c: int, k: int):
+    """|n|^c summed over a half-line (k = 1) or over Z^k minus 0 (a radial
+    atom, k = d): c + k/theta < 0, as an integer cross product."""
+    def rule(vals: list, xn: int, xd: int) -> bool:
+        cn, cd = vals[c]
+        return _below(cn * xd + k * cd * xn, xn)
+    return rule
+
+
+def _halfline_rule(a: int, c: int, sign: int):
+    """2^(a*n) * |n|^c over n >= 1 (sign 1) or n <= -1 (sign -1): the sign
+    of the rate sign*a decides, and at a = 0 the power c does."""
+    def rule(vals: list, xn: int, xd: int) -> bool:
+        an = vals[a][0]
+        if an:
+            return sign * an < 0
+        cn, cd = vals[c]
+        return _below(cn * xd + cd * xn, xn)
+    return rule
+
+
+def _pair_rule(r: int, a: int, c: int, ln: int, ld: int, orient: int, outside: bool):
+    """An atom 2^(a*n) * |n|^c * |m|^rho on a pair sector of rate lam =
+    ln/ld; on n < 0 (orient -1) n runs to -inf, where 2^(a*n) decays at
+    rate -a."""
+    def rule(vals: list, xn: int, xd: int) -> bool:
+        rn, rd = vals[r]
+        an, ad = vals[a]
+        # rho_side has the sign of 1/theta + rho
+        rho_side = rn * xd + rd * xn
+        if outside and not _below(rho_side, xn):
+            return False  # every row has a divergent (or unbounded) m-tail
+        # rows grow like bound^(1/theta + rho) when the m power points
+        # outward; inside rows behave like log(bound) at 1/theta + rho = 0
+        # and like a constant below
+        if outside or rho_side > 0:
+            # the sign of the rate a + lam*(1/theta + rho), with
+            # 1/theta + rho = rho_side / (xd * rd)
+            rate = orient * (an * ld * xd * rd + ln * rho_side * ad)
+        elif rho_side == 0 and ln and not an:
+            # the log(bound) factor raises the power c by 1/theta
+            cn, cd = vals[c]
+            return _below(cn * xd + 2 * cd * xn, xn)
+        else:
+            rate = orient * an
+        if rate:
+            return rate < 0
+        cn, cd = vals[c]
+        return _below(cn * xd + cd * xn, xn)
+    return rule
+
+
+class MembershipTest:
+    """A weight's membership in l^theta, compiled once from its int rows
+    (:meth:`ExpPolyWeight.membership_test`).
+
+    For finite theta a sum of atoms is summable exactly when every atom is
+    (the theta-power of a finite sum of positive terms is comparable to the
+    sum of theta-powers), and at theta = inf it is bounded exactly when
+    every atom is, so the decision is a conjunction over atoms and pieces,
+    and an atom's over the orthants of its line and product factors.  Each
+    conjunct is the rule its sector takes (a half-line, a radial or a pair
+    rule), bound to the exponents it reads and to nothing else: an
+    orthant whose rate is a nonzero constant is decided when the test is
+    built, and a test with a conjunct that never holds reads NotMember at
+    once.  Constant exponents are int pairs from then on; :meth:`at`
+    evaluates the others, each distinct one once per (dp, g).
+    """
+
+    __slots__ = ("_affine", "_consts", "_den", "_rules")
+
+    def __init__(self, affine: tuple, consts: tuple, den: int, rules: tuple):
+        self._affine, self._consts, self._den, self._rules = affine, consts, den, rules
+
+    def at(self, dp: Pair = (0, 1), g: Pair = (0, 1)) -> Callable[[Pair], Membership]:
+        """The membership at the gaps dp and g, int pairs, as a function of
+        1/theta = x, an int pair with x = (0, 1) at theta = inf.
+
+        Every rule is the sign of an integer cross product affine in
+        x, and no Fraction or exponent object is built.
+        """
+        (dn, dd), (gn, gd) = dp, g
+        s = dd * gd
+        u, v, den = dn * gd, gn * dd, self._den * s
+        vals = [(a * s + b * u + c * v, den) for a, b, c in self._affine]
+        vals += self._consts
+        rules = self._rules
+
+        def member(x: Pair) -> Membership:
+            xn, xd = x
+            for rule in rules:
+                if not rule(vals, xn, xd):
+                    return _NOT_MEMBER
+            return _MEMBER
+
+        return member
+
+
+def _compile_test(w: ExpPolyWeight) -> MembershipTest:
+    """Walk the compiled int rows of w piece by piece, then atom by atom:
+    raise :class:`UnsupportedWeight` at the first atom no rule covers, else
+    bind each atom's rules.  An exponent counts when its triple is not
+    identically 0 in (dp, g), and two m powers are one when their triples
+    are equal, so a form that passes builds only weights that pass."""
+    affine, consts, slots, rules = [], [], {}, []
+    never = False
+
+    def slot(t: tuple) -> int:
+        # an exponent's index in the values at() lists: affine triples count
+        # up from 0, constant ones down from -1, their pairs last first
+        i = slots.get(t)
+        if i is None:
+            if t[1] or t[2]:
+                i = len(affine)
+                affine.append(t)
+            else:
+                consts.append(t)
+                i = -len(consts)
+            slots[t] = i
+        return i
+
     for piece, rows in zip(w.pieces, w._rows):
         sector = piece.sector
         radial, pair = isinstance(sector, RadialSector), isinstance(sector, PairSector)
         n0 = pair and sector.n_domain == "N0"
+        known = radial or pair or isinstance(sector, (LineSector, ProductSector))
         for row in rows:
             if radial and any(map(any, row[:-1])):
                 raise UnsupportedWeight("radial sectors support only radial powers")
             if not radial and any(row[-1]):
                 raise UnsupportedWeight("radial powers are only supported on radial sectors")
-            if not (pair or radial or isinstance(sector, (LineSector, ProductSector))):
+            if not known:
                 raise UnsupportedWeight(f"unknown sector type {type(sector).__name__}")
             if pair and (any(row[4]) or any(row[5])):
                 raise UnsupportedWeight("pair sectors support only power factors in m")
@@ -601,115 +729,48 @@ def refuse_unsupported(w: ExpPolyWeight) -> ExpPolyWeight:
             if pair and (sector.lam < 0 if n0 else sector.lam > 0):
                 raise UnsupportedWeight("pair sector with lam < 0 on n >= 0" if n0
                                         else "pair sector with lam > 0 on n < 0")
+            if radial:
+                rules.append(_power_rule(slot(row[-1]), sector.d))
+                continue
+            if pair:
+                a, c = (row[0], row[2]) if n0 else (row[1], row[3])
+                rules.append(_pair_rule(slot(row[6]), slot(a), slot(c), sector.lam.numerator,
+                                        sector.lam.denominator, 1 if n0 else -1,
+                                        sector.side == "outside"))
+                continue
+            lines = sector.lines if isinstance(sector, ProductSector) else (sector,)
+            for j, line in enumerate(lines):
+                a_pos, a_neg, c_pos, c_neg = row[4 * j:4 * j + 4]
+                orthants = []
+                if line.domain != "Nneg":
+                    orthants.append((1, a_pos, c_pos))
+                if line.domain != "N0":
+                    orthants.append((-1, a_neg, c_neg))
+                for sign, a, c in orthants:
+                    if a[1] or a[2]:
+                        rules.append(_halfline_rule(slot(a), slot(c), sign))
+                    elif not a[0]:
+                        rules.append(_power_rule(slot(c), 1))
+                    # a constant rate decides alone
+                    elif sign * a[0] > 0:
+                        never = True
+    if never:
+        return MembershipTest((), (), w._den, (_never,))
+    return MembershipTest(tuple(affine), tuple((t[0], w._den) for t in reversed(consts)),
+                          w._den, tuple(rules))
+
+
+def refuse_unsupported(w: ExpPolyWeight) -> ExpPolyWeight:
+    """Raise :class:`UnsupportedWeight` at the first atom, piece by piece,
+    that no membership rule covers, else return w, its
+    :class:`MembershipTest` compiled."""
+    w.membership_test()
     return w
-
-
-def _below(v: int, xn: int) -> bool:
-    """Whether a rule whose integer cross product is ``v`` admits the atom:
-    v < 0, or v == 0 at theta = inf (xn == 0), where a bounded term is
-    enough and the boundary is closed."""
-    return v < 0 or (v == 0 and xn == 0)
-
-
-def _halfline_member(sign: int, c: Pair, xn: int, xd: int) -> bool:
-    """Whether 2^(a*n) * n^c over n >= 1 lies in l^theta, 1/theta = xn/xd;
-    ``sign`` is any int with the sign of a.
-
-    This is summability of 2^(theta*a*n) * n^(theta*c) (boundedness at
-    theta = inf): theta > 0 keeps the sign of a, and at a = 0 the test
-    c + 1/theta < 0 is an integer cross product.
-    """
-    if sign:
-        return sign < 0
-    cn, cd = c
-    return _below(cn * xd + cd * xn, xn)
-
-
-def _line_member(domain: str, f: Sequence[Pair], xn: int, xd: int) -> bool:
-    """``f`` is a coordinate factor's (exp2_pos, exp2_neg, pow_pos, pow_neg)."""
-    a_pos, a_neg, c_pos, c_neg = f
-    if domain != "Nneg" and not _halfline_member(a_pos[0], c_pos, xn, xd):
-        return False
-    return domain == "N0" or _halfline_member(-a_neg[0], c_neg, xn, xd)
-
-
-def _pair_atom_member(sector: PairSector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
-    rn, rd = ex[6]
-    ln, ld = sector.lam.numerator, sector.lam.denominator
-    # on n < 0, n runs to -inf, where 2^(a*n) decays at rate -a
-    orient = 1 if sector.n_domain == "N0" else -1
-    (an, ad), c = (ex[0], ex[2]) if orient > 0 else (ex[1], ex[3])
-    outside = sector.side == "outside"
-
-    # the l^theta sum (a sup at theta = inf) read per unit theta: every
-    # rate and power below is divided by theta, and rho_side has the
-    # sign of 1/theta + rho
-    rho_side = rn * xd + rd * xn
-    if outside and not _below(rho_side, xn):
-        return False  # every row has a divergent (or unbounded) m-tail
-    # rows grow like bound^(1/theta + rho) when the m power points
-    # outward; inside rows behave like log(bound) at 1/theta + rho = 0
-    # and like a constant below
-    if outside or rho_side > 0:
-        # the sign of the rate a + lam*(1/theta + rho), with
-        # 1/theta + rho = rho_side / (xd * rd)
-        sign = an * ld * xd * rd + ln * rho_side * ad
-        return _halfline_member(orient * sign, c, xn, xd)
-    if rho_side == 0 and ln and not an:
-        # the log(bound) factor raises the power c by 1/theta
-        cn, cd = c
-        return _below(cn * xd + 2 * cd * xn, xn)
-    return _halfline_member(orient * an, c, xn, xd)
-
-
-def _atom_member(sector: Sector, ex: Sequence[Pair], xn: int, xd: int) -> bool:
-    """The rule of one atom, given its exponents as int pairs in the
-    reading order of :func:`_exponents_of`."""
-    if isinstance(sector, RadialSector):
-        # power + d/theta < 0, as an integer cross product
-        pn, pd = ex[-1]
-        return _below(pn * xd + sector.d * pd * xn, xn)
-    if isinstance(sector, LineSector):
-        return _line_member(sector.domain, ex[:4], xn, xd)
-    if isinstance(sector, ProductSector):
-        return all(
-            _line_member(line.domain, ex[4 * j:4 * j + 4], xn, xd)
-            for j, line in enumerate(sector.lines)
-        )
-    return _pair_atom_member(sector, ex, xn, xd)
-
-
-def decide_reciprocal(
-    pieces: Iterable[tuple[Sector, Iterable[Sequence[Pair]]]], x: Pair
-) -> Membership:
-    """Exact decision of a weight in l^theta, given per piece its sector and
-    the exponents of each atom as int pairs in the reading order of
-    :func:`_exponents_of` (:meth:`ExpPolyWeight.pairs_at`), and 1/theta = x.
-
-    A pair is (numerator, positive denominator) and need not be reduced:
-    every rule is the sign of an integer cross product affine in
-    x = 1/theta, read as two ints xn/xd with xn = 0 for theta = inf.  No
-    Fraction or exponent object is built.  The pairs must come from a
-    weight that :func:`refuse_unsupported` passed; the rules raise nothing.
-    """
-    xn, xd = x
-    for sector, atoms in pieces:
-        for ex in atoms:
-            if not _atom_member(sector, ex, xn, xd):
-                return _NOT_MEMBER
-    return _MEMBER
 
 
 def decide_lp_membership(w: ExpPolyWeight, theta) -> Membership:
     """Exact decision of w in l^theta over the weight's lattice; theta is an
-    exponent or a literal.
-
-    For finite theta a sum of atoms is summable exactly when every atom
-    is (the theta-power of a finite sum of positive terms is comparable
-    to the sum of theta-powers), and at theta = inf it is bounded exactly
-    when every atom is, so the decision distributes over atoms and
-    pieces (:func:`decide_reciprocal`), once :func:`refuse_unsupported`
-    has passed the weight.
-    """
-    return decide_reciprocal(refuse_unsupported(w).pairs_at(), reciprocal_pair(theta))
-
+    exponent or a literal.  It reads the weight's :class:`MembershipTest`
+    at dp = g = 0, which a weight without :class:`Affine` exponents reads
+    at every (dp, g)."""
+    return w.membership_test().at()(reciprocal_pair(theta))

@@ -1323,6 +1323,30 @@ def test_each_pair_reaches_sets_intersect_once_per_covering(family, params, inde
 
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
+def test_each_transition_norm_is_taken_once_per_covering(family, params, index):
+    """certify_constants at radii 1, 2 and 3 on one covering takes each
+    distinct spectral norm once, as many as one call at radius 3 takes on a
+    fresh covering, and reads the constants of a fresh covering at each."""
+    cov = _fresh_covering(family, params)
+    taken = Counter()
+
+    def counted_norm(m):
+        taken[m] += 1
+        return spectral_norm(m)
+
+    with mock.patch.object(covering_module, "spectral_norm", counted_norm):
+        kept = [certify_constants(cov, radius) for radius in (1, 2, 3)]
+        assert max(taken.values()) == 1
+        direct = Counter()
+        with mock.patch.object(covering_module, "spectral_norm",
+                               lambda m: direct.update([0]) or spectral_norm(m)):
+            certify_constants(_fresh_covering(family, params), 3)
+    assert len(taken) == direct[0]
+    assert kept == [certify_constants(_fresh_covering(family, params), radius)
+                    for radius in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
 def test_verify_family_reads_alike_on_a_warm_and_a_cleared_memo_in_any_order(
         family, params, index):
     """verify-family at radii 0 and 1, each twice, among inspect-covering

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -503,6 +504,11 @@ def test_engine_reciprocals_match_the_exponent_helpers(p, q, r):
         got = getattr(x, name)
         assert got == _as_pair(theta.reciprocal()) == _as_pair(max(gap, Fraction(0))), name
         assert exponent_text(got) == str(theta) == ("inf" if theta.is_inf else str(1 / gap))
+    # the texts kept with the (q, r) memo entry, by evidence id
+    assert x.q_text == str(Q)
+    assert x.theta_text == {"S1": str(thetas["s1"][0]), "N2": str(thetas["n2"][0]),
+                            "N2b": str(thetas["n2b"][0]), "N3": str(thetas["n34"][0]),
+                            "N4": str(thetas["n34"][0])}
     for e, text in ((P, x.p), (Q, x.q), (R, x.r)):
         assert exponent_text(text) == str(e) == ("inf" if e.is_inf else str(1 / e.reciprocal()))
     assert (x.p_le_q, x.r_le_q, x.two_le_q) == (P <= Q, R <= Q, two <= Q)
@@ -551,6 +557,24 @@ def test_a_warm_decide_builds_no_exponent_objects(family, q):
     assert run().to_json() == want
 
 
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("q", ("4/2", "3", "inf"))
+def test_a_warm_decide_formats_only_the_text_of_p(monkeypatch, family, q):
+    """The texts of q and of every theta are kept with the (q, r) memo
+    entry: a warm decide formats p's text alone (and r's in a gap note)."""
+    def run():
+        return decide_sobolev(family, WARM_PARAMS[family], p="3/2", q=q, r="5/2", k=1,
+                              refine=False)
+
+    want = run().to_json()
+    formatted = []
+    monkeypatch.setattr(embedding, "exponent_text",
+                        lambda x: formatted.append(x) or exponent_text(x))
+    assert run().to_json() == want
+    gap_note = want["outcome"] == "Undetermined"
+    assert formatted == [(2, 3)] + [(2, 5)] * gap_note
+
+
 def _decided(family: str, params) -> object:
     """The params and verdict of one fixed query, or the InvalidParams message."""
     try:
@@ -580,6 +604,12 @@ def _parsed_directly(family: str, params) -> object:
     ("inhom_besov", {"d": 1, "s": "1/2"}, [["d", 1], ["s", "1/2"]]),
     ("diagonal", {"d": 2, "alpha": ["1/2", 1]}, {"d": 2, "alpha": ("1/2", 1)}),
     ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": (1, 2)}),
+    ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": [1, 2.0]}),
+    ("diagonal", {"d": 1, "alpha": ["1/2"]}, {"d": 1, "alpha": [["1", "2"]]}),
+    # 0.0 == -0.0, so both share a key: each reads as the Fraction 0
+    ("inhom_besov", {"d": 1, "s": 0.0}, {"d": 1, "s": -0.0}),
+    ("diagonal", {"d": 1, "alpha": [0.0]}, {"d": 1, "alpha": [-0.0]}),
+    ("inhom_besov", {"d": 1, "s": "1/2"}, {"d": 1, "s": math.nan}),
 ])
 def test_look_alike_params_decide_as_parsed(family, cached, probe):
     want = _parsed_directly(family, probe)

@@ -60,6 +60,9 @@ def test_constructor_rejects_bad_input():
         E(1.5)
     with pytest.raises(TypeError):
         E(True)
+    for value in (None, 1j, [1, 2], b"2"):
+        with pytest.raises(TypeError, match=f"^cannot build an exponent from {type(value).__name__}$"):
+            E(value)
 
 
 def test_from_json_float_exact_cases():
@@ -222,6 +225,17 @@ def test_ordering_against_plain_numbers():
     assert E("1/2") < 1 < E("3/2") < 2 <= E(2) < INF
     assert INF <= INF and INF == E("inf")
     assert not (INF < INF)
+
+
+@pytest.mark.parametrize("other", ["2", 2.0, True, None, 0, -1, Fraction(-1, 2)])
+def test_comparison_with_a_non_exponent_is_not_implemented(other):
+    """A string, a float, a bool, None and a number that is no exponent
+    (0 and negatives) equal no exponent and cannot be ordered against one."""
+    assert E(2) != other and not E(2) == other
+    for compare in (E(2).__lt__, E(2).__le__, E(2).__gt__, E(2).__ge__):
+        assert compare(other) is NotImplemented
+    with pytest.raises(TypeError):
+        E(2) < other
 
 
 @given(exponents(), exponents())

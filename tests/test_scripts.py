@@ -1,5 +1,5 @@
 """Smoke runs of the scripts under scripts/, each in a fresh interpreter
-with this checkout's src/ on the path: both import the exponent API."""
+with this checkout's src/ on the path."""
 
 import os
 import subprocess
@@ -28,3 +28,11 @@ def test_sweep_gap_counts_its_verdicts():
                        "-p", "1", "-k", "0", "--axis", "1", "2", "inf")
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("9 queries: 2 embed, 7 fail, 0 undetermined\n")
+
+
+def test_replay_cli_goldens_finds_every_case_unchanged():
+    done = _run_script("replay_cli_goldens.py")
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines()[-1] == "12 of 12 golden CLI cases unchanged"
+    done = _run_script("replay_cli_goldens.py", "--exact-only")
+    assert done.stdout.splitlines()[-1] == "10 of 10 golden CLI cases unchanged"

@@ -34,7 +34,6 @@ from decomp_embed.seqspace import (
     RadialSector,
     _ceil_pow2_int,
     decide_lp_membership,
-    decide_reciprocal,
     expweight_from_json,
     refuse_unsupported,
     sector_from_json,
@@ -360,12 +359,19 @@ def test_form_exponents_decide_as_the_built_weight(kind, data, theta):
     assert _outcome(refuse_unsupported, form) == (want if refused else form)
     if refused:
         return
+    # compiled once; it evaluates only the exponents that depend on
+    # (dp, g), each once, and a built weight has none
+    test = form.membership_test()
+    assert test is form.membership_test()
+    assert all(b or c for _, b, c in test._affine)
+    assert len(set(test._affine)) == len(test._affine)
+    assert weight.membership_test()._affine == ()
     pairs = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
-    assert _outcome(decide_reciprocal, form.pairs_at(*pairs), x) == want
+    assert _outcome(form.membership_test().at(*pairs), x) == want
     # without Affine exponents a weight reads the same at every (dp, g)
     other = [(e.numerator, e.denominator) for e in (data.draw(_gap), data.draw(_gap))]
-    assert _outcome(decide_reciprocal, weight.pairs_at(*other), x) == want
-    assert _outcome(decide_reciprocal, weight.pairs_at(), x) == want
+    assert _outcome(weight.membership_test().at(*other), x) == want
+    assert _outcome(weight.membership_test().at(), x) == want
 
 
 @st.composite
@@ -1658,6 +1664,36 @@ def test_quotient_requires_single_atom_denominator():
     v = ExpPolyWeight.single(LineSector("Z"), Atom.line(), Atom.line(exp2=-1))
     with pytest.raises(UnsupportedWeight):
         u.quotient(v)
+
+
+def test_quotient_of_atoms_needs_one_lattice():
+    with pytest.raises(UnsupportedWeight, match="^quotient of atoms over different lattices$"):
+        Atom.line().quotient(Atom.radial(2, -1))
+
+
+def test_a_piece_needs_atoms_of_its_sector_dimension():
+    with pytest.raises(ValueError, match="^piece needs at least one atom$"):
+        Piece(LineSector("Z"), ())
+    with pytest.raises(ValueError, match="^atom arity does not match sector dimension$"):
+        Piece(LineSector("Z"), (Atom.line(), Atom.radial(2, -1)))
+
+
+class _OtherSector(tuple):
+    """One dimension, but no sector the rules cover."""
+
+    dims = 1
+
+
+def test_an_unknown_sector_is_refused():
+    w = ExpPolyWeight.single(_OtherSector(), Atom.line(exp2=-1))
+    for _ in range(2):  # a refusal keeps nothing, so it repeats
+        with pytest.raises(UnsupportedWeight, match="^unknown sector type _OtherSector$"):
+            decide_lp_membership(w, E(1))
+
+
+def test_affine_repr_names_its_coefficients():
+    assert repr(Affine(F(1, 2), -1, 0)) == "Affine(1/2, -1, 0)"
+    assert repr(Affine() + 3) == "Affine(3, 0, 0)"
 
 
 def test_evaluate_outside_every_piece_raises():
