@@ -605,7 +605,7 @@ def _parsed_directly(family: str, params) -> object:
     ("diagonal", {"d": 2, "alpha": ["1/2", 1]}, {"d": 2, "alpha": ("1/2", 1)}),
     ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": (1, 2)}),
     ("diagonal", {"d": 2, "alpha": [1, 2]}, {"d": 2, "alpha": [1, 2.0]}),
-    ("diagonal", {"d": 1, "alpha": ["1/2"]}, {"d": 1, "alpha": [["1", "2"]]}),
+    ("diagonal", {"d": 1, "alpha": ["1/2"]}, {"d": 1, "alpha": [[1, 2]]}),
     # 0.0 == -0.0, so both share a key: each reads as the Fraction 0
     ("inhom_besov", {"d": 1, "s": 0.0}, {"d": 1, "s": -0.0}),
     ("diagonal", {"d": 1, "alpha": [0.0]}, {"d": 1, "alpha": [-0.0]}),

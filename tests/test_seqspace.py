@@ -367,7 +367,7 @@ def test_form_exponents_decide_as_the_built_weight(kind, data, theta):
     assert len(set(test._affine)) == len(test._affine)
     assert weight.membership_test()._affine == ()
     pairs = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
-    assert _outcome(form.membership_test().at(*pairs), x) == want
+    assert _outcome(test.at(*pairs), x) == want
     # without Affine exponents a weight reads the same at every (dp, g)
     other = [(e.numerator, e.denominator) for e in (data.draw(_gap), data.draw(_gap))]
     assert _outcome(weight.membership_test().at(*other), x) == want
