@@ -804,7 +804,7 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     # the classes past the last inverse, a singular one among them on a refusal
     for a, d in itertools.islice(classes, len(inverses), None):
         e, adj = _det_adj(a)
-        if adj is None:
+        if not e:
             raise ZeroDivisionError(f"covering {covering.label!r} has a singular transform")
         inverses.append(((tuple(tuple(d * x for x in row) for row in adj), e),
                          (tuple(zip(*a)), d)))

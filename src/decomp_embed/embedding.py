@@ -32,9 +32,10 @@ of the params document (or the parsed params themselves) and k, so a
 (q, r) sweep parses and compiles once.  What (q, r) alone gives, g, every
 1/theta and their texts, is kept per (1/q, 1/r), and each kept
 Khintchine-restricted form keeps its N3 and N4 verdicts per
-(dp, g, 1/theta): within a sweep these two depend on r alone.  A call
-computes only what reads p, the S1, N2 and N2b verdicts, the refined
-criteria and the evidence.
+(dp, g, 1/theta): within a sweep these two depend on r alone.  The N1
+and membership records are kept per content in one bounded LRU, so
+verdicts share the immutable records.  A call computes only what reads p,
+the S1, N2 and N2b verdicts and the refined criteria.
 
 The optional oracle check builds each weight and theta a verdict read,
 checks the compiled verdict against :func:`decide_lp_membership` on them (a
@@ -86,12 +87,13 @@ ANCHOR_NECESSARY_SUP = "Cor 5.2(2b)"
 ANCHOR_KHINTCHINE_P = "Cor 5.2(2c-i)"
 ANCHOR_KHINTCHINE_2 = "Cor 5.2(2c-ii)"
 ANCHOR_BV_REDUCTION = "Cor 6.1"
-_MEMBERSHIP_ANCHORS = {
-    "S1": ANCHOR_SUFFICIENT,
-    "N2": ANCHOR_NECESSARY,
-    "N2b": ANCHOR_NECESSARY_SUP,
-    "N3": ANCHOR_KHINTCHINE_P,
-    "N4": ANCHOR_KHINTCHINE_2,
+# per membership criterion: its anchor and the quotient it tests
+_MEMBERSHIP_CRITERIA = {
+    "S1": (ANCHOR_SUFFICIENT, "w(q)/u"),
+    "N2": (ANCHOR_NECESSARY, "w(q)/u"),
+    "N2b": (ANCHOR_NECESSARY_SUP, "w(inf)/u"),
+    "N3": (ANCHOR_KHINTCHINE_P, "w(p)/u on the expanding part"),
+    "N4": (ANCHOR_KHINTCHINE_2, "w(2)/u on the expanding part"),
 }
 
 _ONE = ExtExponent(1)
@@ -105,6 +107,9 @@ QR_MEMO_SIZE = 128
 # bound of each form-cache entry's kept N3 and N4 verdicts (see _Khintchine):
 # both criteria at 16 values of r
 KHINTCHINE_MEMO_SIZE = 32
+# bound of the memo of N1 and membership records (see _evidence): the about
+# 210 distinct records of sweeps over five p on that grid fit
+EVIDENCE_MEMO_SIZE = 256
 
 
 class Outcome(str, enum.Enum):
@@ -116,7 +121,6 @@ class Outcome(str, enum.Enum):
 # members read once: each read of an enum member goes through a descriptor
 _EMBEDS, _DOES_NOT_EMBED, _UNDETERMINED = Outcome
 _MEMBER = Membership.MEMBER
-_MEMBERSHIP_TEXT = {member: member.value for member in Membership}
 
 
 @record
@@ -134,6 +138,24 @@ class Evidence(NamedTuple):
             "holds": self.holds,
             "detail": self.detail,
         }
+
+
+@functools.lru_cache(maxsize=EVIDENCE_MEMO_SIZE)
+def _evidence(ev_id: str, p_le_q: bool, of, text: str) -> Evidence:
+    """The N1 record, ``of`` 1/p as an int pair and ``text`` q's text, or
+    the record of membership criterion ``ev_id``, ``of`` whether its
+    quotient is a member and ``text`` its theta's text.  Kept per content
+    in a bounded LRU: verdicts share the immutable records."""
+    holds = "holds" if p_le_q else "fails"
+    if ev_id == "N1":
+        return Evidence("N1", ANCHOR_P_LE_Q, p_le_q,
+                        f"p <= q {holds} for p = {exponent_text(of)}, q = {text}", "necessary")
+    anchor, what = _MEMBERSHIP_CRITERIA[ev_id]
+    detail = f"{what} is {(_MEMBER if of else Membership.NOT_MEMBER).value} of l^{text}"
+    if ev_id != "S1":
+        return Evidence(ev_id, anchor, of, detail, "necessary")
+    return Evidence("S1", anchor, p_le_q and of, f"requires p <= q ({holds}); {detail}",
+                    "sufficient")
 
 
 @record
@@ -320,47 +342,24 @@ def decide_sobolev(
     x = _reciprocals(p, q, r)
     k = _validate_order(k)
 
-    holds = "holds" if x.p_le_q else "fails"
-    evidence = [
-        Evidence(
-            "N1",
-            ANCHOR_P_LE_Q,
-            x.p_le_q,
-            f"p <= q {holds} for p = {exponent_text(x.p)}, q = {x.q_text}",
-            "necessary",
-        )
-    ]
+    evidence = [_evidence("N1", x.p_le_q, x.p, x.q_text)]
 
     # each quotient reads r only through g = 1/2 - 1/r, and t = q, p or 2
-    # only through dp = 1/p - 1/t; per criterion its form, dp, 1/theta,
-    # verdict, the text before the verdict, and what else it requires;
-    # S1, N2 and N2b read one evaluation of the form's test at (dp, g)
+    # only through dp = 1/p - 1/t; per criterion its form, dp, 1/theta and
+    # verdict; S1, N2 and N2b read one evaluation of the form's test at (dp, g)
     g = x.g
     member_of = form.membership_test().at(x.dp, g)
-    asked = [
-        ("S1", form, x.dp, x.s1, member_of(x.s1), f"requires p <= q ({holds}); w(q)/u", x.p_le_q),
-        ("N2", form, x.dp, x.n2, member_of(x.n2), "w(q)/u", True),
-    ]
+    asked = [("S1", form, x.dp, x.s1, member_of(x.s1)), ("N2", form, x.dp, x.n2, member_of(x.n2))]
     if not x.q[0]:  # q = inf
-        asked.append(("N2b", form, x.dp, x.n2b, member_of(x.n2b), "w(inf)/u", True))
+        asked.append(("N2b", form, x.dp, x.n2b, member_of(x.n2b)))
     elif khintchine is not None:
         kform, verdict = khintchine
-        asked.append(("N3", kform, _NO_GAP, x.n34, verdict(_NO_GAP, g, x.n34),
-                      "w(p)/u on the expanding part", True))
+        asked.append(("N3", kform, _NO_GAP, x.n34, verdict(_NO_GAP, g, x.n34)))
         if x.two_le_q:
             dp_2 = pair_sub(x.p, _HALF)
-            asked.append(("N4", kform, dp_2, x.n34, verdict(dp_2, g, x.n34),
-                          "w(2)/u on the expanding part", True))
-    for ev_id, _, _, _, member, what, ok in asked:
-        evidence.append(
-            Evidence(
-                ev_id,
-                _MEMBERSHIP_ANCHORS[ev_id],
-                ok and member is _MEMBER,
-                f"{what} is {_MEMBERSHIP_TEXT[member]} of l^{x.theta_text[ev_id]}",
-                "sufficient" if ev_id == "S1" else "necessary",
-            )
-        )
+            asked.append(("N4", kform, dp_2, x.n34, verdict(dp_2, g, x.n34)))
+    evidence += [_evidence(ev_id, x.p_le_q, member is _MEMBER, x.theta_text[ev_id])
+                 for ev_id, _, _, _, member in asked]
 
     if refine:
         evidence.extend(Evidence(**item) for item in fam.refined_criteria(params, k, x))
@@ -368,7 +367,7 @@ def decide_sobolev(
     verdict = _aggregate(evidence, x)
     if oracle_check:
         _cross_check([_SummabilityCall(ev_id, qform, dp, g, recip, member)
-                      for ev_id, qform, dp, recip, member, _, _ in asked])
+                      for ev_id, qform, dp, recip, member in asked])
     return verdict
 
 

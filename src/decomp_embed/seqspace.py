@@ -428,10 +428,10 @@ class ExpPolyWeight:
     (a*s + b*u + c*v) / (D*s), with the same s, u, v for all.
     :meth:`membership_test` compiles from them, once, the rules that decide
     the weight in l^theta; :meth:`at` builds the Fraction weight that the
-    numeric oracle reads.
+    numeric oracle reads.  The hash is computed on first use and kept.
     """
 
-    __slots__ = ("pieces", "_den", "_rows", "_test")
+    __slots__ = ("pieces", "_den", "_rows", "_test", "_hash")
 
     def __init__(self, pieces: tuple[Piece, ...]):
         self.pieces = pieces
@@ -448,6 +448,7 @@ class ExpPolyWeight:
         self._den = den
         self._rows = tuple(tuple(next(rows) for _ in piece.atoms) for piece in pieces)
         self._test = None
+        self._hash = None
 
     @classmethod
     def single(cls, sector: Sector, *atoms: Atom) -> "ExpPolyWeight":
@@ -457,7 +458,9 @@ class ExpPolyWeight:
         return type(other) is ExpPolyWeight and self.pieces == other.pieces
 
     def __hash__(self) -> int:
-        return hash(self.pieces)
+        if self._hash is None:
+            self._hash = hash(self.pieces)
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ExpPolyWeight({self.pieces!r})"
@@ -471,13 +474,16 @@ class ExpPolyWeight:
         return self._test
 
     def at(self, dp: Fraction, g: Fraction) -> "ExpPolyWeight":
-        """The weight at one (dp, g), every exponent a Fraction."""
+        """The weight at one (dp, g), every exponent a Fraction: a constant
+        exponent (a row with b = c = 0) is the form's own Fraction."""
         (dn, dd), (gn, gd) = (dp.numerator, dp.denominator), (g.numerator, g.denominator)
         s = dd * gd
         u, v, den = dn * gd, gn * dd, self._den * s
 
         def atom_at(atom: Atom, row: tuple) -> Atom:
-            vals = [Fraction(a * s + b * u + c * v, den) for a, b, c in row]
+            vals = [Fraction(a * s + b * u + c * v, den) if b or c
+                    else e.c0 if type(e) is Affine else e
+                    for e, (a, b, c) in zip(_exponents_of(atom), row)]
             factors = tuple(CoordFactor._make(vals[i:i + 4]) for i in range(0, len(vals) - 1, 4))
             return Atom._make((atom.coeff, factors, vals[-1]))
 

@@ -1573,6 +1573,39 @@ def test_check_moderate_rejects_superexponential_weight():
     assert not res["ok"]
 
 
+@pytest.mark.parametrize("one, zero", [(F(1), F(0)), (1.0, 0.0)], ids=["exact", "float"])
+def test_a_singular_transform_reads_a_zero_probe_and_has_no_constants(one, zero):
+    """A covering document refuses a singular T_i, a library covering can
+    hold one: its probe weight |det T_i|^(1/2) * 3 reads 0 there, and
+    certify_constants, which inverts every T_i, refuses the covering."""
+    cov = Covering(
+        label="flat",
+        dimension=2,
+        window=fixed_window((0,), (1,)),
+        transform=lambda i: (((one, zero), (zero, one if i == (0,) else zero)), (F(i[0]), F(0))),
+        base_set=lambda i: BallSet((F(0), F(0)), F(1)),
+    )
+    assert probe_weight(cov)((1,)) == 0.0
+    with pytest.raises(ZeroDivisionError, match="^covering 'flat' has a singular transform$"):
+        certify_constants(cov, 0)
+
+
+@pytest.mark.parametrize("zero", [F(0), 0, 0.0])
+def test_a_zero_base_to_a_power(zero):
+    """0^e is 0 for e > 0, 1 at e = 0 and inf for e < 0, exact or float."""
+    pow_ = covering_module._log_pow
+    assert (pow_(zero, F(1, 2)), pow_(zero, F(0)), pow_(zero, F(-1, 2))) == (0.0, 1.0, math.inf)
+
+
+def test_a_polygon_under_a_transform_of_another_dimension_has_no_image():
+    """A polygon is a plane set: transform_base maps it under a 2 x 2 T only,
+    and a 3 x 3 T finds no bounding ball to fall back on."""
+    square = PolygonSet(((F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))))
+    t = tuple(tuple(F(int(i == j)) for j in range(3)) for i in range(3))
+    with pytest.raises(UnsupportedGeometry, match="^no bounding ball for PolygonSet$"):
+        transform_base(square, t, (F(0),) * 3)
+
+
 def test_check_moderate_reads_a_zero_weight_at_a_neighbour_as_unbounded():
     cov = dyadic_annulus_covering()
     res = check_moderate(cov, lambda i: 0.0 if i == (2,) else 1.0, (5, 6))

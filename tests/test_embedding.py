@@ -438,12 +438,12 @@ def test_decide_grid_replays_byte_for_byte():
 
 def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
     """The memos kept across calls, the exponent literal memo, the form
-    cache, the (q, r) memo and the kept N3 and N4 verdicts of a form-cache
-    entry, are invisible: a cold pass, then a pass in reverse order that
-    starts on the entries the first one left."""
+    cache, the (q, r) memo, the record memo and the kept N3 and N4 verdicts
+    of a form-cache entry, are invisible: a cold pass, then a pass in
+    reverse order that starts on the entries the first one left."""
     lines = DECIDE_GRID.read_bytes().decode().splitlines(keepends=True)
     memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo,
-             "(q, r) memo": embedding._of_q_and_r}
+             "(q, r) memo": embedding._of_q_and_r, "record memo": embedding._evidence}
     for memo in memos.values():
         memo.cache_clear()
     for order in (lines, lines[::-1]):
@@ -559,9 +559,10 @@ def test_a_warm_decide_builds_no_exponent_objects(family, q):
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
 @pytest.mark.parametrize("q", ("4/2", "3", "inf"))
-def test_a_warm_decide_formats_only_the_text_of_p(monkeypatch, family, q):
+def test_a_warm_decide_formats_only_the_text_of_r_in_a_gap_note(monkeypatch, family, q):
     """The texts of q and of every theta are kept with the (q, r) memo
-    entry: a warm decide formats p's text alone (and r's in a gap note)."""
+    entry, and p's with the kept N1 record: a warm decide formats r's text
+    alone, and only in a gap note."""
     def run():
         return decide_sobolev(family, WARM_PARAMS[family], p="3/2", q=q, r="5/2", k=1,
                               refine=False)
@@ -572,7 +573,7 @@ def test_a_warm_decide_formats_only_the_text_of_p(monkeypatch, family, q):
                         lambda x: formatted.append(x) or exponent_text(x))
     assert run().to_json() == want
     gap_note = want["outcome"] == "Undetermined"
-    assert formatted == [(2, 3)] + [(2, 5)] * gap_note
+    assert formatted == [(2, 5)] * gap_note
 
 
 def _decided(family: str, params) -> object:
@@ -667,9 +668,50 @@ def test_kept_khintchine_verdicts_stay_within_their_bound():
     assert embedding._compiled_memo.cache_info().currsize == 1
 
 
+def test_record_memo_stays_within_its_bound():
+    memo = embedding._evidence
+    memo.cache_clear()
+    size = memo.cache_info().maxsize
+    assert size == embedding.EVIDENCE_MEMO_SIZE
+    # each p adds its own N1 record
+    for i in range(size + 8):
+        decide("hom_besov", {"d": 1}, p=f"{i + 2}/{i + 1}", q=2, r=2, k=0, target="sobolev")
+    assert memo.cache_info().currsize == size
+
+
 def _clear_memos() -> None:
-    for memo in (exponents._parse_literal, embedding._compiled_memo, embedding._of_q_and_r):
+    for memo in (exponents._parse_literal, embedding._compiled_memo, embedding._of_q_and_r,
+                 embedding._evidence):
         memo.cache_clear()
+
+
+# the records kept per content: N1 and the membership criteria
+_KEPT_RECORDS = frozenset(("N1", "S1", "N2", "N2b", "N3", "N4"))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), family=st.sampled_from(FAMILY_NAMES), target=st.sampled_from(TARGETS),
+       p=st.sampled_from(BATCH_P), q=st.sampled_from(BATCH_Q), r=st.sampled_from(BATCH_R),
+       refine=st.booleans())
+def test_a_cell_reads_the_same_on_cleared_and_warm_memos(data, family, target, p, q, r, refine):
+    """A cell decided on cleared memos, then again on the memos it warmed,
+    gives the same document, and the second verdict holds the very N1 and
+    membership records of the first: a repeated content is kept, not
+    rebuilt."""
+    k = data.draw(st.integers(target == "bv", 2), label="k")
+    params = data.draw(near_threshold(family, k), label="params")
+
+    def run() -> Verdict:
+        return decide(family, params, p=p, q=q if target == "sobolev" else None, r=r, k=k,
+                      target=target, refine=refine)
+
+    _clear_memos()
+    cold = run()
+    warm = run()
+    assert warm.to_json() == cold.to_json()
+    pairs = [(w, c) for w, c in zip(warm.evidence, cold.evidence) if c.id in _KEPT_RECORDS]
+    assert {"N1", "S1", "N2"} <= {c.id for _, c in pairs}
+    assert all(w is c for w, c in pairs)
 
 
 _SWEEP_AXIS = ("1/2", "1", "3/2", "2", "5/2", "3", "4", "inf")

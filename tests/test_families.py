@@ -9,7 +9,7 @@ from decomp_embed.covering import Covering
 from decomp_embed.embedding import decide_sobolev
 from decomp_embed.errors import InvalidParams, SchemaError
 from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
-from decomp_embed.families import FAMILY_NAMES, covering_from_json, get_family
+from decomp_embed.families import FAMILY_NAMES, Family, covering_from_json, get_family
 from decomp_embed.seqspace import LineSector, refuse_unsupported
 
 from golden_refs import golden_verdict
@@ -319,3 +319,13 @@ def test_family_forms_pass_the_refusal(family, k, data):
     kform = fam.khintchine_quotient(form)
     assert refuse_unsupported(form) is form
     assert kform is None or refuse_unsupported(kform) is kform
+
+
+def test_the_family_base_class_leaves_its_math_to_each_family():
+    """A subclass that fills in nothing cannot parse params, build its
+    covering or build a quotient form."""
+    bare = type("Bare", (Family,), {"name": "bare"})()
+    for hook in (lambda: bare.parse_params({}), lambda: bare.covering(None),
+                 lambda: bare.quotient_form(None, 0)):
+        with pytest.raises(NotImplementedError):
+            hook()
