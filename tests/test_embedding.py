@@ -685,10 +685,6 @@ def _clear_memos() -> None:
         memo.cache_clear()
 
 
-# the records kept per content: N1 and the membership criteria
-_KEPT_RECORDS = frozenset(("N1", "S1", "N2", "N2b", "N3", "N4"))
-
-
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), family=st.sampled_from(FAMILY_NAMES), target=st.sampled_from(TARGETS),
        p=st.sampled_from(BATCH_P), q=st.sampled_from(BATCH_Q), r=st.sampled_from(BATCH_R),
@@ -709,7 +705,8 @@ def test_a_cell_reads_the_same_on_cleared_and_warm_memos(data, family, target, p
     cold = run()
     warm = run()
     assert warm.to_json() == cold.to_json()
-    pairs = [(w, c) for w, c in zip(warm.evidence, cold.evidence) if c.id in _KEPT_RECORDS]
+    kept = ("N1", "S1", "N2", "N2b", "N3", "N4")
+    pairs = [(w, c) for w, c in zip(warm.evidence, cold.evidence) if c.id in kept]
     assert {"N1", "S1", "N2"} <= {c.id for _, c in pairs}
     assert all(w is c for w, c in pairs)
 
