@@ -24,11 +24,14 @@ the output byte for byte.  ``--check`` compares instead of writing: it
 names every golden file that would change and exits 1 if there is one.
 For a drifted JSONL golden it also prints each changed line: the fields
 the old and new line share (the query and theta of an oracle line), then
-every field that moved, old -> new.  It also replays the decide grid a
-second time, in reverse order, on the two caches the package keeps across
-calls as the first pass left them warm: the exponent literal memo
-(``exponents._parse_literal``) and the cache of parsed params and quotient
-forms (``embedding._compiled_memo``); it names any line that differs.
+every field that moved, old -> new.  Each kind of golden starts from
+cleared memos (``decomp_embed.memos.clear()``), as a fresh process does,
+and the decide grid comes last.
+``--check`` then replays the grid a second time, in reverse order, on the
+five memos the decide path keeps as the forward pass left them warm: the
+literal memo, the form cache, the (q, r) memo, the record memo and the
+Khintchine verdicts of each form-cache entry; it names any line that
+differs.
 
     PYTHONPATH=src python scripts/freeze_goldens.py [--check]
 """
@@ -44,7 +47,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
-from decomp_embed import oracle
+from decomp_embed import memos, oracle
 from decomp_embed.cli import main
 from decomp_embed.covering import adjacency, certify_constants
 from decomp_embed.embedding import decide
@@ -365,7 +368,10 @@ def run(argv: list[str]) -> tuple[int, bytes]:
 
 
 def goldens() -> dict[str, bytes]:
-    """Every golden file name with the content the code produces now."""
+    """Every golden file name with the content the code produces now, each
+    kind from cleared memos; the decide grid comes last, so that the memos
+    it leaves warm are those of its own pass."""
+    memos.clear()
     files = {}
     manifest = []
     for name, argv in CASES:
@@ -373,23 +379,26 @@ def goldens() -> dict[str, bytes]:
         files[f"{name}.out"] = payload
         manifest.append({"name": name, "argv": argv, "exit": code})
     files["manifest.json"] = (json.dumps(manifest, indent=2) + "\n").encode()
-    queries = grid_queries()
-    lines = [grid_line(q) for q in queries]
-    _check_coverage(queries, lines)
-    files[GRID_FILE] = "".join(lines).encode()
-    files[CONSTANTS_FILE] = "".join(
+    memos.clear()
+    constants = "".join(
         constants_line(doc, r) for doc, radii in [
             *((doc, CONSTANTS_RADII) for doc in CONSTANTS_COVERINGS), *DEEP_CONSTANTS_COVERINGS]
         for r in radii
     ).encode()
-    files[ORACLE_FILE] = "".join(oracle_lines(q) for q in oracle_queries()).encode()
-    return files
+    memos.clear()
+    tails = "".join(oracle_lines(q) for q in oracle_queries()).encode()
+    memos.clear()
+    queries = grid_queries()
+    lines = [grid_line(q) for q in queries]
+    _check_coverage(queries, lines)
+    return {**files, GRID_FILE: "".join(lines).encode(), CONSTANTS_FILE: constants,
+            ORACLE_FILE: tails}
 
 
 def warm_grid_drift(grid: bytes) -> list[dict]:
     """The queries whose line differs when the decide grid is replayed in
-    reverse order right after a forward pass, on the literal memo and the
-    form cache as that pass left them."""
+    reverse order right after a forward pass, on the five memos of the
+    decide path as that pass left them (see the module docstring)."""
     lines = grid.decode().splitlines(keepends=True)
     queries = [json.loads(line)["query"] for line in lines]
     return [q for q, line in zip(reversed(queries), reversed(lines)) if grid_line(q) != line]

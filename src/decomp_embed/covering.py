@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -623,9 +624,7 @@ class Covering:
     data: only T_i and b_i of int and Fraction entries, over certain
     geometry, claim tightness.  Each index is placed once (``_place``), and
     every reader of its geometry reads that placement.  What a covering
-    computes it keeps, for every command that reads it: placements,
-    neighbour maps and constants, and the probe weight's values and the
-    diagnostics of ``verify-family`` by radius.  A refusal keeps nothing.
+    computes it keeps for every command that reads it (``_keep``).
     """
 
     label: str
@@ -633,24 +632,11 @@ class Covering:
     window: Callable[[int], list[Index]]
     transform: Callable[[Index], tuple[Mat, Vec]]
     base_set: Callable[[Index], BaseSet]
-    # Placement by index, filled by ``_place``
-    _placements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (adjacency result, pairs decided uncertain) by radius, filled by ``adjacency``
-    _adjacency: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # structure constants by radius, filled by ``certify_constants``
-    _constants: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # certify_constants' class number by (A_i, d_i), and per class number
-    # (B_i, e_i) of T_i^-1 = B_i / e_i and (columns of A_i, d_i)
-    _classes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _inverses: list = field(default_factory=list, init=False, repr=False, compare=False)
-    # certify_constants' spectral norm by the float entries of T_i^-1 T_j
-    _norms: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # the probe weight's values by index, filled by ``probe_weight``'s weight
-    _probe: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # check_moderate's estimate for the probe weight by radius, filled by it
-    _moderate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (window size, norm_surrogate_check) by radius, filled by it
-    _surrogate: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # what the covering computes, one dict per kind (see ``_keep``): "placements"
+    # and "probe" by index, "adjacency", "constants", "moderate" and "surrogate"
+    # by radius, and certify_constants' "classes", "inverses" and "norms"
+    _kept: defaultdict = field(default_factory=lambda: defaultdict(dict), init=False,
+                               repr=False, compare=False)
 
 
 class Placement(NamedTuple):
@@ -675,7 +661,8 @@ class Placement(NamedTuple):
 def _place(covering: Covering, i: Index) -> Placement:
     """The placement of index i, built on first use and kept on the covering;
     an image whose bounding box leaves the float range raises OverflowError."""
-    placed = covering._placements.get(i)
+    kept = covering._kept["placements"]
+    placed = kept.get(i)
     if placed is None:
         t, b = covering.transform(i)
         image, ok = transform_base(covering.base_set(i), t, b)
@@ -683,7 +670,7 @@ def _place(covering: Covering, i: Index) -> Placement:
         pad = [_FLOAT_GAP_TOL * max(abs(x), abs(y)) for x, y in zip(lo, hi)]
         lo, hi = tuple(map(sub, lo, pad)), tuple(map(add, hi, pad))
         inner = float(image.inner) * (1 - _FLOAT_GAP_TOL) if isinstance(image, AnnulusSet) else 0.0
-        placed = covering._placements[i] = Placement(
+        placed = kept[i] = Placement(
             t, b, image, ok, _is_exact(*itertools.chain(*t, b)), _integer_scaled(t),
             (lo, hi), (inner, math.hypot(*map(max, map(neg, lo), hi))))
     return placed
@@ -729,15 +716,16 @@ def adjacency(
     reads that map restricted to it.  A refusal (the cap, the float range)
     keeps nothing.
     """
-    cached = covering._adjacency.get(radius)
+    kept = covering._kept["adjacency"]
+    cached = kept.get(radius)
     if cached is not None:
         check_window_cap(len(cached[0][0]))
         return cached[0]
     places = placements(covering, radius)
     known, unsure = {}, set()
-    if covering._adjacency:
-        above = [r for r in covering._adjacency if r > radius]
-        (known, _), unsure = covering._adjacency[min(above) if above else max(covering._adjacency)]
+    if kept:
+        above = [r for r in kept if r > radius]
+        (known, _), unsure = kept[min(above) if above else max(kept)]
     nbrs = {i: [j for j in known[i] if j in places] if i in known else [i] for i in places}
     unsure = {(i, j) for i, j in unsure if i in places and j in places}
     if any(i not in known for i in places):
@@ -760,7 +748,7 @@ def adjacency(
                         nbrs[j].append(i)
     ok = all(p.ok for p in places.values())
     result = MappingProxyType({i: tuple(sorted(js)) for i, js in nbrs.items()}), ok and not unsure
-    covering._adjacency[radius] = result, unsure
+    kept[radius] = result, unsure
     return result
 
 
@@ -770,6 +758,16 @@ def neighbors(covering: Covering, i: Index, radius: int) -> tuple[Index, ...]:
     if i not in nbrs:
         raise InvalidParams(f"index {i} is outside the window of radius {radius}")
     return nbrs[i]
+
+
+def _keep(covering: Covering, kind: str, key, build: Callable[[], object]):
+    """The covering's kept ``kind`` at ``key``, built by ``build()`` on first
+    use: the rule of all a covering keeps.  The caller checks the window cap
+    on every read, ``build()`` runs once per key, and a refusal keeps nothing."""
+    kept = covering._kept[kind]
+    if key not in kept:
+        kept[key] = build()
+    return kept[key]
 
 
 def certify_constants(covering: Covering, radius: int) -> dict:
@@ -786,29 +784,30 @@ def certify_constants(covering: Covering, radius: int) -> dict:
     exact entry.  Indices with equal (A_i, d_i) share a class, the product
     depends on the two classes alone, and it is built once per pair of
     classes; the spectral norm is computed once per distinct float matrix.
-    The constants are kept on the covering by radius, read after
-    :func:`adjacency` has passed the window cap, and so are the classes,
-    their inverses and the norms, for every radius; every call returns a
-    copy, and a refusal keeps no constants.
+    The covering keeps the constants by radius, read after :func:`adjacency`
+    has passed the window cap, and the classes, their inverses and the
+    norms for every radius; every call returns a copy.
     """
     nbrs, certain = adjacency(covering, radius)
-    if radius in covering._constants:
-        return dict(covering._constants[radius])
+    return dict(_keep(covering, "constants", radius,
+                      lambda: _constants(covering, radius, nbrs, certain)))
+
+
+def _constants(covering: Covering, radius: int, nbrs: Mapping, certain: bool) -> dict:
     if not nbrs:
         raise InvalidParams(f"the window of radius {radius} is empty")
     n_hat = max(len(js) for js in nbrs.values())
     places = placements(covering, radius)
-    classes, inverses = covering._classes, covering._inverses
+    classes, inverses = covering._kept["classes"], covering._kept["inverses"]
     kind = {i: classes.setdefault(p.scaled, len(classes)) for i, p in places.items()}
     # T_i^-1 = B_i / e_i with B_i = d_i adj(A_i), e_i = det(A_i); T_j = (columns of A_j) / d_j
     # the classes past the last inverse, a singular one among them on a refusal
-    for a, d in itertools.islice(classes, len(inverses), None):
+    for k, (a, d) in enumerate(itertools.islice(classes, len(inverses), None), len(inverses)):
         e, adj = _det_adj(a)
         if not e:
             raise ZeroDivisionError(f"covering {covering.label!r} has a singular transform")
-        inverses.append(((tuple(tuple(d * x for x in row) for row in adj), e),
-                         (tuple(zip(*a)), d)))
-    norms = covering._norms
+        inverses[k] = (tuple(tuple(d * x for x in row) for row in adj), e), (tuple(zip(*a)), d)
+    norms = covering._kept["norms"]
     c_hat = 0.0
     with _in_float_range(covering, radius):
         for ki, kj in dict.fromkeys((kind[i], kind[j]) for i, js in nbrs.items() for j in js):
@@ -823,13 +822,8 @@ def certify_constants(covering: Covering, radius: int) -> dict:
             c_hat = max(c_hat, val)
         bases = {id(base): base for base in map(covering.base_set, nbrs)}
         r_hat = max(base.sup_norm() for base in bases.values())
-    kept = covering._constants[radius] = {
-        "N_hat": n_hat,
-        "C_hat": c_hat,
-        "R_hat": r_hat,
-        "tightness_ok": certain and all(p.exact for p in places.values()),
-    }
-    return dict(kept)
+    return {"N_hat": n_hat, "C_hat": c_hat, "R_hat": r_hat,
+            "tightness_ok": certain and all(p.exact for p in places.values())}
 
 
 def check_moderate(
@@ -845,32 +839,30 @@ def check_moderate(
 
     The estimate of the covering's own :func:`probe_weight` at a radius is
     a function of the geometry and the radius alone: the covering keeps it
-    by radius, read after :func:`adjacency` has passed the window cap.
-    Any other ``u`` is read afresh on every call.  A refusal (the cap, the
-    float range) keeps nothing, and every call returns a new dict.
+    by radius, read after :func:`adjacency` has passed the window cap.  Any
+    other ``u`` is read afresh on every call, and every call returns a new
+    dict.
     """
-    kept = covering._moderate if isinstance(u, _Probe) and u.covering is covering else {}
+    probe = isinstance(u, _Probe) and u.covering is covering
     values: dict[Index, float] = {}
+
+    def estimate(radius: int, nbrs: Mapping) -> float:
+        with _in_float_range(covering, radius):
+            for i in nbrs:
+                if i not in values:
+                    values[i] = u(i)
+        worst = 0.0
+        for i, js in nbrs.items():
+            ui = values[i]
+            for j in js:
+                uj = values[j]
+                worst = max(worst, ui / uj) if uj else math.inf
+        return worst
+
     estimates = []
     for radius in radii:
-        nbrs, _ = adjacency(covering, radius)
-        worst = kept.get(radius)
-        if worst is None:
-            with _in_float_range(covering, radius):
-                for i in nbrs:
-                    if i not in values:
-                        values[i] = u(i)
-            worst = 0.0
-            for i, js in nbrs.items():
-                ui = values[i]
-                for j in js:
-                    uj = values[j]
-                    if uj == 0.0:
-                        worst = math.inf
-                    else:
-                        worst = max(worst, ui / uj)
-            kept[radius] = worst
-        estimates.append(worst)
+        build = functools.partial(estimate, radius, adjacency(covering, radius)[0])
+        estimates.append(_keep(covering, "moderate", radius, build) if probe else build())
     first, second = estimates
     ok = (
         math.isfinite(second)
@@ -903,13 +895,12 @@ class _Probe:
     covering: Covering
 
     def __call__(self, index: Index) -> float:
-        kept = self.covering._probe
-        value = kept.get(index)
-        if value is None:
-            value = _log_pow(abs(mat_det(_place(self.covering, index).t)), Fraction(1, 2)) * 3.0
-            if not math.isfinite(value):
-                raise OverflowError(f"the probe weight at index {index} is {value}")
-            kept[index] = value
+        return _keep(self.covering, "probe", index, lambda: self._value(index))
+
+    def _value(self, index: Index) -> float:
+        value = _log_pow(abs(mat_det(_place(self.covering, index).t)), Fraction(1, 2)) * 3.0
+        if not math.isfinite(value):
+            raise OverflowError(f"the probe weight at index {index} is {value}")
         return value
 
 
@@ -923,8 +914,7 @@ def probe_weight(covering: Covering) -> Callable[[Index], float]:
     criteria read w^(t) only through the closed forms of
     :mod:`decomp_embed.families`.  A value past the float range raises
     OverflowError.  The covering keeps each value by index, and
-    :func:`check_moderate` keeps its estimates for this weight by radius;
-    a value past the float range is not kept.
+    :func:`check_moderate` its estimates for this weight by radius.
     """
     return _Probe(covering)
 
@@ -935,15 +925,17 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
     Needs exact geometry end to end; a covering without a tightness
     witness cannot anchor the surrogate and raises instead of guessing.
     The ratios are a function of the geometry and the radius alone: the
-    covering keeps them by radius, read only while the window passes the
-    cap, and every call returns a copy.  Refusals (an empty window, no
-    tightness witness, the float range, the cap) keep nothing and are
-    raised again on every call.
+    covering keeps them by radius with the size of the window, which passes
+    the cap on every read, and every call returns a copy.  A refusal (an
+    empty window, no tightness witness, the float range, the cap) is raised
+    again on every call.
     """
-    kept = covering._surrogate.get(radius)
-    if kept is not None:
-        check_window_cap(kept[0])
-        return dict(kept[1])
+    size, result = _keep(covering, "surrogate", radius, lambda: _surrogate(covering, radius))
+    check_window_cap(size)
+    return dict(result)
+
+
+def _surrogate(covering: Covering, radius: int) -> tuple[int, dict]:
     places = placements(covering, radius)
     if not places:
         raise InvalidParams(f"the window of radius {radius} is empty")
@@ -956,9 +948,7 @@ def norm_surrogate_check(covering: Covering, radius: int) -> dict:
                 )
             surrogate = math.sqrt(float(sum(x * x for x in p.b))) + spectral_norm(p.t)
             ratios.append(surrogate / p.image.sup_norm())
-    result = {"min_ratio": min(ratios), "max_ratio": max(ratios)}
-    covering._surrogate[radius] = len(places), result
-    return dict(result)
+    return len(places), {"min_ratio": min(ratios), "max_ratio": max(ratios)}
 
 
 # ---------------------------------------------------------------------------

@@ -26,16 +26,12 @@ t = q, p and 2 by the form's compiled membership test, without building a
 weight: the test evaluates only the exponents that depend on the gaps, once
 for S1, N2 and N2b.  An :class:`ExtExponent` or a ``Fraction`` appears only
 in the refined criteria's thresholds and under the oracle check; the
-evidence text is made from the pairs.  Parsed params and forms are kept
-across calls in a bounded LRU cache, keyed by the family, the typed items
-of the params document (or the parsed params themselves) and k, so a
-(q, r) sweep parses and compiles once.  What (q, r) alone gives, g, every
-1/theta and their texts, is kept per (1/q, 1/r), and each kept
-Khintchine-restricted form keeps its N3 and N4 verdicts per
-(dp, g, 1/theta): within a sweep these two depend on r alone.  The N1
-and membership records are kept per content in one bounded LRU, so
-verdicts share the immutable records.  A call computes only what reads p,
-the S1, N2 and N2b verdicts and the refined criteria.
+evidence text is made from the pairs.  What recurs across calls is kept
+in memos that :mod:`decomp_embed.memos` declares: the parsed params and
+forms, so a (q, r) sweep parses and compiles once, with the N3 and N4
+verdicts of each restricted form; what (q, r) alone gives; and the N1 and
+membership records, which verdicts share.  A call computes only what
+reads p, the S1, N2 and N2b verdicts and the refined criteria.
 
 The optional oracle check builds each weight and theta a verdict read,
 checks the compiled verdict against :func:`decide_lp_membership` on them (a

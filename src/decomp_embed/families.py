@@ -729,8 +729,7 @@ def get_family(name: str) -> Family:
 @functools.lru_cache(maxsize=COVERING_MEMO_SIZE)
 def family_covering(fam: Family, geometry) -> Covering:
     """The covering of a family at ``fam.geometry(params)``, one per (family,
-    geometry) in a process, so that the placements, neighbour maps and
-    constants it keeps serve every command that reads it.
+    geometry) in a process, so that what it keeps serves every command.
 
     The geometry keeps what a covering reads: the ``d`` of the families
     that have one, the ``alpha`` and ``base_radius`` of alpha_modulation

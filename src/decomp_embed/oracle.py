@@ -753,13 +753,11 @@ def truncated_oracle(weight: ExpPolyWeight, theta) -> TailClassification:
     the weight's dimension and sectors, so the result is a function of
     (weight, theta) alone.
 
-    So the last ``ORACLE_MEMO_SIZE`` classifications are kept, keyed by
-    (weight, theta), each with the window counts its run passed to the
-    cap, in order.  A kept one passes those counts to the cap again on
-    every read, so under any ``DECOMP_EMBED_MAX_WINDOW`` it answers, or
-    raises the first error, as a fresh run would; a weight whose run read
-    no cap reads none.  A refusal is not kept and is raised again on every
-    call.  Every caller of a pair shares one result, which is frozen.
+    So the last ``ORACLE_MEMO_SIZE`` classifications are kept, each with
+    the window counts its run passed to the cap, in order, which every
+    read passes to the cap again: under any ``DECOMP_EMBED_MAX_WINDOW`` a
+    kept one answers, or raises the first error, as a fresh run would.  A
+    refusal is not kept.  Every caller of a pair shares one frozen result.
     """
     tail, counts = _classified(weight, theta)
     for count in counts:

@@ -1,12 +1,12 @@
 import pytest
 
+from decomp_embed import memos
+
 
 @pytest.fixture
-def fresh_oracle_memo():
-    """An empty oracle memo before and after the test: a patched oracle
+def cleared_memos():
+    """Every memo of the package empty before and after the test: a patched
     helper then runs, and no result it shaped outlives the test."""
-    from decomp_embed import oracle
-
-    oracle._classified.cache_clear()
+    memos.clear()
     yield
-    oracle._classified.cache_clear()
+    memos.clear()

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decomp_embed
-from decomp_embed import cli
+from decomp_embed import cli, memos
 from decomp_embed.cli import main
-from decomp_embed.families import FAMILY_NAMES, covering_from_json, family_covering
+from decomp_embed.families import FAMILY_NAMES, covering_from_json
 from decomp_embed.oracle import TailClassification
 from witnesses import WARNINGS_AS_ERRORS
 
@@ -236,6 +236,8 @@ _HUGE_DIMENSION = [
           ["check-sequence", "--u", doc, "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"],
           ["check-sequence", "--u", '{"lattice":{"kind":"Z"}}', "--v", doc, "-r", "2", "-s", "2"],
           ["verify-family", "--family", "hom_besov", "--params", doc])),
+    # a weight descriptor with no lattice
+    (["check-sequence", "--u", "{}", "--v", '{"lattice":{"kind":"Z"}}', "-r", "2", "-s", "2"], 65),
     # a field that parses but is too deep for the form cache's key is refused by the parse
     (["decide", "--family", "hom_besov", "--params", '{"s":' + "[" * 500 + "1" + "]" * 500 + "}",
       "-p", "1", "-q", "2", "-r", "2"], 64),
@@ -557,7 +559,7 @@ def test_exceeded_window_cap_is_an_internal_limit(monkeypatch, doc, count):
 ]))
 def test_a_huge_dimension_is_refused_at_once(monkeypatch, argv, message):
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
-    family_covering.cache_clear()
+    memos.clear()
     start = time.perf_counter()
     code, out, err = run_cli(argv)
     assert time.perf_counter() - start < 1
@@ -595,7 +597,7 @@ def test_a_refused_window_is_refused_before_its_indices_are_placed(monkeypatch, 
     """verify-family checks the cap of r + 2 before it places radius r, and
     a window's ends, where its largest sets sit, are placed first."""
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
-    family_covering.cache_clear()
+    memos.clear()
     start = time.perf_counter()
     code, out, err = run_cli(argv)
     assert time.perf_counter() - start < 5
@@ -691,7 +693,7 @@ def test_exceeded_window_cap_bounds_the_oracle_square_counts(monkeypatch):
 
 
 def test_parser_is_built_once_per_process():
-    cli._build_parser.cache_clear()
+    memos.clear()
     for case in MANIFEST[:4]:
         run_cli(case["argv"])
     run_cli(["decide", "--family", "nope"])
@@ -867,6 +869,47 @@ def test_the_oracle_shares_no_code_with_the_decider():
         for node in _import_time_nodes(ast.parse(path.read_text())):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 assert "decomp_embed.oracle" not in _imported(node), path.name
+
+
+def test_every_memo_of_the_package_is_declared():
+    """Each lru_cache or cache that a module of the package binds when it is
+    imported, by a decorator or a call, is one that memos.MEMOS declares,
+    and each one declared is there: clear() misses no memo."""
+    def is_memo(node) -> bool:
+        node = node.func if isinstance(node, ast.Call) else node
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            return node.value.id == "functools" and node.attr in ("cache", "lru_cache")
+        return isinstance(node, ast.Name) and node.id in aliases
+
+    def bound(body, prefix=""):  # the names that import-time statements bind to a memo
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                yield from bound(node.body, f"{prefix}{node.name}.")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from [prefix + node.name] * any(map(is_memo, node.decorator_list))
+            elif any(map(is_memo, ast.walk(node))):
+                yield from (prefix + ast.unparse(t) for t in getattr(node, "targets", [node]))
+
+    found = set()
+    for path in Path(decomp_embed.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        aliases = {alias.asname or alias.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                   for alias in node.names if alias.name in ("cache", "lru_cache")}
+        found |= {(path.stem, name) for name in bound(tree.body)}
+    assert found == set(memos.MEMOS)
+
+
+def test_one_call_of_each_command_fills_every_memo_and_clear_empties_them():
+    memos.clear()
+    picked = ("decide_hom_embeds", "check_seq_embeds", "inspect_family", "verify_inhom")
+    for case in (case for case in MANIFEST if case["name"] in picked):
+        assert run_cli(case["argv"])[0] == case["exit"]
+    declared = {f"{module}.{attr}": getattr(sys.modules[f"decomp_embed.{module}"], attr)
+                for module, attr in memos.MEMOS}
+    assert [name for name, memo in declared.items() if not memo.cache_info().currsize] == []
+    memos.clear()
+    assert [memo.cache_info().currsize for memo in declared.values()] == [0] * len(declared)
 
 
 def test_oracle_overflow_leaves_stderr_empty():

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import cli
+from decomp_embed import cli, memos
 from decomp_embed import covering as covering_module
 from decomp_embed.covering import (
     _FLOAT_GAP_TOL,
@@ -1024,9 +1024,9 @@ def test_restricted_map_equals_the_map_built_directly(doc, radius):
     """The map at radius r read off the map at r + 2, with its certain bit,
     equals the map a fresh covering builds at r; alpha_modulation at
     alpha 1/2 is certain at radii 0 and 1 but not at 2 and 3."""
-    family_covering.cache_clear()
+    memos.clear()
     direct = adjacency(covering_from_json(doc), radius)
-    family_covering.cache_clear()
+    memos.clear()
     cov = covering_from_json(doc)
     larger = adjacency(cov, radius + 2)
     with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError):
@@ -1046,7 +1046,7 @@ def test_a_window_in_another_order_reads_the_map_restricted(doc):
     of radius 3 restricted, with no pair tested again: the box test is
     symmetric, so the order of a window moves no pair.  That map equals a
     direct sweep of the backwards window on a fresh covering."""
-    family_covering.cache_clear()
+    memos.clear()
     forwards = covering_from_json(doc).window
 
     def backwards() -> Covering:
@@ -1068,7 +1068,7 @@ def test_boxes_narrower_than_the_tolerance_are_not_candidates_of_each_other():
     them narrower than 1e-9; each box's pad is relative to its own
     magnitude, so the sweep sends at most 2 pairs per index to
     ``sets_intersect``, not all pairs of the narrow ones."""
-    family_covering.cache_clear()
+    memos.clear()
     cov = covering_from_json({"family": "diagonal", "params": {"d": 1}})
     with mock.patch.object(covering_module, "sets_intersect", wraps=sets_intersect) as tests:
         nbrs, certain = adjacency(cov, 1000)
@@ -1085,7 +1085,7 @@ def test_nested_annuli_are_candidates_only_where_their_norms_meet(family, params
     holding the origin, so every pair of boxes meets; the sweep runs over
     their norm intervals instead, and at most 4 pairs per index reach
     ``sets_intersect``, not all 2 001 000 pairs of hom_besov's."""
-    family_covering.cache_clear()
+    memos.clear()
     cov = covering_from_json({"family": family, "params": params})
     with mock.patch.object(covering_module, "sets_intersect", wraps=sets_intersect) as tests:
         nbrs, certain = adjacency(cov, 1000)
@@ -1127,14 +1127,13 @@ def test_params_that_differ_in_weight_only_share_one_covering(family, params, in
     """The memo is keyed by the family and the geometry of its params, so
     every weight reads the one covering of that geometry, through
     ``covering_from_json`` and ``verify-family`` alike."""
-    family_covering.cache_clear()
+    memos.clear()
     first, second = _weighted(family, params)
     cov = covering_from_json({"family": family, "params": first})
     assert covering_from_json({"family": family, "params": second}) is cov
     assert covering_from_json({"family": family, "params": params}) is cov
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["verify-family", "--family", family, "--params", json.dumps(second),
-                         "--radius", "1"]) in (0, 1)
+    assert _run_cli_in_process(["verify-family", "--family", family, "--params",
+                                json.dumps(second), "--radius", "1"])[0] in (0, 1)
     info = family_covering.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 3, 1)
 
@@ -1151,7 +1150,7 @@ def test_params_that_differ_in_weight_only_share_one_covering(family, params, in
 def test_each_geometric_field_keys_its_own_covering(family, first, second):
     """Params that differ in a field a covering reads get a covering each;
     alpha_modulation's base_radius moves the sets but not the label."""
-    family_covering.cache_clear()
+    memos.clear()
     a, b = (covering_from_json({"family": family, "params": p}) for p in (first, second))
     assert a is not b
     assert covering_from_json({"family": family, "params": first}) is a
@@ -1173,7 +1172,7 @@ def test_a_covering_reads_the_geometry_of_its_params_only(family, params, index)
         geometry = fam.geometry(full)
         assert fam.weight_fields and {getattr(geometry, f) for f in fam.weight_fields} == {None}
         assert fam.geometry(geometry) == geometry
-        family_covering.cache_clear()
+        memos.clear()
         seen = []
         with mock.patch.object(type(fam), "covering",
                                lambda self, got: seen.append(got) or build(self, got)):
@@ -1204,7 +1203,7 @@ def test_each_transform_runs_once_per_index_and_command(family, params, index):
     indices and sweeps one map, at radius 3, for radii 1 and 3; across all
     three, each index is placed at most once and no pair of placed sets is
     tested twice."""
-    family_covering.cache_clear()
+    memos.clear()
     calls = Counter()
     fam = get_family(family)
     build = type(fam).covering
@@ -1227,24 +1226,28 @@ def test_each_transform_runs_once_per_index_and_command(family, params, index):
     with mock.patch.object(type(fam), "covering", counted), \
             mock.patch.object(covering_module, "sets_intersect", counted_test):
         for argv in commands:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) in (0, 1)
+            assert _run_cli_in_process(argv)[0] in (0, 1)
             assert calls, argv
             assert max(calls.values()) == 1, argv
             assert max(tested.values(), default=1) == 1, argv
 
 
+def _run_cli_in_process(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def _run_commands(commands, fresh: bool) -> list:
-    """(exit code, stdout) of each command, on a cleared covering memo before
-    each one when ``fresh``, else through the one memo they share."""
-    family_covering.cache_clear()
+    """(exit code, stdout) of each command, on memos cleared before each one
+    when ``fresh``, else through the memos they share."""
+    memos.clear()
     got = []
     for argv in commands:
         if fresh:
-            family_covering.cache_clear()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            got.append((cli.main(argv), out.getvalue()))
+            memos.clear()
+        got.append(_run_cli_in_process(argv)[:2])
     return got
 
 
@@ -1273,7 +1276,7 @@ def _map_record(cov: Covering, radius: int) -> tuple:
     """The neighbour map at ``radius`` in window order, its certain bit and
     its uncertain pairs, unordered."""
     nbrs, certain = adjacency(cov, radius)
-    unsure = {frozenset(pair) for pair in cov._adjacency[radius][1]}
+    unsure = {frozenset(pair) for pair in cov._kept["adjacency"][radius][1]}
     return list(nbrs.items()), certain, unsure
 
 
@@ -1297,7 +1300,7 @@ def test_each_pair_reaches_sets_intersect_once_per_covering(family, params, inde
     radius 3 grows from the kept map at 2, and inspect-covering at 3 send
     each unordered pair of placed sets to ``sets_intersect`` at most once:
     as many pairs as one fresh map at radius 3 tests."""
-    family_covering.cache_clear()
+    memos.clear()
     doc = json.dumps({"family": family, "params": params})
     commands = [
         ["inspect-covering", "--covering", doc, "--radius", "2"],
@@ -1312,8 +1315,7 @@ def test_each_pair_reaches_sets_intersect_once_per_covering(family, params, inde
 
     with mock.patch.object(covering_module, "sets_intersect", counted_test):
         for argv in commands:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) in (0, 1)
+            assert _run_cli_in_process(argv)[0] in (0, 1)
         assert max(tested.values()) == 1
         direct = Counter()
         with mock.patch.object(covering_module, "sets_intersect",
@@ -1372,16 +1374,13 @@ def test_a_kept_covering_runs_the_verify_diagnostics_once_per_radius():
     """A second verify-family at a radius reads the constants, the
     moderateness estimates and the surrogate ratios its covering keeps:
     it tests no pair, evaluates no probe weight and takes no norm."""
-    family_covering.cache_clear()
+    memos.clear()
     argv = ["verify-family", "--family", "diagonal", "--params", '{"d":2}', "--radius", "1"]
     first = _run_commands([argv], fresh=False)
     with mock.patch.object(covering_module, "sets_intersect", side_effect=AssertionError), \
             mock.patch.object(covering_module._Probe, "__call__", side_effect=AssertionError), \
             mock.patch.object(covering_module, "spectral_norm", side_effect=AssertionError):
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
-    assert [(code, out.getvalue())] == first
+        assert [_run_cli_in_process(argv)[:2]] == first
     assert json.loads(first[0][1])["surrogate"] is not None
 
 
@@ -1422,8 +1421,8 @@ def test_refusals_of_the_verify_diagnostics_repeat_on_every_call():
             check_moderate(steep, probe_weight(steep), (0, 1))
         with pytest.raises(OverflowError):
             probe_weight(steep)((1,))
-    assert not float_scales._surrogate and not steep._moderate
-    assert list(steep._probe) == [(0,)]
+    assert not float_scales._kept["surrogate"] and not steep._kept["moderate"]
+    assert list(steep._kept["probe"]) == [(0,)]
 
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)
@@ -1436,11 +1435,11 @@ def test_a_lowered_cap_refuses_a_kept_verify_as_a_fresh_run(monkeypatch, family,
     sizes = [len(cov.window(r)) for r in (1, 3)]
     for cap in (sizes[1] - 1, sizes[0] - 1, cov.dimension**2 - 1, "abc"):
         monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
-        family_covering.cache_clear()
+        memos.clear()
         answer = _run_cli_in_process(argv)
         monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(cap))
         kept = _run_cli_in_process(argv)
-        family_covering.cache_clear()
+        memos.clear()
         assert kept == _run_cli_in_process(argv)
         assert kept[0] in (64, 70) and not kept[1] and kept[2].startswith("error: ")
         monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
@@ -1452,54 +1451,28 @@ def test_a_lowered_cap_refuses_a_kept_verify_as_a_fresh_run(monkeypatch, family,
     {"family": "hom_besov", "params": {"d": 2}},
     {"family": "diagonal", "params": {"d": 2}},
 ], ids=lambda doc: doc["family"])
-def test_kept_verify_diagnostics_obey_the_window_cap(monkeypatch, doc):
-    """The moderateness estimates and surrogate ratios kept at radius r are
-    read only while the window of r passes the cap, with a fresh
-    covering's message."""
-    family_covering.cache_clear()
+def test_library_calls_on_a_kept_covering_obey_the_window_cap(monkeypatch, doc):
+    """A map, constants, moderateness estimates and surrogate ratios kept at
+    radius r are read only while the window of r passes the cap, with a
+    fresh covering's message."""
+    memos.clear()
     radius = 3
     cov = covering_from_json(doc)
-    calls = (lambda c: check_moderate(c, probe_weight(c), (radius, radius)),
+    window = cov.window(radius)
+    calls = (lambda c: certify_constants(c, radius), lambda c: adjacency(c, radius),
+             lambda c: neighbors(c, window[0], radius),
+             lambda c: check_moderate(c, probe_weight(c), (radius, radius)),
              lambda c: norm_surrogate_check(c, radius))
     kept = [call(cov) for call in calls]
-    monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(len(cov.window(radius)) - 1))
-    fresh = _fresh_covering(doc["family"], doc.get("params", {}))
-    for call in calls:
-        assert _refusal(lambda: call(cov)) == _refusal(lambda: call(fresh)) is not None
-    monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
-    assert [call(cov) for call in calls] == kept
-
-
-def _run_cli_in_process(argv) -> tuple:
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return code, out.getvalue(), err.getvalue()
-
-
-@pytest.mark.parametrize("doc", [
-    {"family": "shearlet_smoothness"},
-    {"family": "hom_besov", "params": {"d": 2}},
-    {"family": "diagonal", "params": {"d": 2}},
-], ids=lambda doc: doc["family"])
-def test_library_calls_on_a_kept_covering_obey_the_window_cap(monkeypatch, doc):
-    """A map and constants kept at radius r are read only while the window of
-    r passes the cap, as a fresh covering's would be."""
-    family_covering.cache_clear()
-    radius = 4
-    cov = covering_from_json(doc)
-    kept = certify_constants(cov, radius)
-    window = cov.window(radius)
     monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", str(len(window) - 1))
     assert covering_from_json(doc) is cov
-    for call in (lambda: certify_constants(cov, radius),
-                 lambda: adjacency(cov, radius),
-                 lambda: neighbors(cov, window[0], radius),
-                 lambda: check_moderate(cov, probe_weight(cov), (radius, radius))):
-        with pytest.raises(WindowCapExceeded, match=f"^window of {len(window)} indices "):
-            call()
+    fresh = _fresh_covering(doc["family"], doc.get("params", {}))
+    for call in calls:
+        refusal = _refusal(lambda: call(cov))
+        assert refusal == _refusal(lambda: call(fresh))
+        assert refusal.startswith(f"window of {len(window)} indices ")
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW")
-    assert certify_constants(cov, radius) == kept
+    assert [call(cov) for call in calls] == kept
 
 
 @pytest.mark.parametrize("family, params, index", _FAMILY_CASES)

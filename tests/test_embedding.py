@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import embedding, exponents
+from decomp_embed import embedding, exponents, families, memos
 from decomp_embed import oracle as oracle_module
 from decomp_embed.embedding import (
     TARGETS,
@@ -386,7 +386,7 @@ def test_oracle_agrees_with_symbolic_route(family, params, kw):
     assert with_oracle == without
 
 
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_cross_check_runs_the_oracle_once_per_weight_and_theta(monkeypatch):
     asked, run = [], []
 
@@ -442,17 +442,16 @@ def test_decide_grid_replays_with_a_warm_memo_in_reverse_order():
     of a form-cache entry, are invisible: a cold pass, then a pass in
     reverse order that starts on the entries the first one left."""
     lines = DECIDE_GRID.read_bytes().decode().splitlines(keepends=True)
-    memos = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo,
-             "(q, r) memo": embedding._of_q_and_r, "record memo": embedding._evidence}
-    for memo in memos.values():
-        memo.cache_clear()
+    kept = {"literal memo": exponents._parse_literal, "form cache": embedding._compiled_memo,
+            "(q, r) memo": embedding._of_q_and_r, "record memo": embedding._evidence}
+    memos.clear()
     for order in (lines, lines[::-1]):
         _replay_grid(order)
     # the first line was decided last, so its form-cache entry is kept
     last = json.loads(lines[0])["query"]
     khintchine = embedding._compiled(last["family"], last["params"], last["k"])[3]
-    memos["Khintchine verdicts"] = khintchine.verdict
-    for name, memo in memos.items():
+    kept["Khintchine verdicts"] = khintchine.verdict
+    for name, memo in kept.items():
         assert memo.cache_info().hits > 0, name
 
 
@@ -611,6 +610,8 @@ def _parsed_directly(family: str, params) -> object:
     ("inhom_besov", {"d": 1, "s": 0.0}, {"d": 1, "s": -0.0}),
     ("diagonal", {"d": 1, "alpha": [0.0]}, {"d": 1, "alpha": [-0.0]}),
     ("inhom_besov", {"d": 1, "s": "1/2"}, {"d": 1, "s": math.nan}),
+    # a key that is no string gives no cache key: the params are parsed uncached
+    ("hom_besov", {"d": 1}, {1: 2, "d": 1}),
 ])
 def test_look_alike_params_decide_as_parsed(family, cached, probe):
     want = _parsed_directly(family, probe)
@@ -624,7 +625,7 @@ def test_params_cache_keeps_look_alikes_apart():
     """After {"d": 1} is cached, documents that equal it as values or that
     JSON cannot encode (a Fraction, a cycle) still raise the parser's own
     error, every time: a failed parse is not cached."""
-    embedding._compiled_memo.cache_clear()
+    memos.clear()
     decide("hom_besov", {"d": 1}, p=1, q=2, r=2, k=0, target="sobolev")
     cyclic = {"d": 1}
     cyclic["s"] = cyclic
@@ -637,28 +638,33 @@ def test_params_cache_keeps_look_alikes_apart():
     assert embedding._compiled_memo.cache_info().currsize == 1
 
 
-def test_form_cache_stays_within_its_bound():
-    memo = embedding._compiled_memo
-    memo.cache_clear()
+@pytest.mark.parametrize("module, name, bound, call", [
+    (embedding, "_compiled_memo", "FORM_MEMO_SIZE", lambda i: decide(
+        "hom_besov", {"d": 1, "s": f"{i}/7"}, p=1, q=2, r=2, k=0, target="sobolev")),
+    (embedding, "_of_q_and_r", "QR_MEMO_SIZE", lambda i: decide(
+        "hom_besov", {"d": 1}, p=1, q=f"{i + 3}/{i + 1}", r=2, k=0, target="sobolev")),
+    # each p adds its own N1 record
+    (embedding, "_evidence", "EVIDENCE_MEMO_SIZE", lambda i: decide(
+        "hom_besov", {"d": 1}, p=f"{i + 2}/{i + 1}", q=2, r=2, k=0, target="sobolev")),
+    # more distinct exponent literals than the bound
+    (exponents, "_parse_literal", "LITERAL_MEMO_SIZE", lambda i: [decide(
+        "hom_besov", {"d": 1, "s": f"{i}/7"}, p="1", q=f"{i + 3}/{i + 1}", r=r, target="sobolev",
+        k=0) for r in (f"{i + 2}/{i + 1}", "inf")]),
+    (families, "family_covering", "COVERING_MEMO_SIZE",
+     lambda i: families.covering_from_json({"family": "hom_besov", "params": {"d": i + 1}})),
+], ids=["form", "qr", "record", "literal", "covering"])
+@pytest.mark.usefixtures("cleared_memos")
+def test_each_memo_stays_within_its_bound(module, name, bound, call):
+    memo = getattr(module, name)
     size = memo.cache_info().maxsize
-    assert size == embedding.FORM_MEMO_SIZE
+    assert size == getattr(module, bound)
     for i in range(size + 8):
-        decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p=1, q=2, r=2, k=0, target="sobolev")
-    assert memo.cache_info().currsize == size
-
-
-def test_qr_memo_stays_within_its_bound():
-    memo = embedding._of_q_and_r
-    memo.cache_clear()
-    size = memo.cache_info().maxsize
-    assert size == embedding.QR_MEMO_SIZE
-    for i in range(size + 8):
-        decide("hom_besov", {"d": 1}, p=1, q=f"{i + 3}/{i + 1}", r=2, k=0, target="sobolev")
+        call(i)
     assert memo.cache_info().currsize == size
 
 
 def test_kept_khintchine_verdicts_stay_within_their_bound():
-    embedding._compiled_memo.cache_clear()
+    memos.clear()
     for i in range(embedding.KHINTCHINE_MEMO_SIZE + 8):
         decide("hom_besov", {"d": 1}, p=1, q=3, r=f"{i + 5}/{i + 1}", k=0, target="sobolev")
     memo = embedding._compiled("hom_besov", {"d": 1}, 0)[3].verdict
@@ -666,23 +672,6 @@ def test_kept_khintchine_verdicts_stay_within_their_bound():
     assert memo.cache_info().maxsize == embedding.KHINTCHINE_MEMO_SIZE
     assert memo.cache_info().currsize == embedding.KHINTCHINE_MEMO_SIZE
     assert embedding._compiled_memo.cache_info().currsize == 1
-
-
-def test_record_memo_stays_within_its_bound():
-    memo = embedding._evidence
-    memo.cache_clear()
-    size = memo.cache_info().maxsize
-    assert size == embedding.EVIDENCE_MEMO_SIZE
-    # each p adds its own N1 record
-    for i in range(size + 8):
-        decide("hom_besov", {"d": 1}, p=f"{i + 2}/{i + 1}", q=2, r=2, k=0, target="sobolev")
-    assert memo.cache_info().currsize == size
-
-
-def _clear_memos() -> None:
-    for memo in (exponents._parse_literal, embedding._compiled_memo, embedding._of_q_and_r,
-                 embedding._evidence):
-        memo.cache_clear()
 
 
 @settings(max_examples=150, deadline=None)
@@ -701,7 +690,7 @@ def test_a_cell_reads_the_same_on_cleared_and_warm_memos(data, family, target, p
         return decide(family, params, p=p, q=q if target == "sobolev" else None, r=r, k=k,
                       target=target, refine=refine)
 
-    _clear_memos()
+    memos.clear()
     cold = run()
     warm = run()
     assert warm.to_json() == cold.to_json()
@@ -732,7 +721,7 @@ def test_a_decide_reads_the_same_on_cold_and_warm_memos(draw, p, q, r, k, target
             return f"InvalidParams: {exc}"
 
     sweep = list(itertools.product(_SWEEP_AXIS, repeat=2))
-    _clear_memos()
+    memos.clear()
     cold = run(q, r)
     for cell_q, cell_r in sweep:
         run(cell_q, cell_r)
@@ -740,7 +729,7 @@ def test_a_decide_reads_the_same_on_cold_and_warm_memos(draw, p, q, r, k, target
     for cell_q, cell_r in sweep[::-1]:
         run(cell_q, cell_r)
     warm = run(q, r)
-    _clear_memos()
+    memos.clear()
     assert run(q, r) == warm == cold
 
 
@@ -778,7 +767,7 @@ def test_the_oracle_check_receives_every_call_on_cold_and_warm_memos(monkeypatch
 
     khintchine = get_family(family).khintchine is not None
     cells = list(itertools.product(("1", "3/2"), ("3/2", "3", "inf"), ("3/2", "4")))
-    _clear_memos()
+    memos.clear()
     log, runs = _logged_checks(monkeypatch), []
     for _ in range(2):
         log.clear()
@@ -817,7 +806,7 @@ def test_parsed_params_key_the_form_cache(family):
     the parser refuses, every time."""
     params = get_family(family).parse_params({})
     memo = embedding._compiled_memo
-    memo.cache_clear()
+    memos.clear()
     first = decide(family, params, p=1, q=2, r=2, k=0, target="sobolev")
     assert decide(family, params, p=1, q=2, r=2, k=0, target="sobolev") == first
     assert (memo.cache_info().hits, memo.cache_info().currsize) == (1, 1)
@@ -929,19 +918,6 @@ def test_compiled_verdicts_equal_membership_of_the_built_quotients(family, data,
     assert _reported(decide_sobolev(family, doc, p=p, q=q, r=r, k=k, refine=False)) == want
 
 
-def test_literal_memo_stays_within_its_bound():
-    memo = exponents._parse_literal
-    memo.cache_clear()
-    size = memo.cache_info().maxsize
-    assert size == exponents.LITERAL_MEMO_SIZE
-    # more distinct exponent literals than the bound
-    for i in range(size + 8):
-        for r in (f"{i + 2}/{i + 1}", "inf"):
-            decide("hom_besov", {"d": 1, "s": f"{i}/7"}, p="1", q=f"{i + 3}/{i + 1}", r=r,
-                   target="sobolev", k=0)
-    assert memo.cache_info().currsize == size
-
-
 ORACLE_TAILS = Path(__file__).parent / "golden" / "oracle_tails.jsonl"
 
 
@@ -964,7 +940,7 @@ def test_oracle_tails_replay_with_a_warm_memo_in_reverse_order():
     order that starts on the entries the first one left."""
     groups = [(query, "".join(group).encode()) for query, group in _oracle_groups()]
     memo = oracle_module._classified
-    memo.cache_clear()
+    memos.clear()
     for order in (groups, groups[::-1]):
         for query, old in order:
             new = oracle_lines(query).encode()
@@ -972,7 +948,7 @@ def test_oracle_tails_replay_with_a_warm_memo_in_reverse_order():
     assert memo.cache_info().hits > 0
 
 
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_pair_tail_bound_value_reaches_no_verdict(monkeypatch):
     """The gates read only whether a pair tail bound is finite: with every
     bound halved, the frozen oracle queries keep their verdict, window,

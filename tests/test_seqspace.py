@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from decomp_embed import oracle
+from decomp_embed import memos, oracle
 from decomp_embed.errors import (
     DecompEmbedError,
     InvalidParams,
@@ -509,7 +509,7 @@ class TestTruncatedOracle:
     def test_verdicts_are_deterministic(self):
         w = ExpPolyWeight.single(RadialSector(2), Atom.radial(2, F(-5, 2)))
         a = truncated_oracle(w, E(1))
-        oracle._classified.cache_clear()  # a second run, not a kept result
+        memos.clear()  # a second run, not a kept result
         b = truncated_oracle(w, E(1))
         assert a == b
 
@@ -587,15 +587,21 @@ def pair_weights(draw):
     return ExpPolyWeight.single(PairSector(domain, lam, side, shift), atom)
 
 
-@settings(max_examples=60, deadline=None)
-@given(line_weights(), thetas)
-def test_oracle_never_contradicts_decider_on_lines(w, theta):
+def _agrees_with_decider(w, theta) -> None:
+    """The oracle reads Convergent only on a member and Divergent only on a
+    non-member of the exact decider."""
     res = truncated_oracle(w, theta)
     memb = decide_lp_membership(w, theta)
     if res.verdict == "Convergent":
         assert memb is MEMBER
     elif res.verdict == "Divergent":
         assert memb is NOT_MEMBER
+
+
+@settings(max_examples=60, deadline=None)
+@given(line_weights(), thetas)
+def test_oracle_never_contradicts_decider_on_lines(w, theta):
+    _agrees_with_decider(w, theta)
 
 
 # 2^(2n/3) * n^-6 on the middle axis falls across the whole radius-32
@@ -611,23 +617,13 @@ _PRODUCT_GROWING_PAST_THE_WINDOW = ExpPolyWeight.single(
 @given(product_weights(), thetas)
 @example(_PRODUCT_GROWING_PAST_THE_WINDOW, E(2))
 def test_oracle_never_contradicts_decider_on_products(w, theta):
-    res = truncated_oracle(w, theta)
-    memb = decide_lp_membership(w, theta)
-    if res.verdict == "Convergent":
-        assert memb is MEMBER
-    elif res.verdict == "Divergent":
-        assert memb is NOT_MEMBER
+    _agrees_with_decider(w, theta)
 
 
 @settings(max_examples=40, deadline=None)
 @given(pair_weights(), thetas)
 def test_oracle_never_contradicts_decider_on_pairs(w, theta):
-    res = truncated_oracle(w, theta)
-    memb = decide_lp_membership(w, theta)
-    if res.verdict == "Convergent":
-        assert memb is MEMBER
-    elif res.verdict == "Divergent":
-        assert memb is NOT_MEMBER
+    _agrees_with_decider(w, theta)
 
 
 _coeffs = st.sampled_from([F(1, 3), F(1), F(5)])
@@ -655,12 +651,7 @@ def test_oracle_never_contradicts_decider_on_multi_atom_pairs(w, theta):
     # with k > 1 atoms a sup row reads its end terms; a sum row expands the
     # multinomial at an integer theta, or else sums a head and bounds the
     # rest by the power mean inequality
-    res = truncated_oracle(w, theta)
-    memb = decide_lp_membership(w, theta)
-    if res.verdict == "Convergent":
-        assert memb is MEMBER
-    elif res.verdict == "Divergent":
-        assert memb is NOT_MEMBER
+    _agrees_with_decider(w, theta)
 
 
 _OUTSIDE = PairSector("N0", F(1, 2), "outside", -1)
@@ -749,13 +740,16 @@ def _row_alone(piece, n, theta_f):
     return next(oracle._pair_rows(piece, [n], theta_f))
 
 
-def _reference_factor_on_axis(f, n):
+def _reference_log2_on_axis(f, n):
     a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
     c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
     absn = np.abs(n)
-    safe = np.where(absn == 0, 1.0, absn)
+    return a * n + c * np.log2(np.where(absn == 0, 1.0, absn))
+
+
+def _reference_factor_on_axis(f, n):
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp2(np.clip(a * n + c * np.log2(safe), -1100.0, 1100.0))
+        return np.exp2(np.clip(_reference_log2_on_axis(f, n), -1100.0, 1100.0))
 
 
 def _reference_row_values(piece, n, ms):
@@ -1174,10 +1168,7 @@ def _reference_grid_values(piece, radius):
         for atom in piece.atoms:
             log2mag = np.zeros(shape)
             for dim, (f, n) in enumerate(zip(atom.factors, axes)):
-                a = np.where(n >= 0, float(f.exp2_pos), float(f.exp2_neg))
-                c = np.where(n >= 0, float(f.pow_pos), float(f.pow_neg))
-                absn = np.abs(n)
-                log2mag = log2mag + along(a * n + c * np.log2(np.where(absn == 0, 1.0, absn)), dim)
+                log2mag = log2mag + along(_reference_log2_on_axis(f, n), dim)
             if atom.radial_pow:
                 sq = np.zeros(shape)
                 for dim, n in enumerate(axes):
@@ -1341,12 +1332,7 @@ def test_radial_sup_shells_read_both_ends():
 @example(ExpPolyWeight.single(RadialSector(2), Atom.radial(2, Fraction(-3, 2)),
                               Atom.radial(2, -1, coeff=Fraction(1, 3))), ExtExponent(2))
 def test_oracle_never_contradicts_decider_on_radial_weights(w, theta):
-    res = truncated_oracle(w, theta)
-    memb = decide_lp_membership(w, theta)
-    if res.verdict == "Convergent":
-        assert memb is MEMBER
-    elif res.verdict == "Divergent":
-        assert memb is NOT_MEMBER
+    _agrees_with_decider(w, theta)
 
 
 @settings(max_examples=120, deadline=None)
@@ -1399,7 +1385,7 @@ def test_corner_shells_match_the_grid(piece, radii):
           (Atom(1, (CoordFactor(-1, 1), CoordFactor(F(-1, 8), 0, F(1, 2), 0))),
            Atom(1, (CoordFactor(-2, 2), CoordFactor(-1, 0))))),
 ], ids=["line", "product"])
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_positive_power_at_theta_inf_keeps_the_grid(monkeypatch, piece):
     def no_corners(*args):
         raise AssertionError("corners read")
@@ -1429,7 +1415,7 @@ _PRODUCT_4 = Piece(ProductSector((LineSector("Z"),) * 4), (Atom(1, (CoordFactor(
     (_DIAGONAL_Q2, "_corner_shells", INF),
 ], ids=["theta-2-radial", "theta-2-product", "theta-inf-radial", "theta-inf-product",
         "theta-inf-line", "diagonal-q-2"])
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_structure_routes_build_no_grid(monkeypatch, capsys, case, route, theta):
     # at d = 4 the grid would hold 65^4 points, past the default window cap;
     # a line's grid holds 32 769
@@ -1471,7 +1457,7 @@ def _oracle_outcome(weight, theta):
 
 @pytest.mark.parametrize("cap", [None, "abc", "0", "100", "1000", "5000", "32768", "32769"])
 @pytest.mark.parametrize("weight, theta", _MEMO_CASES, ids=["line", "radial", "product", "pair"])
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_a_kept_classification_meets_the_cap_as_a_fresh_run(monkeypatch, weight, theta, cap):
     """A result kept under the default cap answers, or raises the first
     error, as a fresh run under the current cap does."""
@@ -1480,11 +1466,11 @@ def test_a_kept_classification_meets_the_cap_as_a_fresh_run(monkeypatch, weight,
     if cap is not None:
         monkeypatch.setenv("DECOMP_EMBED_MAX_WINDOW", cap)
     kept = _oracle_outcome(weight, theta)
-    oracle._classified.cache_clear()
+    memos.clear()
     assert kept == _oracle_outcome(weight, theta)
 
 
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_the_memo_replays_the_window_cap(monkeypatch):
     monkeypatch.delenv("DECOMP_EMBED_MAX_WINDOW", raising=False)
     grid = line("Z", power=-2)
@@ -1501,10 +1487,10 @@ def test_the_memo_replays_the_window_cap(monkeypatch):
         assert truncated_oracle(_PAIR_ONLY, E(1)).verdict == "Convergent"
         with pytest.raises(InvalidParams, match="DECOMP_EMBED_MAX_WINDOW must be an integer"):
             truncated_oracle(grid, E(1))
-        oracle._classified.cache_clear()
+        memos.clear()
 
 
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_refusals_are_not_kept(monkeypatch):
     refused = ExpPolyWeight.single(LineSector("Z"), Atom(F(1), (CoordFactor(),), F(-2)))
     for _ in range(3):
@@ -1525,7 +1511,7 @@ def test_a_kept_classification_is_frozen():
     assert truncated_oracle(line("N0", exp2=-1), E(1)).verdict == "Convergent"
 
 
-@pytest.mark.usefixtures("fresh_oracle_memo")
+@pytest.mark.usefixtures("cleared_memos")
 def test_the_memo_keeps_the_last_oracle_memo_size_pairs(monkeypatch):
     run = []
     classify = oracle._classify
