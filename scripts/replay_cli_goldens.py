@@ -1,13 +1,19 @@
 #!/usr/bin/env python3
-"""Replay the golden CLI transcripts of tests/golden/manifest.json.
+"""Replay the golden CLI transcripts of tests/golden/manifest.json and the
+decide grid of tests/golden/decide_grid.jsonl.
 
-Each case runs as ``python -m decomp_embed.cli <argv>`` in a fresh
+Each CLI case runs as ``python -m decomp_embed.cli <argv>`` in a fresh
 interpreter, the one running this script, with this checkout's ``src/`` on
 ``PYTHONPATH``; its stdout must equal ``<case>.out`` byte for byte and its
 exit code the manifest's.  ``--exact-only`` skips the cases that run the
 numeric oracle (``--oracle``, ``--oracle-check``), the only ones that
-import numpy, so the rest replays on an interpreter without it.  Uses the
-standard library alone.
+import numpy, so the rest replays on an interpreter without it.
+
+The decide grid replays in this process: library ``decide`` on each
+line's query, the line rebuilt from the query and ``Verdict.to_json()``
+must equal it byte for byte.  The grid never runs the oracle, so it
+replays in both modes, and numpy must stay unloaded.  Uses the standard
+library alone.
 
     python scripts/replay_cli_goldens.py [--exact-only]
 """
@@ -24,27 +30,50 @@ GOLDEN = ROOT / "tests" / "golden"
 ORACLE_FLAGS = {"--oracle", "--oracle-check"}
 
 
+def replay_grid() -> int:
+    """Replay the decide grid in process; the count of lines that differ."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from decomp_embed.embedding import decide
+
+    lines = (GOLDEN / "decide_grid.jsonl").read_text().splitlines(keepends=True)
+    changed = 0
+    for n, line in enumerate(lines, 1):
+        query = json.loads(line)["query"]
+        verdict = decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
+                         r=query["r"], target=query["target"], k=query["k"])
+        if json.dumps({"query": query, "verdict": verdict.to_json()},
+                      separators=(",", ":")) + "\n" != line:
+            changed += 1
+            print(f"decide_grid.jsonl line {n}: verdict differs")
+    if "numpy" in sys.modules:
+        changed += 1
+        print("the decide grid loaded numpy")
+    print(f"{len(lines) - changed} of {len(lines)} decide grid lines unchanged")
+    return changed
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--exact-only", action="store_true",
-                    help="skip the cases that run the numeric oracle")
+                    help="skip the CLI cases that run the numeric oracle")
     args = ap.parse_args()
+    changed = replay_grid()
     cases = json.loads((GOLDEN / "manifest.json").read_text())
     if args.exact_only:
         cases = [case for case in cases if not ORACLE_FLAGS & set(case["argv"])]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    changed = 0
+    cli_changed = 0
     for case in cases:
         done = subprocess.run([sys.executable, "-m", "decomp_embed.cli", *case["argv"]],
                               capture_output=True, env=env, timeout=300)
         if done.stdout != (GOLDEN / f"{case['name']}.out").read_bytes():
-            changed += 1
+            cli_changed += 1
             print(f"{case['name']}: stdout differs", done.stderr.decode()[-400:])
         elif done.returncode != case["exit"]:
-            changed += 1
+            cli_changed += 1
             print(f"{case['name']}: exit {done.returncode}, golden {case['exit']}")
-    print(f"{len(cases) - changed} of {len(cases)} golden CLI cases unchanged")
-    return 1 if changed else 0
+    print(f"{len(cases) - cli_changed} of {len(cases)} golden CLI cases unchanged")
+    return 1 if changed or cli_changed else 0
 
 
 if __name__ == "__main__":

@@ -24,14 +24,14 @@ quotient w^(t)/u(r) is a family's quotient form, whose exponents are affine
 in the gaps 1/p - 1/t and 1/2 - 1/r, decided at the cell's gaps with
 t = q, p and 2 by the form's compiled membership test, without building a
 weight: the test evaluates only the exponents that depend on the gaps, once
-for S1, N2 and N2b.  An :class:`ExtExponent` or a ``Fraction`` appears only
-in the refined criteria's thresholds and under the oracle check; the
-evidence text is made from the pairs.  What recurs across calls is kept
-in memos that :mod:`decomp_embed.memos` declares: the parsed params and
-forms, so a (q, r) sweep parses and compiles once, with the N3 and N4
-verdicts of each restricted form; what (q, r) alone gives; and the N1 and
-membership records, which verdicts share.  A call computes only what
-reads p, the S1, N2 and N2b verdicts and the refined criteria.
+for S1, N2 and N2b.  The refined criteria's thresholds are int pairs too,
+so an :class:`ExtExponent` or a ``Fraction`` appears only under the oracle
+check; the evidence text is made from the pairs.  What recurs across
+calls is kept in memos that :mod:`decomp_embed.memos` declares: the parsed
+params and forms, so a (q, r) sweep parses and compiles once, with the N3
+and N4 verdicts of each restricted form; what (q, r) alone gives; and the
+N1 and membership records, which verdicts share.  A call computes only
+what reads p, the S1, N2 and N2b verdicts and the refined criteria.
 
 The optional oracle check builds each weight and theta a verdict read,
 checks the compiled verdict against :func:`decide_lp_membership` on them (a
@@ -358,7 +358,7 @@ def decide_sobolev(
                  for ev_id, _, _, _, member in asked]
 
     if refine:
-        evidence.extend(Evidence(**item) for item in fam.refined_criteria(params, k, x))
+        evidence += map(Evidence._make, fam.refined_criteria(params, k, x))
 
     verdict = _aggregate(evidence, x)
     if oracle_check:

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import InvalidParams, SchemaError, check_window_cap, window_power
-from .exponents import int_from_json, rational_from_json
+from .exponents import Pair, int_from_json, rational_from_json
 from .seqspace import (
     Affine,
     Atom,
@@ -100,35 +101,27 @@ def _q_mid(x) -> bool:
 
 
 def _refined_records(
-    anchor: str, noun: str, value: Fraction, thr: Fraction, x, sharp: bool = False
-) -> list[dict]:
-    """The S2 (sufficient) and N5 (necessary) records of a refined criterion.
+    anchor: str, noun: str, value: Fraction, thr: Pair, x, sharp: bool = False
+) -> list[tuple]:
+    """The S2 (sufficient) and N5 (necessary) records of a refined criterion,
+    as tuples in ``Evidence`` field order.
 
     ``noun`` names the compared quantity, ``value`` its value and ``thr``
-    the threshold; ``x`` is the engine's reciprocals of (p, q, r).  Both
-    hold above the threshold, S2 only for p <= q.  At equality S2 admits
-    r <= 2 (g <= 0), or r <= q when ``sharp``, and N5 requires r <= q.
+    the threshold, an int pair; ``x`` is the engine's reciprocals of (p, q,
+    r).  Both hold above the threshold, S2 only for p <= q.  At equality S2
+    admits r <= 2 (g <= 0), or r <= q when ``sharp``, and N5 requires r <= q.
     """
+    c = math.gcd(*thr)
+    num, den = thr[0] // c, thr[1] // c
+    cmp = value.numerator * den - num * value.denominator
     r_ok = x.r_le_q if sharp else x.g[0] <= 0
-    suff = x.p_le_q and (value > thr or (value == thr and r_ok))
-    nec = value > thr or (value == thr and x.r_le_q)
-    word = "above" if value > thr else "at" if value == thr else "below"
-    head = f"{noun} {word} threshold {thr}; "
+    suff = x.p_le_q and (cmp > 0 or (not cmp and r_ok))
+    nec = cmp > 0 or (not cmp and x.r_le_q)
+    word = "above" if cmp > 0 else "below" if cmp else "at"
+    head = f"{noun} {word} threshold {num if den == 1 else f'{num}/{den}'}; "
     return [
-        {
-            "id": "S2",
-            "anchor": anchor,
-            "role": "sufficient",
-            "holds": suff,
-            "detail": f"{head}equality admits r <= {'q' if sharp else '2'}",
-        },
-        {
-            "id": "N5",
-            "anchor": anchor,
-            "role": "necessary",
-            "holds": nec,
-            "detail": f"{head}equality requires r <= q",
-        },
+        ("S2", anchor, suff, f"{head}equality admits r <= {'q' if sharp else '2'}", "sufficient"),
+        ("N5", anchor, nec, f"{head}equality requires r <= q", "necessary"),
     ]
 
 
@@ -209,10 +202,11 @@ class Family:
         (piece,) = quotient.pieces
         return ExpPolyWeight((Piece(LineSector("N0"), piece.atoms),))
 
-    def refined_criteria(self, params, k: int, x) -> list[dict]:
-        """The S2 and N5 records at the engine's reciprocals ``x`` of
-        (p, q, r): the gap dp = 1/p - 1/q and the tail 1/q'' - 1/r clamped
-        at 0 (1/theta of S1) as int pairs, and the comparisons."""
+    def refined_criteria(self, params, k: int, x) -> list[tuple]:
+        """The S2 and N5 records, tuples in ``Evidence`` field order, at the
+        engine's reciprocals ``x`` of (p, q, r): the threshold is an int pair
+        made from the int pairs of the gap dp = 1/p - 1/q and the tail
+        1/q'' - 1/r clamped at 0 (1/theta of S1), compared by cross product."""
         return []
 
 
@@ -318,8 +312,9 @@ class InhomBesovFamily(_DyadicFamily):
     def refined_criteria(self, params, k, x):
         if not _q_mid(x):
             return []
-        thr = k + params.d * Fraction(*x.dp)
-        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", params.s, thr, x)
+        dn, dd = x.dp  # the threshold k + d dp
+        return _refined_records(ANCHOR_INHOM_REFINED, "smoothness", params.s,
+                                (k * dd + params.d * dn, dd), x)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +413,14 @@ class AlphaModulationFamily(Family):
     def refined_criteria(self, params, k, x):
         if not _q_mid(x):
             return []
-        rhs = k + params.d * (
-            params.alpha * Fraction(*x.dp) + (1 - params.alpha) * Fraction(*x.s1)
-        )
+        # the threshold k + d (alpha dp + (1 - alpha) s1), alpha = a/b
+        (dn, dd), (sn, sd) = x.dp, x.s1
+        a, b = params.alpha.numerator, params.alpha.denominator
+        den = b * dd * sd
+        rhs = (k * den + params.d * (a * dn * sd + (b - a) * sn * dd), den)
         return _refined_records(
             ANCHOR_ALPHA_REFINED, "weight exponent", params.s, rhs, x,
-            sharp=params.alpha == 0 and not x.dp[0],
+            sharp=not a and not dn,
         )
 
 
@@ -497,8 +494,11 @@ class ShearletSmoothnessFamily(Family):
     def refined_criteria(self, params, k, x):
         if not _q_mid(x):
             return []
-        thr = k + Fraction(3, 2) * Fraction(*x.dp) + Fraction(1, 2) * Fraction(*x.s1)
-        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", params.s, thr, x)
+        # the threshold k + 3/2 dp + 1/2 s1
+        (dn, dd), (sn, sd) = x.dp, x.s1
+        den = 2 * dd * sd
+        return _refined_records(ANCHOR_SHEARLET_REFINED, "smoothness", params.s,
+                                (k * den + 3 * dn * sd + sn * dd, den), x)
 
 
 _SHEARLET_SECTOR = PairSector("N0", Fraction(1), "inside", 0)

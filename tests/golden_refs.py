@@ -63,11 +63,24 @@ def golden_hom_besov(params, p, q, r, k):
     return UND
 
 
+def inhom_besov_threshold(params, p, q, r, k) -> Fraction:
+    return k + params["d"] * (_inv(p) - _inv(q))
+
+
+def alpha_modulation_threshold(params, p, q, r, k) -> Fraction:
+    alpha = _frac(params["alpha"])
+    return k + params["d"] * (alpha * (_inv(p) - _inv(q)) + (1 - alpha) * _tail(q, r))
+
+
+def shearlet_smoothness_threshold(params, p, q, r, k) -> Fraction:
+    return k + Fraction(3, 2) * (_inv(p) - _inv(q)) + Fraction(1, 2) * _tail(q, r)
+
+
 def golden_inhom_besov(params, p, q, r, k):
     if p > q:
         return DNE
     s = _frac(params["s"])
-    thr = k + params["d"] * (_inv(p) - _inv(q))
+    thr = inhom_besov_threshold(params, p, q, r, k)
     if s > thr:
         return EMB
     if s < thr:
@@ -90,9 +103,7 @@ def golden_alpha_modulation(params, p, q, r, k):
         return DNE
     alpha = _frac(params["alpha"])
     s = _frac(params["s"])
-    rhs = k + params["d"] * (
-        alpha * (_inv(p) - _inv(q)) + (1 - alpha) * _tail(q, r)
-    )
+    rhs = alpha_modulation_threshold(params, p, q, r, k)
     if s > rhs:
         return EMB
     if s < rhs:
@@ -113,7 +124,7 @@ def golden_shearlet_smoothness(params, p, q, r, k):
     if p > q:
         return DNE
     s = _frac(params["s"])
-    thr = k + Fraction(3, 2) * (_inv(p) - _inv(q)) + Fraction(1, 2) * _tail(q, r)
+    thr = shearlet_smoothness_threshold(params, p, q, r, k)
     if s > thr:
         return EMB
     if s < thr:
@@ -193,6 +204,42 @@ _GOLDEN = {
     "shearlet_coorbit": golden_shearlet_coorbit,
     "diagonal": golden_diagonal,
 }
+
+
+# per family with refined criteria: its anchor, the compared quantity and
+# the threshold of that quantity
+_REFINED = {
+    "inhom_besov": ("Ex 7.2 (refined)", "smoothness", inhom_besov_threshold),
+    "alpha_modulation": ("Ex 7.3 (refined)", "weight exponent", alpha_modulation_threshold),
+    "shearlet_smoothness": ("Ex 7.4 (refined)", "smoothness", shearlet_smoothness_threshold),
+}
+
+
+def refined_threshold(family, params, p, q, r, k) -> Fraction:
+    """The threshold of a family's refined criterion."""
+    return _REFINED[family][2](params, p, q, r, k)
+
+
+def golden_refined_records(family, params, p, q, r, k) -> list[tuple]:
+    """The S2 and N5 records (id, anchor, holds, detail, role) of a family's
+    refined criterion, from Fractions; none outside q in (2, inf).
+
+    Both hold above the threshold, S2 only for p <= q.  At equality S2
+    admits r <= 2, or r <= q in the sharp case (alpha_modulation at
+    alpha = 0 and p = q), and N5 requires r <= q."""
+    if q.is_inf or q <= _TWO:
+        return []
+    anchor, noun, _ = _REFINED[family]
+    s, thr = _frac(params["s"]), refined_threshold(family, params, p, q, r, k)
+    sharp = family == "alpha_modulation" and _frac(params["alpha"]) == 0 and p == q
+    word = "above" if s > thr else "at" if s == thr else "below"
+    suff = p <= q and (s > thr or (s == thr and r <= (q if sharp else _TWO)))
+    nec = s > thr or (s == thr and r <= q)
+    head = f"{noun} {word} threshold {thr}; "
+    return [
+        ("S2", anchor, suff, f"{head}equality admits r <= {'q' if sharp else '2'}", "sufficient"),
+        ("N5", anchor, nec, f"{head}equality requires r <= q", "necessary"),
+    ]
 
 
 def golden_verdict(family, params, *, p, q=None, r, k, target="sobolev"):

@@ -759,8 +759,7 @@ def test_a_built_weight_that_decides_otherwise_is_an_internal_error(monkeypatch)
 def test_inconsistent_verdict_is_an_internal_error(monkeypatch):
     from decomp_embed.families import HomBesovFamily
 
-    holding = {"id": "S2", "anchor": "test", "role": "sufficient", "holds": True,
-               "detail": "forced"}
+    holding = ("S2", "test", True, "forced", "sufficient")
     monkeypatch.setattr(HomBesovFamily, "refined_criteria", lambda self, *a: [holding])
     code, out, err = run_cli(["decide", "--family", "hom_besov",
                               "-p", "3", "-q", "2", "-r", "2"])  # p > q fails N1

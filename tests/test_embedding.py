@@ -542,18 +542,21 @@ WARM_PARAMS = {
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)
-@pytest.mark.parametrize("q", ("4/2", "3", "inf"))
+@pytest.mark.parametrize("q", ("4/2", "5/2", "3", "4", "inf"))
 def test_a_warm_decide_builds_no_exponent_objects(family, q):
     """After one call on the same literals, a decide reads p, q and r from
     the literal memo and the form from the form cache, and builds no
-    ExtExponent and no Fraction: every cell is int pairs."""
-    def run():
-        return decide_sobolev(family, WARM_PARAMS[family], p="3/2", q=q, r="5/2", k=1,
-                              refine=False)
+    ExtExponent and no Fraction: every cell is int pairs, the thresholds
+    of the refined criteria at q in (2, inf) included."""
+    built = {}
+    for p, r in itertools.product(("1", "3/2", "3"), ("2", "5/2", "inf")):
+        def run():
+            return decide_sobolev(family, WARM_PARAMS[family], p=p, q=q, r=r, k=1)
 
-    want = run().to_json()
-    assert _exponent_objects_built(run) == []
-    assert run().to_json() == want
+        want = run().to_json()
+        built[p, r] = _exponent_objects_built(run)
+        assert run().to_json() == want
+    assert built == dict.fromkeys(built, [])
 
 
 @pytest.mark.parametrize("family", FAMILY_NAMES)

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from decomp_embed.covering import Covering
-from decomp_embed.embedding import decide_sobolev
+from decomp_embed.embedding import _reciprocals, decide_sobolev
 from decomp_embed.errors import InvalidParams, SchemaError
 from decomp_embed.exponents import INF, ExtExponent, lower_conjugate
 from decomp_embed.families import FAMILY_NAMES, Family, covering_from_json, get_family
 from decomp_embed.seqspace import LineSector, refuse_unsupported
 
-from golden_refs import golden_verdict
+from golden_refs import golden_refined_records, golden_verdict, refined_threshold
 from reference_weights import REFERENCE
 from witnesses import contains, reciprocal_gap, to_point
 
@@ -319,6 +319,41 @@ def test_family_forms_pass_the_refusal(family, k, data):
     kform = fam.khintchine_quotient(form)
     assert refuse_unsupported(form) is form
     assert kform is None or refuse_unsupported(kform) is kform
+
+
+_EXPONENT = st.fractions(min_value=Fraction(1, 2), max_value=8, max_denominator=12)
+# q in (2, inf), where the refined criteria apply, and values outside it
+_REFINED_Q = st.one_of(st.fractions(min_value=2, max_value=8, max_denominator=12).filter(
+    lambda q: q > 2), st.sampled_from((1, Fraction(3, 2), 2, "inf")))
+# the offset of the smoothness from its threshold: on it, or within 1/8
+_OFFSET = st.one_of(st.just(Fraction(0)), st.fractions(
+    min_value=Fraction(-1, 8), max_value=Fraction(1, 8), max_denominator=64))
+_ALPHA = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=0, max_value=Fraction(15, 16), max_denominator=16))
+
+
+@pytest.mark.parametrize("family", ("inhom_besov", "alpha_modulation", "shearlet_smoothness"))
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), k=st.integers(0, 2), d=st.integers(1, 3), offset=_OFFSET)
+def test_refined_records_equal_the_fraction_reference(family, data, k, d, offset):
+    """The S2 and N5 records that refined_criteria builds from int pairs,
+    and that a decide reports, equal golden_refined_records' records from
+    Fractions: on the threshold, near it on both sides, at thresholds below
+    0, in the sharp case alpha = 0 with p = q, at r = inf, and none at all
+    outside q in (2, inf)."""
+    q = ExtExponent(data.draw(_REFINED_Q))
+    p = ExtExponent(data.draw(st.one_of(st.just(q), _EXPONENT)))
+    r = ExtExponent(data.draw(st.one_of(st.just("inf"), _EXPONENT)))
+    doc = {} if family == "shearlet_smoothness" else {"d": d}
+    if family == "alpha_modulation":
+        doc["alpha"] = str(data.draw(_ALPHA))
+    doc["s"] = str(refined_threshold(family, doc, p, q, r, k) + offset)
+    want = golden_refined_records(family, doc, p, q, r, k)
+    assert (want == []) == (q.is_inf or q <= 2)
+    fam = get_family(family)
+    assert fam.refined_criteria(fam.parse_params(doc), k, _reciprocals(p, q, r)) == want
+    evidence = decide_sobolev(family, doc, p=p, q=q, r=r, k=k).evidence
+    assert [tuple(e) for e in evidence if e.id in ("S2", "N5")] == want
 
 
 def test_the_family_base_class_leaves_its_math_to_each_family():

@@ -33,6 +33,9 @@ def test_sweep_gap_counts_its_verdicts():
 def test_replay_cli_goldens_finds_every_case_unchanged():
     done = _run_script("replay_cli_goldens.py")
     assert done.returncode == 0, done.stdout + done.stderr
-    assert done.stdout.splitlines()[-1] == "12 of 12 golden CLI cases unchanged"
+    assert done.stdout.splitlines() == ["208 of 208 decide grid lines unchanged",
+                                        "12 of 12 golden CLI cases unchanged"]
     done = _run_script("replay_cli_goldens.py", "--exact-only")
-    assert done.stdout.splitlines()[-1] == "10 of 10 golden CLI cases unchanged"
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.splitlines() == ["208 of 208 decide grid lines unchanged",
+                                        "10 of 10 golden CLI cases unchanged"]
