@@ -10,10 +10,9 @@ numeric oracle (``--oracle``, ``--oracle-check``), the only ones that
 import numpy, so the rest replays on an interpreter without it.
 
 The decide grid replays in this process: library ``decide`` on each
-line's query, the line rebuilt from the query and ``Verdict.to_json()``
-must equal it byte for byte.  The grid never runs the oracle, so it
-replays in both modes, and numpy must stay unloaded.  Uses the standard
-library alone.
+line's query, whose ``Verdict.to_json()`` must equal the line's verdict.
+The grid never runs the oracle, so it replays in both modes, and numpy
+must stay unloaded.  Uses the standard library alone.
 
     python scripts/replay_cli_goldens.py [--exact-only]
 """
@@ -35,20 +34,20 @@ def replay_grid() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from decomp_embed.embedding import decide
 
-    lines = (GOLDEN / "decide_grid.jsonl").read_text().splitlines(keepends=True)
+    lines = (GOLDEN / "decide_grid.jsonl").read_text().splitlines()
     changed = 0
     for n, line in enumerate(lines, 1):
-        query = json.loads(line)["query"]
+        doc = json.loads(line)
+        query = doc["query"]
         verdict = decide(query["family"], query["params"], p=query["p"], q=query.get("q"),
                          r=query["r"], target=query["target"], k=query["k"])
-        if json.dumps({"query": query, "verdict": verdict.to_json()},
-                      separators=(",", ":")) + "\n" != line:
+        if verdict.to_json() != doc["verdict"]:
             changed += 1
             print(f"decide_grid.jsonl line {n}: verdict differs")
-    if "numpy" in sys.modules:
-        changed += 1
-        print("the decide grid loaded numpy")
     print(f"{len(lines) - changed} of {len(lines)} decide grid lines unchanged")
+    if "numpy" in sys.modules:
+        print("the decide grid loaded numpy")
+        return changed + 1
     return changed
 
 
